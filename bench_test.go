@@ -255,7 +255,7 @@ func BenchmarkEngineSerialVsParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plan.Parallelism = 1
 		start := time.Now()
-		serial, err := smarts.Run(p, cfg, plan)
+		serial, err := smarts.RunContext(context.Background(), p, cfg, plan)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func BenchmarkEngineSerialVsParallel(b *testing.B) {
 
 		plan.Parallelism = 4
 		start = time.Now()
-		par, err := smarts.Run(p, cfg, plan)
+		par, err := smarts.RunContext(context.Background(), p, cfg, plan)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,17 +283,14 @@ func BenchmarkEngineSerialVsParallel(b *testing.B) {
 }
 
 // BenchmarkEnginePipelined tracks the streaming capture→replay
-// pipeline against PR 1's capture-then-replay schedule on the same
-// ≥1M-instruction sampling plan at 4 workers: pipelineSpeedupX is
-// two-phase wall clock over streamed wall clock (≥1 on multi-core —
-// replay overlaps the sweep — and ~1 on a single-core runner), and
-// storeSpeedupX is the cold (sweep + save) wall clock over a
-// warm-checkpoint-store run that skips the sweep entirely. The store
-// comparison runs at a sparser sampling interval (k≈40, still ~100×
-// denser than the paper's k≈5000): the store's advantage is the ratio
-// of swept instructions to snapshot bytes, so it grows linearly with k
-// and the dense pipeline plan would understate it. All runs of each
-// plan must agree bit for bit.
+// pipeline on a ≥1M-instruction sampling plan at 4 workers (units/s),
+// and the checkpoint store's payoff: storeSpeedupX is the cold (sweep +
+// save) wall clock over a warm-checkpoint-store run that skips the
+// sweep entirely. The store comparison runs at a sparser sampling
+// interval (k≈40, still ~100× denser than the paper's k≈5000): the
+// store's advantage is the ratio of swept instructions to snapshot
+// bytes, so it grows linearly with k and the dense pipeline plan would
+// understate it. Both runs of the store plan must agree bit for bit.
 func BenchmarkEnginePipelined(b *testing.B) {
 	spec, err := program.ByName("gccx")
 	if err != nil {
@@ -308,17 +305,8 @@ func BenchmarkEnginePipelined(b *testing.B) {
 		smarts.FunctionalWarming, 0)
 	opt := func() smarts.EngineOptions { return smarts.EngineOptions{Workers: 4} }
 	for i := 0; i < b.N; i++ {
-		o := opt()
-		o.TwoPhase = true
 		start := time.Now()
-		twoPhase, err := smarts.RunSampled(p, cfg, plan, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		twoPhaseTime := time.Since(start)
-
-		start = time.Now()
-		streamed, err := smarts.RunSampled(p, cfg, plan, opt())
+		streamed, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, opt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,16 +320,16 @@ func BenchmarkEnginePipelined(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o = opt()
+		o := opt()
 		o.Store = store
 		start = time.Now()
-		cold, err := smarts.RunSampled(p, cfg, sparse, o)
+		cold, err := smarts.RunSampledContext(context.Background(), p, cfg, sparse, o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		coldTime := time.Since(start)
 		start = time.Now()
-		cached, err := smarts.RunSampled(p, cfg, sparse, o)
+		cached, err := smarts.RunSampledContext(context.Background(), p, cfg, sparse, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,14 +339,9 @@ func BenchmarkEnginePipelined(b *testing.B) {
 		}
 
 		if i == 0 {
-			tCPI := twoPhase.CPIEstimate(stats.Alpha997)
-			if got := streamed.CPIEstimate(stats.Alpha997); got != tCPI {
-				b.Fatalf("streamed schedule disagrees: %v vs %v", got, tCPI)
-			}
 			if cc, wc := cold.CPIEstimate(stats.Alpha997), cached.CPIEstimate(stats.Alpha997); cc != wc {
 				b.Fatalf("store cycle disagrees: %v vs %v", wc, cc)
 			}
-			b.ReportMetric(float64(twoPhaseTime)/float64(streamedTime), "pipelineSpeedupX")
 			b.ReportMetric(float64(coldTime)/float64(cachedTime), "storeSpeedupX")
 			b.ReportMetric(float64(len(streamed.Units))/streamedTime.Seconds(), "units/s")
 		}
@@ -419,7 +402,7 @@ func BenchmarkDistributedLoopback(b *testing.B) {
 	cache := checkpoint.NewMemCache()
 	local := func() (*smarts.Result, time.Duration) {
 		start := time.Now()
-		res, err := smarts.RunSampled(p, cfg, plan, smarts.EngineOptions{Workers: 4, Cache: cache})
+		res, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 4, Cache: cache})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,7 +44,10 @@
 // memory image, functionally warmed cache/TLB/predictor tables) in one
 // functional sweep, and internal/engine replays the units across a
 // worker pool with deterministic stream-order aggregation — the same
-// estimate, bit for bit, at any worker count.
+// estimate, bit for bit, at any worker count. The engine owns the one
+// worker pool and the one stream-order fold (engine.Merger) every path
+// uses, the distributed service included, so that identity holds by
+// construction rather than by keeping copies in step.
 //
 // The engine is a streaming pipeline: the sweep hands each snapshot to
 // the workers the moment it is captured, so wall clock approaches
@@ -62,9 +65,11 @@
 // snapshot/delta-chain contract (internal/delta): dirty-block deltas
 // for the warmed structures, dirty-page deltas for memory, periodic
 // keyframes (sim.WithKeyframe, the CLIs' -keyframe) bounding
-// reconstruction chains, in memory and in the store's v3 format alike.
-// Every variant — streamed, two-phase, store-loaded, multi-offset,
-// cancelled-and-rerun — produces bit-identical estimates.
+// reconstruction chains, in memory and in the store's format alike (one
+// CRC-sealed format version; an entry in any other is a miss).
+// Every variant — streamed, store- or cache-loaded, multi-offset,
+// sharded across a fleet, cancelled-and-rerun — produces bit-identical
+// estimates.
 //
 // # Parallel sweeps and warming bias
 //

@@ -62,11 +62,10 @@
 // configuration; see store.go. A functional sweep is then paid once per
 // (workload, plan, hierarchy shape) and shared across machine configs
 // that differ only in timing, width, or energy parameters. The file
-// format (v3) persists the keyframe+delta structure directly — for
-// memory as well as warm state, collapsing what used to be an ad-hoc
-// per-unit page table into the same delta code path — so dense entries
-// shrink with the in-memory encoding; v1 (full snapshots only) and v2
-// (warm deltas, full page tables) entries remain loadable. The store
+// format persists the keyframe+delta structure directly — for memory as
+// well as warm state — so dense entries shrink with the in-memory
+// encoding, and seals every entry with a CRC-32C; an entry in any other
+// format version is a miss. The store
 // keeps an index.json of its entries and, with MaxBytes set, evicts
 // least-recently-used entries on commit.
 package checkpoint
@@ -300,9 +299,8 @@ type Unit struct {
 	// and carried in full on every unit.
 	Arch functional.ArchState
 	// Mem is the memory image at LaunchAt (copy-on-write, shared with
-	// neighbouring checkpoints). It is populated only on keyframe units
-	// (and on every unit of sets loaded from pre-v3 store entries); nil
-	// when this unit's memory is delta-encoded.
+	// neighbouring checkpoints). It is populated only on keyframe units;
+	// nil when this unit's memory is delta-encoded.
 	Mem *mem.Image
 	// MemDelta, on delta-encoded units, is the dirty-page change from
 	// Prev's memory to this unit's; Mem is then nil.
@@ -362,8 +360,7 @@ func (u *Unit) Materialize() (*Launch, error) {
 
 // materializeMem resolves the memory half of the launch state through
 // its delta chain. It walks the chain independently of the warm half:
-// sets loaded from pre-v3 store entries carry full memory on every unit
-// but delta-encoded warm state, and cold sweeps the reverse.
+// cold sweeps delta-encode memory and carry no warm state at all.
 func (u *Unit) materializeMem() (*mem.Image, error) {
 	if u.Mem != nil {
 		return u.Mem, nil

@@ -28,35 +28,25 @@ const (
 	recPage   = 1 // one 4KiB page, referenced by arrival order
 	recUnit   = 2 // one captured unit
 	recEnd    = 3 // terminator carrying the sweep totals
-	recKeyIdx = 4 // keyframe index (v2+): ordinals of keyframe units
+	recKeyIdx = 4 // keyframe index: ordinals of keyframe units
 	recFrame  = 5 // resume frame sealing a partial-sweep journal prefix (resume.go)
 )
 
-// Warm-state encodings inside a v2+ unit record. Version-1 files carry
-// only a 0/1 presence flag, which maps onto warmNone/warmFull.
+// Warm-state encodings inside a unit record.
 const (
 	warmNone  = 0 // cold capture: no warm state
 	warmFull  = 1 // full snapshot (keyframe)
 	warmDelta = 2 // dirty-block delta against the previous warm unit
 )
 
-// Memory encodings inside a v3 unit record. Pre-v3 files always carry a
-// full page table (memFull's layout, without the kind byte).
+// Memory encodings inside a unit record.
 const (
 	memFull  = 1 // full page table (keyframe)
 	memDelta = 2 // dirty-page delta against the previous unit
 )
 
-// Dirty-block granularities of pre-v3 delta records, which predate the
-// self-describing grain fields: the constants the v2 writer compiled in.
-const (
-	v2CacheGrain = 5
-	v2TblGrain   = 6
-	v2BTBGrain   = 5
-)
-
 // castagnoli is the CRC-32C polynomial table shared by the store
-// checksums (format v4+) and the dist layer's wire digests. Castagnoli
+// checksums and the dist layer's wire digests. Castagnoli
 // has hardware support on every platform Go targets seriously, so the
 // checksum costs a fraction of the I/O it guards.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -449,8 +439,8 @@ func (c *codecWriter) warmState(w *WarmState) error {
 	return c.predState(w.Pred)
 }
 
-// cacheDelta emits one dirty-block cache/TLB delta (v3 layout: the
-// grain is serialized, so stored chains survive granularity retuning).
+// cacheDelta emits one dirty-block cache/TLB delta (the grain is
+// serialized, so stored chains survive granularity retuning).
 func (c *codecWriter) cacheDelta(d *cache.Delta) error {
 	if err := c.u64(uint64(d.N)); err != nil {
 		return err
@@ -476,7 +466,7 @@ func (c *codecWriter) cacheDelta(d *cache.Delta) error {
 	return c.u64s(d.LastUsed)
 }
 
-func (c *codecReader) cacheDelta(version uint32) (*cache.Delta, error) {
+func (c *codecReader) cacheDelta() (*cache.Delta, error) {
 	d := &cache.Delta{}
 	n, err := c.u64()
 	if err != nil {
@@ -486,18 +476,14 @@ func (c *codecReader) cacheDelta(version uint32) (*cache.Delta, error) {
 		return nil, fmt.Errorf("unreasonable delta geometry %d", n)
 	}
 	d.N = int(n)
-	if version >= 3 {
-		grain, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		if grain > 30 {
-			return nil, fmt.Errorf("unreasonable delta grain %d", grain)
-		}
-		d.Grain = uint8(grain)
-	} else {
-		d.Grain = v2CacheGrain
+	grain, err := c.u64()
+	if err != nil {
+		return nil, err
 	}
+	if grain > 30 {
+		return nil, fmt.Errorf("unreasonable delta grain %d", grain)
+	}
+	d.Grain = uint8(grain)
 	if d.Stamp, err = c.u64(); err != nil {
 		return nil, err
 	}
@@ -519,8 +505,8 @@ func (c *codecReader) cacheDelta(version uint32) (*cache.Delta, error) {
 	return d, nil
 }
 
-// predDelta emits one dirty-block predictor delta (v3 layout with
-// serialized grains).
+// predDelta emits one dirty-block predictor delta, grains included, so
+// retuning the granularity never invalidates stored chains.
 func (c *codecWriter) predDelta(d *bpred.Delta) error {
 	if err := c.u64(uint64(d.N)); err != nil {
 		return err
@@ -565,7 +551,7 @@ func (c *codecWriter) predDelta(d *bpred.Delta) error {
 	return c.u64(uint64(int64(d.RASTop)))
 }
 
-func (c *codecReader) predDelta(version uint32) (*bpred.Delta, error) {
+func (c *codecReader) predDelta() (*bpred.Delta, error) {
 	d := &bpred.Delta{}
 	n, err := c.u64()
 	if err != nil {
@@ -579,22 +565,18 @@ func (c *codecReader) predDelta(version uint32) (*bpred.Delta, error) {
 		return nil, fmt.Errorf("unreasonable delta geometry %d/%d", n, btbn)
 	}
 	d.N, d.BTBN = int(n), int(btbn)
-	if version >= 3 {
-		tg, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		bg, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		if tg > 30 || bg > 30 {
-			return nil, fmt.Errorf("unreasonable delta grains %d/%d", tg, bg)
-		}
-		d.TblGrain, d.BTBGrain = uint8(tg), uint8(bg)
-	} else {
-		d.TblGrain, d.BTBGrain = v2TblGrain, v2BTBGrain
+	tg, err := c.u64()
+	if err != nil {
+		return nil, err
 	}
+	bg, err := c.u64()
+	if err != nil {
+		return nil, err
+	}
+	if tg > 30 || bg > 30 {
+		return nil, fmt.Errorf("unreasonable delta grains %d/%d", tg, bg)
+	}
+	d.TblGrain, d.BTBGrain = uint8(tg), uint8(bg)
 	if d.TblBlocks, err = c.u32s(); err != nil {
 		return nil, err
 	}
@@ -651,15 +633,15 @@ func (c *codecWriter) warmDelta(d *uarch.WarmDelta) error {
 	return c.predDelta(d.Pred)
 }
 
-func (c *codecReader) warmDelta(version uint32) (*uarch.WarmDelta, error) {
+func (c *codecReader) warmDelta() (*uarch.WarmDelta, error) {
 	hier := &cache.HierarchyDelta{}
 	var err error
 	for _, dst := range []**cache.Delta{&hier.IL1, &hier.DL1, &hier.L2, &hier.ITLB, &hier.DTLB} {
-		if *dst, err = c.cacheDelta(version); err != nil {
+		if *dst, err = c.cacheDelta(); err != nil {
 			return nil, err
 		}
 	}
-	pred, err := c.predDelta(version)
+	pred, err := c.predDelta()
 	if err != nil {
 		return nil, err
 	}
@@ -704,15 +686,11 @@ func (g warmGeom) validate(d *uarch.WarmDelta) error {
 	return d.Pred.Validate(g.tbl, g.btb, g.ras)
 }
 
-// unit decodes one unit record. version selects the layout: v1 carries
-// a full page table and a warm presence flag; v2 adds the warm
-// delta/full/none kind; v3 adds the memory full/delta kind and
-// serialized grains. prev is the previously decoded unit (the v3 delta
-// chain predecessor), prevWarm the last warm-carrying unit (the pre-v3
-// warm chain predecessor), and geom the geometry established by the
-// chain's keyframe; geom is updated when this record carries a full
-// snapshot.
-func (c *codecReader) unit(version uint32, pages []*[mem.PageSize]byte, prev, prevWarm *Unit, geom *warmGeom) (*Unit, error) {
+// unit decodes one unit record. prev is the previously decoded unit
+// (the delta chain predecessor, for memory and warm state alike) and
+// geom the geometry established by the chain's keyframe; geom is
+// updated when this record carries a full snapshot.
+func (c *codecReader) unit(pages []*[mem.PageSize]byte, prev *Unit, geom *warmGeom) (*Unit, error) {
 	u := &Unit{}
 	var err error
 	if u.Index, err = c.u64(); err != nil {
@@ -746,11 +724,9 @@ func (c *codecReader) unit(version uint32, pages []*[mem.PageSize]byte, prev, pr
 	arch.Halted = halted != 0
 	u.Arch = arch
 
-	mKind := uint64(memFull)
-	if version >= 3 {
-		if mKind, err = c.u64(); err != nil {
-			return nil, err
-		}
+	mKind, err := c.u64()
+	if err != nil {
+		return nil, err
 	}
 	nums, err := c.u64s()
 	if err != nil {
@@ -810,8 +786,8 @@ func (c *codecReader) unit(version uint32, pages []*[mem.PageSize]byte, prev, pr
 	case warmNone:
 		return u, nil
 	case warmFull:
-		if version >= 3 && u.MemDelta != nil {
-			// The v3 writer keyframes memory and warm state together; a
+		if u.MemDelta != nil {
+			// The writer keyframes memory and warm state together; a
 			// mixed unit means records were spliced.
 			return nil, fmt.Errorf("unit %d: full warm state on a memory-delta unit", u.Index)
 		}
@@ -829,16 +805,15 @@ func (c *codecReader) unit(version uint32, pages []*[mem.PageSize]byte, prev, pr
 		*geom = geomOf(u.Warm)
 		return u, nil
 	case warmDelta:
-		if version < 2 {
-			return nil, fmt.Errorf("unit %d: delta record in version-%d file", u.Index, version)
-		}
-		if version >= 3 && u.MemDelta == nil {
+		if u.MemDelta == nil {
 			return nil, fmt.Errorf("unit %d: warm delta on a memory-keyframe unit", u.Index)
 		}
-		if prevWarm == nil {
-			return nil, fmt.Errorf("unit %d: delta with no preceding keyframe", u.Index)
+		// A memory-delta unit has a predecessor (checked above); its warm
+		// delta applies to that same unit's warm state.
+		if prev.Warm == nil && prev.Delta == nil {
+			return nil, fmt.Errorf("unit %d: warm and memory chains diverge", u.Index)
 		}
-		d, err := c.warmDelta(version)
+		d, err := c.warmDelta()
 		if err != nil {
 			return nil, err
 		}
@@ -846,11 +821,6 @@ func (c *codecReader) unit(version uint32, pages []*[mem.PageSize]byte, prev, pr
 			return nil, fmt.Errorf("unit %d: %w", u.Index, err)
 		}
 		u.Delta = d
-		if u.Prev == nil {
-			u.Prev = prevWarm
-		} else if u.Prev != prevWarm {
-			return nil, fmt.Errorf("unit %d: warm and memory chains diverge", u.Index)
-		}
 		return u, nil
 	}
 	return nil, fmt.Errorf("unit %d: unknown warm encoding %d", u.Index, kind)

@@ -284,7 +284,7 @@ func readEntryKey(path string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	_, man, _, err := readHeader(f)
+	_, man, err := readHeader(f)
 	if err != nil {
 		return "", err
 	}

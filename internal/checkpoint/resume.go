@@ -6,7 +6,7 @@ package checkpoint
 // run, and before this file it was all-or-nothing: a cancelled run, an
 // expired sweep lease, or a killed process threw the whole sweep away.
 // CaptureStream therefore journals its progress as a *partial sweep
-// record* — the store's format-v3 byte stream (header, manifest, page
+// record* — the store's entry byte stream (header, manifest, page
 // and unit records) interleaved with Frame records (recFrame) that pin
 // the exact sweep state after a captured unit: the captured-unit count,
 // the stream position, the accumulated sweep time, and the warmer's
@@ -35,7 +35,6 @@ package checkpoint
 // uninterrupted sweep.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -422,25 +421,7 @@ func DecodePartial(r io.Reader, k Key) (*ResumeState, error) {
 // prefix of a crashed write, so everything before the last good frame
 // is still a correct, older resume point.
 func readPartial(r io.Reader, k Key) (*ResumeState, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("short header: %w", err)
-	}
-	if magic != storeMagic {
-		return nil, fmt.Errorf("bad magic %q", magic[:])
-	}
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	// Partial journals have no pre-v3 history to stay loadable for; v3
-	// journals (pre-checksum) still resume so an upgrade mid-sweep does
-	// not throw away journaled work.
-	if version != storeVersion && version != storeVersionV3 {
-		return nil, fmt.Errorf("partial format version %d, want %d or %d", version, storeVersionV3, storeVersion)
-	}
-	cr := newCodecReader(r)
-	man, err := readManifest(cr)
+	cr, man, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +433,6 @@ func readPartial(r io.Reader, k Key) (*ResumeState, error) {
 		pages     []*[mem.PageSize]byte
 		units     []*Unit
 		prev      *Unit
-		prevWarm  *Unit
 		geom      warmGeom
 		keyframes []uint64
 		good      *ResumeState
@@ -471,15 +451,12 @@ scan:
 			}
 			pages = append(pages, (*[mem.PageSize]byte)(page))
 		case recUnit:
-			u, err := cr.unit(version, pages, prev, prevWarm, &geom)
+			u, err := cr.unit(pages, prev, &geom)
 			if err != nil {
 				break scan
 			}
 			if u.Mem != nil {
 				keyframes = append(keyframes, uint64(len(units)))
-			}
-			if u.Warm != nil || u.Delta != nil {
-				prevWarm = u
 			}
 			prev = u
 			units = append(units, u)
@@ -494,15 +471,13 @@ scan:
 			if err != nil {
 				break scan
 			}
-			if version >= 4 {
-				// Verify the frame's seal over the whole journal prefix;
-				// a mismatch means bit rot somewhere before this point, so
-				// nothing from here on is trustworthy.
-				expect := cr.sum()
-				stored, err := cr.u64()
-				if err != nil || uint32(stored) != expect {
-					break scan
-				}
+			// Verify the frame's seal over the whole journal prefix; a
+			// mismatch means bit rot somewhere before this point, so
+			// nothing from here on is trustworthy.
+			expect := cr.sum()
+			stored, err := cr.u64()
+			if err != nil || uint32(stored) != expect {
+				break scan
 			}
 			// A frame must describe exactly the units decoded before it;
 			// anything else means records were lost or spliced — stop

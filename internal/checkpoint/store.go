@@ -29,45 +29,33 @@ import (
 // and the dominant payloads (tag arrays, LRU stamps, memory pages) are
 // cheap to rewrite but expensive to push through a codec.
 //
-// Version 2 added delta-encoded warm snapshots: unit records carry a
-// warm-encoding kind (none/full/delta), delta units hold dirty-block
-// deltas chained off the preceding full "keyframe" unit, and a keyframe
-// index record before the End record enumerates the keyframe ordinals
-// so truncated or spliced chains are detected at load.
+// Exactly one version is readable: the one the writer emits. The store
+// is a cache, so an entry (or partial journal) stamped with any other
+// version — the unsealed formats 1–3 of earlier releases included — is
+// a miss that the next commit of its key overwrites; Verify reports it.
 //
-// Version 3 extends the same delta discipline to memory, collapsing the
-// codec's ad-hoc per-unit page table into the shared chain code path:
-// unit records carry a memory-encoding kind (full/delta), delta units
-// list only the pages dirtied since the preceding unit (mem.Delta from
-// the dirty-page journal), keyframes carry the full page table, and
-// memory and warm state keyframe together — the keyframe index now
-// guards both chains. Delta records also serialize their dirty-block
-// grain, so retuning the granularity never invalidates stored chains.
-// Version 4 seals every entry with a CRC-32C: the codec primitives
-// fold each record byte into a running checksum (codec.go) and the end
-// record is followed by the writer's final sum as a trailing uint64.
-// Resume frames in partial journals seal their cumulative prefix the
-// same way (resume.go). The magic and version themselves stay outside
-// the sum — they are validated byte-for-byte instead. Structural
-// validation catches truncation and splicing; the checksum closes the
-// remaining gap — single-bit rot inside an opaque payload (a 4KiB
-// page, a predictor table) that still parses. Pre-v4 files (v1: every
-// unit a full snapshot; v2: full page tables, warm deltas; v3: delta
-// memory) still load, without checksum protection; writers always emit
-// v4. Corruption anywhere — including mid-chain — degrades to a miss.
+// Version 4, the current format: unit records carry a memory-encoding
+// kind (full/delta) and a warm-encoding kind (none/full/delta). Delta
+// units list only the pages dirtied since the preceding unit (mem.Delta
+// from the dirty-page journal) and dirty-block warm deltas, each with
+// its serialized grain, chained off the preceding full "keyframe" unit;
+// memory and warm state keyframe together. A keyframe index record
+// before the End record enumerates the keyframe ordinals so truncated
+// or spliced chains are detected at load. Every entry is sealed with a
+// CRC-32C: the codec primitives fold each record byte into a running
+// checksum (codec.go) and the end record is followed by the writer's
+// final sum as a trailing uint64. Resume frames in partial journals
+// seal their cumulative prefix the same way (resume.go). The magic and
+// version themselves stay outside the sum — they are validated
+// byte-for-byte instead. Structural validation catches truncation and
+// splicing; the checksum closes the remaining gap — single-bit rot
+// inside an opaque payload (a 4KiB page, a predictor table) that still
+// parses. Corruption anywhere — including mid-chain — degrades to a
+// miss.
 const (
-	storeVersion   = 4
-	storeVersionV3 = 3
-	storeVersionV2 = 2
-	storeVersionV1 = 1
-	storeExt       = ".ckpt"
+	storeVersion = 4
+	storeExt     = ".ckpt"
 )
-
-// knownVersion reports whether a file format version can be decoded:
-// every version from the first release through the current writer.
-func knownVersion(v uint32) bool {
-	return v >= storeVersionV1 && v <= storeVersion
-}
 
 var storeMagic = [8]byte{'S', 'M', 'R', 'T', 'C', 'K', 'P', 'T'}
 
@@ -302,51 +290,50 @@ func (s *Store) Load(k Key) (*Set, error) {
 	return set, nil
 }
 
-// readHeader consumes an entry's magic, version, and manifest,
-// returning the codec reader positioned at the first record. The magic
-// and version are read directly (outside the CRC), so a v4 checksum
-// covers exactly the bytes the codec primitives produced.
-func readHeader(r io.Reader) (*codecReader, *storeManifest, uint32, error) {
+// readHeader consumes the magic, version, and manifest of an entry or
+// a partial journal, returning the codec reader positioned at the first
+// record. The magic and version are read directly (outside the CRC), so
+// the checksum covers exactly the bytes the codec primitives produced.
+func readHeader(r io.Reader) (*codecReader, *storeManifest, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, nil, 0, fmt.Errorf("short header: %w", err)
+		return nil, nil, fmt.Errorf("short header: %w", err)
 	}
 	if magic != storeMagic {
-		return nil, nil, 0, fmt.Errorf("bad magic %q", magic[:])
+		return nil, nil, fmt.Errorf("bad magic %q", magic[:])
 	}
 	var version uint32
 	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	if !knownVersion(version) {
-		return nil, nil, 0, fmt.Errorf("format version %d, want %d..%d", version, storeVersionV1, storeVersion)
+	if version != storeVersion {
+		return nil, nil, fmt.Errorf("format version %d, want %d", version, storeVersion)
 	}
 	cr := newCodecReader(r)
 	man, err := readManifest(cr)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	return cr, man, version, nil
+	return cr, man, nil
 }
 
 func readSet(r io.Reader, k Key) (*Set, error) {
-	cr, man, version, err := readHeader(r)
+	cr, man, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
 	if man.Key.String() != k.String() {
 		return nil, fmt.Errorf("key mismatch: stored %s", man.Key)
 	}
-	return readRecords(cr, version, man)
+	return readRecords(cr, man)
 }
 
 // readRecords decodes the record stream of a committed entry whose
 // header was already consumed by readHeader.
-func readRecords(cr *codecReader, version uint32, man *storeManifest) (*Set, error) {
+func readRecords(cr *codecReader, man *storeManifest) (*Set, error) {
 	set := &Set{K: man.Key.K, PopulationUnits: man.PopulationUnits}
 	var pages []*[mem.PageSize]byte
-	var prev *Unit        // previously decoded unit (v3 chain predecessor)
-	var prevWarm *Unit    // warm chain predecessor (pre-v3 files)
+	var prev *Unit        // previously decoded unit (the delta chain predecessor)
 	var geom warmGeom     // geometry established by the last keyframe
 	var keyframes []int64 // ordinals of keyframe units, for index validation
 	var keyIdx []uint64   // the file's keyframe index record, when present
@@ -367,27 +354,19 @@ func readRecords(cr *codecReader, version uint32, man *storeManifest) (*Set, err
 			}
 			pages = append(pages, (*[mem.PageSize]byte)(page))
 		case recUnit:
-			u, err := cr.unit(version, pages, prev, prevWarm, &geom)
+			u, err := cr.unit(pages, prev, &geom)
 			if err != nil {
 				return nil, err
 			}
 			// The keyframe index lists full-snapshot units: memory
-			// keyframes in v3 (warm state keyframes with them), warm
-			// keyframes in v2.
-			if version >= 3 {
-				if u.Mem != nil {
-					keyframes = append(keyframes, int64(len(set.Units)))
-				}
-			} else if u.Warm != nil {
+			// keyframes (warm state keyframes with them).
+			if u.Mem != nil {
 				keyframes = append(keyframes, int64(len(set.Units)))
-			}
-			if u.Warm != nil || u.Delta != nil {
-				prevWarm = u
 			}
 			prev = u
 			set.Units = append(set.Units, u)
 		case recKeyIdx:
-			if version < 2 || sawKeyIdx {
+			if sawKeyIdx {
 				return nil, fmt.Errorf("unexpected keyframe index record")
 			}
 			if keyIdx, err = cr.u64s(); err != nil {
@@ -402,19 +381,17 @@ func readRecords(cr *codecReader, version uint32, man *storeManifest) (*Set, err
 			if units != uint64(len(set.Units)) {
 				return nil, fmt.Errorf("truncated: %d of %d units", len(set.Units), units)
 			}
-			if version >= 2 {
-				// The keyframe index must agree with the units actually
-				// decoded; a mismatch means records were lost or spliced.
-				if !sawKeyIdx {
-					return nil, fmt.Errorf("missing keyframe index")
-				}
-				if len(keyIdx) != len(keyframes) {
-					return nil, fmt.Errorf("keyframe index lists %d keyframes, decoded %d", len(keyIdx), len(keyframes))
-				}
-				for i, ord := range keyIdx {
-					if ord != uint64(keyframes[i]) {
-						return nil, fmt.Errorf("keyframe index mismatch at %d: %d vs %d", i, ord, keyframes[i])
-					}
+			// The keyframe index must agree with the units actually
+			// decoded; a mismatch means records were lost or spliced.
+			if !sawKeyIdx {
+				return nil, fmt.Errorf("missing keyframe index")
+			}
+			if len(keyIdx) != len(keyframes) {
+				return nil, fmt.Errorf("keyframe index lists %d keyframes, decoded %d", len(keyIdx), len(keyframes))
+			}
+			for i, ord := range keyIdx {
+				if ord != uint64(keyframes[i]) {
+					return nil, fmt.Errorf("keyframe index mismatch at %d: %d vs %d", i, ord, keyframes[i])
 				}
 			}
 			if set.SweepInsts, err = cr.u64(); err != nil {
@@ -425,17 +402,15 @@ func readRecords(cr *codecReader, version uint32, man *storeManifest) (*Set, err
 				return nil, err
 			}
 			set.SweepTime = time.Duration(int64(nanos))
-			if version >= 4 {
-				// The trailing checksum seals every byte the codec read;
-				// snapshot the running sum before consuming the field itself.
-				expect := cr.sum()
-				stored, err := cr.u64()
-				if err != nil {
-					return nil, fmt.Errorf("checksum: %w", err)
-				}
-				if uint32(stored) != expect {
-					return nil, fmt.Errorf("checksum mismatch: stored %08x, computed %08x", uint32(stored), expect)
-				}
+			// The trailing checksum seals every byte the codec read;
+			// snapshot the running sum before consuming the field itself.
+			expect := cr.sum()
+			stored, err := cr.u64()
+			if err != nil {
+				return nil, fmt.Errorf("checksum: %w", err)
+			}
+			if uint32(stored) != expect {
+				return nil, fmt.Errorf("checksum mismatch: stored %08x, computed %08x", uint32(stored), expect)
 			}
 			return set, nil
 		default:
@@ -448,7 +423,7 @@ func readRecords(cr *codecReader, version uint32, man *storeManifest) (*Set, err
 // unit records, keyframe index, end record) to any io.Writer. It is the
 // shared encoding core of the store's SetWriter and of EncodeSet, the
 // wire form the distributed service ships sweeps with — both produce
-// the identical format-v3 byte stream.
+// the identical byte stream.
 type setEncoder struct {
 	cw *codecWriter
 	// table is the running reconstruction of the stream's current page
@@ -569,9 +544,8 @@ func (e *setEncoder) page(data *[mem.PageSize]byte) (uint64, error) {
 // A unit is written as a delta exactly when it carries a memory delta
 // extending the previously written unit — the only chain shape the
 // reader can rebuild from record order. Anything else (keyframes,
-// out-of-order units from an offset sub-set, units loaded from pre-v3
-// entries whose memory is full but warm state delta-encoded) is
-// materialized and written as a full keyframe.
+// out-of-order units from an offset sub-set) is materialized and
+// written as a full keyframe.
 func (e *setEncoder) add(u *Unit) error {
 	if u.MemDelta != nil && u.Warm == nil && u.Prev == e.prevUnit && e.prevUnit != nil {
 		// Chain-aligned delta unit: write only the dirty pages.

@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"context"
+	"encoding/binary"
 
 	"os"
 	"path/filepath"
@@ -153,6 +154,83 @@ func TestStoreVersionAndCorruption(t *testing.T) {
 	}
 	if got, err := store.Load(key); err != nil || got != nil {
 		t.Fatalf("bad-magic entry must be a miss (got set=%v err=%v)", got != nil, err)
+	}
+}
+
+// TestStoreOtherVersionIsMiss pins the one-format rule that replaced the
+// v1-v3 read paths (and the compat tests that wrote such files by
+// hand): a committed entry or a partial journal stamped with any format
+// version but the writer's — the unsealed versions of earlier releases
+// or a future one — is a miss, never an error and never a decode
+// attempt; Verify (simd fsck) reports both files; and the next commit
+// of each key overwrites the stale file with a loadable one.
+func TestStoreOtherVersionIsMiss(t *testing.T) {
+	p := genProg(t, "gzipx", 200_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 1000, K: 10, FunctionalWarm: true, Keyframe: 4}
+	set := capture(t, p, cfg, params)
+	key := checkpoint.KeyFor(p, cfg, params)
+	// The journal belongs to a second key, cut mid-sweep.
+	jp := genProg(t, "gccx", 300_000)
+	jparams := checkpoint.Params{U: 1000, W: 1000, K: 8, FunctionalWarm: true, Keyframe: 4}
+	jkey := checkpoint.KeyFor(jp, cfg, jparams)
+
+	// stamp rewrites the little-endian uint32 version after the magic.
+	stamp := func(path string, v uint32) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[8:], v)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, version := range []uint32{1, 2, 3, 5} {
+		dir := t.TempDir()
+		store, err := checkpoint.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(key, set); err != nil {
+			t.Fatal(err)
+		}
+		journalSweep(t, jp, cfg, jparams, store, jkey, nil, 5)
+		if rs, err := store.LoadPartial(jkey); err != nil || rs == nil {
+			t.Fatalf("fresh journal does not resume (state=%v err=%v)", rs != nil, err)
+		}
+		stamp(filepath.Join(dir, key.Hash()+".ckpt"), version)
+		stamp(filepath.Join(dir, jkey.Hash()+".partial"), version)
+
+		if got, err := store.Load(key); err != nil || got != nil {
+			t.Fatalf("v%d entry must be a miss (set=%v err=%v)", version, got != nil, err)
+		}
+		if rs, err := store.LoadPartial(jkey); err != nil || rs != nil {
+			t.Fatalf("v%d journal must be a miss (state=%v err=%v)", version, rs != nil, err)
+		}
+		rep, err := store.Verify(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Entries != 1 || rep.Partials != 1 || len(rep.Problems) != 2 {
+			t.Fatalf("v%d: scrub must report the entry and the journal: %+v", version, rep)
+		}
+
+		// The next commit of each key overwrites the stale file.
+		if err := store.Save(key, set); err != nil {
+			t.Fatal(err)
+		}
+		journalSweep(t, jp, cfg, jparams, store, jkey, nil, 5)
+		if got, err := store.Load(key); err != nil || got == nil || len(got.Units) != len(set.Units) {
+			t.Fatalf("v%d: recommitted entry does not load (err=%v)", version, err)
+		}
+		if rs, err := store.LoadPartial(jkey); err != nil || rs == nil {
+			t.Fatalf("v%d: rewritten journal does not resume (err=%v)", version, err)
+		}
+		if rep, err := store.Verify(false); err != nil || !rep.Clean() {
+			t.Fatalf("v%d: store not clean after recommit: %+v (%v)", version, rep, err)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func (r *VerifyReport) Clean() bool { return len(r.Problems) == 0 }
 // Verify scrubs every committed entry (*.ckpt) and partial journal
 // (*.partial) in the store: each file must decode end to end under the
 // same validation the load path applies — magic, version, manifest,
-// record structure, chain geometry, and (format v4) the CRC-32C seals
+// record structure, chain geometry, and the CRC-32C seals
 // — and its name must match its manifest key's content address. When
 // evict is true, files that fail are removed; the advisory index
 // reconciles itself on the next scan. Partial journals are considered
@@ -89,14 +89,14 @@ func verifyEntry(path string) error {
 		return err
 	}
 	defer f.Close()
-	cr, man, version, err := readHeader(f)
+	cr, man, err := readHeader(f)
 	if err != nil {
 		return err
 	}
 	if want := man.Key.Hash() + storeExt; filepath.Base(path) != want {
 		return fmt.Errorf("filename does not match manifest key (want %s)", want)
 	}
-	if _, err := readRecords(cr, version, man); err != nil {
+	if _, err := readRecords(cr, man); err != nil {
 		return err
 	}
 	return nil
@@ -111,7 +111,7 @@ func verifyPartial(path string) error {
 	}
 	man, err := func() (*storeManifest, error) {
 		defer f.Close()
-		_, man, _, err := readHeader(f)
+		_, man, err := readHeader(f)
 		return man, err
 	}()
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"io"
 )
 
-// EncodeSet writes set, keyed by k, to w in the store's format-v3 byte
+// EncodeSet writes set, keyed by k, to w in the store's entry byte
 // stream — the exact bytes Store.Save would put on disk. It is the wire
 // form the distributed sampling service (internal/dist) ships captured
 // sweeps with: a worker that swept uploads the encoding, the

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/stats"
@@ -91,12 +92,13 @@ type Coordinator struct {
 	lifeCancel context.CancelFunc
 	epoch      string
 
+	progs program.Cache
+
 	mu      sync.Mutex
 	queued  int
 	workers []*workerRef
 	claims  map[string]claimState
 	active  map[string]*activeRun
-	progs   map[progKey]*program.Program
 	// runs holds every known run by ID — executing, queued, and (capped
 	// by maxFinishedRuns, in finished order) terminal, so late
 	// re-attaches can still fetch the outcome.
@@ -126,11 +128,6 @@ type activeRun struct {
 	key     checkpoint.Key
 	noStore bool
 	refs    int
-}
-
-type progKey struct {
-	name   string
-	length uint64
 }
 
 // workerRef is one registered worker.
@@ -204,7 +201,6 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		slots:    make(chan struct{}, opt.MaxActive),
 		claims:   make(map[string]claimState),
 		active:   make(map[string]*activeRun),
-		progs:    make(map[progKey]*program.Program),
 		runs:     make(map[string]*runState),
 		partials: make(map[string][]byte),
 		epoch:    randHex(8),
@@ -309,29 +305,6 @@ func (c *Coordinator) liveWorkers() []*workerRef {
 	return live
 }
 
-// workload returns the generated program for (name, length), cached.
-func (c *Coordinator) workload(name string, length uint64) (*program.Program, error) {
-	key := progKey{name, length}
-	c.mu.Lock()
-	p, ok := c.progs[key]
-	c.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err = program.Generate(spec, length)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.progs[key] = p
-	c.mu.Unlock()
-	return p, nil
-}
-
 // retainRun pins the run's key in the active table so the sweep and
 // claim endpoints can serve its hash.
 func (c *Coordinator) retainRun(hash string, key checkpoint.Key, noStore bool) {
@@ -388,7 +361,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 	if length == 0 {
 		length = sim.DefaultLength
 	}
-	prog, err := c.workload(req.Workload, length)
+	prog, err := c.progs.Get(req.Workload, length)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +386,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 // spec — the already-resolved plan, not the raw request, so recovery
 // cannot re-resolve differently.
 func (c *Coordinator) resolveSpec(hdr *journalRun) (*resolvedRun, error) {
-	prog, err := c.workload(hdr.Spec.Workload, hdr.Spec.Length)
+	prog, err := c.progs.Get(hdr.Spec.Workload, hdr.Spec.Length)
 	if err != nil {
 		return nil, err
 	}
@@ -808,9 +781,12 @@ type shardedRun struct {
 	pop    uint64
 	total  int
 	shards int
-	m      *merger
+	m      *engine.Merger
+	// stop aborts every in-flight shard request fleet-wide once the
+	// merge reports that early termination fixed the outcome.
+	stop context.CancelFunc
 
-	// smu guards the merge and the shard bookkeeping below; merger
+	// smu guards the merge and the shard bookkeeping below; Merger
 	// offers and journal appends are serialized under it (one lock,
 	// because the merge IS the shared state of the run).
 	smu       sync.Mutex
@@ -902,18 +878,21 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 		Population: r.pop, Total: r.total})
 
 	alpha := alphaOr997(r.wr.Alpha)
-	r.m = newMerger(r.plan.U, alpha, r.wr.TargetEps, r.wr.MinUnits, r.total)
 	dispatchCtx, cancelDispatch := context.WithCancel(ctx)
 	defer cancelDispatch()
+	r.stop = cancelDispatch
 	replayStart := wallclock.Now()
-	r.m.onFold = func(merged uint64, est stats.Estimate) {
-		r.sink.emit(sim.Progress{Kind: sim.EventUnitReplayed, Stage: "sample", Offset: r.plan.J,
-			Replayed: int(merged), Estimate: est, Population: r.pop, Total: r.total,
-			ETA: etaFrom(replayStart, int(merged), r.total)})
-	}
-	// Early termination broadcasts a stop: cancelling the dispatch
-	// context aborts every in-flight shard request fleet-wide.
-	r.m.onStop = cancelDispatch
+	// The run's fold is the engine's: the same Merger a local run
+	// offers its pool's units to takes the fleet's shard streams (and
+	// the journaled prefix at recovery), in whatever order they arrive.
+	r.m = engine.NewMerger(r.plan.U, engine.Options{
+		Alpha: alpha, TargetEps: r.wr.TargetEps, MinUnits: r.wr.MinUnits,
+		OnReplayed: func(merged int, est stats.Estimate) {
+			r.sink.emit(sim.Progress{Kind: sim.EventUnitReplayed, Stage: "sample", Offset: r.plan.J,
+				Replayed: merged, Estimate: est, Population: r.pop, Total: r.total,
+				ETA: wallclock.ETA(replayStart, merged, r.total)})
+		},
+	}, r.total)
 
 	r.pending = make(chan shardRange, r.shards+len(workers))
 	r.remaining = r.shards
@@ -941,10 +920,11 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 
 	r.smu.Lock()
 	defer r.smu.Unlock()
+	er := r.m.Finish()
 	switch {
 	case r.runErr != nil:
 		return nil, r.runErr
-	case r.m.earlyStopped():
+	case er.EarlyStopped:
 		// The cutoff prefix is complete; outstanding shards were only
 		// producing surplus units beyond it.
 	case ctx.Err() != nil:
@@ -961,7 +941,19 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	if r.trailer != nil {
 		td = *r.trailer
 	}
-	res := r.m.finalize(r.plan, td, r.anySwept)
+	res := &smarts.Result{
+		Plan:            r.plan,
+		Units:           er.Units,
+		PopulationUnits: td.Population,
+		MeasuredInsts:   er.MeasuredInsts,
+		WarmingInsts:    er.WarmingInsts,
+		FastFwdInsts:    td.SweepInsts,
+		FastFwdTime:     time.Duration(td.SweepTimeNs),
+		DetailedTime:    er.DetailedTime,
+		// No shard swept in this run: every one reused a cached sweep,
+		// the distributed analogue of a store hit.
+		SweepCached: !r.anySwept,
+	}
 	done := sim.Progress{Kind: sim.EventRunDone, Stage: "sample", Offset: r.plan.J,
 		Replayed: len(res.Units), Cached: res.SweepCached, Population: r.pop, Total: r.total}
 	if len(res.Units) > 0 {
@@ -984,7 +976,7 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 	merged := make(map[int]bool, len(rec.units))
 	for i := range rec.units {
 		merged[rec.units[i].Seq] = true
-		r.m.offer(rec.units[i])
+		r.offer(&rec.units[i])
 	}
 	doneIdx := make(map[int]bool, len(rec.dones))
 	for i := range rec.dones {
@@ -1011,6 +1003,16 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 			n++
 		}
 		r.pending <- shardRange{lo: sr.lo + n, hi: sr.hi, idx: sr.idx}
+	}
+}
+
+// offer folds one verified unit into the merge and broadcasts the stop
+// once early termination has fixed the outcome. Each stream position is
+// offered exactly once across all shards and retries — the
+// resume-after-prefix retry discipline guarantees it. Callers hold smu.
+func (r *shardedRun) offer(u *wireUnit) {
+	if r.m.Offer(u.rangeUnit()) {
+		r.stop()
 	}
 }
 
@@ -1160,7 +1162,7 @@ func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) 
 			}
 			r.smu.Lock()
 			r.journal.append(journalLine{Unit: rec.Unit})
-			r.m.offer(*rec.Unit)
+			r.offer(rec.Unit)
 			r.smu.Unlock()
 			received++
 			if ok, _ := r.c.opt.Faults.fire(FaultKillCoordinator); ok {
@@ -1203,15 +1205,6 @@ func (s *eventSink) emit(ev sim.Progress) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fn(ev)
-}
-
-// etaFrom extrapolates remaining time from the observed rate.
-func etaFrom(start time.Time, done, total int) time.Duration {
-	if done <= 0 || total <= 0 || done >= total {
-		return 0
-	}
-	elapsed := wallclock.Since(start)
-	return time.Duration(float64(elapsed) / float64(done) * float64(total-done))
 }
 
 // Handler returns the coordinator's HTTP API. After die (the injected

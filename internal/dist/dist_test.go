@@ -380,7 +380,6 @@ func TestRejectsNonDistributable(t *testing.T) {
 	cases := []*sim.Request{
 		sim.NewExperiment("fig5"),
 		sim.NewRequest(testBench, sim.SerialLoop()),
-		sim.NewRequest(testBench, sim.TwoPhase()),
 		sim.NewRequest(testBench, sim.Phases(0, 1)),
 		sim.NewRequest(testBench, sim.Calibrate(0)),
 		sim.NewRequest(""),

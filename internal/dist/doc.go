@@ -1,10 +1,10 @@
 // Package dist turns the sampling service into a distributed one: a
 // coordinator shards a sim.Request's sampled units into contiguous
 // ranges, dispatches them to workers over HTTP/JSON (stdlib only), and
-// merges the shard streams through the same deterministic stream-order
-// aggregation a single machine uses — so the final report is
-// bit-identical to a local engine run at any (machine × worker) count,
-// including under confidence-targeted early termination.
+// merges the shard streams through the very stream-order fold a single
+// machine uses (engine.Merger) — so the final report is bit-identical to
+// a local engine run at any (machine × worker) count, including under
+// confidence-targeted early termination.
 //
 // # Why sharding is free
 //
@@ -13,10 +13,14 @@
 // independent too: each unit's measurement is a pure function of its
 // captured launch snapshot. A shard therefore needs nothing from its
 // neighbors — only the shared snapshot Set and its [lo, hi) range of
-// stream positions — and the merge is a pure reordering problem,
-// solved by stats.StreamAggregator exactly as it is for local worker
-// pools. Units are merged by stream index, never by arrival order, so
-// worker death, retries, and scheduling cannot perturb the estimate.
+// stream positions — and the merge is a pure reordering problem. This
+// package does not solve it: a worker replays its range with
+// engine.ReplayRange (the local engine's pool), and the coordinator
+// offers every verified unit, converted from its wire form, to an
+// engine.Merger — the type engine.Run itself folds through, which alone
+// knows the partial-unit cut, the early-termination cutoff and the
+// accounting. Units are merged by stream index, never by arrival order,
+// so worker death, retries, and scheduling cannot perturb the estimate.
 //
 // # Protocol
 //
@@ -137,8 +141,8 @@
 // then one checksummed line per merged unit and per completed shard
 // trailer, flushed as they land. A restarted coordinator replays each
 // journal's longest valid prefix: merged units are re-offered to a
-// fresh stream-order merge (offer order is irrelevant — the merge is a
-// pure function of the offered set), finished shards are absorbed from
+// fresh engine.Merger (offer order is irrelevant — the merge is a pure
+// function of the offered set), finished shards are absorbed from
 // their trailers, and each surviving shard is requeued from the first
 // stream position after its journaled contiguous prefix. Exactly-once
 // offer semantics hold across the crash: a journaled unit is never
@@ -195,10 +199,10 @@
 //
 // # Early termination and admission
 //
-// The coordinator folds in-order prefixes as shard streams arrive;
-// when the target confidence interval is met it fixes the same cutoff
-// a local run would (StreamAggregator.DoneAt) and broadcasts a stop by
-// cancelling all in-flight shard requests. Admission control bounds
+// The Merger folds in-order prefixes as shard streams arrive; when the
+// target confidence interval is met it fixes the same cutoff a local
+// run would and its Offer reports so, and the coordinator broadcasts a
+// stop by cancelling all in-flight shard requests. Admission control bounds
 // concurrent runs (MaxActive) with a bounded wait queue (MaxQueue)
 // honoring context deadlines; beyond both, runs fail fast with
 // ErrBusy.

@@ -1,0 +1,146 @@
+package dist
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"repro/sim"
+)
+
+// reportDigest is what must repeat exactly whichever way a request runs:
+// the estimates' bits, the unit count and the instruction accounting
+// (the digest benchmark/workloads.go checks against its golden file).
+// The fast-forward count is part of it only for a run that sweeps to
+// the end: once early termination cuts the run, how far the sweep got
+// (or whether a complete cached one was reused) depends on the schedule
+// and is wall-clock-like accounting, not part of the measurement.
+func reportDigest(rep *sim.Report, early bool) string {
+	res := rep.Result()
+	d := fmt.Sprintf("cpi=%016x ci=%016x epi=%016x units=%d measured=%d warming=%d",
+		math.Float64bits(rep.CPI.Mean), math.Float64bits(rep.CPI.RelCI), math.Float64bits(rep.EPI.Mean),
+		len(res.Units), res.MeasuredInsts, res.WarmingInsts)
+	if !early {
+		d += fmt.Sprintf(" fastfwd=%d", res.FastFwdInsts)
+	}
+	return d
+}
+
+// TestCrossPathEquivalence runs one request through every way the
+// system can execute it and diffs a single digest: the engine at one
+// and four workers, a store hit, an in-memory sweep-cache hit, the
+// multi-offset path at the same phase offset, a loopback fleet of two
+// single-worker machines, and that fleet with the coordinator killed
+// and restarted mid-run — each without and with early termination. All
+// of them replay through the engine's one pool and fold through its one
+// Merger, so every row must reproduce the first bit for bit.
+func TestCrossPathEquivalence(t *testing.T) {
+	const phase = 3
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+
+	open := func(t *testing.T, opts ...sim.Option) *sim.Session {
+		t.Helper()
+		sess, err := sim.Open(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		return sess
+	}
+	run := func(t *testing.T, r interface {
+		Run(context.Context, *sim.Request) (*sim.Report, error)
+	}, req *sim.Request) *sim.Report {
+		t.Helper()
+		rep, err := r.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	// hit primes sess with the complete sweep (an early-terminated sweep
+	// is never kept), then requires the request itself to reuse it.
+	hit := func(t *testing.T, sess *sim.Session, req *sim.Request) *sim.Report {
+		t.Helper()
+		run(t, sess, testRequest(sim.Phase(phase)))
+		rep := run(t, sess, req)
+		if !rep.Result().SweepCached {
+			t.Fatal("request swept instead of reusing the primed sweep")
+		}
+		return rep
+	}
+
+	paths := []struct {
+		name string
+		run  func(t *testing.T, req *sim.Request) *sim.Report
+	}{
+		{"engine-w1", func(t *testing.T, req *sim.Request) *sim.Report {
+			req.Workers, req.NoStore = 1, true
+			return run(t, open(t), req)
+		}},
+		{"engine-w4", func(t *testing.T, req *sim.Request) *sim.Report {
+			req.Workers, req.NoStore = 4, true
+			return run(t, open(t), req)
+		}},
+		{"store-hit", func(t *testing.T, req *sim.Request) *sim.Report {
+			return hit(t, open(t, sim.WithStore(t.TempDir()), sim.WithWorkers(2)), req)
+		}},
+		{"mem-cache-hit", func(t *testing.T, req *sim.Request) *sim.Report {
+			return hit(t, open(t, sim.WithWorkers(2)), req)
+		}},
+		{"multi-offset", func(t *testing.T, req *sim.Request) *sim.Report {
+			// The second offset's boundaries all precede the first's last
+			// one, so the shared sweep ends where the dedicated sweep does
+			// and even the fast-forward accounting matches.
+			req.Offsets = []uint64{phase, phase - 1}
+			return run(t, open(t, sim.WithWorkers(2)), req)
+		}},
+		{"fleet-2x1", func(t *testing.T, req *sim.Request) *sim.Report {
+			return run(t, NewClient(newCluster(t, 2, 1, Options{}).coordURL), req)
+		}},
+		{"fleet-coordinator-restart", func(t *testing.T, req *sim.Request) *sim.Report {
+			f := NewFaults()
+			rc := newRecoverableCluster(t, Options{StoreDir: t.TempDir(), Faults: f}, 2)
+			f.Arm(FaultKillCoordinator, 5, 1)
+			restartErr := make(chan error, 1)
+			go func() { restartErr <- rc.awaitKillAndRestart(Options{}) }()
+			client := NewClient(rc.url)
+			client.RetryBase, client.RetryMax = time.Millisecond, 50*time.Millisecond
+			rep := run(t, client, req)
+			if err := <-restartErr; err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			if f.Fired(FaultKillCoordinator) != 1 {
+				t.Fatal("the coordinator was never killed mid-run")
+			}
+			return rep
+		}},
+	}
+
+	for _, early := range []bool{false, true} {
+		request := func() *sim.Request {
+			if early {
+				return testRequest(sim.Phase(phase), sim.EarlyStop(0.30, 8))
+			}
+			return testRequest(sim.Phase(phase))
+		}
+		var want string
+		for _, p := range paths {
+			t.Run(fmt.Sprintf("early=%v/%s", early, p.name), func(t *testing.T) {
+				rep := p.run(t, request())
+				if n := len(rep.Result().Units); n == 0 || (early && n >= 60) {
+					t.Fatalf("measured %d units; early=%v expects a non-empty, cut-short sample", n, early)
+				}
+				got := reportDigest(rep, early)
+				if want == "" {
+					want = got
+				}
+				if got != want {
+					t.Fatalf("report digest diverged from %s:\n got %s\nwant %s", paths[0].name, got, want)
+				}
+			})
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/smarts"
 	"repro/internal/stats"
 	"repro/internal/uarch"
@@ -49,8 +50,6 @@ func distributable(req *sim.Request) error {
 		return fmt.Errorf("dist: multi-offset phase requests are not distributable")
 	case req.SerialLoop:
 		return fmt.Errorf("dist: the classic serial loop cannot be sharded (its units are not independent)")
-	case req.TwoPhase:
-		return fmt.Errorf("dist: TwoPhase is a local scheduling knob; it does not apply to distributed runs")
 	case req.Output != nil:
 		return fmt.Errorf("dist: Output streams experiment text; it does not apply to distributed runs")
 	case req.Workload == "":
@@ -149,14 +148,15 @@ type shardMsg struct {
 	Shard, Shards int
 }
 
-// wireUnit is one replayed unit streamed back from a worker, carrying
-// the full engine measurement so the coordinator's merge reproduces the
-// local collector's accounting bit for bit (float64 fields round-trip
-// JSON exactly). Digest seals the measurement end to end: the worker
-// computes it at replay, the coordinator recomputes it before every
-// merger offer and before replaying a journaled unit at recovery, so a
-// corrupt frame — on the wire, in a misbehaving worker, or in the run
-// journal — is detected instead of folded into the estimate.
+// wireUnit is one replayed unit streamed back from a worker: the wire
+// form of an engine.RangeUnit, carrying the full engine measurement so
+// the coordinator's engine.Merger reproduces a local run's accounting
+// bit for bit (float64 fields round-trip JSON exactly). Digest seals
+// the measurement end to end: the worker computes it at replay, the
+// coordinator recomputes it before every Merger offer and before
+// replaying a journaled unit at recovery, so a corrupt frame — on the
+// wire, in a misbehaving worker, or in the run journal — is detected
+// instead of folded into the estimate.
 type wireUnit struct {
 	Seq       int
 	Index     uint64
@@ -167,6 +167,40 @@ type wireUnit struct {
 	ElapsedNs int64
 	Partial   bool
 	Digest    uint32 `json:",omitempty"`
+}
+
+// sealUnit converts a replayed unit to its wire form and seals it.
+func sealUnit(ru engine.RangeUnit) *wireUnit {
+	u := &wireUnit{
+		Seq:       ru.Seq,
+		Index:     ru.Res.Index,
+		Cycles:    ru.Res.Cycles,
+		EnergyNJ:  ru.Res.EnergyNJ,
+		CPI:       ru.Res.CPI,
+		EPI:       ru.Res.EPI,
+		Warming:   ru.Warming,
+		ElapsedNs: int64(ru.Elapsed),
+		Partial:   ru.Partial,
+	}
+	u.Digest = u.digest()
+	return u
+}
+
+// rangeUnit converts a (verified) wire unit back for the Merger.
+func (u *wireUnit) rangeUnit() engine.RangeUnit {
+	return engine.RangeUnit{
+		Seq: u.Seq,
+		Res: engine.UnitResult{
+			Index:    u.Index,
+			Cycles:   u.Cycles,
+			EnergyNJ: u.EnergyNJ,
+			CPI:      u.CPI,
+			EPI:      u.EPI,
+		},
+		Warming: u.Warming,
+		Elapsed: time.Duration(u.ElapsedNs),
+		Partial: u.Partial,
+	}
 }
 
 // digest computes the unit's CRC-32C over every measurement field that

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,9 +80,7 @@ type Worker struct {
 	sweeps    atomic.Uint64
 	sweepExec atomic.Uint64
 	replayed  atomic.Uint64
-
-	mu    sync.Mutex
-	progs map[progKey]*program.Program
+	progs     program.Cache
 }
 
 // NewWorker builds a worker.
@@ -96,7 +93,6 @@ func NewWorker(opt WorkerOptions) *Worker {
 		policy: retryPolicy{Attempts: opt.Retries, Base: opt.RetryBase, Max: opt.RetryMax}.withDefaults(),
 		client: faultClient(opt.Faults),
 		cache:  checkpoint.NewMemCache(),
-		progs:  make(map[progKey]*program.Program),
 	}
 	w.cache.MaxBytes = opt.MemCacheBytes
 	return w
@@ -226,28 +222,6 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-func (w *Worker) workload(name string, length uint64) (*program.Program, error) {
-	key := progKey{name, length}
-	w.mu.Lock()
-	p, ok := w.progs[key]
-	w.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err = program.Generate(spec, length)
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	w.progs[key] = p
-	w.mu.Unlock()
-	return p, nil
-}
-
 func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 	var msg shardMsg
 	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil {
@@ -255,7 +229,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	ctx := req.Context()
-	prog, err := w.workload(msg.Spec.Workload, msg.Spec.Length)
+	prog, err := w.progs.Get(msg.Spec.Workload, msg.Spec.Length)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -324,20 +298,9 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 			w.opt.Faults.kill()
 		}
 		w.replayed.Add(1)
-		u := &wireUnit{
-			Seq:       ru.Seq,
-			Index:     ru.Res.Index,
-			Cycles:    ru.Res.Cycles,
-			EnergyNJ:  ru.Res.EnergyNJ,
-			CPI:       ru.Res.CPI,
-			EPI:       ru.Res.EPI,
-			Warming:   ru.Warming,
-			ElapsedNs: int64(ru.Elapsed),
-			Partial:   ru.Partial,
-		}
 		// Seal the measurement end to end: the digest travels with the
 		// unit and the coordinator recomputes it before every merge.
-		u.Digest = u.digest()
+		u := sealUnit(ru)
 		if ok, _ := w.opt.Faults.fire(FaultCorruptFrame); ok {
 			u.Cycles ^= 1 // corrupt a covered field AFTER sealing
 		}

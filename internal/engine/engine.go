@@ -2,37 +2,45 @@
 // pipeline: a functional sweep captures per-unit launch checkpoints
 // (internal/checkpoint) and streams each one to a worker pool the
 // moment it is taken, workers replay detailed warming plus measurement
-// for each unit from its snapshot, and a deterministic streaming
-// aggregator (internal/stats) folds per-unit CPI/EPI in stream order,
-// optionally terminating early once a target confidence interval is
-// reached.
+// for each unit from its snapshot, and a Merger folds per-unit CPI/EPI
+// in stream order, optionally terminating early once a target
+// confidence interval is reached.
 //
 // Because capture and replay overlap, end-to-end wall clock approaches
 // max(sweep, replay/workers) instead of their sum — the sweep stops
 // being an Amdahl pre-pass. With a checkpoint store attached
 // (Options.Store), a workload's sweep is paid once and later runs skip
-// it entirely, loading launch states from disk. Options.TwoPhase
-// restores the capture-then-replay schedule for comparison benchmarks.
+// it entirely, loading launch states from disk.
+//
+// The package owns the three things every way of running a plan needs,
+// once each. The pool (replayStream) replays a unit stream on N workers
+// and delivers results in stream order; Run feeds it from the streaming
+// sweep or a loaded Set, RunSet from a caller's Set, ReplayRange — the
+// distributed worker's entry point — from a [lo, hi) slice of one. The
+// Merger is the stream-order fold (partial-unit cut, early-termination
+// cutoff, accounting); Run and RunSet use it locally and the
+// distributed coordinator uses the same type for shard streams and
+// run-journal replay. CaptureSet is the whole-set acquisition (store,
+// then cache, then a fresh capture that is saved to both) for callers
+// that must hold every launch state before replaying, such as the
+// multi-offset path.
 //
 // Because every unit's detailed simulation is fully determined by its
-// checkpoint, results are bit-identical for any worker count, any
-// schedule (streamed, two-phase, or store-loaded), and any
-// early-termination setting — the engine with one worker IS the serial
-// path. This is the property the SMARTS paper's ~10,000-unit samples
-// make available: units are statistically and, once checkpointed,
-// computationally independent.
+// checkpoint and there is one fold, results are bit-identical for any
+// worker count, any sweep source (streamed, cached or store-loaded),
+// any shard split and any early-termination setting — the engine with
+// one worker IS the serial path. This is the property the SMARTS
+// paper's ~10,000-unit samples make available: units are statistically
+// and, once checkpointed, computationally independent.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/functional"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/uarch"
@@ -78,7 +86,7 @@ type Options struct {
 	// instruction zero — the resumed unit stream is bit-identical to an
 	// uninterrupted sweep's. 0 selects DefaultResumeInterval; negative
 	// disables journaling and resume. Ignored without a Store (the
-	// journal lives in the store directory) and under TwoPhase.
+	// journal lives in the store directory).
 	ResumeInterval int
 	// SweepParallelism overrides checkpoint.Params.SweepParallelism when
 	// above 1: the capture sweep runs as that many concurrent stream
@@ -93,22 +101,18 @@ type Options struct {
 	// nonzero; see that field for the semantics (0 default, negative =
 	// stone cold).
 	SweepOverlap int64
-	// TwoPhase disables capture/replay overlap: the full sweep runs
-	// before the first worker starts, as the engine behaved before the
-	// streaming pipeline. Results are bit-identical either way; the
-	// flag exists for scheduling benchmarks and pipeline validation.
-	TwoPhase bool
 	// OnCaptured, when non-nil, observes sweep progress: it is called
 	// with the cumulative captured-unit count each time a launch
-	// snapshot enters the pipeline (once with the total under TwoPhase
-	// or a store hit). Called from the sweep goroutine; callbacks must
-	// be fast and may not block on the engine.
+	// snapshot enters the pipeline (once with the total when the whole
+	// set arrives at once: a store or cache hit, or CaptureSet). Called
+	// from the sweep goroutine; callbacks must be fast and may not block
+	// on the engine.
 	OnCaptured func(captured int)
 	// OnReplayed, when non-nil, observes replay progress: it is called
 	// each time the deterministic stream-order prefix grows, with the
 	// folded unit count and the current CPI estimate over that prefix.
-	// Called from the collector goroutine, never concurrently with
-	// itself (but possibly concurrently with OnCaptured).
+	// Called from the goroutine that called Run, never concurrently
+	// with itself (but possibly concurrently with OnCaptured).
 	OnReplayed func(replayed int, est stats.Estimate)
 }
 
@@ -140,9 +144,14 @@ func (o Options) resumeInterval() int {
 
 // UnitResult is the measurement of one sampling unit.
 type UnitResult struct {
-	Index    uint64
-	Cycles   uint64
+	// Index is the unit's position in the population (unit number).
+	Index uint64
+	// Cycles is the number of cycles the unit's U instructions took to
+	// commit.
+	Cycles uint64
+	// EnergyNJ is the energy accumulated while the unit committed.
 	EnergyNJ float64
+	// CPI and EPI are the unit's per-instruction metrics.
 	CPI, EPI float64
 }
 
@@ -182,28 +191,48 @@ type Result struct {
 	SweepCached bool
 }
 
-type unitJob struct {
-	seq  int // position in the captured sequence
-	unit *checkpoint.Unit
+// sweepParams applies the options that override capture parameters.
+func (o Options) sweepParams(p checkpoint.Params) checkpoint.Params {
+	if o.Keyframe > 0 {
+		p.Keyframe = o.Keyframe
+	}
+	if o.SweepParallelism > 1 {
+		p.SweepParallelism = o.SweepParallelism
+	}
+	if o.SweepOverlap != 0 {
+		p.SweepOverlap = o.SweepOverlap
+	}
+	return p
 }
 
-type unitDone struct {
-	seq     int
-	res     UnitResult
-	warming uint64
-	elapsed time.Duration
-	partial bool // program ended inside the unit; measurement dropped
-	err     error
+// captured reports n units entering the pipeline at once.
+func (o Options) captured(n int) {
+	if o.OnCaptured != nil {
+		o.OnCaptured(n)
+	}
 }
 
-// streamBuffer bounds how far capture may run ahead of replay dispatch.
-// Snapshots are sizeable (cache tag arrays, predictor tables), so the
-// pipeline holds only a few in flight; the sweep blocks when replay is
-// the bottleneck and the snapshots' memory stays bounded.
-const streamBuffer = 4
+// lookup consults the store, then the in-memory cache, for a complete
+// sweep of p. A nil set is a miss; key is zero when neither is
+// attached.
+func lookup(prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (key checkpoint.Key, set *checkpoint.Set, err error) {
+	if opt.Store == nil && opt.Cache == nil {
+		return key, nil, nil
+	}
+	key = checkpoint.KeyFor(prog, cfg, p)
+	if opt.Store != nil {
+		if set, err = opt.Store.Load(key); err != nil || set != nil {
+			return key, set, err
+		}
+	}
+	if opt.Cache != nil {
+		set = opt.Cache.Get(key)
+	}
+	return key, set, nil
+}
 
 // Run executes the plan described by p: launch states are loaded from
-// the store when possible, captured by a streaming (or two-phase) sweep
+// the store or the cache when possible, captured by a streaming sweep
 // otherwise, and replayed across the worker pool.
 //
 // ctx cancels the whole pipeline: the sweep stops at its next chunk
@@ -228,60 +257,45 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 		return nil, err
 	}
 	start := wallclock.Now()
-	if opt.Keyframe > 0 {
-		p.Keyframe = opt.Keyframe
-	}
-	if opt.SweepParallelism > 1 {
-		p.SweepParallelism = opt.SweepParallelism
-	}
-	if opt.SweepOverlap != 0 {
-		p.SweepOverlap = opt.SweepOverlap
-	}
+	p = opt.sweepParams(p)
 
-	var key checkpoint.Key
-	if opt.Store != nil || opt.Cache != nil {
-		key = checkpoint.KeyFor(prog, cfg, p)
+	key, set, err := lookup(prog, cfg, p, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Store != nil {
-		set, err := opt.Store.Load(key)
-		if err != nil {
-			return nil, err
-		}
-		if set != nil {
-			if opt.OnCaptured != nil {
-				opt.OnCaptured(len(set.Units))
-			}
-			res, err := replaySet(ctx, prog, cfg, p.U, set, opt, start)
-			if err != nil {
-				return nil, err
-			}
-			res.SweepCached = true
-			return res, nil
-		}
+	if set == nil {
+		return replayStreaming(ctx, prog, cfg, p, key, opt, start)
 	}
-	if opt.Cache != nil {
-		if set := opt.Cache.Get(key); set != nil {
-			if opt.OnCaptured != nil {
-				opt.OnCaptured(len(set.Units))
-			}
-			// The cached set stays shared; replay a copy (replaySet nils
-			// dispatched entries).
-			res, err := replaySet(ctx, prog, cfg, p.U, copySet(set), opt, start)
-			if err != nil {
-				return nil, err
-			}
-			res.SweepCached = true
-			return res, nil
-		}
+	opt.captured(len(set.Units))
+	res, err := replaySet(ctx, prog, cfg, p.U, set, opt, start)
+	if err != nil {
+		return nil, err
 	}
+	res.SweepCached = true
+	return res, nil
+}
 
-	if opt.TwoPhase {
-		set, err := checkpoint.Capture(ctx, prog, cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		if opt.OnCaptured != nil {
-			opt.OnCaptured(len(set.Units))
+// CaptureSet returns the complete set of launch states for p, for
+// callers that need every unit in hand before replaying (RunSet): the
+// multi-offset path captures all offsets in one sweep and replays each
+// offset's sub-set. Like Run it prefers the store, then the cache —
+// cached then reports true and the set's sweep accounting echoes the
+// original sweep — and otherwise runs one checkpoint.Capture and hands
+// the set to both. The returned set may be shared with the cache and
+// is read-only. opt.OnCaptured is called once with the unit count.
+func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (set *checkpoint.Set, cached bool, err error) {
+	p = opt.sweepParams(p)
+	if err := p.Validate(); err != nil {
+		return nil, false, err
+	}
+	key, set, err := lookup(prog, cfg, p, opt)
+	if err != nil {
+		return nil, false, err
+	}
+	cached = set != nil
+	if !cached {
+		if set, err = checkpoint.Capture(ctx, prog, cfg, p); err != nil {
+			return nil, false, err
 		}
 		if opt.Store != nil {
 			if err := opt.Store.Save(key, set); err != nil {
@@ -289,31 +303,18 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 			}
 		}
 		if opt.Cache != nil {
-			opt.Cache.Put(key, copySet(set))
+			opt.Cache.Put(key, set)
 		}
-		return replaySet(ctx, prog, cfg, p.U, set, opt, start)
 	}
-	return replayStreaming(ctx, prog, cfg, p, key, opt, start)
-}
-
-// copySet shallow-copies a Set so replaySet's entry-nilling never
-// touches a shared original; the units themselves stay shared (replay
-// only reads them).
-func copySet(set *checkpoint.Set) *checkpoint.Set {
-	return &checkpoint.Set{
-		Units:           append([]*checkpoint.Unit(nil), set.Units...),
-		K:               set.K,
-		PopulationUnits: set.PopulationUnits,
-		SweepInsts:      set.SweepInsts,
-		SweepTime:       set.SweepTime,
-	}
+	opt.captured(len(set.Units))
+	return set, cached, nil
 }
 
 // RunSet replays an already-captured set of launch states across the
 // worker pool — the entry point for callers that captured several phase
-// offsets in one sweep (checkpoint.Set.Offset) or otherwise manage
-// capture themselves. The caller keeps ownership of set; its Units
-// slice is not modified. ctx cancels the replay as in Run.
+// offsets in one sweep (CaptureSet, checkpoint.Set.Offset) or otherwise
+// manage capture themselves. The caller keeps ownership of set; it is
+// not modified. ctx cancels the replay as in Run.
 func RunSet(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, set *checkpoint.Set, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -327,62 +328,31 @@ func RunSet(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return replaySet(ctx, prog, cfg, u, copySet(set), opt, wallclock.Now())
+	return replaySet(ctx, prog, cfg, u, set, opt, wallclock.Now())
 }
 
-// replaySet feeds an in-memory set through the replay pool. It owns
-// set.Units (entries are nilled as they are dispatched so snapshots
-// become collectable).
+// replaySet replays an in-memory set through the pool and the Merger.
 func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, set *checkpoint.Set, opt Options, start time.Time) (*Result, error) {
-	res := &Result{
-		PopulationUnits: set.PopulationUnits,
-		SweepInsts:      set.SweepInsts,
-		SweepTime:       set.SweepTime,
-	}
-	if len(set.Units) == 0 {
-		res.WallTime = wallclock.Since(start)
-		return res, nil
-	}
-	nw := opt.workers()
-	if nw > len(set.Units) {
-		nw = len(set.Units)
-	}
-
-	col := newCollector(ctx, prog, cfg, u, nw, opt, len(set.Units))
-	go func() {
-		defer close(col.feed)
-		for seq, cu := range set.Units {
-			select {
-			case col.feed <- cu:
-				// Drop the set's reference so a unit's snapshot (cache/TLB
-				// tag arrays, predictor tables, memory-image map) becomes
-				// collectable as soon as its replay finishes, instead of
-				// pinning every checkpoint until the whole run completes.
-				set.Units[seq] = nil
-			case <-col.quit:
-				return
-			}
-		}
-	}()
-	if err := col.collect(res); err != nil {
+	m := NewMerger(u, opt, len(set.Units))
+	if err := replayUnits(ctx, prog, cfg, u, set.Units, 0, opt.workers(), m.Offer); err != nil {
 		return nil, err
 	}
+	res := m.Finish()
+	res.PopulationUnits = set.PopulationUnits
+	res.SweepInsts = set.SweepInsts
+	res.SweepTime = set.SweepTime
 	res.WallTime = wallclock.Since(start)
 	return res, nil
 }
 
-// replayStreaming overlaps the capture sweep with replay: the sweep
-// goroutine emits each unit into the pipeline the moment its snapshot
-// is taken, and persists the stream to the store when one is attached.
+// replayStreaming overlaps the capture sweep with replay: the sweep is
+// the pool's producer, emitting each unit into the pipeline the moment
+// its snapshot is taken, and persists the stream to the store (and a
+// complete sweep to the cache) when one is attached.
 func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options, start time.Time) (*Result, error) {
-	col := newCollector(ctx, prog, cfg, p.U, opt.workers(), opt, 0)
-
-	type sweepOut struct {
-		sum *checkpoint.Summary
-		err error
-	}
-	sweepc := make(chan sweepOut, 1)
-	go func() {
+	var sum *checkpoint.Summary
+	var sweepErr error
+	sweep := func(send func(*checkpoint.Unit) bool) {
 		var sw *checkpoint.SetWriter
 		if opt.Store != nil {
 			var err error
@@ -423,9 +393,30 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		// a complete sweep can be cached for later requests.
 		var retained []*checkpoint.Unit
 		captured := 0
-		kfSince := 0 // keyframes captured since the last journal commit
-		var lastFrame checkpoint.ResumeFrame
-		framePending := false
+		// push records one unit with the store writer, the journal and the
+		// retained set, then sends it down the pipeline.
+		push := func(cu *checkpoint.Unit) bool {
+			if sw != nil {
+				if werr := sw.Add(cu); werr != nil {
+					opt.Store.Log("checkpoint store: save failed mid-sweep: %v", werr)
+					sw = nil
+				}
+			}
+			if pw != nil {
+				if werr := pw.Add(cu); werr != nil {
+					journalFail(werr)
+				}
+			}
+			if opt.Cache != nil {
+				retained = append(retained, cu)
+			}
+			if !send(cu) {
+				return false
+			}
+			captured++
+			opt.captured(captured)
+			return true
+		}
 		// The journaled units enter the pipeline (and the writers) ahead
 		// of the first newly captured unit — after CaptureStream validated
 		// the journal against the plan, so an unusable journal feeds
@@ -434,32 +425,15 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		feedResumed := func() bool {
 			fedResumed = true
 			for _, cu := range rs.Units {
-				if sw != nil {
-					if werr := sw.Add(cu); werr != nil {
-						opt.Store.Log("checkpoint store: save failed mid-sweep: %v", werr)
-						sw = nil
-					}
-				}
-				if pw != nil {
-					if werr := pw.Add(cu); werr != nil {
-						journalFail(werr)
-					}
-				}
-				if opt.Cache != nil {
-					retained = append(retained, cu)
-				}
-				select {
-				case col.feed <- cu:
-					captured++
-					if opt.OnCaptured != nil {
-						opt.OnCaptured(captured)
-					}
-				case <-col.quit:
+				if !push(cu) {
 					return false
 				}
 			}
 			return true
 		}
+		kfSince := 0 // keyframes captured since the last journal commit
+		var lastFrame checkpoint.ResumeFrame
+		framePending := false
 		p.OnFrame = func(fr checkpoint.ResumeFrame) {
 			lastFrame, framePending = fr, true
 			if pw != nil && kfSince >= opt.resumeInterval() {
@@ -474,35 +448,13 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 			if !fedResumed && !feedResumed() {
 				return false
 			}
-			if sw != nil {
-				if werr := sw.Add(cu); werr != nil {
-					opt.Store.Log("checkpoint store: save failed mid-sweep: %v", werr)
-					sw = nil
-				}
-			}
-			if pw != nil {
-				if werr := pw.Add(cu); werr != nil {
-					journalFail(werr)
-				}
-			}
 			if cu.Mem != nil {
 				kfSince++
 			}
-			if opt.Cache != nil {
-				retained = append(retained, cu)
-			}
-			select {
-			case col.feed <- cu:
-				captured++
-				if opt.OnCaptured != nil {
-					opt.OnCaptured(captured)
-				}
-				return true
-			case <-col.quit:
-				return false
-			}
+			return push(cu)
 		}
-		sum, err := checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
+		var err error
+		sum, err = checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
 		if err != nil && p.Resume != nil && !fedResumed && ctx.Err() == nil {
 			// The journal failed resume validation before anything entered
 			// the pipeline: drop it and sweep cold rather than failing a
@@ -518,9 +470,10 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 			// captured, so the resumed units enter the pipeline here.
 			feedResumed()
 		}
-		close(col.feed)
+		sweepErr = err
+		complete := err == nil && sum.Complete
 		if sw != nil {
-			if err == nil && sum.Complete {
+			if complete {
 				if werr := sw.Commit(sum.SweepInsts, sum.SweepTime); werr != nil {
 					opt.Store.Log("checkpoint store: save failed: %v", werr)
 				}
@@ -529,7 +482,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 			}
 		}
 		if pw != nil {
-			if err == nil && sum.Complete {
+			if complete {
 				// The committed entry supersedes the journal.
 				pw.Discard()
 			} else {
@@ -548,7 +501,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 				}
 			}
 		}
-		if opt.Cache != nil && err == nil && sum.Complete {
+		if opt.Cache != nil && complete {
 			opt.Cache.Put(key, &checkpoint.Set{
 				Units:           retained,
 				K:               p.K,
@@ -557,243 +510,23 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 				SweepTime:       sum.SweepTime,
 			})
 		}
-		sweepc <- sweepOut{sum, err}
-	}()
-
-	res := &Result{}
-	collectErr := col.collect(res)
-	sweep := <-sweepc
-	if collectErr != nil {
-		return nil, collectErr
 	}
+
+	m := NewMerger(p.U, opt, 0)
+	if err := replayStream(ctx, prog, cfg, p.U, opt.workers(), 0, sweep, m.Offer); err != nil {
+		return nil, err
+	}
+	res := m.Finish()
 	// A sweep error matters only if it prevented units the run still
 	// wanted: when early termination already cut the stream, the sweep
 	// was cancelled on purpose and its state is irrelevant.
-	if sweep.err != nil && !res.EarlyStopped {
-		return nil, sweep.err
+	if sweepErr != nil && !res.EarlyStopped {
+		return nil, sweepErr
 	}
-	res.PopulationUnits = sweep.sum.PopulationUnits
-	res.SweepInsts = sweep.sum.SweepInsts
-	res.SweepResumedInsts = sweep.sum.ResumedAt
-	res.SweepTime = sweep.sum.SweepTime
+	res.PopulationUnits = sum.PopulationUnits
+	res.SweepInsts = sum.SweepInsts
+	res.SweepResumedInsts = sum.ResumedAt
+	res.SweepTime = sum.SweepTime
 	res.WallTime = wallclock.Since(start)
 	return res, nil
-}
-
-// collector owns the worker pool and the deterministic stream-order
-// aggregation shared by every schedule. Units are read from feed in
-// stream order (the dispatcher assigns ascending seq numbers), fan out
-// to workers, and fold back through the aggregator; quit fires once the
-// outcome can no longer change (early termination, error, or context
-// cancellation).
-type collector struct {
-	feed chan *checkpoint.Unit
-	quit chan struct{}
-
-	ctx  context.Context
-	prog *program.Program
-	cfg  uarch.Config
-	u    uint64
-	nw   int
-	opt  Options
-	hint int
-}
-
-func newCollector(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, nw int, opt Options, hint int) *collector {
-	if nw < 1 {
-		nw = 1
-	}
-	return &collector{
-		feed: make(chan *checkpoint.Unit, streamBuffer),
-		quit: make(chan struct{}),
-		ctx:  ctx,
-		prog: prog,
-		cfg:  cfg,
-		u:    u,
-		nw:   nw,
-		opt:  opt,
-		hint: hint,
-	}
-}
-
-// collect runs the pool until the unit stream ends (or the run is cut
-// short) and fills the measurement half of res.
-func (c *collector) collect(res *Result) error {
-	alpha := c.opt.Alpha
-	if alpha == 0 {
-		alpha = stats.Alpha997
-	}
-	agg := stats.NewStreamAggregator(alpha, c.opt.TargetEps, c.opt.MinUnits)
-
-	jobs := make(chan unitJob)
-	done := make(chan unitDone, c.nw)
-	var quitOnce sync.Once
-	signalQuit := func() { quitOnce.Do(func() { close(c.quit) }) }
-
-	// Context cancellation fires the same quit signal early termination
-	// uses: dispatch stops, in-flight units finish, the pipeline drains.
-	// The watcher is released at collect exit so it never outlives the
-	// run (no goroutine leak on the uncancelled path).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-c.ctx.Done():
-			signalQuit()
-		case <-watchDone:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < c.nw; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(c.prog, c.cfg, c.u, jobs, done)
-		}()
-	}
-
-	// Dispatch in stream order; stop once the aggregator's in-order
-	// prefix meets the confidence target (or on error / program end).
-	go func() {
-		defer close(jobs)
-		seq := 0
-		for cu := range c.feed {
-			select {
-			case jobs <- unitJob{seq: seq, unit: cu}:
-				seq++
-			case <-c.quit:
-				// Keep draining feed so a blocked producer can always
-				// make progress to its own quit check.
-				for range c.feed {
-				}
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	collected := make([]unitDone, 0, c.hint)
-	var firstErr error
-	var folded uint64            // in-order units reported through OnReplayed
-	stopAt := int(^uint(0) >> 1) // in-order cutoff: units with seq >= stopAt are dropped
-	for d := range done {
-		switch {
-		case d.err != nil:
-			if firstErr == nil {
-				firstErr = d.err
-			}
-			signalQuit()
-		case d.partial:
-			// The program ended inside this unit: keep everything before
-			// it, drop it and everything after (matches the serial path).
-			if d.seq < stopAt {
-				stopAt = d.seq
-			}
-		default:
-			collected = append(collected, d)
-			hitTarget := agg.Offer(uint64(d.seq), stats.Obs{CPI: d.res.CPI, EPI: d.res.EPI})
-			if c.opt.OnReplayed != nil {
-				if m := agg.Merged(); m > folded {
-					folded = m
-					c.opt.OnReplayed(int(m), agg.CPIEstimate())
-				}
-			}
-			if hitTarget {
-				if cut := int(agg.DoneAt()); cut < stopAt {
-					stopAt = cut
-					res.EarlyStopped = true
-					signalQuit()
-				}
-			}
-		}
-	}
-	signalQuit() // release the producer if the stream ended naturally
-	if firstErr != nil {
-		return firstErr
-	}
-	// A cancelled context trumps whatever partial measurement drained
-	// out — unless early termination had already fixed the outcome, in
-	// which case the result is complete and the cancel merely raced it.
-	if err := c.ctx.Err(); err != nil && !res.EarlyStopped {
-		return err
-	}
-
-	sort.Slice(collected, func(i, j int) bool { return collected[i].seq < collected[j].seq })
-	for _, d := range collected {
-		if d.seq >= stopAt {
-			continue
-		}
-		res.Units = append(res.Units, d.res)
-		res.MeasuredInsts += c.u
-		res.WarmingInsts += d.warming
-		res.DetailedTime += d.elapsed
-	}
-	return nil
-}
-
-// worker replays units from its job channel.
-func worker(prog *program.Program, cfg uarch.Config, u uint64, jobs <-chan unitJob, done chan<- unitDone) {
-	for job := range jobs {
-		d := replay(prog, cfg, job.unit, u)
-		d.seq = job.seq
-		done <- d
-	}
-}
-
-// replay runs one unit's detailed warming + measurement from its
-// checkpoint. The machine and core are built fresh per unit: a unit's
-// measurement must be a pure function of its checkpoint, and reusing a
-// core would thread worker-local accumulation (notably the energy
-// meter's floating-point total) into the per-unit readings.
-func replay(prog *program.Program, cfg uarch.Config, cu *checkpoint.Unit, u uint64) unitDone {
-	machine := uarch.NewMachine(cfg)
-	// Delta-encoded snapshots are materialized here, on the worker, so
-	// the capture sweep's critical path copies only dirty blocks and
-	// pages; the reconstruction (clone keyframe, apply the delta chain —
-	// warm state and memory alike) is read-only on the shared snapshots
-	// and therefore safe at any worker count.
-	launch, err := cu.Materialize()
-	if err != nil {
-		return unitDone{err: fmt.Errorf("engine: unit %d: %w", cu.Index, err)}
-	}
-	if launch.Warm != nil {
-		if err := machine.Hier.Restore(launch.Warm.Hier); err != nil {
-			return unitDone{err: fmt.Errorf("engine: unit %d: %w", cu.Index, err)}
-		}
-		if err := machine.Pred.Restore(launch.Warm.Pred); err != nil {
-			return unitDone{err: fmt.Errorf("engine: unit %d: %w", cu.Index, err)}
-		}
-	}
-	cpu := functional.NewAt(prog, cu.Arch, launch.Mem.NewMemory())
-	src := &uarch.Source{CPU: cpu}
-	core := uarch.NewCore(machine)
-
-	w := cu.WarmLen()
-	start := wallclock.Now()
-	marks := []uarch.Mark{{At: w}, {At: w + u}}
-	runStats, err := core.Run(src, w+u, marks)
-	if err != nil {
-		return unitDone{err: fmt.Errorf("engine: detailed run at unit %d: %w", cu.Index, err)}
-	}
-	elapsed := wallclock.Since(start)
-	if runStats.Insts < w+u {
-		return unitDone{partial: true, elapsed: elapsed}
-	}
-	cycles := marks[1].Cycle - marks[0].Cycle
-	energy := marks[1].EnergyNJ - marks[0].EnergyNJ
-	return unitDone{
-		res: UnitResult{
-			Index:    cu.Index,
-			Cycles:   cycles,
-			EnergyNJ: energy,
-			CPI:      float64(cycles) / float64(u),
-			EPI:      energy / float64(u),
-		},
-		warming: w,
-		elapsed: elapsed,
-	}
 }

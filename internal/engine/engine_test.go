@@ -89,7 +89,7 @@ func TestEstimateBitIdentical(t *testing.T) {
 		for _, mode := range []smarts.WarmingMode{smarts.FunctionalWarming, smarts.DetailedWarming} {
 			plan := smarts.PlanForN(p.Length, 1000, 1000, 50, mode, 0)
 			plan.Parallelism = 1
-			serial, err := smarts.Run(p, cfg, plan)
+			serial, err := smarts.RunContext(context.Background(), p, cfg, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestEstimateBitIdentical(t *testing.T) {
 			sEPI := serial.EPIEstimate(stats.Alpha997)
 			for _, workers := range []int{4, 3} {
 				plan.Parallelism = workers
-				par, err := smarts.Run(p, cfg, plan)
+				par, err := smarts.RunContext(context.Background(), p, cfg, plan)
 				if err != nil {
 					t.Fatal(err)
 				}

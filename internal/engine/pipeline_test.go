@@ -31,19 +31,27 @@ func resultsBitIdentical(t *testing.T, what string, a, b *engine.Result) {
 	}
 }
 
-// TestPipelineMatchesTwoPhase is the streaming pipeline's core
+// TestPipelineMatchesCaptureThenReplay is the streaming pipeline's core
 // guarantee: overlapping capture with replay changes wall clock, never
-// results. The streamed schedule must be bit-identical to PR 1's
-// capture-then-replay schedule and to the one-worker serial path, for
-// several worker counts, with and without early termination.
-func TestPipelineMatchesTwoPhase(t *testing.T) {
+// results. The streamed schedule must be bit-identical to the
+// capture-then-replay reference that still exists — RunSet over a
+// complete checkpoint.Capture, what the multi-offset path runs — and to
+// the one-worker serial path, for several worker counts, with and
+// without early termination.
+func TestPipelineMatchesCaptureThenReplay(t *testing.T) {
 	cfg := uarch.Config8Way()
 	p := genProg(t, "gccx", 400_000)
 	params := checkpoint.Params{U: 1000, W: 1000, K: 4, J: 0, FunctionalWarm: true}
+	set, err := checkpoint.Capture(context.Background(), p, cfg, params)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, eps := range []float64{0, 0.60} {
-		base := engine.Options{Workers: 1, TwoPhase: true, TargetEps: eps, MinUnits: 10}
-		serial, err := engine.Run(context.Background(), p, cfg, params, base)
+		opts := func(workers int) engine.Options {
+			return engine.Options{Workers: workers, TargetEps: eps, MinUnits: 10}
+		}
+		serial, err := engine.RunSet(context.Background(), p, cfg, params.U, set, opts(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,32 +61,37 @@ func TestPipelineMatchesTwoPhase(t *testing.T) {
 		if eps > 0 && !serial.EarlyStopped {
 			t.Fatalf("eps=%v: expected early termination", eps)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			for _, twoPhase := range []bool{false, true} {
-				opt := engine.Options{Workers: workers, TwoPhase: twoPhase, TargetEps: eps, MinUnits: 10}
-				got, err := engine.Run(context.Background(), p, cfg, params, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsBitIdentical(t, "schedule", serial, got)
+		for _, workers := range []int{1, 2, 4, 8} {
+			streamed, err := engine.Run(context.Background(), p, cfg, params, opts(workers))
+			if err != nil {
+				t.Fatal(err)
 			}
+			resultsBitIdentical(t, "streamed", serial, streamed)
+			replayed, err := engine.RunSet(context.Background(), p, cfg, params.U, set, opts(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsBitIdentical(t, "capture-then-replay", serial, replayed)
 		}
 	}
 }
 
-// TestPipelineSweepOverlap verifies the streaming schedule actually
-// overlaps: with ample workers, total wall clock must be visibly below
-// sweep + detailed (the two-phase lower bound) — here checked loosely
-// as wall < sweep + detailedCPU, which only holds when replay ran
-// during the sweep or the machine has spare cores. On a single-core
-// machine the schedules tie, so the test only requires the streamed run
-// not to be slower than two-phase by more than a generous margin.
+// TestPipelineSweepOverlap verifies the streaming schedule does not
+// cost wall clock against capture-then-replay: with ample workers the
+// streamed run overlaps replay with the sweep, so it should finish
+// within sweep + replay. On a single-core machine the schedules tie, so
+// the test only requires the streamed run not to be slower than the
+// capture-then-replay total by more than a generous margin.
 func TestPipelineSweepOverlap(t *testing.T) {
 	cfg := uarch.Config8Way()
 	p := genProg(t, "mcfx", 400_000)
 	params := checkpoint.Params{U: 1000, W: 1000, K: 4, J: 0, FunctionalWarm: true}
 
-	two, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 4, TwoPhase: true})
+	set, err := checkpoint.Capture(context.Background(), p, cfg, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := engine.RunSet(context.Background(), p, cfg, params.U, set, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +100,8 @@ func TestPipelineSweepOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultsBitIdentical(t, "overlap", two, streamed)
-	if streamed.WallTime > two.WallTime*3 {
-		t.Fatalf("streamed schedule pathologically slower: %v vs %v", streamed.WallTime, two.WallTime)
+	if twoWall := set.SweepTime + two.WallTime; streamed.WallTime > twoWall*3 {
+		t.Fatalf("streamed schedule pathologically slower: %v vs %v", streamed.WallTime, twoWall)
 	}
 }
 

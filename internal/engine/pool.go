@@ -1,0 +1,262 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/functional"
+	"repro/internal/program"
+	"repro/internal/uarch"
+	"repro/internal/wallclock"
+)
+
+// RangeUnit is one replayed unit, delivered in stream order.
+type RangeUnit struct {
+	// Seq is the unit's position in the captured stream (the global
+	// stream index shard merges are keyed by).
+	Seq int
+	// Res is the unit's measurement; meaningless when Partial is set.
+	Res UnitResult
+	// Warming is the number of detailed-warming instructions the replay
+	// executed before measurement.
+	Warming uint64
+	// Elapsed is the unit's detailed-replay CPU time.
+	Elapsed time.Duration
+	// Partial reports the program ended inside the unit; the serial
+	// semantics drop it and everything after it, which the Merger
+	// enforces (trailing units of the stream may still be delivered).
+	Partial bool
+}
+
+// streamBuffer bounds how far capture may run ahead of replay. Snapshots
+// are sizeable (cache tag arrays, predictor tables), so the pipeline
+// holds only a few in flight; the sweep blocks when replay is the
+// bottleneck and the snapshots' memory stays bounded.
+const streamBuffer = 4
+
+// replayStream is the engine's one worker pool, under every schedule:
+// produce emits the unit stream through send (a streaming sweep, or a
+// slice of a captured Set — see replayUnits), nw workers replay the
+// units, and deliver receives every result in ascending Seq order
+// starting at base, whatever order the workers finish in.
+//
+// The pool winds down — send returns false, nothing more is delivered,
+// workers finish only their in-flight unit — once the outcome can no
+// longer change: deliver reported stop (replayStream then returns nil),
+// a replay failed (its error), or ctx was cancelled (ctx.Err()). It
+// returns after produce and every worker have.
+func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, nw, base int,
+	produce func(send func(*checkpoint.Unit) bool), deliver func(RangeUnit) (stop bool)) error {
+	type job struct {
+		seq  int
+		unit *checkpoint.Unit
+	}
+	type result struct {
+		RangeUnit
+		err error
+	}
+	if nw < 1 {
+		nw = 1
+	}
+	feed := make(chan job, streamBuffer)
+	done := make(chan result, nw)
+	quit := make(chan struct{})
+	var quitOnce sync.Once
+	stop := func() { quitOnce.Do(func() { close(quit) }) }
+	defer context.AfterFunc(ctx, stop)()
+
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		defer close(feed)
+		seq := base
+		produce(func(cu *checkpoint.Unit) bool {
+			select {
+			case feed <- job{seq, cu}:
+				seq++
+				return true
+			case <-quit:
+				return false
+			}
+		})
+	}()
+
+	var wg sync.WaitGroup
+	for i := 0; i < nw; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range feed {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				ru, err := replay(prog, cfg, j.unit, u)
+				ru.Seq = j.seq
+				done <- result{ru, err}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+
+	// Reorder completions into ascending Seq before delivering, so the
+	// consumer observes the deterministic stream order regardless of
+	// worker scheduling. Units are dispatched in order, so at most nw
+	// results ever wait here.
+	pending := make(map[int]RangeUnit, nw)
+	next := base
+	var err error    // the replay failure that settled the run, if one did
+	settled := false // outcome fixed: the remaining results are surplus
+	for d := range done {
+		if settled {
+			continue
+		}
+		if d.err != nil {
+			err, settled = d.err, true
+			stop()
+			continue
+		}
+		pending[d.Seq] = d.RangeUnit
+		for ru, ok := pending[next]; ok && !settled; ru, ok = pending[next] {
+			delete(pending, next)
+			next++
+			if deliver(ru) {
+				settled = true
+				stop()
+			}
+		}
+	}
+	stop()
+	<-produced
+	if settled {
+		return err
+	}
+	// A cancelled context trumps whatever partial measurement drained
+	// out — unless the consumer had already fixed the outcome, in which
+	// case the result is complete and the cancel merely raced it.
+	return ctx.Err()
+}
+
+// replayUnits runs units — stream positions base onward — through the
+// pool on at most workers workers. The slice is copied and the copy's
+// entries dropped as they are dispatched, so a unit's snapshot
+// (cache/TLB tag arrays, predictor tables, memory-image map) becomes
+// collectable as soon as its replay finishes when the caller holds no
+// other reference, and a shared Set is never modified.
+func replayUnits(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, units []*checkpoint.Unit, base, workers int, deliver func(RangeUnit) (stop bool)) error {
+	if workers > len(units) {
+		workers = len(units)
+	}
+	units = append([]*checkpoint.Unit(nil), units...)
+	return replayStream(ctx, prog, cfg, u, workers, base, func(send func(*checkpoint.Unit) bool) {
+		for i, cu := range units {
+			if !send(cu) {
+				return
+			}
+			units[i] = nil
+		}
+	}, deliver)
+}
+
+// ReplayRange replays the units [lo, hi) of set — positions in the
+// captured stream — across opt.Workers workers, calling emit for every
+// unit in ascending Seq order. It is the distributed service's worker
+// entry point: a shard replays only its contiguous range, streams each
+// result the moment its stream-order predecessor has been emitted, and
+// the coordinator offers the shards' units to the same Merger a
+// single-machine run folds through.
+//
+// The range is clamped to the set (callers size shards from
+// Params.ExpectedUnits, which can exceed the captured count when the
+// program halts early); an empty range emits nothing and returns nil.
+// set is shared and read-only — materialization never mutates the
+// snapshots — so any number of concurrent ReplayRange calls may replay
+// overlapping ranges of one Set.
+//
+// emit returning false stops the replay early (the consumer's stream
+// died or the merge was cut short); ReplayRange then returns nil after
+// the in-flight units drain. ctx cancellation likewise stops dispatch
+// and returns ctx.Err().
+func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, set *checkpoint.Set, lo, hi int, opt Options, emit func(RangeUnit) bool) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if u == 0 {
+		return fmt.Errorf("engine: zero sampling unit size")
+	}
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > len(set.Units) {
+		hi = len(set.Units)
+	}
+	if lo >= hi {
+		return ctx.Err()
+	}
+	return replayUnits(ctx, prog, cfg, u, set.Units[lo:hi], lo, opt.workers(),
+		func(ru RangeUnit) bool { return !emit(ru) })
+}
+
+// replay runs one unit's detailed warming + measurement from its
+// checkpoint. The machine and core are built fresh per unit: a unit's
+// measurement must be a pure function of its checkpoint, and reusing a
+// core would thread worker-local accumulation (notably the energy
+// meter's floating-point total) into the per-unit readings.
+func replay(prog *program.Program, cfg uarch.Config, cu *checkpoint.Unit, u uint64) (RangeUnit, error) {
+	machine := uarch.NewMachine(cfg)
+	// Delta-encoded snapshots are materialized here, on the worker, so
+	// the capture sweep's critical path copies only dirty blocks and
+	// pages; the reconstruction (clone keyframe, apply the delta chain —
+	// warm state and memory alike) is read-only on the shared snapshots
+	// and therefore safe at any worker count.
+	launch, err := cu.Materialize()
+	if err != nil {
+		return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
+	}
+	if launch.Warm != nil {
+		if err := machine.Hier.Restore(launch.Warm.Hier); err != nil {
+			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
+		}
+		if err := machine.Pred.Restore(launch.Warm.Pred); err != nil {
+			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
+		}
+	}
+	cpu := functional.NewAt(prog, cu.Arch, launch.Mem.NewMemory())
+	src := &uarch.Source{CPU: cpu}
+	core := uarch.NewCore(machine)
+
+	w := cu.WarmLen()
+	start := wallclock.Now()
+	marks := []uarch.Mark{{At: w}, {At: w + u}}
+	runStats, err := core.Run(src, w+u, marks)
+	if err != nil {
+		return RangeUnit{}, fmt.Errorf("engine: detailed run at unit %d: %w", cu.Index, err)
+	}
+	elapsed := wallclock.Since(start)
+	if runStats.Insts < w+u {
+		return RangeUnit{Partial: true, Elapsed: elapsed}, nil
+	}
+	cycles := marks[1].Cycle - marks[0].Cycle
+	energy := marks[1].EnergyNJ - marks[0].EnergyNJ
+	return RangeUnit{
+		Res: UnitResult{
+			Index:    cu.Index,
+			Cycles:   cycles,
+			EnergyNJ: energy,
+			CPI:      float64(cycles) / float64(u),
+			EPI:      energy / float64(u),
+		},
+		Warming: w,
+		Elapsed: elapsed,
+	}, nil
+}

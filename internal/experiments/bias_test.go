@@ -55,7 +55,7 @@ func TestMeasureBiasEngineMatchesPerPhase(t *testing.T) {
 		plan := base
 		plan.J = uint64(ph) * base.K / uint64(phases)
 		plan.Parallelism = 2
-		res, err := smarts.Run(p, cfg, plan)
+		res, err := smarts.RunContext(context.Background(), p, cfg, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // EngineOptions configures the checkpointed parallel engine behind
-// RunSampled.
+// RunSampledContext.
 type EngineOptions struct {
 	// Workers is the worker-pool size; values <= 0 select GOMAXPROCS.
 	Workers int
@@ -51,17 +51,14 @@ type EngineOptions struct {
 	// keyframes (see engine.Options.ResumeInterval): 0 = default,
 	// negative disables partial-sweep journaling and resume.
 	ResumeInterval int
-	// TwoPhase runs the engine's capture-then-replay schedule instead of
-	// the streaming pipeline; results are bit-identical either way.
-	TwoPhase bool
 	// OnCaptured and OnReplayed observe pipeline progress; see
 	// engine.Options. The sim package uses them to emit typed progress
 	// events.
 	OnCaptured func(captured int)
 	OnReplayed func(replayed int, est stats.Estimate)
 	// OnPhaseReplayed, when non-nil, observes multi-offset replay
-	// progress with the phase offset attached; RunSampledPhases then
-	// invokes it instead of OnReplayed for each offset's replay.
+	// progress with the phase offset attached; RunSampledPhasesContext
+	// then invokes it instead of OnReplayed for each offset's replay.
 	OnPhaseReplayed func(j uint64, replayed int, est stats.Estimate)
 }
 
@@ -78,7 +75,6 @@ func (opt EngineOptions) engineOptions() engine.Options {
 		SweepParallelism: opt.SweepParallelism,
 		SweepOverlap:     opt.SweepOverlap,
 		ResumeInterval:   opt.ResumeInterval,
-		TwoPhase:         opt.TwoPhase,
 		OnCaptured:       opt.OnCaptured,
 		OnReplayed:       opt.OnReplayed,
 	}
@@ -107,36 +103,31 @@ func (pl Plan) params() checkpoint.Params {
 	return p
 }
 
-// RunSampled executes the plan on the checkpointed parallel engine: a
-// functional sweep captures a launch snapshot per selected unit
-// (architectural registers and PC, a copy-on-write memory image, and —
-// under functional warming — the cache/TLB/predictor state) and streams
-// each snapshot straight into a worker pool that replays detailed
-// warming plus measurement, while a deterministic stream-order
-// aggregator merges the results. Capture and replay overlap, so wall
-// clock approaches max(sweep, replay/workers); with a checkpoint store
+// RunSampledContext executes the plan on the checkpointed parallel
+// engine: a functional sweep captures a launch snapshot per selected
+// unit (architectural registers and PC, a copy-on-write memory image,
+// and — under functional warming — the cache/TLB/predictor state) and
+// streams each snapshot straight into a worker pool that replays
+// detailed warming plus measurement, while a deterministic stream-order
+// fold merges the results. Capture and replay overlap, so wall clock
+// approaches max(sweep, replay/workers); with a checkpoint store
 // attached, a previously swept (workload, plan, warm geometry) skips
 // the sweep entirely.
 //
-// Semantics versus the in-place serial loop of Run: each unit launches
-// from sweep state rather than from state carried out of the previous
-// unit's detailed simulation. Under functional warming the difference
-// is the in-order-versus-out-of-order update gap the paper already
-// treats as residual bias (Section 4.5); under detailed or no warming,
-// units launch microarchitecturally cold instead of stale. In exchange,
-// units become fully independent: results are bit-identical for every
-// worker count, every schedule, and every sweep source (fresh or
-// stored), and the detailed phase scales with cores.
+// Semantics versus the in-place serial loop of RunContext: each unit
+// launches from sweep state rather than from state carried out of the
+// previous unit's detailed simulation. Under functional warming the
+// difference is the in-order-versus-out-of-order update gap the paper
+// already treats as residual bias (Section 4.5); under detailed or no
+// warming, units launch microarchitecturally cold instead of stale. In
+// exchange, units become fully independent: results are bit-identical
+// for every worker count and every sweep source (fresh or stored), and
+// the detailed phase scales with cores.
 //
-// Deprecated: new code should go through the sim package; this shim is
-// kept so existing callers and result-pinning tests keep working.
-func RunSampled(prog *program.Program, cfg uarch.Config, plan Plan, opt EngineOptions) (*Result, error) {
-	return RunSampledContext(context.Background(), prog, cfg, plan, opt)
-}
-
-// RunSampledContext is RunSampled with context support: cancellation
-// stops the sweep and the worker pool, aborts any staged store entry,
-// and returns ctx.Err() (see engine.Run).
+// Cancelling ctx stops the sweep and the worker pool, aborts any staged
+// store entry, and returns ctx.Err() (see engine.Run). New code should
+// go through the sim package, which adds sweep deduplication and
+// progress events on top.
 func RunSampledContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, opt EngineOptions) (*Result, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -154,29 +145,19 @@ func RunSampledContext(ctx context.Context, prog *program.Program, cfg uarch.Con
 	return engineResult(plan, er, !er.SweepCached), nil
 }
 
-// RunSampledPhases executes the same plan at several systematic phase
-// offsets, paying one functional sweep for all of them: a multi-offset
-// capture records every offset's launch boundaries in a single pass
-// (checkpoint.Params.Offsets), and the engine replays each offset's
-// units from the shared snapshots. Each returned Result is bit-identical
-// to a dedicated RunSampled at that offset; results[i] corresponds to
-// js[i]. With a store attached the combined multi-offset set is
-// persisted and reused as one entry.
+// RunSampledPhasesContext executes the same plan at several systematic
+// phase offsets, paying one functional sweep for all of them: a
+// multi-offset capture records every offset's launch boundaries in a
+// single pass (checkpoint.Params.Offsets), and the engine replays each
+// offset's units from the shared snapshots. Each returned Result is
+// bit-identical to a dedicated RunSampledContext at that offset;
+// results[i] corresponds to js[i]. With a store attached the combined
+// multi-offset set is persisted and reused as one entry.
 //
 // The sweep accounting (FastFwdInsts/FastFwdTime) on every result
 // echoes the one shared sweep; callers summing costs across phases
-// should count it once.
-//
-// Deprecated: new code should go through the sim package (a Request
-// with Offsets); this shim is kept so existing callers and
-// result-pinning tests keep working.
-func RunSampledPhases(prog *program.Program, cfg uarch.Config, plan Plan, js []uint64, opt EngineOptions) ([]*Result, error) {
-	return RunSampledPhasesContext(context.Background(), prog, cfg, plan, js, opt)
-}
-
-// RunSampledPhasesContext is RunSampledPhases with context support:
-// cancellation stops the shared sweep (or whichever offset's replay is
-// in flight) and returns ctx.Err().
+// should count it once. Cancelling ctx stops the shared sweep (or
+// whichever offset's replay is in flight) and returns ctx.Err().
 func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, js []uint64, opt EngineOptions) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -193,76 +174,20 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 	params := plan.params()
 	params.J = 0
 	params.Offsets = js
-	if opt.Keyframe > 0 {
-		params.Keyframe = opt.Keyframe
-	}
-	if opt.SweepParallelism > 1 {
-		params.SweepParallelism = opt.SweepParallelism
-	}
-	if opt.SweepOverlap != 0 {
-		params.SweepOverlap = opt.SweepOverlap
-	}
-	if err := params.Validate(); err != nil {
+	eopt := opt.engineOptions()
+	set, sweepCached, err := engine.CaptureSet(ctx, prog, cfg, params, eopt)
+	if err != nil {
 		return nil, err
-	}
-
-	var set *checkpoint.Set
-	sweepCached := false
-	var key checkpoint.Key
-	if opt.Store != nil || opt.Cache != nil {
-		key = checkpoint.KeyFor(prog, cfg, params)
-	}
-	if opt.Store != nil {
-		cached, err := opt.Store.Load(key)
-		if err != nil {
-			return nil, err
-		}
-		if cached != nil {
-			set = cached
-			sweepCached = true
-		}
-	}
-	if set == nil && opt.Cache != nil {
-		if cached := opt.Cache.Get(key); cached != nil {
-			set = cached
-			sweepCached = true
-		}
-	}
-	if set == nil {
-		var err error
-		set, err = checkpoint.Capture(ctx, prog, cfg, params)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Store != nil {
-			if serr := opt.Store.Save(key, set); serr != nil {
-				opt.Store.Log("checkpoint store: save failed: %v", serr)
-			}
-		}
-		if opt.Cache != nil {
-			opt.Cache.Put(key, set)
-		}
-	}
-	if opt.OnCaptured != nil {
-		opt.OnCaptured(len(set.Units))
 	}
 
 	results := make([]*Result, len(js))
 	for i, j := range js {
-		onReplayed := opt.OnReplayed
 		if opt.OnPhaseReplayed != nil {
-			j := j
-			onReplayed = func(replayed int, est stats.Estimate) {
+			eopt.OnReplayed = func(replayed int, est stats.Estimate) {
 				opt.OnPhaseReplayed(j, replayed, est)
 			}
 		}
-		er, err := engine.RunSet(ctx, prog, cfg, plan.U, set.Offset(j), engine.Options{
-			Workers:    opt.Workers,
-			Alpha:      opt.Alpha,
-			TargetEps:  opt.TargetEps,
-			MinUnits:   opt.MinUnits,
-			OnReplayed: onReplayed,
-		})
+		er, err := engine.RunSet(ctx, prog, cfg, plan.U, set.Offset(j), eopt)
 		if err != nil {
 			return nil, err
 		}
@@ -279,8 +204,8 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 
 // engineResult converts an engine result into the smarts Result shape.
 // sweepInRun says the sweep's wall clock was part of this run's
-// WallTime (a fresh streamed or two-phase sweep); when false (store
-// hit, or replaying a shared pre-captured set) er.SweepTime merely
+// WallTime (a fresh streamed sweep); when false (store or cache hit,
+// or replaying a shared pre-captured set) er.SweepTime merely
 // echoes a sweep paid elsewhere and the whole elapsed time is detailed
 // work.
 func engineResult(plan Plan, er *engine.Result, sweepInRun bool) *Result {
@@ -308,16 +233,7 @@ func engineResult(plan Plan, er *engine.Result, sweepInRun bool) *Result {
 		DetailedTime:        detailedWall,
 		SweepCached:         er.SweepCached,
 		FastFwdResumedInsts: er.SweepResumedInsts,
-		Units:               make([]UnitResult, len(er.Units)),
-	}
-	for i, u := range er.Units {
-		res.Units[i] = UnitResult{
-			Index:    u.Index,
-			Cycles:   u.Cycles,
-			EnergyNJ: u.EnergyNJ,
-			CPI:      u.CPI,
-			EPI:      u.EPI,
-		}
+		Units:               er.Units,
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package smarts_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 1, 3}
 
-	runs, err := smarts.RunSampledPhases(p, cfg, plan, js, smarts.EngineOptions{Workers: 3})
+	runs, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	for i, j := range js {
 		single := plan
 		single.J = j
-		want, err := smarts.RunSampled(p, cfg, single, smarts.EngineOptions{Workers: 2})
+		want, err := smarts.RunSampledContext(context.Background(), p, cfg, single, smarts.EngineOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +68,11 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	}
 	opt := smarts.EngineOptions{Workers: 2, Store: store}
 
-	first, err := smarts.RunSampledPhases(p, cfg, plan, js, opt)
+	first, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := smarts.RunSampledPhases(p, cfg, plan, js, opt)
+	second, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +105,14 @@ func TestPlanStoreThroughRun(t *testing.T) {
 	plan.Parallelism = 2
 	plan.Store = store
 
-	first, err := smarts.Run(p, cfg, plan)
+	first, err := smarts.RunContext(context.Background(), p, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.SweepCached {
 		t.Fatal("first run claims cached sweep")
 	}
-	second, err := smarts.Run(p, cfg, plan)
+	second, err := smarts.RunContext(context.Background(), p, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,18 +89,11 @@ func (pr *ProcedureResult) FinalResult() *Result {
 	return pr.Initial
 }
 
-// RunProcedure executes the two-step SMARTS procedure on prog/cfg.
-//
-// Deprecated: new code should go through the sim package (a Request
-// with a Procedure spec); this shim is kept so existing callers and
-// result-pinning tests keep working.
-func RunProcedure(prog *program.Program, cfg uarch.Config, pc ProcedureConfig) (*ProcedureResult, error) {
-	return RunProcedureContext(context.Background(), prog, cfg, pc)
-}
-
-// RunProcedureContext is RunProcedure with context support: the context
-// is honored inside both sampling runs and checked between them, so a
-// cancelled procedure stops mid-calibration and returns ctx.Err().
+// RunProcedureContext executes the two-step SMARTS procedure on
+// prog/cfg. The context is honored inside both sampling runs and
+// checked between them, so a cancelled procedure stops mid-calibration
+// and returns ctx.Err(). New code should go through the sim package (a
+// Request with a Procedure spec).
 func RunProcedureContext(ctx context.Context, prog *program.Program, cfg uarch.Config, pc ProcedureConfig) (*ProcedureResult, error) {
 	return RunProcedureWith(ctx, prog, cfg, pc, nil)
 }

@@ -19,20 +19,26 @@
 //
 // # Execution engines
 //
-// Two executions of a Plan are available. The classic serial loop
-// (Run with Plan.Parallelism == 0) interleaves fast-forwarding and
-// per-unit detailed simulation on one goroutine, each unit observing
-// whatever state the previous unit's detailed run left behind. The
-// checkpointed parallel engine (Plan.Parallelism >= 1, or RunSampled
-// directly) exploits the statistical independence of sampling units:
-// one functional sweep captures a per-unit launch snapshot —
+// A Plan executes one of two ways, selected by Plan.Parallelism. The
+// classic serial loop (Parallelism == 0, RunContext's own body)
+// interleaves fast-forwarding and per-unit detailed simulation on one
+// goroutine, each unit observing whatever state the previous unit's
+// detailed run left behind; it regenerates the historical figures and
+// is the oracle the engine is compared against. The checkpointed
+// engine (Parallelism != 0, or RunSampledContext directly; package
+// internal/engine) exploits the statistical independence of sampling
+// units: one functional sweep captures a per-unit launch snapshot —
 // architectural registers, a copy-on-write memory image, and, under
-// functional warming, the cache/TLB/branch-predictor state — and a
-// worker pool replays detailed warming plus measurement for every unit
-// from its snapshot, merging CPI/EPI through a deterministic
-// stream-order aggregator (optionally terminating early at a target
-// confidence interval). Engine results are bit-identical for every
-// worker count; see RunSampled for how they relate to the serial loop.
+// functional warming, the cache/TLB/branch-predictor state — and
+// streams it to a worker pool that replays detailed warming plus
+// measurement for every unit from its snapshot, folding CPI/EPI in
+// stream order (optionally terminating early at a target confidence
+// interval). RunSampledPhasesContext measures several phase offsets
+// from one shared sweep. Engine results are bit-identical for every
+// worker count and sweep source; see RunSampledContext for how they
+// relate to the serial loop. This package holds the plan math, the
+// result types and the serial loop; pool, fold and sweep acquisition
+// belong to internal/engine.
 package smarts
 
 import (
@@ -41,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/functional"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -103,7 +110,7 @@ type Plan struct {
 	// per-unit snapshots, so scheduling cannot affect the estimate — but
 	// differ slightly from the in-place serial loop, whose units observe
 	// state carried out of earlier units' detailed simulation instead of
-	// snapshot state (see RunSampled).
+	// snapshot state (see RunSampledContext).
 	Parallelism int
 	// SweepParallelism, when above 1 on the engine path, runs the
 	// capture sweep as that many concurrent stream segments (the
@@ -152,18 +159,9 @@ func PlanForN(benchLength, u, w, n uint64, mode WarmingMode, j uint64) Plan {
 	return Plan{U: u, W: w, K: k, J: j, Warming: mode}
 }
 
-// UnitResult is the measurement of one sampling unit.
-type UnitResult struct {
-	// Index is the unit's position in the population (unit number).
-	Index uint64
-	// Cycles is the number of cycles the unit's U instructions took to
-	// commit.
-	Cycles uint64
-	// EnergyNJ is the energy accumulated while the unit committed.
-	EnergyNJ float64
-	// CPI and EPI are the unit's per-instruction metrics.
-	CPI, EPI float64
-}
+// UnitResult is the measurement of one sampling unit; the serial loop
+// and the engine report the same type.
+type UnitResult = engine.UnitResult
 
 // Result collects a full sampling run.
 type Result struct {
@@ -224,23 +222,16 @@ func (r *Result) EPIEstimate(alpha float64) stats.Estimate {
 	return r.EPISample().Estimate(alpha)
 }
 
-// Run executes one sampling simulation of prog on the machine described
-// by cfg. With plan.Parallelism != 0 the run is delegated to the
-// checkpointed parallel engine (see RunSampled); otherwise the classic
-// in-place serial loop executes.
-//
-// Deprecated: new code should go through the sim package
-// (sim.Open / Session.Run), which adds context cancellation, sweep
-// deduplication, and progress events on top of the same mechanisms.
-// This entry point is kept as a thin shim so existing callers and the
-// result-pinning tests keep working bit-identically.
-func Run(prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
-	return RunContext(context.Background(), prog, cfg, plan)
-}
-
-// RunContext is Run with context support: cancellation or deadline
+// RunContext executes one sampling simulation of prog on the machine
+// described by cfg. With plan.Parallelism != 0 the run is delegated to
+// the checkpointed parallel engine (see RunSampledContext); otherwise
+// the classic in-place serial loop executes. Cancellation or deadline
 // expiry stops the run — between units and, within long fast-forward
 // gaps, every checkpoint.FFChunk instructions — and returns ctx.Err().
+//
+// New code should go through the sim package (sim.Open / Session.Run),
+// which adds sweep deduplication and progress events on top of the same
+// mechanisms.
 func RunContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

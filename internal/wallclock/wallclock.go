@@ -32,3 +32,13 @@ func Since(t time.Time) time.Duration { return time.Since(t) }
 
 // Until returns the wall-clock duration until t.
 func Until(t time.Time) time.Duration { return time.Until(t) }
+
+// ETA extrapolates the remaining time of a stage from its observed
+// rate: done of total steps since start. Zero when nothing is done yet
+// or nothing remains.
+func ETA(start time.Time, done, total int) time.Duration {
+	if done <= 0 || total <= 0 || done >= total {
+		return 0
+	}
+	return time.Duration(float64(Since(start)) / float64(done) * float64(total-done))
+}

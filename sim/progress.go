@@ -13,8 +13,8 @@ const (
 	// EventRunStart opens a run (or one stage of a procedure run).
 	EventRunStart EventKind = iota
 	// EventUnitCaptured reports sweep progress: Captured launch
-	// snapshots have entered the pipeline. Store hits and two-phase
-	// schedules report the total once.
+	// snapshots have entered the pipeline. Store and cache hits and
+	// multi-offset sweeps report the total once.
 	EventUnitCaptured
 	// EventUnitReplayed reports measurement progress: Replayed units
 	// have been folded, in stream order, into the deterministic

@@ -59,9 +59,6 @@ type Request struct {
 	// exactly. The checkpoint store and sweep deduplication do not
 	// apply.
 	SerialLoop bool
-	// TwoPhase runs the engine's capture-then-replay schedule instead
-	// of the streaming pipeline (comparison/benchmark use).
-	TwoPhase bool
 	// NoStore bypasses the session's checkpoint store for this run.
 	NoStore bool
 
@@ -171,9 +168,6 @@ func Workers(n int) RequestOption { return func(r *Request) { r.Workers = n } }
 // Request.SerialLoop).
 func SerialLoop() RequestOption { return func(r *Request) { r.SerialLoop = true } }
 
-// TwoPhase selects the capture-then-replay schedule.
-func TwoPhase() RequestOption { return func(r *Request) { r.TwoPhase = true } }
-
 // NoStore bypasses the session's checkpoint store for this run.
 func NoStore() RequestOption { return func(r *Request) { r.NoStore = true } }
 
@@ -213,7 +207,7 @@ func (r *Request) validate() error {
 		return fmt.Errorf("sim: nil request")
 	}
 	// Confidence parameters are validated at the front door: they are
-	// consumed deep inside the engine's collector goroutine, where an
+	// consumed deep inside the engine's stream-order fold, where an
 	// out-of-range alpha would otherwise panic mid-run.
 	if r.Alpha != 0 && (r.Alpha <= 0 || r.Alpha >= 1) {
 		return fmt.Errorf("sim: confidence parameter %v outside (0,1)", r.Alpha)
@@ -235,9 +229,6 @@ func (r *Request) validate() error {
 	}
 	if r.Procedure != nil && len(r.Offsets) > 0 {
 		return fmt.Errorf("sim: procedure request cannot also sweep phase offsets")
-	}
-	if r.SerialLoop && r.TwoPhase {
-		return fmt.Errorf("sim: SerialLoop and TwoPhase are mutually exclusive")
 	}
 	if r.SerialLoop && r.TargetEps > 0 {
 		return fmt.Errorf("sim: early termination (TargetEps) requires the engine; remove SerialLoop")

@@ -32,17 +32,12 @@ type Session struct {
 	// Nil when a store is attached — the store already shares sweeps.
 	sweeps *checkpoint.MemCache
 
-	mu          sync.Mutex
-	closed      bool
-	progs       map[progKey]*program.Program
-	progFlights map[progKey]*flight
-	exps        map[string]*experiments.Context
-	flights     map[string]*flight
-}
+	progs program.Cache
 
-type progKey struct {
-	name   string
-	length uint64
+	mu      sync.Mutex
+	closed  bool
+	exps    map[string]*experiments.Context
+	flights map[string]*flight
 }
 
 // flight is one in-progress sweep generation for a store key; waiters
@@ -246,11 +241,9 @@ func Open(opts ...Option) (*Session, error) {
 		}
 	}
 	s := &Session{
-		set:         set,
-		progs:       make(map[progKey]*program.Program),
-		progFlights: make(map[progKey]*flight),
-		exps:        make(map[string]*experiments.Context),
-		flights:     make(map[string]*flight),
+		set:     set,
+		exps:    make(map[string]*experiments.Context),
+		flights: make(map[string]*flight),
 	}
 	if set.storeDir != "" {
 		store, err := checkpoint.OpenStore(set.storeDir)
@@ -317,40 +310,7 @@ func (s *Session) Workload(name string, length uint64) (*Workload, error) {
 	if length == 0 {
 		length = s.set.defLength
 	}
-	key := progKey{name, length}
-	for {
-		s.mu.Lock()
-		if p, ok := s.progs[key]; ok {
-			s.mu.Unlock()
-			return p, nil
-		}
-		if f, ok := s.progFlights[key]; ok {
-			s.mu.Unlock()
-			<-f.done
-			continue // the generator finished (or failed); re-check
-		}
-		f := &flight{done: make(chan struct{})}
-		s.progFlights[key] = f
-		s.mu.Unlock()
-
-		p, err := generateWorkload(name, length)
-		s.mu.Lock()
-		if err == nil {
-			s.progs[key] = p
-		}
-		delete(s.progFlights, key)
-		s.mu.Unlock()
-		close(f.done)
-		return p, err
-	}
-}
-
-func generateWorkload(name string, length uint64) (*program.Program, error) {
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return program.Generate(spec, length)
+	return s.progs.Get(name, length)
 }
 
 // Reference runs (uncached) the full-stream detailed simulation of the
@@ -571,16 +531,6 @@ func planTotals(plan Plan, prog *program.Program) (pop uint64, total int) {
 	return pop, plan.CheckpointParams().ExpectedUnits(pop)
 }
 
-// etaFrom extrapolates the remaining time of a stage from its observed
-// rate: done of total steps since start.
-func etaFrom(start time.Time, done, total int) time.Duration {
-	if done <= 0 || total <= 0 || done >= total {
-		return 0
-	}
-	elapsed := wallclock.Since(start)
-	return time.Duration(float64(elapsed) / float64(done) * float64(total-done))
-}
-
 // engineOptions builds the engine options for one plan execution.
 func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, offset uint64, plan Plan, prog *program.Program) smarts.EngineOptions {
 	opt := smarts.EngineOptions{
@@ -595,7 +545,6 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 		SweepParallelism: s.set.sweepPar,
 		SweepOverlap:     s.set.sweepOver,
 		ResumeInterval:   s.set.resumeInt,
-		TwoPhase:         req.TwoPhase,
 	}
 	if !req.NoStore {
 		opt.Store = s.store
@@ -606,10 +555,10 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 		start := wallclock.Now()
 		opt.OnCaptured = func(captured int) {
 			sink.emit(Progress{Kind: EventUnitCaptured, Stage: stage, Offset: offset, Captured: captured,
-				Population: pop, Total: total, ETA: etaFrom(start, captured, total)})
+				Population: pop, Total: total, ETA: wallclock.ETA(start, captured, total)})
 		}
-		// The collector folds units from one goroutine, so the lazily
-		// set replay clock needs no synchronization; replay overlaps the
+		// The engine folds units from one goroutine, so the lazily set
+		// replay clock needs no synchronization; replay overlaps the
 		// sweep in the streamed schedule, making the ETA the remaining
 		// pipeline time, not a serial-stage sum.
 		var replayStart time.Time
@@ -618,7 +567,7 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 				replayStart = wallclock.Now()
 			}
 			sink.emit(Progress{Kind: EventUnitReplayed, Stage: stage, Offset: offset, Replayed: replayed, Estimate: est,
-				Population: pop, Total: total, ETA: etaFrom(replayStart, replayed, total)})
+				Population: pop, Total: total, ETA: wallclock.ETA(replayStart, replayed, total)})
 		}
 	}
 	return opt
@@ -720,7 +669,7 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 		start := wallclock.Now()
 		opt.OnCaptured = func(captured int) {
 			sink.emit(Progress{Kind: EventUnitCaptured, Stage: "sample", Captured: captured,
-				Population: pop, Total: sweepTotal, ETA: etaFrom(start, captured, sweepTotal)})
+				Population: pop, Total: sweepTotal, ETA: wallclock.ETA(start, captured, sweepTotal)})
 		}
 		// Replay events of a multi-offset run carry their offset, so a
 		// consumer can attribute the per-offset unit counters.
@@ -733,7 +682,7 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 			}
 			replayedAll++
 			sink.emit(Progress{Kind: EventUnitReplayed, Stage: "sample", Offset: j, Replayed: replayed, Estimate: est,
-				Population: pop, Total: perOffset[j], ETA: etaFrom(replayStart, replayedAll, sweepTotal)})
+				Population: pop, Total: perOffset[j], ETA: wallclock.ETA(replayStart, replayedAll, sweepTotal)})
 		}
 	}
 	run := func() ([]*Result, error) {

@@ -54,7 +54,7 @@ func TestPlainBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampled(p, cfg, plan, smarts.EngineOptions{Workers: 1})
+	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSerialLoopBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
-	want, err := smarts.Run(p, cfg, plan)
+	want, err := smarts.RunContext(context.Background(), p, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPhasesBitIdentical(t *testing.T) {
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 2, 4}
-	want, err := smarts.RunSampledPhases(p, cfg, plan, js, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestProcedureBitIdentical(t *testing.T) {
 	pc := smarts.DefaultProcedure(cfg, 60)
 	pc.Eps = 0.05
 	pc.Parallelism = 2
-	want, err := smarts.RunProcedure(p, cfg, pc)
+	want, err := smarts.RunProcedureContext(context.Background(), p, cfg, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestStoreBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampled(p, cfg, plan, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
