@@ -16,12 +16,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/program"
 	"repro/internal/smarts"
@@ -345,6 +347,67 @@ func BenchmarkEnginePipelined(b *testing.B) {
 			b.ReportMetric(float64(coldTime)/float64(cachedTime), "storeSpeedupX")
 			b.ReportMetric(float64(len(streamed.Units))/streamedTime.Seconds(), "units/s")
 		}
+	}
+}
+
+// BenchmarkEngineReplay isolates detailed replay — the slowest layer of
+// a sampled run, and the one the other engine benchmarks only see mixed
+// with the sweep — on the repository benchmark's two paper-regime plans
+// (U=1000, W=2000, a unit ≈ 3000 detailed instructions): gccx 12M
+// sampled sparsely (k=166, 73 units: long delta chains, large deltas)
+// and craftyx 10M sampled densely (k=6, 1661 units). The set is
+// captured outside the timer and replayed on one worker, so the wall
+// clock splits exactly into coreUs/unit (time inside uarch.Core.Run,
+// the paper's n·(U+W) term) and launchUs/unit (everything else the
+// engine does per unit: roll the launch state forward, reset and
+// restore the machine, rebuild memory) — the per-unit constant the
+// paper's cost model does not have. allocKB/unit is heap allocated per
+// replayed unit; units/s is one worker's replay throughput.
+func BenchmarkEngineReplay(b *testing.B) {
+	for _, tc := range []struct {
+		name, bench string
+		length, k   uint64
+	}{
+		{"gccx-sparse", "gccx", 12_000_000, 166},
+		{"craftyx", "craftyx", 10_000_000, 6},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			spec, err := program.ByName(tc.bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := program.Generate(spec, tc.length)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := uarch.Config8Way()
+			plan := smarts.Plan{U: 1000, W: smarts.RecommendedW(cfg), K: tc.k, Warming: smarts.FunctionalWarming}
+			set, err := checkpoint.Capture(context.Background(), p, cfg, plan.CheckpointParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var core time.Duration
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := engine.ReplayRange(context.Background(), p, cfg, plan.U, set, 0, len(set.Units),
+					engine.Options{Workers: 1}, func(ru engine.RangeUnit) bool {
+						core += ru.Elapsed
+						return true
+					})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			units := float64(b.N * len(set.Units))
+			b.ReportMetric(float64((b.Elapsed()-core).Microseconds())/units, "launchUs/unit")
+			b.ReportMetric(float64(core.Microseconds())/units, "coreUs/unit")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/1024/units, "allocKB/unit")
+			b.ReportMetric(units/b.Elapsed().Seconds(), "units/s")
+		})
 	}
 }
 

@@ -44,7 +44,15 @@
 // memory image, functionally warmed cache/TLB/predictor tables) in one
 // functional sweep, and internal/engine replays the units across a
 // worker pool with deterministic stream-order aggregation — the same
-// estimate, bit for bit, at any worker count. The engine owns the one
+// estimate, bit for bit, at any worker count. Each replay worker keeps
+// one machine, core and memory for the pool's lifetime, reset to
+// exactly their as-constructed state between units, and one rolling
+// launch state (checkpoint.Materializer) it advances by the deltas
+// since its previous unit — so launching a unit costs its deltas plus
+// one copy of the warm arrays, not a rebuilt machine and a keyframe's
+// whole chain, and a run's cost keeps the shape of the paper's model:
+// fast-forward plus n·(U+W) detailed instructions, no per-unit
+// constant. The engine owns the one
 // worker pool and the one stream-order fold (engine.Merger) every path
 // uses, the distributed service included, so that identity holds by
 // construction rather than by keeping copies in step.
@@ -180,7 +188,9 @@
 //     into an estimate.
 //   - hotpath: functions annotated //simlint:hotpath (the per-
 //     instruction sweep and replay paths: mem/cache/TLB/bpred accesses,
-//     functional Step, delta Mark) must be allocation- and
+//     functional Step, delta Mark; and the per-unit launch path: the
+//     snapshots' Apply and CopyFrom, the structures' Restore and Reset)
+//     must be allocation- and
 //     dispatch-free — no make/new/append/closures/defer/interface
 //     boxing/fmt — and may only call other hot-path functions or
 //     declared //simlint:coldpath <reason> rare paths.

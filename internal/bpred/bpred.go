@@ -117,12 +117,9 @@ func New(cfg Config) *Unit {
 		tblDirty: delta.NewBitmap(n, tblGrainShift),
 		btbDirty: delta.NewBitmap(cfg.BTBSets*cfg.BTBWays, btbGrainShift),
 	}
-	// Weakly taken initial counters, the SimpleScalar default.
-	for i := range u.bimodal {
-		u.bimodal[i] = 2
-		u.gshare[i] = 2
-		u.chooser[i] = 1 // weakly prefer bimodal
-	}
+	// Weakly taken initial counters (the SimpleScalar default), chooser
+	// weakly preferring bimodal.
+	u.Flush()
 	return u
 }
 
@@ -291,7 +288,15 @@ func (u *Unit) Warm(o Outcome) {
 	u.Update(o)
 }
 
-// Flush resets all predictor state to cold (stats preserved).
+// Flush returns all trained state to exactly its as-constructed
+// contents — weakly-taken counters, empty history, and a BTB and return
+// stack zeroed in every array, not merely invalidated — so a flushed
+// unit snapshots to the same bytes as a new one and predicts
+// identically from there on. It differs from Reset only in what it
+// keeps: the statistics and the snapshot-chain position (a delta chain
+// in progress continues across a Flush; everything is marked dirty).
+//
+//simlint:hotpath
 func (u *Unit) Flush() {
 	for i := range u.bimodal {
 		u.bimodal[i] = 2
@@ -299,11 +304,26 @@ func (u *Unit) Flush() {
 		u.chooser[i] = 1
 	}
 	u.history = 0
-	for i := range u.btbValid {
-		u.btbValid[i] = false
-	}
+	clear(u.btbTags)
+	clear(u.btbTgts)
+	clear(u.btbValid)
+	clear(u.btbLRU)
+	u.btbStamp = 0
+	clear(u.ras)
 	u.rasTop = 0
 	u.markAllDirty()
+}
+
+// Reset returns the unit to exactly the state New built: Flush plus
+// zeroed statistics and a snapshot chain that has seen no snapshot. A
+// reset unit is indistinguishable from a new one — Snapshot bytes,
+// Stats, and every later prediction.
+//
+//simlint:hotpath
+func (u *Unit) Reset() {
+	u.Flush()
+	u.Stats = Stats{}
+	u.chain = delta.Chain{}
 }
 
 //simlint:hotpath

@@ -45,6 +45,8 @@ func (u *Unit) markTbl(i int) { u.tblDirty.Mark(i) }
 func (u *Unit) markBTB(i int) { u.btbDirty.Mark(i) }
 
 // markAllDirty forces the next delta to carry the full arrays.
+//
+//simlint:hotpath
 func (u *Unit) markAllDirty() {
 	u.tblDirty.MarkAll()
 	u.btbDirty.MarkAll()
@@ -122,6 +124,8 @@ func (u *Unit) Delta(since uint64) (*Delta, error) {
 
 // Validate checks the delta's internal consistency against a predictor
 // with n direction-table entries, btbn BTB entries, and rasn RAS slots.
+//
+//simlint:coldpath geometry validation; one pass over the block lists, allocates only to report a corrupt delta
 func (d *Delta) Validate(n, btbn, rasn int) error {
 	if d.N != n || d.BTBN != btbn {
 		return fmt.Errorf("bpred delta: geometry %d/%d, state has %d/%d", d.N, d.BTBN, n, btbn)
@@ -185,10 +189,36 @@ func (s *State) Clone() *State {
 	}
 }
 
+// CopyFrom makes s a deep copy of src, reusing s's arrays when they
+// already have src's geometry — the copy-into-existing form of Clone a
+// rolling launch state refills at each keyframe without allocating.
+//
+//simlint:hotpath
+func (s *State) CopyFrom(src *State) {
+	if len(s.Bimodal) != len(src.Bimodal) || len(s.BTBTags) != len(src.BTBTags) || len(s.RAS) != len(src.RAS) {
+		//simlint:coldpath first use (or a geometry change): allocate the arrays once
+		*s = *src.Clone()
+		return
+	}
+	copy(s.Bimodal, src.Bimodal)
+	copy(s.Gshare, src.Gshare)
+	copy(s.Chooser, src.Chooser)
+	s.History = src.History
+	copy(s.BTBTags, src.BTBTags)
+	copy(s.BTBTgts, src.BTBTgts)
+	copy(s.BTBValid, src.BTBValid)
+	copy(s.BTBLRU, src.BTBLRU)
+	s.BTBStamp = src.BTBStamp
+	copy(s.RAS, src.RAS)
+	s.RASTop = src.RASTop
+}
+
 // Apply patches the snapshot forward by one delta: after Apply, the
 // state equals the full Snapshot taken at the point the delta was
 // captured. The receiver must be (a copy of) the snapshot the delta
 // was taken against.
+//
+//simlint:hotpath
 func (s *State) Apply(d *Delta) error {
 	if err := d.Validate(len(s.Bimodal), len(s.BTBTags), len(s.RAS)); err != nil {
 		return err

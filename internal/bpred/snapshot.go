@@ -44,14 +44,18 @@ func (u *Unit) Snapshot() *State {
 
 // Restore overwrites the unit's trained state with a snapshot taken from
 // a unit of identical configuration. Stats are left untouched.
+//
+//simlint:hotpath
 func (u *Unit) Restore(s *State) error {
 	if len(s.Bimodal) != len(u.bimodal) || len(s.BTBTags) != len(u.btbTags) || len(s.RAS) != len(u.ras) {
+		//simlint:coldpath geometry mismatch; a configuration error, never taken on a replaying worker
 		return fmt.Errorf("bpred: snapshot geometry mismatch (tables %d/%d, BTB %d/%d, RAS %d/%d)",
 			len(s.Bimodal), len(u.bimodal), len(s.BTBTags), len(u.btbTags), len(s.RAS), len(u.ras))
 	}
 	// Bound the stack pointer: restoring an out-of-range top (a corrupt
 	// deserialized snapshot) would make the next RAS access panic.
 	if s.RASTop < 0 || s.RASTop > len(u.ras) {
+		//simlint:coldpath corrupt snapshot; never taken on a replaying worker
 		return fmt.Errorf("bpred: snapshot RAS top %d out of range (%d entries)", s.RASTop, len(u.ras))
 	}
 	copy(u.bimodal, s.Bimodal)

@@ -244,14 +244,37 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Flush invalidates all contents (stats are preserved).
+// Flush empties the cache to exactly its as-constructed contents — tag
+// arrays, valid/dirty bits, LRU stamps and the LRU clock all zero, the
+// warm-hit hint back at entry 0 — so a flushed cache snapshots to the
+// same bytes as a new one and behaves identically from there on. It
+// differs from Reset only in what it keeps: the statistics and the
+// snapshot-chain position, so a delta chain in progress continues across
+// a Flush (everything is marked dirty) and callers that diff Stats see
+// no discontinuity.
+//
+//simlint:hotpath
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-		c.lastUsed[i] = 0
-	}
+	clear(c.tags)
+	clear(c.valid)
+	clear(c.dirty)
+	clear(c.lastUsed)
+	c.stamp = 0
+	c.lastIdx = 0
 	c.snapDirty.MarkAll()
+}
+
+// Reset returns the cache to exactly the state New built: Flush plus
+// zeroed statistics and a snapshot chain that has seen no snapshot. A
+// reset cache is indistinguishable from a new one — Snapshot bytes,
+// Stats, and the outcome of every later access — which is what lets a
+// replay worker reuse one machine across sampling units.
+//
+//simlint:hotpath
+func (c *Cache) Reset() {
+	c.Flush()
+	c.Stats = Stats{}
+	c.chain = delta.Chain{}
 }
 
 // Occupancy returns the number of valid blocks.

@@ -94,6 +94,8 @@ func (c *Cache) Delta(since uint64) (*Delta, error) {
 // length of n entries: ascending in-range blocks and matching segment
 // totals. Deserialized deltas are validated before use so corrupt store
 // entries can never index out of range.
+//
+//simlint:coldpath geometry validation; one pass over the block list, allocates only to report a corrupt delta
 func (d *Delta) Validate(n int) error {
 	if d.N != n {
 		return fmt.Errorf("cache delta: geometry %d entries, state has %d", d.N, n)
@@ -132,10 +134,30 @@ func (s *State) Clone() *State {
 	}
 }
 
+// CopyFrom makes s a deep copy of src, reusing s's arrays when they
+// already have src's geometry — the copy-into-existing form of Clone a
+// rolling launch state refills at each keyframe without allocating.
+//
+//simlint:hotpath
+func (s *State) CopyFrom(src *State) {
+	if len(s.Tags) != len(src.Tags) {
+		//simlint:coldpath first use (or a geometry change): allocate the arrays once
+		*s = *src.Clone()
+		return
+	}
+	copy(s.Tags, src.Tags)
+	copy(s.Valid, src.Valid)
+	copy(s.Dirty, src.Dirty)
+	copy(s.LastUsed, src.LastUsed)
+	s.Stamp = src.Stamp
+}
+
 // Apply patches the snapshot forward by one delta: after Apply, the
 // state equals the full Snapshot taken at the point the delta was
 // captured. The receiver must be (a copy of) the snapshot the delta was
 // taken against.
+//
+//simlint:hotpath
 func (s *State) Apply(d *Delta) error {
 	if err := d.Validate(len(s.Tags)); err != nil {
 		return err
@@ -219,8 +241,22 @@ func (s *HierarchyState) Clone() *HierarchyState {
 	}
 }
 
+// CopyFrom makes s a deep copy of src in place (see State.CopyFrom); s
+// must hold a State per structure, as a Clone or a Snapshot does.
+//
+//simlint:hotpath
+func (s *HierarchyState) CopyFrom(src *HierarchyState) {
+	s.IL1.CopyFrom(src.IL1)
+	s.DL1.CopyFrom(src.DL1)
+	s.L2.CopyFrom(src.L2)
+	s.ITLB.CopyFrom(src.ITLB)
+	s.DTLB.CopyFrom(src.DTLB)
+}
+
 // Apply patches every structure's snapshot forward by one hierarchy
 // delta.
+//
+//simlint:hotpath
 func (s *HierarchyState) Apply(d *HierarchyDelta) error {
 	if err := s.IL1.Apply(d.IL1); err != nil {
 		return err

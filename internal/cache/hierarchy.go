@@ -137,11 +137,27 @@ func (h *Hierarchy) WarmData(addr uint64, write bool) {
 	h.L2.Access(addr, false)
 }
 
-// FlushAll invalidates every cache and TLB (cold state).
+// FlushAll invalidates every cache and TLB (cold state), keeping the
+// statistics and event counters (see Cache.Flush).
+//
+//simlint:hotpath
 func (h *Hierarchy) FlushAll() {
 	h.IL1.Flush()
 	h.DL1.Flush()
 	h.L2.Flush()
 	h.ITLB.Flush()
 	h.DTLB.Flush()
+}
+
+// Reset returns every cache and TLB, and the hierarchy's own event
+// counters, to their as-constructed state (see Cache.Reset).
+//
+//simlint:hotpath
+func (h *Hierarchy) Reset() {
+	h.IL1.Reset()
+	h.DL1.Reset()
+	h.L2.Reset()
+	h.ITLB.Reset()
+	h.DTLB.Reset()
+	h.L2Accesses, h.MemAccesses = 0, 0
 }

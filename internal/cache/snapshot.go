@@ -37,8 +37,11 @@ func (c *Cache) Snapshot() *State {
 
 // Restore overwrites the cache's contents with a snapshot taken from a
 // cache of identical geometry. Stats are left untouched.
+//
+//simlint:hotpath
 func (c *Cache) Restore(s *State) error {
 	if len(s.Tags) != len(c.tags) {
+		//simlint:coldpath geometry mismatch; a configuration error, never taken on a replaying worker
 		return fmt.Errorf("cache %s: snapshot geometry %d blocks, cache has %d",
 			c.cfg.Name, len(s.Tags), len(c.tags))
 	}
@@ -55,6 +58,8 @@ func (c *Cache) Restore(s *State) error {
 func (t *TLB) Snapshot() *State { return t.inner.Snapshot() }
 
 // Restore overwrites the TLB's translations from a snapshot.
+//
+//simlint:hotpath
 func (t *TLB) Restore(s *State) error { return t.inner.Restore(s) }
 
 // HierarchyState bundles the snapshots of every structure in a
@@ -77,6 +82,8 @@ func (h *Hierarchy) Snapshot() *HierarchyState {
 
 // Restore overwrites all caches and TLBs from a snapshot taken on a
 // hierarchy of identical geometry.
+//
+//simlint:hotpath
 func (h *Hierarchy) Restore(s *HierarchyState) error {
 	if err := h.IL1.Restore(s.IL1); err != nil {
 		return err

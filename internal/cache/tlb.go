@@ -54,8 +54,16 @@ func (t *TLB) Probe(addr uint64) bool {
 	return t.inner.Probe(addr >> t.pageBits << 1)
 }
 
-// Flush invalidates all translations.
+// Flush invalidates all translations, keeping the statistics (see
+// Cache.Flush).
+//
+//simlint:hotpath
 func (t *TLB) Flush() { t.inner.Flush() }
+
+// Reset returns the TLB to its as-constructed state (see Cache.Reset).
+//
+//simlint:hotpath
+func (t *TLB) Reset() { t.inner.Reset() }
 
 // Stats returns the access statistics.
 func (t *TLB) Stats() Stats { return t.inner.Stats }

@@ -48,11 +48,16 @@
 // keyframes every Params.Keyframe-th captured unit, and sequence-
 // checked deltas against the predecessor on the units between
 // (uarch.Warmer.Delta for warm state, mem.Memory.Delta for memory).
-// Consumers reconstruct any unit's full launch state on demand with
-// Unit.Materialize / Set.Materialize — a clone of the nearest keyframe
-// plus at most Keyframe-1 delta applications, read-only on shared
-// state and so safe from any number of replay workers at once.
-// Materialized states are bit-identical to full snapshots; the encoding
+// Consumers reconstruct launch states with a Materializer, the
+// package's one chain walk: it keeps the last state it built in buffers
+// of its own, so a consumer visiting units in stream order (a replay
+// worker) pays per unit only the deltas since its previous visit, and
+// falls back to copying the unit's keyframe into those buffers — plus
+// at most Keyframe-1 delta applications — when it is not positioned on
+// the unit's chain. Unit.Materialize / Set.Materialize are that
+// fallback alone: a Materializer used once. Materializing only reads
+// the shared snapshots, so any number of workers may do it at once, and
+// materialized states are bit-identical to full snapshots; the encoding
 // is invisible to every schedule.
 //
 // # On-disk store
@@ -265,13 +270,24 @@ type WarmState struct {
 	Pred *bpred.State
 }
 
-// Clone returns a deep copy — the scratch state delta chains are
-// materialized into.
+// Clone returns a deep copy.
 func (w *WarmState) Clone() *WarmState {
 	return &WarmState{Hier: w.Hier.Clone(), Pred: w.Pred.Clone()}
 }
 
+// CopyFrom makes w a deep copy of src in place, reusing w's arrays (w
+// must already hold a full state, as a Clone does) — how a Materializer
+// refills its rolling state at a keyframe without allocating.
+//
+//simlint:hotpath
+func (w *WarmState) CopyFrom(src *WarmState) {
+	w.Hier.CopyFrom(src.Hier)
+	w.Pred.CopyFrom(src.Pred)
+}
+
 // Apply patches the state forward by one warm delta.
+//
+//simlint:hotpath
 func (w *WarmState) Apply(d *uarch.WarmDelta) error {
 	if err := w.Hier.Apply(d.Hier); err != nil {
 		return err
@@ -309,14 +325,14 @@ type Unit struct {
 	// LaunchAt. It is populated only on keyframe units (and on every
 	// unit when deltas are disabled); nil when the sweep ran without
 	// functional warming or when this unit is delta-encoded. Consumers
-	// that need the launch state call Materialize, which handles every
+	// that need the launch state use a Materializer, which handles every
 	// encoding.
 	Warm *WarmState
 	// Delta, on delta-encoded units, is the dirty-block change from
 	// Prev's warm state to this unit's; Warm is then nil.
 	Delta *uarch.WarmDelta
 	// Prev links a delta-encoded unit to its predecessor in capture
-	// order — the chain Materialize walks back to the nearest keyframe
+	// order — the chain a Materializer walks back to the nearest keyframe
 	// (memory and warm deltas share the cadence, so one link serves
 	// both). The links keep at most one keyframe interval of deltas
 	// (plus the keyframe) alive per retained unit.
@@ -330,85 +346,105 @@ func (u *Unit) WarmLen() uint64 { return u.Start - u.LaunchAt }
 // Launch is a unit's fully materialized launch state: the memory image
 // and — for warmed sweeps — the cache/TLB/predictor state at LaunchAt.
 // (The architectural registers live on the Unit itself; they are carried
-// in full on every unit.) On keyframe units the fields alias the unit's
-// own shared snapshots — treat them as read-only; NewMemory and Restore
-// only read them.
+// in full on every unit.) It belongs to the Materializer that built it:
+// read-only (Memory.Restore/NewMemory and the structures' Restore only
+// read it), and valid until that Materializer's next Materialize call.
+// Its page table and warm arrays are private to the Materializer; the
+// page arrays are the set's own, shared copy-on-write.
 type Launch struct {
 	Mem  *mem.Image
 	Warm *WarmState // nil when the sweep ran without functional warming
 }
 
-// Materialize reconstructs the unit's full launch state: a keyframe
-// returns its snapshots directly (shared — treat as read-only), a
-// delta-encoded unit clones the nearest keyframe and applies the chain
-// of deltas up to itself — memory and warm state alike — and a cold
-// unit materializes with a nil Warm. Materialization never mutates
-// shared state, so any number of goroutines may materialize units of
-// the same chain concurrently — this is how the engine's workers
-// reconstruct launch states on demand.
+// Materializer reconstructs launch states along a sweep's delta chains
+// and remembers the last one it built, so a consumer visiting units in
+// stream order pays for each unit only the deltas since its previous
+// visit, applied to buffers it already owns, instead of a fresh clone
+// of the keyframe plus the whole chain. It is the package's one chain
+// walk: a replay worker keeps one for its lifetime, and Unit.Materialize
+// is a Materializer used once from its zero (cold) position.
+//
+// The rolling state is private: units and their snapshots are only ever
+// read, so any number of Materializers (one per goroutine — a
+// Materializer itself is not safe for concurrent use) may walk the same
+// chains at once. The zero value is ready to use.
+type Materializer struct {
+	// at is the unit the rolling state equals (nil: none), hasWarm
+	// whether its warm half does too (a cold unit leaves it stale).
+	at      *Unit
+	hasWarm bool
+	mem     mem.Image
+	warm    *WarmState // nil until the first warmed unit
+	out     Launch
+	chain   []*Unit // scratch: the deltas to apply, youngest first
+}
+
+// Materialize rolls the state to u and returns it (see Launch for the
+// lifetime). It walks u's Prev links back to the nearest state already
+// in hand — the unit the Materializer is positioned at, when u is
+// downstream of it within one keyframe interval, else u's keyframe,
+// which is first copied into the existing buffers — and applies the
+// deltas from there up to u, memory and warm state alike. Any visiting
+// order is correct; ascending stream order is the cheap one. A cold
+// unit materializes with a nil Warm. A delta that fails to apply drops
+// the rolling state, so the next call starts from a keyframe.
+func (m *Materializer) Materialize(u *Unit) (*Launch, error) {
+	warm := u.Warm != nil || u.Delta != nil
+	m.chain = m.chain[:0]
+	base := u
+	for !m.holds(base, warm) && base.Mem == nil {
+		if base.MemDelta == nil || base.Prev == nil || (warm && base.Delta == nil) {
+			return nil, fmt.Errorf("checkpoint: unit %d: broken delta chain at unit %d", u.Index, base.Index)
+		}
+		m.chain = append(m.chain, base)
+		base = base.Prev
+	}
+	if !m.holds(base, warm) {
+		// Not positioned on u's chain: reseed from its keyframe.
+		if warm && base.Warm == nil {
+			return nil, fmt.Errorf("checkpoint: unit %d: keyframe unit %d carries no warm state", u.Index, base.Index)
+		}
+		m.mem.CopyFrom(base.Mem)
+		switch {
+		case !warm:
+		case m.warm == nil:
+			m.warm = base.Warm.Clone()
+		default:
+			m.warm.CopyFrom(base.Warm)
+		}
+	}
+	m.at = nil // in flux until every delta has applied
+	for i := len(m.chain) - 1; i >= 0; i-- {
+		c := m.chain[i]
+		if err := m.mem.Apply(c.MemDelta); err != nil {
+			return nil, fmt.Errorf("checkpoint: unit %d: materialize memory at unit %d: %w", u.Index, c.Index, err)
+		}
+		if warm {
+			if err := m.warm.Apply(c.Delta); err != nil {
+				return nil, fmt.Errorf("checkpoint: unit %d: materialize at unit %d: %w", u.Index, c.Index, err)
+			}
+		}
+	}
+	clear(m.chain) // the scratch must not keep visited units alive
+	m.at, m.hasWarm = u, warm
+	m.out = Launch{Mem: &m.mem}
+	if warm {
+		m.out.Warm = m.warm
+	}
+	return &m.out, nil
+}
+
+// holds reports whether the rolling state equals c's launch state, in
+// the halves a warm (or cold) consumer needs.
+func (m *Materializer) holds(c *Unit, warm bool) bool {
+	return c == m.at && (m.hasWarm || !warm)
+}
+
+// Materialize reconstructs the unit's full launch state from its
+// keyframe — a Materializer used once. Consumers that visit many units
+// of one sweep keep a Materializer instead.
 func (u *Unit) Materialize() (*Launch, error) {
-	m, err := u.materializeMem()
-	if err != nil {
-		return nil, err
-	}
-	w, err := u.materializeWarm()
-	if err != nil {
-		return nil, err
-	}
-	return &Launch{Mem: m, Warm: w}, nil
-}
-
-// materializeMem resolves the memory half of the launch state through
-// its delta chain. It walks the chain independently of the warm half:
-// cold sweeps delta-encode memory and carry no warm state at all.
-func (u *Unit) materializeMem() (*mem.Image, error) {
-	if u.Mem != nil {
-		return u.Mem, nil
-	}
-	var chain []*Unit
-	cur := u
-	for cur.Mem == nil {
-		if cur.MemDelta == nil || cur.Prev == nil {
-			return nil, fmt.Errorf("checkpoint: unit %d: broken memory delta chain at unit %d", u.Index, cur.Index)
-		}
-		chain = append(chain, cur)
-		cur = cur.Prev
-	}
-	img := cur.Mem.Clone()
-	for i := len(chain) - 1; i >= 0; i-- {
-		if err := img.Apply(chain[i].MemDelta); err != nil {
-			return nil, fmt.Errorf("checkpoint: unit %d: materialize memory at unit %d: %w", u.Index, chain[i].Index, err)
-		}
-	}
-	return img, nil
-}
-
-// materializeWarm resolves the warm half of the launch state through
-// its delta chain; cold units resolve to nil.
-func (u *Unit) materializeWarm() (*WarmState, error) {
-	if u.Warm != nil {
-		return u.Warm, nil
-	}
-	if u.Delta == nil {
-		return nil, nil // cold capture
-	}
-	// Walk back to the keyframe, collecting the delta chain.
-	var chain []*Unit
-	cur := u
-	for cur.Warm == nil {
-		if cur.Delta == nil || cur.Prev == nil {
-			return nil, fmt.Errorf("checkpoint: unit %d: broken delta chain at unit %d", u.Index, cur.Index)
-		}
-		chain = append(chain, cur)
-		cur = cur.Prev
-	}
-	w := cur.Warm.Clone()
-	for i := len(chain) - 1; i >= 0; i-- {
-		if err := w.Apply(chain[i].Delta); err != nil {
-			return nil, fmt.Errorf("checkpoint: unit %d: materialize at unit %d: %w", u.Index, chain[i].Index, err)
-		}
-	}
-	return w, nil
+	return new(Materializer).Materialize(u)
 }
 
 // WarmBytes returns the approximate in-memory warm payload the unit

@@ -141,6 +141,8 @@ func (b *Bitmap) Mark(i int) {
 }
 
 // MarkAll forces the next delta to carry every block.
+//
+//simlint:hotpath
 func (b *Bitmap) MarkAll() {
 	for i := range b.words {
 		b.words[i] = ^uint64(0)
@@ -175,6 +177,8 @@ func (b *Bitmap) AppendBlocks(dst []uint32) []uint32 {
 
 // Span returns the entry range [lo, hi) covered by block b at the given
 // granularity in arrays of n entries (the last block may be short).
+//
+//simlint:hotpath
 func Span(b uint32, grainShift uint8, n int) (lo, hi int) {
 	lo = int(b) << grainShift
 	hi = lo + 1<<grainShift

@@ -104,6 +104,20 @@ func NewMeter(model Model) *Meter {
 	return &Meter{model: model}
 }
 
+// Reset zeroes the accumulated counts, cycles and energy, returning the
+// meter to the state NewMeter built (the model is kept). The total is a
+// running floating-point sum, so readings taken after a Reset carry the
+// same bits as a new meter's — differencing against an earlier snapshot
+// instead would not, which is why a reused machine resets rather than
+// diffs.
+//
+//simlint:hotpath
+func (m *Meter) Reset() {
+	m.counts = [NumEvents]uint64{}
+	m.cycles = 0
+	m.total = 0
+}
+
 // Add records n occurrences of event e.
 func (m *Meter) Add(e Event, n uint64) {
 	m.counts[e] += n

@@ -68,3 +68,30 @@ func TestEventNames(t *testing.T) {
 		seen[name] = true
 	}
 }
+
+// TestResetEqualsNew: a reset meter is a new meter — the same event
+// sequence accumulates to the same floating-point bits, which
+// differencing a running total against a snapshot does not guarantee.
+func TestResetEqualsNew(t *testing.T) {
+	model := energy.DefaultModel(1.6)
+	drive := func(m *energy.Meter) {
+		for i := 0; i < 10_000; i++ {
+			m.Add(energy.Event(i%energy.NumEvents), uint64(i%3+1))
+			m.Tick(uint64(i%5 + 1))
+		}
+	}
+	m := energy.NewMeter(model)
+	m.Add(energy.EvMem, 7)
+	m.Tick(1_000_003)
+	drive(m)
+	m.Reset()
+	fresh := energy.NewMeter(model)
+	if *m != *fresh {
+		t.Fatal("reset meter differs from a new one")
+	}
+	drive(m)
+	drive(fresh)
+	if math.Float64bits(m.TotalNJ()) != math.Float64bits(fresh.TotalNJ()) || *m != *fresh {
+		t.Fatalf("reset meter accumulated %v, new meter %v", m.TotalNJ(), fresh.TotalNJ())
+	}
+}

@@ -14,7 +14,14 @@
 //
 // The package owns the three things every way of running a plan needs,
 // once each. The pool (replayStream) replays a unit stream on N workers
-// and delivers results in stream order; Run feeds it from the streaming
+// and delivers results in stream order. Each worker owns one launch
+// context for the pool's lifetime (launcher): a machine, core and
+// memory reset to exactly their as-constructed state between units, and
+// a checkpoint.Materializer rolled forward along the stream, so a
+// unit's launch costs the deltas since the worker's previous unit plus
+// one copy of the warm arrays into the machine — not a new machine and
+// a from-keyframe materialization — while its measurement stays a pure
+// function of its checkpoint. Run feeds the pool from the streaming
 // sweep or a loaded Set, RunSet from a caller's Set, ReplayRange — the
 // distributed worker's entry point — from a [lo, hi) slice of one. The
 // Merger is the stream-order fold (partial-unit cut, early-termination

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/functional"
+	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/uarch"
 	"repro/internal/wallclock"
@@ -89,13 +90,14 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			l := newLauncher(prog, cfg, u) // this worker's, for the pool's lifetime
 			for j := range feed {
 				select {
 				case <-quit:
 					return
 				default:
 				}
-				ru, err := replay(prog, cfg, j.unit, u)
+				ru, err := l.replay(j.unit)
 				ru.Seq = j.seq
 				done <- result{ru, err}
 			}
@@ -176,9 +178,9 @@ func replayUnits(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 // The range is clamped to the set (callers size shards from
 // Params.ExpectedUnits, which can exceed the captured count when the
 // program halts early); an empty range emits nothing and returns nil.
-// set is shared and read-only — materialization never mutates the
-// snapshots — so any number of concurrent ReplayRange calls may replay
-// overlapping ranges of one Set.
+// set is shared and read-only — workers materialize into buffers of
+// their own and never write the snapshots — so any number of concurrent
+// ReplayRange calls may replay overlapping ranges of one Set.
 //
 // emit returning false stops the replay early (the consumer's stream
 // died or the merge was cut short); ReplayRange then returns nil after
@@ -207,38 +209,67 @@ func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 		func(ru RangeUnit) bool { return !emit(ru) })
 }
 
-// replay runs one unit's detailed warming + measurement from its
-// checkpoint. The machine and core are built fresh per unit: a unit's
-// measurement must be a pure function of its checkpoint, and reusing a
-// core would thread worker-local accumulation (notably the energy
-// meter's floating-point total) into the per-unit readings.
-func replay(prog *program.Program, cfg uarch.Config, cu *checkpoint.Unit, u uint64) (RangeUnit, error) {
+// launcher is one replay worker's launch context, built once per pool
+// and owned by the worker goroutine: a machine, core, memory and CPU
+// that are reset between units instead of rebuilt, and a rolling launch
+// state (checkpoint.Materializer) positioned at the last unit this
+// worker launched. The feed is in stream order, so the next unit is
+// normally a few deltas downstream of that position and launching it
+// costs those deltas plus one copy of the warm arrays into the machine
+// — no per-unit constant beyond that, which is what the paper's cost
+// model (n·(U+W) detailed instructions, nothing per launch) assumes.
+type launcher struct {
+	prog    *program.Program
+	u       uint64
+	machine *uarch.Machine
+	core    *uarch.Core
+	mat     checkpoint.Materializer
+	mem     *mem.Memory
+	cpu     functional.CPU
+	src     uarch.Source
+}
+
+func newLauncher(prog *program.Program, cfg uarch.Config, u uint64) *launcher {
 	machine := uarch.NewMachine(cfg)
-	// Delta-encoded snapshots are materialized here, on the worker, so
-	// the capture sweep's critical path copies only dirty blocks and
-	// pages; the reconstruction (clone keyframe, apply the delta chain —
-	// warm state and memory alike) is read-only on the shared snapshots
-	// and therefore safe at any worker count.
-	launch, err := cu.Materialize()
+	return &launcher{prog: prog, u: u, machine: machine, core: uarch.NewCore(machine), mem: mem.New()}
+}
+
+// replay runs one unit's detailed warming + measurement from its
+// checkpoint. The reset contract: a unit's measurement is a pure
+// function of its checkpoint, so everything a previous unit could have
+// left behind — the energy meter's floating-point total, the cycle
+// counter, cache/TLB/BTB LRU clocks, return-stack contents, statistics,
+// pipeline buffers, privately copied memory pages — is returned to
+// exactly its as-constructed state (Machine.Reset, Core.Reset,
+// Memory.Restore) before the unit's warm state is restored over it. A
+// cold-capture unit therefore launches from the constructed cold state,
+// and CPI and EPI carry the same bits as a machine built for the unit
+// alone. The rolling launch state stays pristine: the machine gets a
+// copy, the memory shares pages copy-on-write, and shared Units are
+// only read — safe at any worker count.
+func (l *launcher) replay(cu *checkpoint.Unit) (RangeUnit, error) {
+	launch, err := l.mat.Materialize(cu)
 	if err != nil {
 		return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 	}
+	l.machine.Reset()
 	if launch.Warm != nil {
-		if err := machine.Hier.Restore(launch.Warm.Hier); err != nil {
+		if err := l.machine.Hier.Restore(launch.Warm.Hier); err != nil {
 			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}
-		if err := machine.Pred.Restore(launch.Warm.Pred); err != nil {
+		if err := l.machine.Pred.Restore(launch.Warm.Pred); err != nil {
 			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}
 	}
-	cpu := functional.NewAt(prog, cu.Arch, launch.Mem.NewMemory())
-	src := &uarch.Source{CPU: cpu}
-	core := uarch.NewCore(machine)
+	l.mem.Restore(launch.Mem)
+	l.cpu = *functional.NewAt(l.prog, cu.Arch, l.mem)
+	l.src = uarch.Source{CPU: &l.cpu}
+	l.core.Reset()
 
-	w := cu.WarmLen()
+	w, u := cu.WarmLen(), l.u
+	marks := [2]uarch.Mark{{At: w}, {At: w + u}}
 	start := wallclock.Now()
-	marks := []uarch.Mark{{At: w}, {At: w + u}}
-	runStats, err := core.Run(src, w+u, marks)
+	runStats, err := l.core.Run(&l.src, w+u, marks[:])
 	if err != nil {
 		return RangeUnit{}, fmt.Errorf("engine: detailed run at unit %d: %w", cu.Index, err)
 	}

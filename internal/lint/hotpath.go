@@ -19,8 +19,9 @@ import (
 //   - calls to functions that are not themselves //simlint:hotpath,
 //     not declared //simlint:coldpath <reason> (a rare path the hot
 //     function amortizes away), and not in a small intrinsic
-//     allowlist (builtins, encoding/binary loads, math bit casts,
-//     math/bits).
+//     allowlist (the builtins that never allocate — len, cap, copy,
+//     clear, delete, min, max — encoding/binary loads, math bit
+//     casts, math/bits).
 //
 // Plain struct-value composite literals are allowed: they live on the
 // stack unless some other flagged construct makes them escape.
@@ -241,7 +242,7 @@ func (hc *hotChecker) call(call *ast.CallExpr) {
 		obj := hc.pkg.Info.Uses[fun]
 		if b, ok := obj.(*types.Builtin); ok {
 			switch b.Name() {
-			case "len", "cap", "copy", "min", "max", "real", "imag":
+			case "len", "cap", "copy", "clear", "delete", "min", "max", "real", "imag":
 			case "append":
 				hc.report(call.Pos(), "append")
 			case "make", "new":

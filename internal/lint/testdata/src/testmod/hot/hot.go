@@ -29,6 +29,16 @@ func Append(dst []int, v int) []int {
 	return append(dst, v) // want hotpath `append`
 }
 
+// Recycles empties a map and a slice in place with the non-allocating
+// builtins: clean.
+//
+//simlint:hotpath
+func Recycles(m map[int]int, s []int) {
+	delete(m, 0)
+	clear(m)
+	clear(s)
+}
+
 // Print formats on the hot path: flagged.
 //
 //simlint:hotpath

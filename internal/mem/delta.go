@@ -49,6 +49,8 @@ type Delta struct {
 }
 
 // Validate checks the delta's internal consistency.
+//
+//simlint:coldpath consistency validation; one pass over the page list, allocates only to report a corrupt delta
 func (d *Delta) Validate() error {
 	if len(d.Nums) != len(d.Pages) {
 		return fmt.Errorf("mem delta: %d page numbers, %d pages", len(d.Nums), len(d.Pages))
@@ -127,10 +129,25 @@ func (m *Memory) Delta(since uint64) (*Delta, error) {
 // delta chain.
 func (img *Image) Clone() *Image {
 	c := &Image{pages: make(map[uint64]*[PageSize]byte, len(img.pages))}
-	for n, p := range img.pages {
-		c.pages[n] = p
-	}
+	c.CopyFrom(img)
 	return c
+}
+
+// CopyFrom makes img's page table a copy of src's, reusing img's map —
+// the copy-into-existing form of Clone a rolling launch state refills
+// at each keyframe. img must be private (a Clone, or a zero Image this
+// call initializes); the page arrays stay shared and read-only.
+//
+//simlint:hotpath
+func (img *Image) CopyFrom(src *Image) {
+	if img.pages == nil {
+		//simlint:coldpath first use: size the page table once
+		img.pages = make(map[uint64]*[PageSize]byte, len(src.pages))
+	}
+	clear(img.pages)
+	for n, p := range src.pages {
+		img.pages[n] = p
+	}
 }
 
 // Apply patches the image forward by one delta: after Apply, the image
@@ -138,6 +155,8 @@ func (img *Image) Clone() *Image {
 // The receiver must be a private copy (Clone) of the snapshot the delta
 // was taken against — images are shared between checkpoints, so
 // patching a shared one would corrupt its other holders.
+//
+//simlint:hotpath
 func (img *Image) Apply(d *Delta) error {
 	if err := d.Validate(); err != nil {
 		return err

@@ -1,6 +1,10 @@
 package mem
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/delta"
+)
 
 // Image is an immutable point-in-time snapshot of a Memory, produced by
 // Memory.Snapshot. Pages are shared by reference between the image, the
@@ -45,11 +49,32 @@ func (img *Image) NewMemory() *Memory {
 		pages:  make(map[uint64]*[PageSize]byte, len(img.pages)),
 		shared: make(map[uint64]struct{}, len(img.pages)),
 	}
+	m.Restore(img)
+	return m
+}
+
+// Restore replaces the memory's contents with the image's, exactly as
+// NewMemory would build them — every page shared copy-on-write, no
+// cached page, an empty journal, a snapshot chain that has seen no
+// snapshot — but reusing the memory's own maps, so a replay worker
+// relaunches one Memory per unit instead of allocating two page tables
+// each time. Pages the memory had copied privately are dropped.
+//
+//simlint:hotpath
+func (m *Memory) Restore(img *Image) {
+	if m.shared == nil {
+		//simlint:coldpath first snapshot-sharing of this memory: size the set once
+		m.shared = make(map[uint64]struct{}, len(img.pages))
+	}
+	clear(m.pages)
+	clear(m.shared)
 	for num, p := range img.pages {
 		m.pages[num] = p
 		m.shared[num] = struct{}{}
 	}
-	return m
+	m.lastPageNum, m.lastPage, m.lastWritable = 0, nil, false
+	m.journal = m.journal[:0]
+	m.chain = delta.Chain{}
 }
 
 // PageCount returns the number of pages the image holds.

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestSnapshotIsolation(t *testing.T) {
 	m := New()
@@ -75,5 +78,70 @@ func TestRepeatedSnapshots(t *testing.T) {
 				t.Fatalf("snapshot %d slot %d: got %d, want %d", i, j, got, want)
 			}
 		}
+	}
+}
+
+// TestRestoreEqualsNewMemory: restoring a used memory from an image
+// leaves exactly the memory NewMemory builds — field for field, however
+// dirty the memory was (private pages, a cached page, a journal, an
+// advanced snapshot chain, pages the image does not have) — and keeps
+// the copy-on-write isolation from the image.
+func TestRestoreEqualsNewMemory(t *testing.T) {
+	src := New()
+	for i := uint64(0); i < 40; i++ {
+		src.Write64(i*PageSize+8, i+1)
+	}
+	img := src.Snapshot()
+
+	m := New()
+	m.Write64(0x7000_0000, 5) // a page the image lacks
+	m.Snapshot()
+	m.Write64(0x7000_0008, 6) // journaled, private, cached
+	if _, err := m.Delta(m.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		m.Restore(img)
+		want := img.NewMemory()
+		want.journal = m.journal // both empty; only DeepEqual tells nil from kept-capacity
+		if len(m.journal) != 0 || !reflect.DeepEqual(m, want) {
+			t.Fatalf("round %d: restored memory differs from NewMemory's", round)
+		}
+		if got := m.Read64(0x7000_0000); got != 0 {
+			t.Fatalf("round %d: page outside the image survived: %d", round, got)
+		}
+		m.Write64(3*PageSize+8, 999) // copy-on-write, then restored away
+		if got := img.Read64(3*PageSize + 8); got != 4 {
+			t.Fatalf("round %d: write leaked into the image: %d", round, got)
+		}
+	}
+}
+
+// TestImageCopyFrom: the copy-into-existing form of Clone yields an
+// equal, private page table, whatever the destination held before.
+func TestImageCopyFrom(t *testing.T) {
+	a, b := New(), New()
+	a.Write64(0x1000, 1)
+	a.Write64(0x5000, 2)
+	b.Write64(0x9000, 3)
+	imgA, imgB := a.Snapshot(), b.Snapshot()
+
+	var dst Image // zero value: first use
+	for _, src := range []*Image{imgA, imgB, imgA} {
+		dst.CopyFrom(src)
+		if !reflect.DeepEqual(&dst, src.Clone()) {
+			t.Fatal("CopyFrom result differs from Clone's")
+		}
+	}
+	a.Write64(0x1000, 7)
+	d, err := a.Delta(a.Seq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Read64(0x1000) != 7 || imgA.Read64(0x1000) != 1 {
+		t.Fatal("patching the copy reached the source image (page table aliased)")
 	}
 }

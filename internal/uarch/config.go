@@ -249,8 +249,21 @@ func NewMachine(cfg Config) *Machine {
 	}
 }
 
-// FlushWarmState resets caches, TLBs, and predictor to cold.
+// FlushWarmState resets caches, TLBs, and predictor to cold, keeping
+// their statistics and the energy meter (see cache.Cache.Flush).
 func (m *Machine) FlushWarmState() {
 	m.Hier.FlushAll()
 	m.Pred.Flush()
+}
+
+// Reset returns every warmable structure and the energy meter to
+// exactly the state NewMachine built — contents, LRU clocks,
+// statistics, event counters, the meter's floating-point total — so
+// whatever runs next cannot observe that the machine was used before.
+//
+//simlint:hotpath
+func (m *Machine) Reset() {
+	m.Hier.Reset()
+	m.Pred.Reset()
+	m.Meter.Reset()
 }

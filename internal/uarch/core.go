@@ -186,6 +186,23 @@ func NewCore(m *Machine) *Core {
 // Cycle returns the core's absolute cycle counter.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
+// Reset returns the core to exactly the state NewCore built: an empty
+// pipeline, every buffer entry zeroed (not merely unlinked) and the
+// cycle counter at zero. Together with Machine.Reset it makes a reused
+// core's next Run — cycles, marks, energy — identical to a new core's,
+// which is what lets a replay worker launch every unit from one core.
+func (c *Core) Reset() {
+	c.cycle = 0
+	clear(c.rob)
+	clear(c.fetchQ)
+	clear(c.stores[:cap(c.stores)])
+	clear(c.unissued[:cap(c.unissued)])
+	c.lastWriterSeq = [isa.NumRegs]uint64{}
+	c.lastIBlock, c.blockedSeq = 0, 0
+	c.pending = functional.DynInst{}
+	c.ResetPipeline()
+}
+
 // ResetPipeline empties all pipeline state (ROB, LSQ, fetch queue, store
 // buffer, MSHRs) without touching warmable structures or the cycle
 // counter. The SMARTS controller calls it at each fast-forward boundary.

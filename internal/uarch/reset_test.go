@@ -1,0 +1,69 @@
+package uarch_test
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/functional"
+	"repro/internal/program"
+	"repro/internal/uarch"
+)
+
+// TestMachineAndCoreResetEqualNew is the reset contract a replay worker
+// relies on: after a real detailed run (caches, predictor, energy meter
+// and cycle counter dirtied, every pipeline buffer left full of stale
+// entries), Machine.Reset + Core.Reset leave a machine and core
+// indistinguishable from freshly constructed ones — field for field,
+// and in the cycles, marks and energy bits of the next run.
+func TestMachineAndCoreResetEqualNew(t *testing.T) {
+	spec, err := program.ByName("gccx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := program.MustGenerate(spec, 100_000)
+	for _, cfg := range []uarch.Config{uarch.Config8Way(), uarch.Config16Way()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			m := uarch.NewMachine(cfg)
+			core := uarch.NewCore(m)
+			if _, err := core.Run(&uarch.Source{CPU: functional.New(p)}, 30_000, nil); err != nil {
+				t.Fatal(err)
+			}
+			m.Hier.Snapshot() // advance the snapshot chains too
+			m.Pred.Snapshot()
+			m.Reset()
+			core.Reset()
+
+			freshM := uarch.NewMachine(cfg)
+			fresh := uarch.NewCore(freshM)
+			if !reflect.DeepEqual(m, freshM) {
+				t.Fatal("reset machine differs from a new one")
+			}
+			if !reflect.DeepEqual(core, fresh) {
+				t.Fatal("reset core differs from a new one")
+			}
+
+			run := func(c *uarch.Core) (uarch.RunStats, [2]uarch.Mark) {
+				marks := [2]uarch.Mark{{At: 2000}, {At: 3000}}
+				cpu := functional.New(p)
+				if _, err := cpu.Run(40_000); err != nil {
+					t.Fatal(err)
+				}
+				stats, err := c.Run(&uarch.Source{CPU: cpu}, 3000, marks[:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				return stats, marks
+			}
+			gotStats, gotMarks := run(core)
+			wantStats, wantMarks := run(fresh)
+			if gotStats != wantStats || gotMarks != wantMarks ||
+				math.Float64bits(gotMarks[1].EnergyNJ) != math.Float64bits(wantMarks[1].EnergyNJ) {
+				t.Fatalf("reset core ran %+v %+v, new core %+v %+v", gotStats, gotMarks, wantStats, wantMarks)
+			}
+			if !reflect.DeepEqual(m, freshM) {
+				t.Fatal("reset machine diverged from a new one over an identical run")
+			}
+		})
+	}
+}
