@@ -6,7 +6,7 @@
 // Usage:
 //
 //	benchjson                                  # full suite -> BENCH_pipeline.json
-//	benchjson -bench 'EnginePipelined' -out BENCH_engine.json
+//	benchjson -bench 'EngineReplay' -out BENCH_engine.json
 //	benchjson -pkgs ./internal/cache,./internal/mem -benchtime 100x
 //
 // The output schema is one object with a `benchmarks` array; each entry

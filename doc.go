@@ -23,9 +23,13 @@
 // Every path honors context cancellation and deadlines; sessions
 // deduplicate concurrent functional sweeps for the same checkpoint
 // key (singleflight) and emit typed progress events (sim.OnProgress).
-// The historical entry points in internal/smarts (Run, RunSampled,
-// RunSampledPhases, RunProcedure) remain as deprecated shims that
-// produce bit-identical results through the same mechanisms.
+// Below it, a run is two declarations and nothing else: a smarts.Plan
+// is the sampling design (U, W, k, j, warming mode — what the paper
+// defines a run by) and an engine.Options is how it executes (workers,
+// store, sweep scheduling, early termination). The session builds one
+// of each per request; internal/smarts connects them
+// (RunSampledContext, RunSampledPhasesContext, the RunProcedureWith
+// calibration loop) and produces bit-identical results to the session.
 //
 // # Architecture
 //
@@ -38,7 +42,8 @@
 // the SimPoint baseline (internal/simpoint).
 //
 // Sampling runs execute either on the classic in-place serial loop
-// (sim.SerialLoop — the paper's original execution) or on the
+// (sim.SerialLoop, smarts.SerialLoop — the paper's original execution,
+// kept as the oracle) or on the
 // checkpointed parallel engine: internal/checkpoint captures a launch
 // snapshot per sampling unit (architectural state, copy-on-write
 // memory image, functionally warmed cache/TLB/predictor tables) in one

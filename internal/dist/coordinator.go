@@ -346,7 +346,6 @@ func (c *Coordinator) sweepReady(run *activeRun) bool {
 // ever change between incarnations.
 type resolvedRun struct {
 	spec  runSpec
-	plan  smarts.Plan
 	prog  *program.Program
 	pop   uint64
 	total int
@@ -376,9 +375,9 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	spec := runSpec{Workload: req.Workload, Length: length, Config: cfg, Plan: specFromPlan(plan)}
+	spec := runSpec{Workload: req.Workload, Length: length, Config: cfg, Plan: plan}
 	pop := prog.Length / plan.U
-	return &resolvedRun{spec: spec, plan: plan, prog: prog, pop: pop,
+	return &resolvedRun{spec: spec, prog: prog, pop: pop,
 		total: plan.CheckpointParams().ExpectedUnits(pop)}, nil
 }
 
@@ -390,12 +389,12 @@ func (c *Coordinator) resolveSpec(hdr *journalRun) (*resolvedRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := hdr.Spec.Plan.plan()
+	plan := hdr.Spec.Plan
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	pop := prog.Length / plan.U
-	return &resolvedRun{spec: hdr.Spec, plan: plan, prog: prog, pop: pop,
+	return &resolvedRun{spec: hdr.Spec, prog: prog, pop: pop,
 		total: plan.CheckpointParams().ExpectedUnits(pop)}, nil
 }
 
@@ -686,7 +685,6 @@ func (c *Coordinator) runResolved(rs *runState) (*sim.Report, error) {
 	run := &shardedRun{
 		c:       c,
 		spec:    rs.rr.spec,
-		plan:    rs.rr.plan,
 		prog:    rs.rr.prog,
 		wr:      rs.wr,
 		sink:    newSink(rs.emitProgress),
@@ -771,7 +769,6 @@ func reportFrom(wrep *wireReport) *sim.Report {
 type shardedRun struct {
 	c       *Coordinator
 	spec    runSpec
-	plan    smarts.Plan
 	prog    *program.Program
 	wr      *wireRequest
 	sink    *eventSink
@@ -833,8 +830,8 @@ func journalShardsFrom(shards []shardRange) []journalShard {
 
 func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	c := r.c
-	r.pop = r.prog.Length / r.plan.U
-	r.total = r.plan.CheckpointParams().ExpectedUnits(r.pop)
+	r.pop = r.prog.Length / r.spec.Plan.U
+	r.total = r.spec.Plan.CheckpointParams().ExpectedUnits(r.pop)
 
 	// A fresh run with no workers fails fast — the client can fall back
 	// locally. A recovered run waits instead: its workers died with the
@@ -869,12 +866,12 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	}
 	r.shards = len(shards)
 
-	key := checkpoint.KeyFor(r.prog, r.spec.Config, r.plan.CheckpointParams())
+	key := checkpoint.KeyFor(r.prog, r.spec.Config, r.spec.Plan.CheckpointParams())
 	hash := key.Hash()
 	c.retainRun(hash, key, r.wr.NoStore)
 	defer c.releaseRun(hash)
 
-	r.sink.emit(sim.Progress{Kind: sim.EventRunStart, Stage: "sample", Offset: r.plan.J,
+	r.sink.emit(sim.Progress{Kind: sim.EventRunStart, Stage: "sample", Offset: r.spec.Plan.J,
 		Population: r.pop, Total: r.total})
 
 	alpha := alphaOr997(r.wr.Alpha)
@@ -885,10 +882,10 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	// The run's fold is the engine's: the same Merger a local run
 	// offers its pool's units to takes the fleet's shard streams (and
 	// the journaled prefix at recovery), in whatever order they arrive.
-	r.m = engine.NewMerger(r.plan.U, engine.Options{
+	r.m = engine.NewMerger(r.spec.Plan.U, engine.Options{
 		Alpha: alpha, TargetEps: r.wr.TargetEps, MinUnits: r.wr.MinUnits,
 		OnReplayed: func(merged int, est stats.Estimate) {
-			r.sink.emit(sim.Progress{Kind: sim.EventUnitReplayed, Stage: "sample", Offset: r.plan.J,
+			r.sink.emit(sim.Progress{Kind: sim.EventUnitReplayed, Stage: "sample", Offset: r.spec.Plan.J,
 				Replayed: merged, Estimate: est, Population: r.pop, Total: r.total,
 				ETA: wallclock.ETA(replayStart, merged, r.total)})
 		},
@@ -942,7 +939,7 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 		td = *r.trailer
 	}
 	res := &smarts.Result{
-		Plan:            r.plan,
+		Plan:            r.spec.Plan,
 		Units:           er.Units,
 		PopulationUnits: td.Population,
 		MeasuredInsts:   er.MeasuredInsts,
@@ -954,7 +951,7 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 		// the distributed analogue of a store hit.
 		SweepCached: !r.anySwept,
 	}
-	done := sim.Progress{Kind: sim.EventRunDone, Stage: "sample", Offset: r.plan.J,
+	done := sim.Progress{Kind: sim.EventRunDone, Stage: "sample", Offset: r.spec.Plan.J,
 		Replayed: len(res.Units), Cached: res.SweepCached, Population: r.pop, Total: r.total}
 	if len(res.Units) > 0 {
 		done.Estimate = res.CPIEstimate(alpha)
@@ -1078,7 +1075,7 @@ func (r *shardedRun) workerLoop(ctx context.Context, w *workerRef) {
 			w.quarantine()
 			r.c.logf("dist: %v; quarantining %s and requeueing %d unit(s)",
 				err, w.url, sr.hi-(sr.lo+received))
-			r.sink.emit(sim.Progress{Kind: sim.EventQuarantine, Stage: "sample", Offset: r.plan.J,
+			r.sink.emit(sim.Progress{Kind: sim.EventQuarantine, Stage: "sample", Offset: r.spec.Plan.J,
 				Population: r.pop, Total: r.total, Shard: sr.idx, Shards: r.shards,
 				Note: err.Error()})
 			r.smu.Lock()
@@ -1123,7 +1120,7 @@ func (e *corruptError) Error() string {
 // returns the number of verified unit records received (the contiguous
 // prefix of the range) and the stream trailer.
 func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) (received int, trailer *shardDone, err error) {
-	r.sink.emit(sim.Progress{Kind: sim.EventShardStart, Stage: "sample", Offset: r.plan.J,
+	r.sink.emit(sim.Progress{Kind: sim.EventShardStart, Stage: "sample", Offset: r.spec.Plan.J,
 		Population: r.pop, Total: sr.hi - sr.lo, Shard: sr.idx, Shards: r.shards})
 
 	body, err := json.Marshal(shardMsg{Spec: r.spec, Lo: sr.lo, Hi: sr.hi, Shard: sr.idx, Shards: r.shards})
@@ -1169,15 +1166,15 @@ func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) 
 				r.c.die()
 			}
 		case rec.Captured > 0:
-			r.sink.emit(sim.Progress{Kind: sim.EventUnitCaptured, Stage: "sample", Offset: r.plan.J,
+			r.sink.emit(sim.Progress{Kind: sim.EventUnitCaptured, Stage: "sample", Offset: r.spec.Plan.J,
 				Captured: rec.Captured, Population: r.pop, Total: r.total,
 				Shard: sr.idx, Shards: r.shards})
 		case rec.Retry != nil:
-			r.sink.emit(sim.Progress{Kind: sim.EventRetry, Stage: "sample", Offset: r.plan.J,
+			r.sink.emit(sim.Progress{Kind: sim.EventRetry, Stage: "sample", Offset: r.spec.Plan.J,
 				Attempt: rec.Retry.Attempt, Note: rec.Retry.Op + ": " + rec.Retry.Err,
 				Population: r.pop, Total: r.total, Shard: sr.idx, Shards: r.shards})
 		case rec.Done != nil:
-			r.sink.emit(sim.Progress{Kind: sim.EventShardDone, Stage: "sample", Offset: r.plan.J,
+			r.sink.emit(sim.Progress{Kind: sim.EventShardDone, Stage: "sample", Offset: r.spec.Plan.J,
 				Replayed: received, Population: r.pop, Total: sr.hi - sr.lo,
 				Shard: sr.idx, Shards: r.shards})
 			return received, rec.Done, nil

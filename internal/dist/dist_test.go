@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -57,7 +58,7 @@ func baseline(t *testing.T, req *sim.Request) *smarts.Result {
 	prog := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := sim.ResolvePlan(req, prog)
-	res, err := smarts.RunSampledContext(context.Background(), prog, cfg, plan, smarts.EngineOptions{
+	res, err := smarts.RunSampledContext(context.Background(), prog, cfg, plan, engine.Options{
 		Workers:   1,
 		TargetEps: req.TargetEps,
 		MinUnits:  req.MinUnits,

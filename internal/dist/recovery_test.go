@@ -26,7 +26,7 @@ func testJournalHeader(id string) journalRun {
 	return journalRun{
 		ID:    id,
 		Req:   wireRequest{Workload: testBench, Length: testLen, U: 10_000},
-		Spec:  runSpec{Workload: testBench, Length: testLen, Plan: planSpec{U: 10_000, W: 2_000}},
+		Spec:  runSpec{Workload: testBench, Length: testLen, Plan: sim.Plan{U: 10_000, W: 2_000}},
 		Total: 60,
 		Pop:   60,
 	}

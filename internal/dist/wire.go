@@ -110,33 +110,20 @@ func (wr *wireRequest) request() *sim.Request {
 	return req
 }
 
-// planSpec is a resolved sampling plan on the wire. The coordinator
-// resolves the request against the generated workload once and ships
-// the result, so every shard of a run — including retries on other
-// workers — replays under the identical plan.
-type planSpec struct {
-	U, W, K, J uint64
-	Warming    int
-	MaxUnits   int
-}
-
-func specFromPlan(pl smarts.Plan) planSpec {
-	return planSpec{U: pl.U, W: pl.W, K: pl.K, J: pl.J, Warming: int(pl.Warming), MaxUnits: pl.MaxUnits}
-}
-
-func (ps planSpec) plan() smarts.Plan {
-	return smarts.Plan{U: ps.U, W: ps.W, K: ps.K, J: ps.J, Warming: smarts.WarmingMode(ps.Warming), MaxUnits: ps.MaxUnits}
-}
-
 // runSpec is everything a worker needs to materialize a run's snapshot
 // set: the workload regenerates deterministically from (name, length),
 // the plan fixes the unit selection, and together with the config they
-// derive the content-addressed sweep key.
+// derive the content-addressed sweep key. The coordinator resolves the
+// request against the generated workload once and ships the resulting
+// plan — a smarts.Plan is the sampling design only, so it travels as it
+// is — and every shard of a run, including retries on other workers and
+// a journaled run recovered after a restart, replays under the
+// identical plan.
 type runSpec struct {
 	Workload string
 	Length   uint64
 	Config   uarch.Config
-	Plan     planSpec
+	Plan     smarts.Plan
 }
 
 // shardMsg assigns one contiguous range [Lo, Hi) of stream positions to
@@ -318,10 +305,8 @@ func (wp wireProgress) progress() sim.Progress {
 	}
 }
 
-// wireReport is the final record of a run stream. Plan.Store is nil by
-// construction (the coordinator never attaches its store to the result
-// plan), so the result marshals cleanly; its Duration fields are int64
-// nanoseconds in JSON and round-trip exactly.
+// wireReport is the final record of a run stream. The result's
+// Duration fields are int64 nanoseconds in JSON and round-trip exactly.
 type wireReport struct {
 	Result    *smarts.Result
 	CPI, EPI  stats.Estimate

@@ -238,7 +238,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 	if cfg == (uarch.Config{}) {
 		cfg = uarch.Config8Way()
 	}
-	plan := msg.Spec.Plan.plan()
+	plan := msg.Spec.Plan
 	if err := plan.Validate(); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -408,22 +408,10 @@ func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, prog *progra
 	}
 }
 
-// resumeInterval resolves WorkerOptions.ResumeInterval to a keyframe
-// count (0 = journal uploads disabled).
-func (w *Worker) resumeInterval() int {
-	switch {
-	case w.opt.ResumeInterval < 0:
-		return 0
-	case w.opt.ResumeInterval == 0:
-		return engine.DefaultResumeInterval
-	}
-	return w.opt.ResumeInterval
-}
-
 // ownerSweep runs the functional sweep this worker won the fleet claim
 // for. It resumes from the coordinator's partial journal when a dead
 // previous owner left one (falling back to a cold sweep if the journal
-// does not validate), uploads its own journal every resumeInterval
+// does not validate), uploads its own journal every ResumeInterval
 // keyframes so a successor can do the same, and renews the claim lease
 // while it works.
 func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, leaseNs int64, onCaptured func(int) bool, onRetry retryNotify) (*checkpoint.Set, error) {
@@ -438,7 +426,7 @@ func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *progr
 		w.logf("dist: partial journal fetch %s failed: %v; sweeping cold", hash, err)
 		rs = nil
 	}
-	interval := w.resumeInterval()
+	interval := engine.ResumeKeyframes(w.opt.ResumeInterval)
 	capture := func(rs *checkpoint.ResumeState) (*checkpoint.Set, error) {
 		set := &checkpoint.Set{K: params.K}
 		params := params

@@ -54,7 +54,13 @@ import (
 	"repro/internal/wallclock"
 )
 
-// Options configures engine execution beyond the sampling parameters.
+// Options configures engine execution beyond the sampling parameters:
+// how a plan runs, as opposed to what it samples (smarts.Plan). It is
+// the one settable declaration of every execution and
+// capture-scheduling knob below the sim package's public API — the sim
+// session, the experiments and the tests fill one in and hand it to
+// Run, CaptureSet or RunSet; nothing between them and the engine
+// carries a second copy of a field.
 type Options struct {
 	// Workers is the worker-pool size; values <= 0 select GOMAXPROCS.
 	Workers int
@@ -80,7 +86,7 @@ type Options struct {
 	// completed fresh sweep is cached. The sim session attaches one to
 	// storeless sessions so sweep reuse does not require disk.
 	Cache *checkpoint.MemCache
-	// Keyframe overrides checkpoint.Params.Keyframe (the full-snapshot
+	// Keyframe sets checkpoint.Params.Keyframe (the full-snapshot
 	// interval of delta-encoded capture) when positive. It changes only
 	// the encoding, never the materialized launch states, and is
 	// excluded from the store key.
@@ -92,10 +98,10 @@ type Options struct {
 	// an interrupted sweep from the journal instead of restarting at
 	// instruction zero — the resumed unit stream is bit-identical to an
 	// uninterrupted sweep's. 0 selects DefaultResumeInterval; negative
-	// disables journaling and resume. Ignored without a Store (the
-	// journal lives in the store directory).
+	// disables journaling and resume (see ResumeKeyframes). Ignored
+	// without a Store (the journal lives in the store directory).
 	ResumeInterval int
-	// SweepParallelism overrides checkpoint.Params.SweepParallelism when
+	// SweepParallelism sets checkpoint.Params.SweepParallelism when
 	// above 1: the capture sweep runs as that many concurrent stream
 	// segments (speculative parallel sweep). Architectural state stays
 	// exact; segments after the first start with cold warm state plus
@@ -104,9 +110,9 @@ type Options struct {
 	// store, and the crash-safe sweep journal is disabled for them (a
 	// parallel sweep has no single resumable position).
 	SweepParallelism int
-	// SweepOverlap overrides checkpoint.Params.SweepOverlap when
-	// nonzero; see that field for the semantics (0 default, negative =
-	// stone cold).
+	// SweepOverlap sets checkpoint.Params.SweepOverlap when nonzero;
+	// see that field for the semantics (0 default, negative = stone
+	// cold).
 	SweepOverlap int64
 	// OnCaptured, when non-nil, observes sweep progress: it is called
 	// with the cumulative captured-unit count each time a launch
@@ -137,16 +143,18 @@ func (o Options) workers() int {
 // intervals of units.
 const DefaultResumeInterval = 4
 
-// resumeInterval returns the effective journal cadence in keyframes (0
-// = journaling disabled).
-func (o Options) resumeInterval() int {
+// ResumeKeyframes resolves an Options.ResumeInterval setting to the
+// effective journal cadence in keyframes (0 = journaling disabled). The
+// distributed worker resolves its journal upload cadence through it
+// too, so "0 = default, negative = off" is spelled once.
+func ResumeKeyframes(interval int) int {
 	switch {
-	case o.ResumeInterval == 0:
+	case interval == 0:
 		return DefaultResumeInterval
-	case o.ResumeInterval < 0:
+	case interval < 0:
 		return 0
 	}
-	return o.ResumeInterval
+	return interval
 }
 
 // UnitResult is the measurement of one sampling unit.
@@ -198,8 +206,17 @@ type Result struct {
 	SweepCached bool
 }
 
-// sweepParams applies the options that override capture parameters.
-func (o Options) sweepParams(p checkpoint.Params) checkpoint.Params {
+// SweepKey resolves what a run of p under o sweeps and where that sweep
+// is shared: eff is p with the options' capture-scheduling knobs
+// (Keyframe, SweepParallelism, SweepOverlap) applied — the parameters
+// the capture actually runs with — and key is the store/cache key of
+// that sweep. key is the zero Key when neither a Store nor a Cache is
+// attached: nothing is looked up then, and hashing the whole program
+// would be wasted. Run and CaptureSet look sweeps up under exactly
+// this key, and a caller that deduplicates sweeps ahead of the engine
+// (the sim session's singleflight) keys on it too, so the two cannot
+// disagree about which knobs reach the key.
+func (o Options) SweepKey(prog *program.Program, cfg uarch.Config, p checkpoint.Params) (eff checkpoint.Params, key checkpoint.Key) {
 	if o.Keyframe > 0 {
 		p.Keyframe = o.Keyframe
 	}
@@ -209,7 +226,10 @@ func (o Options) sweepParams(p checkpoint.Params) checkpoint.Params {
 	if o.SweepOverlap != 0 {
 		p.SweepOverlap = o.SweepOverlap
 	}
-	return p
+	if o.Store != nil || o.Cache != nil {
+		key = checkpoint.KeyFor(prog, cfg, p)
+	}
+	return p, key
 }
 
 // captured reports n units entering the pipeline at once.
@@ -219,23 +239,20 @@ func (o Options) captured(n int) {
 	}
 }
 
-// lookup consults the store, then the in-memory cache, for a complete
-// sweep of p. A nil set is a miss; key is zero when neither is
-// attached.
-func lookup(prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (key checkpoint.Key, set *checkpoint.Set, err error) {
-	if opt.Store == nil && opt.Cache == nil {
-		return key, nil, nil
-	}
-	key = checkpoint.KeyFor(prog, cfg, p)
+// lookup resolves p to its effective capture parameters and key
+// (SweepKey) and consults the store, then the in-memory cache, for a
+// complete sweep under that key. A nil set is a miss.
+func lookup(prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (eff checkpoint.Params, key checkpoint.Key, set *checkpoint.Set, err error) {
+	eff, key = opt.SweepKey(prog, cfg, p)
 	if opt.Store != nil {
 		if set, err = opt.Store.Load(key); err != nil || set != nil {
-			return key, set, err
+			return eff, key, set, err
 		}
 	}
 	if opt.Cache != nil {
 		set = opt.Cache.Get(key)
 	}
-	return key, set, nil
+	return eff, key, set, nil
 }
 
 // Run executes the plan described by p: launch states are loaded from
@@ -264,9 +281,8 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 		return nil, err
 	}
 	start := wallclock.Now()
-	p = opt.sweepParams(p)
 
-	key, set, err := lookup(prog, cfg, p, opt)
+	p, key, set, err := lookup(prog, cfg, p, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -291,11 +307,10 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 // the set to both. The returned set may be shared with the cache and
 // is read-only. opt.OnCaptured is called once with the unit count.
 func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (set *checkpoint.Set, cached bool, err error) {
-	p = opt.sweepParams(p)
 	if err := p.Validate(); err != nil {
 		return nil, false, err
 	}
-	key, set, err := lookup(prog, cfg, p, opt)
+	p, key, set, err := lookup(prog, cfg, p, opt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -375,7 +390,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		// units are re-added so the new journal is self-contained).
 		var pw *checkpoint.PartialWriter
 		var rs *checkpoint.ResumeState
-		if ri := opt.resumeInterval(); opt.Store != nil && ri > 0 && p.SweepParallelism <= 1 {
+		if ri := ResumeKeyframes(opt.ResumeInterval); opt.Store != nil && ri > 0 && p.SweepParallelism <= 1 {
 			var rerr error
 			if rs, rerr = checkpoint.Resume(opt.Store, key); rerr != nil {
 				opt.Store.Log("checkpoint store: resume unavailable: %v", rerr)
@@ -443,7 +458,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 		framePending := false
 		p.OnFrame = func(fr checkpoint.ResumeFrame) {
 			lastFrame, framePending = fr, true
-			if pw != nil && kfSince >= opt.resumeInterval() {
+			if pw != nil && kfSince >= ResumeKeyframes(opt.ResumeInterval) {
 				if werr := pw.Checkpoint(fr); werr != nil {
 					journalFail(werr)
 				} else {

@@ -78,8 +78,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestEstimateBitIdentical runs the full smarts.Run path at several
-// worker counts on two workloads and two warming modes and asserts the
+// TestEstimateBitIdentical runs the full smarts.RunSampledContext path
+// at several worker counts on two workloads and two warming modes and asserts the
 // CPI/EPI estimates and confidence intervals are byte-identical to the
 // serial (workers=1) engine path.
 func TestEstimateBitIdentical(t *testing.T) {
@@ -88,16 +88,14 @@ func TestEstimateBitIdentical(t *testing.T) {
 		p := genProg(t, bench, 400_000)
 		for _, mode := range []smarts.WarmingMode{smarts.FunctionalWarming, smarts.DetailedWarming} {
 			plan := smarts.PlanForN(p.Length, 1000, 1000, 50, mode, 0)
-			plan.Parallelism = 1
-			serial, err := smarts.RunContext(context.Background(), p, cfg, plan)
+			serial, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sCPI := serial.CPIEstimate(stats.Alpha997)
 			sEPI := serial.EPIEstimate(stats.Alpha997)
 			for _, workers := range []int{4, 3} {
-				plan.Parallelism = workers
-				par, err := smarts.RunContext(context.Background(), p, cfg, plan)
+				par, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -37,13 +37,13 @@ type AblationResult struct {
 // ablationVariants enumerates the warming subsets in presentation order.
 var ablationVariants = []struct {
 	Name string
-	Comp smarts.WarmComponents
+	Comp uarch.WarmComponents
 }{
-	{"none", smarts.WarmComponents{}},
-	{"icache", smarts.WarmComponents{ICache: true}},
-	{"dcache", smarts.WarmComponents{DCache: true}},
-	{"bpred", smarts.WarmComponents{Predictor: true}},
-	{"all", smarts.AllComponents},
+	{"none", uarch.WarmComponents{}},
+	{"icache", uarch.WarmComponents{ICache: true}},
+	{"dcache", uarch.WarmComponents{DCache: true}},
+	{"bpred", uarch.WarmComponents{Predictor: true}},
+	{"all", uarch.AllComponents},
 }
 
 // AblationWarming measures the component ablation for the given
@@ -68,8 +68,8 @@ func AblationWarming(ctx context.Context, ec *Context, cfg uarch.Config, benches
 		row := AblationRow{Bench: bench}
 		for _, v := range ablationVariants {
 			comp := v.Comp
-			b, err := measureBiasComponents(ctx, ec, bench, cfg, 1000, res.W, n,
-				ec.Scale.BiasPhases, &comp)
+			b, err := measureBias(ctx, ec, bench, cfg, 1000, res.W, smarts.FunctionalWarming, &comp,
+				n, ec.Scale.BiasPhases)
 			if err != nil {
 				return nil, err
 			}
@@ -78,55 +78,6 @@ func AblationWarming(ctx context.Context, ec *Context, cfg uarch.Config, benches
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// measureBiasComponents is MeasureBias with a warming-component override
-// (always in FunctionalWarming mode).
-func measureBiasComponents(ctx context.Context, ec *Context, bench string, cfg uarch.Config,
-	u, w, n uint64, phases int, comp *smarts.WarmComponents) (float64, error) {
-
-	ref, err := ec.Reference(ctx, bench, cfg)
-	if err != nil {
-		return 0, err
-	}
-	p, err := ec.Program(bench)
-	if err != nil {
-		return 0, err
-	}
-	trueUnits, err := ref.UnitCPIs(u)
-	if err != nil {
-		return 0, err
-	}
-	base := smarts.PlanForN(p.Length, u, w, n, smarts.FunctionalWarming, 0)
-	base.Parallelism = ec.Parallelism
-	base.Store = ec.Ckpt
-	base.Components = comp
-	if phases < 1 {
-		phases = 1
-	}
-	if uint64(phases) > base.K {
-		phases = int(base.K)
-	}
-	runs, err := runPhases(ctx, p, cfg, base, phases)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, run := range runs {
-		var measured, truth float64
-		for _, unit := range run.Units {
-			if unit.Index >= uint64(len(trueUnits)) {
-				continue
-			}
-			measured += unit.CPI
-			truth += trueUnits[unit.Index]
-		}
-		if truth == 0 {
-			return 0, fmt.Errorf("experiments: ablation %s j=%d measured nothing", bench, run.Plan.J)
-		}
-		total += (measured - truth) / truth
-	}
-	return total / float64(phases), nil
 }
 
 // Format renders the ablation table.

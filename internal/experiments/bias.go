@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
-	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
 )
@@ -23,6 +21,13 @@ import (
 // matched-unit form is the statistically equivalent measurement.)
 func MeasureBias(ctx context.Context, ec *Context, bench string, cfg uarch.Config, u, w uint64,
 	mode smarts.WarmingMode, n uint64, phases int) (float64, error) {
+	return measureBias(ctx, ec, bench, cfg, u, w, mode, nil, n, phases)
+}
+
+// measureBias is MeasureBias with an optional restriction of functional
+// warming to a subset of structures (the component ablation).
+func measureBias(ctx context.Context, ec *Context, bench string, cfg uarch.Config, u, w uint64,
+	mode smarts.WarmingMode, comp *uarch.WarmComponents, n uint64, phases int) (float64, error) {
 
 	ref, err := ec.Reference(ctx, bench, cfg)
 	if err != nil {
@@ -38,66 +43,31 @@ func MeasureBias(ctx context.Context, ec *Context, bench string, cfg uarch.Confi
 	}
 
 	base := smarts.PlanForN(p.Length, u, w, n, mode, 0)
-	base.Parallelism = ec.Parallelism
-	base.SweepParallelism = ec.SweepParallelism
-	base.SweepOverlap = ec.SweepOverlap
-	base.Store = ec.Ckpt
+	base.Components = comp
 	if phases < 1 {
 		phases = 1
 	}
 	if uint64(phases) > base.K {
 		phases = int(base.K)
 	}
-	runs, err := runPhases(ctx, p, cfg, base, phases)
+	runs, err := ec.samplePhases(ctx, p, cfg, base, phases)
 	if err != nil {
 		return 0, fmt.Errorf("experiments: bias runs %s: %w", bench, err)
 	}
 	var total float64
 	for _, res := range runs {
 		var measured, truth float64
-		var counted int
 		for _, unit := range res.Units {
 			if unit.Index >= uint64(len(trueUnits)) {
 				continue
 			}
 			measured += unit.CPI
 			truth += trueUnits[unit.Index]
-			counted++
 		}
-		if counted == 0 || truth == 0 {
+		if truth == 0 {
 			return 0, fmt.Errorf("experiments: bias run %s j=%d measured no comparable units", bench, res.Plan.J)
 		}
 		total += (measured - truth) / truth
 	}
 	return total / float64(phases), nil
-}
-
-// runPhases executes plan at `phases` evenly spaced offsets. On the
-// classic serial path each phase runs its own sweep (preserving the
-// historical execution exactly); on the engine path every phase's
-// launch boundaries are captured in one multi-offset sweep and replayed
-// from shared snapshots — bit-identical per phase to dedicated runs,
-// at one sweep's cost instead of `phases`.
-func runPhases(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan, phases int) ([]*smarts.Result, error) {
-	js := make([]uint64, phases)
-	for ph := range js {
-		js[ph] = uint64(ph) * plan.K / uint64(phases)
-	}
-	if plan.Parallelism != 0 {
-		return smarts.RunSampledPhasesContext(ctx, p, cfg, plan, js, smarts.EngineOptions{
-			Workers: plan.Parallelism,
-			Store:   plan.Store,
-		})
-	}
-	runs := make([]*smarts.Result, len(js))
-	for i, j := range js {
-		pj := plan
-		pj.J = j
-		res, err := smarts.RunContext(ctx, p, cfg, pj)
-		if err != nil {
-			return nil, fmt.Errorf("j=%d: %w", j, err)
-		}
-		runs[i] = res
-	}
-	return runs, nil
 }

@@ -2,18 +2,18 @@ package experiments_test
 
 import (
 	"context"
-
 	"math"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
 )
 
 // freshTinyCtx builds a private context at the fast test scale (the
-// shared tinyCtx must not have its Parallelism mutated).
+// shared tinyCtx stays on the serial loop).
 func freshTinyCtx() *experiments.Context {
 	return experiments.NewContext(experiments.Tiny)
 }
@@ -29,7 +29,7 @@ func TestMeasureBiasEngineMatchesPerPhase(t *testing.T) {
 	const u, w, n, phases = 1000, 2000, 60, 3
 
 	shared := freshTinyCtx()
-	shared.Parallelism = 2
+	shared.Engine = &engine.Options{Workers: 2}
 	got, err := experiments.MeasureBias(context.Background(), shared, bench, cfg, u, w, smarts.FunctionalWarming, n, phases)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +54,7 @@ func TestMeasureBiasEngineMatchesPerPhase(t *testing.T) {
 	for ph := 0; ph < phases; ph++ {
 		plan := base
 		plan.J = uint64(ph) * base.K / uint64(phases)
-		plan.Parallelism = 2
-		res, err := smarts.RunContext(context.Background(), p, cfg, plan)
+		res, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +84,7 @@ func TestMeasureBiasStoreReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := freshTinyCtx()
-	ctx.Parallelism = 2
-	ctx.Ckpt = store
+	ctx.Engine = &engine.Options{Workers: 2, Store: store}
 
 	first, err := experiments.MeasureBias(context.Background(), ctx, "gzipx", cfg, 1000, 2000, smarts.FunctionalWarming, 60, 3)
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -110,62 +110,96 @@ func (s Scale) BenchNames() []string {
 	return program.Names()
 }
 
-// Context caches programs and reference runs across experiments.
+// Context caches programs and reference runs across experiments and
+// fixes how their sampling runs execute.
 type Context struct {
 	Scale Scale
 
-	// Parallelism is copied into every sampling plan the experiments
-	// build: 0 keeps the classic serial loop (and the historical
-	// figures/tables exactly), n >= 1 runs sampling on the checkpointed
-	// parallel engine with n workers, negative uses one worker per core
-	// (see smarts.Plan.Parallelism for the semantic difference).
-	Parallelism int
+	// Engine selects the execution of every sampling run the
+	// experiments make. nil is the in-place serial loop
+	// (smarts.SerialLoop): the paper's original execution, and the mode
+	// that regenerates the historical figures and tables exactly.
+	// Non-nil runs them on the checkpointed engine under these options —
+	// worker count, checkpoint store (sweeps are then persisted and
+	// reused across experiments, phases and invocations), sweep
+	// scheduling; results are bit-identical at any worker count, with
+	// or without a store. Set it before the first run: experiments read
+	// it and never write it (Stride, which varies the sweep knobs, runs
+	// on derived contexts), so one Context may serve concurrent
+	// requests.
+	Engine *engine.Options
 
-	// Ckpt, when non-nil and the engine is selected, is copied into
-	// every sampling plan so functional sweeps are persisted to disk and
-	// reused across experiments, phases, and smartsweep invocations (see
-	// smarts.Plan.Store). Results are bit-identical with or without it.
-	Ckpt *checkpoint.Store
-
-	// SweepParallelism and SweepOverlap are copied into every sampling
-	// plan on the engine path (see smarts.Plan.SweepParallelism): the
-	// bias-vs-stride experiment varies them to measure the speculative
-	// parallel sweep's cold-start bias. Like Parallelism, they are plain
-	// fields set before runs, not concurrency-safe knobs.
-	SweepParallelism int
-	SweepOverlap     int64
-
-	mu    sync.Mutex
-	progs map[string]*program.Program
-	refs  map[string]*smarts.Reference
+	*caches
 }
 
-// NewContext builds an empty cache for the scale.
+// caches is the expensive shared state of a Context; contexts derived
+// with withEngine point at the same one.
+type caches struct {
+	progs program.Cache
+
+	mu   sync.Mutex
+	refs map[string]*smarts.Reference
+}
+
+// NewContext builds an empty cache for the scale, on the serial loop.
 func NewContext(scale Scale) *Context {
-	return &Context{
-		Scale: scale,
-		progs: make(map[string]*program.Program),
-		refs:  make(map[string]*smarts.Reference),
-	}
+	return &Context{Scale: scale, caches: &caches{refs: make(map[string]*smarts.Reference)}}
+}
+
+// withEngine returns a context that shares c's program and reference
+// caches but executes under opt. c itself is not modified.
+func (c *Context) withEngine(opt engine.Options) *Context {
+	d := *c
+	d.Engine = &opt
+	return &d
 }
 
 // Program returns the generated workload, building it on first use.
 func (c *Context) Program(name string) (*program.Program, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.progs[name]; ok {
-		return p, nil
+	return c.progs.Get(name, c.Scale.BenchLen)
+}
+
+// sample executes one sampling plan in the context's execution mode.
+func (c *Context) sample(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan) (*smarts.Result, error) {
+	if c.Engine == nil {
+		return smarts.SerialLoop(ctx, p, cfg, plan)
 	}
-	spec, err := program.ByName(name)
-	if err != nil {
-		return nil, err
+	return smarts.RunSampledContext(ctx, p, cfg, plan, *c.Engine)
+}
+
+// samplePhases executes plan at `phases` evenly spaced offsets. On the
+// serial loop each phase runs its own pass (preserving the historical
+// execution exactly); on the engine every phase's launch boundaries are
+// captured in one multi-offset sweep and replayed from shared snapshots
+// — bit-identical per phase to dedicated runs, at one sweep's cost
+// instead of `phases`.
+func (c *Context) samplePhases(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan, phases int) ([]*smarts.Result, error) {
+	js := make([]uint64, phases)
+	for ph := range js {
+		js[ph] = uint64(ph) * plan.K / uint64(phases)
 	}
-	p, err := program.Generate(spec, c.Scale.BenchLen)
-	if err != nil {
-		return nil, err
+	if c.Engine != nil {
+		return smarts.RunSampledPhasesContext(ctx, p, cfg, plan, js, *c.Engine, nil)
 	}
-	c.progs[name] = p
-	return p, nil
+	runs := make([]*smarts.Result, len(js))
+	for i, j := range js {
+		pj := plan
+		pj.J = j
+		res, err := smarts.SerialLoop(ctx, p, cfg, pj)
+		if err != nil {
+			return nil, fmt.Errorf("j=%d: %w", j, err)
+		}
+		runs[i] = res
+	}
+	return runs, nil
+}
+
+// procedure executes the two-step SMARTS procedure, both steps in the
+// context's execution mode.
+func (c *Context) procedure(ctx context.Context, p *program.Program, cfg uarch.Config, pc smarts.ProcedureConfig) (*smarts.ProcedureResult, error) {
+	return smarts.RunProcedureWith(ctx, p, cfg, pc, func(ctx context.Context, _ string, plan smarts.Plan) (*smarts.Result, error) {
+		return c.sample(ctx, p, cfg, plan)
+	})
 }
 
 // Reference returns the full-stream detailed reference for bench on cfg,

@@ -61,9 +61,7 @@ func Fig6(ctx context.Context, ec *Context, cfg uarch.Config) (*Fig6Result, erro
 		}
 		pc := smarts.DefaultProcedure(cfg, ec.Scale.NInit)
 		pc.Eps = ec.Scale.Eps
-		pc.Parallelism = ec.Parallelism
-		pc.Store = ec.Ckpt
-		pr, err := smarts.RunProcedureContext(ctx, p, cfg, pc)
+		pr, err := ec.procedure(ctx, p, cfg, pc)
 		if err != nil {
 			return nil, err
 		}

@@ -50,9 +50,7 @@ func Fig7(ctx context.Context, ec *Context, cfg uarch.Config) (*Fig7Result, erro
 		}
 		plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), ec.Scale.NInit,
 			smarts.FunctionalWarming, 0)
-		plan.Parallelism = ec.Parallelism
-		plan.Store = ec.Ckpt
-		run, err := smarts.RunContext(ctx, p, cfg, plan)
+		run, err := ec.sample(ctx, p, cfg, plan)
 		if err != nil {
 			return nil, err
 		}

@@ -70,9 +70,7 @@ func Fig8(ctx context.Context, ec *Context, cfg uarch.Config, benches []string) 
 		}
 		plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), ec.Scale.NInit,
 			smarts.FunctionalWarming, 0)
-		plan.Parallelism = ec.Parallelism
-		plan.Store = ec.Ckpt
-		smRun, err := smarts.RunContext(ctx, p, cfg, plan)
+		smRun, err := ec.sample(ctx, p, cfg, plan)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
 )
@@ -52,10 +53,12 @@ type StrideResult struct {
 
 // Stride measures the bias-vs-stride grid. segments and overlaps
 // default to {1, 2, 4, 8} and {negative (none), 0 (default)} when nil.
-// Parallel sweeps exist only on the engine path, so a Context with the
-// classic serial loop selected (Parallelism 0) runs these measurements
-// with one worker per core; the Context's sweep knobs are restored on
-// return.
+// Parallel sweeps exist only on the engine, so a Context on the serial
+// loop (nil Engine) runs these measurements with one worker per core.
+// Each grid point runs on a context derived from ec — its own copy of
+// the engine options with the two sweep knobs set, sharing ec's program
+// and reference caches — so ec is never written and may be serving
+// other experiments concurrently.
 func Stride(ctx context.Context, ec *Context, cfg uarch.Config, segments []int, overlaps []int64) (*StrideResult, error) {
 	if segments == nil {
 		segments = []int{1, 2, 4, 8}
@@ -63,11 +66,9 @@ func Stride(ctx context.Context, ec *Context, cfg uarch.Config, segments []int, 
 	if overlaps == nil {
 		overlaps = []int64{-1, 0}
 	}
-	defer func(par, sp int, so int64) {
-		ec.Parallelism, ec.SweepParallelism, ec.SweepOverlap = par, sp, so
-	}(ec.Parallelism, ec.SweepParallelism, ec.SweepOverlap)
-	if ec.Parallelism == 0 {
-		ec.Parallelism = -1
+	var opt engine.Options
+	if ec.Engine != nil {
+		opt = *ec.Engine
 	}
 
 	w := smarts.RecommendedW(cfg)
@@ -75,11 +76,11 @@ func Stride(ctx context.Context, ec *Context, cfg uarch.Config, segments []int, 
 	for _, segs := range segments {
 		row := StrideRow{Segments: segs}
 		for _, ov := range overlaps {
-			ec.SweepParallelism = segs
-			ec.SweepOverlap = ov
+			opt.SweepParallelism, opt.SweepOverlap = segs, ov
+			cellCtx := ec.withEngine(opt)
 			cell := StrideCell{Segments: segs, Overlap: ov}
 			for _, bench := range ec.Scale.BenchNames() {
-				b, err := MeasureBias(ctx, ec, bench, cfg, 1000, w,
+				b, err := MeasureBias(ctx, cellCtx, bench, cfg, 1000, w,
 					smarts.FunctionalWarming, ec.Scale.NInit, ec.Scale.BiasPhases)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: stride segs=%d overlap=%d: %w", segs, ov, err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -27,9 +28,8 @@ func TestStrideBiasUnderThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ec.Parallelism != 0 || ec.SweepParallelism != 0 || ec.SweepOverlap != 0 {
-		t.Fatalf("Stride did not restore context knobs: par=%d sp=%d so=%d",
-			ec.Parallelism, ec.SweepParallelism, ec.SweepOverlap)
+	if ec.Engine != nil {
+		t.Fatalf("Stride wrote the caller's context: Engine = %+v", *ec.Engine)
 	}
 	if len(r.Rows) != 2 || len(r.Rows[0].Cells) != 2 {
 		t.Fatalf("grid shape %d rows x %d cells, want 2x2", len(r.Rows), len(r.Rows[0].Cells))
@@ -50,7 +50,7 @@ func TestStrideBiasUnderThreshold(t *testing.T) {
 	for _, bench := range ec.Scale.BenchNames() {
 		base := freshTinyCtx()
 		base.Scale.Benches = ec.Scale.Benches
-		base.Parallelism = -1
+		base.Engine = &engine.Options{}
 		b, err := experiments.MeasureBias(context.Background(), base, bench, cfg, 1000, w,
 			smarts.FunctionalWarming, ec.Scale.NInit, ec.Scale.BiasPhases)
 		if err != nil {
@@ -102,4 +102,58 @@ func TestStrideBiasThresholdSmallScale(t *testing.T) {
 			worst, experiments.ParallelSweepBiasThreshold)
 	}
 	t.Logf("worst 4-segment bias at default overlap: %.4f (%s)", worst, r.Rows[0].Cells[0].WorstOf)
+}
+
+// TestStrideDoesNotDisturbConcurrentBias runs the stride grid and a
+// plain bias measurement concurrently on ONE context, the way a sim
+// session shares a context between requests: Stride must vary the sweep
+// knobs on its own copies, so a measurement taken while the grid runs
+// equals the one taken before it bit for bit (and the race detector
+// sees no shared write).
+func TestStrideDoesNotDisturbConcurrentBias(t *testing.T) {
+	cfg := uarch.Config8Way()
+	const bench = "gccx"
+	w := smarts.RecommendedW(cfg)
+	shared := freshTinyCtx()
+	shared.Scale.Benches = []string{bench}
+	shared.Scale.NInit, shared.Scale.BiasPhases = 40, 2 // keep the race-detector run short
+	shared.Engine = &engine.Options{Workers: 2}
+	bias := func() float64 {
+		b, err := experiments.MeasureBias(context.Background(), shared, bench, cfg, 1000, w,
+			smarts.FunctionalWarming, shared.Scale.NInit, shared.Scale.BiasPhases)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	solo := bias()
+
+	strideDone := make(chan error, 1)
+	go func() {
+		// Cold-started 8-way segments: the setting whose leak into a
+		// concurrent measurement would move its CPI the most.
+		_, err := experiments.Stride(context.Background(), shared, cfg, []int{8}, []int64{-1})
+		strideDone <- err
+	}()
+	overlapped := 0
+	for running := true; running; {
+		select {
+		case err := <-strideDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+			if b := bias(); math.Float64bits(b) != math.Float64bits(solo) {
+				t.Fatalf("bias measured concurrently with Stride = %v, solo = %v", b, solo)
+			}
+			overlapped++
+		}
+	}
+	if overlapped == 0 {
+		t.Fatal("no bias measurement overlapped the stride grid")
+	}
+	if got := *shared.Engine; got.SweepParallelism != 0 || got.SweepOverlap != 0 || got.Workers != 2 {
+		t.Fatalf("Stride wrote the shared context's engine options: %+v", got)
+	}
 }

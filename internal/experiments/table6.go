@@ -70,10 +70,8 @@ func Table6(ctx context.Context, ec *Context, cfg uarch.Config) (*Table6Result, 
 			return nil, err
 		}
 		plan := smarts.PlanForN(p.Length, 1000, w, n, smarts.FunctionalWarming, 0)
-		plan.Parallelism = ec.Parallelism
-		plan.Store = ec.Ckpt
 		start := time.Now()
-		if _, err := smarts.RunContext(ctx, p, cfg, plan); err != nil {
+		if _, err := ec.sample(ctx, p, cfg, plan); err != nil {
 			return nil, err
 		}
 		smartsTime := time.Since(start)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/functional"
 	"repro/internal/program"
-	"repro/internal/smarts"
 	"repro/internal/uarch"
 )
 
@@ -99,7 +98,7 @@ func estimate(p *program.Program, cfg uarch.Config, sel Selection, warm bool) (*
 	machine := uarch.NewMachine(cfg)
 	core := uarch.NewCore(machine)
 	src := &uarch.Source{CPU: cpu}
-	warmer := smarts.NewWarmer(machine, cfg)
+	warmer := uarch.NewWarmer(machine, cfg)
 	res := &Result{}
 
 	var weightTotal float64

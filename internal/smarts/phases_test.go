@@ -6,21 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/smarts"
 	"repro/internal/stats"
 	"repro/internal/uarch"
 )
 
 // TestRunSampledPhasesBitIdentical verifies the shared-sweep phase
-// helper: each phase's result must match a dedicated RunSampled at that
-// offset bit for bit, with the sweep paid once.
+// helper: each phase's result must match a dedicated RunSampledContext
+// at that offset bit for bit, with the sweep paid once.
 func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	p := genBench(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 1, 3}
 
-	runs, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 3})
+	runs, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, engine.Options{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	for i, j := range js {
 		single := plan
 		single.J = j
-		want, err := smarts.RunSampledContext(context.Background(), p, cfg, single, smarts.EngineOptions{Workers: 2})
+		want, err := smarts.RunSampledContext(context.Background(), p, cfg, single, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +67,13 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := smarts.EngineOptions{Workers: 2, Store: store}
+	opt := engine.Options{Workers: 2, Store: store}
 
-	first, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt)
+	first, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt)
+	second, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +93,10 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	}
 }
 
-// TestPlanStoreThroughRun verifies the Plan.Store plumbing smartsim and
-// the experiments use: two identical Runs with a store share one sweep.
-func TestPlanStoreThroughRun(t *testing.T) {
+// TestStoreThroughRunSampled verifies the store plumbing the
+// experiments use: two identical runs whose engine.Options carry a
+// store share one sweep.
+func TestStoreThroughRunSampled(t *testing.T) {
 	p := genBench(t, "gzipx", 200_000)
 	cfg := uarch.Config8Way()
 	store, err := checkpoint.OpenStore(t.TempDir())
@@ -102,17 +104,16 @@ func TestPlanStoreThroughRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 40, smarts.FunctionalWarming, 0)
-	plan.Parallelism = 2
-	plan.Store = store
+	opt := engine.Options{Workers: 2, Store: store}
 
-	first, err := smarts.RunContext(context.Background(), p, cfg, plan)
+	first, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.SweepCached {
 		t.Fatal("first run claims cached sweep")
 	}
-	second, err := smarts.RunContext(context.Background(), p, cfg, plan)
+	second, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

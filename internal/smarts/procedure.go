@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/uarch"
@@ -34,15 +33,6 @@ type ProcedureConfig struct {
 	Overshoot float64
 	// J is the systematic phase offset in units.
 	J uint64
-	// Parallelism is forwarded to both sampling runs' plans: 0 keeps the
-	// classic serial loop, n >= 1 uses the checkpointed parallel engine
-	// with n workers, negative uses one worker per core (see
-	// Plan.Parallelism).
-	Parallelism int
-	// Store is forwarded to both sampling runs' plans (see Plan.Store).
-	// The two steps usually sample at different intervals k and so key
-	// separate sweeps; the payoff is across repeated procedures.
-	Store *checkpoint.Store
 }
 
 // DefaultProcedure returns the paper's recommended settings, with n_init
@@ -89,34 +79,23 @@ func (pr *ProcedureResult) FinalResult() *Result {
 	return pr.Initial
 }
 
-// RunProcedureContext executes the two-step SMARTS procedure on
-// prog/cfg. The context is honored inside both sampling runs and
-// checked between them, so a cancelled procedure stops mid-calibration
-// and returns ctx.Err(). New code should go through the sim package (a
-// Request with a Procedure spec).
-func RunProcedureContext(ctx context.Context, prog *program.Program, cfg uarch.Config, pc ProcedureConfig) (*ProcedureResult, error) {
-	return RunProcedureWith(ctx, prog, cfg, pc, nil)
-}
-
 // ProcedureRunner executes one sampling step of the two-step procedure.
 // stage is "initial" for the n_init run and "tuned" for the
-// recalibrated second run; plan carries the procedure's Parallelism and
-// Store settings. The sim session supplies a runner that layers sweep
-// deduplication and progress events over the same execution.
+// recalibrated second run. How the step executes is the runner's
+// business: SerialLoop, RunSampledContext under some engine.Options, or
+// the sim session's runner, which layers sweep deduplication and
+// progress events over the same execution.
 type ProcedureRunner func(ctx context.Context, stage string, plan Plan) (*Result, error)
 
-// RunProcedureWith executes the two-step procedure with a custom runner
-// for its sampling steps; a nil runner uses RunContext directly. The
-// n-calibration logic — n_init run, confidence check, n_tuned sizing,
-// rerun — lives only here, whichever runner executes the steps.
+// RunProcedureWith executes the two-step SMARTS procedure on prog/cfg,
+// running each sampling step through run. The n-calibration logic —
+// n_init run, confidence check, n_tuned sizing, rerun — lives only
+// here, whichever runner executes the steps. The context is handed to
+// both steps and checked between them, so a cancelled procedure stops
+// mid-calibration and returns ctx.Err().
 func RunProcedureWith(ctx context.Context, prog *program.Program, cfg uarch.Config, pc ProcedureConfig, run ProcedureRunner) (*ProcedureResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if run == nil {
-		run = func(ctx context.Context, stage string, plan Plan) (*Result, error) {
-			return RunContext(ctx, prog, cfg, plan)
-		}
 	}
 	if pc.U == 0 {
 		pc.U = 1000
@@ -135,8 +114,6 @@ func RunProcedureWith(ctx context.Context, prog *program.Program, cfg uarch.Conf
 	}
 
 	plan := PlanForN(prog.Length, pc.U, pc.W, pc.NInit, pc.Warming, pc.J)
-	plan.Parallelism = pc.Parallelism
-	plan.Store = pc.Store
 	initial, err := run(ctx, "initial", plan)
 	if err != nil {
 		if ctx.Err() != nil && err == ctx.Err() {
@@ -162,8 +139,6 @@ func RunProcedureWith(ctx context.Context, prog *program.Program, cfg uarch.Conf
 		pr.NTuned = units // cannot sample more units than exist
 	}
 	plan2 := PlanForN(prog.Length, pc.U, pc.W, pr.NTuned, pc.Warming, pc.J)
-	plan2.Parallelism = pc.Parallelism
-	plan2.Store = pc.Store
 	tuned, err := run(ctx, "tuned", plan2)
 	if err != nil {
 		if ctx.Err() != nil && err == ctx.Err() {

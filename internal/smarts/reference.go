@@ -148,7 +148,7 @@ func FunctionalRunTime(prog *program.Program) (time.Duration, uint64, error) {
 func FunctionalWarmingRunTime(prog *program.Program, cfg uarch.Config) (time.Duration, uint64, error) {
 	cpu := functional.New(prog)
 	machine := uarch.NewMachine(cfg)
-	w := NewWarmer(machine, cfg)
+	w := uarch.NewWarmer(machine, cfg)
 	start := time.Now()
 	err := w.Forward(cpu, prog.Length)
 	return time.Since(start), cpu.Count, err

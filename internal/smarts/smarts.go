@@ -15,30 +15,39 @@
 //
 // The two-step sizing procedure of Section 5.1 (n_init = 10,000, then
 // n_tuned from the measured coefficient of variation) is implemented by
-// RunProcedure.
+// RunProcedureWith.
 //
-// # Execution engines
+// # Design versus execution
 //
-// A Plan executes one of two ways, selected by Plan.Parallelism. The
-// classic serial loop (Parallelism == 0, RunContext's own body)
-// interleaves fast-forwarding and per-unit detailed simulation on one
-// goroutine, each unit observing whatever state the previous unit's
-// detailed run left behind; it regenerates the historical figures and
-// is the oracle the engine is compared against. The checkpointed
-// engine (Parallelism != 0, or RunSampledContext directly; package
-// internal/engine) exploits the statistical independence of sampling
-// units: one functional sweep captures a per-unit launch snapshot —
-// architectural registers, a copy-on-write memory image, and, under
-// functional warming, the cache/TLB/branch-predictor state — and
-// streams it to a worker pool that replays detailed warming plus
-// measurement for every unit from its snapshot, folding CPI/EPI in
-// stream order (optionally terminating early at a target confidence
-// interval). RunSampledPhasesContext measures several phase offsets
-// from one shared sweep. Engine results are bit-identical for every
-// worker count and sweep source; see RunSampledContext for how they
-// relate to the serial loop. This package holds the plan math, the
-// result types and the serial loop; pool, fold and sweep acquisition
-// belong to internal/engine.
+// A Plan is the sampling design and nothing else — U, W, k, j, the
+// warming mode — exactly the quantities the paper defines a run by;
+// how the selected units are executed is engine.Options, declared once
+// in internal/engine. This package connects the two and holds the
+// result types:
+//
+//   - RunSampledContext runs a Plan on the checkpointed engine
+//     (internal/engine) under an engine.Options: one functional sweep
+//     captures a per-unit launch snapshot — architectural registers, a
+//     copy-on-write memory image, and, under functional warming, the
+//     cache/TLB/branch-predictor state — and streams it to a worker
+//     pool that replays detailed warming plus measurement for every
+//     unit from its snapshot, folding CPI/EPI in stream order
+//     (optionally terminating early at a target confidence interval).
+//     Results are bit-identical for every worker count and sweep
+//     source. RunSampledPhasesContext measures several phase offsets
+//     from one shared sweep.
+//   - SerialLoop is the paper's original execution, kept as the oracle
+//     the engine is compared against: it interleaves fast-forwarding
+//     and per-unit detailed simulation in place on one goroutine, each
+//     unit observing whatever state the previous unit's detailed run
+//     left behind. It regenerates the historical figures; see
+//     RunSampledContext for how engine results relate to it.
+//   - RunProcedureWith is the one n-calibration loop; its caller
+//     supplies the function that executes each sampling step (either
+//     of the above, or the sim session's deduplicating runner).
+//
+// Pool, fold, sweep acquisition and every execution knob belong to
+// internal/engine; nothing here branches on a worker count.
 package smarts
 
 import (
@@ -85,7 +94,14 @@ func (w WarmingMode) String() string {
 	return "unknown"
 }
 
-// Plan configures one sampling simulation run.
+// Plan is one sampling design: which units of the stream are measured
+// and how microarchitectural state is treated between them. It carries
+// no execution setting — worker counts, stores and sweep scheduling are
+// engine.Options — and the analyzer holds it to that: every field must
+// flow into the checkpoint parameters (and so into the store key), which
+// an execution knob cannot.
+//
+//simlint:keystruct CheckpointParams
 type Plan struct {
 	// U is the sampling unit size in instructions (paper recommends 1000).
 	U uint64
@@ -99,35 +115,9 @@ type Plan struct {
 	Warming WarmingMode
 	// Components restricts which structures functional warming maintains
 	// (nil = all). Used by the warming-component ablation.
-	Components *WarmComponents
+	Components *uarch.WarmComponents
 	// MaxUnits, when nonzero, caps the number of measured units.
 	MaxUnits int
-	// Parallelism selects the execution engine: 0 runs the classic
-	// in-place serial loop; n >= 1 runs the checkpointed parallel engine
-	// (internal/engine) with n workers; negative values run the engine
-	// with one worker per core (GOMAXPROCS). Engine results are
-	// bit-identical for every worker count — the units are replayed from
-	// per-unit snapshots, so scheduling cannot affect the estimate — but
-	// differ slightly from the in-place serial loop, whose units observe
-	// state carried out of earlier units' detailed simulation instead of
-	// snapshot state (see RunSampledContext).
-	Parallelism int
-	// SweepParallelism, when above 1 on the engine path, runs the
-	// capture sweep as that many concurrent stream segments (the
-	// speculative parallel sweep; see checkpoint.Params.SweepParallelism
-	// for the exactness and cold-start-bias semantics). Ignored by the
-	// classic serial loop, which has no capture sweep.
-	SweepParallelism int
-	// SweepOverlap is the per-segment warm-up length of a parallel
-	// sweep (0 = checkpoint.DefaultSweepOverlap, negative = none).
-	SweepOverlap int64
-	// Store, when non-nil and the engine is selected, reuses functional
-	// sweeps across runs through the on-disk checkpoint store: a run
-	// whose (workload, plan, warm geometry) was swept before loads the
-	// launch states from disk and skips fast-forwarding entirely.
-	// Results are bit-identical with or without the store. Ignored by
-	// the classic serial loop.
-	Store *checkpoint.Store
 }
 
 // Validate reports plan errors.
@@ -222,17 +212,17 @@ func (r *Result) EPIEstimate(alpha float64) stats.Estimate {
 	return r.EPISample().Estimate(alpha)
 }
 
-// RunContext executes one sampling simulation of prog on the machine
-// described by cfg. With plan.Parallelism != 0 the run is delegated to
-// the checkpointed parallel engine (see RunSampledContext); otherwise
-// the classic in-place serial loop executes. Cancellation or deadline
-// expiry stops the run — between units and, within long fast-forward
-// gaps, every checkpoint.FFChunk instructions — and returns ctx.Err().
-//
-// New code should go through the sim package (sim.Open / Session.Run),
-// which adds sweep deduplication and progress events on top of the same
-// mechanisms.
-func RunContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
+// SerialLoop executes one sampling simulation of prog on the machine
+// described by cfg the way the paper describes it: one goroutine
+// alternates fast-forwarding and detailed simulation in place, so each
+// unit observes the state the previous unit's detailed run left behind.
+// It is the oracle the checkpointed engine (RunSampledContext) is
+// compared against and the mode that regenerates the historical
+// figures; it has no sweep to share, so stores and worker counts do not
+// apply. Cancellation or deadline expiry stops the run — between units
+// and, within long fast-forward gaps, every checkpoint.FFChunk
+// instructions — and returns ctx.Err().
+func SerialLoop(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -242,15 +232,12 @@ func RunContext(ctx context.Context, prog *program.Program, cfg uarch.Config, pl
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if plan.Parallelism != 0 {
-		return RunSampledContext(ctx, prog, cfg, plan, EngineOptions{Workers: plan.Parallelism, Store: plan.Store})
-	}
 
 	cpu := functional.New(prog)
 	machine := uarch.NewMachine(cfg)
 	core := uarch.NewCore(machine)
 	src := &uarch.Source{CPU: cpu}
-	warmer := NewWarmer(machine, cfg)
+	warmer := uarch.NewWarmer(machine, cfg)
 	if plan.Components != nil {
 		warmer.Components = *plan.Components
 	}
@@ -338,26 +325,6 @@ func RunContext(ctx context.Context, prog *program.Program, cfg uarch.Config, pl
 		})
 	}
 	return res, nil
-}
-
-// WarmComponents selects which microarchitectural structures functional
-// warming maintains. It is an alias for uarch.WarmComponents, which
-// lives beside the Machine so the checkpoint capture sweep can share the
-// exact warming semantics without importing this package.
-type WarmComponents = uarch.WarmComponents
-
-// AllComponents is the paper's full functional warming.
-var AllComponents = uarch.AllComponents
-
-// Warmer replays the committed instruction stream into a machine's
-// warmable structures (caches, TLBs, branch predictor) — the functional
-// warming mode. It is an alias for uarch.Warmer; other estimators (e.g.
-// the SimPoint baseline's warmed variant) reuse it through either name.
-type Warmer = uarch.Warmer
-
-// NewWarmer builds a full warmer bound to m's structures.
-func NewWarmer(m *uarch.Machine, cfg uarch.Config) *Warmer {
-	return uarch.NewWarmer(m, cfg)
 }
 
 // RecommendedW returns the detailed-warming length the paper uses with

@@ -38,7 +38,7 @@ func TestSamplingMatchesTruth(t *testing.T) {
 				t.Fatalf("FullRun: %v", err)
 			}
 			plan := smarts.PlanForN(p.Length, 1000, 2000, 250, smarts.FunctionalWarming, 0)
-			res, err := smarts.RunContext(context.Background(), p, cfg, plan)
+			res, err := smarts.SerialLoop(context.Background(), p, cfg, plan)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -78,7 +78,7 @@ func TestWarmingReducesBias(t *testing.T) {
 
 	errAt := func(mode smarts.WarmingMode, w uint64) float64 {
 		plan := smarts.PlanForN(p.Length, 1000, w, 200, mode, 0)
-		res, err := smarts.RunContext(context.Background(), p, cfg, plan)
+		res, err := smarts.SerialLoop(context.Background(), p, cfg, plan)
 		if err != nil {
 			t.Fatalf("Run(%v): %v", mode, err)
 		}
@@ -111,11 +111,11 @@ func TestRunDeterministic(t *testing.T) {
 	p := genBench(t, "craftyx", 300_000)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
-	r1, err := smarts.RunContext(context.Background(), p, cfg, plan)
+	r1, err := smarts.SerialLoop(context.Background(), p, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := smarts.RunContext(context.Background(), p, cfg, plan)
+	r2, err := smarts.SerialLoop(context.Background(), p, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestPhaseOffsetsDiffer(t *testing.T) {
 	if base.K < 2 {
 		t.Skip("population too small for phases")
 	}
-	r0, err := smarts.RunContext(context.Background(), p, cfg, base)
+	r0, err := smarts.SerialLoop(context.Background(), p, cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.J = base.K / 2
-	r1, err := smarts.RunContext(context.Background(), p, cfg, base)
+	r1, err := smarts.SerialLoop(context.Background(), p, cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}

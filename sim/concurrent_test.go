@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
 	"repro/sim"
@@ -18,7 +19,7 @@ func TestSingleflightSweep(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 1})
+	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSingleflightStoreless(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 1})
+	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

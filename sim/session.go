@@ -5,11 +5,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/program"
 	"repro/internal/smarts"
@@ -51,16 +51,15 @@ type settings struct {
 	storeDir    string
 	storeMax    int64
 	memCacheMax int64
-	workers     int
-	alpha       float64
-	keyframe    int
-	sweepPar    int
-	sweepOver   int64
-	resumeInt   int
-	logf        func(format string, args ...any)
-	progress    ProgressFunc
-	defLength   uint64
-	defUnits    uint64
+	// engine holds the session-wide execution defaults — Workers, Alpha,
+	// Keyframe, SweepParallelism, SweepOverlap, ResumeInterval — in the
+	// struct the engine takes them in; each run fills the per-request
+	// fields on a copy (engineOptions).
+	engine    engine.Options
+	logf      func(format string, args ...any)
+	progress  ProgressFunc
+	defLength uint64
+	defUnits  uint64
 }
 
 // Option configures a Session at Open.
@@ -112,7 +111,7 @@ func WithMemCacheBytes(maxBytes int64) Option {
 // that do not set their own (0 or negative: one worker per core).
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
-		s.workers = n
+		s.engine.Workers = n
 		return nil
 	}
 }
@@ -123,7 +122,7 @@ func WithAlpha(alpha float64) Option {
 		if alpha <= 0 || alpha >= 1 {
 			return fmt.Errorf("sim: confidence parameter %v outside (0,1)", alpha)
 		}
-		s.alpha = alpha
+		s.engine.Alpha = alpha
 		return nil
 	}
 }
@@ -141,7 +140,7 @@ func WithKeyframe(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("sim: negative keyframe interval %d", n)
 		}
-		s.keyframe = n
+		s.engine.Keyframe = n
 		return nil
 	}
 }
@@ -164,7 +163,7 @@ func WithSweepParallelism(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("sim: negative sweep parallelism %d", n)
 		}
-		s.sweepPar = n
+		s.engine.SweepParallelism = n
 		return nil
 	}
 }
@@ -176,7 +175,7 @@ func WithSweepParallelism(n int) Option {
 // negative starts segments stone cold. Ignored by serial sweeps.
 func WithSweepOverlap(n int64) Option {
 	return func(s *settings) error {
-		s.sweepOver = n
+		s.engine.SweepOverlap = n
 		return nil
 	}
 }
@@ -191,7 +190,7 @@ func WithSweepOverlap(n int64) Option {
 // journaling and resume. Sessions without a store never journal.
 func WithResumeInterval(n int) Option {
 	return func(s *settings) error {
-		s.resumeInt = n
+		s.engine.ResumeInterval = n
 		return nil
 	}
 }
@@ -231,7 +230,7 @@ func WithDefaults(length, units uint64) Option {
 // paper's 99.7% confidence reporting.
 func Open(opts ...Option) (*Session, error) {
 	set := settings{
-		alpha:     stats.Alpha997,
+		engine:    engine.Options{Alpha: stats.Alpha997},
 		defLength: DefaultLength,
 		defUnits:  DefaultUnits,
 	}
@@ -392,10 +391,7 @@ func (s *Session) Run(ctx context.Context, req *Request) (*Report, error) {
 	}
 	cfg := s.config(req.Config)
 	sink := newProgressSink(s.set.progress, req.Progress)
-	alpha := req.Alpha
-	if alpha == 0 {
-		alpha = s.set.alpha
-	}
+	alpha := s.effAlpha(req)
 
 	var rep *Report
 	switch {
@@ -447,16 +443,13 @@ func (s *Session) config(cfg Config) Config {
 	return cfg
 }
 
-// workers resolves the effective worker count for a request.
+// workers is the request's worker count, else the session default; the
+// engine resolves values <= 0 to one worker per core.
 func (s *Session) workers(req *Request) int {
-	n := req.Workers
-	if n == 0 {
-		n = s.set.workers
+	if req.Workers != 0 {
+		return req.Workers
 	}
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n
+	return s.set.engine.Workers
 }
 
 // Package-level request defaults (overridable per session with
@@ -531,21 +524,16 @@ func planTotals(plan Plan, prog *program.Program) (pop uint64, total int) {
 	return pop, plan.CheckpointParams().ExpectedUnits(pop)
 }
 
-// engineOptions builds the engine options for one plan execution.
-func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, offset uint64, plan Plan, prog *program.Program) smarts.EngineOptions {
-	opt := smarts.EngineOptions{
-		Workers: s.workers(req),
-		// The effective alpha (request, else session) drives both the
-		// early-termination decision and the reported estimates, so
-		// the stop criterion and the report agree.
-		Alpha:            s.effAlpha(req),
-		TargetEps:        req.TargetEps,
-		MinUnits:         req.MinUnits,
-		Keyframe:         s.set.keyframe,
-		SweepParallelism: s.set.sweepPar,
-		SweepOverlap:     s.set.sweepOver,
-		ResumeInterval:   s.set.resumeInt,
-	}
+// engineOptions builds the engine options for one plan execution: the
+// session-wide defaults with the request's fields filled in.
+func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, offset uint64, plan Plan, prog *program.Program) engine.Options {
+	opt := s.set.engine
+	opt.Workers = s.workers(req)
+	// The effective alpha (request, else session) drives both the
+	// early-termination decision and the reported estimates, so the
+	// stop criterion and the report agree.
+	opt.Alpha = s.effAlpha(req)
+	opt.TargetEps, opt.MinUnits = req.TargetEps, req.MinUnits
 	if !req.NoStore {
 		opt.Store = s.store
 		opt.Cache = s.sweeps
@@ -582,25 +570,12 @@ func (s *Session) runPlan(ctx context.Context, req *Request, prog *program.Progr
 	var res *Result
 	var err error
 	if req.SerialLoop {
-		plan.Parallelism = 0
-		res, err = smarts.RunContext(ctx, prog, cfg, plan)
+		res, err = smarts.SerialLoop(ctx, prog, cfg, plan)
 	} else {
 		opt := s.engineOptions(req, sink, stage, plan.J, plan, prog)
-		run := func() (*Result, error) {
+		res, err = runShared(ctx, s, prog, cfg, plan.CheckpointParams(), opt, func() (*Result, error) {
 			return smarts.RunSampledContext(ctx, prog, cfg, plan, opt)
-		}
-		// Sweep deduplication needs a committable sweep: early-terminated
-		// sweeps are incomplete and never persisted, so deduplicating
-		// them would only serialize the contenders behind leaders that
-		// can never produce a reusable entry. It works for storeless
-		// sessions too — the leader parks the captured set in the
-		// session's in-memory sweep cache.
-		if (opt.Store != nil || opt.Cache != nil) && req.TargetEps <= 0 {
-			key := checkpoint.KeyFor(prog, cfg, plan.CheckpointParams())
-			res, err = s.singleflight(ctx, key, run)
-		} else {
-			res, err = run()
-		}
+		})
 	}
 	if err != nil {
 		return nil, err
@@ -617,7 +592,7 @@ func (s *Session) effAlpha(req *Request) float64 {
 	if req.Alpha != 0 {
 		return req.Alpha
 	}
-	return s.set.alpha
+	return s.set.engine.Alpha
 }
 
 // runPhases executes a multi-offset request: all offsets measured from
@@ -650,21 +625,19 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 
 	sink.emit(Progress{Kind: EventRunStart, Stage: "sample"})
 	opt := s.engineOptions(req, sink, "sample", 0, plan, prog)
+	sweepParams := plan.PhasesParams(req.Offsets)
+	var onReplayed func(j uint64, replayed int, est stats.Estimate)
 	if sink != nil {
 		// A multi-offset sweep captures every offset's units in one
 		// pass, so the capture denominator spans all offsets while each
 		// offset's replay counts against its own expectation.
 		pop, _ := planTotals(plan, prog)
-		sweepParams := plan.CheckpointParams()
-		sweepParams.J = 0
-		sweepParams.Offsets = req.Offsets
 		sweepTotal := sweepParams.ExpectedUnits(pop)
 		perOffset := make(map[uint64]int, len(req.Offsets))
 		for _, j := range req.Offsets {
-			pj := plan.CheckpointParams()
+			pj := plan
 			pj.J = j
-			pj.Offsets = nil
-			perOffset[j] = pj.ExpectedUnits(pop)
+			_, perOffset[j] = planTotals(pj, prog)
 		}
 		start := wallclock.Now()
 		opt.OnCaptured = func(captured int) {
@@ -673,10 +646,9 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 		}
 		// Replay events of a multi-offset run carry their offset, so a
 		// consumer can attribute the per-offset unit counters.
-		opt.OnReplayed = nil
 		var replayStart time.Time
 		replayedAll := 0
-		opt.OnPhaseReplayed = func(j uint64, replayed int, est stats.Estimate) {
+		onReplayed = func(j uint64, replayed int, est stats.Estimate) {
 			if replayStart.IsZero() {
 				replayStart = wallclock.Now()
 			}
@@ -685,23 +657,9 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 				Population: pop, Total: perOffset[j], ETA: wallclock.ETA(replayStart, replayedAll, sweepTotal)})
 		}
 	}
-	run := func() ([]*Result, error) {
-		return smarts.RunSampledPhasesContext(ctx, prog, cfg, plan, req.Offsets, opt)
-	}
-	var results []*Result
-	var err error
-	if (opt.Store != nil || opt.Cache != nil) && req.TargetEps <= 0 {
-		params := plan.CheckpointParams()
-		params.J = 0
-		params.Offsets = req.Offsets
-		if verr := params.Validate(); verr != nil {
-			return nil, verr
-		}
-		key := checkpoint.KeyFor(prog, cfg, params)
-		results, err = singleflightDo(ctx, s, key, run)
-	} else {
-		results, err = run()
-	}
+	results, err := runShared(ctx, s, prog, cfg, sweepParams, opt, func() ([]*Result, error) {
+		return smarts.RunSampledPhasesContext(ctx, prog, cfg, plan, req.Offsets, opt, onReplayed)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -807,11 +765,7 @@ func (s *Session) expContext(scale string, req *Request) (*experiments.Context, 
 	if err != nil {
 		return nil, err
 	}
-	par := s.workers(req)
-	if req.SerialLoop {
-		par = 0
-	}
-	useStore := !req.NoStore && s.store != nil && par != 0
+	useStore := !req.NoStore && s.store != nil && !req.SerialLoop
 	// The cache key carries every execution knob baked into the
 	// context, so a NoStore request never inherits a store-attached
 	// context (or vice versa). Worker counts beyond serial-vs-engine
@@ -819,7 +773,7 @@ func (s *Session) expContext(scale string, req *Request) (*experiments.Context, 
 	// at any count, and the context's expensive reference cache should
 	// be shared across them (the first engine request's count sticks).
 	mode := "engine"
-	if par == 0 {
+	if req.SerialLoop {
 		mode = "serial"
 	}
 	key := fmt.Sprintf("%s/%s/store=%v", scale, mode, useStore)
@@ -829,24 +783,14 @@ func (s *Session) expContext(scale string, req *Request) (*experiments.Context, 
 		return ec, nil
 	}
 	ec := experiments.NewContext(sc)
-	ec.Parallelism = par
-	if useStore {
-		ec.Ckpt = s.store
+	if !req.SerialLoop {
+		ec.Engine = &engine.Options{Workers: s.workers(req)}
+		if useStore {
+			ec.Engine.Store = s.store
+		}
 	}
 	s.exps[key] = ec
 	return ec, nil
-}
-
-// singleflight deduplicates concurrent sweep generation for one store
-// key: the first request becomes the leader and runs fn (sweeping and
-// committing the entry — to the on-disk store, or to the in-memory
-// sweep cache on storeless sessions); concurrent requests for the same
-// key wait for the leader, then run fn themselves against the
-// now-committed entry (a hit — no second sweep). If the leader failed
-// or was cancelled before committing, each waiter retries leadership in
-// turn, so one bad run never poisons the key.
-func (s *Session) singleflight(ctx context.Context, key checkpoint.Key, fn func() (*Result, error)) (*Result, error) {
-	return singleflightDo(ctx, s, key, fn)
 }
 
 // sweepAvailable reports whether a committed sweep for key is reusable
@@ -862,9 +806,29 @@ func (s *Session) sweepAvailable(key checkpoint.Key) bool {
 	return false
 }
 
-// singleflightDo is the generic form of Session.singleflight (the
-// result may be a single run or a per-offset slice).
-func singleflightDo[T any](ctx context.Context, s *Session, key checkpoint.Key, fn func() (T, error)) (T, error) {
+// runShared runs fn — one plan execution under opt whose capture sweep
+// is params — deduplicated against concurrent requests for the same
+// sweep: the first request becomes the leader and runs fn (sweeping and
+// committing the entry — to the on-disk store, or to the in-memory
+// sweep cache on storeless sessions); concurrent requests for the same
+// key wait for the leader, then run fn themselves against the
+// now-committed entry (a hit — no second sweep). If the leader failed
+// or was cancelled before committing, each waiter retries leadership in
+// turn, so one bad run never poisons the key. The result may be a
+// single run or a per-offset slice.
+//
+// The key is the engine's own (engine.Options.SweepKey): the entry the
+// leader commits is the entry the waiters look for, whatever session
+// knobs reach the key.
+func runShared[T any](ctx context.Context, s *Session, prog *program.Program, cfg Config, params checkpoint.Params, opt engine.Options, fn func() (T, error)) (T, error) {
+	// Sweep deduplication needs a committable sweep: early-terminated
+	// sweeps are incomplete and never persisted, so deduplicating them
+	// would only serialize the contenders behind leaders that can never
+	// produce a reusable entry.
+	if (opt.Store == nil && opt.Cache == nil) || opt.TargetEps > 0 {
+		return fn()
+	}
+	_, key := opt.SweepKey(prog, cfg, params)
 	hash := key.Hash()
 	for {
 		s.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/program"
 	"repro/internal/smarts"
@@ -54,7 +55,7 @@ func TestPlainBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 1})
+	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestSerialLoopBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunContext(context.Background(), p, cfg, plan)
+	want, err := smarts.SerialLoop(context.Background(), p, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +100,13 @@ func TestSerialLoopBitIdentical(t *testing.T) {
 }
 
 // TestPhasesBitIdentical pins multi-offset requests to
-// smarts.RunSampledPhases, offset by offset.
+// smarts.RunSampledPhasesContext, offset by offset.
 func TestPhasesBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 2, 4}
-	want, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, engine.Options{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +130,16 @@ func TestPhasesBitIdentical(t *testing.T) {
 }
 
 // TestProcedureBitIdentical pins procedure requests to
-// smarts.RunProcedure, both steps.
+// smarts.RunProcedureWith over the engine, both steps.
 func TestProcedureBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	pc := smarts.DefaultProcedure(cfg, 60)
 	pc.Eps = 0.05
-	pc.Parallelism = 2
-	want, err := smarts.RunProcedureContext(context.Background(), p, cfg, pc)
+	want, err := smarts.RunProcedureWith(context.Background(), p, cfg, pc,
+		func(ctx context.Context, _ string, plan smarts.Plan) (*smarts.Result, error) {
+			return smarts.RunSampledContext(ctx, p, cfg, plan, engine.Options{Workers: 2})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestStoreBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, smarts.EngineOptions{Workers: 2})
+	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
