@@ -233,6 +233,8 @@ func (c *Cache) Touch(addr uint64, write bool) bool {
 }
 
 // Probe reports whether addr currently hits, without updating any state.
+//
+//simlint:hotpath
 func (c *Cache) Probe(addr uint64) bool {
 	base, tag := c.index(addr)
 	for w := 0; w < c.cfg.Ways; w++ {

@@ -119,18 +119,33 @@ func (m *Meter) Reset() {
 }
 
 // Add records n occurrences of event e.
+//
+//simlint:hotpath
 func (m *Meter) Add(e Event, n uint64) {
 	m.counts[e] += n
 	m.total += float64(n) * m.model.PerEvent[e]
 }
 
-// Tick records elapsed cycles (baseline energy).
+// Tick records elapsed cycles, charging the baseline energy one cycle
+// at a time: the total is a running floating-point sum that callers
+// difference between two readings, so its bits depend on the sequence
+// of additions, and a core that jumps over n idle cycles must leave the
+// bits that stepping through them would. Tick(n) is therefore n
+// additions of PerCycle, never one of n*PerCycle.
+//
+//simlint:hotpath
 func (m *Meter) Tick(cycles uint64) {
 	m.cycles += cycles
-	m.total += float64(cycles) * m.model.PerCycle
+	total, perCycle := m.total, m.model.PerCycle
+	for ; cycles > 0; cycles-- {
+		total += perCycle
+	}
+	m.total = total
 }
 
 // TotalNJ returns the accumulated energy in nanojoules.
+//
+//simlint:hotpath
 func (m *Meter) TotalNJ() float64 { return m.total }
 
 // Cycles returns the accumulated cycle count.

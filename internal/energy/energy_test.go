@@ -95,3 +95,26 @@ func TestResetEqualsNew(t *testing.T) {
 		t.Fatalf("reset meter accumulated %v, new meter %v", m.TotalNJ(), fresh.TotalNJ())
 	}
 }
+
+// TestTickSpanEqualsSingleTicks: a span of n cycles leaves the total
+// with the bits n one-cycle ticks leave, wherever the span falls among
+// the event additions — the property that lets the core jump over idle
+// cycles without moving a sampling unit's energy.
+func TestTickSpanEqualsSingleTicks(t *testing.T) {
+	model := energy.DefaultModel(1.6)
+	span, single := energy.NewMeter(model), energy.NewMeter(model)
+	for i := 0; i < 5_000; i++ {
+		e, n := energy.Event(i%energy.NumEvents), uint64(i%3+1)
+		span.Add(e, n)
+		single.Add(e, n)
+		k := uint64(i*7919%400 + 1)
+		span.Tick(k)
+		for j := uint64(0); j < k; j++ {
+			single.Tick(1)
+		}
+		if math.Float64bits(span.TotalNJ()) != math.Float64bits(single.TotalNJ()) || span.Cycles() != single.Cycles() {
+			t.Fatalf("after step %d: Tick(%d) left %v over %d cycles, single ticks %v over %d",
+				i, k, span.TotalNJ(), span.Cycles(), single.TotalNJ(), single.Cycles())
+		}
+	}
+}

@@ -252,6 +252,8 @@ func (o Op) IsMem() bool {
 }
 
 // IsControl reports whether o can change the PC non-sequentially.
+//
+//simlint:hotpath
 func (o Op) IsControl() bool {
 	switch o.Class() {
 	case ClassBranch, ClassJump, ClassRet:
@@ -347,6 +349,8 @@ func (i Inst) hasImm() bool {
 // Reads returns the architectural source registers read by the
 // instruction. Registers that are not read are returned as RegZero, which
 // the pipeline treats as always-ready.
+//
+//simlint:hotpath
 func (i Inst) Reads() (s1, s2 Reg) {
 	switch i.Op {
 	case OpNop, OpHalt, OpJmp, OpCall:
@@ -369,6 +373,8 @@ func (i Inst) Reads() (s1, s2 Reg) {
 
 // Writes returns the architectural destination register, or RegZero when
 // the instruction writes no register. Call writes RegLR.
+//
+//simlint:hotpath
 func (i Inst) Writes() Reg {
 	switch i.Op.Class() {
 	case ClassStore, ClassBranch, ClassRet, ClassNop, ClassHalt:

@@ -13,10 +13,60 @@
 // configured redirect penalty. This is the one organizational deviation
 // from sim-outorder and is a documented source of the (measured,
 // bounded) residual warming bias in the Table 5 experiment.
+//
+// # How the core spends host time
+//
+// The model is cycle-accurate but not cycle-driven where nothing can
+// happen. Two mechanisms keep host time proportional to the work the
+// simulated machine does instead of to the cycles it waits or the
+// entries its window holds; neither changes a simulated cycle count, an
+// event count or a bit of the energy total (core_lockstep_test.go holds
+// the core to the scan-and-step implementation it replaced).
+//
+// Wakeup. The issue stage never asks a waiting instruction whether its
+// operands are ready. At dispatch an instruction names its live
+// producers — the last writers of its source registers and, for a load,
+// the youngest older store within 8 bytes — and sets its bit in the
+// waiter bitmap of each one that has not issued. A producer's completion
+// cycle is known the moment it issues, so that is when it raises its
+// waiters' readyAt and clears their pending counts; a waiter whose last
+// producer has issued goes into the wake wheel bucket for its readyAt,
+// and from there into the ready mask when that cycle comes. Selection
+// walks the ready mask oldest-first from the ROB head with
+// bits.TrailingZeros64. The invariant this rests on: a value is never
+// usable in its producer's issue cycle — every latency is at least one
+// cycle, which Config.Validate enforces — so issuing an instruction can
+// never add to the set being selected from in the same cycle, and the
+// hierarchy accesses and energy events of a cycle happen in the order an
+// age-ordered scan of the window would make them. Instructions whose
+// operands are ready but which lose on issue width, a functional unit, a
+// D-cache port or an MSHR stay in the mask and retry.
+//
+// Idle-cycle skipping. A cycle in which no stage changed anything —
+// nothing committed, drained, issued, dispatched or fetched — leaves the
+// pipeline in a state that only the clock can change, through one of the
+// comparisons the stages make against it. Core.idleSpan lists them: the
+// ROB head's completion, the next occupied wake-wheel bucket, an MSHR
+// release (a ready load waits for one when it would miss and all are
+// busy), the draining store's completion, the fetch-queue head leaving
+// decode, the end of a redirect penalty, the end of an I-miss stall, and
+// the deadlock guard. The core jumps to the earliest. An entry in that
+// list that turns out not to matter costs one stepped cycle; a
+// comparison missing from it would be a wrong result, which is what the
+// lockstep tests and FuzzCoreLockstep are for.
+//
+// The energy meter is why a skipped span is still charged cycle by
+// cycle. Its total is a running float64 sum, and a sampling unit's energy
+// is the difference of two readings of it, so the result's bits depend on
+// the order and grouping of every addition since the machine was reset.
+// energy.Meter.Tick(n) therefore performs n additions of the per-cycle
+// energy — an add a cycle is nothing next to a stepped cycle — and the
+// wakeup scheme keeps every per-event addition in its original order.
 package uarch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -94,12 +144,37 @@ func (c Config) Validate() error {
 	if c.IntALU <= 0 || c.IntMulDiv <= 0 || c.FPALU <= 0 || c.FPMulDiv <= 0 {
 		return fmt.Errorf("uarch %s: functional unit counts must be positive", c.Name)
 	}
+	// The core wakes an instruction's dependants when it issues, for the
+	// cycle its result arrives, so a result must arrive at least a cycle
+	// after issue: every execution latency and every hierarchy level's
+	// latency is at least one cycle (the TLB penalty only adds to one).
+	for cls, lat := range c.OpLat {
+		if lat < 1 {
+			return fmt.Errorf("uarch %s: OpLat[%d] = %d, latencies must be at least 1 cycle", c.Name, cls, lat)
+		}
+	}
+	if c.Lat.L1 < 1 || c.Lat.L2 < 1 || c.Lat.Mem < 1 || c.Lat.TLB < 0 {
+		return fmt.Errorf("uarch %s: hierarchy latencies %+v: L1, L2 and Mem must be at least 1 cycle, TLB non-negative", c.Name, c.Lat)
+	}
 	for _, cc := range []cache.Config{c.IL1, c.DL1, c.L2} {
 		if err := cc.Validate(); err != nil {
 			return fmt.Errorf("uarch %s: %w", c.Name, err)
 		}
 	}
 	return c.BPred.Validate()
+}
+
+// wakeHorizon returns the size of the core's wake wheel in cycles: a
+// power of two, at least one bitmap word of cycles, greater than the
+// longest latency this (validated) configuration can put between an
+// issue and its result — the slowest instruction class, or a load that
+// misses the TLB and every cache.
+func (c Config) wakeHorizon() int {
+	longest := c.Lat.TLB + max(c.Lat.L1, c.Lat.L2, c.Lat.Mem)
+	for _, lat := range c.OpLat {
+		longest = max(longest, lat)
+	}
+	return max(64, 1<<bits.Len(uint(longest)))
 }
 
 // defaultOpLat returns the per-class execution latencies shared by both

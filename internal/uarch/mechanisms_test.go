@@ -333,3 +333,45 @@ func TestResetPipelinePreservesWarmState(t *testing.T) {
 		t.Errorf("warm rerun CPI %.1f, want small", cpi)
 	}
 }
+
+// storeLoop is an endless stream of stores to a few hot lines, three in
+// every four instructions, so that the window always holds stores in
+// flight and the store buffer is always draining.
+type storeLoop struct{ seq uint64 }
+
+func (s *storeLoop) Next(d *functional.DynInst) bool {
+	pc := s.seq % pcWrap
+	*d = functional.DynInst{Seq: s.seq, PC: pc, NextPC: (pc + 1) % pcWrap}
+	if s.seq%4 == 3 {
+		d.Inst = isa.Inst{Op: isa.OpAdd, Dst: 1, Src1: 1, Src2: isa.RegZero}
+	} else {
+		d.Inst = isa.Inst{Op: isa.OpStore, Src1: isa.RegZero, Src2: 1}
+		d.EA = 0x1000 + s.seq%32*8
+	}
+	s.seq++
+	return true
+}
+
+// TestStoreQueuesStayFixed: with a store always in flight the in-flight
+// store list never empties, which used to let it grow without bound; it
+// is an LSQSize ring, and a Run allocates nothing however long it is.
+func TestStoreQueuesStayFixed(t *testing.T) {
+	cfg := uarch.Config8Way()
+	core := uarch.NewCore(uarch.NewMachine(cfg))
+	src := &storeLoop{}
+	// AllocsPerRun's warm-up call is kept short, so that it cannot grow
+	// anything to the size the measured call needs.
+	n := uint64(1000)
+	allocs := testing.AllocsPerRun(1, func() {
+		if stats, err := core.Run(src, n, nil); err != nil || stats.Insts != n {
+			t.Fatalf("Run: %+v, %v", stats, err)
+		}
+		n = 1_000_000
+	})
+	if allocs != 0 {
+		t.Errorf("Core.Run allocated %v times per 1M-instruction run, want 0", allocs)
+	}
+	if got := core.StoreRingCap(); got != cfg.LSQSize {
+		t.Errorf("in-flight store ring holds %d entries, want LSQSize = %d", got, cfg.LSQSize)
+	}
+}

@@ -13,7 +13,8 @@ import (
 // TestMachineAndCoreResetEqualNew is the reset contract a replay worker
 // relies on: after a real detailed run (caches, predictor, energy meter
 // and cycle counter dirtied, every pipeline buffer left full of stale
-// entries), Machine.Reset + Core.Reset leave a machine and core
+// entries, the waiter bitmaps, wake wheel, ready mask and ring positions
+// scribbled over), Machine.Reset + Core.Reset leave a machine and core
 // indistinguishable from freshly constructed ones — field for field,
 // and in the cycles, marks and energy bits of the next run.
 func TestMachineAndCoreResetEqualNew(t *testing.T) {
@@ -31,6 +32,7 @@ func TestMachineAndCoreResetEqualNew(t *testing.T) {
 			}
 			m.Hier.Snapshot() // advance the snapshot chains too
 			m.Pred.Snapshot()
+			core.Scribble() // and the wakeup state a drained pipeline leaves clean
 			m.Reset()
 			core.Reset()
 
