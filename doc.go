@@ -142,7 +142,7 @@
 // shard reassignment, and run cancellation. The fleet shares one
 // functional sweep per checkpoint key through a claim protocol (the
 // session singleflight, fleet-wide) backed by the coordinator's sweep
-// cache and optional on-disk store; the format-v3 store codec doubles
+// cache and optional on-disk store; the format-v4 store codec doubles
 // as the wire encoding. The fleet is fault-tolerant end to end: sweep
 // owners journal partial progress to the coordinator and renew their
 // claim lease, so a worker killed mid-sweep hands the sweep to a peer

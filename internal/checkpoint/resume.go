@@ -25,7 +25,7 @@ package checkpoint
 // or a cold start — never to a wrong resume (the same discipline the
 // committed-entry reader applies, swept by the corruption suite).
 //
-// Resume(store, key) reconstructs a ResumeState from the journal, and
+// Store.LoadPartial reconstructs a ResumeState from the journal, and
 // CaptureStream (Params.Resume) continues from it: it replays the
 // boundary generator over the journaled units (validating each against
 // the plan), rebuilds the sweep CPU from the last unit's arch state and
@@ -131,22 +131,16 @@ func resumeSweep(prog *program.Program, machine *uarch.Machine, warmer *uarch.Wa
 	return functional.NewAt(prog, last.Arch, launch.Mem.NewMemory()), nil
 }
 
-// Resume loads the partial-sweep journal stored under k and
+func (s *Store) partialPath(k Key) string {
+	return filepath.Join(s.dir, k.Hash()+partialExt)
+}
+
+// LoadPartial loads the partial-sweep journal stored under k and
 // reconstructs the sweep state to continue from, or nil when the store
 // holds no usable journal (absent or corrupt — corruption degrades to
 // the journal's last valid frame before giving up entirely, and is
 // logged, never an error). Pass the result to CaptureStream via
 // Params.Resume.
-func Resume(s *Store, k Key) (*ResumeState, error) {
-	return s.LoadPartial(k)
-}
-
-func (s *Store) partialPath(k Key) string {
-	return filepath.Join(s.dir, k.Hash()+partialExt)
-}
-
-// LoadPartial returns the partial sweep journaled under k, or nil when
-// no usable journal exists. See Resume.
 //
 //simlint:noctx bounded single-file metadata read; no long blocking
 func (s *Store) LoadPartial(k Key) (*ResumeState, error) {
@@ -176,37 +170,40 @@ func (s *Store) DropPartial(k Key) {
 }
 
 // SavePartial atomically installs rs as k's partial-sweep journal,
-// replacing any previous journal. It is the whole-state counterpart of
-// PartialWriter — used when a ready-made ResumeState arrives (the
-// distributed coordinator receiving a worker's journal upload) rather
-// than streaming out of a live sweep.
+// replacing any previous journal: a PartialWriter fed the whole state
+// at once, as Store.Save is to Writer — used when a ready-made
+// ResumeState arrives (the distributed coordinator receiving a worker's
+// journal upload) rather than streaming out of a live sweep.
 //
 //simlint:noctx bounded single-file atomic install; no long blocking
 func (s *Store) SavePartial(k Key, rs *ResumeState) error {
-	tmp, err := os.CreateTemp(s.dir, k.Hash()+".tmp-*")
+	w, err := s.PartialWriter(k, rs.PopulationUnits)
 	if err != nil {
-		return fmt.Errorf("checkpoint: save partial: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			name := tmp.Name()
-			tmp.Close()
-			os.Remove(name)
-		}
-	}()
-	if err := EncodePartial(tmp, k, rs); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	for _, u := range rs.Units {
+		if err := w.Add(u); err != nil {
+			return fmt.Errorf("checkpoint: save partial: %w", err)
+		}
+	}
+	if err := w.Checkpoint(rs.frame()); err != nil {
 		return fmt.Errorf("checkpoint: save partial: %w", err)
 	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, s.partialPath(k)); err != nil {
-		os.Remove(name)
+	if err := w.Close(); err != nil {
 		return fmt.Errorf("checkpoint: save partial: %w", err)
 	}
 	return nil
+}
+
+// frame is the ResumeFrame rs was cut at.
+func (rs *ResumeState) frame() ResumeFrame {
+	return ResumeFrame{
+		Captured:   len(rs.Units),
+		SweepInsts: rs.SweepInsts,
+		SweepTime:  rs.SweepTime,
+		HaveIBlock: rs.HaveIBlock,
+		LastIBlock: rs.LastIBlock,
+	}
 }
 
 // PartialWriter streams a sweep's units into a crash-safe journal
@@ -238,16 +235,42 @@ func (s *Store) PartialWriter(k Key, pop uint64) (*PartialWriter, error) {
 	w := &PartialWriter{store: s, key: k, f: tmp}
 	enc, err := newSetEncoder(tmp, k, pop)
 	if err != nil {
-		w.fail(err)
-		return nil, w.err
+		w.cleanup()
+		return nil, err
 	}
 	w.enc = enc
 	return w, nil
 }
 
+// Load returns the journal an interrupted sweep of this writer's key
+// left in the store (Store.LoadPartial), nil when there is nothing to
+// resume from; a read failure is logged and counts as a miss. The
+// writer's own records stay staged apart from that journal until its
+// first Checkpoint replaces it.
+func (w *PartialWriter) Load() *ResumeState {
+	rs, err := w.store.LoadPartial(w.key)
+	if err != nil {
+		w.store.Log("checkpoint store: resume unavailable: %v", err)
+		return nil
+	}
+	return rs
+}
+
+// Drop removes the journal Load returned, which failed resume
+// validation with why; the writer goes on staging its own. For use
+// before the first Checkpoint (after it the key's journal is this one).
+func (w *PartialWriter) Drop(why error) {
+	w.store.Log("checkpoint store: dropping unusable partial %s: %v", w.key.Hash(), why)
+	w.store.DropPartial(w.key)
+}
+
+// fail records and logs the writer's first error and removes what it
+// wrote. A journal from an earlier run that this writer never replaced
+// stays usable.
 func (w *PartialWriter) fail(err error) {
 	if w.err == nil {
 		w.err = err
+		w.store.Log("checkpoint store: sweep journal failed: %v", err)
 	}
 	w.cleanup()
 }
@@ -327,10 +350,12 @@ func (w *PartialWriter) Close() error {
 		} else if cerr != nil {
 			w.err = cerr
 		}
-	}
-	if w.err == nil {
-		w.store.Log("checkpoint store: journaled partial %s (%s: %d units)",
-			w.key.Hash(), w.key.Workload, w.enc.units)
+		if w.err != nil {
+			w.store.Log("checkpoint store: sweep journal close failed: %v", w.err)
+		} else {
+			w.store.Log("checkpoint store: journaled partial %s (%s: %d units)",
+				w.key.Hash(), w.key.Workload, w.enc.units)
+		}
 	}
 	return w.err
 }
@@ -385,14 +410,7 @@ func EncodePartial(w io.Writer, k Key, rs *ResumeState) error {
 			return fmt.Errorf("checkpoint: encode partial: %w", err)
 		}
 	}
-	fr := ResumeFrame{
-		Captured:   len(rs.Units),
-		SweepInsts: rs.SweepInsts,
-		SweepTime:  rs.SweepTime,
-		HaveIBlock: rs.HaveIBlock,
-		LastIBlock: rs.LastIBlock,
-	}
-	if err := enc.frame(fr); err != nil {
+	if err := enc.frame(rs.frame()); err != nil {
 		return fmt.Errorf("checkpoint: encode partial: %w", err)
 	}
 	if err := enc.cw.w.Flush(); err != nil {

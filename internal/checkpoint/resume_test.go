@@ -132,7 +132,7 @@ func TestResumeMatchesUninterruptedSweep(t *testing.T) {
 						}
 						break
 					}
-					if rs, err = checkpoint.Resume(store, key); err != nil {
+					if rs, err = store.LoadPartial(key); err != nil {
 						t.Fatal(err)
 					}
 					if rs == nil {
@@ -157,7 +157,7 @@ func TestResumeRejectsInconsistentJournal(t *testing.T) {
 	}
 	key := checkpoint.KeyFor(p, cfg, params)
 	journalSweep(t, p, cfg, params, store, key, nil, 5)
-	rs, err := checkpoint.Resume(store, key)
+	rs, err := store.LoadPartial(key)
 	if err != nil || rs == nil {
 		t.Fatalf("no journal to corrupt (rs=%v err=%v)", rs != nil, err)
 	}
@@ -271,7 +271,7 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = checkpoint.Resume(store, key)
+	rs, err = store.LoadPartial(key)
 	if err != nil || rs == nil {
 		t.Fatalf("intact journal unusable after sweep (rs=%v err=%v)", rs != nil, err)
 	}

@@ -1215,10 +1215,10 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/claims", c.handleClaim)
-	mux.HandleFunc("GET /v1/sweeps/{hash}", c.handleSweepGet)
-	mux.HandleFunc("PUT /v1/sweeps/{hash}", c.handleSweepPut)
-	mux.HandleFunc("GET /v1/partials/{hash}", c.handlePartialGet)
-	mux.HandleFunc("PUT /v1/partials/{hash}", c.handlePartialPut)
+	mux.HandleFunc("GET /v1/sweeps/{hash}", c.forRun(c.handleSweepGet))
+	mux.HandleFunc("PUT /v1/sweeps/{hash}", c.forRun(c.handleSweepPut))
+	mux.HandleFunc("GET /v1/partials/{hash}", c.forRun(c.handlePartialGet))
+	mux.HandleFunc("PUT /v1/partials/{hash}", c.forRun(c.handlePartialPut))
 	mux.HandleFunc("POST /v1/runs", c.handleRunCreate)
 	mux.HandleFunc("GET /v1/runs/{id}/stream", c.handleRunStream)
 	mux.HandleFunc("DELETE /v1/runs/{id}", c.handleRunCancel)
@@ -1226,14 +1226,47 @@ func (c *Coordinator) Handler() http.Handler {
 		if c.killed() {
 			panic(http.ErrAbortHandler)
 		}
+		// Cap the body: a declared length past the cap is refused before
+		// anything is read, an undeclared one fails the handler's read at
+		// the cap with *http.MaxBytesError (bodyStatus: 413 as well).
+		max := int64(maxJSONBody)
+		if req.Method == http.MethodPut { // the sweep and journal uploads
+			max = maxSweepBody
+		}
+		if req.ContentLength > max {
+			http.Error(rw, "request body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
+		req.Body = http.MaxBytesReader(rw, req.Body, max)
 		mux.ServeHTTP(rw, req)
 	})
+}
+
+// Request-body caps. The coordinator buffers what it is sent (a journal
+// upload whole, a sweep upload decoded into the sweep cache), so without
+// them anything that can reach the port could make it hold arbitrary
+// memory. maxSweepBody bounds the two binary uploads, maxJSONBody the
+// control messages (a run request is a few hundred bytes).
+const (
+	maxSweepBody = 1 << 30
+	maxJSONBody  = 1 << 20
+)
+
+// bodyStatus is the reply status for a body that failed to read or
+// decode with err (nil: decoded but unacceptable): 413 past the
+// Handler's cap, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func (c *Coordinator) handleRegister(rw http.ResponseWriter, req *http.Request) {
 	var msg registerMsg
 	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil || msg.URL == "" {
-		http.Error(rw, "bad register body", http.StatusBadRequest)
+		http.Error(rw, "bad register body", bodyStatus(err))
 		return
 	}
 	c.addWorker(msg.URL, time.Duration(msg.IntervalNs))
@@ -1243,7 +1276,7 @@ func (c *Coordinator) handleRegister(rw http.ResponseWriter, req *http.Request) 
 func (c *Coordinator) handleHeartbeat(rw http.ResponseWriter, req *http.Request) {
 	var msg heartbeatMsg
 	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil || msg.URL == "" {
-		http.Error(rw, "bad heartbeat body", http.StatusBadRequest)
+		http.Error(rw, "bad heartbeat body", bodyStatus(err))
 		return
 	}
 	w := c.workerByURL(msg.URL)
@@ -1260,7 +1293,7 @@ func (c *Coordinator) handleHeartbeat(rw http.ResponseWriter, req *http.Request)
 func (c *Coordinator) handleClaim(rw http.ResponseWriter, req *http.Request) {
 	var msg claimMsg
 	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil {
-		http.Error(rw, "bad claim body", http.StatusBadRequest)
+		http.Error(rw, "bad claim body", bodyStatus(err))
 		return
 	}
 	c.mu.Lock()
@@ -1294,20 +1327,23 @@ func (c *Coordinator) handleClaim(rw http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(rw).Encode(claimReply{State: state, LeaseNs: int64(c.opt.LeaseTTL)})
 }
 
-func (c *Coordinator) activeFor(hash string) (*activeRun, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	run, ok := c.active[hash]
-	return run, ok
+// forRun adapts a sweep or journal endpoint: h serves the active run
+// the path's {hash} names, and a hash with no active run is a 404.
+func (c *Coordinator) forRun(h func(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun)) http.HandlerFunc {
+	return func(rw http.ResponseWriter, req *http.Request) {
+		hash := req.PathValue("hash")
+		c.mu.Lock()
+		run, ok := c.active[hash]
+		c.mu.Unlock()
+		if !ok {
+			http.Error(rw, "no active run for sweep", http.StatusNotFound)
+			return
+		}
+		h(rw, req, hash, run)
+	}
 }
 
-func (c *Coordinator) handleSweepGet(rw http.ResponseWriter, req *http.Request) {
-	hash := req.PathValue("hash")
-	run, ok := c.activeFor(hash)
-	if !ok {
-		http.Error(rw, "no active run for sweep", http.StatusNotFound)
-		return
-	}
+func (c *Coordinator) handleSweepGet(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
 	set := c.sweeps.Get(run.key)
 	if set == nil && c.store != nil && !run.noStore {
 		loaded, err := c.store.Load(run.key)
@@ -1332,16 +1368,10 @@ func (c *Coordinator) handleSweepGet(rw http.ResponseWriter, req *http.Request) 
 	}
 }
 
-func (c *Coordinator) handleSweepPut(rw http.ResponseWriter, req *http.Request) {
-	hash := req.PathValue("hash")
-	run, ok := c.activeFor(hash)
-	if !ok {
-		http.Error(rw, "no active run for sweep", http.StatusNotFound)
-		return
-	}
+func (c *Coordinator) handleSweepPut(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
 	set, err := checkpoint.DecodeSet(req.Body, run.key)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
+		http.Error(rw, err.Error(), bodyStatus(err))
 		return
 	}
 	c.sweeps.Put(run.key, set)
@@ -1366,16 +1396,10 @@ func (c *Coordinator) handleSweepPut(rw http.ResponseWriter, req *http.Request) 
 // before it is kept: a corrupt upload is rejected so the fleet never
 // resumes from garbage — it degrades to an earlier journal or a cold
 // sweep instead.
-func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request) {
-	hash := req.PathValue("hash")
-	run, ok := c.activeFor(hash)
-	if !ok {
-		http.Error(rw, "no active run for sweep", http.StatusNotFound)
-		return
-	}
+func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
 	raw, err := io.ReadAll(req.Body)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
+		http.Error(rw, err.Error(), bodyStatus(err))
 		return
 	}
 	rs, err := checkpoint.DecodePartial(bytes.NewReader(raw), run.key)
@@ -1398,13 +1422,7 @@ func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request
 // sweep, falling back to the store's *.partial file when memory has
 // none (a coordinator restart). 404 when no journal exists: the caller
 // sweeps cold.
-func (c *Coordinator) handlePartialGet(rw http.ResponseWriter, req *http.Request) {
-	hash := req.PathValue("hash")
-	run, ok := c.activeFor(hash)
-	if !ok {
-		http.Error(rw, "no active run for sweep", http.StatusNotFound)
-		return
-	}
+func (c *Coordinator) handlePartialGet(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
 	c.mu.Lock()
 	raw := c.partials[hash]
 	c.mu.Unlock()
@@ -1431,7 +1449,7 @@ func (c *Coordinator) handlePartialGet(rw http.ResponseWriter, req *http.Request
 func (c *Coordinator) handleRunCreate(rw http.ResponseWriter, req *http.Request) {
 	var wr wireRequest
 	if err := json.NewDecoder(req.Body).Decode(&wr); err != nil {
-		http.Error(rw, "bad run body", http.StatusBadRequest)
+		http.Error(rw, "bad run body", bodyStatus(err))
 		return
 	}
 	if err := distributable(wr.request()); err != nil {

@@ -46,12 +46,12 @@
 //	                         until it beats again.
 //	POST /v1/claims          fleet-wide sweep singleflight (see below).
 //	GET  /v1/sweeps/{hash}   fetch a captured sweep, encoded in the
-//	                         checkpoint store's format-v3 byte stream.
+//	                         checkpoint store's format-v4 byte stream.
 //	PUT  /v1/sweeps/{hash}   upload a freshly captured sweep.
 //	GET  /v1/partials/{hash} fetch the sweep's current partial journal
 //	                         (404 = sweep cold).
 //	PUT  /v1/partials/{hash} upload a sweep owner's partial journal
-//	                         (the store's format-v3 partial record;
+//	                         (the store's format-v4 partial record;
 //	                         validated against the run's key, rejected
 //	                         if corrupt).
 //	GET  /v1/healthz         readiness.
@@ -88,7 +88,10 @@
 //
 // # Crash-safe sweeps
 //
-// A sweep owner journals its progress: every ResumeInterval keyframes
+// A sweep owner runs the engine's one sweep driver (engine.Sweep) —
+// the same resume, journal-cadence, cold-retry and seal-on-interrupt
+// algorithm a local run has — with the coordinator as its journal
+// instead of the store's partial file: every ResumeInterval keyframes
 // it uploads a partial record (checkpoint.EncodePartial — the same
 // bytes Store.PartialWriter journals locally) to the coordinator,
 // which keeps it in memory and, with a store attached, as a *.partial
@@ -96,10 +99,14 @@
 // claim after the owner died fetches the journal and resumes the sweep
 // from its last keyframe (checkpoint Params.Resume) instead of
 // restarting at instruction zero; the continued unit stream is
-// bit-identical to an uninterrupted sweep. Corruption never poisons a
-// run: a journal that fails validation is rejected at upload, and one
-// that fails resume-replay on the worker degrades to a cold sweep. The
-// journal is deleted when the completed sweep arrives.
+// bit-identical to an uninterrupted sweep. A negative ResumeInterval
+// turns both directions off, as it does locally: nothing is uploaded
+// and a predecessor's journal is not fetched. Corruption never poisons
+// a run: a journal that fails validation is rejected at upload, and
+// one that fails resume-replay on the worker degrades to a cold sweep.
+// The journal is deleted when the completed sweep arrives. Uploads are
+// bounded: the coordinator refuses a sweep or journal body over 1 GiB,
+// and a control message over 1 MiB, with 413.
 //
 // # Failure and retry
 //

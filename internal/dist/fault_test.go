@@ -8,9 +8,16 @@ package dist
 // work.
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -291,7 +298,9 @@ func workerURLs(ws []*workerRef) []string {
 // TestPartialEndpoints round-trips a journal through the coordinator's
 // partial endpoints and verifies a corrupt upload is rejected without
 // clobbering the good journal — the "corruption degrades, never
-// poisons" half of the resume contract at the fleet layer.
+// poisons" half of the resume contract at the fleet layer — and that an
+// upload past the body cap is refused (413) the same way, in memory and
+// in the store.
 func TestPartialEndpoints(t *testing.T) {
 	prog := testProg(t)
 	cfg := uarch.Config8Way()
@@ -322,7 +331,8 @@ func TestPartialEndpoints(t *testing.T) {
 		t.Fatalf("half-sweep failed: err=%v journal=%v", err, rs != nil)
 	}
 
-	coord, err := NewCoordinator(Options{})
+	storeDir := t.TempDir()
+	coord, err := NewCoordinator(Options{StoreDir: storeDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,5 +367,54 @@ func TestPartialEndpoints(t *testing.T) {
 	got, err = w.fetchPartial(context.Background(), key)
 	if err != nil || got == nil || len(got.Units) != len(rs.Units) {
 		t.Fatalf("good journal lost after corrupt upload: rs=%v err=%v", got != nil, err)
+	}
+
+	// Over-cap uploads are refused with 413 and leave both copies of the
+	// good journal alone. A declared length past the binary cap is
+	// refused before a byte of body is read (so the test sends none, over
+	// a raw connection); an undeclared one — a JSON endpoint here, whose
+	// cap is small enough to really exceed — fails at the cap.
+	journalFile := filepath.Join(storeDir, hash+".partial")
+	coord.mu.Lock()
+	memBefore := coord.partials[hash]
+	coord.mu.Unlock()
+	fileBefore, err := os.ReadFile(journalFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "PUT /v1/partials/%s HTTP/1.1\r\nHost: coordinator\r\nContent-Length: %d\r\n\r\n", hash, int64(maxSweepBody)+1)
+	resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap journal upload: %s, want 413", resp.Status)
+	}
+	// io.MultiReader hides the length, so the body goes out chunked.
+	hreq, _ = http.NewRequest(http.MethodPost, srv.URL+"/v1/claims",
+		io.MultiReader(strings.NewReader(`{"hash":"`+strings.Repeat("x", maxJSONBody))))
+	resp, err = http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap claim body: %s, want 413", resp.Status)
+	}
+	coord.mu.Lock()
+	memAfter := coord.partials[hash]
+	coord.mu.Unlock()
+	fileAfter, err := os.ReadFile(journalFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(memAfter, memBefore) || !bytes.Equal(fileAfter, fileBefore) {
+		t.Fatal("over-cap upload changed the kept journal")
 	}
 }

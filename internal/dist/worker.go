@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -45,12 +46,13 @@ type WorkerOptions struct {
 	// sim.WithKeyframe: excluded from the sweep key and from
 	// bit-identity.
 	Keyframe int
-	// ResumeInterval is the sweep-journal upload cadence in keyframes
-	// while this worker owns a sweep: every n-th keyframe it uploads its
-	// partial journal to the coordinator, bounding the work lost if it
-	// dies mid-sweep (the next claim winner resumes from the journal).
-	// 0 selects engine.DefaultResumeInterval; negative disables journal
-	// uploads.
+	// ResumeInterval is the sweep-journal cadence in keyframes while this
+	// worker owns a sweep: every n-th keyframe it uploads its partial
+	// journal to the coordinator, bounding the work lost if it dies
+	// mid-sweep (the next claim winner resumes from the journal). It means
+	// what engine.Options.ResumeInterval means, by engine.Sweep's one rule:
+	// 0 selects engine.DefaultResumeInterval; negative turns the journal
+	// off both ways — nothing uploaded, no predecessor's journal fetched.
 	ResumeInterval int
 	// Retries, RetryBase and RetryMax shape the capped exponential
 	// backoff (with jitter) on coordinator RPCs — register, claim,
@@ -128,6 +130,39 @@ func httpRetryable(code int) bool {
 	return code == http.StatusTooManyRequests || code >= 500
 }
 
+// rpc sends one request to the coordinator and returns the response
+// when its status is 2xx or one of also; the caller closes the body.
+// Any other status is an error carrying a snippet of the reply —
+// permanent (retry gives up at once) unless the status is transient.
+// Transport errors stay retryable. contentType "" sends no body.
+func (w *Worker) rpc(ctx context.Context, method, path, contentType string, body []byte, also ...int) (*http.Response, error) {
+	var rd io.Reader
+	if contentType != "" {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, w.opt.Coordinator+path, rd)
+	if err != nil {
+		return nil, permanent(err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := w.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 || slices.Contains(also, resp.StatusCode) {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //simlint:discard best-effort error-body snippet for the message
+	err = fmt.Errorf("dist: %s %s%s: %s: %s", method, w.opt.Coordinator, path, resp.Status, bytes.TrimSpace(msg))
+	if !httpRetryable(resp.StatusCode) {
+		return nil, permanent(err)
+	}
+	return nil, err
+}
+
 // Register announces the worker to its coordinator, retrying transient
 // failures with capped exponential backoff.
 func (w *Worker) Register(ctx context.Context) error {
@@ -143,24 +178,11 @@ func (w *Worker) registerOnce(ctx context.Context) error {
 	if err != nil {
 		return permanent(err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.opt.Coordinator+"/v1/register", bytes.NewReader(body))
-	if err != nil {
-		return permanent(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	resp, err := w.rpc(ctx, http.MethodPost, "/v1/register", "application/json", body)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("dist: register with %s: %s", w.opt.Coordinator, resp.Status)
-		if !httpRetryable(resp.StatusCode) {
-			return permanent(err)
-		}
-		return err
-	}
+	resp.Body.Close()
 	return nil
 }
 
@@ -192,22 +214,13 @@ func (w *Worker) beatOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.opt.Coordinator+"/v1/heartbeat", bytes.NewReader(body))
+	resp, err := w.rpc(ctx, http.MethodPost, "/v1/heartbeat", "application/json", body, http.StatusNotFound)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
 		return w.Register(ctx)
-	}
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("heartbeat with %s: %s", w.opt.Coordinator, resp.Status)
 	}
 	return nil
 }
@@ -243,11 +256,8 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	params := plan.CheckpointParams()
-	if w.opt.Keyframe != 0 {
-		params.Keyframe = w.opt.Keyframe
-	}
-	key := checkpoint.KeyFor(prog, cfg, params)
+	// The worker's cache is keyed the way every sweep is (SweepKey).
+	params, key := engine.Options{Keyframe: w.opt.Keyframe, Cache: w.cache}.SweepKey(prog, cfg, plan.CheckpointParams())
 
 	// From here the stream is committed: failures travel as Error
 	// records, per-unit results as Unit records, flushed as they
@@ -409,84 +419,96 @@ func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, prog *progra
 }
 
 // ownerSweep runs the functional sweep this worker won the fleet claim
-// for. It resumes from the coordinator's partial journal when a dead
-// previous owner left one (falling back to a cold sweep if the journal
-// does not validate), uploads its own journal every ResumeInterval
-// keyframes so a successor can do the same, and renews the claim lease
-// while it works.
+// for: the engine's sweep driver with the coordinator as its journal, so
+// it resumes from a dead previous owner's journal (cold if that does not
+// validate) and uploads its own progress every ResumeInterval keyframes
+// for a successor to do the same — while this function renews the claim
+// lease and keeps the books.
 func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, leaseNs int64, onCaptured func(int) bool, onRetry retryNotify) (*checkpoint.Set, error) {
-	hash := key.Hash()
 	renewCtx, stopRenew := context.WithCancel(ctx)
 	defer stopRenew()
 	if lease := time.Duration(leaseNs); lease > 0 {
-		go w.renewLease(renewCtx, hash, lease/3)
+		go w.renewLease(renewCtx, key.Hash(), lease/3)
 	}
-	rs, err := w.fetchPartial(ctx, key)
-	if err != nil {
-		w.logf("dist: partial journal fetch %s failed: %v; sweeping cold", hash, err)
-		rs = nil
-	}
-	interval := engine.ResumeKeyframes(w.opt.ResumeInterval)
-	capture := func(rs *checkpoint.ResumeState) (*checkpoint.Set, error) {
-		set := &checkpoint.Set{K: params.K}
-		params := params
-		params.Resume = rs
-		var counted uint64 // sweep position already added to sweepExec
-		if rs != nil {
-			set.Units = append(set.Units, rs.Units...)
-			counted = rs.SweepInsts
-		}
-		kfSince := 0
-		params.OnFrame = func(fr checkpoint.ResumeFrame) {
-			// Count executed work frame by frame so a sweep killed
-			// mid-flight still accounts for what it burned.
-			w.sweepExec.Add(fr.SweepInsts - counted)
-			counted = fr.SweepInsts
-			if interval <= 0 || kfSince < interval {
-				return
-			}
-			kfSince = 0
-			st := &checkpoint.ResumeState{
-				Units:           set.Units[:fr.Captured],
-				PopulationUnits: prog.Length / params.U,
-				SweepInsts:      fr.SweepInsts,
-				SweepTime:       fr.SweepTime,
-				HaveIBlock:      fr.HaveIBlock,
-				LastIBlock:      fr.LastIBlock,
-			}
-			if err := w.uploadPartial(ctx, key, st, onRetry); err != nil {
-				// Non-fatal: the fleet just has a staler resume point.
-				w.logf("dist: partial journal upload %s failed: %v", hash, err)
-			}
-		}
-		sum, err := checkpoint.CaptureStream(ctx, prog, cfg, params, func(u *checkpoint.Unit) bool {
-			set.Units = append(set.Units, u)
-			if u.Mem != nil {
-				kfSince++ // keyframes mark the journal cadence
-			}
-			if onCaptured != nil {
-				onCaptured(len(set.Units))
-			}
+	set := &checkpoint.Set{K: params.K}
+	j := &fleetJournal{ctx: ctx, w: w, key: key, set: set, pop: prog.Length / params.U, onRetry: onRetry}
+	var counted uint64 // sweep position already added to sweepExec
+	sum, err := engine.Sweep(ctx, prog, cfg, params, j, w.opt.ResumeInterval, func(cu *checkpoint.Unit, resumed bool) bool {
+		set.Units = append(set.Units, cu)
+		if resumed {
+			// A predecessor executed this prefix, not this worker.
+			counted = cu.LaunchAt
 			return true
-		})
-		if err != nil {
-			return nil, err
 		}
-		set.PopulationUnits = sum.PopulationUnits
-		set.SweepInsts = sum.SweepInsts
-		set.SweepTime = sum.SweepTime
-		w.sweepExec.Add(sum.SweepInsts - counted)
-		return set, nil
+		// Count executed work unit by unit (at capture the stream position
+		// is the unit's launch point) so a sweep killed mid-flight still
+		// accounts for what it burned.
+		w.sweepExec.Add(cu.LaunchAt - counted)
+		counted = cu.LaunchAt
+		if onCaptured != nil {
+			onCaptured(len(set.Units))
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	set, err := capture(rs)
-	if err != nil && rs != nil && ctx.Err() == nil {
-		// The journal did not validate against this plan (corruption, a
-		// stale upload): degrade to a cold sweep rather than fail.
-		w.logf("dist: resume from fleet journal %s failed (%v); restarting the sweep cold", hash, err)
-		set, err = capture(nil)
-	}
-	return set, err
+	w.sweepExec.Add(sum.SweepInsts - counted)
+	set.PopulationUnits = sum.PopulationUnits
+	set.SweepInsts = sum.SweepInsts
+	set.SweepTime = sum.SweepTime
+	return set, nil
 }
+
+// fleetJournal is a sweep owner's engine.Journal: it lives on the
+// coordinator (GET/PUT /v1/partials/{hash}), which hands it to whichever
+// worker wins the claim after this one dies. Uploads are whole-state —
+// each Checkpoint sends the units so far under one frame and replaces
+// the last — so there is nothing to close, drop or discard from here:
+// the next upload overwrites a journal that failed validation, and the
+// completed sweep's upload retires it. A failed transfer is logged and
+// otherwise ignored (the fleet has a staler resume point, or sweeps
+// cold). One lives for one ownerSweep call, whose ctx it carries.
+type fleetJournal struct {
+	ctx     context.Context
+	w       *Worker
+	key     checkpoint.Key
+	set     *checkpoint.Set // the owner's collected units
+	pop     uint64
+	onRetry retryNotify
+}
+
+func (j *fleetJournal) Load() *checkpoint.ResumeState {
+	rs, err := j.w.fetchPartial(j.ctx, j.key)
+	if err != nil {
+		j.w.logf("dist: partial journal fetch %s failed: %v; sweeping cold", j.key.Hash(), err)
+		return nil
+	}
+	return rs
+}
+
+func (j *fleetJournal) Drop(why error) {
+	j.w.logf("dist: resume from fleet journal %s failed (%v); restarting the sweep cold", j.key.Hash(), why)
+}
+
+func (j *fleetJournal) Checkpoint(fr checkpoint.ResumeFrame) error {
+	err := j.w.uploadPartial(j.ctx, j.key, &checkpoint.ResumeState{
+		Units:           j.set.Units[:fr.Captured],
+		PopulationUnits: j.pop,
+		SweepInsts:      fr.SweepInsts,
+		SweepTime:       fr.SweepTime,
+		HaveIBlock:      fr.HaveIBlock,
+		LastIBlock:      fr.LastIBlock,
+	}, j.onRetry)
+	if err != nil {
+		j.w.logf("dist: partial journal upload %s failed: %v", j.key.Hash(), err)
+	}
+	return nil
+}
+
+func (j *fleetJournal) Add(*checkpoint.Unit) error { return nil }
+func (j *fleetJournal) Close() error               { return nil }
+func (j *fleetJournal) Discard()                   {}
 
 // renewLease re-claims the sweep as its current owner every `every`,
 // refreshing the coordinator's lease so a long sweep survives a short
@@ -514,25 +536,11 @@ func (w *Worker) claim(ctx context.Context, hash string) (string, int64, error) 
 	if err != nil {
 		return "", 0, permanent(err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.opt.Coordinator+"/v1/claims", bytes.NewReader(body))
-	if err != nil {
-		return "", 0, permanent(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	resp, err := w.rpc(ctx, http.MethodPost, "/v1/claims", "application/json", body)
 	if err != nil {
 		return "", 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //simlint:discard best-effort error-body snippet for the message
-		err := fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
-		if !httpRetryable(resp.StatusCode) {
-			return "", 0, permanent(err)
-		}
-		return "", 0, err
-	}
 	var reply claimReply
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 		return "", 0, err
@@ -543,21 +551,13 @@ func (w *Worker) claim(ctx context.Context, hash string) (string, int64, error) 
 // fetchPartial downloads the run's current partial-sweep journal
 // (nil when none exists — the caller sweeps cold).
 func (w *Worker) fetchPartial(ctx context.Context, key checkpoint.Key) (*checkpoint.ResumeState, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.opt.Coordinator+"/v1/partials/"+key.Hash(), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.client.Do(req)
+	resp, err := w.rpc(ctx, http.MethodGet, "/v1/partials/"+key.Hash(), "", nil, http.StatusNotFound)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("partial download: %s", resp.Status)
 	}
 	return checkpoint.DecodePartial(resp.Body, key)
 }
@@ -570,42 +570,25 @@ func (w *Worker) uploadPartial(ctx context.Context, key checkpoint.Key, rs *chec
 		return err
 	}
 	return retry(ctx, w.policy, onRetry.forOp("journal upload"), func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-			w.opt.Coordinator+"/v1/partials/"+key.Hash(), bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return permanent(err)
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := w.client.Do(req)
+		resp, err := w.rpc(ctx, http.MethodPut, "/v1/partials/"+key.Hash(), "application/octet-stream", buf.Bytes())
 		if err != nil {
 			return err
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //simlint:discard best-effort error-body snippet for the message //simlint:discard best-effort error-body snippet for the message
-			err := fmt.Errorf("partial upload: %s: %s", resp.Status, bytes.TrimSpace(msg))
-			if !httpRetryable(resp.StatusCode) {
-				return permanent(err)
-			}
-			return err
-		}
-		return nil
+		return resp.Body.Close()
 	})
 }
 
+// fetchSet downloads the completed sweep. A sweep the coordinator no
+// longer holds (404) stays retryable like a transport failure, so the
+// caller's re-claim loop is paced by the retry backoff.
 func (w *Worker) fetchSet(ctx context.Context, key checkpoint.Key) (*checkpoint.Set, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.opt.Coordinator+"/v1/sweeps/"+key.Hash(), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.client.Do(req)
+	resp, err := w.rpc(ctx, http.MethodGet, "/v1/sweeps/"+key.Hash(), "", nil, http.StatusNotFound)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sweep download: %s", resp.Status)
+	if resp.StatusCode == http.StatusNotFound {
+		return nil, fmt.Errorf("dist: sweep %s not available from the coordinator", key.Hash())
 	}
 	return checkpoint.DecodeSet(resp.Body, key)
 }
@@ -615,20 +598,9 @@ func (w *Worker) uploadSet(ctx context.Context, key checkpoint.Key, set *checkpo
 	if err := checkpoint.EncodeSet(&buf, key, set); err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		w.opt.Coordinator+"/v1/sweeps/"+key.Hash(), bytes.NewReader(buf.Bytes()))
+	resp, err := w.rpc(ctx, http.MethodPut, "/v1/sweeps/"+key.Hash(), "application/octet-stream", buf.Bytes())
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //simlint:discard best-effort error-body snippet for the message
-		return fmt.Errorf("sweep upload: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
+	return resp.Body.Close()
 }

@@ -12,8 +12,13 @@
 // (Options.Store), a workload's sweep is paid once and later runs skip
 // it entirely, loading launch states from disk.
 //
-// The package owns the three things every way of running a plan needs,
-// once each. The pool (replayStream) replays a unit stream on N workers
+// The package owns the four things every way of running a plan needs,
+// once each. The sweep driver (Sweep) is the only caller of
+// checkpoint.CaptureStream: it resumes an interrupted sweep from its
+// Journal or starts cold, journals progress as it emits the unit
+// stream, and seals or discards the journal at the end — the store's
+// partial file here, the coordinator's journal endpoints for the fleet's
+// sweep owner. The pool (replayStream) replays a unit stream on N workers
 // and delivers results in stream order. Each worker owns one launch
 // context for the pool's lifetime (launcher): a machine, core and
 // memory reset to exactly their as-constructed state between units, and
@@ -27,10 +32,11 @@
 // Merger is the stream-order fold (partial-unit cut, early-termination
 // cutoff, accounting); Run and RunSet use it locally and the
 // distributed coordinator uses the same type for shard streams and
-// run-journal replay. CaptureSet is the whole-set acquisition (store,
-// then cache, then a fresh capture that is saved to both) for callers
-// that must hold every launch state before replaying, such as the
-// multi-offset path.
+// run-journal replay. The acquisition (lookup, then acquire) is store,
+// then cache, then a fresh Sweep streamed into the store and retained
+// for the cache: Run attaches the pool to it; CaptureSet, for callers
+// that must hold every launch state before replaying (the multi-offset
+// path), does not, and nothing else differs.
 //
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint and there is one fold, results are bit-identical for any
@@ -98,8 +104,9 @@ type Options struct {
 	// an interrupted sweep from the journal instead of restarting at
 	// instruction zero — the resumed unit stream is bit-identical to an
 	// uninterrupted sweep's. 0 selects DefaultResumeInterval; negative
-	// disables journaling and resume (see ResumeKeyframes). Ignored
-	// without a Store (the journal lives in the store directory).
+	// disables journaling and resume: the journal is neither loaded nor
+	// written (the rule is Sweep's). Ignored without a Store (the journal
+	// lives in the store directory).
 	ResumeInterval int
 	// SweepParallelism sets checkpoint.Params.SweepParallelism when
 	// above 1: the capture sweep runs as that many concurrent stream
@@ -115,11 +122,12 @@ type Options struct {
 	// cold).
 	SweepOverlap int64
 	// OnCaptured, when non-nil, observes sweep progress: it is called
-	// with the cumulative captured-unit count each time a launch
-	// snapshot enters the pipeline (once with the total when the whole
-	// set arrives at once: a store or cache hit, or CaptureSet). Called
-	// from the sweep goroutine; callbacks must be fast and may not block
-	// on the engine.
+	// with the cumulative captured-unit count each time the sweep hands
+	// over a launch snapshot — under Run and CaptureSet alike, the units
+	// of a resumed journal included — and once with the total when the
+	// whole set arrives at once (a store or cache hit). Called from the
+	// sweep goroutine; callbacks must be fast and may not block on the
+	// engine.
 	OnCaptured func(captured int)
 	// OnReplayed, when non-nil, observes replay progress: it is called
 	// each time the deterministic stream-order prefix grows, with the
@@ -134,27 +142,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// DefaultResumeInterval is the journal cadence used when
-// Options.ResumeInterval is zero: one partial-sweep commit every 4
-// keyframes keeps the journal I/O a small fraction of capture while
-// bounding the replay window an interruption loses to a few keyframe
-// intervals of units.
-const DefaultResumeInterval = 4
-
-// ResumeKeyframes resolves an Options.ResumeInterval setting to the
-// effective journal cadence in keyframes (0 = journaling disabled). The
-// distributed worker resolves its journal upload cadence through it
-// too, so "0 = default, negative = off" is spelled once.
-func ResumeKeyframes(interval int) int {
-	switch {
-	case interval == 0:
-		return DefaultResumeInterval
-	case interval < 0:
-		return 0
-	}
-	return interval
 }
 
 // UnitResult is the measurement of one sampling unit.
@@ -303,33 +290,28 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 // multi-offset path captures all offsets in one sweep and replays each
 // offset's sub-set. Like Run it prefers the store, then the cache —
 // cached then reports true and the set's sweep accounting echoes the
-// original sweep — and otherwise runs one checkpoint.Capture and hands
-// the set to both. The returned set may be shared with the cache and
-// is read-only. opt.OnCaptured is called once with the unit count.
-func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (set *checkpoint.Set, cached bool, err error) {
+// original sweep — and otherwise acquires the sweep as Run does, minus
+// the pool: streamed into the store, journaled and resumable (resumedAt
+// is the journaled position it continued from, 0 when cold), reported
+// unit by unit through opt.OnCaptured. The returned set may be shared
+// with the cache and is read-only.
+func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (set *checkpoint.Set, resumedAt uint64, cached bool, err error) {
 	if err := p.Validate(); err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
 	p, key, set, err := lookup(prog, cfg, p, opt)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
-	cached = set != nil
-	if !cached {
-		if set, err = checkpoint.Capture(ctx, prog, cfg, p); err != nil {
-			return nil, false, err
-		}
-		if opt.Store != nil {
-			if err := opt.Store.Save(key, set); err != nil {
-				opt.Store.Log("checkpoint store: save failed: %v", err)
-			}
-		}
-		if opt.Cache != nil {
-			opt.Cache.Put(key, set)
-		}
+	if set != nil {
+		opt.captured(len(set.Units))
+		return set, 0, true, nil
 	}
-	opt.captured(len(set.Units))
-	return set, cached, nil
+	set, sum, err := acquire(ctx, prog, cfg, p, key, opt, nil)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return set, sum.ResumedAt, false, nil
 }
 
 // RunSet replays an already-captured set of launch states across the
@@ -367,175 +349,88 @@ func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u u
 	return res, nil
 }
 
-// replayStreaming overlaps the capture sweep with replay: the sweep is
-// the pool's producer, emitting each unit into the pipeline the moment
-// its snapshot is taken, and persists the stream to the store (and a
-// complete sweep to the cache) when one is attached.
-func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options, start time.Time) (*Result, error) {
-	var sum *checkpoint.Summary
-	var sweepErr error
-	sweep := func(send func(*checkpoint.Unit) bool) {
-		var sw *checkpoint.SetWriter
-		if opt.Store != nil {
-			var err error
-			sw, err = opt.Store.Writer(key, prog.Length/p.U)
-			if err != nil {
-				opt.Store.Log("checkpoint store: not saving: %v", err)
+// acquire is the engine's one fresh acquisition of a sweep, with a pool
+// attached (send is its feed) or without (nil): Sweep for (p, key),
+// journaled in the store's partial file when a store is attached, each
+// unit handed to the store writer, then to send, then reported through
+// opt.OnCaptured. A complete sweep is committed to the store and handed
+// to the cache; an incomplete one (cancelled, cut short by send, failed)
+// aborts the staged entry. Units are retained, and a set returned, only
+// if someone will hold it: the cache, or a caller without a pool.
+func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options,
+	send func(*checkpoint.Unit) bool) (*checkpoint.Set, *checkpoint.Summary, error) {
+	var sw *checkpoint.SetWriter
+	var j Journal
+	if opt.Store != nil {
+		pop := prog.Length / p.U
+		var err error
+		if sw, err = opt.Store.Writer(key, pop); err != nil {
+			opt.Store.Log("checkpoint store: not saving: %v", err)
+			sw = nil
+		}
+		if journalEvery(p, opt.ResumeInterval) > 0 {
+			if pw, err := opt.Store.PartialWriter(key, pop); err != nil {
+				opt.Store.Log("checkpoint store: not journaling: %v", err)
+			} else {
+				j = pw
+			}
+		}
+	}
+	var set *checkpoint.Set
+	if opt.Cache != nil || send == nil {
+		set = &checkpoint.Set{K: p.K}
+	}
+	captured := 0
+	sum, err := Sweep(ctx, prog, cfg, p, j, opt.ResumeInterval, func(cu *checkpoint.Unit, _ bool) bool {
+		if sw != nil {
+			if werr := sw.Add(cu); werr != nil {
+				opt.Store.Log("checkpoint store: save failed mid-sweep: %v", werr)
 				sw = nil
 			}
 		}
-		// Crash-safe resume: load any partial-sweep journal left by an
-		// interrupted run of this key, and stage a fresh journal this
-		// sweep commits its own progress into (the previously journaled
-		// units are re-added so the new journal is self-contained).
-		var pw *checkpoint.PartialWriter
-		var rs *checkpoint.ResumeState
-		if ri := ResumeKeyframes(opt.ResumeInterval); opt.Store != nil && ri > 0 && p.SweepParallelism <= 1 {
-			var rerr error
-			if rs, rerr = checkpoint.Resume(opt.Store, key); rerr != nil {
-				opt.Store.Log("checkpoint store: resume unavailable: %v", rerr)
-				rs = nil
-			}
-			if pw0, perr := opt.Store.PartialWriter(key, prog.Length/p.U); perr != nil {
-				opt.Store.Log("checkpoint store: not journaling: %v", perr)
-			} else {
-				pw = pw0
-			}
-			p.Resume = rs
+		if set != nil {
+			set.Units = append(set.Units, cu)
 		}
-		// journalFail stops journaling after a write error. The failed
-		// writer has already cleaned up after itself; a journal from an
-		// earlier run that this writer never replaced stays usable.
-		journalFail := func(werr error) {
-			opt.Store.Log("checkpoint store: sweep journal failed: %v", werr)
-			pw = nil
+		if send != nil && !send(cu) {
+			return false
 		}
-
-		// With an in-memory cache attached, retain the streamed units so
-		// a complete sweep can be cached for later requests.
-		var retained []*checkpoint.Unit
-		captured := 0
-		// push records one unit with the store writer, the journal and the
-		// retained set, then sends it down the pipeline.
-		push := func(cu *checkpoint.Unit) bool {
-			if sw != nil {
-				if werr := sw.Add(cu); werr != nil {
-					opt.Store.Log("checkpoint store: save failed mid-sweep: %v", werr)
-					sw = nil
-				}
-			}
-			if pw != nil {
-				if werr := pw.Add(cu); werr != nil {
-					journalFail(werr)
-				}
-			}
-			if opt.Cache != nil {
-				retained = append(retained, cu)
-			}
-			if !send(cu) {
-				return false
-			}
-			captured++
-			opt.captured(captured)
-			return true
-		}
-		// The journaled units enter the pipeline (and the writers) ahead
-		// of the first newly captured unit — after CaptureStream validated
-		// the journal against the plan, so an unusable journal feeds
-		// nothing and the sweep can restart cold below.
-		fedResumed := rs == nil
-		feedResumed := func() bool {
-			fedResumed = true
-			for _, cu := range rs.Units {
-				if !push(cu) {
-					return false
-				}
-			}
-			return true
-		}
-		kfSince := 0 // keyframes captured since the last journal commit
-		var lastFrame checkpoint.ResumeFrame
-		framePending := false
-		p.OnFrame = func(fr checkpoint.ResumeFrame) {
-			lastFrame, framePending = fr, true
-			if pw != nil && kfSince >= ResumeKeyframes(opt.ResumeInterval) {
-				if werr := pw.Checkpoint(fr); werr != nil {
-					journalFail(werr)
-				} else {
-					kfSince, framePending = 0, false
-				}
-			}
-		}
-		emit := func(cu *checkpoint.Unit) bool {
-			if !fedResumed && !feedResumed() {
-				return false
-			}
-			if cu.Mem != nil {
-				kfSince++
-			}
-			return push(cu)
-		}
-		var err error
-		sum, err = checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
-		if err != nil && p.Resume != nil && !fedResumed && ctx.Err() == nil {
-			// The journal failed resume validation before anything entered
-			// the pipeline: drop it and sweep cold rather than failing a
-			// run a cold sweep can still complete.
-			opt.Store.Log("checkpoint store: dropping unusable partial %s: %v", key.Hash(), err)
-			opt.Store.DropPartial(key)
-			p.Resume, rs = nil, nil
-			fedResumed = true
-			sum, err = checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
-		}
-		if err == nil && sum.Complete && !fedResumed {
-			// The journal already covered every boundary: no new unit was
-			// captured, so the resumed units enter the pipeline here.
-			feedResumed()
-		}
-		sweepErr = err
-		complete := err == nil && sum.Complete
-		if sw != nil {
-			if complete {
-				if werr := sw.Commit(sum.SweepInsts, sum.SweepTime); werr != nil {
-					opt.Store.Log("checkpoint store: save failed: %v", werr)
-				}
-			} else {
-				sw.Abort()
-			}
-		}
-		if pw != nil {
-			if complete {
-				// The committed entry supersedes the journal.
-				pw.Discard()
-			} else {
-				// Interrupted (cancel, early stop, failure): commit the
-				// journal through the last captured unit and keep it, so a
-				// rerun of this key resumes here instead of restarting.
-				if framePending && fedResumed {
-					if werr := pw.Checkpoint(lastFrame); werr != nil {
-						journalFail(werr)
-					}
-				}
-				if pw != nil {
-					if werr := pw.Close(); werr != nil {
-						opt.Store.Log("checkpoint store: sweep journal close failed: %v", werr)
-					}
-				}
-			}
-		}
-		if opt.Cache != nil && complete {
-			opt.Cache.Put(key, &checkpoint.Set{
-				Units:           retained,
-				K:               p.K,
-				PopulationUnits: sum.PopulationUnits,
-				SweepInsts:      sum.SweepInsts,
-				SweepTime:       sum.SweepTime,
-			})
+		captured++
+		opt.captured(captured)
+		return true
+	})
+	complete := err == nil && sum.Complete
+	if sw != nil {
+		if !complete {
+			sw.Abort()
+		} else if werr := sw.Commit(sum.SweepInsts, sum.SweepTime); werr != nil {
+			opt.Store.Log("checkpoint store: save failed: %v", werr)
 		}
 	}
+	if !complete {
+		return nil, sum, err
+	}
+	if set != nil {
+		set.PopulationUnits = sum.PopulationUnits
+		set.SweepInsts = sum.SweepInsts
+		set.SweepTime = sum.SweepTime
+		if opt.Cache != nil {
+			opt.Cache.Put(key, set)
+		}
+	}
+	return set, sum, nil
+}
 
+// replayStreaming overlaps the capture sweep with replay: the sweep
+// (acquire) is the pool's producer, emitting each unit into the
+// pipeline the moment its snapshot is taken.
+func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options, start time.Time) (*Result, error) {
+	var sum *checkpoint.Summary
+	var sweepErr error
 	m := NewMerger(p.U, opt, 0)
-	if err := replayStream(ctx, prog, cfg, p.U, opt.workers(), 0, sweep, m.Offer); err != nil {
+	err := replayStream(ctx, prog, cfg, p.U, opt.workers(), 0, func(send func(*checkpoint.Unit) bool) {
+		_, sum, sweepErr = acquire(ctx, prog, cfg, p, key, opt, send)
+	}, m.Offer)
+	if err != nil {
 		return nil, err
 	}
 	res := m.Finish()

@@ -168,7 +168,7 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 	}
 
 	key := checkpoint.KeyFor(p, cfg, params)
-	rs, err := checkpoint.Resume(store, key)
+	rs, err := store.LoadPartial(key)
 	if err != nil || rs == nil {
 		t.Fatalf("no journal (rs=%v err=%v)", rs != nil, err)
 	}

@@ -1,0 +1,230 @@
+package engine_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/engine"
+	"repro/internal/mem"
+	"repro/internal/uarch"
+)
+
+// fakeJournal is an in-memory engine.Journal that records the calls the
+// sweep driver makes on it, compactly: L load, R drop, a add, C<n>
+// checkpoint through n units, X close, D discard.
+type fakeJournal struct {
+	t     *testing.T
+	saved *checkpoint.ResumeState // what Load returns
+	calls []string
+	added int
+	fail  int // Add fails on this call (1-based); 0 = never
+}
+
+func (j *fakeJournal) Load() *checkpoint.ResumeState {
+	j.calls = append(j.calls, "L")
+	return j.saved
+}
+
+func (j *fakeJournal) Drop(error) { j.calls = append(j.calls, "R") }
+
+func (j *fakeJournal) Add(*checkpoint.Unit) error {
+	j.calls = append(j.calls, "a")
+	j.added++
+	if j.added == j.fail {
+		return errors.New("journal write failed")
+	}
+	return nil
+}
+
+func (j *fakeJournal) Checkpoint(fr checkpoint.ResumeFrame) error {
+	j.calls = append(j.calls, fmt.Sprintf("C%d", fr.Captured))
+	if fr.Captured != j.added {
+		// The store's writer rejects such a frame and deletes the journal.
+		j.t.Errorf("frame through %d units checkpointed with %d added", fr.Captured, j.added)
+	}
+	return nil
+}
+
+func (j *fakeJournal) Close() error {
+	j.calls = append(j.calls, "X")
+	return nil
+}
+
+func (j *fakeJournal) Discard() { j.calls = append(j.calls, "D") }
+
+// sameUnit asserts two units describe the same launch: geometry,
+// architectural state, and the materialized memory and warm state.
+func sameUnit(t *testing.T, what string, a, b *checkpoint.Unit) {
+	t.Helper()
+	if a.Index != b.Index || a.Start != b.Start || a.LaunchAt != b.LaunchAt || a.Arch != b.Arch {
+		t.Fatalf("%s: unit %d@%d vs %d@%d (or their arch state) differ", what, a.Index, a.LaunchAt, b.Index, b.LaunchAt)
+	}
+	al, err := a.Materialize()
+	if err != nil {
+		t.Fatalf("%s unit %d: %v", what, a.Index, err)
+	}
+	bl, err := b.Materialize()
+	if err != nil {
+		t.Fatalf("%s unit %d: %v", what, b.Index, err)
+	}
+	am, bm := al.Mem.NewMemory(), bl.Mem.NewMemory()
+	if !reflect.DeepEqual(am.Pages(), bm.Pages()) {
+		t.Fatalf("%s unit %d: mapped pages differ", what, a.Index)
+	}
+	bufA, bufB := make([]byte, mem.PageSize), make([]byte, mem.PageSize)
+	for _, n := range am.Pages() {
+		am.ReadBytes(n*mem.PageSize, bufA)
+		bm.ReadBytes(n*mem.PageSize, bufB)
+		if string(bufA) != string(bufB) {
+			t.Fatalf("%s unit %d: memory page %d differs", what, a.Index, n)
+		}
+	}
+	if !reflect.DeepEqual(al.Warm, bl.Warm) {
+		t.Fatalf("%s unit %d: warm state differs", what, a.Index)
+	}
+}
+
+// TestSweepDriver walks engine.Sweep through each of its branches with
+// an in-memory journal, asserting for every one that the emitted stream
+// is checkpoint.Capture's unit for unit and that the journal saw exactly
+// the expected Add/Checkpoint sequence. The plan is 12 units with a
+// keyframe every 4 (units 0, 4 and 8; the first unit after a resume is
+// a keyframe too).
+func TestSweepDriver(t *testing.T) {
+	prog := genProg(t, "gzipx", 100_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 1000, K: 8, FunctionalWarm: true, Keyframe: 4}
+	parallel := params
+	parallel.SweepParallelism = 2
+
+	// The reference stream, with the resumable frame after each unit so a
+	// journal cut anywhere can be fabricated.
+	var ref []*checkpoint.Unit
+	var frames []checkpoint.ResumeFrame
+	framed := params
+	framed.OnFrame = func(fr checkpoint.ResumeFrame) { frames = append(frames, fr) }
+	whole, err := checkpoint.CaptureStream(context.Background(), prog, cfg, framed, func(u *checkpoint.Unit) bool {
+		ref = append(ref, u)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) != 12 {
+		t.Fatalf("plan has %d units; the expected call sequences below assume 12", len(ref))
+	}
+	journalAt := func(n int) *checkpoint.ResumeState {
+		fr := frames[n-1]
+		return &checkpoint.ResumeState{
+			Units:           ref[:n],
+			PopulationUnits: prog.Length / params.U,
+			SweepInsts:      fr.SweepInsts,
+			SweepTime:       fr.SweepTime,
+			HaveIBlock:      fr.HaveIBlock,
+			LastIBlock:      fr.LastIBlock,
+		}
+	}
+	// A journal that decodes cleanly but belongs to another plan.
+	poisoned := journalAt(6)
+	first := *poisoned.Units[0]
+	first.Index += 3
+	poisoned.Units = append([]*checkpoint.Unit{&first}, poisoned.Units[1:]...)
+
+	parSet, err := checkpoint.Capture(context.Background(), prog, cfg, parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		params    checkpoint.Params
+		saved     *checkpoint.ResumeState
+		interval  int
+		failAdd   int // the journal's Add fails on this call; 0 = never
+		stopAt    int // emit returns false on this unit (1-based); 0 = never
+		cancelAt  int // ctx is cancelled while this unit is emitted; 0 = never
+		want      []*checkpoint.Unit
+		resumed   int // leading units emitted with resumed set
+		calls     string
+		resumedAt uint64
+		complete  bool
+		err       error
+	}{
+		{name: "cold", params: params, interval: 1, want: ref, complete: true,
+			calls: "L a C1 a a a a C5 a a a a C9 a a a D"},
+		{name: "cold, every second keyframe", params: params, interval: 2, want: ref, complete: true,
+			calls: "L a a a a a C5 a a a a a a a D"},
+		{name: "resume from a valid journal", params: params, saved: journalAt(6), interval: 1,
+			want: ref, resumed: 6, resumedAt: frames[5].SweepInsts, complete: true,
+			calls: "L a a a a a a a C7 a a C9 a a a D"},
+		{name: "journal fails plan validation", params: params, saved: poisoned, interval: 1,
+			want: ref, complete: true,
+			calls: "L R a C1 a a a a C5 a a a a C9 a a a D"},
+		{name: "journal covers every boundary", params: params, saved: journalAt(12), interval: 1,
+			want: ref, resumed: 12, resumedAt: frames[11].SweepInsts, complete: true,
+			calls: "L a a a a a a a a a a a a D"},
+		{name: "emit declines a unit", params: params, interval: 1, stopAt: 7, want: ref[:6],
+			calls: "L a C1 a a a a C5 a C6 X"},
+		{name: "cancelled mid-sweep", params: params, interval: 1, cancelAt: 7, want: ref[:7],
+			calls: "L a C1 a a a a C5 a a C7 X", err: context.Canceled},
+		{name: "cancelled while feeding the journal", params: params, saved: journalAt(6), interval: 1, cancelAt: 3,
+			want: ref[:3], resumed: 3, resumedAt: frames[5].SweepInsts,
+			calls: "L a a a X", err: context.Canceled},
+		{name: "journal write fails", params: params, interval: 1, failAdd: 3, want: ref, complete: true,
+			calls: "L a C1 a a"},
+		{name: "journaling off", params: params, saved: journalAt(6), interval: -1, want: ref, complete: true},
+		{name: "parallel sweep is never journaled", params: parallel, saved: journalAt(6), interval: 1,
+			want: parSet.Units, complete: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			j := &fakeJournal{t: t, saved: tc.saved, fail: tc.failAdd}
+			var got []*checkpoint.Unit
+			resumed := 0
+			sum, err := engine.Sweep(ctx, prog, cfg, tc.params, j, tc.interval, func(cu *checkpoint.Unit, res bool) bool {
+				if len(got)+1 == tc.stopAt {
+					return false
+				}
+				if res {
+					if resumed != len(got) {
+						t.Errorf("unit %d emitted as resumed after a newly captured one", len(got))
+					}
+					resumed++
+				}
+				got = append(got, cu)
+				if len(got) == tc.cancelAt {
+					cancel()
+				}
+				return true
+			})
+			if !errors.Is(err, tc.err) || (tc.err == nil && err != nil) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("emitted %d units, want %d", len(got), len(tc.want))
+			}
+			for i := range got {
+				sameUnit(t, tc.name, got[i], tc.want[i])
+			}
+			if resumed != tc.resumed {
+				t.Errorf("%d units emitted as resumed, want %d", resumed, tc.resumed)
+			}
+			if calls := strings.Join(j.calls, " "); calls != tc.calls {
+				t.Errorf("journal calls:\n got %q\nwant %q", calls, tc.calls)
+			}
+			if sum.Complete != tc.complete || sum.ResumedAt != tc.resumedAt {
+				t.Errorf("summary: complete=%v resumedAt=%d, want %v and %d", sum.Complete, sum.ResumedAt, tc.complete, tc.resumedAt)
+			}
+			if tc.complete && tc.params.SweepParallelism <= 1 && (sum.SweepInsts != whole.SweepInsts || sum.Captured != len(ref)) {
+				t.Errorf("summary: %d units over %d insts, uninterrupted sweep %d over %d",
+					sum.Captured, sum.SweepInsts, len(ref), whole.SweepInsts)
+			}
+		})
+	}
+}

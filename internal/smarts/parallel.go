@@ -90,10 +90,11 @@ func RunSampledContext(ctx context.Context, prog *program.Program, cfg uarch.Con
 // onReplayed, when non-nil, observes replay progress with the phase
 // offset attached and replaces opt.OnReplayed for each offset's replay.
 //
-// The sweep accounting (FastFwdInsts/FastFwdTime) on every result
-// echoes the one shared sweep; callers summing costs across phases
-// should count it once. Cancelling ctx stops the shared sweep (or
-// whichever offset's replay is in flight) and returns ctx.Err().
+// The sweep accounting (FastFwdInsts/FastFwdTime/FastFwdResumedInsts)
+// on every result echoes the one shared sweep; callers summing costs
+// across phases should count it once. Cancelling ctx stops the shared
+// sweep (or whichever offset's replay is in flight) and returns
+// ctx.Err().
 func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, js []uint64, opt engine.Options,
 	onReplayed func(j uint64, replayed int, est stats.Estimate)) ([]*Result, error) {
 	if ctx == nil {
@@ -105,7 +106,7 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	set, sweepCached, err := engine.CaptureSet(ctx, prog, cfg, plan.PhasesParams(js), opt)
+	set, resumedAt, sweepCached, err := engine.CaptureSet(ctx, prog, cfg, plan.PhasesParams(js), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -126,6 +127,7 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 		r := engineResult(phasePlan, er, false)
 		r.FastFwdInsts = set.SweepInsts
 		r.FastFwdTime = set.SweepTime
+		r.FastFwdResumedInsts = resumedAt
 		r.SweepCached = sweepCached
 		results[i] = r
 	}

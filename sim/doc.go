@@ -46,6 +46,8 @@
 //
 // Results are bit-identical to the historical entry points in
 // internal/smarts — Result, ProcedureResult, and friends are the same
-// types — at any worker count, with the store on or off. The
-// internal/smarts entry points remain as deprecated shims.
+// types — at any worker count, with the store on or off. What is left
+// in internal/smarts (plan math, result types, the in-place SerialLoop
+// oracle and the engine-backed RunSampled*Context functions this
+// package calls) is not a second public way in.
 package sim

@@ -14,8 +14,25 @@ import (
 // journal in the session's store, and rerunning the same request — in
 // a fresh session over the same store directory, as after a process
 // crash — transparently completes from the journal with a report
-// bit-identical to an uninterrupted run.
+// bit-identical to an uninterrupted run. A multi-offset request's one
+// shared sweep streams into the store, journals and reports per-unit
+// capture progress exactly like a single-offset sweep, so both rows
+// make the same assertions.
 func TestSessionResumesCancelledSweep(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra []sim.RequestOption
+	}{
+		{name: "single offset"},
+		{name: "multi offset", extra: []sim.RequestOption{sim.Units(500), sim.Phases(0, 3, 5)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testSessionResumesCancelledSweep(t, func() *sim.Request { return cancelRequest(tc.extra...) })
+		})
+	}
+}
+
+func testSessionResumesCancelledSweep(t *testing.T, cancelRequest func() *sim.Request) {
 	dir := t.TempDir()
 	open := func() *sim.Session {
 		sess, err := sim.Open(sim.WithStore(dir), sim.WithKeyframe(4), sim.WithResumeInterval(1))
@@ -67,18 +84,23 @@ func TestSessionResumesCancelledSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rep.Result()
-	if res.SweepCached {
-		t.Fatal("rerun hit a committed entry; the cancelled run must not have committed one")
+	if len(rep.Results) != len(want.Results) {
+		t.Fatalf("rerun has %d results, want %d", len(rep.Results), len(want.Results))
 	}
-	if res.FastFwdResumedInsts == 0 {
-		t.Fatal("rerun swept cold instead of resuming from the journal")
+	// Every offset's result echoes the one shared sweep's accounting.
+	for i, res := range rep.Results {
+		if res.SweepCached {
+			t.Fatal("rerun hit a committed entry; the cancelled run must not have committed one")
+		}
+		if res.FastFwdResumedInsts == 0 {
+			t.Fatal("rerun swept cold instead of resuming from the journal")
+		}
+		if executed := res.FastFwdInsts - res.FastFwdResumedInsts; executed*2 > res.FastFwdInsts {
+			t.Fatalf("resume saved too little: executed %d of a %d-inst sweep after cancelling at ~3/4",
+				executed, res.FastFwdInsts)
+		}
+		sameMeasurement(t, "resumed run", res, want.Results[i])
 	}
-	if executed := res.FastFwdInsts - res.FastFwdResumedInsts; executed*2 > res.FastFwdInsts {
-		t.Fatalf("resume saved too little: executed %d of a %d-inst sweep after cancelling at ~3/4",
-			executed, res.FastFwdInsts)
-	}
-	sameMeasurement(t, "resumed run", res, want.Result())
 
 	// The journal is consumed and a complete entry committed: a third
 	// run is a plain store hit, still bit-identical.
@@ -89,8 +111,10 @@ func TestSessionResumesCancelledSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Result().SweepCached {
-		t.Fatal("completed resumed run did not commit a store entry")
+	for i, res := range rep.Results {
+		if !res.SweepCached {
+			t.Fatal("completed resumed run did not commit a store entry")
+		}
+		sameMeasurement(t, "store entry after resume", res, want.Results[i])
 	}
-	sameMeasurement(t, "store entry after resume", rep.Result(), want.Result())
 }

@@ -526,7 +526,7 @@ func planTotals(plan Plan, prog *program.Program) (pop uint64, total int) {
 
 // engineOptions builds the engine options for one plan execution: the
 // session-wide defaults with the request's fields filled in.
-func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, offset uint64, plan Plan, prog *program.Program) engine.Options {
+func (s *Session) engineOptions(req *Request) engine.Options {
 	opt := s.set.engine
 	opt.Workers = s.workers(req)
 	// The effective alpha (request, else session) drives both the
@@ -538,27 +538,35 @@ func (s *Session) engineOptions(req *Request, sink *progressSink, stage string, 
 		opt.Store = s.store
 		opt.Cache = s.sweeps
 	}
-	if sink != nil {
-		pop, total := planTotals(plan, prog)
-		start := wallclock.Now()
-		opt.OnCaptured = func(captured int) {
-			sink.emit(Progress{Kind: EventUnitCaptured, Stage: stage, Offset: offset, Captured: captured,
-				Population: pop, Total: total, ETA: wallclock.ETA(start, captured, total)})
-		}
-		// The engine folds units from one goroutine, so the lazily set
-		// replay clock needs no synchronization; replay overlaps the
-		// sweep in the streamed schedule, making the ETA the remaining
-		// pipeline time, not a serial-stage sum.
-		var replayStart time.Time
-		opt.OnReplayed = func(replayed int, est stats.Estimate) {
-			if replayStart.IsZero() {
-				replayStart = wallclock.Now()
-			}
-			sink.emit(Progress{Kind: EventUnitReplayed, Stage: stage, Offset: offset, Replayed: replayed, Estimate: est,
-				Population: pop, Total: total, ETA: wallclock.ETA(replayStart, replayed, total)})
-		}
-	}
 	return opt
+}
+
+// unitEvents builds the per-unit observers of one sweep and the replay
+// it feeds. Capture events carry offset and count against sweepTotal,
+// the units the sweep captures across all of its offsets. Replay events
+// carry their own offset j and count against its expectation, total,
+// while their ETA runs over everything the sweep feeds (replay overlaps
+// the sweep in the streamed schedule: it is the remaining pipeline time,
+// not a serial-stage sum). The engine folds units from one goroutine,
+// one per call, so replay clock and call count need no synchronization.
+func (p *progressSink) unitEvents(stage string, offset, pop uint64, sweepTotal int) (
+	onCaptured func(captured int), onReplayed func(j uint64, total, replayed int, est stats.Estimate)) {
+	start := wallclock.Now()
+	onCaptured = func(captured int) {
+		p.emit(Progress{Kind: EventUnitCaptured, Stage: stage, Offset: offset, Captured: captured,
+			Population: pop, Total: sweepTotal, ETA: wallclock.ETA(start, captured, sweepTotal)})
+	}
+	var replayStart time.Time
+	replayedAll := 0
+	onReplayed = func(j uint64, total, replayed int, est stats.Estimate) {
+		if replayStart.IsZero() {
+			replayStart = wallclock.Now()
+		}
+		replayedAll++
+		p.emit(Progress{Kind: EventUnitReplayed, Stage: stage, Offset: j, Replayed: replayed, Estimate: est,
+			Population: pop, Total: total, ETA: wallclock.ETA(replayStart, replayedAll, sweepTotal)})
+	}
+	return onCaptured, onReplayed
 }
 
 // runPlan executes one sampling plan: the classic serial loop when the
@@ -572,7 +580,13 @@ func (s *Session) runPlan(ctx context.Context, req *Request, prog *program.Progr
 	if req.SerialLoop {
 		res, err = smarts.SerialLoop(ctx, prog, cfg, plan)
 	} else {
-		opt := s.engineOptions(req, sink, stage, plan.J, plan, prog)
+		opt := s.engineOptions(req)
+		if sink != nil {
+			pop, total := planTotals(plan, prog)
+			onCaptured, onReplayed := sink.unitEvents(stage, plan.J, pop, total)
+			opt.OnCaptured = onCaptured
+			opt.OnReplayed = func(replayed int, est stats.Estimate) { onReplayed(plan.J, total, replayed, est) }
+		}
 		res, err = runShared(ctx, s, prog, cfg, plan.CheckpointParams(), opt, func() (*Result, error) {
 			return smarts.RunSampledContext(ctx, prog, cfg, plan, opt)
 		})
@@ -624,7 +638,7 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 	}
 
 	sink.emit(Progress{Kind: EventRunStart, Stage: "sample"})
-	opt := s.engineOptions(req, sink, "sample", 0, plan, prog)
+	opt := s.engineOptions(req)
 	sweepParams := plan.PhasesParams(req.Offsets)
 	var onReplayed func(j uint64, replayed int, est stats.Estimate)
 	if sink != nil {
@@ -639,23 +653,9 @@ func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Pro
 			pj.J = j
 			_, perOffset[j] = planTotals(pj, prog)
 		}
-		start := wallclock.Now()
-		opt.OnCaptured = func(captured int) {
-			sink.emit(Progress{Kind: EventUnitCaptured, Stage: "sample", Captured: captured,
-				Population: pop, Total: sweepTotal, ETA: wallclock.ETA(start, captured, sweepTotal)})
-		}
-		// Replay events of a multi-offset run carry their offset, so a
-		// consumer can attribute the per-offset unit counters.
-		var replayStart time.Time
-		replayedAll := 0
-		onReplayed = func(j uint64, replayed int, est stats.Estimate) {
-			if replayStart.IsZero() {
-				replayStart = wallclock.Now()
-			}
-			replayedAll++
-			sink.emit(Progress{Kind: EventUnitReplayed, Stage: "sample", Offset: j, Replayed: replayed, Estimate: est,
-				Population: pop, Total: perOffset[j], ETA: wallclock.ETA(replayStart, replayedAll, sweepTotal)})
-		}
+		onCaptured, replayed := sink.unitEvents("sample", 0, pop, sweepTotal)
+		opt.OnCaptured = onCaptured
+		onReplayed = func(j uint64, n int, est stats.Estimate) { replayed(j, perOffset[j], n, est) }
 	}
 	results, err := runShared(ctx, s, prog, cfg, sweepParams, opt, func() ([]*Result, error) {
 		return smarts.RunSampledPhasesContext(ctx, prog, cfg, plan, req.Offsets, opt, onReplayed)
