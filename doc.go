@@ -26,8 +26,8 @@
 // Below it, a run is two declarations and nothing else: a smarts.Plan
 // is the sampling design (U, W, k, j, warming mode — what the paper
 // defines a run by) and an engine.Options is how it executes (workers,
-// store, sweep scheduling, early termination). The session builds one
-// of each per request; internal/smarts connects them
+// store, keyframe and journal cadence, early termination). The session
+// builds one of each per request; internal/smarts connects them
 // (RunSampledContext, RunSampledPhasesContext, the RunProcedureWith
 // calibration loop) and produces bit-identical results to the session.
 //
@@ -84,44 +84,18 @@
 // sharded across a fleet, cancelled-and-rerun — produces bit-identical
 // estimates.
 //
-// # Parallel sweeps and warming bias
+// # The functional sweep
 //
 // The functional sweep itself is the one phase that does not scale
 // with workers — functional warming walks the whole dynamic stream in
-// order. Two mechanisms attack it. First, the functional interpreter
-// runs a pre-decoded fast path: instructions are decoded once into a
-// dense side table and the sweep executes from it in a batch loop
+// order, so every unit launches from caches and predictors warmed by
+// the entire prefix (the paper's Section 4 argument, whose residual
+// bias Table 5 measures). The functional interpreter runs a
+// pre-decoded fast path: instructions are decoded once into a dense
+// side table and the sweep executes from it in a batch loop
 // (internal/functional RunDyn, internal/uarch Warmer.ForwardBatch),
 // roughly halving sweep cost per instruction with zero allocations on
-// the hot path. Second, the sweep can be split into N concurrent
-// stream segments (sim.WithSweepParallelism, the CLIs' -sweep-parallel;
-// 0 = serial, bit-identical to previous releases): a cheap arch-only
-// pioneer pass hands each segment its exact starting architectural
-// state and memory image, the segments sweep concurrently, and the
-// per-segment unit streams are stitched back in stream order.
-//
-// Speculative segments trade a measured accuracy cost for that
-// speedup: architectural state and memory stay bit-exact (warming
-// never alters them), but a segment's caches and predictors start cold
-// at its start position — the paper's detailed-warming scenario, whose
-// bias Table 5 quantifies. Each segment therefore warms (and discards)
-// an overlap of instructions before its first captured unit
-// (sim.WithSweepOverlap, -sweep-overlap; default
-// checkpoint.DefaultSweepOverlap = 1M instructions, the measured warm
-// transient of the full-scale cache hierarchy). The bias-vs-stride
-// experiment ("stride" in the experiment registry) measures what
-// remains: at the default overlap the worst per-benchmark CPI bias of
-// a 4-way parallel sweep stays under 2% (measured ~0.04% at the small
-// scale, versus >20% with a 100k overlap — see
-// experiments.ParallelSweepBiasThreshold and its test), and on streams
-// shorter than the overlap the segment starts clamp to zero, so short
-// sweeps degenerate to exact serial behavior, losing speedup but never
-// accuracy. Warmed parallel sweeps key separately in the checkpoint
-// store (cold-start warm state must not alias a serial sweep's);
-// unwarmed captures are bit-identical to serial at any parallelism and
-// share the serial key. Journaled sweep resume stays a serial-sweep
-// feature: parallelism and Resume are mutually exclusive by
-// validation.
+// the hot path.
 //
 // Sweeps are also crash-safe: with a store attached, an in-progress
 // sweep journals its position every few keyframes as a *.partial

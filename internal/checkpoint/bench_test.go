@@ -2,11 +2,9 @@ package checkpoint_test
 
 import (
 	"context"
-
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/program"
@@ -31,30 +29,14 @@ import (
 //	fullStoreBytes/unit     on-disk entry bytes per unit, full snapshots
 //	units/s                 delta-encoded capture throughput
 //	sweepNsPerInst          sweep cost per functionally warmed instruction
-//	sweepSpeedupX@N=4       serial sweep time / 4-segment parallel sweep
-//	                        time, overlap disabled (pure sweep scaling;
-//	                        at most ~1 on a single-core runner)
 //
-// CI gates snapshotBytes/unit, memBytes/unit, and storeBytes/unit
-// against the committed BENCH_pipeline.json baseline (see cmd/benchjson
-// -regress): all are deterministic byte counts, so any >10% regression
-// is a real encoding change, not runner noise. Capture throughput
-// (units/s) is gated the other way (-regress-min) so interpreter or
-// sweep regressions fail loudly; sweepSpeedupX is reported but not
-// gated — it measures the runner's cores as much as the code.
+// The byte counts are deterministic, so TestDenseCaptureBytes pins the
+// delta-encoded ones; throughput is end to end in benchmark/
+// (cold-sparse).
 func BenchmarkCaptureDense(b *testing.B) {
-	spec, err := program.ByName("gccx")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := program.Generate(spec, 400_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := uarch.Config8Way()
-	dense := checkpoint.Params{U: 1000, W: 2000, K: 2, J: 0, FunctionalWarm: true}
-
+	p, cfg, dense := densePlan(b)
 	var set *checkpoint.Set
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,42 +61,10 @@ func BenchmarkCaptureDense(b *testing.B) {
 	}
 	fullBytes := float64(full.WarmBytes())
 
-	entrySize := func(set *checkpoint.Set, params checkpoint.Params) float64 {
-		store, err := checkpoint.OpenStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		key := checkpoint.KeyFor(p, cfg, params)
-		if err := store.Save(key, set); err != nil {
-			b.Fatal(err)
-		}
-		st, err := os.Stat(filepath.Join(store.Dir(), key.Hash()+".ckpt"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return float64(st.Size())
-	}
-	deltaStore := entrySize(set, dense)
-	fullStore := entrySize(full, fullParams)
+	deltaStore := float64(entrySize(b, p, cfg, dense, set))
+	fullStore := float64(entrySize(b, p, cfg, fullParams, full))
 
 	b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*float64(set.SweepInsts)), "sweepNsPerInst")
-
-	// Parallel-sweep scaling, untimed: one 4-segment capture with the
-	// warm-up overlap disabled, against the timed loop's serial per-op
-	// time. Overlap must be off here — this stream is shorter than
-	// DefaultSweepOverlap, so the default would clamp every segment
-	// start to zero and measure N redundant serial sweeps instead of
-	// sweep scaling.
-	parParams := dense
-	parParams.SweepParallelism = 4
-	parParams.SweepOverlap = -1
-	parStart := time.Now()
-	if _, err := checkpoint.Capture(context.Background(), p, cfg, parParams); err != nil {
-		b.Fatal(err)
-	}
-	parDur := time.Since(parStart)
-	serialPerOp := b.Elapsed() / time.Duration(b.N)
-	b.ReportMetric(float64(serialPerOp)/float64(parDur), "sweepSpeedupX@N=4")
 
 	b.ReportMetric(deltaBytes/units, "snapshotBytes/unit")
 	b.ReportMetric(fullBytes/units, "fullSnapshotBytes/unit")
@@ -123,4 +73,67 @@ func BenchmarkCaptureDense(b *testing.B) {
 	b.ReportMetric(float64(full.MemBytes())/units, "fullMemBytes/unit")
 	b.ReportMetric(deltaStore/units, "storeBytes/unit")
 	b.ReportMetric(fullStore/units, "fullStoreBytes/unit")
+}
+
+// densePlan is BenchmarkCaptureDense's plan: gccx 400k, every second
+// unit checkpointed with functional warming and the default keyframe.
+func densePlan(tb testing.TB) (*program.Program, uarch.Config, checkpoint.Params) {
+	spec, err := program.ByName("gccx")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := program.Generate(spec, 400_000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, uarch.Config8Way(), checkpoint.Params{U: 1000, W: 2000, K: 2, J: 0, FunctionalWarm: true}
+}
+
+// entrySize saves set under params' key in a fresh store and returns the
+// entry file's size in bytes.
+func entrySize(tb testing.TB, p *program.Program, cfg uarch.Config, params checkpoint.Params, set *checkpoint.Set) int64 {
+	store, err := checkpoint.OpenStore(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	key := checkpoint.KeyFor(p, cfg, params)
+	if err := store.Save(key, set); err != nil {
+		tb.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(store.Dir(), key.Hash()+".ckpt"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st.Size()
+}
+
+// TestDenseCaptureBytes pins the delta encoding's footprint on
+// BenchmarkCaptureDense's plan: the in-memory warm payload
+// (snapshotBytes/unit), memory payload (memBytes/unit) and store entry
+// (storeBytes/unit) may not exceed what the encoding produced when the
+// pin was set. All three are deterministic byte counts, so any growth is
+// a real encoding change; a shrink is welcome and can lower the pin.
+func TestDenseCaptureBytes(t *testing.T) {
+	p, cfg, dense := densePlan(t)
+	set, err := checkpoint.Capture(context.Background(), p, cfg, dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const units = 193
+	if len(set.Units) != units {
+		t.Fatalf("captured %d units, the pins below assume %d", len(set.Units), units)
+	}
+	for _, c := range []struct {
+		name     string
+		got, max int64
+	}{
+		{"snapshotBytes", int64(set.WarmBytes()), 2_712_294},        // 14,053.3 B/unit
+		{"memBytes", int64(set.MemBytes()), 1_867_840},              // 9,677.9 B/unit
+		{"storeBytes", entrySize(t, p, cfg, dense, set), 4_780_211}, // 24,767.9 B/unit
+	} {
+		if c.got > c.max {
+			t.Errorf("%s: %d over %d units (%.1f/unit), pinned at most %d (%.1f/unit)",
+				c.name, c.got, units, float64(c.got)/units, c.max, float64(c.max)/units)
+		}
+	}
 }

@@ -93,7 +93,7 @@ import (
 // Params selects the units to checkpoint. It mirrors the SMARTS plan
 // fields (U, W, K, J) without importing the smarts package.
 //
-//simlint:keystruct KeyFor offsets sweepSegments sweepOverlap
+//simlint:keystruct KeyFor offsets
 type Params struct {
 	// U is the sampling unit size in instructions.
 	U uint64
@@ -119,26 +119,6 @@ type Params struct {
 	// MaxUnits, when nonzero, caps the number of captured units per
 	// offset.
 	MaxUnits int
-	// SweepParallelism, when above 1, runs the capture as a speculative
-	// parallel sweep (see parallel.go): the selected boundaries are
-	// partitioned into that many contiguous stream segments, each swept
-	// concurrently from an arch-state handoff fast-forwarded without
-	// warming. Architectural state and memory of every unit stay
-	// bit-identical to the serial sweep; warm state in segments after the
-	// first starts cold (the paper's detailed-warming scenario) plus
-	// SweepOverlap instructions of warming, so warmed captures carry a
-	// measured bias (experiments/stride.go quantifies it) and key
-	// separately in the store. 0 and 1 select the serial sweep,
-	// bit-identical to previous releases.
-	SweepParallelism int
-	// SweepOverlap is the per-segment warm-up length of a parallel sweep:
-	// each segment after the first begins warming this many instructions
-	// before its first launch boundary, trading sweep time for cold-start
-	// bias. 0 selects DefaultSweepOverlap; negative disables the overlap
-	// (segments start stone cold). Ignored by serial sweeps and by
-	// captures without functional warming (which are bit-identical at any
-	// parallelism, so no overlap is needed).
-	SweepOverlap int64
 	// Keyframe is the keyframe interval of delta-encoded snapshots:
 	// every Keyframe-th captured unit (in capture order, across offsets)
 	// carries a full snapshot — warm state and memory page table — and
@@ -157,11 +137,8 @@ type Params struct {
 	// each captured unit is emitted: the ResumeFrame pinpoints the exact
 	// sweep position a later CaptureStream can continue from given the
 	// units captured so far (see resume.go). Called from the sweep
-	// goroutine, after emit returned true. Serial sweeps only: a parallel
-	// sweep has no single resumable position, so it never invokes
-	// OnFrame (and Validate rejects Resume with parallelism). Like
-	// Keyframe, OnFrame is an execution-side knob excluded from the
-	// store Key.
+	// goroutine, after emit returned true. Like Keyframe, OnFrame is an
+	// execution-side knob excluded from the store Key.
 	//simlint:nonkey execution-side observer; never changes captured state
 	OnFrame func(ResumeFrame)
 	// Resume, when non-nil, continues a previously journaled sweep of
@@ -210,12 +187,6 @@ func (p Params) Validate() error {
 	if p.Keyframe < 0 {
 		return fmt.Errorf("checkpoint: negative keyframe interval %d", p.Keyframe)
 	}
-	if p.SweepParallelism < 0 {
-		return fmt.Errorf("checkpoint: negative sweep parallelism %d", p.SweepParallelism)
-	}
-	if p.SweepParallelism > 1 && p.Resume != nil {
-		return fmt.Errorf("checkpoint: a parallel sweep cannot resume a journaled sweep")
-	}
 	seen := make(map[uint64]bool, len(p.Offsets))
 	for _, j := range p.Offsets {
 		if j >= p.K {
@@ -227,30 +198,6 @@ func (p Params) Validate() error {
 		seen[j] = true
 	}
 	return nil
-}
-
-// sweepSegments returns the effective segment count of the capture
-// sweep: SweepParallelism, with 0 (the default) and 1 both meaning the
-// serial sweep.
-func (p Params) sweepSegments() int {
-	if p.SweepParallelism <= 1 {
-		return 1
-	}
-	return p.SweepParallelism
-}
-
-// sweepOverlap returns the effective per-segment warm-up length: zero
-// whenever the sweep is serial or unwarmed (overlap buys nothing
-// there), DefaultSweepOverlap when the field is unset, zero again when
-// it is negative (explicitly stone-cold segments).
-func (p Params) sweepOverlap() int64 {
-	if p.sweepSegments() <= 1 || !p.FunctionalWarm || p.SweepOverlap < 0 {
-		return 0
-	}
-	if p.SweepOverlap == 0 {
-		return DefaultSweepOverlap
-	}
-	return p.SweepOverlap
 }
 
 // offsets returns the effective phase offsets, sorted ascending.
@@ -697,9 +644,6 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if p.sweepSegments() > 1 {
-		return captureParallel(ctx, prog, cfg, p, emit)
 	}
 	cpu := functional.New(prog)
 	var warmer *uarch.Warmer

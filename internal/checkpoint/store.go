@@ -65,7 +65,9 @@ var storeMagic = [8]byte{'S', 'M', 'R', 'T', 'C', 'K', 'P', 'T'}
 // machine shape. Timing, pipeline-width, and energy parameters are
 // deliberately excluded: they change what the detailed replay measures,
 // not what the sweep captures, so machine configs differing only in
-// those reuse one sweep.
+// those reuse one sweep. So are the execution knobs (Keyframe, OnFrame,
+// Resume): the sweep is serial and every way of running it captures
+// the same launch states.
 //
 //simlint:keystruct String
 type Key struct {
@@ -84,15 +86,6 @@ type Key struct {
 	FunctionalWarm bool
 	Components     uarch.WarmComponents
 	WarmSig        string
-	// SweepSegments and SweepOverlap identify a speculative parallel
-	// sweep's cold-start geometry: segments after the first carry warm
-	// state accumulated only over their own span plus the overlap, so
-	// warmed parallel captures are not interchangeable with serial ones
-	// (or with different segmentations) and key separately. Both are
-	// zero for serial or unwarmed captures — unwarmed parallel sweeps
-	// are bit-identical to serial, so they share the serial entry.
-	SweepSegments int
-	SweepOverlap  int64
 }
 
 // KeyFor derives the store key for capturing prog with p on cfg.
@@ -113,10 +106,6 @@ func KeyFor(prog *program.Program, cfg uarch.Config, p Params) Key {
 			k.Components = *p.Components
 		}
 		k.WarmSig = WarmSignature(cfg)
-		if p.sweepSegments() > 1 {
-			k.SweepSegments = p.sweepSegments()
-			k.SweepOverlap = p.sweepOverlap()
-		}
 	}
 	return k
 }
@@ -149,16 +138,9 @@ func programHash(prog *program.Program) string {
 // String renders the canonical key text the content address is derived
 // from.
 func (k Key) String() string {
-	s := fmt.Sprintf("%s@%s u=%d w=%d k=%d j=%v max=%d warm=%v comp=%+v sig=%q",
+	return fmt.Sprintf("%s@%s u=%d w=%d k=%d j=%v max=%d warm=%v comp=%+v sig=%q",
 		k.Workload, k.ProgramHash, k.U, k.W, k.K, k.Offsets, k.MaxUnits,
 		k.FunctionalWarm, k.Components, k.WarmSig)
-	// Appended only for warmed parallel sweeps, so every pre-existing
-	// serial key text — and therefore every stored entry's content
-	// address — is unchanged.
-	if k.SweepSegments > 1 {
-		s += fmt.Sprintf(" pseg=%d pov=%d", k.SweepSegments, k.SweepOverlap)
-	}
-	return s
 }
 
 // Hash returns the content address: the hex SHA-256 of the canonical

@@ -40,11 +40,13 @@
 //
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint and there is one fold, results are bit-identical for any
-// worker count, any sweep source (streamed, cached or store-loaded),
-// any shard split and any early-termination setting — the engine with
-// one worker IS the serial path. This is the property the SMARTS
-// paper's ~10,000-unit samples make available: units are statistically
-// and, once checkpointed, computationally independent.
+// worker count, any sweep source (streamed, resumed, cached or
+// store-loaded), any shard split and any early-termination setting — the
+// engine with one worker IS the serial path. There is one sweep
+// schedule, serial, so no option changes what a plan's sweep captures.
+// This is the property the SMARTS paper's ~10,000-unit samples make
+// available: units are statistically and, once checkpointed,
+// computationally independent.
 package engine
 
 import (
@@ -108,19 +110,6 @@ type Options struct {
 	// written (the rule is Sweep's). Ignored without a Store (the journal
 	// lives in the store directory).
 	ResumeInterval int
-	// SweepParallelism sets checkpoint.Params.SweepParallelism when
-	// above 1: the capture sweep runs as that many concurrent stream
-	// segments (speculative parallel sweep). Architectural state stays
-	// exact; segments after the first start with cold warm state plus
-	// SweepOverlap instructions of warm-up, a measured bias (see the
-	// checkpoint package). Warmed parallel sweeps key separately in the
-	// store, and the crash-safe sweep journal is disabled for them (a
-	// parallel sweep has no single resumable position).
-	SweepParallelism int
-	// SweepOverlap sets checkpoint.Params.SweepOverlap when nonzero;
-	// see that field for the semantics (0 default, negative = stone
-	// cold).
-	SweepOverlap int64
 	// OnCaptured, when non-nil, observes sweep progress: it is called
 	// with the cumulative captured-unit count each time the sweep hands
 	// over a launch snapshot — under Run and CaptureSet alike, the units
@@ -194,24 +183,19 @@ type Result struct {
 }
 
 // SweepKey resolves what a run of p under o sweeps and where that sweep
-// is shared: eff is p with the options' capture-scheduling knobs
-// (Keyframe, SweepParallelism, SweepOverlap) applied — the parameters
-// the capture actually runs with — and key is the store/cache key of
-// that sweep. key is the zero Key when neither a Store nor a Cache is
-// attached: nothing is looked up then, and hashing the whole program
-// would be wasted. Run and CaptureSet look sweeps up under exactly
-// this key, and a caller that deduplicates sweeps ahead of the engine
-// (the sim session's singleflight) keys on it too, so the two cannot
-// disagree about which knobs reach the key.
+// is shared: eff is p with the options' one capture knob (Keyframe)
+// applied — the parameters the capture actually runs with — and key is
+// the store/cache key of that sweep. Keyframe changes only the
+// encoding, so no option reaches the key: every schedule of a plan
+// shares one sweep. key is the zero Key when neither a Store nor a
+// Cache is attached: nothing is looked up then, and hashing the whole
+// program would be wasted. Run and CaptureSet look sweeps up under
+// exactly this key, and a caller that deduplicates sweeps ahead of the
+// engine (the sim session's singleflight) keys on it too, so the two
+// cannot disagree.
 func (o Options) SweepKey(prog *program.Program, cfg uarch.Config, p checkpoint.Params) (eff checkpoint.Params, key checkpoint.Key) {
 	if o.Keyframe > 0 {
 		p.Keyframe = o.Keyframe
-	}
-	if o.SweepParallelism > 1 {
-		p.SweepParallelism = o.SweepParallelism
-	}
-	if o.SweepOverlap != 0 {
-		p.SweepOverlap = o.SweepOverlap
 	}
 	if o.Store != nil || o.Cache != nil {
 		key = checkpoint.KeyFor(prog, cfg, p)
@@ -368,7 +352,7 @@ func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p che
 			opt.Store.Log("checkpoint store: not saving: %v", err)
 			sw = nil
 		}
-		if journalEvery(p, opt.ResumeInterval) > 0 {
+		if journalEvery(opt.ResumeInterval) > 0 {
 			if pw, err := opt.Store.PartialWriter(key, pop); err != nil {
 				opt.Store.Log("checkpoint store: not journaling: %v", err)
 			} else {

@@ -76,13 +76,13 @@ func TestPipelineMatchesCaptureThenReplay(t *testing.T) {
 	}
 }
 
-// TestPipelineSweepOverlap verifies the streaming schedule does not
-// cost wall clock against capture-then-replay: with ample workers the
-// streamed run overlaps replay with the sweep, so it should finish
-// within sweep + replay. On a single-core machine the schedules tie, so
-// the test only requires the streamed run not to be slower than the
-// capture-then-replay total by more than a generous margin.
-func TestPipelineSweepOverlap(t *testing.T) {
+// TestPipelineStreamsSweepIntoReplay verifies the streaming schedule
+// does not cost wall clock against capture-then-replay: with ample
+// workers the streamed run overlaps replay with the sweep, so it should
+// finish within sweep + replay. On a single-core machine the schedules
+// tie, so the test only requires the streamed run not to be slower than
+// the capture-then-replay total by more than a generous margin.
+func TestPipelineStreamsSweepIntoReplay(t *testing.T) {
 	cfg := uarch.Config8Way()
 	p := genProg(t, "mcfx", 400_000)
 	params := checkpoint.Params{U: 1000, W: 1000, K: 4, J: 0, FunctionalWarm: true}

@@ -35,15 +35,14 @@ type Journal interface {
 // window an interruption loses to a few keyframe intervals of units.
 const DefaultResumeInterval = 4
 
-// journalEvery is the one rule for whether a sweep of p is journaled and
-// how often under a resume-interval setting (Options.ResumeInterval,
+// journalEvery is the one rule for whether a sweep is journaled and how
+// often under a resume-interval setting (Options.ResumeInterval,
 // dist.WorkerOptions.ResumeInterval): the cadence in keyframes, 0
-// selecting DefaultResumeInterval. A result of 0 — a negative interval,
-// or a parallel sweep, which has no single resumable position — means
-// the journal is neither loaded nor written.
-func journalEvery(p checkpoint.Params, interval int) int {
+// selecting DefaultResumeInterval. A negative interval yields 0: the
+// journal is neither loaded nor written.
+func journalEvery(interval int) int {
 	switch {
-	case interval < 0 || p.SweepParallelism > 1:
+	case interval < 0:
 		return 0
 	case interval == 0:
 		return DefaultResumeInterval
@@ -57,7 +56,7 @@ func journalEvery(p checkpoint.Params, interval int) int {
 // (the effective parameters, Options.SweepKey) and calls emit for every
 // unit in stream order; emit returning false stops the sweep.
 //
-// With a journal (j non-nil and journalEvery(p, interval) > 0) the sweep
+// With a journal (j non-nil and journalEvery(interval) > 0) the sweep
 // is resumable. What j.Load returns is continued, not restarted: its
 // units are emitted first, resumed set — but only once CaptureStream has
 // validated them against the plan, so a journal of some other plan emits
@@ -74,7 +73,7 @@ func Sweep(ctx context.Context, prog *program.Program, cfg uarch.Config, p check
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	every := journalEvery(p, interval)
+	every := journalEvery(interval)
 	if every == 0 {
 		j = nil
 	}

@@ -99,8 +99,6 @@ func TestSweepDriver(t *testing.T) {
 	prog := genProg(t, "gzipx", 100_000)
 	cfg := uarch.Config8Way()
 	params := checkpoint.Params{U: 1000, W: 1000, K: 8, FunctionalWarm: true, Keyframe: 4}
-	parallel := params
-	parallel.SweepParallelism = 2
 
 	// The reference stream, with the resumable frame after each unit so a
 	// journal cut anywhere can be fabricated.
@@ -135,14 +133,8 @@ func TestSweepDriver(t *testing.T) {
 	first.Index += 3
 	poisoned.Units = append([]*checkpoint.Unit{&first}, poisoned.Units[1:]...)
 
-	parSet, err := checkpoint.Capture(context.Background(), prog, cfg, parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, tc := range []struct {
 		name      string
-		params    checkpoint.Params
 		saved     *checkpoint.ResumeState
 		interval  int
 		failAdd   int // the journal's Add fails on this call; 0 = never
@@ -155,31 +147,29 @@ func TestSweepDriver(t *testing.T) {
 		complete  bool
 		err       error
 	}{
-		{name: "cold", params: params, interval: 1, want: ref, complete: true,
+		{name: "cold", interval: 1, want: ref, complete: true,
 			calls: "L a C1 a a a a C5 a a a a C9 a a a D"},
-		{name: "cold, every second keyframe", params: params, interval: 2, want: ref, complete: true,
+		{name: "cold, every second keyframe", interval: 2, want: ref, complete: true,
 			calls: "L a a a a a C5 a a a a a a a D"},
-		{name: "resume from a valid journal", params: params, saved: journalAt(6), interval: 1,
+		{name: "resume from a valid journal", saved: journalAt(6), interval: 1,
 			want: ref, resumed: 6, resumedAt: frames[5].SweepInsts, complete: true,
 			calls: "L a a a a a a a C7 a a C9 a a a D"},
-		{name: "journal fails plan validation", params: params, saved: poisoned, interval: 1,
+		{name: "journal fails plan validation", saved: poisoned, interval: 1,
 			want: ref, complete: true,
 			calls: "L R a C1 a a a a C5 a a a a C9 a a a D"},
-		{name: "journal covers every boundary", params: params, saved: journalAt(12), interval: 1,
+		{name: "journal covers every boundary", saved: journalAt(12), interval: 1,
 			want: ref, resumed: 12, resumedAt: frames[11].SweepInsts, complete: true,
 			calls: "L a a a a a a a a a a a a D"},
-		{name: "emit declines a unit", params: params, interval: 1, stopAt: 7, want: ref[:6],
+		{name: "emit declines a unit", interval: 1, stopAt: 7, want: ref[:6],
 			calls: "L a C1 a a a a C5 a C6 X"},
-		{name: "cancelled mid-sweep", params: params, interval: 1, cancelAt: 7, want: ref[:7],
+		{name: "cancelled mid-sweep", interval: 1, cancelAt: 7, want: ref[:7],
 			calls: "L a C1 a a a a C5 a a C7 X", err: context.Canceled},
-		{name: "cancelled while feeding the journal", params: params, saved: journalAt(6), interval: 1, cancelAt: 3,
+		{name: "cancelled while feeding the journal", saved: journalAt(6), interval: 1, cancelAt: 3,
 			want: ref[:3], resumed: 3, resumedAt: frames[5].SweepInsts,
 			calls: "L a a a X", err: context.Canceled},
-		{name: "journal write fails", params: params, interval: 1, failAdd: 3, want: ref, complete: true,
+		{name: "journal write fails", interval: 1, failAdd: 3, want: ref, complete: true,
 			calls: "L a C1 a a"},
-		{name: "journaling off", params: params, saved: journalAt(6), interval: -1, want: ref, complete: true},
-		{name: "parallel sweep is never journaled", params: parallel, saved: journalAt(6), interval: 1,
-			want: parSet.Units, complete: true},
+		{name: "journaling off", saved: journalAt(6), interval: -1, want: ref, complete: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -187,7 +177,7 @@ func TestSweepDriver(t *testing.T) {
 			j := &fakeJournal{t: t, saved: tc.saved, fail: tc.failAdd}
 			var got []*checkpoint.Unit
 			resumed := 0
-			sum, err := engine.Sweep(ctx, prog, cfg, tc.params, j, tc.interval, func(cu *checkpoint.Unit, res bool) bool {
+			sum, err := engine.Sweep(ctx, prog, cfg, params, j, tc.interval, func(cu *checkpoint.Unit, res bool) bool {
 				if len(got)+1 == tc.stopAt {
 					return false
 				}
@@ -221,7 +211,7 @@ func TestSweepDriver(t *testing.T) {
 			if sum.Complete != tc.complete || sum.ResumedAt != tc.resumedAt {
 				t.Errorf("summary: complete=%v resumedAt=%d, want %v and %d", sum.Complete, sum.ResumedAt, tc.complete, tc.resumedAt)
 			}
-			if tc.complete && tc.params.SweepParallelism <= 1 && (sum.SweepInsts != whole.SweepInsts || sum.Captured != len(ref)) {
+			if tc.complete && (sum.SweepInsts != whole.SweepInsts || sum.Captured != len(ref)) {
 				t.Errorf("summary: %d units over %d insts, uninterrupted sweep %d over %d",
 					sum.Captured, sum.SweepInsts, len(ref), whole.SweepInsts)
 			}

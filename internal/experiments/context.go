@@ -121,20 +121,13 @@ type Context struct {
 	// that regenerates the historical figures and tables exactly.
 	// Non-nil runs them on the checkpointed engine under these options —
 	// worker count, checkpoint store (sweeps are then persisted and
-	// reused across experiments, phases and invocations), sweep
-	// scheduling; results are bit-identical at any worker count, with
-	// or without a store. Set it before the first run: experiments read
-	// it and never write it (Stride, which varies the sweep knobs, runs
-	// on derived contexts), so one Context may serve concurrent
+	// reused across experiments, phases and invocations), keyframe and
+	// journal cadence; results are bit-identical at any worker count,
+	// with or without a store. Set it before the first run: experiments
+	// read it and never write it, so one Context may serve concurrent
 	// requests.
 	Engine *engine.Options
 
-	*caches
-}
-
-// caches is the expensive shared state of a Context; contexts derived
-// with withEngine point at the same one.
-type caches struct {
 	progs program.Cache
 
 	mu   sync.Mutex
@@ -143,15 +136,7 @@ type caches struct {
 
 // NewContext builds an empty cache for the scale, on the serial loop.
 func NewContext(scale Scale) *Context {
-	return &Context{Scale: scale, caches: &caches{refs: make(map[string]*smarts.Reference)}}
-}
-
-// withEngine returns a context that shares c's program and reference
-// caches but executes under opt. c itself is not modified.
-func (c *Context) withEngine(opt engine.Options) *Context {
-	d := *c
-	d.Engine = &opt
-	return &d
+	return &Context{Scale: scale, refs: make(map[string]*smarts.Reference)}
 }
 
 // Program returns the generated workload, building it on first use.

@@ -114,7 +114,7 @@ func TestFig4Shape(t *testing.T) {
 
 // TestRegistryNames checks every paper artifact has a runner.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"ablation", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "stride", "table4", "table5", "table6"}
+	want := []string{"ablation", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table4", "table5", "table6"}
 	have := experiments.Names()
 	if len(have) != len(want) {
 		t.Fatalf("registry has %v, want %v", have, want)

@@ -105,14 +105,6 @@ var Registry = map[string]Runner{
 		r.Format(w)
 		return nil
 	},
-	"stride": func(ctx context.Context, ec *Context, cfg uarch.Config, w io.Writer) error {
-		r, err := Stride(ctx, ec, cfg, nil, nil)
-		if err != nil {
-			return err
-		}
-		r.Format(w)
-		return nil
-	},
 }
 
 // Names returns the registered experiment ids in order.

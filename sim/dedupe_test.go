@@ -6,14 +6,16 @@ import (
 )
 
 // TestDedupeKeyIsStoreKey pins the session's sweep singleflight to the
-// engine's store key under a session knob that reaches the key: on a
-// store session opened with WithSweepParallelism(2) (warmed parallel
-// sweeps key separately), the hash the in-flight leader is registered
-// under must be the hash of the one entry the run commits — otherwise a
-// waiter wakes, finds "its" key absent from the store, and re-contends
-// for leadership instead of proceeding on the hit.
+// engine's store key: on a default store session, the hash the in-flight
+// leader is registered under must be the hash of the one entry the run
+// commits — otherwise a waiter wakes, finds "its" key absent from the
+// store, and re-contends for leadership instead of proceeding on the hit.
+// No session knob reaches the key any more (the sweep is serial, and
+// Keyframe and ResumeInterval change only encoding and journaling), so
+// both sides derive it through engine.Options.SweepKey from the plan
+// alone; the test keeps them from drifting apart.
 func TestDedupeKeyIsStoreKey(t *testing.T) {
-	sess, err := Open(WithStore(t.TempDir()), WithSweepParallelism(2), WithWorkers(1))
+	sess, err := Open(WithStore(t.TempDir()), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,5 +53,29 @@ func TestDedupeKeyIsStoreKey(t *testing.T) {
 	if entries[0].Hash != deduped[0] {
 		t.Fatalf("session deduplicated on %s but the engine stored the sweep as %s (%s)",
 			deduped[0], entries[0].Hash, entries[0].Key)
+	}
+}
+
+// TestExperimentContextCarriesSessionKnobs checks that experiment
+// requests run their sweeps under the session's execution knobs, as
+// sampling requests do: a session that disables the sweep journal must
+// not have its experiments write and load one anyway.
+func TestExperimentContextCarriesSessionKnobs(t *testing.T) {
+	sess, err := Open(WithStore(t.TempDir()), WithKeyframe(4), WithResumeInterval(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ec, err := sess.expContext("tiny", &Request{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ec.Engine
+	if opt == nil {
+		t.Fatal("engine-mode experiment context has no engine options")
+	}
+	if opt.Keyframe != 4 || opt.ResumeInterval != -1 || opt.Workers != 3 || opt.Store != sess.store || opt.Cache != nil {
+		t.Fatalf("experiment options: keyframe=%d resume=%d workers=%d store=%v cache=%v; want 4, -1, 3, the session store, nil",
+			opt.Keyframe, opt.ResumeInterval, opt.Workers, opt.Store != nil, opt.Cache != nil)
 	}
 }

@@ -52,9 +52,8 @@ type settings struct {
 	storeMax    int64
 	memCacheMax int64
 	// engine holds the session-wide execution defaults — Workers, Alpha,
-	// Keyframe, SweepParallelism, SweepOverlap, ResumeInterval — in the
-	// struct the engine takes them in; each run fills the per-request
-	// fields on a copy (engineOptions).
+	// Keyframe, ResumeInterval — in the struct the engine takes them in;
+	// each run fills the per-request fields on a copy (engineOptions).
 	engine    engine.Options
 	logf      func(format string, args ...any)
 	progress  ProgressFunc
@@ -141,41 +140,6 @@ func WithKeyframe(n int) Option {
 			return fmt.Errorf("sim: negative keyframe interval %d", n)
 		}
 		s.engine.Keyframe = n
-		return nil
-	}
-}
-
-// WithSweepParallelism runs the session's functional capture sweeps as
-// n concurrent stream segments (the speculative parallel sweep): the
-// selected launch boundaries are split into n contiguous runs, each
-// segment's starting architectural state is fast-forwarded without
-// warming, and the segments sweep concurrently. Architectural state
-// and memory of every captured unit stay bit-identical to the serial
-// sweep; warm state in segments after the first starts cold plus a
-// warm-up overlap (WithSweepOverlap), a measured bias — see the
-// bias-vs-stride experiment and the "Parallel sweeps and warming bias"
-// section of the package documentation. Warmed parallel sweeps key
-// separately in the checkpoint store and disable the crash-safe sweep
-// journal. 0 and 1 keep the serial sweep (bit-identical to previous
-// releases); negative is an error.
-func WithSweepParallelism(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("sim: negative sweep parallelism %d", n)
-		}
-		s.engine.SweepParallelism = n
-		return nil
-	}
-}
-
-// WithSweepOverlap sets the per-segment warm-up length of parallel
-// sweeps: each segment after the first begins warming n instructions
-// before its first launch boundary, trading sweep time for cold-start
-// bias. 0 keeps the built-in default (checkpoint.DefaultSweepOverlap);
-// negative starts segments stone cold. Ignored by serial sweeps.
-func WithSweepOverlap(n int64) Option {
-	return func(s *settings) error {
-		s.engine.SweepOverlap = n
 		return nil
 	}
 }
@@ -784,10 +748,17 @@ func (s *Session) expContext(scale string, req *Request) (*experiments.Context, 
 	}
 	ec := experiments.NewContext(sc)
 	if !req.SerialLoop {
-		ec.Engine = &engine.Options{Workers: s.workers(req)}
+		// The session's one declaration of the execution knobs (Keyframe,
+		// ResumeInterval, ...) reaches the experiments' sweeps as it does
+		// every sampling request's. Cache stays nil on purpose: the
+		// session's sweep cache is unbounded by default and would retain
+		// every sweep of every experiment.
+		opt := s.set.engine
+		opt.Workers = s.workers(req)
 		if useStore {
-			ec.Engine.Store = s.store
+			opt.Store = s.store
 		}
+		ec.Engine = &opt
 	}
 	s.exps[key] = ec
 	return ec, nil

@@ -112,27 +112,23 @@ func ParseWarming(s string) (sim.WarmingMode, error) {
 // — previously
 // duplicated, drifting definitions in each main package.
 type Engine struct {
-	Parallel     *int
-	CkptDir      *string
-	CkptMax      *int64
-	MemCacheMax  *int64
-	Keyframe     *int
-	ResumeInt    *int
-	SweepPar     *int
-	SweepOverlap *int64
+	Parallel    *int
+	CkptDir     *string
+	CkptMax     *int64
+	MemCacheMax *int64
+	Keyframe    *int
+	ResumeInt   *int
 }
 
 // RegisterEngine installs the execution flags.
 func RegisterEngine(fs *flag.FlagSet) *Engine {
 	return &Engine{
-		Parallel:     fs.Int("parallel", 0, "checkpointed parallel engine workers (0 = classic serial path, -1 = all cores)"),
-		CkptDir:      fs.String("ckpt-dir", "", "on-disk checkpoint store directory; sweeps are saved and reused across runs (empty = in-memory only; requires -parallel)"),
-		CkptMax:      fs.Int64("ckpt-max-bytes", 0, "LRU size cap for the checkpoint store in bytes; each save evicts the least recently used entries over the cap (0 = unbounded)"),
-		MemCacheMax:  fs.Int64("mem-cache-bytes", 0, "LRU size cap for the in-memory sweep cache of storeless sessions, in snapshot-payload bytes (0 = unbounded; ignored with -ckpt-dir)"),
-		Keyframe:     fs.Int("keyframe", 0, "full-snapshot interval of delta-encoded checkpoints: every n-th captured unit is a keyframe, units between carry dirty-block/dirty-page deltas (0 = built-in default, 1 = full snapshots only; results are identical either way)"),
-		ResumeInt:    fs.Int("resume-interval", 0, "crash-safe sweep journal cadence in keyframes: with -ckpt-dir, an in-progress sweep journals its position every n keyframes so an interrupted run resumes instead of resweeping (0 = built-in default, negative = disable journaling)"),
-		SweepPar:     fs.Int("sweep-parallel", 0, "speculative parallel sweep segments: split the capture sweep into n concurrent stream segments; arch state stays exact, warm state after the first segment starts cold plus -sweep-overlap warm-up instructions (0/1 = serial sweep, bit-identical to previous releases)"),
-		SweepOverlap: fs.Int64("sweep-overlap", 0, "per-segment warm-up instructions of a parallel sweep, trading sweep time for cold-start bias (0 = built-in default, negative = stone cold; ignored without -sweep-parallel)"),
+		Parallel:    fs.Int("parallel", 0, "checkpointed parallel engine workers (0 = classic serial path, -1 = all cores)"),
+		CkptDir:     fs.String("ckpt-dir", "", "on-disk checkpoint store directory; sweeps are saved and reused across runs (empty = in-memory only; requires -parallel)"),
+		CkptMax:     fs.Int64("ckpt-max-bytes", 0, "LRU size cap for the checkpoint store in bytes; each save evicts the least recently used entries over the cap (0 = unbounded)"),
+		MemCacheMax: fs.Int64("mem-cache-bytes", 0, "LRU size cap for the in-memory sweep cache of storeless sessions, in snapshot-payload bytes (0 = unbounded; ignored with -ckpt-dir)"),
+		Keyframe:    fs.Int("keyframe", 0, "full-snapshot interval of delta-encoded checkpoints: every n-th captured unit is a keyframe, units between carry dirty-block/dirty-page deltas (0 = built-in default, 1 = full snapshots only; results are identical either way)"),
+		ResumeInt:   fs.Int("resume-interval", 0, "crash-safe sweep journal cadence in keyframes: with -ckpt-dir, an in-progress sweep journals its position every n keyframes so an interrupted run resumes instead of resweeping (0 = built-in default, negative = disable journaling)"),
 	}
 }
 
@@ -151,12 +147,6 @@ func (e *Engine) SessionOptions(prog string) []sim.Option {
 	}
 	if *e.ResumeInt != 0 {
 		opts = append(opts, sim.WithResumeInterval(*e.ResumeInt))
-	}
-	if *e.SweepPar != 0 {
-		opts = append(opts, sim.WithSweepParallelism(*e.SweepPar))
-	}
-	if *e.SweepOverlap != 0 {
-		opts = append(opts, sim.WithSweepOverlap(*e.SweepOverlap))
 	}
 	if *e.CkptDir != "" {
 		if *e.Parallel == 0 {
