@@ -93,9 +93,19 @@
 // bias Table 5 measures). The functional interpreter runs a
 // pre-decoded fast path: instructions are decoded once into a dense
 // side table and the sweep executes from it in a batch loop
-// (internal/functional RunDyn, internal/uarch Warmer.ForwardBatch),
-// roughly halving sweep cost per instruction with zero allocations on
-// the hot path.
+// (internal/functional RunDyn) that records each instruction's dynamic
+// outcomes — fetch PC, effective address, branch direction and target —
+// with zero allocations on the hot path. The capture sweep runs as two
+// stages on two cores: an interpreter goroutine executes the stream
+// into a fixed 1 MB ring of record batches and captures each unit's
+// registers and memory at its launch point, inline in the batch, while
+// the sweep goroutine warms the caches, TLBs and predictor from the
+// batches (uarch Warmer.Warm, one loop whose predictor and cache paths
+// each take one pass) and adds each unit's warm state. Warming reads
+// nothing but the recorded outcomes, in stream order, so moving the
+// interpretation to another core changes no warmed bit: every unit is
+// the one-goroutine sweep's, and a sweep costs max(interpret, warm) per
+// instruction instead of their sum.
 //
 // Sweeps are also crash-safe: with a store attached, an in-progress
 // sweep journals its position every few keyframes as a *.partial

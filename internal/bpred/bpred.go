@@ -278,14 +278,119 @@ func (u *Unit) CheckMispredict(p Prediction, o Outcome) bool {
 }
 
 // Warm performs the functional-warming action for one control
-// instruction: a full predict+update pass so counters, history, BTB, and
-// RAS evolve exactly as an in-order front end would train them.
+// instruction: the predict+update pass an in-order front end makes, so
+// counters, history, BTB, and RAS evolve exactly as it would train them.
+// It is Predict, CheckMispredict and Update fused into one pass — the
+// table indices computed once and the BTB set scanned once, finding the
+// hit and the would-be victim together and filling only on a miss — and
+// leaves exactly the state, Stats and dirty marks the three calls leave
+// (pinned by TestWarmMatchesPredictUpdate).
 //
 //simlint:hotpath
 func (u *Unit) Warm(o Outcome) {
-	p := u.Predict(o.PC, o.Op)
-	u.CheckMispredict(p, o)
-	u.Update(o)
+	u.Stats.Lookups++
+	switch o.Op.Class() {
+	case isa.ClassBranch:
+		u.Stats.Branches++
+		gi, bi := u.gidx(o.PC), u.idx(o.PC)
+		gPred, bPred := u.gshare[gi] >= 2, u.bimodal[bi] >= 2
+		pred := bPred
+		if u.chooser[gi] >= 2 {
+			pred = gPred
+		}
+		tgt, known := u.btbWarm(o.PC, o.Target, o.Taken)
+		if pred != o.Taken {
+			u.Stats.DirMispred++
+		} else if o.Taken && (!known || tgt != o.Target) {
+			u.Stats.TargetMiss++
+		}
+		u.markTbl(gi) // covers gshare and the chooser
+		u.markTbl(bi)
+		if gPred != bPred {
+			if gPred == o.Taken {
+				u.chooser[gi] = satInc(u.chooser[gi])
+			} else {
+				u.chooser[gi] = satDec(u.chooser[gi])
+			}
+		}
+		if o.Taken {
+			u.gshare[gi] = satInc(u.gshare[gi])
+			u.bimodal[bi] = satInc(u.bimodal[bi])
+		} else {
+			u.gshare[gi] = satDec(u.gshare[gi])
+			u.bimodal[bi] = satDec(u.bimodal[bi])
+		}
+		u.history = u.history<<1 | b2u(o.Taken)
+	case isa.ClassJump, isa.ClassRet:
+		if o.Op == isa.OpRet {
+			// The return stack predicts the target; the BTB only when the
+			// stack is empty, and a return trains neither.
+			var tgt uint64
+			known := u.rasTop > 0
+			if known {
+				tgt = u.ras[u.rasTop-1]
+			} else {
+				tgt, known = u.btbWarm(o.PC, 0, false)
+			}
+			if !known || tgt != o.Target {
+				u.Stats.RASMispred++
+			}
+			u.rasPop()
+			return
+		}
+		// Direct jumps and calls, and indirect jumps: the BTB predicts the
+		// target and learns it.
+		if tgt, known := u.btbWarm(o.PC, o.Target, true); !known || tgt != o.Target {
+			u.Stats.TargetMiss++
+		}
+		if o.Op == isa.OpCall {
+			u.rasPush(o.NextPC)
+		} else if o.Op.Class() == isa.ClassRet {
+			u.Stats.Indirect++
+		}
+	}
+}
+
+// btbWarm is btbLookup followed, when insert is set, by btbInsert of
+// target, in one scan of pc's set. It returns what the lookup returns:
+// the target the BTB held for pc before the insert, and whether it held
+// one. A hit takes a fresh LRU stamp (the lookup's) and then the new
+// target (the insert's); a miss fills the victim btbInsert would choose
+// — the last invalid way, else the first least-recently-used one.
+//
+//simlint:hotpath
+func (u *Unit) btbWarm(pc, target uint64, insert bool) (uint64, bool) {
+	base := (int(pc) & (u.cfg.BTBSets - 1)) * u.cfg.BTBWays
+	victim := base
+	var oldest uint64 = ^uint64(0)
+	for i := base; i < base+u.cfg.BTBWays; i++ {
+		if !u.btbValid[i] {
+			victim, oldest = i, 0
+			continue
+		}
+		if u.btbTags[i] == pc {
+			u.btbStamp++
+			u.btbLRU[i] = u.btbStamp
+			old := u.btbTgts[i]
+			if insert {
+				u.btbTgts[i] = target
+			}
+			u.markBTB(i)
+			return old, true
+		}
+		if u.btbLRU[i] < oldest {
+			victim, oldest = i, u.btbLRU[i]
+		}
+	}
+	if insert {
+		u.btbStamp++
+		u.btbValid[victim] = true
+		u.btbTags[victim] = pc
+		u.btbTgts[victim] = target
+		u.btbLRU[victim] = u.btbStamp
+		u.markBTB(victim)
+	}
+	return 0, false
 }
 
 // Flush returns all trained state to exactly its as-constructed

@@ -93,32 +93,28 @@ func (u *Unit) Delta(since uint64) (*Delta, error) {
 	if _, err := u.chain.Next(since); err != nil {
 		return nil, fmt.Errorf("bpred: %w", err)
 	}
-	n, btbn := len(u.bimodal), len(u.btbTags)
+	tbl, tg := u.tblDirty.Drain(), u.tblDirty.Grain()
+	btb, bg := u.btbDirty.Drain(), u.btbDirty.Grain()
 	d := &Delta{
-		N:        n,
-		BTBN:     btbn,
-		TblGrain: u.tblDirty.Grain(),
-		BTBGrain: u.btbDirty.Grain(),
-		History:  u.history,
-		BTBStamp: u.btbStamp,
-		RAS:      append([]uint64(nil), u.ras...),
-		RASTop:   u.rasTop,
+		N:         len(u.bimodal),
+		BTBN:      len(u.btbTags),
+		TblGrain:  tg,
+		BTBGrain:  bg,
+		TblBlocks: tbl,
+		Bimodal:   delta.Gather(u.bimodal, tbl, tg),
+		Gshare:    delta.Gather(u.gshare, tbl, tg),
+		Chooser:   delta.Gather(u.chooser, tbl, tg),
+		History:   u.history,
+		BTBBlocks: btb,
+		BTBTags:   delta.Gather(u.btbTags, btb, bg),
+		BTBTgts:   delta.Gather(u.btbTgts, btb, bg),
+		BTBLRU:    delta.Gather(u.btbLRU, btb, bg),
+		BTBValid:  delta.Gather(u.btbValid, btb, bg),
+		BTBStamp:  u.btbStamp,
+		RAS:       make([]uint64, len(u.ras)),
+		RASTop:    u.rasTop,
 	}
-	d.TblBlocks = u.tblDirty.AppendBlocks(nil)
-	for _, b := range d.TblBlocks {
-		lo, hi := delta.Span(b, d.TblGrain, n)
-		d.Bimodal = append(d.Bimodal, u.bimodal[lo:hi]...)
-		d.Gshare = append(d.Gshare, u.gshare[lo:hi]...)
-		d.Chooser = append(d.Chooser, u.chooser[lo:hi]...)
-	}
-	d.BTBBlocks = u.btbDirty.AppendBlocks(nil)
-	for _, b := range d.BTBBlocks {
-		lo, hi := delta.Span(b, d.BTBGrain, btbn)
-		d.BTBTags = append(d.BTBTags, u.btbTags[lo:hi]...)
-		d.BTBTgts = append(d.BTBTgts, u.btbTgts[lo:hi]...)
-		d.BTBLRU = append(d.BTBLRU, u.btbLRU[lo:hi]...)
-		d.BTBValid = append(d.BTBValid, u.btbValid[lo:hi]...)
-	}
+	copy(d.RAS, u.ras)
 	return d, nil
 }
 

@@ -73,6 +73,32 @@ func TestPredDeltaMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// TestPredDeltaSlicesExact pins the delta's allocation to its payload:
+// every slice is sized exactly (cap == len), not grown block by block.
+func TestPredDeltaSlicesExact(t *testing.T) {
+	u := bpred.New(smallCfg())
+	rng := rand.New(rand.NewSource(41))
+	u.Snapshot()
+	for round := 0; round < 20; round++ {
+		for i := 0; i < rng.Intn(200); i++ {
+			u.Warm(randomOutcome(rng))
+		}
+		if round == 10 {
+			u.Flush()
+		}
+		d, err := u.Delta(u.Seq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dv := reflect.ValueOf(d).Elem()
+		for i := 0; i < dv.NumField(); i++ {
+			if f := dv.Field(i); f.Kind() == reflect.Slice && f.Cap() != f.Len() {
+				t.Fatalf("round %d: Delta.%s has len %d, cap %d", round, dv.Type().Field(i).Name, f.Len(), f.Cap())
+			}
+		}
+	}
+}
+
 // TestPredDeltaApplyRejectsCorrupt verifies geometry and segment
 // validation on Apply.
 func TestPredDeltaApplyRejectsCorrupt(t *testing.T) {

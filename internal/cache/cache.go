@@ -95,7 +95,17 @@ type Cache struct {
 	// the live tag/valid arrays on every use, so it never needs
 	// invalidation (Flush, Restore, and evictions simply make the
 	// revalidation fail) and is deliberately excluded from snapshots.
-	lastIdx int
+	// It is an int32 (entry counts stay far below 2^31) so that it and
+	// hintMarked share one word.
+	lastIdx int32
+	// hintMarked records that lastIdx's block is marked in snapDirty:
+	// the Access that sets the hint marks it, so Touch's hits on the hint
+	// skip the bitmap read-modify-write while it holds. Snapshot and
+	// Delta, which clear the bitmap, clear it; Touch then marks on every
+	// hit until the next Access sets it again (setting it in Touch too
+	// would push Touch past the inlining budget). Restore only adds
+	// marks, so it stays true across it; Flush resets it with the hint.
+	hintMarked bool
 
 	// Stats accumulates over the cache's lifetime. Callers snapshot and
 	// diff it for per-unit measurements.
@@ -162,8 +172,9 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 			if write {
 				c.dirty[i] = true
 			}
-			c.lastIdx = i
+			c.lastIdx = int32(i)
 			c.snapDirty.Mark(i)
+			c.hintMarked = true
 			return AccessResult{Hit: true}
 		}
 	}
@@ -197,8 +208,9 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	c.tags[victim] = tag
 	c.dirty[victim] = write
 	c.lastUsed[victim] = c.stamp
-	c.lastIdx = victim
+	c.lastIdx = int32(victim)
 	c.snapDirty.Mark(victim)
+	c.hintMarked = true
 	return res
 }
 
@@ -213,20 +225,23 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 //
 // Touch is small enough for the compiler to inline into the warming
 // loop, which is what makes the in-order sweep's dominant case — a
-// repeated hit on the same hot block — cheap.
+// repeated hit on the same hot block — cheap: the hint's block is
+// usually still marked dirty from the Access that set it, so the hit
+// only bumps the stamp and the counter.
 //
 //simlint:hotpath
 func (c *Cache) Touch(addr uint64, write bool) bool {
-	block := addr >> c.cfg.BlockBits
-	i := c.lastIdx
-	if c.valid[i] && c.tags[i] == block {
+	i := int(c.lastIdx)
+	if c.valid[i] && c.tags[i] == addr>>c.cfg.BlockBits {
 		c.Stats.Accesses++
 		c.stamp++
 		c.lastUsed[i] = c.stamp
 		if write {
 			c.dirty[i] = true
 		}
-		c.snapDirty.Mark(i)
+		if !c.hintMarked {
+			c.snapDirty.Mark(i)
+		}
 		return true
 	}
 	return false
@@ -264,6 +279,7 @@ func (c *Cache) Flush() {
 	c.stamp = 0
 	c.lastIdx = 0
 	c.snapDirty.MarkAll()
+	c.hintMarked = false
 }
 
 // Reset returns the cache to exactly the state New built: Flush plus

@@ -77,17 +77,18 @@ func (c *Cache) Delta(since uint64) (*Delta, error) {
 	if _, err := c.chain.Next(since); err != nil {
 		return nil, fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 	}
-	n := len(c.tags)
-	d := &Delta{N: n, Grain: c.snapDirty.Grain(), Stamp: c.stamp}
-	d.Blocks = c.snapDirty.AppendBlocks(nil)
-	for _, b := range d.Blocks {
-		lo, hi := delta.Span(b, d.Grain, n)
-		d.Tags = append(d.Tags, c.tags[lo:hi]...)
-		d.Valid = append(d.Valid, c.valid[lo:hi]...)
-		d.Dirty = append(d.Dirty, c.dirty[lo:hi]...)
-		d.LastUsed = append(d.LastUsed, c.lastUsed[lo:hi]...)
-	}
-	return d, nil
+	blocks, g := c.snapDirty.Drain(), c.snapDirty.Grain()
+	c.hintMarked = false
+	return &Delta{
+		N:        len(c.tags),
+		Grain:    g,
+		Stamp:    c.stamp,
+		Blocks:   blocks,
+		Tags:     delta.Gather(c.tags, blocks, g),
+		Valid:    delta.Gather(c.valid, blocks, g),
+		Dirty:    delta.Gather(c.dirty, blocks, g),
+		LastUsed: delta.Gather(c.lastUsed, blocks, g),
+	}, nil
 }
 
 // Validate checks the delta's internal consistency against a full-array

@@ -57,6 +57,108 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// TestDeltaMatchesSnapshotTouchHeavy runs the delta/full property under
+// the sweep's dominant traffic: runs of Touch hits on one hot block,
+// with snapshot points (deltas, keyframes, Restores, Flushes) falling
+// between hits on the same hint. Touch skips re-marking a hint whose
+// block the setting Access already marked; a snapshot point that failed
+// to reset that would drop the hit's LRU stamp from the next delta. The
+// reference is a shadow cache fed the same traffic through Access alone
+// (state-identical by Touch's contract), so the cache under test takes
+// no snapshot point besides the ones the traffic calls for.
+func TestDeltaMatchesSnapshotTouchHeavy(t *testing.T) {
+	for _, cfg := range []cache.Config{
+		{Name: "D", Sets: 16, Ways: 2, BlockBits: 6},
+		{Name: "W", Sets: 1, Ways: 5, BlockBits: 1},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			c, shadow := cache.New(cfg), cache.New(cfg)
+			rng := rand.New(rand.NewSource(17))
+			tracked := c.Snapshot()
+			saved := tracked.Clone()
+			hot := uint64(0)
+			touches := 0
+			for round := 0; round < 400; round++ {
+				for i, n := 0, rng.Intn(6); i < n; i++ {
+					if rng.Intn(5) == 0 {
+						hot = uint64(rng.Intn(1 << 11))
+					}
+					write := rng.Intn(4) == 0
+					if c.Touch(hot, write) {
+						touches++
+					} else {
+						c.Access(hot, write)
+					}
+					shadow.Access(hot, write)
+				}
+				switch rng.Intn(12) {
+				case 0: // keyframe
+					tracked = c.Snapshot()
+					continue
+				case 1:
+					for _, x := range []*cache.Cache{c, shadow} {
+						if err := x.Restore(saved); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case 2:
+					c.Flush()
+					shadow.Flush()
+				case 3:
+					saved = c.Snapshot()
+					tracked = saved.Clone()
+					continue
+				}
+				d, err := c.Delta(c.Seq())
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if err := tracked.Apply(d); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if full := shadow.Snapshot(); !reflect.DeepEqual(tracked, full) {
+					t.Fatalf("round %d: delta-tracked state diverged from full snapshot", round)
+				}
+			}
+			if touches < 500 {
+				t.Fatalf("only %d Touch hits: the traffic is not Touch-heavy", touches)
+			}
+		})
+	}
+}
+
+// TestDeltaSlicesExact pins the delta's allocation to its payload:
+// every slice is sized exactly (cap == len), not grown block by block —
+// including the truncated last block of a 5-entry cache.
+func TestDeltaSlicesExact(t *testing.T) {
+	for _, cfg := range []cache.Config{
+		{Name: "D", Sets: 64, Ways: 2, BlockBits: 6},
+		{Name: "W", Sets: 1, Ways: 5, BlockBits: 1},
+	} {
+		c := cache.New(cfg)
+		rng := rand.New(rand.NewSource(13))
+		c.Snapshot()
+		for round := 0; round < 20; round++ {
+			for i := 0; i < rng.Intn(300); i++ {
+				c.Access(uint64(rng.Intn(1<<13)), rng.Intn(2) == 0)
+			}
+			if round == 10 {
+				c.Flush()
+			}
+			d, err := c.Delta(c.Seq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dv := reflect.ValueOf(d).Elem()
+			for i := 0; i < dv.NumField(); i++ {
+				if f := dv.Field(i); f.Kind() == reflect.Slice && f.Cap() != f.Len() {
+					t.Fatalf("%s round %d: Delta.%s has len %d, cap %d", cfg.Name, round, dv.Type().Field(i).Name, f.Len(), f.Cap())
+				}
+			}
+		}
+	}
+}
+
 // TestDeltaSequencing pins the chain discipline of the delta contract:
 // deltas before any snapshot or against stale baselines must fail.
 func TestDeltaSequencing(t *testing.T) {

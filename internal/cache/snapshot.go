@@ -31,6 +31,7 @@ func (c *Cache) Snapshot() *State {
 	copy(s.Dirty, c.dirty)
 	copy(s.LastUsed, c.lastUsed)
 	c.snapDirty.Reset()
+	c.hintMarked = false
 	c.chain.Keyframe()
 	return s
 }

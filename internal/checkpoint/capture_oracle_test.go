@@ -1,0 +1,175 @@
+package checkpoint
+
+// The serial capture loop, kept as the reference the two-stage
+// CaptureStream is compared against (capture_lockstep_test.go). It is
+// CaptureStream as it stood before the interpreter moved to a stage of
+// its own: one goroutine interprets and warms in turn, FFChunk
+// instructions at a time, and captures each unit — architectural state,
+// memory and warm state together — the moment the CPU reaches its
+// launch point. It is slow and obviously right; the pipeline must emit
+// the same units, bit for bit, and report the same Summary. Test-only:
+// nothing outside this package's tests can call it.
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/functional"
+	"repro/internal/program"
+	"repro/internal/uarch"
+	"repro/internal/wallclock"
+)
+
+// SerialCaptureOracle is the serial reference for CaptureStream: same
+// parameters, same emit and OnFrame contract.
+func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params, emit func(*Unit) bool) (*Summary, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cpu := functional.New(prog)
+	var warmer *uarch.Warmer
+	var machine *uarch.Machine
+	if p.FunctionalWarm {
+		machine = uarch.NewMachine(cfg)
+		warmer = uarch.NewWarmer(machine, cfg)
+		if p.Components != nil {
+			warmer.Components = *p.Components
+		}
+	}
+
+	sum := &Summary{PopulationUnits: prog.Length / p.U}
+	start := wallclock.Now()
+	gen := newBoundaryGen(p, sum.PopulationUnits)
+	var pos uint64 // instructions consumed from the stream so far
+
+	if rs := p.Resume; rs != nil && len(rs.Units) > 0 {
+		var err error
+		cpu, err = resumeSweep(prog, machine, warmer, gen, rs)
+		if err != nil {
+			return nil, err
+		}
+		pos = cpu.Count
+		sum.Captured = len(rs.Units)
+		sum.ResumedAt = rs.SweepInsts
+		// Backdate start so wallclock.Since(start) — used by every exit path —
+		// accumulates on top of the journaled sweep time.
+		start = start.Add(-rs.SweepTime)
+	}
+
+	// Delta-encoded snapshots: every kf-th captured unit is a full
+	// keyframe, the units between carry deltas chained off it — dirty
+	// memory pages always, dirty warm blocks when warming (see
+	// Params.Keyframe).
+	kf := p.keyframe()
+	var prevUnit *Unit // last captured unit (the chain predecessor)
+	var lastSeq uint64 // the warmer's snapshot sequence number
+	var lastMem uint64 // the memory's snapshot sequence number
+
+	sum.Complete = true
+	for {
+		if cerr := ctx.Err(); cerr != nil {
+			sum.Complete = false
+			sum.SweepInsts = cpu.Count
+			sum.SweepTime = wallclock.Since(start)
+			return sum, cerr
+		}
+		b, ok := gen.next()
+		if !ok {
+			break
+		}
+		for pos < b.launch {
+			step := b.launch - pos
+			if step > FFChunk {
+				step = FFChunk
+			}
+			target := pos + step
+			var err error
+			if warmer != nil {
+				err = warmer.ForwardBatch(cpu, step)
+			} else {
+				_, err = cpu.Run(step)
+			}
+			if err != nil {
+				sum.SweepInsts = cpu.Count
+				sum.SweepTime = wallclock.Since(start)
+				return sum, fmt.Errorf("checkpoint: sweep to unit %d: %w", b.unit, err)
+			}
+			pos = cpu.Count
+			if cpu.Halted || pos < target {
+				break
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				sum.Complete = false
+				sum.SweepInsts = cpu.Count
+				sum.SweepTime = wallclock.Since(start)
+				return sum, cerr
+			}
+		}
+		if cpu.Halted || cpu.Count < b.launch {
+			break // program ended before this unit's launch point
+		}
+
+		u := &Unit{
+			Index:    b.unit,
+			Start:    b.start,
+			LaunchAt: b.launch,
+			Arch:     cpu.Arch(),
+		}
+		if prevUnit == nil || sum.Captured%kf == 0 {
+			// Keyframe: full memory image and (when warming) warm state.
+			u.Mem = cpu.Mem.Snapshot()
+			lastMem = cpu.Mem.Seq()
+			if machine != nil {
+				snap := warmer.Snapshot()
+				u.Warm = &WarmState{Hier: snap.Hier, Pred: snap.Pred}
+				lastSeq = snap.Seq
+			}
+		} else {
+			md, derr := cpu.Mem.Delta(lastMem)
+			if derr != nil {
+				sum.SweepInsts = cpu.Count
+				sum.SweepTime = wallclock.Since(start)
+				return sum, fmt.Errorf("checkpoint: unit %d: %w", b.unit, derr)
+			}
+			u.MemDelta = md
+			u.Prev = prevUnit
+			lastMem = md.Seq
+			if machine != nil {
+				d, derr := warmer.Delta(lastSeq)
+				if derr != nil {
+					sum.SweepInsts = cpu.Count
+					sum.SweepTime = wallclock.Since(start)
+					return sum, fmt.Errorf("checkpoint: unit %d: %w", b.unit, derr)
+				}
+				u.Delta = d
+				lastSeq = d.Seq
+			}
+		}
+		prevUnit = u
+		sum.Captured++
+		if !emit(u) {
+			sum.Complete = false
+			break
+		}
+		if p.OnFrame != nil {
+			// At capture time the stream position equals the unit's launch
+			// point, so the frame pins exactly the state a resumed sweep
+			// reconstructs from this unit.
+			fr := ResumeFrame{
+				Captured:   sum.Captured,
+				SweepInsts: cpu.Count,
+				SweepTime:  wallclock.Since(start),
+			}
+			if warmer != nil {
+				fr.LastIBlock, fr.HaveIBlock = warmer.FetchBlock()
+			}
+			p.OnFrame(fr)
+		}
+	}
+	sum.SweepInsts = cpu.Count
+	sum.SweepTime = wallclock.Since(start)
+	return sum, nil
+}

@@ -20,7 +20,12 @@
 // The sweep is a producer, not a pre-pass: CaptureStream hands each
 // Unit to its caller the moment the unit's launch state is captured, so
 // the parallel engine's workers begin detailed replay while the sweep
-// is still walking the rest of the stream. Capture is the buffered
+// is still walking the rest of the stream, and a run costs max(sweep,
+// replay/workers). The sweep is itself two stages on two goroutines
+// (pipeline.go): one interprets the stream and captures each unit's
+// architectural state and memory, the other warms the structures from
+// the interpreter's records and adds the warm state, so the sweep costs
+// max(interpret, warm) per instruction. Capture is the buffered
 // convenience wrapper that collects the stream into a Set.
 //
 // # Multi-offset capture
@@ -614,12 +619,13 @@ func (g *boundaryGen) next() (boundary, bool) {
 }
 
 // FFChunk bounds how many instructions a fast-forward loop runs
-// between cancellation checks — here in the capture sweep, and in the
-// serial loop of internal/smarts, which shares the constant so the two
-// paths keep matched cancellation latency. At functional-warming speed
-// (~20ns/inst) one chunk is a couple of milliseconds, so a cancelled
-// context stops the sweep promptly even inside a long fast-forward
-// gap, while the per-chunk check cost is amortized to nothing.
+// between cancellation checks — in the serial loop of internal/smarts,
+// and in the capture sweep's interpreter stage on cold sweeps, whose
+// batches record nothing and so are cut at this length rather than at
+// batchInsts. At functional-warming speed (~20ns/inst) one chunk is a
+// couple of milliseconds, so a cancelled context stops the sweep
+// promptly even inside a long fast-forward gap, while the per-chunk
+// check cost is amortized to nothing.
 const FFChunk = 1 << 16
 
 // CaptureStream runs the functional sweep over prog, calling emit for
@@ -629,11 +635,19 @@ const FFChunk = 1 << 16
 // describes what actually ran. cfg sizes the warmed structures; it is
 // only consulted when p.FunctionalWarm is set.
 //
+// The sweep runs as two stages (see pipeline.go): a helper goroutine
+// interprets the stream and captures each unit's architectural state
+// and memory, and the calling goroutine warms the structures from the
+// interpreter's records, takes the warm state at each launch point and
+// calls emit and p.OnFrame — so a sweep costs max(interpret, warm) per
+// instruction, the units are bit-identical to interpreting and warming
+// in turn, and the helper has returned before CaptureStream does.
+//
 // The sweep honors ctx: cancellation (or deadline expiry) is observed
-// between boundaries and, within long fast-forward gaps, every FFChunk
-// instructions; the sweep then stops where it is and returns ctx.Err()
-// with Summary.Complete false, so a store writer layered on the stream
-// aborts instead of committing a partial entry.
+// after every emitted unit and between the interpreter's batches (every
+// few thousand instructions, at most FFChunk); the sweep then stops and
+// returns ctx.Err() with Summary.Complete false, so a store writer
+// layered on the stream aborts instead of committing a partial entry.
 //
 // The consumer owns each emitted Unit. Snapshots share memory pages
 // copy-on-write with their neighbours, so holding one unit alive does
@@ -659,7 +673,6 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	sum := &Summary{PopulationUnits: prog.Length / p.U}
 	start := wallclock.Now()
 	gen := newBoundaryGen(p, sum.PopulationUnits)
-	var pos uint64 // instructions consumed from the stream so far
 
 	if rs := p.Resume; rs != nil && len(rs.Units) > 0 {
 		var err error
@@ -667,7 +680,6 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		if err != nil {
 			return nil, err
 		}
-		pos = cpu.Count
 		sum.Captured = len(rs.Units)
 		sum.ResumedAt = rs.SweepInsts
 		// Backdate start so wallclock.Since(start) — used by every exit path —
@@ -675,119 +687,101 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		start = start.Add(-rs.SweepTime)
 	}
 
-	// Delta-encoded snapshots: every kf-th captured unit is a full
-	// keyframe, the units between carry deltas chained off it — dirty
-	// memory pages always, dirty warm blocks when warming (see
-	// Params.Keyframe).
-	kf := p.keyframe()
-	var prevUnit *Unit // last captured unit (the chain predecessor)
-	var lastSeq uint64 // the warmer's snapshot sequence number
-	var lastMem uint64 // the memory's snapshot sequence number
+	// The interpreter stage runs on its own goroutine until the stream
+	// ends or the warm stage below stops it; it has returned before
+	// CaptureStream does.
+	r := newRing(warmer != nil)
+	in := &interpreter{cpu: cpu, gen: gen, record: warmer != nil, kf: p.keyframe(), captured: sum.Captured}
+	pos := cpu.Count // the position the warm stage has reached: what the Summary reports
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		in.run(r)
+	}()
+	defer func() {
+		r.stop()
+		<-done
+	}()
 
+	finish := func(err error) (*Summary, error) {
+		sum.SweepInsts = pos
+		sum.SweepTime = wallclock.Since(start)
+		return sum, err
+	}
+	cancelled := func() bool {
+		if ctx.Err() == nil {
+			return false
+		}
+		sum.Complete = false
+		return true
+	}
+
+	// The warm stage. Delta-encoded snapshots: every kf-th captured unit
+	// is a full keyframe, the units between carry deltas chained off it —
+	// dirty memory pages always (taken by the interpreter stage, which
+	// sets Mem on keyframes), dirty warm blocks when warming (taken here;
+	// see Params.Keyframe).
+	var lastSeq uint64 // the warmer's snapshot sequence number
 	sum.Complete = true
 	for {
-		if cerr := ctx.Err(); cerr != nil {
-			sum.Complete = false
-			sum.SweepInsts = cpu.Count
-			sum.SweepTime = wallclock.Since(start)
-			return sum, cerr
+		if cancelled() {
+			return finish(ctx.Err())
 		}
-		b, ok := gen.next()
-		if !ok {
-			break
-		}
-		for pos < b.launch {
-			step := b.launch - pos
-			if step > FFChunk {
-				step = FFChunk
-			}
-			target := pos + step
-			var err error
+		b := r.take()
+		recs, warmed := b.recs[:b.n], 0
+		for _, l := range b.launches {
+			u := l.u
+			pos = u.LaunchAt
 			if warmer != nil {
-				err = warmer.Forward(cpu, step)
-			} else {
-				_, err = cpu.Run(step)
-			}
-			if err != nil {
-				sum.SweepInsts = cpu.Count
-				sum.SweepTime = wallclock.Since(start)
-				return sum, fmt.Errorf("checkpoint: sweep to unit %d: %w", b.unit, err)
-			}
-			pos = cpu.Count
-			if cpu.Halted || pos < target {
-				break
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				sum.Complete = false
-				sum.SweepInsts = cpu.Count
-				sum.SweepTime = wallclock.Since(start)
-				return sum, cerr
-			}
-		}
-		if cpu.Halted || cpu.Count < b.launch {
-			break // program ended before this unit's launch point
-		}
-
-		u := &Unit{
-			Index:    b.unit,
-			Start:    b.start,
-			LaunchAt: b.launch,
-			Arch:     cpu.Arch(),
-		}
-		if prevUnit == nil || sum.Captured%kf == 0 {
-			// Keyframe: full memory image and (when warming) warm state.
-			u.Mem = cpu.Mem.Snapshot()
-			lastMem = cpu.Mem.Seq()
-			if machine != nil {
-				snap := warmer.Snapshot()
-				u.Warm = &WarmState{Hier: snap.Hier, Pred: snap.Pred}
-				lastSeq = snap.Seq
-			}
-		} else {
-			md, derr := cpu.Mem.Delta(lastMem)
-			if derr != nil {
-				sum.SweepInsts = cpu.Count
-				sum.SweepTime = wallclock.Since(start)
-				return sum, fmt.Errorf("checkpoint: unit %d: %w", b.unit, derr)
-			}
-			u.MemDelta = md
-			u.Prev = prevUnit
-			lastMem = md.Seq
-			if machine != nil {
-				d, derr := warmer.Delta(lastSeq)
-				if derr != nil {
-					sum.SweepInsts = cpu.Count
-					sum.SweepTime = wallclock.Since(start)
-					return sum, fmt.Errorf("checkpoint: unit %d: %w", b.unit, derr)
+				warmer.Warm(recs[warmed:l.at])
+				warmed = l.at
+				if u.Mem != nil {
+					snap := warmer.Snapshot()
+					u.Warm = &WarmState{Hier: snap.Hier, Pred: snap.Pred}
+					lastSeq = snap.Seq
+				} else {
+					d, err := warmer.Delta(lastSeq)
+					if err != nil {
+						return finish(fmt.Errorf("checkpoint: unit %d: %w", u.Index, err))
+					}
+					u.Delta = d
+					lastSeq = d.Seq
 				}
-				u.Delta = d
-				lastSeq = d.Seq
+			}
+			sum.Captured++
+			if !emit(u) {
+				sum.Complete = false
+				return finish(nil)
+			}
+			if p.OnFrame != nil {
+				// At capture time the stream position equals the unit's launch
+				// point, so the frame pins exactly the state a resumed sweep
+				// reconstructs from this unit.
+				fr := ResumeFrame{
+					Captured:   sum.Captured,
+					SweepInsts: pos,
+					SweepTime:  wallclock.Since(start),
+				}
+				if warmer != nil {
+					fr.LastIBlock, fr.HaveIBlock = warmer.FetchBlock()
+				}
+				p.OnFrame(fr)
+			}
+			if cancelled() {
+				return finish(ctx.Err())
 			}
 		}
-		prevUnit = u
-		sum.Captured++
-		if !emit(u) {
-			sum.Complete = false
-			break
+		if warmer != nil {
+			// A batch that ends in a fault still warms what executed, so the
+			// warm state never falls behind the stream position.
+			warmer.Warm(recs[warmed:])
 		}
-		if p.OnFrame != nil {
-			// At capture time the stream position equals the unit's launch
-			// point, so the frame pins exactly the state a resumed sweep
-			// reconstructs from this unit.
-			fr := ResumeFrame{
-				Captured:   sum.Captured,
-				SweepInsts: cpu.Count,
-				SweepTime:  wallclock.Since(start),
-			}
-			if warmer != nil {
-				fr.LastIBlock, fr.HaveIBlock = warmer.FetchBlock()
-			}
-			p.OnFrame(fr)
+		pos = b.end
+		if b.last {
+			return finish(b.err)
 		}
+		r.release()
 	}
-	sum.SweepInsts = cpu.Count
-	sum.SweepTime = wallclock.Since(start)
-	return sum, nil
 }
 
 // Capture runs the functional sweep over prog and collects every

@@ -170,7 +170,7 @@ func TestWarmStateMatchesContinuousSweep(t *testing.T) {
 	}
 	warmer := uarch.NewWarmer(machine, cfg)
 	cpu := functional.NewAt(p, cur.Arch, curL.Mem.NewMemory())
-	if err := warmer.Forward(cpu, next.LaunchAt-cur.LaunchAt); err != nil {
+	if err := warmer.ForwardBatch(cpu, next.LaunchAt-cur.LaunchAt); err != nil {
 		t.Fatal(err)
 	}
 

@@ -157,10 +157,29 @@ func (b *Bitmap) Reset() {
 	}
 }
 
-// AppendBlocks appends the dirty block indices to dst in ascending
-// order and clears the tracking; padding bits beyond the covered range
-// are skipped. It is the drain operation delta capture is built on.
-func (b *Bitmap) AppendBlocks(dst []uint32) []uint32 {
+// Count returns the number of dirty blocks — the length of the next
+// Drain. Padding bits beyond the covered range (which MarkAll sets) are
+// not counted.
+func (b *Bitmap) Count() int {
+	n := 0
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	if tail := b.blocks & 63; tail != 0 {
+		n -= bits.OnesCount64(b.words[len(b.words)-1] >> tail)
+	}
+	return n
+}
+
+// Drain returns the dirty block indices in ascending order, in a slice
+// sized exactly from Count (nil when nothing is dirty), and clears the
+// tracking; padding bits beyond the covered range are skipped. It is
+// the operation delta capture is built on.
+func (b *Bitmap) Drain() []uint32 {
+	var dst []uint32
+	if k := b.Count(); k > 0 {
+		dst = make([]uint32, 0, k)
+	}
 	for w, word := range b.words {
 		for word != 0 {
 			blk := w<<6 | bits.TrailingZeros64(word)
@@ -186,6 +205,23 @@ func Span(b uint32, grainShift uint8, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
+}
+
+// Gather returns the segments of src that an ascending block list
+// covers at the given granularity, concatenated in block order, in a
+// slice of exactly their length (nil for no blocks) — one content array
+// of a delta.
+func Gather[T any](src []T, blocks []uint32, grainShift uint8) []T {
+	if len(blocks) == 0 {
+		return nil
+	}
+	lo, hi := Span(blocks[len(blocks)-1], grainShift, len(src))
+	dst := make([]T, 0, (len(blocks)-1)<<grainShift+hi-lo)
+	for _, b := range blocks {
+		lo, hi := Span(b, grainShift, len(src))
+		dst = append(dst, src[lo:hi]...)
+	}
+	return dst
 }
 
 // ValidateBlocks checks one ascending dirty-block list against n

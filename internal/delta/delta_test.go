@@ -2,6 +2,7 @@ package delta
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -39,7 +40,9 @@ func TestChainSequencing(t *testing.T) {
 }
 
 // TestBitmapCoversMarks is the bitmap's soundness property: every
-// marked entry's block is drained, in ascending order, exactly once.
+// marked entry's block is drained, in ascending order, exactly once —
+// and Count, which sizes the drain, agrees with it (padding bits of a
+// MarkAll excluded).
 func TestBitmapCoversMarks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
@@ -50,13 +53,19 @@ func TestBitmapCoversMarks(t *testing.T) {
 	} {
 		bm := NewBitmap(tc.n, tc.grain)
 		// A fresh bitmap drains every block (all-dirty start).
-		all := bm.AppendBlocks(nil)
 		wantBlocks := (tc.n + (1 << tc.grain) - 1) >> tc.grain
+		if c := bm.Count(); c != wantBlocks {
+			t.Fatalf("n=%d grain=%d: fresh bitmap counts %d blocks, want %d", tc.n, tc.grain, c, wantBlocks)
+		}
+		all := bm.Drain()
 		if len(all) != wantBlocks {
 			t.Fatalf("n=%d grain=%d: fresh bitmap drains %d blocks, want %d", tc.n, tc.grain, len(all), wantBlocks)
 		}
 		// After the drain it is clean.
-		if left := bm.AppendBlocks(nil); len(left) != 0 {
+		if c := bm.Count(); c != 0 {
+			t.Fatalf("n=%d grain=%d: drained bitmap counts %d blocks", tc.n, tc.grain, c)
+		}
+		if left := bm.Drain(); left != nil {
 			t.Fatalf("n=%d grain=%d: %d blocks left after drain", tc.n, tc.grain, len(left))
 		}
 		// Random marks: the drained blocks must be exactly the marked
@@ -67,9 +76,12 @@ func TestBitmapCoversMarks(t *testing.T) {
 			bm.Mark(e)
 			marked[uint32(e>>tc.grain)] = true
 		}
-		got := bm.AppendBlocks(nil)
-		if len(got) != len(marked) {
-			t.Fatalf("n=%d grain=%d: drained %d blocks, marked %d", tc.n, tc.grain, len(got), len(marked))
+		if c := bm.Count(); c != len(marked) {
+			t.Fatalf("n=%d grain=%d: counts %d blocks, marked %d", tc.n, tc.grain, c, len(marked))
+		}
+		got := bm.Drain()
+		if len(got) != len(marked) || cap(got) != len(got) {
+			t.Fatalf("n=%d grain=%d: drained %d blocks (cap %d), marked %d", tc.n, tc.grain, len(got), cap(got), len(marked))
 		}
 		prev := -1
 		for _, b := range got {
@@ -104,6 +116,23 @@ func TestValidateBlocks(t *testing.T) {
 	}
 	if _, err := ValidateBlocks(nil, 40, 26, "test"); err == nil {
 		t.Fatal("absurd grain accepted")
+	}
+}
+
+// TestGather: the blocks' segments in order, a short last block
+// included, in a slice of exactly their length; nil for no blocks.
+func TestGather(t *testing.T) {
+	src := make([]int, 26)
+	for i := range src {
+		src[i] = i
+	}
+	got := Gather(src, []uint32{0, 2, 3}, 3)
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25}
+	if !slices.Equal(got, want) || cap(got) != len(want) {
+		t.Fatalf("Gather = %v (cap %d), want %v", got, cap(got), want)
+	}
+	if got := Gather(src, nil, 3); got != nil {
+		t.Fatalf("Gather over no blocks = %v, want nil", got)
 	}
 }
 

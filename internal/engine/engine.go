@@ -8,7 +8,9 @@
 //
 // Because capture and replay overlap, end-to-end wall clock approaches
 // max(sweep, replay/workers) instead of their sum — the sweep stops
-// being an Amdahl pre-pass. With a checkpoint store attached
+// being an Amdahl pre-pass — where the sweep is itself max(interpret,
+// warm): checkpoint.CaptureStream interprets on one goroutine and warms
+// on the one Sweep calls it from. With a checkpoint store attached
 // (Options.Store), a workload's sweep is paid once and later runs skip
 // it entirely, loading launch states from disk.
 //

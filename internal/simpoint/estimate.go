@@ -110,7 +110,7 @@ func estimate(p *program.Program, cfg uarch.Config, sel Selection, warm bool) (*
 		if ff := start - cpu.Count; ff > 0 {
 			var err error
 			if warm {
-				err = warmer.Forward(cpu, ff)
+				err = warmer.ForwardBatch(cpu, ff)
 			} else {
 				_, err = cpu.Run(ff)
 			}

@@ -150,6 +150,6 @@ func FunctionalWarmingRunTime(prog *program.Program, cfg uarch.Config) (time.Dur
 	machine := uarch.NewMachine(cfg)
 	w := uarch.NewWarmer(machine, cfg)
 	start := time.Now()
-	err := w.Forward(cpu, prog.Length)
+	err := w.ForwardBatch(cpu, prog.Length)
 	return time.Since(start), cpu.Count, err
 }

@@ -280,7 +280,7 @@ func SerialLoop(ctx context.Context, prog *program.Program, cfg uarch.Config, pl
 			}
 			var err error
 			if plan.Warming == FunctionalWarming {
-				err = warmer.Forward(cpu, step)
+				err = warmer.ForwardBatch(cpu, step)
 			} else {
 				_, err = cpu.Run(step)
 			}

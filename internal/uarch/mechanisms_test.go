@@ -7,6 +7,8 @@ package uarch_test
 // store-to-load forwarding — has its intended timing effect.
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/functional"
@@ -360,7 +362,12 @@ func TestStoreQueuesStayFixed(t *testing.T) {
 	core := uarch.NewCore(uarch.NewMachine(cfg))
 	src := &storeLoop{}
 	// AllocsPerRun's warm-up call is kept short, so that it cannot grow
-	// anything to the size the measured call needs.
+	// anything to the size the measured call needs. AllocsPerRun counts
+	// the whole process's allocations, and a GC cycle ending inside the
+	// long measured call allocates in its mark worker: finish any cycle
+	// in flight and hold the next one off until the measurement is done.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := uint64(1000)
 	allocs := testing.AllocsPerRun(1, func() {
 		if stats, err := core.Run(src, n, nil); err != nil || stats.Insts != n {

@@ -39,10 +39,10 @@ type Warmer struct {
 	haveIBlock bool
 	// ring is the batch buffer ForwardBatch hands to the CPU's batch
 	// interpreter: one RunDyn call fills it with up to warmBatch dynamic
-	// records, and the warming loop replays them into the structures —
+	// records, and Warm replays them into the structures —
 	// amortizing interpreter dispatch and warming dispatch over the
 	// batch instead of alternating per instruction. Warmers are few (one
-	// per capture sweep), so the buffer is kept inline rather than
+	// per sweep or serial loop), so the buffer is kept inline rather than
 	// allocated per call.
 	ring [warmBatch]functional.DynRec
 
@@ -125,7 +125,7 @@ func (w *Warmer) Delta(since uint64) (*WarmDelta, error) {
 }
 
 // FetchBlock returns the I-cache block of the last warmed fetch and
-// whether one exists — the dedup state Forward keys consecutive-fetch
+// whether one exists — the dedup state Warm keys consecutive-fetch
 // suppression off. A resumable sweep journals it alongside the warm
 // snapshot: restoring warm state without it would re-warm the first
 // fetched block after resume and skew the LRU stamps off the
@@ -145,71 +145,81 @@ func (w *Warmer) SetFetchBlock(block uint64, ok bool) {
 // while the warming loop re-reads what the interpreter just wrote.
 const warmBatch = 256
 
-// Forward advances the CPU by n instructions with functional warming.
-//
-//simlint:hotpath
-func (w *Warmer) Forward(cpu *functional.CPU, n uint64) error {
-	return w.ForwardBatch(cpu, n)
-}
-
 // ForwardBatch advances the CPU by up to n instructions with functional
 // warming, in batches: the CPU's batch interpreter (RunDyn) fills the
-// warmer's record ring, then the warming loop replays the ring into the
-// selected structures, reading each record's pre-decoded class instead
-// of re-deriving it per dynamic instruction. Warming consumes only the
-// recorded outcomes (fetch PCs, effective addresses, branch results),
-// never live architectural state, so deferring it by a batch leaves the
-// warmed state bit-identical to instruction-at-a-time warming. A halt
-// inside the batch warms every record through the Halt itself and
-// returns nil, exactly as the per-instruction loop did.
+// warmer's record ring, then Warm replays the ring into the selected
+// structures. Warming consumes only the recorded outcomes (fetch PCs,
+// effective addresses, branch results), never live architectural state,
+// so deferring it by a batch leaves the warmed state bit-identical to
+// instruction-at-a-time warming. A halt inside the batch warms every
+// record through the Halt itself and returns nil; a fault warms the
+// records executed before it and returns the error, so warm state never
+// falls behind cpu.Count.
 //
 //simlint:hotpath
 func (w *Warmer) ForwardBatch(cpu *functional.CPU, n uint64) error {
-	h := w.machine.Hier
-	p := w.machine.Pred
 	for n > 0 {
-		batch := n
-		if batch > warmBatch {
-			batch = warmBatch
-		}
+		batch := min(n, warmBatch)
 		k, err := cpu.RunDyn(w.ring[:batch], batch)
-		if err != nil {
-			return err
-		}
-		if k == 0 {
-			return nil // already halted
-		}
-		for i := uint64(0); i < k; i++ {
-			d := &w.ring[i]
-			if w.Components.ICache {
-				iblock := d.PC * isa.InstBytes >> w.blockBits
-				if !w.haveIBlock || iblock != w.lastIBlock {
-					h.WarmFetch(d.PC * isa.InstBytes)
-					w.haveIBlock, w.lastIBlock = true, iblock
-				}
-			}
-			switch d.Class {
-			case isa.ClassLoad:
-				if w.Components.DCache {
-					h.WarmData(d.EA, false)
-				}
-			case isa.ClassStore:
-				if w.Components.DCache {
-					h.WarmData(d.EA, true)
-				}
-			case isa.ClassBranch, isa.ClassJump, isa.ClassRet:
-				if w.Components.Predictor {
-					p.Warm(bpred.Outcome{
-						Op: d.Op, PC: d.PC, Taken: d.Taken,
-						Target: d.NextPC, NextPC: d.PC + 1,
-					})
-				}
-			}
+		w.Warm(w.ring[:k])
+		if err != nil || k == 0 || cpu.Halted {
+			return err // k == 0: already halted
 		}
 		n -= k
-		if cpu.Halted {
-			return nil
-		}
 	}
 	return nil
+}
+
+// Warm replays recorded dynamic instructions, in order, into the
+// selected structures: an I-cache fetch per new fetch block (consecutive
+// fetches of one block warm it once), a D-cache access per load and
+// store, a predictor warm per control instruction — each record's
+// pre-decoded class deciding which, never re-derived per instruction. It
+// is the one warming loop: ForwardBatch runs it behind the interpreter
+// on one goroutine, and the checkpoint capture sweep runs it on the
+// sweep goroutine over records another goroutine interpreted. Both are
+// bit-identical to warming instruction by instruction, because the
+// records are all warming reads.
+//
+//simlint:hotpath
+func (w *Warmer) Warm(recs []functional.DynRec) {
+	h, p := w.machine.Hier, w.machine.Pred
+	icache, dcache, pred := w.Components.ICache, w.Components.DCache, w.Components.Predictor
+	blockBits := w.blockBits
+	// noBlock stands for "no fetch warmed yet": no fetch block reaches
+	// it, since PCs index a code slice.
+	const noBlock = ^uint64(0)
+	last := uint64(noBlock)
+	if w.haveIBlock {
+		last = w.lastIBlock
+	}
+	for i := range recs {
+		d := &recs[i]
+		if icache {
+			if iblock := d.PC * isa.InstBytes >> blockBits; iblock != last {
+				h.WarmFetch(d.PC * isa.InstBytes)
+				last = iblock
+			}
+		}
+		switch d.Class {
+		case isa.ClassLoad:
+			if dcache {
+				h.WarmData(d.EA, false)
+			}
+		case isa.ClassStore:
+			if dcache {
+				h.WarmData(d.EA, true)
+			}
+		case isa.ClassBranch, isa.ClassJump, isa.ClassRet:
+			if pred {
+				p.Warm(bpred.Outcome{
+					Op: d.Op, PC: d.PC, Taken: d.Taken,
+					Target: d.NextPC, NextPC: d.PC + 1,
+				})
+			}
+		}
+	}
+	if last != noBlock {
+		w.lastIBlock, w.haveIBlock = last, true
+	}
 }

@@ -21,16 +21,16 @@ func TestWarmerForwardZeroAllocs(t *testing.T) {
 	m := uarch.NewMachine(cfg)
 	w := uarch.NewWarmer(m, cfg)
 	cpu := functional.New(p)
-	if err := w.Forward(cpu, 100_000); err != nil {
+	if err := w.ForwardBatch(cpu, 100_000); err != nil {
 		t.Fatal(err) // reach steady state first
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := w.Forward(cpu, 1000); err != nil {
+		if err := w.ForwardBatch(cpu, 1000); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Warmer.Forward allocates %.4f objects per 1000 instructions; want 0", allocs)
+		t.Fatalf("Warmer.ForwardBatch allocates %.4f objects per 1000 instructions; want 0", allocs)
 	}
 }
 
@@ -62,7 +62,7 @@ func BenchmarkWarmerForward(b *testing.B) {
 			w = uarch.NewWarmer(m, cfg)
 			b.StartTimer()
 		}
-		if err := w.Forward(cpu, uint64(n)); err != nil {
+		if err := w.ForwardBatch(cpu, uint64(n)); err != nil {
 			b.Fatal(err)
 		}
 		done += n
