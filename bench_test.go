@@ -8,8 +8,8 @@ package repro
 // Each benchmark prints the paper-shaped table to the test log and
 // reports its headline quantities as custom metrics. References (the
 // full-stream detailed ground truth) are cached in a shared context so
-// the suite pays for each one once. Run with -scale via
-// cmd/smartsweep for other scales.
+// the suite pays for each one once. For other scales run
+// `go run ./cmd/smartsim -experiment NAME -scale S`.
 
 import (
 	"context"

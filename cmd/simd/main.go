@@ -64,8 +64,7 @@ func usage() {
                    [-lease D]
   simd worker      -listen ADDR -coordinator URL [-advertise URL] [-parallel N] [-mem-cache-bytes N]
                    [-heartbeat D] [-resume-interval N]
-  simd run         -coordinator URL [workload/machine/plan flags] [-eps E -min-units N]
-                   [-fallback-local] [-v]
+  simd run         -coordinator URL [workload/machine/plan flags] [-fallback-local] [-v]
   simd fsck        -ckpt-dir DIR [-evict]
 `)
 }
@@ -165,8 +164,6 @@ func runMain(args []string) {
 	fs := flag.NewFlagSet("simd run", flag.ExitOnError)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (required)")
-		eps         = fs.Float64("eps", 0, "stop measuring once the CPI confidence interval is within ±eps (0 = run the full plan)")
-		minUnits    = fs.Uint64("min-units", 0, "minimum measured units before -eps may stop the run")
 		verbose     = fs.Bool("v", false, "stream shard and sweep progress to stderr")
 		fallback    = fs.Bool("fallback-local", false, "degrade to an in-process run (bit-identical, slower) when the coordinator stays unreachable after retries")
 		workload    = simflag.RegisterWorkload(fs)
@@ -188,9 +185,6 @@ func runMain(args []string) {
 	req := sim.NewRequest(*workload.Bench, sim.Machine(cfg), sim.Length(*workload.Length))
 	if err := plan.Apply(req); err != nil {
 		log.Fatal(err)
-	}
-	if *eps > 0 {
-		req.TargetEps, req.MinUnits = *eps, *minUnits
 	}
 	if *verbose {
 		req.Progress = func(ev sim.Progress) {

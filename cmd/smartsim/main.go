@@ -2,8 +2,11 @@
 // microarchitecture simulator. It runs one workload of the synthetic
 // suite under a chosen machine configuration and sampling plan and
 // prints the CPI and EPI estimates with their confidence, or — with
-// -procedure — executes the paper's full two-step estimation procedure.
-// It is a thin shell over the sim service API (sim.Open / Session.Run).
+// -procedure — executes the paper's full two-step estimation procedure,
+// the way to ask for a ±eps confidence interval. With -experiment it
+// instead regenerates the paper's evaluation artifacts (Figures 2-8,
+// Tables 4-6) at a chosen scale. It is a thin shell over the sim
+// service API (sim.Open / Session.Run).
 //
 // Usage:
 //
@@ -12,6 +15,8 @@
 //	smartsim -bench ammpx -procedure -eps 0.03
 //	smartsim -bench gccx -n 2000 -parallel -1                      # engine across all cores
 //	smartsim -bench gccx -n 2000 -parallel -1 -ckpt-dir ~/.smarts  # sweep saved; reruns skip it
+//	smartsim -experiment fig6 -config 8-way -scale small
+//	smartsim -experiment all -scale tiny
 package main
 
 import (
@@ -19,6 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
+	"time"
 
 	"repro/sim"
 	"repro/sim/simflag"
@@ -32,8 +39,13 @@ func main() {
 		engine    = simflag.RegisterEngine(flag.CommandLine)
 		procedure = flag.Bool("procedure", false, "run the full two-step procedure")
 		eps       = flag.Float64("eps", 0.03, "target relative confidence interval")
+		exp       = flag.String("experiment", "", "regenerate a paper artifact instead of one run: fig2..fig8, table4..table6, or 'all'")
+		scale     = flag.String("scale", "small", "experiment scale: tiny, small, or medium")
 	)
 	flag.Parse()
+	if err := checkMode(*exp != ""); err != nil {
+		fatal(err)
+	}
 
 	if workload.ListAndExit() {
 		return
@@ -49,6 +61,11 @@ func main() {
 	}
 	defer sess.Close()
 	defer simflag.ReportStore(sess)
+
+	if *exp != "" {
+		experiments(sess, *exp, *scale, cfg, engine)
+		return
+	}
 
 	req := sim.NewRequest(*workload.Bench, sim.Machine(cfg), sim.Length(*workload.Length))
 	if err := plan.Apply(req); err != nil {
@@ -85,6 +102,52 @@ func main() {
 	fmt.Printf("plan: U=%d W=%d k=%d j=%d warming=%v parallel=%d\n",
 		res.Plan.U, res.Plan.W, res.Plan.K, res.Plan.J, res.Plan.Warming, *engine.Parallel)
 	report(rep)
+}
+
+// checkMode rejects set flags that the chosen mode would ignore: an
+// experiment picks its own workloads and plans, so the single-run flags
+// do not apply to it, and -scale applies to nothing else.
+func checkMode(experiment bool) error {
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "bench", "length", "list", "u", "w", "n", "j", "warming", "procedure", "eps":
+			if experiment {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		case "scale":
+			if !experiment {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		}
+	})
+	switch {
+	case len(ignored) == 0:
+		return nil
+	case experiment:
+		return fmt.Errorf("%s: not used with -experiment", strings.Join(ignored, ", "))
+	default:
+		return fmt.Errorf("%s: used only with -experiment", strings.Join(ignored, ", "))
+	}
+}
+
+// experiments runs the named experiment, or every one for "all",
+// streaming each artifact's rows to stdout.
+func experiments(sess *sim.Session, exp, scale string, cfg sim.Config, engine *simflag.Engine) {
+	names := []string{exp}
+	if exp == "all" {
+		names = sim.ExperimentNames()
+	}
+	for _, name := range names {
+		start := time.Now()
+		fmt.Printf("==== %s (scale %s) ====\n", name, scale)
+		req := sim.NewExperiment(name, sim.AtScale(scale), sim.Machine(cfg), sim.StreamTo(os.Stdout))
+		engine.Apply(req)
+		if _, err := sess.Run(context.Background(), req); err != nil {
+			fatal(fmt.Errorf("%s: %w", name, err))
+		}
+		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+	}
 }
 
 func report(rep *sim.Report) {

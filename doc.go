@@ -19,17 +19,18 @@
 //
 // One request type reaches plain sampled runs, multi-offset phase
 // runs (sim.Phases), the paper's two-step estimation procedure
-// (sim.Calibrate), and the experiment registry (sim.NewExperiment).
-// Every path honors context cancellation and deadlines; sessions
-// deduplicate concurrent functional sweeps for the same checkpoint
-// key (singleflight) and emit typed progress events (sim.OnProgress).
-// Below it, a run is two declarations and nothing else: a smarts.Plan
-// is the sampling design (U, W, k, j, warming mode — what the paper
-// defines a run by) and an engine.Options is how it executes (workers,
-// store, keyframe and journal cadence, early termination). The session
-// builds one of each per request; internal/smarts connects them
-// (RunSampledContext, RunSampledPhasesContext, the RunProcedureWith
-// calibration loop) and produces bit-identical results to the session.
+// (sim.Calibrate, the one way to ask for a ±eps confidence interval),
+// and the experiment registry (sim.NewExperiment). Every path honors
+// context cancellation and deadlines; sessions deduplicate concurrent
+// functional sweeps for the same checkpoint key (singleflight) and
+// emit typed progress events (sim.OnProgress). Below it, a run is two
+// declarations and nothing else: a smarts.Plan is the sampling design
+// (U, W, k, j, warming mode — what the paper defines a run by) and an
+// engine.Options is how it executes (workers, store, keyframe and
+// journal cadence). The session builds one of each per request;
+// internal/smarts connects them (RunSampledContext,
+// RunSampledPhasesContext, the RunProcedureWith calibration loop) and
+// produces bit-identical results to the session.
 //
 // # Architecture
 //
@@ -122,9 +123,9 @@
 // shard ranges, a worker fleet (cmd/simd worker) replays them through
 // the same engine, and a stream-order merge reproduces the
 // single-machine report bit for bit at any (machine × worker) count —
-// including confidence-targeted early termination, worker failure with
-// shard reassignment, and run cancellation. The fleet shares one
-// functional sweep per checkpoint key through a claim protocol (the
+// including worker failure with shard reassignment and run
+// cancellation. The fleet shares one functional sweep per checkpoint
+// key through a claim protocol (the
 // session singleflight, fleet-wide) backed by the coordinator's sweep
 // cache and optional on-disk store; the format-v4 store codec doubles
 // as the wire encoding. The fleet is fault-tolerant end to end: sweep

@@ -62,15 +62,4 @@ func main() {
 		fmt.Printf("speedup: %.2fx on the end-to-end run\n",
 			float64(serialTime)/float64(parallelTime))
 	}
-
-	// With a target confidence interval the engine stops measuring units
-	// as soon as the stream-order prefix is confident enough — also
-	// deterministically.
-	early, err := sess.Run(ctx, sim.NewRequest(bench,
-		append(base, sim.Workers(workers), sim.EarlyStop(0.20, 30))...))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("early termination at ±20%%: kept %d of %d planned units → CPI %v\n",
-		len(early.Result().Units), len(parallel.Result().Units), early.CPI)
 }

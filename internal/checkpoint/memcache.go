@@ -65,8 +65,8 @@ func (c *MemCache) Get(k Key) *Set {
 // Put caches set under k, then — with MaxBytes set — evicts least-
 // recently-used entries until the cache fits (the just-inserted entry
 // is exempt, so an oversized sweep still serves its own run). Only
-// complete sweeps belong here (the caller checks Summary.Complete); an
-// early-terminated capture would poison every later request with a
+// complete sweeps belong here (the caller checks Summary.Complete); a
+// cancelled or failed capture would poison every later request with a
 // truncated population.
 func (c *MemCache) Put(k Key, set *Set) {
 	size := int64(set.WarmBytes()) + int64(set.MemBytes())

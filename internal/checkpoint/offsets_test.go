@@ -112,9 +112,9 @@ func TestMultiOffsetMaxUnitsPerOffset(t *testing.T) {
 	}
 }
 
-// TestCaptureStreamEarlyStop verifies a consumer can stop the sweep and
+// TestCaptureStreamConsumerStop verifies a consumer can stop the sweep and
 // the summary reflects the truncation.
-func TestCaptureStreamEarlyStop(t *testing.T) {
+func TestCaptureStreamConsumerStop(t *testing.T) {
 	p := genProg(t, "gzipx", 200_000)
 	cfg := uarch.Config8Way()
 	var got int

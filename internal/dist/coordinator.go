@@ -779,9 +779,6 @@ type shardedRun struct {
 	total  int
 	shards int
 	m      *engine.Merger
-	// stop aborts every in-flight shard request fleet-wide once the
-	// merge reports that early termination fixed the outcome.
-	stop context.CancelFunc
 
 	// smu guards the merge and the shard bookkeeping below; Merger
 	// offers and journal appends are serialized under it (one lock,
@@ -875,15 +872,12 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 		Population: r.pop, Total: r.total})
 
 	alpha := alphaOr997(r.wr.Alpha)
-	dispatchCtx, cancelDispatch := context.WithCancel(ctx)
-	defer cancelDispatch()
-	r.stop = cancelDispatch
 	replayStart := wallclock.Now()
 	// The run's fold is the engine's: the same Merger a local run
 	// offers its pool's units to takes the fleet's shard streams (and
 	// the journaled prefix at recovery), in whatever order they arrive.
 	r.m = engine.NewMerger(r.spec.Plan.U, engine.Options{
-		Alpha: alpha, TargetEps: r.wr.TargetEps, MinUnits: r.wr.MinUnits,
+		Alpha: alpha,
 		OnReplayed: func(merged int, est stats.Estimate) {
 			r.sink.emit(sim.Progress{Kind: sim.EventUnitReplayed, Stage: "sample", Offset: r.spec.Plan.J,
 				Replayed: merged, Estimate: est, Population: r.pop, Total: r.total,
@@ -909,11 +903,10 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 		wg.Add(1)
 		go func(w *workerRef) {
 			defer wg.Done()
-			r.workerLoop(dispatchCtx, w)
+			r.workerLoop(ctx, w)
 		}(w)
 	}
 	wg.Wait()
-	cancelDispatch()
 
 	r.smu.Lock()
 	defer r.smu.Unlock()
@@ -921,19 +914,13 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	switch {
 	case r.runErr != nil:
 		return nil, r.runErr
-	case er.EarlyStopped:
-		// The cutoff prefix is complete; outstanding shards were only
-		// producing surplus units beyond it.
 	case ctx.Err() != nil:
 		return nil, ctx.Err()
 	case r.remaining > 0:
 		return nil, fmt.Errorf("dist: %d shard range(s) left unassigned: all workers failed", r.remaining)
 	}
-	// The trailer can be missing only when early termination cut the
-	// run before any shard finished; the population is known locally
-	// and the sweep accounting is then best-effort zero (a local
-	// early-terminated run reports its own partial sweep cost, which is
-	// wall-clock-like and excluded from bit-identity anyway).
+	// The trailer can be missing only when the plan selects no unit, so
+	// no shard ran; the population is known locally.
 	td := shardDone{Population: r.pop}
 	if r.trailer != nil {
 		td = *r.trailer
@@ -973,7 +960,7 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 	merged := make(map[int]bool, len(rec.units))
 	for i := range rec.units {
 		merged[rec.units[i].Seq] = true
-		r.offer(&rec.units[i])
+		r.m.Offer(rec.units[i].rangeUnit())
 	}
 	doneIdx := make(map[int]bool, len(rec.dones))
 	for i := range rec.dones {
@@ -1000,16 +987,6 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 			n++
 		}
 		r.pending <- shardRange{lo: sr.lo + n, hi: sr.hi, idx: sr.idx}
-	}
-}
-
-// offer folds one verified unit into the merge and broadcasts the stop
-// once early termination has fixed the outcome. Each stream position is
-// offered exactly once across all shards and retries — the
-// resume-after-prefix retry discipline guarantees it. Callers hold smu.
-func (r *shardedRun) offer(u *wireUnit) {
-	if r.m.Offer(u.rangeUnit()) {
-		r.stop()
 	}
 }
 
@@ -1052,7 +1029,7 @@ func (r *shardedRun) workerLoop(ctx context.Context, w *workerRef) {
 			continue
 		}
 		if ctx.Err() != nil {
-			return // cancelled: early stop or caller cancel, not a failure
+			return // cancelled by the caller, not a failure
 		}
 		var app *appError
 		if errors.As(err, &app) {
@@ -1159,7 +1136,7 @@ func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) 
 			}
 			r.smu.Lock()
 			r.journal.append(journalLine{Unit: rec.Unit})
-			r.offer(rec.Unit)
+			r.m.Offer(rec.Unit.rangeUnit())
 			r.smu.Unlock()
 			received++
 			if ok, _ := r.c.opt.Faults.fire(FaultKillCoordinator); ok {

@@ -3,8 +3,7 @@
 // ranges, dispatches them to workers over HTTP/JSON (stdlib only), and
 // merges the shard streams through the very stream-order fold a single
 // machine uses (engine.Merger) — so the final report is bit-identical to
-// a local engine run at any (machine × worker) count, including under
-// confidence-targeted early termination.
+// a local engine run at any (machine × worker) count.
 //
 // # Why sharding is free
 //
@@ -18,8 +17,7 @@
 // engine.ReplayRange (the local engine's pool), and the coordinator
 // offers every verified unit, converted from its wire form, to an
 // engine.Merger — the type engine.Run itself folds through, which alone
-// knows the partial-unit cut, the early-termination cutoff and the
-// accounting. Units are merged by stream index, never by arrival order,
+// knows the partial-unit cut and the accounting. Units are merged by stream index, never by arrival order,
 // so worker death, retries, and scheduling cannot perturb the estimate.
 //
 // # Protocol
@@ -156,7 +154,10 @@
 // re-dispatched, an unjournaled one is never skipped, and the final
 // report is bit-identical to an uninterrupted run. The journal is
 // removed before the terminal event is published, so a finished run
-// can never be resurrected.
+// can never be resurrected. A journal written by an older coordinator
+// whose request carried an early-termination target (a wire field that
+// no longer exists) recovers as a run of its full plan: the header
+// decodes with the unknown field ignored.
 //
 // A run's lifecycle through a crash, client-side: POST /v1/runs
 // returns {ID, Epoch}; the client follows GET /v1/runs/{id}/stream.
@@ -204,13 +205,9 @@
 // checkpoint.Store.Verify (the simd fsck subcommand) scrubs a store
 // offline.
 //
-// # Early termination and admission
+// # Admission
 //
-// The Merger folds in-order prefixes as shard streams arrive; when the
-// target confidence interval is met it fixes the same cutoff a local
-// run would and its Offer reports so, and the coordinator broadcasts a
-// stop by cancelling all in-flight shard requests. Admission control bounds
-// concurrent runs (MaxActive) with a bounded wait queue (MaxQueue)
-// honoring context deadlines; beyond both, runs fail fast with
-// ErrBusy.
+// Admission control bounds concurrent runs (MaxActive) with a bounded
+// wait queue (MaxQueue) honoring context deadlines; beyond both, runs
+// fail fast with ErrBusy.
 package dist

@@ -13,19 +13,11 @@ import (
 // reportDigest is what must repeat exactly whichever way a request runs:
 // the estimates' bits, the unit count and the instruction accounting
 // (the digest benchmark/workloads.go checks against its golden file).
-// The fast-forward count is part of it only for a run that sweeps to
-// the end: once early termination cuts the run, how far the sweep got
-// (or whether a complete cached one was reused) depends on the schedule
-// and is wall-clock-like accounting, not part of the measurement.
-func reportDigest(rep *sim.Report, early bool) string {
+func reportDigest(rep *sim.Report) string {
 	res := rep.Result()
-	d := fmt.Sprintf("cpi=%016x ci=%016x epi=%016x units=%d measured=%d warming=%d",
+	return fmt.Sprintf("cpi=%016x ci=%016x epi=%016x units=%d measured=%d warming=%d fastfwd=%d",
 		math.Float64bits(rep.CPI.Mean), math.Float64bits(rep.CPI.RelCI), math.Float64bits(rep.EPI.Mean),
-		len(res.Units), res.MeasuredInsts, res.WarmingInsts)
-	if !early {
-		d += fmt.Sprintf(" fastfwd=%d", res.FastFwdInsts)
-	}
-	return d
+		len(res.Units), res.MeasuredInsts, res.WarmingInsts, res.FastFwdInsts)
 }
 
 // TestCrossPathEquivalence runs one request through every way the
@@ -33,9 +25,9 @@ func reportDigest(rep *sim.Report, early bool) string {
 // and four workers, a store hit, an in-memory sweep-cache hit, the
 // multi-offset path at the same phase offset, a loopback fleet of two
 // single-worker machines, and that fleet with the coordinator killed
-// and restarted mid-run — each without and with early termination. All
-// of them replay through the engine's one pool and fold through its one
-// Merger, so every row must reproduce the first bit for bit.
+// and restarted mid-run. All of them replay through the engine's one
+// pool and fold through its one Merger, so every row must reproduce the
+// first bit for bit.
 func TestCrossPathEquivalence(t *testing.T) {
 	const phase = 3
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -60,8 +52,8 @@ func TestCrossPathEquivalence(t *testing.T) {
 		}
 		return rep
 	}
-	// hit primes sess with the complete sweep (an early-terminated sweep
-	// is never kept), then requires the request itself to reuse it.
+	// hit primes sess with the sweep, then requires the request to reuse
+	// it.
 	hit := func(t *testing.T, sess *sim.Session, req *sim.Request) *sim.Report {
 		t.Helper()
 		run(t, sess, testRequest(sim.Phase(phase)))
@@ -119,28 +111,20 @@ func TestCrossPathEquivalence(t *testing.T) {
 		}},
 	}
 
-	for _, early := range []bool{false, true} {
-		request := func() *sim.Request {
-			if early {
-				return testRequest(sim.Phase(phase), sim.EarlyStop(0.30, 8))
+	var want string
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			rep := p.run(t, testRequest(sim.Phase(phase)))
+			if len(rep.Result().Units) == 0 {
+				t.Fatal("measured no units")
 			}
-			return testRequest(sim.Phase(phase))
-		}
-		var want string
-		for _, p := range paths {
-			t.Run(fmt.Sprintf("early=%v/%s", early, p.name), func(t *testing.T) {
-				rep := p.run(t, request())
-				if n := len(rep.Result().Units); n == 0 || (early && n >= 60) {
-					t.Fatalf("measured %d units; early=%v expects a non-empty, cut-short sample", n, early)
-				}
-				got := reportDigest(rep, early)
-				if want == "" {
-					want = got
-				}
-				if got != want {
-					t.Fatalf("report digest diverged from %s:\n got %s\nwant %s", paths[0].name, got, want)
-				}
-			})
-		}
+			got := reportDigest(rep)
+			if want == "" {
+				want = got
+			}
+			if got != want {
+				t.Fatalf("report digest diverged from %s:\n got %s\nwant %s", paths[0].name, got, want)
+			}
+		})
 	}
 }

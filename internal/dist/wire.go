@@ -31,10 +31,7 @@ type wireRequest struct {
 	Warming       int
 	MaxUnits      int
 	NoStore       bool
-
-	TargetEps float64
-	MinUnits  uint64
-	Alpha     float64
+	Alpha         float64
 }
 
 // distributable rejects request modes the service does not shard.
@@ -66,19 +63,17 @@ func wireFromRequest(req *sim.Request) (*wireRequest, error) {
 		return nil, err
 	}
 	wr := &wireRequest{
-		Workload:  req.Workload,
-		Length:    req.Length,
-		U:         req.U,
-		W:         req.W,
-		N:         req.N,
-		K:         req.K,
-		J:         req.J,
-		Warming:   int(req.Warming),
-		MaxUnits:  req.MaxUnits,
-		NoStore:   req.NoStore,
-		TargetEps: req.TargetEps,
-		MinUnits:  req.MinUnits,
-		Alpha:     req.Alpha,
+		Workload: req.Workload,
+		Length:   req.Length,
+		U:        req.U,
+		W:        req.W,
+		N:        req.N,
+		K:        req.K,
+		J:        req.J,
+		Warming:  int(req.Warming),
+		MaxUnits: req.MaxUnits,
+		NoStore:  req.NoStore,
+		Alpha:    req.Alpha,
 	}
 	if req.Config != (sim.Config{}) {
 		cfg := req.Config
@@ -90,19 +85,17 @@ func wireFromRequest(req *sim.Request) (*wireRequest, error) {
 // request reconstructs the sim.Request a wireRequest describes.
 func (wr *wireRequest) request() *sim.Request {
 	req := &sim.Request{
-		Workload:  wr.Workload,
-		Length:    wr.Length,
-		U:         wr.U,
-		W:         wr.W,
-		N:         wr.N,
-		K:         wr.K,
-		J:         wr.J,
-		Warming:   sim.WarmingMode(wr.Warming),
-		MaxUnits:  wr.MaxUnits,
-		NoStore:   wr.NoStore,
-		TargetEps: wr.TargetEps,
-		MinUnits:  wr.MinUnits,
-		Alpha:     wr.Alpha,
+		Workload: wr.Workload,
+		Length:   wr.Length,
+		U:        wr.U,
+		W:        wr.W,
+		N:        wr.N,
+		K:        wr.K,
+		J:        wr.J,
+		Warming:  sim.WarmingMode(wr.Warming),
+		MaxUnits: wr.MaxUnits,
+		NoStore:  wr.NoStore,
+		Alpha:    wr.Alpha,
 	}
 	if wr.Config != nil {
 		req.Config = *wr.Config

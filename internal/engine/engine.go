@@ -3,8 +3,7 @@
 // (internal/checkpoint) and streams each one to a worker pool the
 // moment it is taken, workers replay detailed warming plus measurement
 // for each unit from its snapshot, and a Merger folds per-unit CPI/EPI
-// in stream order, optionally terminating early once a target
-// confidence interval is reached.
+// in stream order.
 //
 // Because capture and replay overlap, end-to-end wall clock approaches
 // max(sweep, replay/workers) instead of their sum — the sweep stops
@@ -31,20 +30,23 @@
 // function of its checkpoint. Run feeds the pool from the streaming
 // sweep or a loaded Set, RunSet from a caller's Set, ReplayRange — the
 // distributed worker's entry point — from a [lo, hi) slice of one. The
-// Merger is the stream-order fold (partial-unit cut, early-termination
-// cutoff, accounting); Run and RunSet use it locally and the
-// distributed coordinator uses the same type for shard streams and
-// run-journal replay. The acquisition (lookup, then acquire) is store,
-// then cache, then a fresh Sweep streamed into the store and retained
-// for the cache: Run attaches the pool to it; CaptureSet, for callers
-// that must hold every launch state before replaying (the multi-offset
-// path), does not, and nothing else differs.
+// Merger is the stream-order fold (partial-unit cut, accounting); Run
+// and RunSet use it locally and the distributed coordinator uses the
+// same type for shard streams and run-journal replay. The acquisition
+// (lookup, then acquire) is store, then cache, then a fresh Sweep
+// streamed into the store and retained for the cache: Run attaches the
+// pool to it; CaptureSet, for callers that must hold every launch state
+// before replaying (the multi-offset path), does not, and nothing else
+// differs.
 //
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint and there is one fold, results are bit-identical for any
 // worker count, any sweep source (streamed, resumed, cached or
-// store-loaded), any shard split and any early-termination setting — the
-// engine with one worker IS the serial path. There is one sweep
+// store-loaded) and any shard split — the engine with one worker IS the
+// serial path. Every run measures its whole plan: a caller that wants a
+// target confidence interval sizes the plan for it up front (the sim
+// package's two-step procedure), because a sample cut short in stream
+// order covers only the program's beginning. There is one sweep
 // schedule, serial, so no option changes what a plan's sweep captures.
 // This is the property the SMARTS paper's ~10,000-unit samples make
 // available: units are statistically and, once checkpointed,
@@ -74,21 +76,13 @@ import (
 type Options struct {
 	// Workers is the worker-pool size; values <= 0 select GOMAXPROCS.
 	Workers int
-	// Alpha is the confidence parameter used by early termination (and
-	// the reported estimate); zero selects stats.Alpha997.
+	// Alpha is the confidence parameter of the estimate OnReplayed
+	// reports; zero selects stats.Alpha997.
 	Alpha float64
-	// TargetEps, when positive, stops measuring once the CPI estimate's
-	// relative confidence interval is within ±TargetEps. The cutoff is
-	// decided on stream-order prefixes, so it is deterministic for any
-	// worker count.
-	TargetEps float64
-	// MinUnits is the minimum number of units measured before early
-	// termination may trigger (default 2).
-	MinUnits uint64
 	// Store, when non-nil, is consulted before sweeping: a usable entry
 	// for this (workload, plan, warm geometry) skips the functional
 	// sweep entirely, and a completed fresh sweep is persisted for
-	// later runs. Early-terminated sweeps are not persisted (they are
+	// later runs. Cancelled or failed sweeps are not persisted (they are
 	// incomplete).
 	Store *checkpoint.Store
 	// Cache, when non-nil, is the in-memory analogue of Store, checked
@@ -150,8 +144,7 @@ type UnitResult struct {
 
 // Result collects a parallel sampling run.
 type Result struct {
-	// Units holds the per-unit measurements in stream order, truncated
-	// at the early-termination cutoff when one triggered.
+	// Units holds the per-unit measurements in stream order.
 	Units []UnitResult
 	// PopulationUnits is the benchmark length in units.
 	PopulationUnits uint64
@@ -177,8 +170,6 @@ type Result struct {
 	DetailedTime time.Duration
 	WallTime     time.Duration
 
-	// EarlyStopped reports that the confidence target cut the run short.
-	EarlyStopped bool
 	// SweepCached reports that launch states were loaded from the
 	// checkpoint store instead of sweeping.
 	SweepCached bool
@@ -324,7 +315,7 @@ func RunSet(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint
 // replaySet replays an in-memory set through the pool and the Merger.
 func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, set *checkpoint.Set, opt Options, start time.Time) (*Result, error) {
 	m := NewMerger(u, opt, len(set.Units))
-	if err := replayUnits(ctx, prog, cfg, u, set.Units, 0, opt.workers(), m.Offer); err != nil {
+	if err := replayUnits(ctx, prog, cfg, u, set.Units, 0, opt.workers(), m.deliver); err != nil {
 		return nil, err
 	}
 	res := m.Finish()
@@ -415,17 +406,14 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 	m := NewMerger(p.U, opt, 0)
 	err := replayStream(ctx, prog, cfg, p.U, opt.workers(), 0, func(send func(*checkpoint.Unit) bool) {
 		_, sum, sweepErr = acquire(ctx, prog, cfg, p, key, opt, send)
-	}, m.Offer)
+	}, m.deliver)
 	if err != nil {
 		return nil, err
 	}
-	res := m.Finish()
-	// A sweep error matters only if it prevented units the run still
-	// wanted: when early termination already cut the stream, the sweep
-	// was cancelled on purpose and its state is irrelevant.
-	if sweepErr != nil && !res.EarlyStopped {
+	if sweepErr != nil {
 		return nil, sweepErr
 	}
+	res := m.Finish()
 	res.PopulationUnits = sum.PopulationUnits
 	res.SweepInsts = sum.SweepInsts
 	res.SweepResumedInsts = sum.ResumedAt

@@ -114,44 +114,6 @@ func TestEstimateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEarlyTerminationDeterministic verifies that the confidence-target
-// cutoff is a stream-order decision: every worker count stops at the
-// same unit with the same estimate.
-func TestEarlyTerminationDeterministic(t *testing.T) {
-	cfg := uarch.Config8Way()
-	p := genProg(t, "gccx", 400_000)
-	// gccx's per-unit CPI CV is ~2 at this scale, so ±60% at 99.7%
-	// confidence needs ~(3·2/0.6)² ≈ 100 of the ~400 selected units:
-	// comfortably reachable, comfortably early.
-	params := checkpoint.Params{U: 1000, W: 1000, K: 1, J: 0, FunctionalWarm: true}
-	opts := func(w int) engine.Options {
-		return engine.Options{Workers: w, TargetEps: 0.60, MinUnits: 10}
-	}
-	base, err := engine.Run(context.Background(), p, cfg, params, opts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.EarlyStopped {
-		t.Fatalf("target not reached early (n=%d)", len(base.Units))
-	}
-	if len(base.Units) >= 350 {
-		t.Fatalf("early stop kept %d units; expected a clearly shorter run", len(base.Units))
-	}
-	for _, workers := range []int{2, 4, 8} {
-		r, err := engine.Run(context.Background(), p, cfg, params, opts(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.EarlyStopped || len(r.Units) != len(base.Units) {
-			t.Fatalf("workers=%d: stopped at %d units (early=%v), serial stopped at %d",
-				workers, len(r.Units), r.EarlyStopped, len(base.Units))
-		}
-		for i := range r.Units {
-			bitsEqual(t, "CPI", r.Units[i].CPI, base.Units[i].CPI)
-		}
-	}
-}
-
 // TestEngineAccounting sanity-checks the instruction bookkeeping.
 func TestEngineAccounting(t *testing.T) {
 	cfg := uarch.Config8Way()

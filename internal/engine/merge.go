@@ -14,79 +14,77 @@ import (
 // for any worker count, shard split, arrival interleaving or retry
 // history:
 //
-//   - every non-partial unit is folded by its stream position
-//     (stats.StreamAggregator), never by arrival order;
+//   - Finish sorts the non-partial units by stream position, never
+//     keeping arrival order;
 //   - a partial unit (the program ended inside it) cuts the stream at
 //     its position: everything before it is kept, it and everything
-//     after are dropped, as the serial loop does;
-//   - a met confidence target fixes the cutoff at the aggregator's
-//     in-order prefix length (DoneAt), so the kept prefix is complete
-//     by construction.
+//     after are dropped, as the serial loop does.
+//
+// Progress reported through Options.OnReplayed covers the in-order
+// prefix only (stats.StreamAggregator orders it), so it too is the same
+// for every arrival order.
 //
 // A Merger is not safe for concurrent use; callers serialize Offer.
 type Merger struct {
-	agg    *stats.StreamAggregator
+	agg    *stats.StreamAggregator // nil without onFold
 	u      uint64
 	onFold func(replayed int, est stats.Estimate)
 	units  []RangeUnit
-	stopAt int // units with Seq >= stopAt are dropped
-	early  bool
+	stopAt int    // units with Seq >= stopAt are dropped
 	folded uint64 // in-order units reported through onFold
 }
 
 // NewMerger builds the fold for a plan with unit size u. Of opt it reads
-// Alpha, TargetEps and MinUnits (the early-termination rule) and
-// OnReplayed, which it calls from Offer's goroutine each time the
-// in-order prefix grows. hint sizes the unit buffer.
+// Alpha and OnReplayed, which it calls from Offer's goroutine each time
+// the in-order prefix grows. hint sizes the unit buffer.
 func NewMerger(u uint64, opt Options, hint int) *Merger {
-	alpha := opt.Alpha
-	if alpha == 0 {
-		alpha = stats.Alpha997
-	}
-	return &Merger{
-		agg:    stats.NewStreamAggregator(alpha, opt.TargetEps, opt.MinUnits),
+	m := &Merger{
 		u:      u,
 		onFold: opt.OnReplayed,
 		units:  make([]RangeUnit, 0, hint),
 		stopAt: int(^uint(0) >> 1),
 	}
+	if m.onFold != nil {
+		alpha := opt.Alpha
+		if alpha == 0 {
+			alpha = stats.Alpha997
+		}
+		m.agg = stats.NewStreamAggregator(alpha, 0, 0)
+	}
+	return m
 }
 
 // Offer folds one replayed unit; units may arrive in any order, each
-// stream position exactly once. It reports whether early termination
-// has fixed the outcome — further units are surplus and the caller can
-// stop producing them.
-func (m *Merger) Offer(ru RangeUnit) (stop bool) {
+// stream position exactly once.
+func (m *Merger) Offer(ru RangeUnit) {
 	if ru.Partial {
-		if ru.Seq < m.stopAt {
-			m.stopAt = ru.Seq
-		}
-		return m.early
+		m.stopAt = min(m.stopAt, ru.Seq)
+		return
 	}
 	m.units = append(m.units, ru)
-	hitTarget := m.agg.Offer(uint64(ru.Seq), stats.Obs{CPI: ru.Res.CPI, EPI: ru.Res.EPI})
 	if m.onFold != nil {
+		m.agg.Offer(uint64(ru.Seq), stats.Obs{CPI: ru.Res.CPI, EPI: ru.Res.EPI})
 		if n := m.agg.Merged(); n > m.folded {
 			m.folded = n
 			m.onFold(int(n), m.agg.CPIEstimate())
 		}
 	}
-	if hitTarget {
-		if cut := int(m.agg.DoneAt()); cut < m.stopAt {
-			m.stopAt = cut
-			m.early = true
-		}
-	}
-	return m.early
+}
+
+// deliver is Offer in the pool's delivery form: the fold never asks the
+// pool to stop.
+func (m *Merger) deliver(ru RangeUnit) bool {
+	m.Offer(ru)
+	return true
 }
 
 // Finish returns the measurement half of the run's Result: the offered
-// units sorted by stream position and truncated at the cutoff, with
-// their instruction and replay-time accounting. The sweep half and
+// units sorted by stream position and truncated at the partial unit,
+// with their instruction and replay-time accounting. The sweep half and
 // WallTime are the caller's to fill.
 func (m *Merger) Finish() *Result {
 	sort.Slice(m.units, func(i, j int) bool { return m.units[i].Seq < m.units[j].Seq })
-	res := &Result{EarlyStopped: m.early}
+	res := &Result{}
 	for _, ru := range m.units {
 		if ru.Seq >= m.stopAt {
 			break

@@ -43,8 +43,8 @@ func synthUnits(rng *rand.Rand, n, partialAt int) []engine.RangeUnit {
 // ranges and offering the units in any interleaved arrival order — or
 // in a uniformly random order, as out-of-order completions could —
 // reproduces the in-order fold byte for byte, including the
-// early-termination cutoff, the partial-unit truncation, and what
-// OnReplayed reports for each prefix length.
+// partial-unit truncation and what OnReplayed reports for each prefix
+// length.
 func TestMergeOrderInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const u = 1000
@@ -53,15 +53,14 @@ func TestMergeOrderInvariance(t *testing.T) {
 		n   int
 		est stats.Estimate
 	}
-	merge := func(opt engine.Options, n int, order []engine.RangeUnit) (*engine.Result, []fold, bool) {
+	merge := func(n int, order []engine.RangeUnit) (*engine.Result, []fold) {
 		var folds []fold
-		opt.OnReplayed = func(replayed int, est stats.Estimate) { folds = append(folds, fold{replayed, est}) }
+		opt := engine.Options{OnReplayed: func(replayed int, est stats.Estimate) { folds = append(folds, fold{replayed, est}) }}
 		m := engine.NewMerger(u, opt, n)
-		stop := false
 		for _, ru := range order {
-			stop = m.Offer(ru)
+			m.Offer(ru)
 		}
-		return m.Finish(), folds, stop
+		return m.Finish(), folds
 	}
 
 	for trial := 0; trial < 300; trial++ {
@@ -70,19 +69,11 @@ func TestMergeOrderInvariance(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			partialAt = rng.Intn(n)
 		}
-		var opt engine.Options
-		if rng.Intn(2) == 0 {
-			opt.TargetEps = 0.02 + rng.Float64()*0.3
-			opt.MinUnits = uint64(2 + rng.Intn(10))
-		}
 		units := synthUnits(rng, n, partialAt)
 
 		// Reference: the whole stream offered strictly in stream order,
 		// as the local pool delivers it.
-		want, wantFolds, wantStop := merge(opt, n, units)
-		if wantStop != want.EarlyStopped {
-			t.Fatalf("trial %d: Offer's stop (%v) disagrees with EarlyStopped (%v)", trial, wantStop, want.EarlyStopped)
-		}
+		want, wantFolds := merge(n, units)
 
 		// Sharded: K contiguous ranges, units arriving in a random
 		// interleaving that preserves only per-shard order (exactly what
@@ -105,13 +96,10 @@ func TestMergeOrderInvariance(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
 		for name, order := range map[string][]engine.RangeUnit{"sharded": sharded, "shuffled": shuffled} {
-			got, gotFolds, gotStop := merge(opt, n, order)
-			if gotStop != wantStop {
-				t.Fatalf("trial %d %s: early-stop disagreement (%v, in-order %v)", trial, name, gotStop, wantStop)
-			}
+			got, gotFolds := merge(n, order)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %s (n=%d shards=%d eps=%g partial=%d): merge diverged:\n got %+v\nwant %+v",
-					trial, name, n, shards, opt.TargetEps, partialAt, got, want)
+				t.Fatalf("trial %d %s (n=%d shards=%d partial=%d): merge diverged:\n got %+v\nwant %+v",
+					trial, name, n, shards, partialAt, got, want)
 			}
 			// A jump of the in-order prefix is reported once, so arrival
 			// order changes how often OnReplayed fires — never what it

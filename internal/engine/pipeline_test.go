@@ -17,9 +17,6 @@ func resultsBitIdentical(t *testing.T, what string, a, b *engine.Result) {
 	if len(a.Units) != len(b.Units) {
 		t.Fatalf("%s: %d units vs %d", what, len(a.Units), len(b.Units))
 	}
-	if a.EarlyStopped != b.EarlyStopped {
-		t.Fatalf("%s: early-stop disagreement (%v vs %v)", what, a.EarlyStopped, b.EarlyStopped)
-	}
 	for i := range a.Units {
 		ua, ub := a.Units[i], b.Units[i]
 		if ua.Index != ub.Index || ua.Cycles != ub.Cycles {
@@ -36,8 +33,7 @@ func resultsBitIdentical(t *testing.T, what string, a, b *engine.Result) {
 // results. The streamed schedule must be bit-identical to the
 // capture-then-replay reference that still exists — RunSet over a
 // complete checkpoint.Capture, what the multi-offset path runs — and to
-// the one-worker serial path, for several worker counts, with and
-// without early termination.
+// the one-worker serial path, for several worker counts.
 func TestPipelineMatchesCaptureThenReplay(t *testing.T) {
 	cfg := uarch.Config8Way()
 	p := genProg(t, "gccx", 400_000)
@@ -47,32 +43,24 @@ func TestPipelineMatchesCaptureThenReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, eps := range []float64{0, 0.60} {
-		opts := func(workers int) engine.Options {
-			return engine.Options{Workers: workers, TargetEps: eps, MinUnits: 10}
-		}
-		serial, err := engine.RunSet(context.Background(), p, cfg, params.U, set, opts(1))
+	serial, err := engine.RunSet(context.Background(), p, cfg, params.U, set, engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Units) == 0 {
+		t.Fatal("no units measured")
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		streamed, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(serial.Units) == 0 {
-			t.Fatal("no units measured")
+		resultsBitIdentical(t, "streamed", serial, streamed)
+		replayed, err := engine.RunSet(context.Background(), p, cfg, params.U, set, engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if eps > 0 && !serial.EarlyStopped {
-			t.Fatalf("eps=%v: expected early termination", eps)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			streamed, err := engine.Run(context.Background(), p, cfg, params, opts(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsBitIdentical(t, "streamed", serial, streamed)
-			replayed, err := engine.RunSet(context.Background(), p, cfg, params.U, set, opts(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsBitIdentical(t, "capture-then-replay", serial, replayed)
-		}
+		resultsBitIdentical(t, "capture-then-replay", serial, replayed)
 	}
 }
 
@@ -194,51 +182,4 @@ func TestStoreRunBitIdentical(t *testing.T) {
 	if third.Units[0].Cycles == first.Units[0].Cycles {
 		t.Log("note: timing variant produced identical cycles (possible but unexpected)")
 	}
-}
-
-// TestStoreEarlyStopNotPersisted verifies that an early-terminated
-// streaming run does not persist its truncated sweep, and a later full
-// run still sweeps and persists a complete set.
-func TestStoreEarlyStopNotPersisted(t *testing.T) {
-	cfg := uarch.Config8Way()
-	p := genProg(t, "gccx", 400_000)
-	params := checkpoint.Params{U: 1000, W: 1000, K: 1, J: 0, FunctionalWarm: true}
-	store, err := checkpoint.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	early, err := engine.Run(context.Background(), p, cfg, params, engine.Options{
-		Workers: 4, Store: store, TargetEps: 0.60, MinUnits: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !early.EarlyStopped {
-		t.Skip("confidence target not reached early at this scale")
-	}
-
-	full, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 4, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.SweepCached {
-		t.Fatal("truncated sweep was persisted and reused")
-	}
-	if len(full.Units) <= len(early.Units) {
-		t.Fatalf("full run measured %d units, early run %d", len(full.Units), len(early.Units))
-	}
-
-	// Now the complete sweep is stored; a rerun of the early-stop
-	// configuration loads it and terminates at the same cutoff.
-	early2, err := engine.Run(context.Background(), p, cfg, params, engine.Options{
-		Workers: 2, Store: store, TargetEps: 0.60, MinUnits: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !early2.SweepCached {
-		t.Fatal("rerun did not reuse the complete stored sweep")
-	}
-	resultsBitIdentical(t, "early stop from store", early, early2)
 }

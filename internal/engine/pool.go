@@ -46,11 +46,11 @@ const streamBuffer = 4
 //
 // The pool winds down — send returns false, nothing more is delivered,
 // workers finish only their in-flight unit — once the outcome can no
-// longer change: deliver reported stop (replayStream then returns nil),
+// longer change: deliver returned false (replayStream then returns nil),
 // a replay failed (its error), or ctx was cancelled (ctx.Err()). It
 // returns after produce and every worker have.
 func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, nw, base int,
-	produce func(send func(*checkpoint.Unit) bool), deliver func(RangeUnit) (stop bool)) error {
+	produce func(send func(*checkpoint.Unit) bool), deliver func(RangeUnit) bool) error {
 	type job struct {
 		seq  int
 		unit *checkpoint.Unit
@@ -129,7 +129,7 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 		for ru, ok := pending[next]; ok && !settled; ru, ok = pending[next] {
 			delete(pending, next)
 			next++
-			if deliver(ru) {
+			if !deliver(ru) {
 				settled = true
 				stop()
 			}
@@ -152,7 +152,7 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 // (cache/TLB tag arrays, predictor tables, memory-image map) becomes
 // collectable as soon as its replay finishes when the caller holds no
 // other reference, and a shared Set is never modified.
-func replayUnits(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, units []*checkpoint.Unit, base, workers int, deliver func(RangeUnit) (stop bool)) error {
+func replayUnits(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, units []*checkpoint.Unit, base, workers int, deliver func(RangeUnit) bool) error {
 	if workers > len(units) {
 		workers = len(units)
 	}
@@ -183,9 +183,8 @@ func replayUnits(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 // ReplayRange calls may replay overlapping ranges of one Set.
 //
 // emit returning false stops the replay early (the consumer's stream
-// died or the merge was cut short); ReplayRange then returns nil after
-// the in-flight units drain. ctx cancellation likewise stops dispatch
-// and returns ctx.Err().
+// died); ReplayRange then returns nil after the in-flight units drain.
+// ctx cancellation likewise stops dispatch and returns ctx.Err().
 func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, set *checkpoint.Set, lo, hi int, opt Options, emit func(RangeUnit) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -205,8 +204,7 @@ func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 	if lo >= hi {
 		return ctx.Err()
 	}
-	return replayUnits(ctx, prog, cfg, u, set.Units[lo:hi], lo, opt.workers(),
-		func(ru RangeUnit) bool { return !emit(ru) })
+	return replayUnits(ctx, prog, cfg, u, set.Units[lo:hi], lo, opt.workers(), emit)
 }
 
 // launcher is one replay worker's launch context, built once per pool

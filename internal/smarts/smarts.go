@@ -31,11 +31,10 @@
 //     copy-on-write memory image, and, under functional warming, the
 //     cache/TLB/branch-predictor state — and streams it to a worker
 //     pool that replays detailed warming plus measurement for every
-//     unit from its snapshot, folding CPI/EPI in stream order
-//     (optionally terminating early at a target confidence interval).
-//     Results are bit-identical for every worker count and sweep
-//     source. RunSampledPhasesContext measures several phase offsets
-//     from one shared sweep.
+//     unit from its snapshot, folding CPI/EPI in stream order. Results
+//     are bit-identical for every worker count and sweep source.
+//     RunSampledPhasesContext measures several phase offsets from one
+//     shared sweep.
 //   - SerialLoop is the paper's original execution, kept as the oracle
 //     the engine is compared against: it interleaves fast-forwarding
 //     and per-unit detailed simulation in place on one goroutine, each

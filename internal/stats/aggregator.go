@@ -7,8 +7,7 @@ type Obs struct {
 
 // StreamAggregator merges per-unit observations that arrive in arbitrary
 // order (from parallel workers) into deterministic stream-order Welford
-// accumulation, with optional early termination once a target confidence
-// interval is reached.
+// accumulation.
 //
 // Determinism is the point: floating-point accumulation is not
 // associative, so merging results in completion order would make the
@@ -16,47 +15,30 @@ type Obs struct {
 // out-of-order arrivals and folds each observation into the Samples only
 // when its stream-order predecessor has been folded, so the final mean,
 // CV, and confidence interval are bit-identical for any worker count —
-// including one. The early-termination decision is likewise taken only
-// on in-order prefixes, so the cutoff is a pure function of the sample
-// sequence, not of scheduling.
+// including one.
 type StreamAggregator struct {
 	cpi, epi Sample
 	next     uint64
 	pending  map[uint64]Obs
-
-	alpha, eps float64
-	minN       uint64
-	done       bool
-	doneAt     uint64
+	alpha    float64
 }
 
-// NewStreamAggregator builds an aggregator targeting a relative CPI
-// confidence interval of ±eps at confidence 1-alpha. eps <= 0 disables
-// early termination. minN is the minimum number of in-order units
-// before termination may trigger (guarding against a luckily tight CI
-// on a handful of units); values below 2 are raised to 2.
-func NewStreamAggregator(alpha, eps float64, minN uint64) *StreamAggregator {
-	if minN < 2 {
-		minN = 2
-	}
-	return &StreamAggregator{
-		pending: make(map[uint64]Obs),
-		alpha:   alpha,
-		eps:     eps,
-		minN:    minN,
-	}
+// NewStreamAggregator builds an aggregator whose estimates are at
+// confidence 1-alpha.
+//
+// The last two parameters are unused. They remain only because the
+// benchmark module (benchmark/layers.go) still passes them, and go with
+// that module's next change.
+func NewStreamAggregator(alpha float64, _ float64, _ uint64) *StreamAggregator {
+	return &StreamAggregator{pending: make(map[uint64]Obs), alpha: alpha}
 }
 
 // Offer delivers the observation for stream position seq (0-based). It
 // may arrive in any order; each position must be offered exactly once.
-// It returns true once the early-termination target has been met.
-func (a *StreamAggregator) Offer(seq uint64, o Obs) bool {
-	if a.done && seq >= a.doneAt {
-		return true // beyond the cutoff; surplus speculative work
-	}
+func (a *StreamAggregator) Offer(seq uint64, o Obs) {
 	if seq != a.next {
 		a.pending[seq] = o
-		return a.done
+		return
 	}
 	a.fold(o)
 	for {
@@ -67,29 +49,13 @@ func (a *StreamAggregator) Offer(seq uint64, o Obs) bool {
 		delete(a.pending, a.next)
 		a.fold(nxt)
 	}
-	return a.done
 }
 
 func (a *StreamAggregator) fold(o Obs) {
-	if a.done {
-		a.next++
-		return
-	}
 	a.cpi.Add(o.CPI)
 	a.epi.Add(o.EPI)
 	a.next++
-	if a.eps > 0 && a.cpi.N() >= a.minN && a.cpi.Estimate(a.alpha).Meets(a.eps) {
-		a.done = true
-		a.doneAt = a.next
-	}
 }
-
-// Done reports whether the early-termination target has been met.
-func (a *StreamAggregator) Done() bool { return a.done }
-
-// DoneAt returns the stream length at which termination triggered (the
-// number of units the estimate keeps); zero while not done.
-func (a *StreamAggregator) DoneAt() uint64 { return a.doneAt }
 
 // Merged returns the number of observations folded into the estimate.
 func (a *StreamAggregator) Merged() uint64 { return a.cpi.N() }

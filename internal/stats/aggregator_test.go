@@ -21,13 +21,13 @@ func obsSeq(n int) []Obs {
 func TestAggregatorOrderIndependence(t *testing.T) {
 	obs := obsSeq(200)
 
-	inOrder := NewStreamAggregator(Alpha997, 0, 2)
+	inOrder := NewStreamAggregator(Alpha997, 0, 0)
 	for i, o := range obs {
 		inOrder.Offer(uint64(i), o)
 	}
 
 	// A scrambled but complete delivery order (stride permutation).
-	scrambled := NewStreamAggregator(Alpha997, 0, 2)
+	scrambled := NewStreamAggregator(Alpha997, 0, 0)
 	for s := 0; s < 7; s++ {
 		for i := s; i < len(obs); i += 7 {
 			scrambled.Offer(uint64(i), obs[i])
@@ -46,50 +46,5 @@ func TestAggregatorOrderIndependence(t *testing.T) {
 	}
 	if math.Float64bits(inOrder.EPISample().Mean()) != math.Float64bits(scrambled.EPISample().Mean()) {
 		t.Fatalf("EPI mean not bit-identical")
-	}
-}
-
-func TestAggregatorEarlyTerminationCutoff(t *testing.T) {
-	obs := obsSeq(500)
-
-	// Find the in-order cutoff.
-	ref := NewStreamAggregator(Alpha95, 0.05, 10)
-	cut := uint64(0)
-	for i, o := range obs {
-		if ref.Offer(uint64(i), o) {
-			cut = ref.DoneAt()
-			break
-		}
-	}
-	if cut == 0 || cut == uint64(len(obs)) {
-		t.Fatalf("expected an interior cutoff, got %d", cut)
-	}
-
-	// Deliver in reverse order: the cutoff must be identical because the
-	// decision only ever fires on in-order prefixes.
-	rev := NewStreamAggregator(Alpha95, 0.05, 10)
-	for i := len(obs) - 1; i >= 0; i-- {
-		rev.Offer(uint64(i), obs[i])
-	}
-	if !rev.Done() || rev.DoneAt() != cut {
-		t.Fatalf("reverse delivery cut at %d (done=%v), in-order cut at %d",
-			rev.DoneAt(), rev.Done(), cut)
-	}
-	if rev.Merged() != cut {
-		t.Fatalf("merged %d beyond cutoff %d", rev.Merged(), cut)
-	}
-}
-
-func TestAggregatorMinUnitsFloor(t *testing.T) {
-	// Identical observations have zero variance: without a floor the CI
-	// target would be met at n=2.
-	a := NewStreamAggregator(Alpha997, 0.01, 25)
-	for i := 0; i < 24; i++ {
-		if a.Offer(uint64(i), Obs{CPI: 1, EPI: 1}) {
-			t.Fatalf("terminated at n=%d, below the floor", i+1)
-		}
-	}
-	if !a.Offer(24, Obs{CPI: 1, EPI: 1}) {
-		t.Fatal("did not terminate once the floor was reached")
 	}
 }

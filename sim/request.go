@@ -62,13 +62,8 @@ type Request struct {
 	// NoStore bypasses the session's checkpoint store for this run.
 	NoStore bool
 
-	// TargetEps, when positive, stops measuring units once the CPI
-	// estimate's relative confidence interval is within ±TargetEps;
-	// MinUnits guards the minimum sample size before stopping.
-	TargetEps float64
-	MinUnits  uint64
-	// Alpha is the confidence parameter for reported estimates and
-	// early termination (default Alpha997).
+	// Alpha is the confidence parameter for reported estimates (default
+	// Alpha997).
 	Alpha float64
 
 	// Procedure, when non-nil, runs the paper's two-step estimation
@@ -171,12 +166,6 @@ func SerialLoop() RequestOption { return func(r *Request) { r.SerialLoop = true 
 // NoStore bypasses the session's checkpoint store for this run.
 func NoStore() RequestOption { return func(r *Request) { r.NoStore = true } }
 
-// EarlyStop stops measuring once the CPI confidence interval is within
-// ±eps, after at least minUnits units.
-func EarlyStop(eps float64, minUnits uint64) RequestOption {
-	return func(r *Request) { r.TargetEps, r.MinUnits = eps, minUnits }
-}
-
 // Confidence sets the confidence parameter alpha for estimates.
 func Confidence(alpha float64) RequestOption { return func(r *Request) { r.Alpha = alpha } }
 
@@ -215,6 +204,11 @@ func (r *Request) validate() error {
 	if r.Procedure != nil && r.Procedure.Alpha != 0 && (r.Procedure.Alpha <= 0 || r.Procedure.Alpha >= 1) {
 		return fmt.Errorf("sim: procedure confidence parameter %v outside (0,1)", r.Procedure.Alpha)
 	}
+	// Zero selects the paper's ±3%; anything else must be a relative
+	// interval in (0,1), or the tuned run's size is undefined.
+	if r.Procedure != nil && r.Procedure.Eps != 0 && !(r.Procedure.Eps > 0 && r.Procedure.Eps < 1) {
+		return fmt.Errorf("sim: procedure target interval %v outside (0,1)", r.Procedure.Eps)
+	}
 	if r.Experiment != "" {
 		if r.Workload != "" {
 			return fmt.Errorf("sim: request names both an experiment (%q) and a workload (%q)", r.Experiment, r.Workload)
@@ -229,9 +223,6 @@ func (r *Request) validate() error {
 	}
 	if r.Procedure != nil && len(r.Offsets) > 0 {
 		return fmt.Errorf("sim: procedure request cannot also sweep phase offsets")
-	}
-	if r.SerialLoop && r.TargetEps > 0 {
-		return fmt.Errorf("sim: early termination (TargetEps) requires the engine; remove SerialLoop")
 	}
 	return nil
 }

@@ -493,11 +493,9 @@ func planTotals(plan Plan, prog *program.Program) (pop uint64, total int) {
 func (s *Session) engineOptions(req *Request) engine.Options {
 	opt := s.set.engine
 	opt.Workers = s.workers(req)
-	// The effective alpha (request, else session) drives both the
-	// early-termination decision and the reported estimates, so the
-	// stop criterion and the report agree.
+	// The effective alpha (request, else session) drives the progress
+	// estimates, so they agree with the report.
 	opt.Alpha = s.effAlpha(req)
-	opt.TargetEps, opt.MinUnits = req.TargetEps, req.MinUnits
 	if !req.NoStore {
 		opt.Store = s.store
 		opt.Cache = s.sweeps
@@ -792,11 +790,7 @@ func (s *Session) sweepAvailable(key checkpoint.Key) bool {
 // leader commits is the entry the waiters look for, whatever session
 // knobs reach the key.
 func runShared[T any](ctx context.Context, s *Session, prog *program.Program, cfg Config, params checkpoint.Params, opt engine.Options, fn func() (T, error)) (T, error) {
-	// Sweep deduplication needs a committable sweep: early-terminated
-	// sweeps are incomplete and never persisted, so deduplicating them
-	// would only serialize the contenders behind leaders that can never
-	// produce a reusable entry.
-	if (opt.Store == nil && opt.Cache == nil) || opt.TargetEps > 0 {
+	if opt.Store == nil && opt.Cache == nil {
 		return fn()
 	}
 	_, key := opt.SweepKey(prog, cfg, params)
@@ -828,7 +822,7 @@ func runShared[T any](ctx context.Context, s *Session, prog *program.Program, cf
 			// The leader committed; run against the entry (a hit).
 			return fn()
 		}
-		// Leader failed or never committed (early termination, error,
-		// cancel): loop and contend for leadership.
+		// Leader failed or never committed (error, cancel): loop and
+		// contend for leadership.
 	}
 }

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -250,6 +251,8 @@ func TestRequestValidation(t *testing.T) {
 		sim.NewExperiment("fig4", func(r *sim.Request) { r.Workload = "gzipx" }),
 		sim.NewRequest("gzipx", sim.Confidence(1.5)),
 		sim.NewRequest("gzipx", sim.Procedure(sim.ProcedureSpec{Alpha: -1})),
+		sim.NewRequest("gzipx", sim.Calibrate(-0.05)),                 // would panic sizing the tuned run
+		sim.NewRequest("gzipx", sim.Calibrate(math.NaN())),            // would size it to the population
 		sim.NewRequest("gzipx", sim.Units(60), sim.Phases(1_000_000)), // offset >= interval
 	} {
 		if _, err := sess.Run(context.Background(), req); err == nil {
