@@ -110,7 +110,7 @@
 //
 // Sweeps are also crash-safe: with a store attached, an in-progress
 // sweep journals its position every few keyframes as a *.partial
-// record (invisible to the committed index), and a rerun of the same
+// record (neither loaded as an entry nor evicted), and a rerun of the same
 // request resumes from the journal's last frame instead of resweeping.
 // The journal is the sweep's store entry before it commits: one file,
 // renamed from <hash>.partial to <hash>.ckpt once the trailer is

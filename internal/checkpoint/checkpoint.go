@@ -75,9 +75,9 @@
 // format persists the keyframe+delta structure directly — for memory as
 // well as warm state — so dense entries shrink with the in-memory
 // encoding, and seals every entry with a CRC-32C; an entry in any other
-// format version is a miss. The store
-// keeps an index.json of its entries and, with MaxBytes set, evicts
-// least-recently-used entries on commit.
+// format version is a miss. The entry files are the store's only state:
+// with MaxBytes set, each commit evicts least-recently-used entries,
+// recency being the file's mtime, which a hit refreshes.
 package checkpoint
 
 import (

@@ -171,9 +171,9 @@ type Store struct {
 	Logf func(format string, args ...any)
 
 	// MaxBytes, when positive, caps the total size of committed entries:
-	// each commit evicts least-recently-used entries (per the index's
-	// LastUsed, refreshed on hits) until the store fits. Set it before
-	// sharing the store across goroutines. See index.go.
+	// each commit evicts least-recently-used entries until the store
+	// fits. An entry's recency is its file's mtime, which a Load hit sets
+	// to now. Set it before sharing the store across goroutines.
 	MaxBytes int64
 
 	mu           sync.Mutex
@@ -276,7 +276,12 @@ func (s *Store) Load(k Key) (*Set, error) {
 		return nil, nil
 	}
 	s.countHit(true)
-	s.noteUse(k.Hash())
+	// Mark the entry used for MaxBytes eviction. Best-effort: when a
+	// read-only store or a concurrent eviction refuses, the hit stands.
+	now := time.Now() //simlint:ordered LRU recency stamp; never read by the sweep
+	if err := os.Chtimes(path, now, now); err != nil {
+		s.Log("checkpoint store: recency of %s not updated: %v", k.Hash(), err)
+	}
 	s.Log("checkpoint store: hit %s (%s: %d units, %d sweep insts reused)",
 		k.Hash(), k.Workload, len(set.Units), set.SweepInsts)
 	return set, nil
@@ -857,8 +862,56 @@ func (w *SetWriter) Commit(sweepInsts uint64, sweepTime time.Duration) error {
 	w.f, w.err = nil, errFinished
 	w.store.DropPartial(w.key)
 	w.store.Log("checkpoint store: saved %s (%s: %d units)", w.key.Hash(), w.key.Workload, w.enc.units)
-	w.store.noteCommit(w.key.Hash(), w.key.String(), w.enc.units)
+	if w.store.MaxBytes > 0 {
+		w.store.evict(w.key.Hash() + storeExt)
+	}
 	return nil
+}
+
+// evict removes committed entries, least recently used first, until
+// their total size fits s.MaxBytes. Recency is the file's mtime, with
+// ties broken by name. The entry just committed, named keep, is never
+// removed, so a single oversized sweep still lands for the run that paid
+// for it. Only *.ckpt files count: journals, staging files and foreign
+// files are neither counted nor removed.
+func (s *Store) evict(keep string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	paths, err := filepath.Glob(filepath.Join(s.dir, "*"+storeExt))
+	if err != nil {
+		s.Log("checkpoint store: eviction scan failed: %v", err)
+		return
+	}
+	var (
+		entries []os.FileInfo
+		total   int64
+	)
+	for _, p := range paths {
+		if st, err := os.Stat(p); err == nil {
+			entries = append(entries, st)
+			total += st.Size()
+		}
+	}
+	// Glob lists names in order, so the stable sort breaks mtime ties by
+	// name.
+	slices.SortStableFunc(entries, func(a, b os.FileInfo) int {
+		return a.ModTime().Compare(b.ModTime())
+	})
+	for _, st := range entries {
+		if total <= s.MaxBytes {
+			break
+		}
+		if st.Name() == keep {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, st.Name())); err != nil && !os.IsNotExist(err) {
+			s.Log("checkpoint store: evict %s failed: %v", st.Name(), err)
+			continue
+		}
+		s.Log("checkpoint store: evicted %s (%d bytes, last used %s)",
+			st.Name(), st.Size(), st.ModTime().Format(time.RFC3339))
+		total -= st.Size()
+	}
 }
 
 // Close ends a writer that will not commit: a journal a Checkpoint

@@ -3,14 +3,13 @@ package checkpoint_test
 import (
 	"context"
 	"encoding/binary"
-
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/program"
 	"repro/internal/uarch"
 )
 
@@ -335,101 +334,207 @@ func TestStoreCorruptDeltaChains(t *testing.T) {
 	}
 }
 
-// TestStoreIndexAndEviction covers the store lifecycle satellite: the
-// index enumerates committed entries with sizes and keys, Load hits
-// refresh recency, and an LRU byte cap evicts the oldest entries on
-// commit — never the entry just committed.
-func TestStoreIndexAndEviction(t *testing.T) {
+// TestStoreEvictsLeastRecentlyUsed pins the store's size cap, whose
+// recency is each entry file's mtime: a Load hit makes an entry the most
+// recent; a commit evicts the oldest entries first, equal mtimes by
+// name, until the store fits; the entry just committed survives even
+// when it alone exceeds the cap; files that are not committed entries
+// are neither counted nor removed; and a second handle on the directory
+// (a second process) evicts what the first committed. Mtimes are set
+// explicitly, so the test never sleeps.
+func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
+	p := genProg(t, "gzipx", 100_000)
 	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, K: 50}
+	set := capture(t, p, cfg, params)
 	dir := t.TempDir()
 	store, err := checkpoint.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	progs := []*program.Program{
-		genProg(t, "gzipx", 100_000),
-		genProg(t, "mcfx", 100_000),
-		genProg(t, "gccx", 100_000),
-	}
-	params := checkpoint.Params{U: 1000, K: 50, FunctionalWarm: true}
-	keys := make([]checkpoint.Key, len(progs))
-	var entrySize int64
-	for i, p := range progs {
-		set := capture(t, p, cfg, params)
+	// One set under six keys whose workload names have equal length, so
+	// every entry has the same size.
+	keys := make([]checkpoint.Key, 6)
+	for i := range keys {
 		keys[i] = checkpoint.KeyFor(p, cfg, params)
-		if err := store.Save(keys[i], set); err != nil {
+		keys[i].Workload = fmt.Sprintf("lru-%d", i)
+	}
+	path := func(i int) string { return filepath.Join(dir, keys[i].Hash()+".ckpt") }
+	at := func(sec int) time.Time { return time.Date(2020, 1, 1, 0, 0, sec, 0, time.UTC) }
+	touch := func(i int, when time.Time) {
+		t.Helper()
+		if err := os.Chtimes(path(i), when, when); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond) // order LastUsed stamps
 	}
-	idx, err := store.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 3 {
-		t.Fatalf("index lists %d entries, want 3", len(idx))
-	}
-	for _, e := range idx {
-		if e.Bytes <= 0 || e.Key == "" || e.Units == 0 {
-			t.Fatalf("incomplete index entry: %+v", e)
-		}
-		entrySize = e.Bytes
-	}
-
-	// Touch the oldest entry so it becomes the most recently used.
-	if set, err := store.Load(keys[0]); err != nil || set == nil {
-		t.Fatalf("reload failed: %v", err)
-	}
-	time.Sleep(10 * time.Millisecond)
-
-	// Cap the store at roughly two entries and commit a fourth: the two
-	// least recently used (keys[1], keys[2]) must be evicted.
-	store.MaxBytes = 2*entrySize + entrySize/2
-	p4 := genProg(t, "ammpx", 100_000)
-	set4 := capture(t, p4, cfg, params)
-	key4 := checkpoint.KeyFor(p4, cfg, params)
-	if err := store.Save(key4, set4); err != nil {
-		t.Fatal(err)
-	}
-
-	idx, err = store.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 {
-		t.Fatalf("index lists %d entries after eviction, want 2", len(idx))
-	}
-	for _, want := range []struct {
-		key checkpoint.Key
-		hit bool
-	}{
-		{keys[0], true}, {keys[1], false}, {keys[2], false}, {key4, true},
-	} {
-		set, err := store.Load(want.key)
-		if err != nil {
+	save := func(s *checkpoint.Store, i int) {
+		t.Helper()
+		if err := s.Save(keys[i], set); err != nil {
 			t.Fatal(err)
 		}
-		if got := set != nil; got != want.hit {
-			t.Fatalf("entry %s: hit=%v, want %v", want.key.Hash(), got, want.hit)
+	}
+	// present checks which keys hold an entry; Contains, unlike Load,
+	// leaves recency alone.
+	present := func(step string, want ...bool) {
+		t.Helper()
+		for i, w := range want {
+			if got := store.Contains(keys[i]); got != w {
+				t.Fatalf("%s: entry %d present=%v, want %v", step, i, got, w)
+			}
 		}
 	}
 
-	// A rebuilt index (file deleted) still sees the surviving entries.
-	if err := os.Remove(filepath.Join(dir, checkpoint.IndexName)); err != nil {
-		t.Fatal(err)
+	for i := range 3 {
+		save(store, i)
 	}
-	idx, err = store.Index()
+	st, err := os.Stat(path(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != 2 {
-		t.Fatalf("rebuilt index lists %d entries, want 2", len(idx))
-	}
-	for _, e := range idx {
-		if e.Key == "" {
-			t.Fatalf("rebuilt index entry lost its key: %+v", e)
+	size := st.Size()
+	for i := 1; i < 3; i++ {
+		if st, err := os.Stat(path(i)); err != nil || st.Size() != size {
+			t.Fatalf("entry %d: %v, want %d bytes like entry 0", i, err, size)
 		}
+	}
+
+	// Files that are not committed entries, each larger than any cap
+	// below and older than every entry: counting or removing one shows.
+	strays := []string{"index.json", "0123456789abcdef0123456789abcdef.partial", "0123456789abcdef0123456789abcdef.tmp-42"}
+	stray := make([]byte, 4*size)
+	for _, name := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), stray, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(filepath.Join(dir, name), at(0), at(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A hit makes the oldest entry the most recent.
+	touch(0, at(1))
+	touch(1, at(2))
+	touch(2, at(2))
+	if got, err := store.Load(keys[0]); err != nil || got == nil {
+		t.Fatalf("entry 0 is a miss (err %v)", err)
+	}
+	if st, err := os.Stat(path(0)); err != nil {
+		t.Fatal(err)
+	} else if !st.ModTime().After(at(2)) {
+		t.Fatalf("hit left entry 0 at mtime %v, want after %v", st.ModTime(), at(2))
+	}
+
+	// A cap of three entries and a fourth commit evict one: of entries 1
+	// and 2, tied at the oldest mtime, the one whose name sorts first.
+	store.MaxBytes = 3*size + size/2
+	save(store, 3)
+	first, second := 1, 2
+	if keys[2].Hash() < keys[1].Hash() {
+		first, second = 2, 1
+	}
+	want := []bool{true, true, true, true, false, false}
+	want[first] = false
+	present("cap of three", want...)
+
+	// A second handle evicts, oldest first, entries the first committed.
+	touch(second, at(3))
+	touch(0, at(4))
+	touch(3, at(5))
+	other, err := checkpoint.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.MaxBytes = 2*size + size/2
+	save(other, 4)
+	present("second handle", false, false, false, true, true, false)
+
+	// An entry larger than the cap evicts every other entry and survives.
+	store.MaxBytes = size / 2
+	save(store, 5)
+	present("oversized commit", false, false, false, false, false, true)
+
+	for _, name := range strays {
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil || st.Size() != int64(len(stray)) || !st.ModTime().Equal(at(0)) {
+			t.Fatalf("eviction touched %s (err %v)", name, err)
+		}
+	}
+}
+
+// TestStoreIgnoresParentIndex opens a directory an earlier release
+// wrote: the committed eonx fixture beside the index.json that release
+// kept of its entries. The entry must load as a hit and Verify must
+// report the store clean, and eviction must neither count nor remove
+// the JSON file.
+func TestStoreIgnoresParentIndex(t *testing.T) {
+	p := genProg(t, "eonx", 120_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 1000, K: 10, Keyframe: 4}
+	key := checkpoint.KeyFor(p, cfg, params)
+	dir := t.TempDir()
+	data, err := os.ReadFile(filepath.Join("testdata", "eonx-cold-v4.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := filepath.Join(dir, key.Hash()+".ckpt")
+	if err := os.WriteFile(entry, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	index := fmt.Sprintf(`{
+  "entries": [
+    {
+      "hash": %q,
+      "key": %q,
+      "bytes": %d,
+      "units": 12,
+      "created": "2026-10-16T15:17:44.579540304Z",
+      "last_used": "2026-10-16T15:17:44.584210331Z"
+    }
+  ]
+}
+`, key.Hash(), key.String(), len(data))
+	indexPath := filepath.Join(dir, "index.json")
+	if err := os.WriteFile(indexPath, []byte(index), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := store.Load(key)
+	if err != nil || got == nil {
+		t.Fatalf("fixture entry is a miss (err %v)", err)
+	}
+	if rep, err := store.Verify(false); err != nil || rep.Entries != 1 || !rep.Clean() {
+		t.Fatalf("verify: %+v (%v), want one clean entry", rep, err)
+	}
+
+	// Cap the store at exactly the fixture plus a second entry, with the
+	// fixture the older: counting index.json would evict the fixture.
+	copied := key
+	copied.Workload = "eonx-copy"
+	if err := store.Save(copied, got); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(dir, copied.Hash()+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := os.Chtimes(entry, old, old); err != nil {
+		t.Fatal(err)
+	}
+	store.MaxBytes = int64(len(data)) + st.Size()
+	if err := store.Save(copied, got); err != nil {
+		t.Fatal(err)
+	}
+	if !store.Contains(key) || !store.Contains(copied) {
+		t.Fatal("eviction counted the parent index.json")
+	}
+	if left, err := os.ReadFile(indexPath); err != nil || string(left) != index {
+		t.Fatalf("eviction changed the parent index.json (err %v)", err)
 	}
 }
 

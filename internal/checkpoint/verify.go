@@ -40,10 +40,10 @@ func (r *VerifyReport) Clean() bool { return len(r.Problems) == 0 }
 // same validation the load path applies — magic, version, manifest,
 // record structure, chain geometry, and the CRC-32C seals
 // — and its name must match its manifest key's content address. When
-// evict is true, files that fail are removed; the advisory index
-// reconciles itself on the next scan. Partial journals are considered
-// valid when any resumable frame prefix survives, mirroring
+// evict is true, files that fail are removed. Partial journals are
+// considered valid when any resumable frame prefix survives, mirroring
 // LoadPartial: a truncated journal is degraded work, not corruption.
+// Other files are skipped.
 func (s *Store) Verify(evict bool) (*VerifyReport, error) {
 	rep := &VerifyReport{}
 	names, err := filepath.Glob(filepath.Join(s.dir, "*"))
@@ -62,8 +62,8 @@ func (s *Store) Verify(evict bool) (*VerifyReport, error) {
 			rep.Partials++
 			verr = verifyFile(path, partialExt)
 		default:
-			// index.json, orphaned temp files, foreign files: not ours to
-			// judge.
+			// Orphaned temp files and foreign files (an index.json an
+			// earlier release kept included): not ours to judge.
 			continue
 		}
 		if verr == nil {

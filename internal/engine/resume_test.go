@@ -101,8 +101,8 @@ func TestEngineResumesCancelledSweep(t *testing.T) {
 			resumed.SweepResumedInsts, baseline.SweepInsts)
 	}
 
-	// The journal became the entry: the store holds exactly the entry and
-	// its index, no journal and no staged file.
+	// The journal became the entry: the store holds exactly the entry, no
+	// journal and no staged file.
 	key := checkpoint.KeyFor(p, cfg, params)
 	ents, err := os.ReadDir(store.Dir())
 	if err != nil {
@@ -112,7 +112,7 @@ func TestEngineResumesCancelledSweep(t *testing.T) {
 	for _, e := range ents {
 		files = append(files, e.Name())
 	}
-	if want := []string{key.Hash() + ".ckpt", checkpoint.IndexName}; !slices.Equal(files, want) {
+	if want := []string{key.Hash() + ".ckpt"}; !slices.Equal(files, want) {
 		t.Fatalf("completed run left %v, want %v", files, want)
 	}
 
