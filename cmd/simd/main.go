@@ -11,9 +11,11 @@
 // shard ranges and merges the streamed results in stream order, so the
 // printed estimates match a single-machine run of the checkpointed
 // engine (smartsim -parallel) exactly, at any fleet size. Workers
-// self-register on startup; the fleet shares one functional-warming
-// sweep per (workload, machine, plan) key through the coordinator's
-// sweep cache and optional on-disk checkpoint store.
+// self-register on startup. The coordinator runs the one functional-
+// warming sweep per (workload, machine, plan) key itself, before it
+// dispatches shards, and serves it to the workers from its sweep cache;
+// with -ckpt-dir the sweep is journaled into the on-disk checkpoint
+// store as it runs, so a restarted coordinator resumes it.
 package main
 
 import (
@@ -61,7 +63,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   simd coordinator -listen ADDR [-workers URL,...] [-ckpt-dir DIR] [-ckpt-max-bytes N]
                    [-mem-cache-bytes N] [-max-active N] [-max-queue N] [-shards-per-worker N]
-                   [-lease D]
   simd worker      -listen ADDR -coordinator URL [-advertise URL] [-parallel N] [-mem-cache-bytes N]
                    [-heartbeat D]
   simd run         -coordinator URL [workload/machine/plan flags] [-fallback-local] [-v]
@@ -80,7 +81,6 @@ func coordinatorMain(args []string) {
 		active    = fs.Int("max-active", 0, "concurrently running runs admitted (0 = default)")
 		queue     = fs.Int("max-queue", 0, "runs waiting for a slot before ErrBusy (0 = default, -1 = no queue)")
 		perWorker = fs.Int("shards-per-worker", 0, "shard ranges per live worker, for work stealing (0 = default)")
-		dflags    = simflag.RegisterDistCoordinator(fs)
 	)
 	fs.Parse(args)
 
@@ -91,7 +91,6 @@ func coordinatorMain(args []string) {
 		MaxActive:       *active,
 		MaxQueue:        *queue,
 		ShardsPerWorker: *perWorker,
-		LeaseTTL:        *dflags.Lease,
 		Logf:            log.Printf,
 	})
 	if err != nil {

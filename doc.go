@@ -126,15 +126,14 @@
 // the same engine, and a stream-order merge reproduces the
 // single-machine report bit for bit at any (machine × worker) count —
 // including worker failure with shard reassignment and run
-// cancellation. The fleet shares one functional sweep per checkpoint
-// key through a claim protocol (the
-// session singleflight, fleet-wide) backed by the coordinator's sweep
-// cache and optional on-disk store; the format-v4 store codec doubles
-// as the wire encoding. The fleet is fault-tolerant end to end: sweep
-// owners journal partial progress to the coordinator and renew their
-// claim lease, so a worker killed mid-sweep hands the sweep to a peer
-// that resumes from the journal; RPCs retry with backoff and jitter;
-// workers heartbeat for liveness; and dist.Client — which has the same
+// cancellation. The coordinator runs the one functional sweep per
+// checkpoint key itself, before it dispatches shards, through the
+// engine's local acquisition (memory cache, then the optional on-disk
+// store, then a sweep journaled into that store); workers fetch the set
+// from it, with the format-v4 store codec as the wire encoding. The
+// fleet is fault-tolerant end to end: a coordinator killed mid-sweep
+// resumes the store journal when it restarts; RPCs retry with backoff
+// and jitter; workers heartbeat for liveness; and dist.Client — which has the same
 // Run(ctx, *Request) shape as sim.Session, so callers swap local for
 // distributed execution with one constructor (examples/distributed) —
 // can degrade to a bit-identical in-process run when the coordinator
@@ -145,13 +144,13 @@
 // clients re-attach to a restarted coordinator's recovered runs from
 // their last received event. The failure model, end to end:
 //
-//	what dies                what happens                     what is re-done
-//	worker mid-shard         shard suffix requeued to peers   nothing (contiguous prefix kept)
-//	sweep owner mid-sweep    lease expires; peer resumes      sweep since last journaled keyframe
-//	coordinator mid-run      restart replays run journal      unmerged shard suffixes only
-//	client's connection      client re-attaches by run ID     nothing (stream resumes from last event)
-//	a bit, anywhere          CRC-32C digest catches it        corrupt frame's shard suffix, on another worker
-//	everything at once       journals on disk are the truth   the unjournaled tail, never the whole run
+//	what dies                what happens                        what is re-done
+//	worker mid-shard         shard suffix requeued to peers      nothing (contiguous prefix kept)
+//	coordinator mid-sweep    restart resumes the store journal   sweep since last journaled keyframe
+//	coordinator mid-run      restart replays run journal         unmerged shard suffixes only
+//	client's connection      client re-attaches by run ID        nothing (stream resumes from last event)
+//	a bit, anywhere          CRC-32C digest catches it           corrupt frame's shard suffix, on another worker
+//	everything at once       journals on disk are the truth      the unjournaled tail, never the whole run
 //
 // In every row the final report stays bit-identical to an
 // uninterrupted local run, and sealed checkpoints (store format v4's
@@ -175,7 +174,7 @@
 //     iteration that appends into a result is flagged unless the
 //     result is sorted afterward; time.Now is flagged unless routed
 //     through internal/wallclock, the documented allowlist for
-//     telemetry (elapsed-time reporting) and liveness (leases,
+//     telemetry (elapsed-time reporting) and liveness (worker
 //     heartbeats, backoff) — readings that are reported but never fold
 //     into an estimate.
 //   - hotpath: functions annotated //simlint:hotpath (the per-

@@ -9,13 +9,12 @@
 //     Sharding is free because the merge folds units by stream index —
 //     the same deterministic order the single-machine collector uses.
 //
-//  2. The fleet pays ONE functional sweep: whichever worker first
-//     claims the run's sweep key becomes the owner, uploads the
-//     snapshot set to the coordinator, and the other workers download
-//     it (sweep counts sum to 1).
+//  2. The fleet pays ONE functional sweep: the coordinator runs it
+//     before dispatching any shard, and every worker downloads the
+//     snapshot set from it (the first run reports sweep cached=false).
 //
 //  3. A second run of the same request replays straight from the
-//     coordinator's sweep cache — no worker sweeps again.
+//     coordinator's sweep cache (sweep cached=true).
 //
 //     go run ./examples/distributed
 package main
@@ -51,10 +50,9 @@ func main() {
 		}))
 		defer srv.Close()
 		w = dist.NewWorker(dist.WorkerOptions{
-			Coordinator:  coordSrv.URL,
-			Self:         srv.URL,
-			Workers:      2,
-			PollInterval: 5 * time.Millisecond,
+			Coordinator: coordSrv.URL,
+			Self:        srv.URL,
+			Workers:     2,
 		})
 		h = w.Handler()
 		if err := w.Register(context.Background()); err != nil {
@@ -89,26 +87,17 @@ func main() {
 	lres, rres := local.Result(), remote.Result()
 	fmt.Printf("local  engine: CPI %v over %d units\n", local.CPI, len(lres.Units))
 	fmt.Printf("distributed  : CPI %v over %d units\n", remote.CPI, len(rres.Units))
-	fmt.Printf("bit-identical: units=%v estimates=%v\n\n",
+	fmt.Printf("bit-identical: units=%v estimates=%v\n",
 		reflect.DeepEqual(lres.Units, rres.Units), local.CPI == remote.CPI && local.EPI == remote.EPI)
 
-	// --- 2. Fleet singleflight: one sweep across all workers --------
-	var sweeps uint64
-	for _, w := range workers {
-		sweeps += w.SweepCount()
-	}
-	fmt.Printf("functional sweeps across the fleet: %d (fleet singleflight)\n\n", sweeps)
+	// --- 2. One sweep, on the coordinator ----------------------------
+	fmt.Printf("first run: sweep cached=%v (the coordinator swept once for the fleet)\n\n", rres.SweepCached)
 
 	// --- 3. Cached rerun ---------------------------------------------
 	again, err := client.Run(ctx, request())
 	if err != nil {
 		log.Fatal(err)
 	}
-	var sweeps2 uint64
-	for _, w := range workers {
-		sweeps2 += w.SweepCount()
-	}
-	fmt.Printf("rerun: CPI %v, sweep cached=%v, new sweeps=%d, wall %v\n",
-		again.CPI, again.Result().SweepCached, sweeps2-sweeps,
-		again.Elapsed.Round(time.Millisecond))
+	fmt.Printf("rerun: CPI %v, sweep cached=%v, wall %v\n",
+		again.CPI, again.Result().SweepCached, again.Elapsed.Round(time.Millisecond))
 }

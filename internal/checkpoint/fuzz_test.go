@@ -11,11 +11,12 @@ import (
 )
 
 // fuzzWire captures a small real sweep once and returns its key, its
-// EncodeSet bytes, its EncodePartial bytes, and the entry a journaled
-// store writer commits (the set's stream with a frame after every
-// third unit) — the valid corpus the fuzzers mutate. Decoders must
-// never panic: any corruption degrades to an error (full sets) or to
-// the longest valid-frame prefix (partials).
+// EncodeSet bytes, the journal a store writer leaves when it closes
+// after one frame over every unit, and the entry a journaled store
+// writer commits (the set's stream with a frame after every third
+// unit) — the valid corpus the fuzzers mutate. Readers must never
+// panic: any corruption degrades to an error (full sets) or to the
+// longest valid-frame prefix (partials).
 func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte, []byte) {
 	f.Helper()
 	p := genProg(f, "gccx", 120_000)
@@ -28,23 +29,33 @@ func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte, []byte) {
 	if err := checkpoint.EncodeSet(&wire, key, set); err != nil {
 		f.Fatal(err)
 	}
-	last := set.Units[len(set.Units)-1]
-	rs := &checkpoint.ResumeState{
-		Units:           set.Units,
-		PopulationUnits: set.PopulationUnits,
-		SweepInsts:      last.Arch.Count,
-		SweepTime:       set.SweepTime,
-	}
-	var partial bytes.Buffer
-	if err := checkpoint.EncodePartial(&partial, key, rs); err != nil {
-		f.Fatal(err)
-	}
 
 	store, err := checkpoint.OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
 	w, err := store.Writer(key, set.PopulationUnits)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, u := range set.Units {
+		if err := w.Add(u); err != nil {
+			f.Fatal(err)
+		}
+	}
+	last := set.Units[len(set.Units)-1]
+	if err := w.Checkpoint(checkpoint.ResumeFrame{Captured: len(set.Units), SweepInsts: last.Arch.Count, SweepTime: set.SweepTime}); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	partial, err := os.ReadFile(filepath.Join(store.Dir(), key.Hash()+".partial"))
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	w, err = store.Writer(key, set.PopulationUnits)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -70,7 +81,7 @@ func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte, []byte) {
 	if _, err := checkpoint.DecodeSet(bytes.NewReader(journaled), key); err != nil {
 		f.Fatalf("committed journal does not decode: %v", err)
 	}
-	return key, wire.Bytes(), partial.Bytes(), journaled
+	return key, wire.Bytes(), partial, journaled
 }
 
 // FuzzDecodeSet feeds mutated set streams to DecodeSet: it must never
@@ -99,10 +110,10 @@ func FuzzDecodeSet(f *testing.F) {
 	})
 }
 
-// FuzzDecodePartial feeds mutated partial-sweep journals to
-// DecodePartial: it must never panic, and corruption must degrade to
-// an error or to a consistent valid-frame prefix (Units matching the
-// frame's captured count).
+// FuzzDecodePartial installs mutated partial-sweep journals in a store
+// and loads them with Store.LoadPartial, the one partial reader: it
+// must never panic, and corruption must degrade to a miss or to a
+// consistent valid-frame prefix.
 func FuzzDecodePartial(f *testing.F) {
 	key, wire, partial, journaled := fuzzWire(f)
 	f.Add(partial)
@@ -111,16 +122,24 @@ func FuzzDecodePartial(f *testing.F) {
 	f.Add(wire) // a full set stream has no frame to resume from
 	f.Add([]byte{})
 	f.Add(journaled) // resumes from its last frame
+	store, err := checkpoint.OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(store.Dir(), key.Hash()+".partial")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, err := checkpoint.DecodePartial(bytes.NewReader(data), key)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := store.LoadPartial(key)
 		if err != nil {
-			return
+			t.Fatalf("LoadPartial of a readable journal failed: %v", err)
 		}
 		if rs == nil {
-			t.Fatal("DecodePartial returned nil state without error")
+			return
 		}
 		if len(rs.Units) == 0 {
-			t.Fatal("DecodePartial returned a frameless state without error")
+			t.Fatal("LoadPartial returned a frameless state")
 		}
 		for i, u := range rs.Units {
 			if u == nil {

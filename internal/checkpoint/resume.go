@@ -3,8 +3,8 @@ package checkpoint
 // Resumable sweeps: the partial-sweep journal and the resume path.
 //
 // A functional sweep is the one serial, unsharded cost of a sampled
-// run, and before this file it was all-or-nothing: a cancelled run, an
-// expired sweep lease, or a killed process threw the whole sweep away.
+// run, and before this file it was all-or-nothing: a cancelled run or a
+// killed process threw the whole sweep away.
 // The sweep's store entry is therefore written as it runs and doubles as
 // its journal: the entry byte stream (header, manifest, page and unit
 // records) interleaved with Frame records (recFrame) that pin the exact
@@ -50,8 +50,8 @@ import (
 )
 
 // partialExt names the on-disk partial-sweep journal of a key; the
-// committed entry keeps storeExt, and the index/LRU (which glob only
-// storeExt) never see journals.
+// committed entry keeps storeExt, and eviction (which globs only
+// storeExt) never sees journals.
 const partialExt = ".partial"
 
 // ResumeFrame is the sweep-side state pinned immediately after one
@@ -169,67 +169,6 @@ func (s *Store) LoadPartial(k Key) (*ResumeState, error) {
 // calls it: the entry supersedes every journal of its key.
 func (s *Store) DropPartial(k Key) {
 	os.Remove(s.partialPath(k))
-}
-
-// SavePartial atomically installs rs as k's partial-sweep journal,
-// replacing any previous journal: a Writer fed the whole state at once
-// and closed after one Checkpoint, as Store.Save is the same Writer
-// committed — used when a ready-made ResumeState arrives (the
-// distributed coordinator receiving a worker's journal upload) rather
-// than streaming out of a live sweep.
-//
-//simlint:noctx bounded single-file atomic install; no long blocking
-func (s *Store) SavePartial(k Key, rs *ResumeState) error {
-	err := s.save(k, rs.PopulationUnits, rs.Units, func(w *SetWriter) error {
-		if err := w.Checkpoint(rs.frame()); err != nil {
-			return err
-		}
-		return w.Close()
-	})
-	if err != nil {
-		return fmt.Errorf("checkpoint: save partial: %w", err)
-	}
-	return nil
-}
-
-// frame is the ResumeFrame rs was cut at.
-func (rs *ResumeState) frame() ResumeFrame {
-	return ResumeFrame{
-		Captured:   len(rs.Units),
-		SweepInsts: rs.SweepInsts,
-		SweepTime:  rs.SweepTime,
-		HaveIBlock: rs.HaveIBlock,
-		LastIBlock: rs.LastIBlock,
-	}
-}
-
-// EncodePartial writes rs, keyed by k, as one partial-sweep byte stream
-// — the journal format with a single frame at the end. It is the wire
-// form the distributed service hands partial sweeps across workers
-// with, exactly as EncodeSet is for completed sweeps.
-func EncodePartial(w io.Writer, k Key, rs *ResumeState) error {
-	err := encodeUnits(w, k, rs.PopulationUnits, rs.Units, func(e *setEncoder) error {
-		if err := e.frame(rs.frame()); err != nil {
-			return err
-		}
-		return e.cw.w.Flush()
-	})
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode partial: %w", err)
-	}
-	return nil
-}
-
-// DecodePartial reads one EncodePartial (or journal-file) byte stream
-// and reconstructs the ResumeState, guarded by the expected key like
-// DecodeSet. Corruption degrades to the longest valid-frame prefix; a
-// stream with no valid frame is an error.
-func DecodePartial(r io.Reader, k Key) (*ResumeState, error) {
-	rs, err := readPartial(r, k)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: decode partial: %w", err)
-	}
-	return rs, nil
 }
 
 // readPartial returns the state at the last valid frame of a sweep

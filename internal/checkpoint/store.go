@@ -516,23 +516,6 @@ func newSetEncoder(w io.Writer, k Key, pop uint64) (*setEncoder, error) {
 	return e, nil
 }
 
-// encodeUnits writes units, keyed by k, as one sweep byte stream to w
-// and ends it with end: a frame for a partial journal, the trailer for
-// a committed entry. It is the one encoding loop of EncodeSet and
-// EncodePartial.
-func encodeUnits(w io.Writer, k Key, pop uint64, units []*Unit, end func(*setEncoder) error) error {
-	enc, err := newSetEncoder(w, k, pop)
-	if err != nil {
-		return err
-	}
-	for _, u := range units {
-		if err := enc.add(u); err != nil {
-			return err
-		}
-	}
-	return end(enc)
-}
-
 // page ensures data has a page record, writing one on first sight, and
 // returns its id.
 func (e *setEncoder) page(data *[mem.PageSize]byte) (uint64, error) {
@@ -943,21 +926,14 @@ func (w *SetWriter) Close() error {
 // Save writes an already-collected Set under k (the streaming path uses
 // Writer directly).
 func (s *Store) Save(k Key, set *Set) error {
-	return s.save(k, set.PopulationUnits, set.Units, func(w *SetWriter) error {
-		return w.Commit(set.SweepInsts, set.SweepTime)
-	})
-}
-
-// save streams units into a new writer for k and ends it with end.
-func (s *Store) save(k Key, pop uint64, units []*Unit, end func(*SetWriter) error) error {
-	w, err := s.Writer(k, pop)
+	w, err := s.Writer(k, set.PopulationUnits)
 	if err != nil {
 		return err
 	}
-	for _, u := range units {
+	for _, u := range set.Units {
 		if err := w.Add(u); err != nil {
 			return err
 		}
 	}
-	return end(w)
+	return w.Commit(set.SweepInsts, set.SweepTime)
 }

@@ -8,18 +8,27 @@ import (
 // EncodeSet writes set, keyed by k, to w in the store's entry byte
 // stream — the exact bytes Store.Save would put on disk. It is the wire
 // form the distributed sampling service (internal/dist) ships captured
-// sweeps with: a worker that swept uploads the encoding, the
-// coordinator caches it, and every other worker decodes an identical
-// Set, so fleet-wide sweep sharing reuses the store codec instead of
-// inventing a second serialization.
+// sweeps with: the coordinator sweeps, and every worker decodes an
+// identical Set, so fleet-wide sweep sharing reuses the store codec
+// instead of inventing a second serialization.
 func EncodeSet(w io.Writer, k Key, set *Set) error {
-	err := encodeUnits(w, k, set.PopulationUnits, set.Units, func(e *setEncoder) error {
-		return e.finish(set.SweepInsts, set.SweepTime)
-	})
-	if err != nil {
+	if err := encodeSet(w, k, set); err != nil {
 		return fmt.Errorf("checkpoint: encode set: %w", err)
 	}
 	return nil
+}
+
+func encodeSet(w io.Writer, k Key, set *Set) error {
+	enc, err := newSetEncoder(w, k, set.PopulationUnits)
+	if err != nil {
+		return err
+	}
+	for _, u := range set.Units {
+		if err := enc.add(u); err != nil {
+			return err
+		}
+	}
+	return enc.finish(set.SweepInsts, set.SweepTime)
 }
 
 // DecodeSet reads one EncodeSet (or store-file) byte stream from r and

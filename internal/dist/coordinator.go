@@ -31,17 +31,19 @@ var ErrBusy = errors.New("dist: coordinator at capacity")
 // Options configures a Coordinator.
 type Options struct {
 	// StoreDir, when non-empty, attaches an on-disk checkpoint store:
-	// uploaded sweeps are persisted and shared across runs and restarts,
-	// and every accepted run keeps a write-ahead journal under
-	// StoreDir/runs/ that a restarted coordinator recovers in-flight
-	// runs from. StoreMaxBytes caps the store (see sim.WithStoreLimit).
+	// the coordinator's sweeps are journaled into it as they run and
+	// persisted for later runs and restarts, and every accepted run
+	// keeps a write-ahead journal under StoreDir/runs/ that a restarted
+	// coordinator recovers in-flight runs (and their interrupted sweeps)
+	// from. StoreMaxBytes caps the store (see sim.WithStoreLimit).
 	StoreDir      string
 	StoreMaxBytes int64
 	// MemCacheBytes caps the in-memory sweep cache's snapshot payload
-	// (0 = unbounded). The cache fronts the store either way: fetches
-	// hit memory first, uploads land in both.
+	// (0 = unbounded). The cache fronts the store: a run looks in memory
+	// first, and store hits and fresh sweeps land in memory.
 	MemCacheBytes int64
-	// MaxActive bounds concurrently executing runs (default 2);
+	// MaxActive bounds concurrently executing runs, and so concurrent
+	// sweeps (default 2);
 	// MaxQueue bounds runs waiting for a slot (default 16). A run
 	// beyond both fails fast with ErrBusy; a queued run honors its
 	// context deadline.
@@ -51,14 +53,8 @@ type Options struct {
 	// live worker (default 2): more shards mean finer-grained retry and
 	// better load balance, at more per-shard overhead.
 	ShardsPerWorker int
-	// LeaseTTL bounds how long a sweep claim may sit unfinished before
-	// another worker may take ownership (default 2 minutes) — the
-	// recovery path for a worker that died mid-sweep. Owners renew the
-	// lease by re-claiming (the worker does so every LeaseTTL/3), so the
-	// TTL can sit well below the longest sweep.
-	LeaseTTL time.Duration
 	// Faults, when non-nil, arms the deterministic fault-injection
-	// harness on the coordinator's hooks (FaultExpireLease,
+	// harness on the coordinator's hooks (FaultKillMidSweep,
 	// FaultKillCoordinator). Testing only.
 	Faults *Faults
 	// Logf receives operational log lines (nil discards them).
@@ -66,14 +62,16 @@ type Options struct {
 }
 
 // Coordinator is the distributed sampling service's front door: it
-// admits runs, shards their sampled units across registered workers,
-// serves the fleet-wide sweep cache and claim table, verifies every
-// streamed unit's digest, and merges shard streams into bit-identical
-// reports. Each accepted run gets a stable ID and an append-only event
-// history that clients stream (and re-attach to after losing the
-// connection); with a store attached, each run also keeps a write-ahead
-// journal so a restarted coordinator — a fresh NewCoordinator over the
-// same store directory — resumes in-flight runs instead of losing them.
+// admits runs, acquires each run's sweep (cache, store, or its own
+// journaled capture — once per key however many runs share it), shards
+// the sampled units across registered workers and serves them the
+// sweep, verifies every streamed unit's digest, and merges shard
+// streams into bit-identical reports. Each accepted run gets a stable
+// ID and an append-only event history that clients stream (and
+// re-attach to after losing the connection); with a store attached,
+// each run also keeps a write-ahead journal so a restarted coordinator
+// — a fresh NewCoordinator over the same store directory — resumes
+// in-flight runs instead of losing them.
 // All methods are safe for concurrent use.
 type Coordinator struct {
 	opt    Options
@@ -97,37 +95,28 @@ type Coordinator struct {
 	mu      sync.Mutex
 	queued  int
 	workers []*workerRef
-	claims  map[string]claimState
 	active  map[string]*activeRun
 	// runs holds every known run by ID — executing, queued, and (capped
 	// by maxFinishedRuns, in finished order) terminal, so late
 	// re-attaches can still fetch the outcome.
 	runs     map[string]*runState
 	finished []string
-	// partials holds uploaded partial-sweep journals (opaque format
-	// bytes) by key hash: a sweep owner uploads its journal as it
-	// progresses, and the worker that wins the claim after the owner
-	// dies resumes from here instead of resweeping. Entries are dropped
-	// when the completed sweep arrives; with a store attached they are
-	// also persisted as *.partial files, surviving coordinator restarts.
-	partials map[string][]byte
 }
 
 // maxFinishedRuns bounds how many terminal runs stay addressable for
 // late re-attaches before the oldest are dropped.
 const maxFinishedRuns = 64
 
-type claimState struct {
-	owner string
-	since time.Time
-}
-
-// activeRun pins the key material the sweep endpoints need for a run's
-// hash, refcounted across concurrent runs sharing it.
+// activeRun is the sweep of one key hash, refcounted across the
+// concurrent runs sharing it. sweep holds mu while it acquires the set,
+// so the runs of one key sweep once; set, written under both mu and
+// the coordinator's mu, is pinned for GET /v1/sweeps/{hash} while any
+// of them runs.
 type activeRun struct {
-	key     checkpoint.Key
-	noStore bool
-	refs    int
+	key  checkpoint.Key
+	mu   sync.Mutex
+	set  *checkpoint.Set
+	refs int
 }
 
 // workerRef is one registered worker.
@@ -191,19 +180,14 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 	if opt.ShardsPerWorker <= 0 {
 		opt.ShardsPerWorker = 2
 	}
-	if opt.LeaseTTL <= 0 {
-		opt.LeaseTTL = 2 * time.Minute
-	}
 	c := &Coordinator{
-		opt:      opt,
-		sweeps:   checkpoint.NewMemCache(),
-		client:   &http.Client{},
-		slots:    make(chan struct{}, opt.MaxActive),
-		claims:   make(map[string]claimState),
-		active:   make(map[string]*activeRun),
-		runs:     make(map[string]*runState),
-		partials: make(map[string][]byte),
-		epoch:    randHex(8),
+		opt:    opt,
+		sweeps: checkpoint.NewMemCache(),
+		client: &http.Client{},
+		slots:  make(chan struct{}, opt.MaxActive),
+		active: make(map[string]*activeRun),
+		runs:   make(map[string]*runState),
+		epoch:  randHex(8),
 	}
 	c.lifeCtx, c.lifeCancel = context.WithCancel(context.Background()) //simlint:noctx server lifecycle root; outlives any one request, cancelled by Close
 	c.sweeps.MaxBytes = opt.MemCacheBytes
@@ -305,39 +289,28 @@ func (c *Coordinator) liveWorkers() []*workerRef {
 	return live
 }
 
-// retainRun pins the run's key in the active table so the sweep and
-// claim endpoints can serve its hash.
-func (c *Coordinator) retainRun(hash string, key checkpoint.Key, noStore bool) {
+// retainRun returns key's entry in the active table, creating it for
+// the first of its runs.
+func (c *Coordinator) retainRun(key checkpoint.Key) *activeRun {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if run, ok := c.active[hash]; ok {
-		run.refs++
-		return
+	run, ok := c.active[key.Hash()]
+	if !ok {
+		run = &activeRun{key: key}
+		c.active[key.Hash()] = run
 	}
-	c.active[hash] = &activeRun{key: key, noStore: noStore, refs: 1}
+	run.refs++
+	return run
 }
 
 func (c *Coordinator) releaseRun(hash string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	run, ok := c.active[hash]
-	if !ok {
-		return
+	if run := c.active[hash]; run != nil {
+		if run.refs--; run.refs <= 0 {
+			delete(c.active, hash)
+		}
 	}
-	run.refs--
-	if run.refs <= 0 {
-		delete(c.active, hash)
-		delete(c.claims, hash)
-	}
-}
-
-// sweepReady reports a reusable committed sweep for run (memory first,
-// then the store unless the run opted out).
-func (c *Coordinator) sweepReady(run *activeRun) bool {
-	if c.sweeps.Contains(run.key) {
-		return true
-	}
-	return c.store != nil && !run.noStore && c.store.Contains(run.key)
 }
 
 // resolvedRun is a request resolved against its generated workload:
@@ -787,8 +760,6 @@ type shardedRun struct {
 	pending   chan shardRange
 	remaining int
 	runErr    error
-	trailer   *shardDone
-	anySwept  bool
 }
 
 type shardRange struct {
@@ -863,13 +834,22 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	}
 	r.shards = len(shards)
 
-	key := checkpoint.KeyFor(r.prog, r.spec.Config, r.spec.Plan.CheckpointParams())
-	hash := key.Hash()
-	c.retainRun(hash, key, r.wr.NoStore)
-	defer c.releaseRun(hash)
-
 	r.sink.emit(sim.Progress{Kind: sim.EventRunStart, Stage: "sample", Offset: r.spec.Plan.J,
 		Population: r.pop, Total: r.total})
+
+	// The workers fetch the sweep by hash (GET /v1/sweeps/{hash}), so it
+	// stays pinned until the last shard is in.
+	key := checkpoint.KeyFor(r.prog, r.spec.Config, r.spec.Plan.CheckpointParams())
+	active := c.retainRun(key)
+	defer c.releaseRun(key.Hash())
+	set, resumedAt, cached, err := r.sweep(ctx, active)
+	if err != nil {
+		return nil, err
+	}
+	// A sweep can take a while: dispatch to the fleet as it is now.
+	if live := c.liveWorkers(); len(live) > 0 {
+		workers = live
+	}
 
 	alpha := alphaOr997(r.wr.Alpha)
 	replayStart := wallclock.Now()
@@ -919,24 +899,17 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	case r.remaining > 0:
 		return nil, fmt.Errorf("dist: %d shard range(s) left unassigned: all workers failed", r.remaining)
 	}
-	// The trailer can be missing only when the plan selects no unit, so
-	// no shard ran; the population is known locally.
-	td := shardDone{Population: r.pop}
-	if r.trailer != nil {
-		td = *r.trailer
-	}
 	res := &smarts.Result{
-		Plan:            r.spec.Plan,
-		Units:           er.Units,
-		PopulationUnits: td.Population,
-		MeasuredInsts:   er.MeasuredInsts,
-		WarmingInsts:    er.WarmingInsts,
-		FastFwdInsts:    td.SweepInsts,
-		FastFwdTime:     time.Duration(td.SweepTimeNs),
-		DetailedTime:    er.DetailedTime,
-		// No shard swept in this run: every one reused a cached sweep,
-		// the distributed analogue of a store hit.
-		SweepCached: !r.anySwept,
+		Plan:                r.spec.Plan,
+		Units:               er.Units,
+		PopulationUnits:     set.PopulationUnits,
+		MeasuredInsts:       er.MeasuredInsts,
+		WarmingInsts:        er.WarmingInsts,
+		FastFwdInsts:        set.SweepInsts,
+		FastFwdTime:         set.SweepTime,
+		DetailedTime:        er.DetailedTime,
+		SweepCached:         cached,
+		FastFwdResumedInsts: resumedAt,
 	}
 	done := sim.Progress{Kind: sim.EventRunDone, Stage: "sample", Offset: r.spec.Plan.J,
 		Replayed: len(res.Units), Cached: res.SweepCached, Population: r.pop, Total: r.total}
@@ -945,6 +918,43 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	}
 	r.sink.emit(done)
 	return res, nil
+}
+
+// sweep returns the run's snapshot set, acquired the way a local run
+// acquires it (engine.CaptureSet: the memory cache, then the store,
+// then a sweep journaled into the store, resuming whatever journal an
+// interrupted one left) while holding active's lock, so concurrent runs
+// of one key sweep once: a waiter reuses the pinned set as cached, or
+// acquires it itself (resuming the journal) if the first run failed.
+func (r *shardedRun) sweep(ctx context.Context, active *activeRun) (set *checkpoint.Set, resumedAt uint64, cached bool, err error) {
+	c := r.c
+	captured := func(n int) {
+		r.sink.emit(sim.Progress{Kind: sim.EventUnitCaptured, Stage: "sample", Offset: r.spec.Plan.J,
+			Captured: n, Population: r.pop, Total: r.total})
+	}
+	active.mu.Lock()
+	defer active.mu.Unlock()
+	if active.set != nil {
+		captured(len(active.set.Units))
+		return active.set, 0, true, nil
+	}
+	opt := engine.Options{Cache: c.sweeps, OnCaptured: func(n int) {
+		if ok, _ := c.opt.Faults.fire(FaultKillMidSweep); ok {
+			c.die()
+		}
+		captured(n)
+	}}
+	if !r.wr.NoStore {
+		opt.Store = c.store
+	}
+	set, resumedAt, cached, err = engine.CaptureSet(ctx, r.prog, r.spec.Config, r.spec.Plan.CheckpointParams(), opt)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	c.mu.Lock()
+	active.set = set
+	c.mu.Unlock()
+	return set, resumedAt, cached, nil
 }
 
 // replayJournal re-offers a recovered run's journaled merge prefix and
@@ -963,14 +973,8 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 		r.m.Offer(rec.units[i].rangeUnit())
 	}
 	doneIdx := make(map[int]bool, len(rec.dones))
-	for i := range rec.dones {
-		d := &rec.dones[i]
+	for _, d := range rec.dones {
 		doneIdx[d.Idx] = true
-		if r.trailer == nil {
-			t := d.Done
-			r.trailer = &t
-		}
-		r.anySwept = r.anySwept || d.Done.Swept
 	}
 	for _, sr := range shards {
 		if doneIdx[sr.idx] {
@@ -981,7 +985,7 @@ func (r *shardedRun) replayJournal(shards []shardRange) {
 		// the journaled prefix of each shard is contiguous from lo; only
 		// the suffix is redispatched. A fully-merged shard missing its
 		// trailer requeues as an empty range — the worker replays
-		// nothing and returns just the sweep-accounting trailer.
+		// nothing and returns just the trailer.
 		n := 0
 		for sr.lo+n < sr.hi && merged[sr.lo+n] {
 			n++
@@ -1011,16 +1015,10 @@ func (r *shardedRun) workerLoop(ctx context.Context, w *workerRef) {
 		case <-ctx.Done():
 			return
 		}
-		received, trailer, err := r.runShard(ctx, w, sr)
+		received, err := r.runShard(ctx, w, sr)
 		if err == nil {
 			r.smu.Lock()
-			if trailer != nil {
-				r.journal.append(journalLine{Done: &journalDone{Idx: sr.idx, Done: *trailer}})
-				if r.trailer == nil {
-					r.trailer = trailer
-				}
-				r.anySwept = r.anySwept || trailer.Swept
-			}
+			r.journal.append(journalLine{Done: &journalDone{Idx: sr.idx}})
 			r.remaining--
 			if r.remaining == 0 {
 				close(r.pending)
@@ -1095,28 +1093,28 @@ func (e *corruptError) Error() string {
 // units into the merge. Every unit's digest is recomputed before the
 // offer; the first mismatch aborts the stream with a corruptError. It
 // returns the number of verified unit records received (the contiguous
-// prefix of the range) and the stream trailer.
-func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) (received int, trailer *shardDone, err error) {
+// prefix of the range); a nil error means the trailer arrived.
+func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) (received int, err error) {
 	r.sink.emit(sim.Progress{Kind: sim.EventShardStart, Stage: "sample", Offset: r.spec.Plan.J,
 		Population: r.pop, Total: sr.hi - sr.lo, Shard: sr.idx, Shards: r.shards})
 
 	body, err := json.Marshal(shardMsg{Spec: r.spec, Lo: sr.lo, Hi: sr.hi, Shard: sr.idx, Shards: r.shards})
 	if err != nil {
-		return 0, nil, &appError{msg: fmt.Sprintf("dist: encode shard: %v", err)}
+		return 0, &appError{msg: fmt.Sprintf("dist: encode shard: %v", err)}
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/shards", bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, &appError{msg: fmt.Sprintf("dist: build shard request: %v", err)}
+		return 0, &appError{msg: fmt.Sprintf("dist: build shard request: %v", err)}
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := r.c.client.Do(hreq)
 	if err != nil {
-		return 0, nil, err // transport
+		return 0, err // transport
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //simlint:discard best-effort error-body snippet for the message
-		return 0, nil, &appError{msg: fmt.Sprintf("dist: worker %s rejected shard: %s: %s",
+		return 0, &appError{msg: fmt.Sprintf("dist: worker %s rejected shard: %s: %s",
 			w.url, resp.Status, bytes.TrimSpace(msg))}
 	}
 	dec := json.NewDecoder(resp.Body)
@@ -1125,14 +1123,14 @@ func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) 
 		if derr := dec.Decode(&rec); derr != nil {
 			// EOF (clean or mid-record) without a trailer means the
 			// worker died mid-stream: a transport failure.
-			return received, nil, fmt.Errorf("dist: shard stream from %s broke: %w", w.url, derr)
+			return received, fmt.Errorf("dist: shard stream from %s broke: %w", w.url, derr)
 		}
 		switch {
 		case rec.Error != "":
-			return received, nil, &appError{msg: rec.Error}
+			return received, &appError{msg: rec.Error}
 		case rec.Unit != nil:
 			if rec.Unit.digest() != rec.Unit.Digest {
-				return received, nil, &corruptError{worker: w.url, seq: rec.Unit.Seq}
+				return received, &corruptError{worker: w.url, seq: rec.Unit.Seq}
 			}
 			r.smu.Lock()
 			r.journal.append(journalLine{Unit: rec.Unit})
@@ -1142,10 +1140,6 @@ func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) 
 			if ok, _ := r.c.opt.Faults.fire(FaultKillCoordinator); ok {
 				r.c.die()
 			}
-		case rec.Captured > 0:
-			r.sink.emit(sim.Progress{Kind: sim.EventUnitCaptured, Stage: "sample", Offset: r.spec.Plan.J,
-				Captured: rec.Captured, Population: r.pop, Total: r.total,
-				Shard: sr.idx, Shards: r.shards})
 		case rec.Retry != nil:
 			r.sink.emit(sim.Progress{Kind: sim.EventRetry, Stage: "sample", Offset: r.spec.Plan.J,
 				Attempt: rec.Retry.Attempt, Note: rec.Retry.Op + ": " + rec.Retry.Err,
@@ -1154,7 +1148,7 @@ func (r *shardedRun) runShard(ctx context.Context, w *workerRef, sr shardRange) 
 			r.sink.emit(sim.Progress{Kind: sim.EventShardDone, Stage: "sample", Offset: r.spec.Plan.J,
 				Replayed: received, Population: r.pop, Total: sr.hi - sr.lo,
 				Shard: sr.idx, Shards: r.shards})
-			return received, rec.Done, nil
+			return received, nil
 		}
 	}
 }
@@ -1191,11 +1185,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /v1/claims", c.handleClaim)
-	mux.HandleFunc("GET /v1/sweeps/{hash}", c.forRun(c.handleSweepGet))
-	mux.HandleFunc("PUT /v1/sweeps/{hash}", c.forRun(c.handleSweepPut))
-	mux.HandleFunc("GET /v1/partials/{hash}", c.forRun(c.handlePartialGet))
-	mux.HandleFunc("PUT /v1/partials/{hash}", c.forRun(c.handlePartialPut))
+	mux.HandleFunc("GET /v1/sweeps/{hash}", c.handleSweepGet)
 	mux.HandleFunc("POST /v1/runs", c.handleRunCreate)
 	mux.HandleFunc("GET /v1/runs/{id}/stream", c.handleRunStream)
 	mux.HandleFunc("DELETE /v1/runs/{id}", c.handleRunCancel)
@@ -1206,28 +1196,20 @@ func (c *Coordinator) Handler() http.Handler {
 		// Cap the body: a declared length past the cap is refused before
 		// anything is read, an undeclared one fails the handler's read at
 		// the cap with *http.MaxBytesError (bodyStatus: 413 as well).
-		max := int64(maxJSONBody)
-		if req.Method == http.MethodPut { // the sweep and journal uploads
-			max = maxSweepBody
-		}
-		if req.ContentLength > max {
+		if req.ContentLength > maxJSONBody {
 			http.Error(rw, "request body too large", http.StatusRequestEntityTooLarge)
 			return
 		}
-		req.Body = http.MaxBytesReader(rw, req.Body, max)
+		req.Body = http.MaxBytesReader(rw, req.Body, maxJSONBody)
 		mux.ServeHTTP(rw, req)
 	})
 }
 
-// Request-body caps. The coordinator buffers what it is sent (a journal
-// upload whole, a sweep upload decoded into the sweep cache), so without
-// them anything that can reach the port could make it hold arbitrary
-// memory. maxSweepBody bounds the two binary uploads, maxJSONBody the
-// control messages (a run request is a few hundred bytes).
-const (
-	maxSweepBody = 1 << 30
-	maxJSONBody  = 1 << 20
-)
+// maxJSONBody caps a request body. Every request the coordinator takes
+// is a JSON control message (a run request is a few hundred bytes);
+// without the cap anything that can reach the port could make it
+// buffer arbitrary memory.
+const maxJSONBody = 1 << 20
 
 // bodyStatus is the reply status for a body that failed to read or
 // decode with err (nil: decoded but unacceptable): 413 past the
@@ -1267,72 +1249,17 @@ func (c *Coordinator) handleHeartbeat(rw http.ResponseWriter, req *http.Request)
 	rw.WriteHeader(http.StatusNoContent)
 }
 
-func (c *Coordinator) handleClaim(rw http.ResponseWriter, req *http.Request) {
-	var msg claimMsg
-	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil {
-		http.Error(rw, "bad claim body", bodyStatus(err))
-		return
-	}
+// handleSweepGet serves the sweep an active run of {hash} pinned, in
+// the store's byte stream; 404 when no run of that hash holds one.
+func (c *Coordinator) handleSweepGet(rw http.ResponseWriter, req *http.Request) {
+	hash := req.PathValue("hash")
 	c.mu.Lock()
-	run, ok := c.active[msg.Hash]
-	if !ok {
-		c.mu.Unlock()
-		http.Error(rw, "no active run for sweep", http.StatusNotFound)
-		return
-	}
-	state := claimWait
-	if c.sweepReady(run) {
-		state = claimReady
-	} else {
-		cl, claimed := c.claims[msg.Hash]
-		if claimed && cl.owner != msg.Owner {
-			if ok, _ := c.opt.Faults.fire(FaultExpireLease); ok {
-				claimed = false // injected: treat the lease as lapsed
-			}
-		}
-		if !claimed || cl.owner == msg.Owner || wallclock.Since(cl.since) > c.opt.LeaseTTL {
-			// Unclaimed, re-claimed by the current owner (which renews the
-			// lease), or the lease expired (the owner died mid-sweep): the
-			// caller sweeps — resuming from the dead owner's uploaded
-			// partial journal when one exists.
-			c.claims[msg.Hash] = claimState{owner: msg.Owner, since: wallclock.Now()}
-			state = claimOwner
-		}
+	run := c.active[hash]
+	var set *checkpoint.Set
+	if run != nil {
+		set = run.set
 	}
 	c.mu.Unlock()
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(claimReply{State: state, LeaseNs: int64(c.opt.LeaseTTL)})
-}
-
-// forRun adapts a sweep or journal endpoint: h serves the active run
-// the path's {hash} names, and a hash with no active run is a 404.
-func (c *Coordinator) forRun(h func(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun)) http.HandlerFunc {
-	return func(rw http.ResponseWriter, req *http.Request) {
-		hash := req.PathValue("hash")
-		c.mu.Lock()
-		run, ok := c.active[hash]
-		c.mu.Unlock()
-		if !ok {
-			http.Error(rw, "no active run for sweep", http.StatusNotFound)
-			return
-		}
-		h(rw, req, hash, run)
-	}
-}
-
-func (c *Coordinator) handleSweepGet(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
-	set := c.sweeps.Get(run.key)
-	if set == nil && c.store != nil && !run.noStore {
-		loaded, err := c.store.Load(run.key)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if loaded != nil {
-			c.sweeps.Put(run.key, loaded)
-			set = loaded
-		}
-	}
 	if set == nil {
 		http.Error(rw, "sweep not available", http.StatusNotFound)
 		return
@@ -1340,81 +1267,9 @@ func (c *Coordinator) handleSweepGet(rw http.ResponseWriter, req *http.Request, 
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	if err := checkpoint.EncodeSet(rw, run.key, set); err != nil {
 		// Headers are gone; the broken stream surfaces as a decode
-		// failure on the worker, which falls back to claiming.
+		// failure on the worker, which retries the fetch.
 		c.logf("dist: sweep download %s failed: %v", hash, err)
 	}
-}
-
-func (c *Coordinator) handleSweepPut(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
-	set, err := checkpoint.DecodeSet(req.Body, run.key)
-	if err != nil {
-		http.Error(rw, err.Error(), bodyStatus(err))
-		return
-	}
-	c.sweeps.Put(run.key, set)
-	if c.store != nil && !run.noStore && !c.store.Contains(run.key) {
-		if err := c.store.Save(run.key, set); err != nil {
-			c.logf("dist: persisting sweep %s failed: %v", hash, err)
-		}
-	}
-	c.mu.Lock()
-	delete(c.claims, hash)
-	delete(c.partials, hash)
-	c.mu.Unlock()
-	c.logf("dist: sweep %s uploaded (%d units)", hash, len(set.Units))
-	rw.WriteHeader(http.StatusNoContent)
-}
-
-// handlePartialPut accepts a sweep owner's partial journal (partial
-// record bytes). The journal is validated against the run's key
-// before it is kept: a corrupt upload is rejected so the fleet never
-// resumes from garbage — it degrades to an earlier journal or a cold
-// sweep instead.
-func (c *Coordinator) handlePartialPut(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
-	raw, err := io.ReadAll(req.Body)
-	if err != nil {
-		http.Error(rw, err.Error(), bodyStatus(err))
-		return
-	}
-	rs, err := checkpoint.DecodePartial(bytes.NewReader(raw), run.key)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	c.mu.Lock()
-	c.partials[hash] = raw
-	c.mu.Unlock()
-	if c.store != nil && !run.noStore {
-		if err := c.store.SavePartial(run.key, rs); err != nil {
-			c.logf("dist: persisting partial %s failed: %v", hash, err)
-		}
-	}
-	rw.WriteHeader(http.StatusNoContent)
-}
-
-// handlePartialGet serves the most recent partial journal for a run's
-// sweep, falling back to the store's *.partial file when memory has
-// none (a coordinator restart). 404 when no journal exists: the caller
-// sweeps cold.
-func (c *Coordinator) handlePartialGet(rw http.ResponseWriter, req *http.Request, hash string, run *activeRun) {
-	c.mu.Lock()
-	raw := c.partials[hash]
-	c.mu.Unlock()
-	if raw == nil && c.store != nil && !run.noStore {
-		rs, err := c.store.LoadPartial(run.key)
-		if err == nil && rs != nil {
-			var buf bytes.Buffer
-			if err := checkpoint.EncodePartial(&buf, run.key, rs); err == nil {
-				raw = buf.Bytes()
-			}
-		}
-	}
-	if raw == nil {
-		http.Error(rw, "no partial sweep journal", http.StatusNotFound)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Write(raw)
 }
 
 // handleRunCreate accepts a run and replies 202 with its stable ID and

@@ -117,10 +117,9 @@ func newClusterWrapped(t *testing.T, machines, workersEach int, copt Options, wr
 		}))
 		t.Cleanup(wsrv.Close)
 		w = NewWorker(WorkerOptions{
-			Coordinator:  csrv.URL,
-			Self:         wsrv.URL,
-			Workers:      workersEach,
-			PollInterval: 5 * time.Millisecond,
+			Coordinator: csrv.URL,
+			Self:        wsrv.URL,
+			Workers:     workersEach,
 		})
 		h = w.Handler()
 		if wrap != nil {
@@ -134,17 +133,10 @@ func newClusterWrapped(t *testing.T, machines, workersEach int, copt Options, wr
 	return cl
 }
 
-func (cl *cluster) sweepTotal() uint64 {
-	var n uint64
-	for _, w := range cl.workers {
-		n += w.SweepCount()
-	}
-	return n
-}
-
 // TestTopologiesBitIdentical is the end-to-end matrix: every
 // (machine × worker) topology reproduces the single-process engine
-// baseline bit for bit, and the fleet pays exactly one sweep.
+// baseline bit for bit, and the fleet pays exactly one sweep: the first
+// run's, and a second run reuses it.
 func TestTopologiesBitIdentical(t *testing.T) {
 	want := baseline(t, testRequest())
 	topologies := []struct{ machines, workers int }{
@@ -164,11 +156,8 @@ func TestTopologiesBitIdentical(t *testing.T) {
 			if rep.Result().SweepCached {
 				t.Fatal("fresh cluster reports a cached sweep")
 			}
-			if n := cl.sweepTotal(); n != 1 {
-				t.Fatalf("fleet ran %d sweeps, want exactly 1 (fleet singleflight)", n)
-			}
 			// A second run reuses the coordinator-cached sweep: no new
-			// sweep anywhere, same bits.
+			// sweep, same bits.
 			rep2, err := client.Run(context.Background(), testRequest())
 			if err != nil {
 				t.Fatal(err)
@@ -176,9 +165,6 @@ func TestTopologiesBitIdentical(t *testing.T) {
 			sameMeasurement(t, "cached distributed run", rep2.Result(), want)
 			if !rep2.Result().SweepCached {
 				t.Fatal("second run did not reuse the cached sweep")
-			}
-			if n := cl.sweepTotal(); n != 1 {
-				t.Fatalf("fleet ran %d sweeps after the cached run, want 1", n)
 			}
 		})
 	}
@@ -197,8 +183,8 @@ func TestSharedStoreEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMeasurement(t, "seeding run", rep.Result(), want)
-	if n := first.sweepTotal(); n != 1 {
-		t.Fatalf("seeding cluster ran %d sweeps, want 1", n)
+	if rep.Result().SweepCached {
+		t.Fatal("seeding run reports a cached sweep")
 	}
 
 	second := newCluster(t, 2, 2, Options{StoreDir: dir})
@@ -207,9 +193,6 @@ func TestSharedStoreEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMeasurement(t, "store-served run", rep2.Result(), want)
-	if n := second.sweepTotal(); n != 0 {
-		t.Fatalf("second cluster ran %d sweeps despite the store entry, want 0", n)
-	}
 	if !rep2.Result().SweepCached {
 		t.Fatal("store-served run not marked SweepCached")
 	}
@@ -269,12 +252,11 @@ func (c *cutoffWriter) Flush() {
 }
 
 // TestWorkerKillMidRun kills one of two workers a few records into its
-// first shard stream; the survivor absorbs the requeued range (and,
-// when the victim owned the sweep, re-sweeps after the claim lease
-// expires). The report stays bit-identical.
+// first shard stream; the survivor absorbs the requeued range. The
+// report stays bit-identical.
 func TestWorkerKillMidRun(t *testing.T) {
 	want := baseline(t, testRequest())
-	cl := newClusterWrapped(t, 2, 2, Options{LeaseTTL: 150 * time.Millisecond},
+	cl := newClusterWrapped(t, 2, 2, Options{},
 		func(i int, h http.Handler) http.Handler {
 			if i == 0 {
 				return &killingHandler{h: h, limit: 3}
@@ -286,6 +268,56 @@ func TestWorkerKillMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMeasurement(t, "run with worker kill", rep.Result(), want)
+}
+
+// TestCoordinatorSweepSingleflight: two concurrent runs of one key do
+// one cold sweep between them — the second waits for the first and
+// reuses its set — and both reports are bit-identical. A third run of
+// the primed key is served from the coordinator's memory without
+// touching the store (memory before disk).
+func TestCoordinatorSweepSingleflight(t *testing.T) {
+	want := baseline(t, testRequest())
+	cl := newCluster(t, 2, 1, Options{StoreDir: t.TempDir()})
+	var wg sync.WaitGroup
+	reps := make([]*sim.Report, 2)
+	errs := make([]error, 2)
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = cl.coord.Run(context.Background(), testRequest())
+		}(i)
+	}
+	wg.Wait()
+	cold := 0
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		sameMeasurement(t, fmt.Sprintf("concurrent run %d", i), rep.Result(), want)
+		if rep.Result().FastFwdInsts != want.FastFwdInsts {
+			t.Fatalf("concurrent run %d: fast-forward %d, want %d", i, rep.Result().FastFwdInsts, want.FastFwdInsts)
+		}
+		if !rep.Result().SweepCached {
+			cold++
+		}
+	}
+	if cold != 1 {
+		t.Fatalf("%d of 2 concurrent runs swept cold, want exactly 1", cold)
+	}
+
+	hits, _ := cl.coord.store.Stats()
+	rep, err := cl.coord.Run(context.Background(), testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMeasurement(t, "primed run", rep.Result(), want)
+	if !rep.Result().SweepCached {
+		t.Fatal("primed run swept again")
+	}
+	if after, _ := cl.coord.store.Stats(); after != hits {
+		t.Fatalf("primed run read the store (%d -> %d hits); the memory cache comes first", hits, after)
+	}
 }
 
 // TestAllWorkersDead: when every worker fails, the run errors out

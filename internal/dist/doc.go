@@ -42,25 +42,18 @@
 //	                         announced an interval and then stays silent
 //	                         for three intervals leaves the dispatch set
 //	                         until it beats again.
-//	POST /v1/claims          fleet-wide sweep singleflight (see below).
-//	GET  /v1/sweeps/{hash}   fetch a captured sweep, encoded in the
-//	                         checkpoint store's format-v4 byte stream.
-//	PUT  /v1/sweeps/{hash}   upload a freshly captured sweep.
-//	GET  /v1/partials/{hash} fetch the sweep's current partial journal
-//	                         (404 = sweep cold).
-//	PUT  /v1/partials/{hash} upload a sweep owner's partial journal
-//	                         (the store's format-v4 partial record;
-//	                         validated against the run's key, rejected
-//	                         if corrupt).
+//	GET  /v1/sweeps/{hash}   fetch the sweep an active run of the key
+//	                         holds, encoded in the checkpoint store's
+//	                         format-v4 byte stream (404 = none).
 //	GET  /v1/healthz         readiness.
 //
 // Workers serve:
 //
 //	POST /v1/shards        shard assignment in, NDJSON record stream
-//	                       out: sweep-progress records while capturing,
-//	                       one record per replayed unit in ascending
-//	                       stream order, then a trailer with the sweep
-//	                       accounting (or an error record).
+//	                       out: one record per replayed unit in
+//	                       ascending stream order, then a trailer (or
+//	                       an error record); retried sweep fetches
+//	                       travel as retry records.
 //	GET  /v1/healthz       readiness.
 //
 // Sweeps travel in the exact bytes Store.Save writes to disk
@@ -68,44 +61,25 @@
 // format and decoding validates the content-addressed key end to end.
 // Both sides resolve the plan independently with sim.ResolvePlan and
 // derive the same checkpoint.Key, so only the request travels — never
-// the plan, the program, or unit indices.
+// the plan, the program, or unit indices. Request bodies are JSON
+// control messages, refused with 413 past 1 MiB.
 //
-// # Fleet-wide sweep singleflight
+// # The coordinator sweeps
 //
-// The functional sweep is the one sequential, whole-stream cost; it
-// must be paid once per (workload, plan, warm geometry) key across the
-// fleet, not once per shard. Before sweeping, a worker claims the key
-// at the coordinator: the reply is "ready" (a sweep is cached or
-// stored — fetch it), "owner" (you sweep; upload when done), or "wait"
-// (another worker is sweeping — poll). Claims carry a lease: the owner
-// renews it by re-claiming every LeaseTTL/3 while it sweeps, so if the
-// owner dies mid-sweep the claim expires after LeaseTTL and the next
-// poller takes ownership. The uploaded sweep lands in the
-// coordinator's bounded MemCache and (unless the request opts out) its
-// on-disk store, so later runs skip the sweep entirely.
-//
-// # Crash-safe sweeps
-//
-// A sweep owner runs the engine's one sweep driver (engine.Sweep) —
-// the same resume, journal-cadence, cold-retry and seal-on-interrupt
-// algorithm a local run has — with the coordinator as its journal
-// instead of the store writer's file: at engine.Sweep's journal cadence
-// (every few keyframes) it uploads a partial record
-// (checkpoint.EncodePartial — the byte stream a local store writer
-// journals, cut at one frame) to the coordinator, which keeps it in
-// memory and, with a store attached, as a *.partial file that survives
-// coordinator restarts. A worker that wins the claim after the owner
-// died fetches the journal and resumes the sweep from its last frame
-// (checkpoint Params.Resume) instead of restarting at instruction
-// zero; the continued unit stream is bit-identical to an uninterrupted
-// sweep. Corruption never poisons a run: a journal that fails
-// validation is rejected at upload, and one that fails resume-replay
-// on the worker degrades to a cold sweep. The journal is retired when
-// the completed sweep arrives: dropped from memory, and on disk by the
-// store commit of the set. Each upload re-encodes the whole prefix, so
-// a fleet sweep's journal traffic grows with the square of its length. Uploads are
-// bounded: the coordinator refuses a sweep or journal body over 1 GiB,
-// and a control message over 1 MiB, with 413.
+// The functional sweep is the one serial, whole-stream cost; every unit
+// after it is independent. The coordinator therefore acquires each
+// run's snapshot set itself, before it dispatches a shard, exactly as a
+// local run's multi-offset path does (engine.CaptureSet): its memory
+// cache, then its store, then a sweep journaled into the store as it
+// runs. Concurrent runs of one key share one acquisition — the second
+// waits on the first and reuses its set, or resumes its journal if the
+// first was cancelled — and the set stays pinned for
+// GET /v1/sweeps/{hash} while any of them runs. Workers never sweep: a
+// worker without the set in its own cache fetches it, with retries, and
+// replays. A coordinator killed mid-sweep leaves the store's
+// <hash>.partial beside the run journal; its successor recovers the run
+// and resumes the sweep through engine.Sweep from the last journaled
+// frame, bit-identically. MaxActive bounds how many sweeps run at once.
 //
 // # Failure and retry
 //
@@ -119,9 +93,9 @@
 // any worker. If every worker dies, the run fails with an error
 // rather than hanging.
 //
-// Worker→coordinator RPCs (register, claim, sweep and journal
-// transfer) retry transient failures with capped exponential backoff
-// plus deterministic jitter; each retried attempt surfaces to the run
+// Worker→coordinator RPCs (register, heartbeat, sweep fetch) retry
+// transient failures with capped exponential backoff plus
+// deterministic jitter; each retried attempt surfaces to the run
 // as a sim.EventRetry progress event naming the operation and attempt.
 // dist.Client retries its initial run request the same way and, when a
 // Fallback session is configured, degrades to an in-process run (after
@@ -131,11 +105,10 @@
 // fall back.
 //
 // The crash/resume matrix is tested through a deterministic
-// fault-injection harness (Faults): kill-the-owner-mid-sweep,
-// kill-mid-stream, kill-the-coordinator, corrupt-frame, drop/delay
-// RPC, and expire-lease trigger at exact occurrence counts, so lease
-// handoff, journaled resume, coordinator recovery, and quarantine run
-// as ordinary unit tests instead of wall-clock races.
+// fault-injection harness (Faults): kill-the-coordinator mid-sweep and
+// mid-merge, kill-mid-stream, corrupt-frame and drop/delay RPC trigger
+// at exact occurrence counts, so sweep resume, coordinator recovery and
+// quarantine run as ordinary unit tests instead of wall-clock races.
 //
 // # Surviving the coordinator
 //
@@ -146,7 +119,9 @@
 // never re-resolves against drifted defaults), the exact shard split,
 // then one checksummed line per merged unit and per completed shard
 // trailer, flushed as they land. A restarted coordinator replays each
-// journal's longest valid prefix: merged units are re-offered to a
+// journal's longest valid prefix: the run's sweep is acquired again (a
+// store hit, or a resume of the interrupted sweep's journal), merged
+// units are re-offered to a
 // fresh engine.Merger (offer order is irrelevant — the merge is a pure
 // function of the offered set), finished shards are absorbed from
 // their trailers, and each surviving shard is requeued from the first
@@ -179,8 +154,10 @@
 //
 //	accepted   → journal header written; run registered; waits for a
 //	             MaxActive slot (queue rules unchanged).
-//	running    → shard split journaled, then one line per merged unit
-//	             (journal before offer: write-ahead), one per trailer.
+//	running    → shard split journaled; the sweep acquired (journaled
+//	             in the store as it runs); then one line per merged
+//	             unit (journal before offer: write-ahead), one per
+//	             trailer.
 //	crashed    → whatever the kernel kept of the journal is the truth.
 //	recovered  → journal compacted to its verified prefix, spec rebuilt
 //	             from the header, merged prefix re-offered, shard

@@ -1,36 +1,29 @@
 package dist
 
-// The deterministic crash/resume matrix: every scenario here drives the
-// fleet through an injected fault (see faults.go) at a reproducible
-// trigger point and asserts the run still completes with a report
-// bit-identical to the local single-process engine — and, for the sweep
-// handoff, that the journaled resume actually bounded the duplicated
-// work.
+// The deterministic fault matrix: every scenario here drives the fleet
+// through an injected fault (see faults.go) at a reproducible trigger
+// point and asserts the run still completes with a report bit-identical
+// to the local single-process engine.
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
-	"repro/internal/uarch"
 	"repro/sim"
 )
 
 // newFaultCluster wires a coordinator and one loopback worker per
-// WorkerOptions entry (Coordinator/Self filled in; fast polling and
-// retry defaults applied unless set). Fault plans are armed by the
+// WorkerOptions entry (Coordinator/Self filled in; a fast retry base
+// applied unless set). Fault plans are armed by the
 // caller after this returns, so registration RPCs never consume
 // occurrences.
 func newFaultCluster(t *testing.T, copt Options, wopts []WorkerOptions) *cluster {
@@ -47,9 +40,6 @@ func newFaultCluster(t *testing.T, copt Options, wopts []WorkerOptions) *cluster
 		opt.Coordinator = csrv.URL
 		if opt.Workers == 0 {
 			opt.Workers = 1
-		}
-		if opt.PollInterval == 0 {
-			opt.PollInterval = 5 * time.Millisecond
 		}
 		if opt.RetryBase == 0 {
 			opt.RetryBase = time.Millisecond
@@ -68,63 +58,6 @@ func newFaultCluster(t *testing.T, copt Options, wopts []WorkerOptions) *cluster
 		cl.workers = append(cl.workers, w)
 	}
 	return cl
-}
-
-func (cl *cluster) sweepExecTotal() uint64 {
-	var n uint64
-	for _, w := range cl.workers {
-		n += w.SweepExecInsts()
-	}
-	return n
-}
-
-// TestLeaseExpiryHandoff is the crash-safe sweep e2e: the sweep owner
-// is killed mid-sweep (stream severed exactly as a process death), the
-// lease expires, and the surviving worker wins the claim, resumes from
-// the dead owner's uploaded journal, and finishes the run — with the
-// report bit-identical to the local engine and the fleet-wide sweep
-// work well under two cold sweeps.
-func TestLeaseExpiryHandoff(t *testing.T) {
-	req := testRequest()
-	want := baseline(t, req)
-
-	// Both workers arm the same kill: whichever wins the sweep claim
-	// dies on its 51st captured unit. The survivor resumes from the
-	// journal (keyframe 4, uploaded every 4 keyframes: after units 13, 29
-	// and 45), so its own capture count stays far below the trigger — the
-	// fault fires exactly once no matter which worker owned the sweep
-	// first.
-	faults := []*Faults{NewFaults(), NewFaults()}
-	wopts := []WorkerOptions{
-		{Keyframe: 4, Faults: faults[0]},
-		{Keyframe: 4, Faults: faults[1]},
-	}
-	cl := newFaultCluster(t, Options{LeaseTTL: 250 * time.Millisecond}, wopts)
-	for _, f := range faults {
-		f.Arm(FaultKillMidSweep, 50, 1)
-	}
-
-	rep, err := cl.coord.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMeasurement(t, "handoff run", rep.Result(), want)
-
-	if fired := faults[0].Fired(FaultKillMidSweep) + faults[1].Fired(FaultKillMidSweep); fired != 1 {
-		t.Fatalf("kill-mid-sweep fired %d times, want exactly 1", fired)
-	}
-	// The journaled handoff must beat two cold sweeps — and with the last
-	// upload 6 units before the kill the overlap is a handful of units,
-	// so hold it to 1.5 sweeps.
-	total := cl.sweepExecTotal()
-	if total >= want.FastFwdInsts*3/2 {
-		t.Fatalf("fleet executed %d sweep insts; want < 1.5x one sweep (%d)",
-			total, want.FastFwdInsts)
-	}
-	if total <= want.FastFwdInsts {
-		t.Fatalf("fleet executed %d sweep insts <= one sweep (%d); the kill cannot have happened",
-			total, want.FastFwdInsts)
-	}
 }
 
 // TestFaultKillMidStream kills a worker on its 6th replayed unit; the
@@ -148,7 +81,7 @@ func TestFaultKillMidStream(t *testing.T) {
 }
 
 // TestRetrySurfaced drops the worker's first two coordinator RPCs after
-// dispatch (the sweep claim): the worker retries with backoff and each
+// dispatch (the sweep fetch): the worker retries with backoff and each
 // retried attempt surfaces as an EventRetry progress event naming the
 // operation, while the run itself is unharmed.
 func TestRetrySurfaced(t *testing.T) {
@@ -185,7 +118,7 @@ func TestRetrySurfaced(t *testing.T) {
 		if ev.Attempt != i+1 {
 			t.Errorf("retry %d: Attempt = %d, want %d", i, ev.Attempt, i+1)
 		}
-		if !strings.Contains(ev.Note, "sweep claim") {
+		if !strings.Contains(ev.Note, "sweep fetch") {
 			t.Errorf("retry %d: Note %q does not name the operation", i, ev.Note)
 		}
 	}
@@ -296,126 +229,44 @@ func workerURLs(ws []*workerRef) []string {
 	return urls
 }
 
-// TestPartialEndpoints round-trips a journal through the coordinator's
-// partial endpoints and verifies a corrupt upload is rejected without
-// clobbering the good journal — the "corruption degrades, never
-// poisons" half of the resume contract at the fleet layer — and that an
-// upload past the body cap is refused (413) the same way, in memory and
-// in the store.
-func TestPartialEndpoints(t *testing.T) {
-	prog := testProg(t)
-	cfg := uarch.Config8Way()
-	plan := sim.ResolvePlan(testRequest(), prog)
-	params := plan.CheckpointParams()
-	params.Keyframe = 4
-	key := checkpoint.KeyFor(prog, cfg, params)
-	hash := key.Hash()
-
-	// Journal a genuine half-sweep so the uploaded bytes validate.
-	var units []*checkpoint.Unit
-	var rs *checkpoint.ResumeState
-	params.OnFrame = func(fr checkpoint.ResumeFrame) {
-		rs = &checkpoint.ResumeState{
-			Units:           units[:fr.Captured],
-			PopulationUnits: prog.Length / params.U,
-			SweepInsts:      fr.SweepInsts,
-			SweepTime:       fr.SweepTime,
-			HaveIBlock:      fr.HaveIBlock,
-			LastIBlock:      fr.LastIBlock,
-		}
-	}
-	_, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
-		units = append(units, u)
-		return len(units) < 30
-	})
-	if err != nil || rs == nil {
-		t.Fatalf("half-sweep failed: err=%v journal=%v", err, rs != nil)
-	}
-
-	storeDir := t.TempDir()
-	coord, err := NewCoordinator(Options{StoreDir: storeDir})
+// TestBodyCaps: the coordinator refuses a request body past its cap
+// with 413, whether the length is declared (refused before a byte of
+// body is read, so the test sends none, over a raw connection) or not
+// (the read fails at the cap).
+func TestBodyCaps(t *testing.T) {
+	coord, err := NewCoordinator(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.retainRun(hash, key, false)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	w := NewWorker(WorkerOptions{Coordinator: srv.URL, Self: "http://self"})
-	if err := w.uploadPartial(context.Background(), key, rs, nil); err != nil {
-		t.Fatalf("journal upload: %v", err)
-	}
-	got, err := w.fetchPartial(context.Background(), key)
-	if err != nil || got == nil {
-		t.Fatalf("journal fetch: rs=%v err=%v", got != nil, err)
-	}
-	if len(got.Units) != len(rs.Units) || got.SweepInsts != rs.SweepInsts {
-		t.Fatalf("journal round-trip: got %d units @%d insts, want %d @%d",
-			len(got.Units), got.SweepInsts, len(rs.Units), rs.SweepInsts)
-	}
-
-	// A corrupt upload must be rejected (400) and leave the good journal.
-	hreq, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/partials/"+hash,
-		strings.NewReader("not a journal"))
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt journal upload: %s, want 400", resp.Status)
-	}
-	got, err = w.fetchPartial(context.Background(), key)
-	if err != nil || got == nil || len(got.Units) != len(rs.Units) {
-		t.Fatalf("good journal lost after corrupt upload: rs=%v err=%v", got != nil, err)
-	}
-
-	// Over-cap uploads are refused with 413 and leave both copies of the
-	// good journal alone. A declared length past the binary cap is
-	// refused before a byte of body is read (so the test sends none, over
-	// a raw connection); an undeclared one — a JSON endpoint here, whose
-	// cap is small enough to really exceed — fails at the cap.
-	journalFile := filepath.Join(storeDir, hash+".partial")
-	coord.mu.Lock()
-	memBefore := coord.partials[hash]
-	coord.mu.Unlock()
-	fileBefore, err := os.ReadFile(journalFile)
-	if err != nil {
-		t.Fatal(err)
-	}
 	conn, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "PUT /v1/partials/%s HTTP/1.1\r\nHost: coordinator\r\nContent-Length: %d\r\n\r\n", hash, int64(maxSweepBody)+1)
-	resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+	fmt.Fprintf(conn, "POST /v1/runs HTTP/1.1\r\nHost: coordinator\r\nContent-Length: %d\r\n\r\n", maxJSONBody+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over-cap journal upload: %s, want 413", resp.Status)
+		t.Fatalf("over-cap declared body: %s, want 413", resp.Status)
 	}
 	// io.MultiReader hides the length, so the body goes out chunked.
-	hreq, _ = http.NewRequest(http.MethodPost, srv.URL+"/v1/claims",
-		io.MultiReader(strings.NewReader(`{"hash":"`+strings.Repeat("x", maxJSONBody))))
+	hreq, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/register",
+		io.MultiReader(strings.NewReader(`{"URL":"`+strings.Repeat("x", maxJSONBody))))
 	resp, err = http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over-cap claim body: %s, want 413", resp.Status)
+		t.Fatalf("over-cap chunked body: %s, want 413", resp.Status)
 	}
-	coord.mu.Lock()
-	memAfter := coord.partials[hash]
-	coord.mu.Unlock()
-	fileAfter, err := os.ReadFile(journalFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(memAfter, memBefore) || !bytes.Equal(fileAfter, fileBefore) {
-		t.Fatal("over-cap upload changed the kept journal")
+	if n := len(coord.liveWorkers()); n != 0 {
+		t.Fatalf("over-cap register body registered %d worker(s)", n)
 	}
 }

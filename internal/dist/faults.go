@@ -10,32 +10,29 @@ import (
 
 // FaultPoint names one deterministic fault-injection site in the
 // distributed service. The harness exists so the crash/resume matrix —
-// kill an owner mid-sweep, sever a shard stream mid-flight, drop or
-// delay RPCs, expire a sweep lease early — runs as ordinary unit tests
-// with reproducible trigger points instead of wall-clock races.
+// kill the coordinator mid-sweep or mid-merge, sever a shard stream
+// mid-flight, corrupt a frame, drop or delay RPCs — runs as ordinary
+// unit tests with reproducible trigger points instead of wall-clock
+// races.
 type FaultPoint string
 
 const (
-	// FaultKillMidSweep kills the worker's shard handler (severing the
-	// HTTP stream exactly as a SIGKILL would) on the n-th captured unit
-	// of a sweep it owns. The sweep dies with the handler; whatever
-	// partial journal was uploaded before the kill is what the fleet
-	// resumes from.
+	// FaultKillMidSweep kills the coordinator, as FaultKillCoordinator
+	// does, on the n-th unit its sweep captures. The sweep stops at its
+	// next check of the run's context and leaves the store's journal of
+	// the units captured so far; a restarted coordinator recovers the
+	// run and resumes the sweep from it.
 	FaultKillMidSweep FaultPoint = "kill-mid-sweep"
 	// FaultKillMidStream kills the shard handler on the n-th replayed
 	// unit record — a worker dying mid-stream after the sweep.
 	FaultKillMidStream FaultPoint = "kill-mid-stream"
 	// FaultDropRPC fails the worker's n-th outbound coordinator RPC
-	// (claim, sweep/partial transfer, register, heartbeat) with a
-	// transport error before it leaves the process.
+	// (sweep fetch, register, heartbeat) with a transport error before
+	// it leaves the process.
 	FaultDropRPC FaultPoint = "drop-rpc"
 	// FaultDelayRPC delays outbound coordinator RPCs by the armed
 	// duration.
 	FaultDelayRPC FaultPoint = "delay-rpc"
-	// FaultExpireLease makes the coordinator treat the current sweep
-	// claim as expired on the n-th claim poll, handing ownership to the
-	// caller as if the lease TTL had lapsed.
-	FaultExpireLease FaultPoint = "expire-lease"
 	// FaultKillCoordinator kills the coordinator process-style on the
 	// n-th unit merged: the serving context is cancelled, in-flight
 	// handlers abort their connections, and new requests are refused —

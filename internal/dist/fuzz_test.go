@@ -23,7 +23,7 @@ func journalCorpus(f *testing.F) []byte {
 			u.Digest = u.digest()
 			return u
 		}()},
-		{Done: &journalDone{Idx: 0, Done: shardDone{}}},
+		{Done: &journalDone{Idx: 0}},
 	}
 	var buf bytes.Buffer
 	for _, ln := range lines {

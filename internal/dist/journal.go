@@ -54,10 +54,10 @@ type journalShard struct {
 }
 
 // journalDone records one shard's completed trailer: recovery skips
-// re-dispatching shard Idx entirely.
+// re-dispatching shard Idx entirely. (Older coordinators also journaled
+// the trailer's sweep accounting as Done; decoding ignores it.)
 type journalDone struct {
-	Idx  int
-	Done shardDone
+	Idx int
 }
 
 // journalLine is one journal record; exactly one field is set.

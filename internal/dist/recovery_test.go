@@ -11,9 +11,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,7 +56,7 @@ func mustEncode(t *testing.T, ln journalLine) []byte {
 func TestRunJournalParse(t *testing.T) {
 	hdr := testJournalHeader("r-parse")
 	u1, u2 := sealedUnit(0), sealedUnit(1)
-	dn := journalDone{Idx: 1, Done: shardDone{Captured: 60, Population: 60, Swept: true}}
+	dn := journalDone{Idx: 1}
 	var good bytes.Buffer
 	good.Write(mustEncode(t, journalLine{Run: &hdr}))
 	good.Write(mustEncode(t, journalLine{Shards: []journalShard{{Lo: 0, Hi: 30, Idx: 0}, {Lo: 30, Hi: 60, Idx: 1}}}))
@@ -105,6 +107,18 @@ func TestRunJournalParse(t *testing.T) {
 		rec, ok := parseRunJournal(data)
 		if !ok || len(rec.units) != 2 {
 			t.Fatalf("digest mismatch: ok=%v units=%d, want prefix without the corrupt unit", ok, len(rec.units))
+		}
+	})
+	t.Run("parent-format done line", func(t *testing.T) {
+		// Older coordinators journaled each trailer's sweep accounting;
+		// the line still parses, as the shard it finished.
+		blob := []byte(`{"done":{"Idx":0,"Done":{"Captured":60,"Population":60,"SweepInsts":600000,"SweepTimeNs":81234567,"Swept":true}}}`)
+		line := fmt.Appendf(nil, "%08x %s\n", crc32.Checksum(blob, wireCastagnoli), blob)
+		data := append(append([]byte(nil), good.Bytes()...), line...)
+		rec, ok := parseRunJournal(data)
+		if !ok || len(rec.units) != 2 || len(rec.dones) != 2 || rec.dones[1].Idx != 0 {
+			t.Fatalf("parent done line: ok=%v units=%d dones=%v, want it parsed as shard 0's trailer",
+				ok, len(rec.units), rec.dones)
 		}
 	})
 	t.Run("no header", func(t *testing.T) {
@@ -202,12 +216,11 @@ func newRecoverableCluster(t *testing.T, copt Options, nWorkers int) *recoverabl
 		}))
 		t.Cleanup(wsrv.Close)
 		w := NewWorker(WorkerOptions{
-			Coordinator:  srv.URL,
-			Self:         wsrv.URL,
-			Workers:      1,
-			PollInterval: 5 * time.Millisecond,
-			RetryBase:    time.Millisecond,
-			Heartbeat:    20 * time.Millisecond,
+			Coordinator: srv.URL,
+			Self:        wsrv.URL,
+			Workers:     1,
+			RetryBase:   time.Millisecond,
+			Heartbeat:   20 * time.Millisecond,
 		})
 		h = w.Handler()
 		if err := w.Register(context.Background()); err != nil {
@@ -305,6 +318,69 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 					n, 2*total-(after+1))
 			}
 		})
+	}
+}
+
+// TestCoordinatorKillMidSweep kills the coordinator on the 30th unit its
+// sweep captures. The killed sweep leaves the store's journal; a fresh
+// incarnation over the same store recovers the run, resumes the sweep
+// from the journal instead of instruction zero, and the re-attached
+// client's report is bit-identical. The store then holds the committed
+// entry and the run-journal directory, nothing else.
+func TestCoordinatorKillMidSweep(t *testing.T) {
+	want := baseline(t, testRequest())
+	f := NewFaults()
+	dir := t.TempDir()
+	rc := newRecoverableCluster(t, Options{StoreDir: dir, Faults: f}, 2)
+	f.Arm(FaultKillMidSweep, 29, 1)
+
+	restartErr := make(chan error, 1)
+	go func() {
+		// The kill cancels the sweep; restart once it has journaled.
+		for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+			if m, _ := filepath.Glob(filepath.Join(dir, "*.partial")); len(m) > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				restartErr <- fmt.Errorf("the killed sweep left no journal")
+				return
+			}
+		}
+		restartErr <- rc.awaitKillAndRestart(Options{})
+	}()
+
+	client := NewClient(rc.url)
+	client.RetryBase, client.RetryMax = time.Millisecond, 50*time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	rep, err := client.Run(ctx, testRequest())
+	if err != nil {
+		t.Fatalf("run across a mid-sweep coordinator kill: %v", err)
+	}
+	if err := <-restartErr; err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if n := f.Fired(FaultKillMidSweep); n != 1 {
+		t.Fatalf("kill-mid-sweep fired %d times, want 1", n)
+	}
+	res := rep.Result()
+	sameMeasurement(t, "resumed sweep", res, want)
+	if res.FastFwdInsts != want.FastFwdInsts {
+		t.Fatalf("fast-forward %d, want %d", res.FastFwdInsts, want.FastFwdInsts)
+	}
+	if res.FastFwdResumedInsts == 0 {
+		t.Fatal("the recovered run swept from instruction zero instead of resuming the journal")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || filepath.Ext(names[0]) != ".ckpt" || names[1] != runJournalDirName {
+		t.Fatalf("store holds %v, want one <hash>.ckpt and %s/", names, runJournalDirName)
 	}
 }
 

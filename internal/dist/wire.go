@@ -103,15 +103,15 @@ func (wr *wireRequest) request() *sim.Request {
 	return req
 }
 
-// runSpec is everything a worker needs to materialize a run's snapshot
-// set: the workload regenerates deterministically from (name, length),
-// the plan fixes the unit selection, and together with the config they
-// derive the content-addressed sweep key. The coordinator resolves the
-// request against the generated workload once and ships the resulting
-// plan — a smarts.Plan is the sampling design only, so it travels as it
-// is — and every shard of a run, including retries on other workers and
-// a journaled run recovered after a restart, replays under the
-// identical plan.
+// runSpec is everything a worker needs to find and replay a run's
+// snapshot set: the workload regenerates deterministically from (name,
+// length), the plan fixes the unit selection, and together with the
+// config they derive the content-addressed sweep key. The coordinator
+// resolves the request against the generated workload once and ships
+// the resulting plan — a smarts.Plan is the sampling design only, so it
+// travels as it is — and every shard of a run, including retries on
+// other workers and a journaled run recovered after a restart, replays
+// under the identical plan.
 type runSpec struct {
 	Workload string
 	Length   uint64
@@ -205,27 +205,16 @@ func (u *wireUnit) digest() uint32 {
 // dist layer's wire and journal digests.
 var wireCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// shardDone is a shard stream's trailer: the sweep accounting of the
-// set the shard replayed from.
-type shardDone struct {
-	Captured    int
-	Population  uint64
-	SweepInsts  uint64
-	SweepTimeNs int64
-	// Swept reports this worker ran the functional sweep itself (the
-	// fleet singleflight made it the owner) rather than fetching it.
-	Swept bool
-}
+// shardDone is a shard stream's trailer: every unit of the range was
+// sent.
+type shardDone struct{}
 
 // shardRecord is one NDJSON record of a worker's shard stream; exactly
 // one field is set.
 type shardRecord struct {
-	// Captured reports sweep progress while this worker owns the
-	// capture (cumulative captured-unit count).
-	Captured int        `json:"captured,omitempty"`
-	Unit     *wireUnit  `json:"unit,omitempty"`
-	Done     *shardDone `json:"done,omitempty"`
-	Error    string     `json:"error,omitempty"`
+	Unit  *wireUnit  `json:"unit,omitempty"`
+	Done  *shardDone `json:"done,omitempty"`
+	Error string     `json:"error,omitempty"`
 	// Retry reports a transient worker→coordinator RPC failure being
 	// retried with backoff; the coordinator forwards it as an
 	// EventRetry progress event.
@@ -237,27 +226,6 @@ type wireRetry struct {
 	Op      string
 	Attempt int
 	Err     string
-}
-
-// claimMsg asks the coordinator who owns the sweep for a key hash.
-type claimMsg struct {
-	Hash  string
-	Owner string
-}
-
-// Claim states.
-const (
-	claimOwner = "owner" // caller sweeps and uploads
-	claimWait  = "wait"  // another worker is sweeping; poll
-	claimReady = "ready" // the sweep is available; fetch it
-)
-
-type claimReply struct {
-	State string
-	// LeaseNs is the coordinator's claim lease TTL: an owner that
-	// neither finishes nor renews (by re-claiming) within the lease
-	// loses the sweep to the next poller. Owners renew at LeaseNs/3.
-	LeaseNs int64
 }
 
 // wireProgress is a sim.Progress event on the run stream.

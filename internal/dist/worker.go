@@ -22,8 +22,7 @@ type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (required).
 	Coordinator string
 	// Self is this worker's advertised base URL — the address the
-	// coordinator dispatches shards to (required for Register) and the
-	// worker's identity in the sweep claim table.
+	// coordinator dispatches shards to (required for Register).
 	Self string
 	// Workers is the replay worker-pool size per shard (<= 0: one per
 	// core). Purely a throughput knob; results are bit-identical at any
@@ -32,8 +31,9 @@ type WorkerOptions struct {
 	// MemCacheBytes caps the worker's local sweep cache (0 = unbounded).
 	// Shards of one run hit this cache after the first fetch.
 	MemCacheBytes int64
-	// PollInterval is the wait between sweep-claim polls while another
-	// worker sweeps (default 50ms).
+	// PollInterval is ignored: workers no longer poll for a sweep (the
+	// coordinator sweeps before it dispatches). It stays only so
+	// existing callers compile.
 	PollInterval time.Duration
 	// Heartbeat, when positive, is the liveness heartbeat interval
 	// announced at registration and driven by Worker.Heartbeat; the
@@ -41,47 +41,36 @@ type WorkerOptions struct {
 	// intervals. 0 disables heartbeats (the worker is never expired for
 	// silence).
 	Heartbeat time.Duration
-	// Keyframe overrides the snapshot keyframe interval for sweeps this
-	// worker runs (0 = checkpoint.DefaultKeyframe). Encoding-only, like
-	// sim.WithKeyframe: excluded from the sweep key and from
-	// bit-identity.
-	Keyframe int
 	// Retries, RetryBase and RetryMax shape the capped exponential
-	// backoff (with jitter) on coordinator RPCs — register, claim,
-	// sweep and journal transfer. Zero values select the defaults:
-	// 4 attempts, 50ms base, 2s cap.
+	// backoff (with jitter) on coordinator RPCs — register, heartbeat
+	// and sweep fetch. Zero values select the defaults: 4 attempts,
+	// 50ms base, 2s cap.
 	Retries             int
 	RetryBase, RetryMax time.Duration
 	// Faults, when non-nil, arms the deterministic fault-injection
-	// harness on this worker's hooks (kill-mid-sweep, kill-mid-stream,
+	// harness on this worker's hooks (kill-mid-stream, corrupt-frame,
 	// drop/delay RPC). Testing only.
 	Faults *Faults
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
 }
 
-// Worker executes shard ranges for a coordinator: it materializes the
-// run's snapshot set (fetching it, or sweeping as the fleet
-// singleflight's owner), replays its assigned range through the
-// engine, and streams per-unit results back in stream order. All
-// methods are safe for concurrent use; concurrent shards of one run
-// share the cached set.
+// Worker executes shard ranges for a coordinator: it fetches the run's
+// snapshot set from the coordinator (which swept it), replays its
+// assigned range through the engine, and streams per-unit results back
+// in stream order. All methods are safe for concurrent use; concurrent
+// shards of one run share the cached set.
 type Worker struct {
-	opt       WorkerOptions
-	policy    retryPolicy
-	client    *http.Client
-	cache     *checkpoint.MemCache
-	sweeps    atomic.Uint64
-	sweepExec atomic.Uint64
-	replayed  atomic.Uint64
-	progs     program.Cache
+	opt      WorkerOptions
+	policy   retryPolicy
+	client   *http.Client
+	cache    *checkpoint.MemCache
+	replayed atomic.Uint64
+	progs    program.Cache
 }
 
 // NewWorker builds a worker.
 func NewWorker(opt WorkerOptions) *Worker {
-	if opt.PollInterval <= 0 {
-		opt.PollInterval = 50 * time.Millisecond
-	}
 	w := &Worker{
 		opt:    opt,
 		policy: retryPolicy{Attempts: opt.Retries, Base: opt.RetryBase, Max: opt.RetryMax}.withDefaults(),
@@ -97,18 +86,6 @@ func (w *Worker) logf(format string, args ...any) {
 		w.opt.Logf(format, args...)
 	}
 }
-
-// SweepCount returns how many functional sweeps this worker has run
-// itself (fleet singleflight should keep the fleet-wide sum at one per
-// key).
-func (w *Worker) SweepCount() uint64 { return w.sweeps.Load() }
-
-// SweepExecInsts returns the functional-warming instructions this
-// worker actually executed while sweeping, counted as the sweep runs —
-// journaled prefixes resumed from the fleet are excluded, and a sweep
-// killed mid-flight still counts what it burned — so the fleet-wide
-// sum bounds the sweep work duplicated across a crash/handoff.
-func (w *Worker) SweepExecInsts() uint64 { return w.sweepExec.Load() }
 
 // ReplayedUnits returns how many units this worker has replayed across
 // all shards. Summed over the fleet it bounds the replay work of a
@@ -248,8 +225,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The worker's cache is keyed the way every sweep is (SweepKey).
-	params, key := engine.Options{Keyframe: w.opt.Keyframe, Cache: w.cache}.SweepKey(prog, cfg, plan.CheckpointParams())
+	key := checkpoint.KeyFor(prog, cfg, plan.CheckpointParams())
 
 	// From here the stream is committed: failures travel as Error
 	// records, per-unit results as Unit records, flushed as they
@@ -273,16 +249,10 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		return true
 	}
 
-	onCaptured := func(captured int) bool {
-		if ok, _ := w.opt.Faults.fire(FaultKillMidSweep); ok {
-			w.opt.Faults.kill()
-		}
-		return send(shardRecord{Captured: captured})
+	onRetry := func(attempt int, err error) {
+		send(shardRecord{Retry: &wireRetry{Op: "sweep fetch", Attempt: attempt, Err: err.Error()}})
 	}
-	onRetry := func(op string, attempt int, err error) {
-		send(shardRecord{Retry: &wireRetry{Op: op, Attempt: attempt, Err: err.Error()}})
-	}
-	set, swept, err := w.ensureSet(ctx, key, prog, cfg, params, onCaptured, onRetry)
+	set, err := w.ensureSet(ctx, key, onRetry)
 	if err != nil {
 		send(shardRecord{Error: err.Error()})
 		return
@@ -312,266 +282,32 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		send(shardRecord{Error: err.Error()})
 		return
 	}
-	send(shardRecord{Done: &shardDone{
-		Captured:    len(set.Units),
-		Population:  set.PopulationUnits,
-		SweepInsts:  set.SweepInsts,
-		SweepTimeNs: int64(set.SweepTime),
-		Swept:       swept,
-	}})
+	send(shardRecord{Done: &shardDone{}})
 }
 
-// retryNotify observes one RPC attempt that failed and will be
-// retried.
-type retryNotify func(op string, attempt int, err error)
-
-func (n retryNotify) forOp(op string) func(int, error) {
-	if n == nil {
-		return nil
-	}
-	return func(attempt int, err error) { n(op, attempt, err) }
-}
-
-// ensureSet materializes the snapshot set for key: the local cache
-// first, then the fleet claim protocol — fetch when ready, sweep (and
-// upload) when this worker wins ownership, poll while another worker
-// sweeps. Coordinator RPCs retry transient failures with backoff;
-// onRetry observes each retried attempt. onCaptured observes local
-// sweep progress; a false return (the consumer hung up) aborts only
-// the shard stream, never the sweep itself — a half-captured set would
-// waste the fleet's one sweep.
-func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, onCaptured func(int) bool, onRetry retryNotify) (set *checkpoint.Set, swept bool, err error) {
+// ensureSet returns the snapshot set for key: the local cache, else a
+// fetch from the coordinator, which pins every active run's set before
+// it dispatches a shard. Transient failures retry with backoff;
+// onRetry observes each retried attempt.
+func (w *Worker) ensureSet(ctx context.Context, key checkpoint.Key, onRetry func(int, error)) (*checkpoint.Set, error) {
 	if set := w.cache.Get(key); set != nil {
-		return set, false, nil
+		return set, nil
 	}
-	hash := key.Hash()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		var state string
-		var leaseNs int64
-		err := retry(ctx, w.policy, onRetry.forOp("sweep claim"), func() error {
-			s, l, cerr := w.claim(ctx, hash)
-			if cerr != nil {
-				return cerr
-			}
-			state, leaseNs = s, l
-			return nil
-		})
-		if err != nil {
-			return nil, false, fmt.Errorf("dist: claim sweep %s: %w", hash, err)
-		}
-		switch state {
-		case claimReady:
-			var set *checkpoint.Set
-			err := retry(ctx, w.policy, onRetry.forOp("sweep fetch"), func() error {
-				s, ferr := w.fetchSet(ctx, key)
-				if ferr != nil {
-					return ferr
-				}
-				set = s
-				return nil
-			})
-			if err == nil {
-				w.cache.Put(key, set)
-				return set, false, nil
-			}
-			// The cached sweep vanished between the claim and the fetch
-			// (eviction) or the transfer broke past the retries: claim
-			// again.
-			w.logf("dist: sweep fetch %s failed: %v; re-claiming", hash, err)
-		case claimOwner:
-			set, err := w.ownerSweep(ctx, key, prog, cfg, params, leaseNs, onCaptured, onRetry)
-			if err != nil {
-				return nil, false, err
-			}
-			w.sweeps.Add(1)
-			w.cache.Put(key, set)
-			uerr := retry(ctx, w.policy, onRetry.forOp("sweep upload"), func() error {
-				return w.uploadSet(ctx, key, set)
-			})
-			if uerr != nil {
-				// The set is good locally; the fleet just cannot reuse
-				// it. The claim lease expires and another worker will
-				// re-sweep if needed.
-				w.logf("dist: sweep upload %s failed: %v", hash, uerr)
-			}
-			return set, true, nil
-		case claimWait:
-			select {
-			case <-time.After(w.opt.PollInterval):
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		default:
-			return nil, false, fmt.Errorf("dist: unknown claim state %q", state)
-		}
-	}
-}
-
-// ownerSweep runs the functional sweep this worker won the fleet claim
-// for: the engine's sweep driver with the coordinator as its journal, so
-// it resumes from a dead previous owner's journal (cold if that does not
-// validate) and uploads its own progress at engine.Sweep's journal
-// cadence for a successor to do the same — while this function renews
-// the claim lease and keeps the books.
-func (w *Worker) ownerSweep(ctx context.Context, key checkpoint.Key, prog *program.Program, cfg uarch.Config, params checkpoint.Params, leaseNs int64, onCaptured func(int) bool, onRetry retryNotify) (*checkpoint.Set, error) {
-	renewCtx, stopRenew := context.WithCancel(ctx)
-	defer stopRenew()
-	if lease := time.Duration(leaseNs); lease > 0 {
-		go w.renewLease(renewCtx, key.Hash(), lease/3)
-	}
-	set := &checkpoint.Set{K: params.K}
-	j := &fleetJournal{ctx: ctx, w: w, key: key, set: set, pop: prog.Length / params.U, onRetry: onRetry}
-	var counted uint64 // sweep position already added to sweepExec
-	sum, err := engine.Sweep(ctx, prog, cfg, params, j, func(cu *checkpoint.Unit, resumed bool) bool {
-		set.Units = append(set.Units, cu)
-		if resumed {
-			// A predecessor executed this prefix, not this worker.
-			counted = cu.LaunchAt
-			return true
-		}
-		// Count executed work unit by unit (at capture the stream position
-		// is the unit's launch point) so a sweep killed mid-flight still
-		// accounts for what it burned.
-		w.sweepExec.Add(cu.LaunchAt - counted)
-		counted = cu.LaunchAt
-		if onCaptured != nil {
-			onCaptured(len(set.Units))
-		}
-		return true
+	var set *checkpoint.Set
+	err := retry(ctx, w.policy, onRetry, func() error {
+		var ferr error
+		set, ferr = w.fetchSet(ctx, key)
+		return ferr
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: fetch sweep %s: %w", key.Hash(), err)
 	}
-	w.sweepExec.Add(sum.SweepInsts - counted)
-	set.PopulationUnits = sum.PopulationUnits
-	set.SweepInsts = sum.SweepInsts
-	set.SweepTime = sum.SweepTime
+	w.cache.Put(key, set)
 	return set, nil
 }
 
-// fleetJournal is a sweep owner's engine.Journal: it lives on the
-// coordinator (GET/PUT /v1/partials/{hash}), which hands it to whichever
-// worker wins the claim after this one dies. Uploads are whole-state —
-// each Checkpoint sends the units so far under one frame and replaces
-// the last — so there is nothing to close or drop from here: the next
-// upload overwrites a journal that failed validation, and the completed
-// sweep's upload retires it. A failed transfer is logged and
-// otherwise ignored (the fleet has a staler resume point, or sweeps
-// cold). One lives for one ownerSweep call, whose ctx it carries.
-type fleetJournal struct {
-	ctx     context.Context
-	w       *Worker
-	key     checkpoint.Key
-	set     *checkpoint.Set // the owner's collected units
-	pop     uint64
-	onRetry retryNotify
-}
-
-func (j *fleetJournal) Load() *checkpoint.ResumeState {
-	rs, err := j.w.fetchPartial(j.ctx, j.key)
-	if err != nil {
-		j.w.logf("dist: partial journal fetch %s failed: %v; sweeping cold", j.key.Hash(), err)
-		return nil
-	}
-	return rs
-}
-
-func (j *fleetJournal) Drop(why error) {
-	j.w.logf("dist: resume from fleet journal %s failed (%v); restarting the sweep cold", j.key.Hash(), why)
-}
-
-func (j *fleetJournal) Checkpoint(fr checkpoint.ResumeFrame) error {
-	err := j.w.uploadPartial(j.ctx, j.key, &checkpoint.ResumeState{
-		Units:           j.set.Units[:fr.Captured],
-		PopulationUnits: j.pop,
-		SweepInsts:      fr.SweepInsts,
-		SweepTime:       fr.SweepTime,
-		HaveIBlock:      fr.HaveIBlock,
-		LastIBlock:      fr.LastIBlock,
-	}, j.onRetry)
-	if err != nil {
-		j.w.logf("dist: partial journal upload %s failed: %v", j.key.Hash(), err)
-	}
-	return nil
-}
-
-func (j *fleetJournal) Add(*checkpoint.Unit) error { return nil }
-func (j *fleetJournal) Close() error               { return nil }
-
-// renewLease re-claims the sweep as its current owner every `every`,
-// refreshing the coordinator's lease so a long sweep survives a short
-// LeaseTTL.
-func (w *Worker) renewLease(ctx context.Context, hash string, every time.Duration) {
-	if every <= 0 {
-		return
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		if _, _, err := w.claim(ctx, hash); err != nil && ctx.Err() == nil {
-			w.logf("dist: lease renewal for %s failed: %v", hash, err)
-		}
-	}
-}
-
-func (w *Worker) claim(ctx context.Context, hash string) (string, int64, error) {
-	body, err := json.Marshal(claimMsg{Hash: hash, Owner: w.opt.Self})
-	if err != nil {
-		return "", 0, permanent(err)
-	}
-	resp, err := w.rpc(ctx, http.MethodPost, "/v1/claims", "application/json", body)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var reply claimReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return "", 0, err
-	}
-	return reply.State, reply.LeaseNs, nil
-}
-
-// fetchPartial downloads the run's current partial-sweep journal
-// (nil when none exists — the caller sweeps cold).
-func (w *Worker) fetchPartial(ctx context.Context, key checkpoint.Key) (*checkpoint.ResumeState, error) {
-	resp, err := w.rpc(ctx, http.MethodGet, "/v1/partials/"+key.Hash(), "", nil, http.StatusNotFound)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	return checkpoint.DecodePartial(resp.Body, key)
-}
-
-// uploadPartial ships the owner's current journal to the coordinator,
-// retrying transient failures.
-func (w *Worker) uploadPartial(ctx context.Context, key checkpoint.Key, rs *checkpoint.ResumeState, onRetry retryNotify) error {
-	var buf bytes.Buffer
-	if err := checkpoint.EncodePartial(&buf, key, rs); err != nil {
-		return err
-	}
-	return retry(ctx, w.policy, onRetry.forOp("journal upload"), func() error {
-		resp, err := w.rpc(ctx, http.MethodPut, "/v1/partials/"+key.Hash(), "application/octet-stream", buf.Bytes())
-		if err != nil {
-			return err
-		}
-		return resp.Body.Close()
-	})
-}
-
-// fetchSet downloads the completed sweep. A sweep the coordinator no
-// longer holds (404) stays retryable like a transport failure, so the
-// caller's re-claim loop is paced by the retry backoff.
+// fetchSet downloads the run's sweep. A sweep the coordinator does not
+// hold (404) stays retryable like a transport failure.
 func (w *Worker) fetchSet(ctx context.Context, key checkpoint.Key) (*checkpoint.Set, error) {
 	resp, err := w.rpc(ctx, http.MethodGet, "/v1/sweeps/"+key.Hash(), "", nil, http.StatusNotFound)
 	if err != nil {
@@ -582,16 +318,4 @@ func (w *Worker) fetchSet(ctx context.Context, key checkpoint.Key) (*checkpoint.
 		return nil, fmt.Errorf("dist: sweep %s not available from the coordinator", key.Hash())
 	}
 	return checkpoint.DecodeSet(resp.Body, key)
-}
-
-func (w *Worker) uploadSet(ctx context.Context, key checkpoint.Key, set *checkpoint.Set) error {
-	var buf bytes.Buffer
-	if err := checkpoint.EncodeSet(&buf, key, set); err != nil {
-		return err
-	}
-	resp, err := w.rpc(ctx, http.MethodPut, "/v1/sweeps/"+key.Hash(), "application/octet-stream", buf.Bytes())
-	if err != nil {
-		return err
-	}
-	return resp.Body.Close()
 }

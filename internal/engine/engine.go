@@ -18,9 +18,8 @@
 // checkpoint.CaptureStream: it resumes an interrupted sweep from its
 // Journal or starts cold, journals progress as it emits the unit
 // stream, and at the end keeps an interrupted sweep's journal or leaves
-// a complete one to its caller — here the store writer, whose one file
-// is the journal until the completed sweep commits it as the entry; for
-// the fleet's sweep owner, the coordinator's journal endpoints. The
+// a complete one to its caller — the store writer, whose one file is
+// the journal until the completed sweep commits it as the entry. The
 // pool (replayStream) replays a unit stream on N workers and delivers
 // results in stream order. Each worker owns one launch
 // context for the pool's lifetime (launcher): a machine, core and
@@ -35,11 +34,11 @@
 // Merger is the stream-order fold (partial-unit cut, accounting); Run
 // and RunSet use it locally and the distributed coordinator uses the
 // same type for shard streams and run-journal replay. The acquisition
-// (lookup, then acquire) is store, then cache, then a fresh Sweep
+// (lookup, then acquire) is cache, then store, then a fresh Sweep
 // streamed into the store and retained for the cache: Run attaches the
 // pool to it; CaptureSet, for callers that must hold every launch state
-// before replaying (the multi-offset path), does not, and nothing else
-// differs.
+// before replaying (the multi-offset path and the distributed
+// coordinator), does not, and nothing else differs.
 //
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint and there is one fold, results are bit-identical for any
@@ -91,9 +90,11 @@ type Options struct {
 	// unit stream bit-identical to an uninterrupted sweep's.
 	Store *checkpoint.Store
 	// Cache, when non-nil, is the in-memory analogue of Store, checked
-	// after it: a cached Set for this key skips the sweep, and a
-	// completed fresh sweep is cached. The sim session attaches one to
-	// storeless sessions so sweep reuse does not require disk.
+	// before it: a cached Set for this key skips the sweep, and a store
+	// hit or a completed fresh sweep is cached. The sim session attaches
+	// one to storeless sessions so sweep reuse does not require disk; the
+	// distributed coordinator attaches both, so a primed key costs a
+	// memory lookup and no store decode.
 	Cache *checkpoint.MemCache
 	// Keyframe sets checkpoint.Params.Keyframe (the full-snapshot
 	// interval of delta-encoded capture) when positive. It changes only
@@ -198,19 +199,22 @@ func (o Options) captured(n int) {
 }
 
 // lookup resolves p to its effective capture parameters and key
-// (SweepKey) and consults the store, then the in-memory cache, for a
-// complete sweep under that key. A nil set is a miss.
+// (SweepKey) and consults the in-memory cache, then the store, for a
+// complete sweep under that key; a store hit is put into the cache. A
+// nil set is a miss.
 func lookup(prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (eff checkpoint.Params, key checkpoint.Key, set *checkpoint.Set, err error) {
 	eff, key = opt.SweepKey(prog, cfg, p)
-	if opt.Store != nil {
-		if set, err = opt.Store.Load(key); err != nil || set != nil {
-			return eff, key, set, err
+	if opt.Cache != nil {
+		if set = opt.Cache.Get(key); set != nil {
+			return eff, key, set, nil
 		}
 	}
-	if opt.Cache != nil {
-		set = opt.Cache.Get(key)
+	if opt.Store != nil {
+		if set, err = opt.Store.Load(key); set != nil && opt.Cache != nil {
+			opt.Cache.Put(key, set)
+		}
 	}
-	return eff, key, set, nil
+	return eff, key, set, err
 }
 
 // Run executes the plan described by p: launch states are loaded from
@@ -258,7 +262,7 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 // CaptureSet returns the complete set of launch states for p, for
 // callers that need every unit in hand before replaying (RunSet): the
 // multi-offset path captures all offsets in one sweep and replays each
-// offset's sub-set. Like Run it prefers the store, then the cache —
+// offset's sub-set. Like Run it prefers the cache, then the store —
 // cached then reports true and the set's sweep accounting echoes the
 // original sweep — and otherwise acquires the sweep as Run does, minus
 // the pool: streamed into the store, journaled and resumable (resumedAt

@@ -166,7 +166,21 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 	// disagrees with the plan's boundary stream, so resume validation
 	// must reject it and the run restart cold.
 	rs.Units[0].Index += 3
-	if err := store.SavePartial(key, rs); err != nil {
+	w, err := store.Writer(key, rs.PopulationUnits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range rs.Units {
+		if err := w.Add(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := checkpoint.ResumeFrame{Captured: len(rs.Units), SweepInsts: rs.SweepInsts, SweepTime: rs.SweepTime,
+		HaveIBlock: rs.HaveIBlock, LastIBlock: rs.LastIBlock}
+	if err := w.Checkpoint(fr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 

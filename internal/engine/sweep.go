@@ -9,12 +9,11 @@ import (
 )
 
 // Journal is where a sweep keeps its progress so that an interrupted
-// sweep of the same key can be continued instead of restarted. There are
-// two implementations because the place differs, not the algorithm: the
-// store writer (*checkpoint.SetWriter), whose file is the journal until
-// it commits as the entry, and the fleet coordinator's journal endpoints
-// (internal/dist). Each logs its own failures; to Sweep, its only
-// caller, an error means "stop journaling".
+// sweep of the same key can be continued instead of restarted. The one
+// production implementation is the store writer (*checkpoint.SetWriter),
+// whose file is the journal until it commits as the entry; Sweep's
+// tests keep a fake. An implementation logs its own failures; to Sweep,
+// its only caller, an error means "stop journaling".
 type Journal interface {
 	// Load returns what an interrupted sweep left behind (nil: nothing
 	// usable); Drop removes that after it failed plan validation with why.
@@ -27,7 +26,7 @@ type Journal interface {
 	// Close keeps the journal as of its last Checkpoint for a later
 	// resume. Sweep calls it only when the sweep ends incomplete: a
 	// complete sweep leaves the journal to its caller, whose commit of the
-	// entry (store) or upload of the set (fleet) retires it.
+	// entry retires it.
 	Close() error
 }
 
@@ -38,10 +37,11 @@ type Journal interface {
 const journalKeyframes = 4
 
 // Sweep is the one way a unit stream is acquired from the functional
-// sweep: the streaming run, the whole-set capture and the fleet's sweep
-// owner all come through here. It runs checkpoint.CaptureStream for p
-// (the effective parameters, Options.SweepKey) and calls emit for every
-// unit in stream order; emit returning false stops the sweep.
+// sweep: the streaming run and the whole-set capture (local or on the
+// fleet's coordinator) both come through here. It runs
+// checkpoint.CaptureStream for p (the effective parameters,
+// Options.SweepKey) and calls emit for every unit in stream order; emit
+// returning false stops the sweep.
 //
 // With a journal (j non-nil) the sweep is resumable. What j.Load
 // returns is continued, not restarted: its units are emitted first,

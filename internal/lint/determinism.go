@@ -22,7 +22,7 @@ import (
 // Suppress intentional sites with //simlint:ordered <reason> on the
 // statement or the enclosing function: valid reasons are outputs that
 // are sorted before use, wall-clock telemetry never folded into
-// estimates, and lease/retry timers.
+// estimates, and heartbeat/retry timers.
 func runDeterminism(m *Module, cfg Config, pkg *Package) []Diag {
 	if !contains(cfg.DeterminismPkgs, pkg.ImportPath) {
 		return nil

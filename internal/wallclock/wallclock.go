@@ -10,7 +10,7 @@
 //   - telemetry: elapsed-time reporting (Report.Elapsed,
 //     Summary.SweepTime, progress events) that is carried alongside
 //     results but never read back into them;
-//   - liveness: worker leases, heartbeat deadlines, and retry backoff
+//   - liveness: heartbeat deadlines and retry backoff
 //     in the fleet, where physical time is the point — it decides
 //     when to give up on a peer, never what a shard computes.
 //

@@ -171,20 +171,9 @@ func (e *Engine) Apply(req *sim.Request) {
 }
 
 // Dist groups the fleet fault-tolerance flags of the distributed
-// binaries. Each role registers only its own side: the coordinator
-// owns the sweep claim lease, the worker owns its heartbeat;
-// unregistered fields stay nil.
+// worker: its liveness heartbeat.
 type Dist struct {
 	Heartbeat *time.Duration
-	Lease     *time.Duration
-}
-
-// RegisterDistCoordinator installs the coordinator's fault-tolerance
-// flags (-lease).
-func RegisterDistCoordinator(fs *flag.FlagSet) *Dist {
-	return &Dist{
-		Lease: fs.Duration("lease", 0, "sweep claim lease: a claimed sweep whose owner neither renews nor finishes within the lease is reclaimed by another worker, which resumes it from the owner's uploaded journal (0 = built-in default)"),
-	}
 }
 
 // RegisterDistWorker installs the worker's fault-tolerance flag
