@@ -198,11 +198,18 @@
 //   - errwrap: fmt.Errorf uses %w (not %v) for error operands so
 //     errors.Is/As keep matching, and the checkpoint store/journal and
 //     dist layers never discard an error with _ undocumented.
+//   - padding: a struct with a //simlint:hotpath pointer-receiver
+//     method (the machine, core, caches, TLBs, predictor, energy meter,
+//     CPU and memory that each simulation goroutine writes per
+//     instruction) must start and end with a cacheline.Pad field or
+//     carry //simlint:unpadded <reason> — so a replay worker never
+//     shares a cache line with another worker or with the sweep, and
+//     wall clock stays max(sweep, replay/workers) (internal/cacheline).
 //
 // Suppressions are never bare: //simlint:coldpath, ordered, noctx,
-// nonkey, and discard all require a reason string, and a directive
-// meta-analyzer rejects unknown verbs and missing reasons. The suite
-// lives in internal/lint with a seeded-violation test module under
+// nonkey, discard, and unpadded all require a reason string, and a
+// directive meta-analyzer rejects unknown verbs and missing reasons. The
+// suite lives in internal/lint with a seeded-violation test module under
 // internal/lint/testdata; run it locally with
 //
 //	go run ./cmd/simlint ./...

@@ -12,6 +12,7 @@ package bpred
 import (
 	"fmt"
 
+	"repro/internal/cacheline"
 	"repro/internal/delta"
 	"repro/internal/isa"
 )
@@ -70,6 +71,7 @@ func (s Stats) MispredRate() float64 {
 
 // Unit is the complete prediction unit of one simulated core.
 type Unit struct {
+	_       cacheline.Pad
 	cfg     Config
 	bimodal []uint8 // 2-bit counters
 	gshare  []uint8 // 2-bit counters
@@ -96,6 +98,8 @@ type Unit struct {
 
 	// Stats accumulate over the unit's lifetime; callers snapshot/diff.
 	Stats Stats
+
+	_ cacheline.Pad
 }
 
 // New builds a prediction unit.

@@ -6,6 +6,8 @@ import "fmt"
 // state: direction counters, global history, BTB contents, and the
 // return address stack. Statistics are excluded, matching the cache
 // snapshot convention.
+//
+//simlint:unpadded a launch-state snapshot: a launch writes its scalars once per unit, never per instruction
 type State struct {
 	Bimodal, Gshare, Chooser []uint8
 	History                  uint64

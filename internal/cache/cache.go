@@ -19,6 +19,7 @@ package cache
 import (
 	"fmt"
 
+	"repro/internal/cacheline"
 	"repro/internal/delta"
 )
 
@@ -74,6 +75,7 @@ func (s Stats) MissRate() float64 {
 
 // Cache is one level of set-associative cache with true LRU.
 type Cache struct {
+	_        cacheline.Pad
 	cfg      Config
 	setMask  uint64
 	tags     []uint64 // sets*ways
@@ -110,6 +112,8 @@ type Cache struct {
 	// Stats accumulates over the cache's lifetime. Callers snapshot and
 	// diff it for per-unit measurements.
 	Stats Stats
+
+	_ cacheline.Pad
 }
 
 // New builds a cache; the configuration must be valid.

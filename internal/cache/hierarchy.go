@@ -1,5 +1,7 @@
 package cache
 
+import "repro/internal/cacheline"
+
 // Latencies are the fixed access latencies of the hierarchy levels, in
 // cycles (paper Table 3).
 type Latencies struct {
@@ -13,6 +15,7 @@ type Latencies struct {
 // both the timed accesses used by the detailed core and the untimed
 // warming used by functional warming.
 type Hierarchy struct {
+	_            cacheline.Pad
 	IL1, DL1, L2 *Cache
 	ITLB, DTLB   *TLB
 	Lat          Latencies
@@ -22,6 +25,8 @@ type Hierarchy struct {
 	// intent (they are reset per measurement by snapshotting).
 	L2Accesses  uint64
 	MemAccesses uint64
+
+	_ cacheline.Pad
 }
 
 // Level identifies the hierarchy level that satisfied an access.

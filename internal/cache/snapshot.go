@@ -7,6 +7,8 @@ import "fmt"
 // deliberately excluded — a restored cache starts its own counts — so a
 // snapshot captures exactly what functional warming accumulates and a
 // sampling unit's detailed simulation observes.
+//
+//simlint:unpadded a launch-state snapshot: a launch writes its scalars once per unit, never per instruction
 type State struct {
 	Tags     []uint64
 	Valid    []bool
@@ -65,6 +67,8 @@ func (t *TLB) Restore(s *State) error { return t.inner.Restore(s) }
 
 // HierarchyState bundles the snapshots of every structure in a
 // Hierarchy — the cache and TLB tag arrays a SMARTS checkpoint carries.
+//
+//simlint:unpadded read-only wrapper: its hot methods write only the States it points to
 type HierarchyState struct {
 	IL1, DL1, L2 *State
 	ITLB, DTLB   *State

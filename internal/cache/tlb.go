@@ -1,12 +1,16 @@
 package cache
 
+import "repro/internal/cacheline"
+
 // TLB is a set-associative translation lookaside buffer. Since the
 // simulated machine has no virtual memory proper, the TLB simply caches
 // page-granularity address translations: a miss models the page-walk
 // latency the paper's Table 3 configurations charge (200 cycles).
 type TLB struct {
+	_        cacheline.Pad
 	inner    *Cache
 	pageBits uint
+	_        cacheline.Pad
 }
 
 // NewTLB builds a TLB with the given number of entries, associativity,

@@ -217,6 +217,8 @@ func (p Params) offsets() []uint64 {
 
 // WarmState is the microarchitectural half of a snapshot: everything
 // functional warming maintains.
+//
+//simlint:unpadded read-only wrapper: its hot methods write only the states it points to
 type WarmState struct {
 	Hier *cache.HierarchyState
 	Pred *bpred.State

@@ -103,6 +103,8 @@ func (c *Chain) Invalidate() { c.seq = 0 }
 // shifts and an OR — cheap enough to live inside the warm-update and
 // memory-write fast paths, which must stay at zero allocations per
 // instruction. The zero value is unusable; construct with NewBitmap.
+//
+//simlint:unpadded embedded by value in the padded structs whose writes it tracks
 type Bitmap struct {
 	words []uint64
 	// grainShift is log2 entries per block; wordShift converts an entry

@@ -18,6 +18,8 @@
 // cycles).
 package energy
 
+import "repro/internal/cacheline"
+
 // Event identifies one energy-consuming activity.
 type Event int
 
@@ -92,11 +94,20 @@ func DefaultModel(widthScale float64) Model {
 
 // Meter accumulates energy. The zero value with a zero Model accumulates
 // nothing; build one with NewMeter.
+//
+// The detailed core writes total and counts several times per simulated
+// instruction, and every replay worker and the sweep own a meter of
+// their own. Meters are allocated back to back (they share a size
+// class), so unpadded, one worker's total shared a cache line with the
+// next worker's model, and each Add stole that line from the other
+// core. The pads give the fields lines of their own.
 type Meter struct {
+	_      cacheline.Pad
 	model  Model
 	counts [NumEvents]uint64
 	cycles uint64
 	total  float64
+	_      cacheline.Pad
 }
 
 // NewMeter returns a meter using the given model.

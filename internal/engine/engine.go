@@ -13,6 +13,19 @@
 // (Options.Store), a workload's sweep is paid once and later runs skip
 // it entirely, loading launch states from disk.
 //
+// The max(sweep, replay/workers) bound holds only because no two of
+// these goroutines write the same cache line. Each writes its own
+// machine, core, CPU and memory on every simulated instruction, and the
+// allocator packs same-sized structs back to back, so unpadded, two
+// workers' energy meters or caches sit a fraction of a line apart and
+// every write steals the line from the other core: false sharing, which
+// made a streamed run cost a quarter more CPU than the same sweep and
+// replays run one after the other. Every struct with a
+// //simlint:hotpath pointer-receiver method therefore starts and ends
+// with a cacheline.Pad (simlint's padding rule), and
+// TestPadsIsolateOwners checks the layout the pool and the sweep
+// allocate.
+//
 // The package owns the four things every way of running a plan needs,
 // once each. The sweep driver (Sweep) is the only caller of
 // checkpoint.CaptureStream: it resumes an interrupted sweep from its

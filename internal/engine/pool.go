@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cacheline"
 	"repro/internal/checkpoint"
 	"repro/internal/functional"
 	"repro/internal/mem"
@@ -217,6 +218,7 @@ func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 // — no per-unit constant beyond that, which is what the paper's cost
 // model (n·(U+W) detailed instructions, nothing per launch) assumes.
 type launcher struct {
+	_       cacheline.Pad
 	prog    *program.Program
 	u       uint64
 	machine *uarch.Machine
@@ -225,6 +227,7 @@ type launcher struct {
 	mem     *mem.Memory
 	cpu     functional.CPU
 	src     uarch.Source
+	_       cacheline.Pad
 }
 
 func newLauncher(prog *program.Program, cfg uarch.Config, u uint64) *launcher {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cacheline"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -62,6 +63,7 @@ type DynRec struct {
 
 // CPU is the functional simulator state.
 type CPU struct {
+	_    cacheline.Pad
 	Prog *program.Program
 	Mem  *mem.Memory
 	Regs [isa.NumRegs]uint64
@@ -78,6 +80,8 @@ type CPU struct {
 	// built lazily on first use so CPUs that only Step (the detailed
 	// model's oracle source) never pay the decode pass.
 	dec []isa.DecInst
+
+	_ cacheline.Pad
 }
 
 // ErrHalted is returned by Step after the program has halted.

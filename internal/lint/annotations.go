@@ -17,6 +17,7 @@ import (
 //	//simlint:keystruct <Func> [<Func>...]
 //	//simlint:nowrap <reason>
 //	//simlint:discard <reason>
+//	//simlint:unpadded <reason>
 //
 // Every suppression verb requires a reason string; hotpath marks an
 // obligation rather than a suppression and takes none; keystruct
@@ -43,7 +44,7 @@ func reasonRequired(verb string) bool {
 
 func knownVerb(verb string) bool {
 	switch verb {
-	case "hotpath", "coldpath", "ordered", "noctx", "nonkey", "keystruct", "nowrap", "discard":
+	case "hotpath", "coldpath", "ordered", "noctx", "nonkey", "keystruct", "nowrap", "discard", "unpadded":
 		return true
 	}
 	return false

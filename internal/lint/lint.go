@@ -26,6 +26,10 @@
 //   - errwrap: fmt.Errorf with an error operand must use %w, and the
 //     store/journal/dist code must not discard error returns with
 //     `_ =`.
+//   - padding: a struct with a //simlint:hotpath pointer-receiver
+//     method must start and end with a cacheline.Pad field or carry a
+//     //simlint:unpadded reason, so no two simulation goroutines'
+//     hot structs share a cache line.
 //
 // The suite is stdlib-only: packages are parsed with go/parser and
 // type-checked with go/types using the source importer, so the module
@@ -387,6 +391,7 @@ var Analyzers = []*Analyzer{
 	{Name: "ctx", Run: runCtx},
 	{Name: "storekey", Run: runStorekey},
 	{Name: "errwrap", Run: runErrwrap},
+	{Name: "padding", Run: runPadding},
 }
 
 // Run loads the module around cfg.Dir and applies the full analyzer

@@ -42,7 +42,7 @@ func runStorekey(m *Module, cfg Config, pkg *Package) []Diag {
 				if !ok {
 					continue
 				}
-				dir := keystructDirective(m, pkg, fi, gd, ts)
+				dir := typeDirective(m, pkg, fi, gd, ts, "keystruct")
 				if dir == nil {
 					continue
 				}
@@ -53,23 +53,23 @@ func runStorekey(m *Module, cfg Config, pkg *Package) []Diag {
 	return diags
 }
 
-// keystructDirective finds a keystruct annotation on the type spec or
-// its declaration's doc comment.
-func keystructDirective(m *Module, pkg *Package, fi int, gd *ast.GenDecl, ts *ast.TypeSpec) *Directive {
+// typeDirective finds a directive with the given verb on the type spec
+// or its declaration's doc comment.
+func typeDirective(m *Module, pkg *Package, fi int, gd *ast.GenDecl, ts *ast.TypeSpec, verb string) *Directive {
 	for _, doc := range []*ast.CommentGroup{ts.Doc, ts.Comment, gd.Doc} {
 		if doc == nil {
 			continue
 		}
 		for _, c := range doc.List {
 			if text, ok := strings.CutPrefix(c.Text, directivePrefix); ok {
-				verb, args, _ := strings.Cut(text, " ")
-				if verb == "keystruct" {
-					return &Directive{Verb: verb, Args: strings.TrimSpace(args), Pos: c.Pos()}
+				v, args, _ := strings.Cut(text, " ")
+				if v == verb {
+					return &Directive{Verb: v, Args: strings.TrimSpace(args), Pos: c.Pos()}
 				}
 			}
 		}
 	}
-	return pkg.directiveAt(m.Fset, fi, gd.Pos(), "keystruct")
+	return pkg.directiveAt(m.Fset, fi, gd.Pos(), verb)
 }
 
 func checkKeyStruct(m *Module, pkg *Package, fi int, ts *ast.TypeSpec, st *ast.StructType, dir *Directive) []Diag {

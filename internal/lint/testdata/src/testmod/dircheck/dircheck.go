@@ -13,3 +13,6 @@ type C struct{ X int } // want-1 directive `must name the key-hash function`
 
 //simlint:ordered keys are sorted upstream
 func D() {}
+
+//simlint:unpadded
+type E struct{ X int } // want-1 directive `requires a reason`

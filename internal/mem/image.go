@@ -13,6 +13,8 @@ import (
 // concurrent use: NewMemory may be called from many goroutines at once,
 // which is how the parallel sampling engine hands one checkpointed
 // memory state to each worker.
+//
+//simlint:unpadded a launch-state snapshot: its hot methods fill the page map it points to, once per unit launch
 type Image struct {
 	pages map[uint64]*[PageSize]byte
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"sort"
 
+	"repro/internal/cacheline"
 	"repro/internal/delta"
 )
 
@@ -22,6 +23,7 @@ const (
 
 // Memory is a sparse paged memory. The zero value is not usable; call New.
 type Memory struct {
+	_     cacheline.Pad
 	pages map[uint64]*[PageSize]byte
 
 	// shared holds page numbers whose backing arrays are aliased by a
@@ -42,6 +44,8 @@ type Memory struct {
 	// journal behind the delta contract (see delta.go in this package).
 	journal []uint64
 	chain   delta.Chain
+
+	_ cacheline.Pad
 }
 
 // New returns an empty memory.

@@ -70,6 +70,7 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
+	"repro/internal/cacheline"
 	"repro/internal/energy"
 	"repro/internal/isa"
 )
@@ -297,10 +298,12 @@ func ConfigByName(name string) (Config, error) {
 // These persist across simulation-mode switches; the pipeline (inside
 // Core) is the only state that detailed warming has to rebuild.
 type Machine struct {
+	_     cacheline.Pad
 	Cfg   Config
 	Hier  *cache.Hierarchy
 	Pred  *bpred.Unit
 	Meter *energy.Meter
+	_     cacheline.Pad
 }
 
 // NewMachine builds the warmable state for cfg.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
+	"repro/internal/cacheline"
 	"repro/internal/energy"
 	"repro/internal/functional"
 	"repro/internal/isa"
@@ -126,6 +127,7 @@ type RunStats struct {
 // then in readyMask until issue width, a functional unit, a D-cache port
 // and (for a load that misses) an MSHR are all free.
 type Core struct {
+	_     cacheline.Pad
 	cfg   Config
 	hier  *cache.Hierarchy
 	pred  *bpred.Unit
@@ -197,6 +199,8 @@ type Core struct {
 	havePending  bool
 	srcExhausted bool
 	haltSeen     bool
+
+	_ cacheline.Pad
 }
 
 // NewCore builds a core bound to a machine's warmable state.

@@ -32,6 +32,8 @@ var AllComponents = WarmComponents{ICache: true, DCache: true, Predictor: true}
 // warming mode. It lives here, beside the Machine whose structures it
 // drives, so both the SMARTS controller and the checkpoint capture
 // sweep share the exact warming semantics.
+//
+//simlint:unpadded one per sweep, an 8 KB object for its inline record batch; a cold sweep's address dump finds no other goroutine's hot fields on its lines
 type Warmer struct {
 	machine    *Machine
 	blockBits  uint
