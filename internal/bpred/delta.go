@@ -219,24 +219,30 @@ func (s *State) Apply(d *Delta) error {
 	if err := d.Validate(len(s.Bimodal), len(s.BTBTags), len(s.RAS)); err != nil {
 		return err
 	}
+	// Blocks are copied element by element: at the package's grains (two
+	// and four entries a block) a copy call per array costs more in call
+	// and slicing overhead than the few entries it moves. The last block
+	// is clamped to the array length (delta.Span).
 	off := 0
 	for _, b := range d.TblBlocks {
 		lo, hi := delta.Span(b, d.TblGrain, d.N)
-		w := hi - lo
-		copy(s.Bimodal[lo:hi], d.Bimodal[off:off+w])
-		copy(s.Gshare[lo:hi], d.Gshare[off:off+w])
-		copy(s.Chooser[lo:hi], d.Chooser[off:off+w])
-		off += w
+		for i := lo; i < hi; i++ {
+			s.Bimodal[i] = d.Bimodal[off]
+			s.Gshare[i] = d.Gshare[off]
+			s.Chooser[i] = d.Chooser[off]
+			off++
+		}
 	}
 	off = 0
 	for _, b := range d.BTBBlocks {
 		lo, hi := delta.Span(b, d.BTBGrain, d.BTBN)
-		w := hi - lo
-		copy(s.BTBTags[lo:hi], d.BTBTags[off:off+w])
-		copy(s.BTBTgts[lo:hi], d.BTBTgts[off:off+w])
-		copy(s.BTBLRU[lo:hi], d.BTBLRU[off:off+w])
-		copy(s.BTBValid[lo:hi], d.BTBValid[off:off+w])
-		off += w
+		for i := lo; i < hi; i++ {
+			s.BTBTags[i] = d.BTBTags[off]
+			s.BTBTgts[i] = d.BTBTgts[off]
+			s.BTBLRU[i] = d.BTBLRU[off]
+			s.BTBValid[i] = d.BTBValid[off]
+			off++
+		}
 	}
 	s.History = d.History
 	s.BTBStamp = d.BTBStamp

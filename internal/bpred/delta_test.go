@@ -149,3 +149,117 @@ func TestPredDirtyTrackingZeroAllocs(t *testing.T) {
 		t.Fatalf("Warm with dirty tracking allocates %.1f objects/op; want 0", allocs)
 	}
 }
+
+// randomPredDelta builds a structurally valid delta over n table and
+// btbn BTB entries at the given grains: random ascending block subsets
+// (ragged last blocks included about a third of the time) with random
+// contents.
+func randomPredDelta(rng *rand.Rand, n, btbn, ras int, tg, bg uint8) *bpred.Delta {
+	d := &bpred.Delta{N: n, BTBN: btbn, TblGrain: tg, BTBGrain: bg,
+		History: rng.Uint64(), BTBStamp: rng.Uint64(), RASTop: rng.Intn(ras + 1)}
+	for b := 0; b<<tg < n; b++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		d.TblBlocks = append(d.TblBlocks, uint32(b))
+		for i := b << tg; i < min((b+1)<<tg, n); i++ {
+			d.Bimodal = append(d.Bimodal, uint8(rng.Intn(4)))
+			d.Gshare = append(d.Gshare, uint8(rng.Intn(4)))
+			d.Chooser = append(d.Chooser, uint8(rng.Intn(4)))
+		}
+	}
+	for b := 0; b<<bg < btbn; b++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		d.BTBBlocks = append(d.BTBBlocks, uint32(b))
+		for i := b << bg; i < min((b+1)<<bg, btbn); i++ {
+			d.BTBTags = append(d.BTBTags, rng.Uint64())
+			d.BTBTgts = append(d.BTBTgts, rng.Uint64())
+			d.BTBLRU = append(d.BTBLRU, rng.Uint64())
+			d.BTBValid = append(d.BTBValid, rng.Intn(2) == 0)
+		}
+	}
+	for i := 0; i < ras; i++ {
+		d.RAS = append(d.RAS, rng.Uint64())
+	}
+	return d
+}
+
+// randomPredState is a full state of n table, btbn BTB and ras RAS
+// entries with random contents.
+func randomPredState(rng *rand.Rand, n, btbn, ras int) *bpred.State {
+	s := &bpred.State{History: rng.Uint64(), BTBStamp: rng.Uint64(), RASTop: rng.Intn(ras + 1)}
+	for i := 0; i < n; i++ {
+		s.Bimodal = append(s.Bimodal, uint8(rng.Intn(4)))
+		s.Gshare = append(s.Gshare, uint8(rng.Intn(4)))
+		s.Chooser = append(s.Chooser, uint8(rng.Intn(4)))
+	}
+	for i := 0; i < btbn; i++ {
+		s.BTBTags = append(s.BTBTags, rng.Uint64())
+		s.BTBTgts = append(s.BTBTgts, rng.Uint64())
+		s.BTBLRU = append(s.BTBLRU, rng.Uint64())
+		s.BTBValid = append(s.BTBValid, rng.Intn(2) == 0)
+	}
+	for i := 0; i < ras; i++ {
+		s.RAS = append(s.RAS, rng.Uint64())
+	}
+	return s
+}
+
+// applyPredByBlock is the generic per-block copy State.Apply's
+// small-block kernel must agree with.
+func applyPredByBlock(s *bpred.State, d *bpred.Delta) {
+	off := 0
+	for _, b := range d.TblBlocks {
+		lo := int(b) << d.TblGrain
+		hi := min(lo+1<<d.TblGrain, d.N)
+		w := hi - lo
+		copy(s.Bimodal[lo:hi], d.Bimodal[off:off+w])
+		copy(s.Gshare[lo:hi], d.Gshare[off:off+w])
+		copy(s.Chooser[lo:hi], d.Chooser[off:off+w])
+		off += w
+	}
+	off = 0
+	for _, b := range d.BTBBlocks {
+		lo := int(b) << d.BTBGrain
+		hi := min(lo+1<<d.BTBGrain, d.BTBN)
+		w := hi - lo
+		copy(s.BTBTags[lo:hi], d.BTBTags[off:off+w])
+		copy(s.BTBTgts[lo:hi], d.BTBTgts[off:off+w])
+		copy(s.BTBLRU[lo:hi], d.BTBLRU[off:off+w])
+		copy(s.BTBValid[lo:hi], d.BTBValid[off:off+w])
+		off += w
+	}
+	s.History, s.BTBStamp = d.History, d.BTBStamp
+	copy(s.RAS, d.RAS)
+	s.RASTop = d.RASTop
+}
+
+// TestPredApplyKernelMatchesBlockCopy pins State.Apply, which copies
+// each block element by element, to the generic per-block copy for every
+// table and BTB grain from 0 to 3, on ragged geometries whose last block
+// is short.
+func TestPredApplyKernelMatchesBlockCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const ras = 4
+	for tg := uint8(0); tg <= 3; tg++ {
+		for bg := uint8(0); bg <= 3; bg++ {
+			for _, geom := range [][2]int{{1, 1}, {7, 5}, {256, 64}, {259, 67}} {
+				n, btbn := geom[0], geom[1]
+				for trial := 0; trial < 10; trial++ {
+					s := randomPredState(rng, n, btbn, ras)
+					d := randomPredDelta(rng, n, btbn, ras, tg, bg)
+					got, want := s.Clone(), s.Clone()
+					if err := got.Apply(d); err != nil {
+						t.Fatalf("grains %d/%d geometry %v: %v", tg, bg, geom, err)
+					}
+					applyPredByBlock(want, d)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("grains %d/%d geometry %v trial %d: kernel diverged from the per-block copy", tg, bg, geom, trial)
+					}
+				}
+			}
+		}
+	}
+}

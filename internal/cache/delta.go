@@ -163,15 +163,20 @@ func (s *State) Apply(d *Delta) error {
 	if err := d.Validate(len(s.Tags)); err != nil {
 		return err
 	}
+	// Blocks are copied element by element: at GrainShift's two entries
+	// a block, four copy calls cost more in call and slicing overhead
+	// than the bytes they move, and a warm delta is mostly such blocks.
+	// The last block is clamped to N (delta.Span).
 	off := 0
 	for _, b := range d.Blocks {
 		lo, hi := delta.Span(b, d.Grain, d.N)
-		w := hi - lo
-		copy(s.Tags[lo:hi], d.Tags[off:off+w])
-		copy(s.Valid[lo:hi], d.Valid[off:off+w])
-		copy(s.Dirty[lo:hi], d.Dirty[off:off+w])
-		copy(s.LastUsed[lo:hi], d.LastUsed[off:off+w])
-		off += w
+		for i := lo; i < hi; i++ {
+			s.Tags[i] = d.Tags[off]
+			s.Valid[i] = d.Valid[off]
+			s.Dirty[i] = d.Dirty[off]
+			s.LastUsed[i] = d.LastUsed[off]
+			off++
+		}
 	}
 	s.Stamp = d.Stamp
 	return nil

@@ -254,3 +254,94 @@ func TestDirtyTrackingZeroAllocs(t *testing.T) {
 		t.Fatalf("Access with dirty tracking allocates %.1f objects/op; want 0", allocs)
 	}
 }
+
+// randomDelta builds a structurally valid delta over n entries at the
+// given grain: a random ascending block subset (the last, possibly
+// ragged, block included about half the time) with random contents.
+func randomDelta(rng *rand.Rand, n int, grain uint8) *cache.Delta {
+	d := &cache.Delta{N: n, Grain: grain, Stamp: rng.Uint64()}
+	blocks := (n + 1<<grain - 1) >> grain
+	for b := 0; b < blocks; b++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		d.Blocks = append(d.Blocks, uint32(b))
+		lo := b << grain
+		hi := min(lo+1<<grain, n)
+		for i := lo; i < hi; i++ {
+			d.Tags = append(d.Tags, rng.Uint64())
+			d.Valid = append(d.Valid, rng.Intn(2) == 0)
+			d.Dirty = append(d.Dirty, rng.Intn(2) == 0)
+			d.LastUsed = append(d.LastUsed, rng.Uint64())
+		}
+	}
+	return d
+}
+
+// randomState is a full state of n entries with random contents.
+func randomState(rng *rand.Rand, n int) *cache.State {
+	s := &cache.State{Stamp: rng.Uint64()}
+	for i := 0; i < n; i++ {
+		s.Tags = append(s.Tags, rng.Uint64())
+		s.Valid = append(s.Valid, rng.Intn(2) == 0)
+		s.Dirty = append(s.Dirty, rng.Intn(2) == 0)
+		s.LastUsed = append(s.LastUsed, rng.Uint64())
+	}
+	return s
+}
+
+// applyByBlock is the generic per-block copy State.Apply's small-block
+// kernel must agree with.
+func applyByBlock(s *cache.State, d *cache.Delta) {
+	off := 0
+	for _, b := range d.Blocks {
+		lo := int(b) << d.Grain
+		hi := min(lo+1<<d.Grain, d.N)
+		w := hi - lo
+		copy(s.Tags[lo:hi], d.Tags[off:off+w])
+		copy(s.Valid[lo:hi], d.Valid[off:off+w])
+		copy(s.Dirty[lo:hi], d.Dirty[off:off+w])
+		copy(s.LastUsed[lo:hi], d.LastUsed[off:off+w])
+		off += w
+	}
+	s.Stamp = d.Stamp
+}
+
+// TestApplyKernelMatchesBlockCopy pins State.Apply, which copies each
+// block element by element, to the generic per-block copy at every grain
+// from 0 to 3 and on ragged geometries whose last block is short.
+func TestApplyKernelMatchesBlockCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for grain := uint8(0); grain <= 3; grain++ {
+		for _, n := range []int{1, 5, 7, 64, 67, 1021} {
+			for trial := 0; trial < 20; trial++ {
+				base := randomState(rng, n)
+				d := randomDelta(rng, n, grain)
+				got, want := base.Clone(), base.Clone()
+				if err := got.Apply(d); err != nil {
+					t.Fatalf("grain %d n %d: %v", grain, n, err)
+				}
+				applyByBlock(want, d)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("grain %d n %d trial %d: kernel diverged from the per-block copy", grain, n, trial)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkStateApply applies an L2-sized delta (16K entries, a third of
+// the blocks dirty) at the package's own grain.
+func BenchmarkStateApply(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 16 << 10
+	s := randomState(rng, n)
+	d := randomDelta(rng, n, cache.GrainShift)
+	b.SetBytes(int64(d.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Apply(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

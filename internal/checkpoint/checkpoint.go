@@ -63,7 +63,9 @@
 // fallback alone: a Materializer used once. Materializing only reads
 // the shared snapshots, so any number of workers may do it at once, and
 // materialized states are bit-identical to full snapshots; the encoding
-// is invisible to every schedule.
+// is invisible to every schedule. A store entry replayed as it is read
+// (Store.Stream) is materialized by its reader instead, once per unit,
+// from deltas decoded into buffers the next unit reuses.
 //
 // # On-disk store
 //
@@ -315,8 +317,9 @@ type Launch struct {
 // stream order pays for each unit only the deltas since its previous
 // visit, applied to buffers it already owns, instead of a fresh clone
 // of the keyframe plus the whole chain. It is the package's one chain
-// walk: a replay worker keeps one for its lifetime, and Unit.Materialize
-// is a Materializer used once from its zero (cold) position.
+// walk: a replay worker keeps one for its lifetime, a streamed store
+// read keeps one for the read (advance), and Unit.Materialize is a
+// Materializer used once from its zero (cold) position.
 //
 // The rolling state is private: units and their snapshots are only ever
 // read, so any number of Materializers (one per goroutine — a
@@ -355,37 +358,84 @@ func (m *Materializer) Materialize(u *Unit) (*Launch, error) {
 	}
 	if !m.holds(base, warm) {
 		// Not positioned on u's chain: reseed from its keyframe.
-		if warm && base.Warm == nil {
-			return nil, fmt.Errorf("checkpoint: unit %d: keyframe unit %d carries no warm state", u.Index, base.Index)
-		}
-		m.mem.CopyFrom(base.Mem)
-		switch {
-		case !warm:
-		case m.warm == nil:
-			m.warm = base.Warm.Clone()
-		default:
-			m.warm.CopyFrom(base.Warm)
+		if err := m.seed(u, base, warm); err != nil {
+			return nil, err
 		}
 	}
 	m.at = nil // in flux until every delta has applied
 	for i := len(m.chain) - 1; i >= 0; i-- {
-		c := m.chain[i]
-		if err := m.mem.Apply(c.MemDelta); err != nil {
-			return nil, fmt.Errorf("checkpoint: unit %d: materialize memory at unit %d: %w", u.Index, c.Index, err)
-		}
-		if warm {
-			if err := m.warm.Apply(c.Delta); err != nil {
-				return nil, fmt.Errorf("checkpoint: unit %d: materialize at unit %d: %w", u.Index, c.Index, err)
-			}
+		if err := m.apply(u, m.chain[i], warm); err != nil {
+			return nil, err
 		}
 	}
 	clear(m.chain) // the scratch must not keep visited units alive
+	return m.land(u, warm), nil
+}
+
+// advance rolls the state forward to u, the next unit of a stream read
+// in order — Materialize for a reader that decodes each unit's deltas
+// into buffers it overwrites with the next unit's, so its units carry no
+// Prev link to walk: a keyframe reseeds the state, and a delta unit
+// applies to the state of the unit advance was last called with, which
+// therefore must be u's predecessor.
+func (m *Materializer) advance(u *Unit) (*Launch, error) {
+	warm := u.Warm != nil || u.Delta != nil
+	if u.Mem != nil {
+		if err := m.seed(u, u, warm); err != nil {
+			return nil, err
+		}
+	} else {
+		if m.at == nil || (warm && !m.hasWarm) {
+			return nil, fmt.Errorf("checkpoint: unit %d: broken delta chain", u.Index)
+		}
+		m.at = nil
+		if err := m.apply(u, u, warm); err != nil {
+			return nil, err
+		}
+	}
+	return m.land(u, warm), nil
+}
+
+// seed copies keyframe unit base into the rolling state, on the way to
+// materializing u.
+func (m *Materializer) seed(u, base *Unit, warm bool) error {
+	if warm && base.Warm == nil {
+		return fmt.Errorf("checkpoint: unit %d: keyframe unit %d carries no warm state", u.Index, base.Index)
+	}
+	m.mem.CopyFrom(base.Mem)
+	switch {
+	case !warm:
+	case m.warm == nil:
+		m.warm = base.Warm.Clone()
+	default:
+		m.warm.CopyFrom(base.Warm)
+	}
+	return nil
+}
+
+// apply patches the rolling state by delta unit c's memory and warm
+// deltas, on the way to materializing u. A failure leaves the state
+// unpositioned (m.at nil), so the next call starts from a keyframe.
+func (m *Materializer) apply(u, c *Unit, warm bool) error {
+	if err := m.mem.Apply(c.MemDelta); err != nil {
+		return fmt.Errorf("checkpoint: unit %d: materialize memory at unit %d: %w", u.Index, c.Index, err)
+	}
+	if warm {
+		if err := m.warm.Apply(c.Delta); err != nil {
+			return fmt.Errorf("checkpoint: unit %d: materialize at unit %d: %w", u.Index, c.Index, err)
+		}
+	}
+	return nil
+}
+
+// land positions the rolling state at u and returns it as u's launch.
+func (m *Materializer) land(u *Unit, warm bool) *Launch {
 	m.at, m.hasWarm = u, warm
 	m.out = Launch{Mem: &m.mem}
 	if warm {
 		m.out.Warm = m.warm
 	}
-	return &m.out, nil
+	return &m.out
 }
 
 // holds reports whether the rolling state equals c's launch state, in

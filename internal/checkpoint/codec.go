@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
-	"repro/internal/functional"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/uarch"
@@ -153,6 +152,7 @@ func (c *codecWriter) bools(v []bool) error {
 type codecReader struct {
 	r       *bufio.Reader
 	scratch []byte
+	word    [8]byte // u64's buffer: a local would escape through io.ReadFull
 	crc     uint32
 }
 
@@ -168,12 +168,11 @@ func newCodecReader(r io.Reader) *codecReader {
 func (c *codecReader) sum() uint32 { return c.crc }
 
 func (c *codecReader) u64() (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.word[:]); err != nil {
 		return 0, err
 	}
-	c.crc = crc32.Update(c.crc, castagnoli, b[:])
-	return binary.LittleEndian.Uint64(b[:]), nil
+	c.crc = crc32.Update(c.crc, castagnoli, c.word[:])
+	return binary.LittleEndian.Uint64(c.word[:]), nil
 }
 
 // length reads a count prefix whose elements are elemBytes wide each,
@@ -189,54 +188,68 @@ func (c *codecReader) length(elemBytes int) (int, error) {
 	return int(n), nil
 }
 
-func (c *codecReader) u64s() ([]uint64, error) {
+// fit returns dst resliced to n elements when its array can hold them,
+// else a new slice of n. A nil dst always gets a new slice, so a decode
+// that keeps what it reads owns exactly-sized arrays, while a reader
+// that overwrites its buffers record after record passes them back in
+// and stops allocating once they have grown.
+func fit[T any](dst []T, n int) []T {
+	if dst == nil || cap(dst) < n {
+		return make([]T, n)
+	}
+	return dst[:n]
+}
+
+// raw reads the next n bytes into the scratch buffer and folds them
+// into the running sum.
+func (c *codecReader) raw(n int) ([]byte, error) {
+	c.scratch = fit(c.scratch, n)
+	if _, err := io.ReadFull(c.r, c.scratch); err != nil {
+		return nil, err
+	}
+	c.crc = crc32.Update(c.crc, castagnoli, c.scratch)
+	return c.scratch, nil
+}
+
+// u64s reads a length-prefixed run into dst's array (see fit).
+func (c *codecReader) u64s(dst []uint64) ([]uint64, error) {
 	n, err := c.length(8)
 	if err != nil {
 		return nil, err
 	}
-	need := n * 8
-	if cap(c.scratch) < need {
-		c.scratch = make([]byte, need)
-	}
-	buf := c.scratch[:need]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	buf, err := c.raw(n * 8)
+	if err != nil {
 		return nil, err
 	}
-	c.crc = crc32.Update(c.crc, castagnoli, buf)
-	v := make([]uint64, n)
+	v := fit(dst, n)
 	for i := range v {
 		v[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}
 	return v, nil
 }
 
-func (c *codecReader) u32s() ([]uint32, error) {
+func (c *codecReader) u32s(dst []uint32) ([]uint32, error) {
 	n, err := c.length(4)
 	if err != nil {
 		return nil, err
 	}
-	need := n * 4
-	if cap(c.scratch) < need {
-		c.scratch = make([]byte, need)
-	}
-	buf := c.scratch[:need]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	buf, err := c.raw(n * 4)
+	if err != nil {
 		return nil, err
 	}
-	c.crc = crc32.Update(c.crc, castagnoli, buf)
-	v := make([]uint32, n)
+	v := fit(dst, n)
 	for i := range v {
 		v[i] = binary.LittleEndian.Uint32(buf[i*4:])
 	}
 	return v, nil
 }
 
-func (c *codecReader) bytes() ([]byte, error) {
+func (c *codecReader) bytes(dst []byte) ([]byte, error) {
 	n, err := c.length(1)
 	if err != nil {
 		return nil, err
 	}
-	v := make([]byte, n)
+	v := fit(dst, n)
 	if _, err := io.ReadFull(c.r, v); err != nil {
 		return nil, err
 	}
@@ -244,20 +257,16 @@ func (c *codecReader) bytes() ([]byte, error) {
 	return v, nil
 }
 
-func (c *codecReader) bools() ([]bool, error) {
+func (c *codecReader) bools(dst []bool) ([]bool, error) {
 	n, err := c.length(1)
 	if err != nil {
 		return nil, err
 	}
-	if cap(c.scratch) < n {
-		c.scratch = make([]byte, n)
-	}
-	buf := c.scratch[:n]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	buf, err := c.raw(n)
+	if err != nil {
 		return nil, err
 	}
-	c.crc = crc32.Update(c.crc, castagnoli, buf)
-	v := make([]bool, n)
+	v := fit(dst, n)
 	for i := range v {
 		v[i] = buf[i] != 0
 	}
@@ -281,25 +290,33 @@ func (c *codecWriter) cacheState(s *cache.State) error {
 	return c.u64s(s.LastUsed)
 }
 
-func (c *codecReader) cacheState() (*cache.State, error) {
-	s := &cache.State{}
+// cacheState decodes one cache/TLB snapshot into s, reusing its arrays
+// (see fit).
+func (c *codecReader) cacheState(s *cache.State) error {
 	var err error
 	if s.Stamp, err = c.u64(); err != nil {
-		return nil, err
+		return err
 	}
-	if s.Tags, err = c.u64s(); err != nil {
-		return nil, err
+	if s.Tags, err = c.u64s(s.Tags); err != nil {
+		return err
 	}
-	if s.Valid, err = c.bools(); err != nil {
-		return nil, err
+	if s.Valid, err = c.bools(s.Valid); err != nil {
+		return err
 	}
-	if s.Dirty, err = c.bools(); err != nil {
-		return nil, err
+	if s.Dirty, err = c.bools(s.Dirty); err != nil {
+		return err
 	}
-	if s.LastUsed, err = c.u64s(); err != nil {
-		return nil, err
+	if s.LastUsed, err = c.u64s(s.LastUsed); err != nil {
+		return err
 	}
-	return s, nil
+	// The arrays are parallel: a snapshot whose lengths disagree would
+	// pass a later delta's check (against len(Tags)) and then index past
+	// a short array, so it is a decode error here.
+	if n := len(s.Tags); len(s.Valid) != n || len(s.Dirty) != n || len(s.LastUsed) != n {
+		return fmt.Errorf("cache snapshot arrays %d/%d/%d/%d differ in length",
+			n, len(s.Valid), len(s.Dirty), len(s.LastUsed))
+	}
+	return nil
 }
 
 func (c *codecWriter) predState(s *bpred.State) error {
@@ -325,50 +342,60 @@ func (c *codecWriter) predState(s *bpred.State) error {
 	return c.u64(uint64(int64(s.RASTop)))
 }
 
-func (c *codecReader) predState() (*bpred.State, error) {
-	s := &bpred.State{}
+// predState decodes one predictor snapshot into s, reusing its arrays.
+func (c *codecReader) predState(s *bpred.State) error {
 	var err error
-	if s.Bimodal, err = c.bytes(); err != nil {
-		return nil, err
+	if s.Bimodal, err = c.bytes(s.Bimodal); err != nil {
+		return err
 	}
-	if s.Gshare, err = c.bytes(); err != nil {
-		return nil, err
+	if s.Gshare, err = c.bytes(s.Gshare); err != nil {
+		return err
 	}
-	if s.Chooser, err = c.bytes(); err != nil {
-		return nil, err
+	if s.Chooser, err = c.bytes(s.Chooser); err != nil {
+		return err
 	}
 	if s.History, err = c.u64(); err != nil {
-		return nil, err
+		return err
 	}
-	if s.BTBTags, err = c.u64s(); err != nil {
-		return nil, err
+	if s.BTBTags, err = c.u64s(s.BTBTags); err != nil {
+		return err
 	}
-	if s.BTBTgts, err = c.u64s(); err != nil {
-		return nil, err
+	if s.BTBTgts, err = c.u64s(s.BTBTgts); err != nil {
+		return err
 	}
-	if s.BTBLRU, err = c.u64s(); err != nil {
-		return nil, err
+	if s.BTBLRU, err = c.u64s(s.BTBLRU); err != nil {
+		return err
 	}
-	if s.RAS, err = c.u64s(); err != nil {
-		return nil, err
+	if s.RAS, err = c.u64s(s.RAS); err != nil {
+		return err
 	}
-	if s.BTBValid, err = c.bools(); err != nil {
-		return nil, err
+	if s.BTBValid, err = c.bools(s.BTBValid); err != nil {
+		return err
 	}
 	if s.BTBStamp, err = c.u64(); err != nil {
-		return nil, err
+		return err
 	}
 	top, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.RASTop = int(int64(top))
-	// Bound the stack pointer here so a corrupt entry degrades to a
-	// load-time decode error (a store miss), not a replay-time failure.
+	// Bound the stack pointer and check the parallel arrays here so a
+	// corrupt entry degrades to a load-time decode error (a store miss),
+	// not a replay-time failure or an index past a short array when a
+	// later delta is applied (Apply checks against len(Bimodal) and
+	// len(BTBTags) only).
 	if s.RASTop < 0 || s.RASTop > len(s.RAS) {
-		return nil, fmt.Errorf("RAS top %d out of range (%d entries)", s.RASTop, len(s.RAS))
+		return fmt.Errorf("RAS top %d out of range (%d entries)", s.RASTop, len(s.RAS))
 	}
-	return s, nil
+	if n := len(s.Bimodal); len(s.Gshare) != n || len(s.Chooser) != n {
+		return fmt.Errorf("predictor tables %d/%d/%d differ in length", n, len(s.Gshare), len(s.Chooser))
+	}
+	if n := len(s.BTBTags); len(s.BTBTgts) != n || len(s.BTBLRU) != n || len(s.BTBValid) != n {
+		return fmt.Errorf("BTB arrays %d/%d/%d/%d differ in length",
+			n, len(s.BTBTgts), len(s.BTBLRU), len(s.BTBValid))
+	}
+	return nil
 }
 
 // unit emits one captured unit record (tag already written by the
@@ -466,43 +493,41 @@ func (c *codecWriter) cacheDelta(d *cache.Delta) error {
 	return c.u64s(d.LastUsed)
 }
 
-func (c *codecReader) cacheDelta() (*cache.Delta, error) {
-	d := &cache.Delta{}
+// cacheDelta decodes one cache/TLB delta into d, reusing its arrays.
+func (c *codecReader) cacheDelta(d *cache.Delta) error {
 	n, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > maxLen {
-		return nil, fmt.Errorf("unreasonable delta geometry %d", n)
+		return fmt.Errorf("unreasonable delta geometry %d", n)
 	}
 	d.N = int(n)
 	grain, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if grain > 30 {
-		return nil, fmt.Errorf("unreasonable delta grain %d", grain)
+		return fmt.Errorf("unreasonable delta grain %d", grain)
 	}
 	d.Grain = uint8(grain)
 	if d.Stamp, err = c.u64(); err != nil {
-		return nil, err
+		return err
 	}
-	if d.Blocks, err = c.u32s(); err != nil {
-		return nil, err
+	if d.Blocks, err = c.u32s(d.Blocks); err != nil {
+		return err
 	}
-	if d.Tags, err = c.u64s(); err != nil {
-		return nil, err
+	if d.Tags, err = c.u64s(d.Tags); err != nil {
+		return err
 	}
-	if d.Valid, err = c.bools(); err != nil {
-		return nil, err
+	if d.Valid, err = c.bools(d.Valid); err != nil {
+		return err
 	}
-	if d.Dirty, err = c.bools(); err != nil {
-		return nil, err
+	if d.Dirty, err = c.bools(d.Dirty); err != nil {
+		return err
 	}
-	if d.LastUsed, err = c.u64s(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	d.LastUsed, err = c.u64s(d.LastUsed)
+	return err
 }
 
 // predDelta emits one dirty-block predictor delta, grains included, so
@@ -551,74 +576,74 @@ func (c *codecWriter) predDelta(d *bpred.Delta) error {
 	return c.u64(uint64(int64(d.RASTop)))
 }
 
-func (c *codecReader) predDelta() (*bpred.Delta, error) {
-	d := &bpred.Delta{}
+// predDelta decodes one predictor delta into d, reusing its arrays.
+func (c *codecReader) predDelta(d *bpred.Delta) error {
 	n, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	btbn, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > maxLen || btbn > maxLen {
-		return nil, fmt.Errorf("unreasonable delta geometry %d/%d", n, btbn)
+		return fmt.Errorf("unreasonable delta geometry %d/%d", n, btbn)
 	}
 	d.N, d.BTBN = int(n), int(btbn)
 	tg, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bg, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tg > 30 || bg > 30 {
-		return nil, fmt.Errorf("unreasonable delta grains %d/%d", tg, bg)
+		return fmt.Errorf("unreasonable delta grains %d/%d", tg, bg)
 	}
 	d.TblGrain, d.BTBGrain = uint8(tg), uint8(bg)
-	if d.TblBlocks, err = c.u32s(); err != nil {
-		return nil, err
+	if d.TblBlocks, err = c.u32s(d.TblBlocks); err != nil {
+		return err
 	}
-	if d.Bimodal, err = c.bytes(); err != nil {
-		return nil, err
+	if d.Bimodal, err = c.bytes(d.Bimodal); err != nil {
+		return err
 	}
-	if d.Gshare, err = c.bytes(); err != nil {
-		return nil, err
+	if d.Gshare, err = c.bytes(d.Gshare); err != nil {
+		return err
 	}
-	if d.Chooser, err = c.bytes(); err != nil {
-		return nil, err
+	if d.Chooser, err = c.bytes(d.Chooser); err != nil {
+		return err
 	}
 	if d.History, err = c.u64(); err != nil {
-		return nil, err
+		return err
 	}
-	if d.BTBBlocks, err = c.u32s(); err != nil {
-		return nil, err
+	if d.BTBBlocks, err = c.u32s(d.BTBBlocks); err != nil {
+		return err
 	}
-	if d.BTBTags, err = c.u64s(); err != nil {
-		return nil, err
+	if d.BTBTags, err = c.u64s(d.BTBTags); err != nil {
+		return err
 	}
-	if d.BTBTgts, err = c.u64s(); err != nil {
-		return nil, err
+	if d.BTBTgts, err = c.u64s(d.BTBTgts); err != nil {
+		return err
 	}
-	if d.BTBLRU, err = c.u64s(); err != nil {
-		return nil, err
+	if d.BTBLRU, err = c.u64s(d.BTBLRU); err != nil {
+		return err
 	}
-	if d.BTBValid, err = c.bools(); err != nil {
-		return nil, err
+	if d.BTBValid, err = c.bools(d.BTBValid); err != nil {
+		return err
 	}
 	if d.BTBStamp, err = c.u64(); err != nil {
-		return nil, err
+		return err
 	}
-	if d.RAS, err = c.u64s(); err != nil {
-		return nil, err
+	if d.RAS, err = c.u64s(d.RAS); err != nil {
+		return err
 	}
 	top, err := c.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.RASTop = int(int64(top))
-	return d, nil
+	return nil
 }
 
 // warmDelta emits one dirty-block warm delta (hierarchy + predictor).
@@ -633,19 +658,44 @@ func (c *codecWriter) warmDelta(d *uarch.WarmDelta) error {
 	return c.predDelta(d.Pred)
 }
 
-func (c *codecReader) warmDelta() (*uarch.WarmDelta, error) {
-	hier := &cache.HierarchyDelta{}
-	var err error
-	for _, dst := range []**cache.Delta{&hier.IL1, &hier.DL1, &hier.L2, &hier.ITLB, &hier.DTLB} {
-		if *dst, err = c.cacheDelta(); err != nil {
-			return nil, err
+// warmDelta decodes one warm delta into d, whose hierarchy and
+// predictor halves it must already hold (newWarmDelta).
+func (c *codecReader) warmDelta(d *uarch.WarmDelta) error {
+	for _, cd := range []*cache.Delta{d.Hier.IL1, d.Hier.DL1, d.Hier.L2, d.Hier.ITLB, d.Hier.DTLB} {
+		if err := c.cacheDelta(cd); err != nil {
+			return err
 		}
 	}
-	pred, err := c.predDelta()
-	if err != nil {
-		return nil, err
+	return c.predDelta(d.Pred)
+}
+
+// warmState decodes one full warm snapshot into w, whose structures it
+// must already hold (newWarmState).
+func (c *codecReader) warmState(w *WarmState) error {
+	for _, s := range []*cache.State{w.Hier.IL1, w.Hier.DL1, w.Hier.L2, w.Hier.ITLB, w.Hier.DTLB} {
+		if err := c.cacheState(s); err != nil {
+			return err
+		}
 	}
-	return &uarch.WarmDelta{Hier: hier, Pred: pred}, nil
+	return c.predState(w.Pred)
+}
+
+// newWarmState and newWarmDelta return empty decode targets: every
+// structure present, no array allocated yet.
+func newWarmState() *WarmState {
+	return &WarmState{
+		Hier: &cache.HierarchyState{IL1: new(cache.State), DL1: new(cache.State), L2: new(cache.State),
+			ITLB: new(cache.State), DTLB: new(cache.State)},
+		Pred: new(bpred.State),
+	}
+}
+
+func newWarmDelta() *uarch.WarmDelta {
+	return &uarch.WarmDelta{
+		Hier: &cache.HierarchyDelta{IL1: new(cache.Delta), DL1: new(cache.Delta), L2: new(cache.Delta),
+			ITLB: new(cache.Delta), DTLB: new(cache.Delta)},
+		Pred: new(bpred.Delta),
+	}
 }
 
 // warmGeom records the structure geometry of the last full snapshot so
@@ -686,12 +736,53 @@ func (g warmGeom) validate(d *uarch.WarmDelta) error {
 	return d.Pred.Validate(g.tbl, g.btb, g.ras)
 }
 
-// unit decodes one unit record. prev is the previously decoded unit
-// (the delta chain predecessor, for memory and warm state alike) and
-// geom the geometry established by the chain's keyframe; geom is
-// updated when this record carries a full snapshot.
-func (c *codecReader) unit(pages []*[mem.PageSize]byte, prev *Unit, geom *warmGeom) (*Unit, error) {
-	u := &Unit{}
+// unitDecoder decodes a stream's unit records in order. It carries what
+// a record needs from the ones before it: the page arrays by record id,
+// the previously decoded unit (the delta chain predecessor, for memory
+// and warm state alike) and the geometry established by the chain's
+// last keyframe. With buf set, every record is decoded into the same
+// buffers — for a reader that hands each unit on before it reads the
+// next, so a delta unit costs no allocation once the buffers have
+// grown; such units carry no Prev link. Without it every unit is
+// decoded afresh and linked to its predecessor, for a Set that keeps
+// them all.
+type unitDecoder struct {
+	pages []*[mem.PageSize]byte
+	prev  *Unit
+	geom  warmGeom
+	buf   *unitBuf
+}
+
+// unitBuf is the storage a reusing unitDecoder overwrites record after
+// record (newUnitBuf).
+type unitBuf struct {
+	unit  Unit
+	mem   mem.Delta
+	refs  []uint64
+	warm  *WarmState
+	delta *uarch.WarmDelta
+}
+
+func newUnitBuf() *unitBuf {
+	return &unitBuf{warm: newWarmState(), delta: newWarmDelta()}
+}
+
+// unit decodes one unit record.
+func (d *unitDecoder) unit(c *codecReader) (*Unit, error) {
+	prev := d.prev
+	prevWarm := prev != nil && (prev.Warm != nil || prev.Delta != nil)
+	var (
+		u        *Unit
+		nums     []uint64
+		refs     []uint64
+		pageRefs []*[mem.PageSize]byte
+	)
+	if b := d.buf; b != nil {
+		b.unit = Unit{}
+		u, nums, refs, pageRefs = &b.unit, b.mem.Nums, b.refs, b.mem.Pages
+	} else {
+		u = new(Unit)
+	}
 	var err error
 	if u.Index, err = c.u64(); err != nil {
 		return nil, err
@@ -702,78 +793,70 @@ func (c *codecReader) unit(pages []*[mem.PageSize]byte, prev *Unit, geom *warmGe
 	if u.LaunchAt, err = c.u64(); err != nil {
 		return nil, err
 	}
-	var arch functional.ArchState
-	regs, err := c.u64s()
+	regs, err := c.u64s(u.Arch.Regs[:0])
 	if err != nil {
 		return nil, err
 	}
 	if len(regs) != isa.NumRegs {
 		return nil, fmt.Errorf("unit %d: %d registers, want %d", u.Index, len(regs), isa.NumRegs)
 	}
-	copy(arch.Regs[:], regs)
-	if arch.PC, err = c.u64(); err != nil {
+	if u.Arch.PC, err = c.u64(); err != nil {
 		return nil, err
 	}
-	if arch.Count, err = c.u64(); err != nil {
+	if u.Arch.Count, err = c.u64(); err != nil {
 		return nil, err
 	}
 	halted, err := c.u64()
 	if err != nil {
 		return nil, err
 	}
-	arch.Halted = halted != 0
-	u.Arch = arch
+	u.Arch.Halted = halted != 0
 
 	mKind, err := c.u64()
 	if err != nil {
 		return nil, err
 	}
-	nums, err := c.u64s()
-	if err != nil {
+	if nums, err = c.u64s(nums); err != nil {
 		return nil, err
 	}
-	refs, err := c.u64s()
-	if err != nil {
+	if refs, err = c.u64s(refs); err != nil {
 		return nil, err
 	}
 	if len(nums) != len(refs) {
 		return nil, fmt.Errorf("unit %d: page table mismatch", u.Index)
 	}
-	resolve := func() ([]*[mem.PageSize]byte, error) {
-		out := make([]*[mem.PageSize]byte, len(refs))
-		for i, ref := range refs {
-			if ref >= uint64(len(pages)) {
-				return nil, fmt.Errorf("unit %d: page ref %d out of range", u.Index, ref)
-			}
-			out[i] = pages[ref]
+	pageRefs = fit(pageRefs, len(refs))
+	for i, ref := range refs {
+		if ref >= uint64(len(d.pages)) {
+			return nil, fmt.Errorf("unit %d: page ref %d out of range", u.Index, ref)
 		}
-		return out, nil
+		pageRefs[i] = d.pages[ref]
+	}
+	if b := d.buf; b != nil {
+		b.mem.Nums, b.refs, b.mem.Pages = nums, refs, pageRefs
 	}
 	switch mKind {
 	case memFull:
-		resolved, err := resolve()
-		if err != nil {
-			return nil, err
-		}
 		pm := make(map[uint64]*[mem.PageSize]byte, len(nums))
 		for i, num := range nums {
-			pm[num] = resolved[i]
+			pm[num] = pageRefs[i]
 		}
 		u.Mem = mem.ImageFromPages(pm)
 	case memDelta:
 		if prev == nil {
 			return nil, fmt.Errorf("unit %d: memory delta with no preceding keyframe", u.Index)
 		}
-		resolved, err := resolve()
-		if err != nil {
-			return nil, err
+		var md *mem.Delta
+		if d.buf != nil {
+			md = &d.buf.mem
+		} else {
+			md = &mem.Delta{Nums: nums, Pages: pageRefs}
+			u.Prev = prev
 		}
-		d := &mem.Delta{Nums: nums, Pages: resolved}
-		if err := d.Validate(); err != nil {
+		if err := md.Validate(); err != nil {
 			return nil, fmt.Errorf("unit %d: %w", u.Index, err)
 		}
-		u.MemDelta = d
-		u.Prev = prev
+		u.MemDelta = md
 	default:
 		return nil, fmt.Errorf("unit %d: unknown memory encoding %d", u.Index, mKind)
 	}
@@ -791,18 +874,17 @@ func (c *codecReader) unit(pages []*[mem.PageSize]byte, prev *Unit, geom *warmGe
 			// mixed unit means records were spliced.
 			return nil, fmt.Errorf("unit %d: full warm state on a memory-delta unit", u.Index)
 		}
-		hier := &cache.HierarchyState{}
-		for _, dst := range []**cache.State{&hier.IL1, &hier.DL1, &hier.L2, &hier.ITLB, &hier.DTLB} {
-			if *dst, err = c.cacheState(); err != nil {
-				return nil, err
-			}
+		var w *WarmState
+		if d.buf != nil {
+			w = d.buf.warm
+		} else {
+			w = newWarmState()
 		}
-		pred, err := c.predState()
-		if err != nil {
+		if err := c.warmState(w); err != nil {
 			return nil, err
 		}
-		u.Warm = &WarmState{Hier: hier, Pred: pred}
-		*geom = geomOf(u.Warm)
+		u.Warm = w
+		d.geom = geomOf(w)
 		return u, nil
 	case warmDelta:
 		if u.MemDelta == nil {
@@ -810,17 +892,22 @@ func (c *codecReader) unit(pages []*[mem.PageSize]byte, prev *Unit, geom *warmGe
 		}
 		// A memory-delta unit has a predecessor (checked above); its warm
 		// delta applies to that same unit's warm state.
-		if prev.Warm == nil && prev.Delta == nil {
+		if !prevWarm {
 			return nil, fmt.Errorf("unit %d: warm and memory chains diverge", u.Index)
 		}
-		d, err := c.warmDelta()
-		if err != nil {
+		var wd *uarch.WarmDelta
+		if d.buf != nil {
+			wd = d.buf.delta
+		} else {
+			wd = newWarmDelta()
+		}
+		if err := c.warmDelta(wd); err != nil {
 			return nil, err
 		}
-		if err := geom.validate(d); err != nil {
+		if err := d.geom.validate(wd); err != nil {
 			return nil, fmt.Errorf("unit %d: %w", u.Index, err)
 		}
-		u.Delta = d
+		u.Delta = wd
 		return u, nil
 	}
 	return nil, fmt.Errorf("unit %d: unknown warm encoding %d", u.Index, kind)

@@ -2,11 +2,17 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/functional"
+	"repro/internal/mem"
 	"repro/internal/uarch"
 )
 
@@ -144,6 +150,105 @@ func FuzzDecodePartial(f *testing.F) {
 		for i, u := range rs.Units {
 			if u == nil {
 				t.Fatalf("decoded unit %d is nil", i)
+			}
+		}
+	})
+}
+
+// launchCopy is what a streamed unit handed its consumer: the header and
+// a copy of the launch state, which the reader rolls on afterwards.
+type launchCopy struct {
+	index, start, launchAt uint64
+	arch                   functional.ArchState
+	mem                    [sha256.Size]byte
+	warm                   *checkpoint.WarmState
+}
+
+func copyLaunch(u *checkpoint.Unit, l *checkpoint.Launch) launchCopy {
+	c := launchCopy{index: u.Index, start: u.Start, launchAt: u.LaunchAt, arch: u.Arch, mem: imageDigest(l.Mem)}
+	if l.Warm != nil {
+		c.warm = l.Warm.Clone()
+	}
+	return c
+}
+
+// readAll is a Store.Stream consumer that runs the read to its end on
+// the calling goroutine, handing every unit to take.
+func readAll(take func(*checkpoint.Unit, *checkpoint.Launch)) func(func(func(*checkpoint.Unit, *checkpoint.Launch) bool)) error {
+	return func(read func(emit func(*checkpoint.Unit, *checkpoint.Launch) bool)) error {
+		read(func(u *checkpoint.Unit, l *checkpoint.Launch) bool {
+			take(u, l)
+			return true
+		})
+		return nil
+	}
+}
+
+// imageDigest fingerprints an image's page numbers and contents.
+func imageDigest(img *mem.Image) [sha256.Size]byte {
+	h := sha256.New()
+	img.VisitPages(func(num uint64, data *[mem.PageSize]byte) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, num))
+		h.Write(data[:])
+	})
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// FuzzStreamedLoad installs mutated entries in a store and reads each
+// with both readers: Store.Load, which decodes the whole set before
+// anyone sees a unit, and Store.Stream, which hands out each unit's
+// launch state as it reads and rolls one Materializer over buffers it
+// reuses. They must agree: both miss, or both hit with the same units —
+// header, arch state, and materialized memory and warm state, unit by
+// unit — and the same sweep totals. Neither may panic.
+func FuzzStreamedLoad(f *testing.F) {
+	key, wire, partial, journaled := fuzzWire(f)
+	f.Add(wire)
+	f.Add(journaled)
+	f.Add(wire[:len(wire)/2])
+	f.Add(journaled[:len(journaled)-9])
+	f.Add(partial)
+	f.Add([]byte{})
+	store, err := checkpoint.OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(store.Dir(), key.Hash()+".ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		set, err := store.Load(key)
+		if err != nil {
+			t.Fatalf("Load of a readable entry failed: %v", err)
+		}
+		var streamed []launchCopy
+		sum, err := store.Stream(context.Background(), key, readAll(func(u *checkpoint.Unit, l *checkpoint.Launch) {
+			streamed = append(streamed, copyLaunch(u, l))
+		}))
+		if err != nil {
+			t.Fatalf("Stream of a readable entry failed: %v", err)
+		}
+		if (set == nil) != (sum == nil) {
+			t.Fatalf("Load hit %v, Stream hit %v", set != nil, sum != nil)
+		}
+		if set == nil {
+			return
+		}
+		if sum.Captured != len(set.Units) || len(streamed) != len(set.Units) ||
+			sum.PopulationUnits != set.PopulationUnits || sum.SweepInsts != set.SweepInsts || sum.SweepTime != set.SweepTime {
+			t.Fatalf("Stream read %d units (%d handed out), %d/%d/%v; Load %d units, %d/%d/%v",
+				sum.Captured, len(streamed), sum.PopulationUnits, sum.SweepInsts, sum.SweepTime,
+				len(set.Units), set.PopulationUnits, set.SweepInsts, set.SweepTime)
+		}
+		var m checkpoint.Materializer
+		for i, u := range set.Units {
+			l, err := m.Materialize(u)
+			if err != nil {
+				t.Fatalf("unit %d of a loaded set does not materialize: %v", i, err)
+			}
+			if got, want := streamed[i], copyLaunch(u, l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("unit %d: the streamed launch differs from the loaded one", i)
 			}
 		}
 	})

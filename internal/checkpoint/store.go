@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
@@ -238,7 +239,7 @@ type storeManifest struct {
 // readManifest decodes the length-prefixed gob manifest that follows
 // the file header.
 func readManifest(cr *codecReader) (*storeManifest, error) {
-	blob, err := cr.bytes()
+	blob, err := cr.bytes(nil)
 	if err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
@@ -253,38 +254,142 @@ func readManifest(cr *codecReader) (*storeManifest, error) {
 // usable entry (absent, format-version mismatch, key mismatch, or
 // corruption — all count as misses; corruption is logged). The returned
 // Set's SweepInsts/SweepTime echo the original sweep's cost; the caller
-// decides how to account for having skipped it.
+// decides how to account for having skipped it. Load is the reader for
+// sets that are kept — CaptureSet, a run with a MemCache attached, the
+// fleet coordinator — and decodes every unit before returning; a run
+// that replays a hit once and keeps nothing streams it instead
+// (Stream).
 //
 //simlint:noctx bounded single-file read; a hit is far cheaper than the sweep it replaces
 func (s *Store) Load(k Key) (*Set, error) {
-	path := s.path(k)
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			s.countHit(false)
-			s.Log("checkpoint store: miss %s (%s)", k.Hash(), k.Workload)
-			return nil, nil
-		}
-		return nil, fmt.Errorf("checkpoint: store load: %w", err)
+	f, err := s.open(k)
+	if f == nil || err != nil {
+		return nil, err
 	}
 	defer f.Close()
-
 	set, err := readSet(f, k)
+	if !s.settle(k, err, set, 0) {
+		return nil, nil
+	}
+	return set, nil
+}
+
+// Stream is the reader of a store hit that is replayed as it is read
+// and kept by no one. It opens the entry stored under k and calls replay
+// with read, the entry's unit stream; replay runs read once, on any
+// goroutine, and returns once it is done with everything read handed
+// out. read reads the entry record by record, rolls one Materializer
+// along the delta chain — each unit's deltas applied once, in stream
+// order, from buffers the next unit's decode overwrites — and calls
+// emit for every unit with a header-only Unit (Index, Start, LaunchAt,
+// Arch) and its launch state. The launch belongs to the reader and rolls
+// on when emit returns, so emit must be done reading it by then; the
+// header is the consumer's to keep. A false return from emit stops the
+// read.
+//
+// Units reach emit before the entry's seal has been checked, so the
+// consumer must hold back whatever it makes of them until Stream
+// returns a hit: a non-nil Summary (Captured units, the original
+// sweep's totals, Complete). The verdict is settled once, after replay
+// returns, so it does not depend on how far the read got by then: the
+// entry is a miss, counted and logged like Load's, when it is absent,
+// fails to decode or to seal, or replay returned an error (whatever
+// made it stop reading). A done ctx is returned, neither hit nor miss.
+func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit func(*Unit, *Launch) bool)) error) (*Summary, error) {
+	f, err := s.open(k)
+	if f == nil || err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var (
+		set     *Set
+		n       int
+		readErr = errors.New("entry not read")
+	)
+	replayErr := replay(func(emit func(*Unit, *Launch) bool) {
+		var (
+			m   Materializer
+			cr  *codecReader
+			man *storeManifest
+		)
+		if cr, man, readErr = readKeyed(f, k); readErr != nil {
+			return
+		}
+		set, _, readErr = scanRecords(cr, man, func(u *Unit) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			launch, err := m.advance(u)
+			if err != nil {
+				return err
+			}
+			if !emit(&Unit{Index: u.Index, Start: u.Start, LaunchAt: u.LaunchAt, Arch: u.Arch}, launch) {
+				return errors.New("consumer stopped before the seal")
+			}
+			n++
+			return nil
+		})
+	})
+	if err := ctx.Err(); err != nil && (replayErr != nil || readErr != nil) {
+		return nil, err
+	}
+	if replayErr != nil {
+		readErr = fmt.Errorf("replay: %w", replayErr)
+	}
+	if !s.settle(k, readErr, set, n) {
+		return nil, nil
+	}
+	return &Summary{
+		PopulationUnits: set.PopulationUnits,
+		SweepInsts:      set.SweepInsts,
+		SweepTime:       set.SweepTime,
+		Captured:        n,
+		Complete:        true,
+	}, nil
+}
+
+// open opens the entry stored under k for a read. An absent entry is a
+// miss, counted and logged here: a nil file with a nil error.
+func (s *Store) open(k Key) (*os.File, error) {
+	f, err := os.Open(s.path(k))
+	if os.IsNotExist(err) {
+		s.countHit(false)
+		s.Log("checkpoint store: miss %s (%s)", k.Hash(), k.Workload)
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: store read: %w", err)
+	}
+	return f, nil
+}
+
+// settle counts and logs the verdict on an entry that was read (Load,
+// Stream) and reports whether it is a hit: err, what made the entry
+// unusable, is a miss; a hit is marked used for MaxBytes eviction. set
+// is what the read decoded, holding its units (Load) or having handed
+// out streamed of them (Stream).
+func (s *Store) settle(k Key, err error, set *Set, streamed int) bool {
+	path := s.path(k)
 	if err != nil {
 		s.countHit(false)
 		s.Log("checkpoint store: discarding unusable entry %s: %v", filepath.Base(path), err)
-		return nil, nil
+		return false
 	}
 	s.countHit(true)
-	// Mark the entry used for MaxBytes eviction. Best-effort: when a
-	// read-only store or a concurrent eviction refuses, the hit stands.
+	s.touch(path, k)
+	s.Log("checkpoint store: hit %s (%s: %d units, %d sweep insts reused)",
+		k.Hash(), k.Workload, len(set.Units)+streamed, set.SweepInsts)
+	return true
+}
+
+// touch marks the entry at path used, for MaxBytes eviction.
+// Best-effort: when a read-only store or a concurrent eviction refuses,
+// the hit stands.
+func (s *Store) touch(path string, k Key) {
 	now := time.Now() //simlint:ordered LRU recency stamp; never read by the sweep
 	if err := os.Chtimes(path, now, now); err != nil {
 		s.Log("checkpoint store: recency of %s not updated: %v", k.Hash(), err)
 	}
-	s.Log("checkpoint store: hit %s (%s: %d units, %d sweep insts reused)",
-		k.Hash(), k.Workload, len(set.Units), set.SweepInsts)
-	return set, nil
 }
 
 // readHeader consumes the magic, version, and manifest of an entry or
@@ -332,7 +437,7 @@ func readSet(r io.Reader, k Key) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, _, err := scanRecords(cr, man)
+	set, _, err := scanRecords(cr, man, nil)
 	return set, err
 }
 
@@ -347,21 +452,31 @@ func readSet(r io.Reader, k Key) (*Set, error) {
 // keyframe ordinals, or records were lost or spliced — and must match
 // their CRC seal over the whole prefix, so nothing past a defect is
 // ever trusted.
-func scanRecords(cr *codecReader, man *storeManifest) (set *Set, last *ResumeState, err error) {
+//
+// With emit nil every unit is kept: the Set holds them and a frame's
+// state lists them. With emit set, each unit is handed to emit as it is
+// decoded and nothing is kept — the units are decoded into buffers the
+// next record overwrites (unitDecoder), the Set has no Units and no
+// frame state is built — and an error from emit stops the scan and is
+// returned as is. Either way a unit is checked against the plan the
+// manifest keys (plausible) before anyone sees it.
+func scanRecords(cr *codecReader, man *storeManifest, emit func(*Unit) error) (set *Set, last *ResumeState, err error) {
 	var (
-		pages     []*[mem.PageSize]byte
-		units     []*Unit
-		prev      *Unit     // previously decoded unit (the delta chain predecessor)
-		geom      warmGeom  // geometry established by the last keyframe
+		dec       unitDecoder
+		units     []*Unit   // the kept units (emit nil)
+		n         int       // units decoded
 		keyframes []uint64  // ordinals of keyframe units, for index validation
 		vals      [5]uint64 // a frame's or end record's scalar fields
 	)
+	if emit != nil {
+		dec.buf = newUnitBuf()
+	}
 	// sealed checks a frame or end record, whose fields are read up to its
 	// seal, against the decoded units, then reads and verifies the seal:
 	// the running sum is snapshot before the field itself is consumed.
 	sealed := func(captured uint64, keyIdx []uint64) error {
-		if captured != uint64(len(units)) {
-			return fmt.Errorf("record covers %d units, decoded %d", captured, len(units))
+		if captured != uint64(n) {
+			return fmt.Errorf("record covers %d units, decoded %d", captured, n)
 		}
 		if !slices.Equal(keyIdx, keyframes) {
 			return fmt.Errorf("keyframe index lists %d keyframes, decoded %d", len(keyIdx), len(keyframes))
@@ -391,51 +506,61 @@ func scanRecords(cr *codecReader, man *storeManifest) (set *Set, last *ResumeSta
 		}
 		switch tag {
 		case recPage:
-			page, err := cr.bytes()
+			page, err := cr.bytes(nil)
 			if err != nil {
 				return nil, last, err
 			}
 			if len(page) != mem.PageSize {
 				return nil, last, fmt.Errorf("page record of %d bytes", len(page))
 			}
-			pages = append(pages, (*[mem.PageSize]byte)(page))
+			dec.pages = append(dec.pages, (*[mem.PageSize]byte)(page))
 		case recUnit:
-			u, err := cr.unit(pages, prev, &geom)
+			u, err := dec.unit(cr)
 			if err != nil {
+				return nil, last, err
+			}
+			if err := man.Key.plausible(u); err != nil {
 				return nil, last, err
 			}
 			// The keyframe index lists full-snapshot units: memory
 			// keyframes (warm state keyframes with them).
 			if u.Mem != nil {
-				keyframes = append(keyframes, uint64(len(units)))
+				keyframes = append(keyframes, uint64(n))
 			}
-			prev = u
-			units = append(units, u)
+			dec.prev = u
+			n++
+			if emit == nil {
+				units = append(units, u)
+			} else if err := emit(u); err != nil {
+				return nil, last, err
+			}
 		case recFrame:
 			// Captured, sweep position, sweep time, fetch-block flag and
 			// block, then the keyframe ordinals so far (setEncoder.frame).
 			if err := readVals(5); err != nil {
 				return nil, last, err
 			}
-			keyIdx, err := cr.u64s()
+			keyIdx, err := cr.u64s(nil)
 			if err != nil {
 				return nil, last, err
 			}
 			if err := sealed(vals[0], keyIdx); err != nil {
 				return nil, last, fmt.Errorf("frame: %w", err)
 			}
-			last = &ResumeState{
-				Units:           units[:len(units):len(units)],
-				PopulationUnits: man.PopulationUnits,
-				SweepInsts:      vals[1],
-				SweepTime:       time.Duration(int64(vals[2])),
-				HaveIBlock:      vals[3] != 0,
-				LastIBlock:      vals[4],
+			if emit == nil {
+				last = &ResumeState{
+					Units:           units[:len(units):len(units)],
+					PopulationUnits: man.PopulationUnits,
+					SweepInsts:      vals[1],
+					SweepTime:       time.Duration(int64(vals[2])),
+					HaveIBlock:      vals[3] != 0,
+					LastIBlock:      vals[4],
+				}
 			}
 		case recKeyIdx:
 			// The keyframe index, then the end record: its tag, the unit
 			// count and the sweep totals (setEncoder.finish).
-			keyIdx, err := cr.u64s()
+			keyIdx, err := cr.u64s(nil)
 			if err != nil {
 				return nil, last, err
 			}
@@ -459,6 +584,21 @@ func scanRecords(cr *codecReader, man *storeManifest) (set *Set, last *ResumeSta
 			return nil, last, fmt.Errorf("unknown record tag %d", tag)
 		}
 	}
+}
+
+// plausible checks a decoded unit's stream positions against the plan
+// the entry is keyed by: the unit starts at its index times U, and its
+// launch point lies at most W before that. The seal catches any
+// corruption in the end; this check bounds what an unverified unit can
+// cost a reader that replays units before the seal arrives (Stream) —
+// a detailed warming run of W instructions at most, not of the rest of
+// the program.
+func (k Key) plausible(u *Unit) error {
+	if u.Start != u.Index*k.U || u.LaunchAt > u.Start || u.WarmLen() > k.W {
+		return fmt.Errorf("unit %d: start %d and launch %d do not fit the plan (U=%d, W=%d)",
+			u.Index, u.Start, u.LaunchAt, k.U, k.W)
+	}
+	return nil
 }
 
 // setEncoder writes one entry's byte stream (header, manifest, page and

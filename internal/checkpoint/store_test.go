@@ -1,6 +1,7 @@
 package checkpoint_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -331,6 +332,64 @@ func TestStoreCorruptDeltaChains(t *testing.T) {
 	}
 	for i := range set.Units {
 		unitsEqual(t, "post-sweep", loaded.Units[i], set.Units[i])
+	}
+}
+
+// TestStreamStopsAtImplausibleUnit pins the check Stream makes before
+// it hands a unit out ahead of the seal: the unit's stream positions
+// must fit the plan the entry is keyed by. A unit whose start is
+// corrupt — a replay from it could run the rest of the program in
+// detail — is never handed to the consumer; the read stops there and
+// misses, and Load rejects the entry the same way.
+func TestStreamStopsAtImplausibleUnit(t *testing.T) {
+	p := genProg(t, "gccx", 200_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 1000, K: 8, FunctionalWarm: true, Keyframe: 4}
+	set := capture(t, p, cfg, params)
+	const bad = 7
+	if len(set.Units) <= bad {
+		t.Fatalf("want more than %d units, got %d", bad, len(set.Units))
+	}
+	store, err := checkpoint.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := checkpoint.KeyFor(p, cfg, params)
+	if err := store.Save(key, set); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(store.Dir(), key.Hash()+".ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The unit's record: its tag, index, start and launch point.
+	u := set.Units[bad]
+	var head [32]byte
+	for i, v := range []uint64{2, u.Index, u.Start, u.LaunchAt} {
+		binary.LittleEndian.PutUint64(head[8*i:], v)
+	}
+	off := bytes.Index(data, head[:])
+	if off < 0 {
+		t.Fatalf("unit %d's record not found", bad)
+	}
+	binary.LittleEndian.PutUint64(data[off+16:], u.Start+1<<40)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	handed := 0
+	sum, err := store.Stream(context.Background(), key, readAll(func(*checkpoint.Unit, *checkpoint.Launch) {
+		handed++
+	}))
+	if err != nil || sum != nil {
+		t.Fatalf("Stream of a corrupt entry: (%v, %v), want a miss", sum, err)
+	}
+	if handed != bad {
+		t.Fatalf("Stream handed out %d units, want the %d before the corrupt one", handed, bad)
+	}
+	if got, err := store.Load(key); err != nil || got != nil {
+		t.Fatalf("Load of a corrupt entry: (set=%v, %v), want a miss", got != nil, err)
 	}
 }
 

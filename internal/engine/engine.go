@@ -11,7 +11,23 @@
 // warm): checkpoint.CaptureStream interprets on one goroutine and warms
 // on the one Sweep calls it from. With a checkpoint store attached
 // (Options.Store), a workload's sweep is paid once and later runs skip
-// it entirely, loading launch states from disk.
+// it entirely, reading launch states from disk. A store hit is a
+// producer like the sweep: the entry's reader (checkpoint.Store.Stream)
+// feeds the pool as it reads, so a hit costs max(read, replay/workers),
+// not the read and then the replay.
+//
+// Who rolls a unit's deltas into its launch state depends on the
+// producer. A store hit's reader does it, once per unit in stream
+// order, with the run's one Materializer, and hands each worker the
+// finished launch state to restore from; the reader waits for that
+// restore before it rolls on, which costs it little because reading is
+// all it does. A live sweep does not: it hands out bare units and every
+// worker rolls its own Materializer, applying the deltas since its
+// previous unit. Materializing on the sweep goroutine with the reader's
+// hand-off stalled the sweep on every restore — measured on the 2-core
+// reference box, replay-dense 5–40 % and replay-membound 17–24 % slower
+// — because the sweep has warming to do between units and the reader
+// has not.
 //
 // The max(sweep, replay/workers) bound holds only because no two of
 // these goroutines write the same cache line. Each writes its own
@@ -42,16 +58,18 @@
 // one copy of the warm arrays into the machine — not a new machine and
 // a from-keyframe materialization — while its measurement stays a pure
 // function of its checkpoint. Run feeds the pool from the streaming
-// sweep or a loaded Set, RunSet from a caller's Set, ReplayRange — the
-// distributed worker's entry point — from a [lo, hi) slice of one. The
-// Merger is the stream-order fold (partial-unit cut, accounting); Run
-// and RunSet use it locally and the distributed coordinator uses the
-// same type for shard streams and run-journal replay. The acquisition
-// (lookup, then acquire) is cache, then store, then a fresh Sweep
-// streamed into the store and retained for the cache: Run attaches the
-// pool to it; CaptureSet, for callers that must hold every launch state
-// before replaying (the multi-offset path and the distributed
-// coordinator), does not, and nothing else differs.
+// sweep, a streamed store entry or a cached Set, RunSet from a caller's
+// Set, ReplayRange — the distributed worker's entry point — from a
+// [lo, hi) slice of one. The Merger is the stream-order fold
+// (partial-unit cut, accounting); Run and RunSet use it locally and the
+// distributed coordinator uses the same type for shard streams and
+// run-journal replay. The acquisition (lookup, then acquire) is cache,
+// then store, then a fresh Sweep streamed into the store and retained
+// for the cache: Run attaches the pool to it, and streams a store hit
+// that nothing will keep (no cache attached) straight into the pool;
+// CaptureSet, for callers that must hold every launch state before
+// replaying (the multi-offset path and the distributed coordinator),
+// does not, and nothing else differs.
 //
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint and there is one fold, results are bit-identical for any
@@ -118,15 +136,20 @@ type Options struct {
 	// with the cumulative captured-unit count each time the sweep hands
 	// over a launch snapshot — under Run and CaptureSet alike, the units
 	// of a resumed journal included — and once with the total when the
-	// whole set arrives at once (a store or cache hit). Called from the
-	// sweep goroutine; callbacks must be fast and may not block on the
-	// engine.
+	// whole set arrives at once (a store or cache hit; a streamed store
+	// hit reports its total once the entry's seal has verified, never
+	// for an entry that fails it). Called from the sweep goroutine;
+	// callbacks must be fast and may not block on the engine.
 	OnCaptured func(captured int)
 	// OnReplayed, when non-nil, observes replay progress: it is called
 	// each time the deterministic stream-order prefix grows, with the
 	// folded unit count and the current CPI estimate over that prefix.
-	// Called from the goroutine that called Run, never concurrently
-	// with itself (but possibly concurrently with OnCaptured).
+	// A streamed store hit replays units before the entry's seal is
+	// checked and folds them only after it verifies, so it reports its
+	// whole prefix then, in a burst, and gives no estimate from an
+	// unverified entry. Called from the goroutine that called Run,
+	// never concurrently with itself (but possibly concurrently with
+	// OnCaptured).
 	OnReplayed func(replayed int, est stats.Estimate)
 }
 
@@ -211,15 +234,13 @@ func (o Options) captured(n int) {
 	}
 }
 
-// lookup resolves p to its effective capture parameters and key
-// (SweepKey) and consults the in-memory cache, then the store, for a
-// complete sweep under that key; a store hit is put into the cache. A
-// nil set is a miss.
-func lookup(prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (eff checkpoint.Params, key checkpoint.Key, set *checkpoint.Set, err error) {
-	eff, key = opt.SweepKey(prog, cfg, p)
+// lookup consults the in-memory cache, then the store, for a complete
+// sweep under key, for a caller that keeps the set; a store hit is put
+// into the cache. A nil set is a miss.
+func lookup(key checkpoint.Key, opt Options) (set *checkpoint.Set, err error) {
 	if opt.Cache != nil {
 		if set = opt.Cache.Get(key); set != nil {
-			return eff, key, set, nil
+			return set, nil
 		}
 	}
 	if opt.Store != nil {
@@ -227,12 +248,13 @@ func lookup(prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Op
 			opt.Cache.Put(key, set)
 		}
 	}
-	return eff, key, set, err
+	return set, err
 }
 
-// Run executes the plan described by p: launch states are loaded from
-// the store or the cache when possible, captured by a streaming sweep
-// otherwise, and replayed across the worker pool.
+// Run executes the plan described by p: launch states come from the
+// cache or the store when possible — a store hit with no cache attached
+// is replayed as the entry is read (replayEntry) — are captured by a
+// streaming sweep otherwise, and are replayed across the worker pool.
 //
 // ctx cancels the whole pipeline: the sweep stops at its next chunk
 // boundary, workers finish only their in-flight unit, and Run returns
@@ -256,7 +278,15 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 	}
 	start := wallclock.Now()
 
-	p, key, set, err := lookup(prog, cfg, p, opt)
+	p, key := opt.SweepKey(prog, cfg, p)
+	if opt.Cache == nil && opt.Store != nil {
+		// Nothing will keep the set: stream the entry into the pool.
+		if res, err := replayEntry(ctx, prog, cfg, p.U, key, opt, start); res != nil || err != nil {
+			return res, err
+		}
+		return replayStreaming(ctx, prog, cfg, p, key, opt, start)
+	}
+	set, err := lookup(key, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -268,6 +298,47 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 	if err != nil {
 		return nil, err
 	}
+	res.SweepCached = true
+	return res, nil
+}
+
+// replayEntry replays a store hit as the entry is read: the store's
+// reader (Store.Stream) is the pool's producer, as the sweep is on a
+// miss, so the run costs max(read, replay/workers) instead of their
+// sum. The reader rolls the run's one Materializer and hands each worker
+// the unit's launch state, so every delta is applied once, not once per
+// worker. Results are held back until the entry's seal verifies and
+// only then folded, so nothing from an unverified entry reaches the
+// Merger, OnCaptured or OnReplayed. A nil Result with a nil error is a
+// miss — the entry is absent or unusable, or a replay failed, however
+// far the read had got — which the store has counted and logged; the
+// caller then sweeps, and the sweep rewrites the entry.
+func replayEntry(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, key checkpoint.Key, opt Options, start time.Time) (*Result, error) {
+	var held []RangeUnit
+	sum, err := opt.Store.Stream(ctx, key, func(read func(emit func(*checkpoint.Unit, *checkpoint.Launch) bool)) error {
+		return replayStream(ctx, prog, cfg, u, opt.workers(), 0, read, func(ru RangeUnit) bool {
+			held = append(held, ru)
+			return true
+		})
+	})
+	if sum == nil || err != nil {
+		return nil, err
+	}
+	opt.captured(sum.Captured)
+	m := NewMerger(u, opt, len(held))
+	for _, ru := range held {
+		// A cancel observed while folding (an OnReplayed callback may be
+		// the canceller) ends the run as it would mid-replay.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		m.Offer(ru)
+	}
+	res := m.Finish()
+	res.PopulationUnits = sum.PopulationUnits
+	res.SweepInsts = sum.SweepInsts
+	res.SweepTime = sum.SweepTime
+	res.WallTime = wallclock.Since(start)
 	res.SweepCached = true
 	return res, nil
 }
@@ -286,8 +357,8 @@ func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p 
 	if err := p.Validate(); err != nil {
 		return nil, 0, false, err
 	}
-	p, key, set, err := lookup(prog, cfg, p, opt)
-	if err != nil {
+	p, key := opt.SweepKey(prog, cfg, p)
+	if set, err = lookup(key, opt); err != nil {
 		return nil, 0, false, err
 	}
 	if set != nil {
@@ -398,8 +469,8 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 	var sum *checkpoint.Summary
 	var sweepErr error
 	m := NewMerger(p.U, opt, 0)
-	err := replayStream(ctx, prog, cfg, p.U, opt.workers(), 0, func(send func(*checkpoint.Unit) bool) {
-		_, sum, sweepErr = acquire(ctx, prog, cfg, p, key, opt, send)
+	err := replayStream(ctx, prog, cfg, p.U, opt.workers(), 0, func(send func(*checkpoint.Unit, *checkpoint.Launch) bool) {
+		_, sum, sweepErr = acquire(ctx, prog, cfg, p, key, opt, func(cu *checkpoint.Unit) bool { return send(cu, nil) })
 	}, m.deliver)
 	if err != nil {
 		return nil, err

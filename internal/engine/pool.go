@@ -40,10 +40,18 @@ type RangeUnit struct {
 const streamBuffer = 4
 
 // replayStream is the engine's one worker pool, under every schedule:
-// produce emits the unit stream through send (a streaming sweep, or a
-// slice of a captured Set — see replayUnits), nw workers replay the
-// units, and deliver receives every result in ascending Seq order
-// starting at base, whatever order the workers finish in.
+// produce emits the unit stream through send (a streaming sweep, a
+// slice of a captured Set — see replayUnits — or a store entry as it is
+// read), nw workers replay the units, and deliver receives every result
+// in ascending Seq order starting at base, whatever order the workers
+// finish in.
+//
+// A unit sent with a nil launch is materialized by the worker that
+// takes it, from its own rolling state. A unit sent with a launch state
+// (a streamed store hit, whose reader rolls the run's one Materializer)
+// is restored from that state, and send returns only once a worker has
+// restored its machine from it — so the producer may roll the state on
+// when send returns — or once the pool is winding down.
 //
 // The pool winds down — send returns false, nothing more is delivered,
 // workers finish only their in-flight unit — once the outcome can no
@@ -51,10 +59,11 @@ const streamBuffer = 4
 // a replay failed (its error), or ctx was cancelled (ctx.Err()). It
 // returns after produce and every worker have.
 func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, nw, base int,
-	produce func(send func(*checkpoint.Unit) bool), deliver func(RangeUnit) bool) error {
+	produce func(send func(*checkpoint.Unit, *checkpoint.Launch) bool), deliver func(RangeUnit) bool) error {
 	type job struct {
-		seq  int
-		unit *checkpoint.Unit
+		seq    int
+		unit   *checkpoint.Unit
+		launch *checkpoint.Launch
 	}
 	type result struct {
 		RangeUnit
@@ -65,6 +74,9 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 	}
 	feed := make(chan job, streamBuffer)
 	done := make(chan result, nw)
+	// At most one producer-built launch is out at a time (send waits for
+	// it), so a worker's release never blocks.
+	released := make(chan struct{}, 1)
 	quit := make(chan struct{})
 	var quitOnce sync.Once
 	stop := func() { quitOnce.Do(func() { close(quit) }) }
@@ -75,10 +87,18 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 		defer close(produced)
 		defer close(feed)
 		seq := base
-		produce(func(cu *checkpoint.Unit) bool {
+		produce(func(cu *checkpoint.Unit, launch *checkpoint.Launch) bool {
 			select {
-			case feed <- job{seq, cu}:
+			case feed <- job{seq, cu, launch}:
 				seq++
+			case <-quit:
+				return false
+			}
+			if launch == nil {
+				return true
+			}
+			select {
+			case <-released:
 				return true
 			case <-quit:
 				return false
@@ -91,14 +111,30 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := newLauncher(prog, cfg, u) // this worker's, for the pool's lifetime
+			// This worker's launch context, for the pool's lifetime, built
+			// on its first unit: a pool whose producer has nothing to send
+			// (a store miss) builds no machine.
+			var l *launcher
 			for j := range feed {
 				select {
 				case <-quit:
+					if j.launch != nil {
+						released <- struct{}{}
+					}
 					return
 				default:
 				}
-				ru, err := l.replay(j.unit)
+				if l == nil {
+					l = newLauncher(prog, cfg, u)
+				}
+				err := l.launch(j.unit, j.launch)
+				if j.launch != nil {
+					released <- struct{}{} // the producer's state may roll on
+				}
+				var ru RangeUnit
+				if err == nil {
+					ru, err = l.measure(j.unit)
+				}
 				ru.Seq = j.seq
 				done <- result{ru, err}
 			}
@@ -158,9 +194,9 @@ func replayUnits(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 		workers = len(units)
 	}
 	units = append([]*checkpoint.Unit(nil), units...)
-	return replayStream(ctx, prog, cfg, u, workers, base, func(send func(*checkpoint.Unit) bool) {
+	return replayStream(ctx, prog, cfg, u, workers, base, func(send func(*checkpoint.Unit, *checkpoint.Launch) bool) {
 		for i, cu := range units {
-			if !send(cu) {
+			if !send(cu, nil) {
 				return
 			}
 			units[i] = nil
@@ -217,6 +253,8 @@ func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 // costs those deltas plus one copy of the warm arrays into the machine
 // — no per-unit constant beyond that, which is what the paper's cost
 // model (n·(U+W) detailed instructions, nothing per launch) assumes.
+// When the producer builds the launch state itself (a streamed store
+// hit), the worker's own rolling state stays unused.
 type launcher struct {
 	_       cacheline.Pad
 	prog    *program.Program
@@ -235,38 +273,48 @@ func newLauncher(prog *program.Program, cfg uarch.Config, u uint64) *launcher {
 	return &launcher{prog: prog, u: u, machine: machine, core: uarch.NewCore(machine), mem: mem.New()}
 }
 
-// replay runs one unit's detailed warming + measurement from its
-// checkpoint. The reset contract: a unit's measurement is a pure
-// function of its checkpoint, so everything a previous unit could have
-// left behind — the energy meter's floating-point total, the cycle
-// counter, cache/TLB/BTB LRU clocks, return-stack contents, statistics,
-// pipeline buffers, privately copied memory pages — is returned to
-// exactly its as-constructed state (Machine.Reset, Core.Reset,
-// Memory.Restore) before the unit's warm state is restored over it. A
-// cold-capture unit therefore launches from the constructed cold state,
-// and CPI and EPI carry the same bits as a machine built for the unit
-// alone. The rolling launch state stays pristine: the machine gets a
-// copy, the memory shares pages copy-on-write, and shared Units are
-// only read — safe at any worker count.
-func (l *launcher) replay(cu *checkpoint.Unit) (RangeUnit, error) {
-	launch, err := l.mat.Materialize(cu)
-	if err != nil {
-		return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
+// launch restores the machine for one unit's detailed warming and
+// measurement from its checkpoint: from pre, the unit's launch state
+// built by the pool's producer, when it is non-nil (launch only reads
+// it), else from the worker's own rolling state. The reset contract: a
+// unit's measurement is a pure function of its checkpoint, so
+// everything a previous unit could have left behind — the energy
+// meter's floating-point total, the cycle counter, cache/TLB/BTB LRU
+// clocks, return-stack contents, statistics, pipeline buffers,
+// privately copied memory pages — is returned to exactly its
+// as-constructed state (Machine.Reset, Core.Reset, Memory.Restore)
+// before the unit's warm state is restored over it. A cold-capture unit
+// therefore launches from the constructed cold state, and CPI and EPI
+// carry the same bits as a machine built for the unit alone. The launch
+// state stays pristine: the machine gets a copy, the memory shares
+// pages copy-on-write, and shared Units are only read — safe at any
+// worker count.
+func (l *launcher) launch(cu *checkpoint.Unit, pre *checkpoint.Launch) error {
+	launch := pre
+	if launch == nil {
+		var err error
+		if launch, err = l.mat.Materialize(cu); err != nil {
+			return fmt.Errorf("engine: unit %d: %w", cu.Index, err)
+		}
 	}
 	l.machine.Reset()
 	if launch.Warm != nil {
 		if err := l.machine.Hier.Restore(launch.Warm.Hier); err != nil {
-			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
+			return fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}
 		if err := l.machine.Pred.Restore(launch.Warm.Pred); err != nil {
-			return RangeUnit{}, fmt.Errorf("engine: unit %d: %w", cu.Index, err)
+			return fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}
 	}
 	l.mem.Restore(launch.Mem)
 	l.cpu = *functional.NewAt(l.prog, cu.Arch, l.mem)
 	l.src = uarch.Source{CPU: &l.cpu}
 	l.core.Reset()
+	return nil
+}
 
+// measure runs the launched unit's detailed warming and measurement.
+func (l *launcher) measure(cu *checkpoint.Unit) (RangeUnit, error) {
 	w, u := cu.WarmLen(), l.u
 	marks := [2]uarch.Mark{{At: w}, {At: w + u}}
 	start := wallclock.Now()
