@@ -205,6 +205,14 @@
 //     carry //simlint:unpadded <reason> — so a replay worker never
 //     shares a cache line with another worker or with the sweep, and
 //     wall clock stays max(sweep, replay/workers) (internal/cacheline).
+//   - immutable: a struct annotated //simlint:immutable
+//     (program.Program) is never written outside its own package — no
+//     field or element assignment, no &field, no copy/append/clear into
+//     one — and never copied by value. A Program derives its store-key
+//     digest, its initial memory image (which every CPU shares
+//     copy-on-write) and its predecoded code once, on first use; a
+//     write after that would leave them stale, and a by-value copy
+//     would carry a stale memo (go vet's copylocks rejects that too).
 //
 // Suppressions are never bare: //simlint:coldpath, ordered, noctx,
 // nonkey, discard, and unpadded all require a reason string, and a

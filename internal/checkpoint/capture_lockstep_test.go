@@ -176,13 +176,16 @@ func faultingProgram() *program.Program {
 	return &program.Program{Name: "fault", Code: code, Length: 60_000}
 }
 
-// overlong returns a copy of prog whose Length claims half as much again
-// as it runs: the plan's later boundaries lie past the Halt, so the
-// sweep ends mid-gap.
-func overlong(prog *program.Program) *program.Program {
-	p := *prog
-	p.Length = prog.Length * 3 / 2
-	return &p
+// overlong returns a program with prog's code and image whose Length
+// claims half as much again as it runs: the plan's later boundaries lie
+// past the Halt, so the sweep ends mid-gap.
+func overlong(tb testing.TB, prog *program.Program) *program.Program {
+	tb.Helper()
+	p, err := program.New(prog.Name, prog.Code, prog.Segs, prog.Entry, prog.Length*3/2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 // journalOf is the resume state an interrupted run of p would have
@@ -231,8 +234,8 @@ func TestCaptureMatchesSerialOracle(t *testing.T) {
 		{name: "multi-offset", prog: gcc, p: with(func(p *checkpoint.Params) { p.Offsets = []uint64{0, 1, 7} })},
 		{name: "multi-offset cold", prog: mcf, p: with(func(p *checkpoint.Params) { p.Offsets, p.FunctionalWarm = []uint64{2, 3}, false })},
 		{name: "max units", prog: gcc, p: with(func(p *checkpoint.Params) { p.MaxUnits = 5 })},
-		{name: "halts mid-gap", prog: overlong(gcc), p: warm},
-		{name: "halts mid-gap, cold", prog: overlong(mcf), p: with(func(p *checkpoint.Params) { p.FunctionalWarm = false })},
+		{name: "halts mid-gap", prog: overlong(t, gcc), p: warm},
+		{name: "halts mid-gap, cold", prog: overlong(t, mcf), p: with(func(p *checkpoint.Params) { p.FunctionalWarm = false })},
 		{name: "faults mid-gap", prog: faultingProgram(), p: with(func(p *checkpoint.Params) { p.U, p.W, p.K = 100, 50, 3 })},
 		{name: "faults mid-gap, cold", prog: faultingProgram(), p: with(func(p *checkpoint.Params) { p.U, p.W, p.K, p.FunctionalWarm = 100, 0, 3, false })},
 		{name: "I-cache only", prog: gcc, p: with(func(p *checkpoint.Params) { p.Components = icache })},
@@ -327,7 +330,7 @@ func FuzzCaptureLockstep(f *testing.F) {
 		flags := next()
 		p.FunctionalWarm = flags&1 != 0
 		if flags&2 != 0 {
-			prog = overlong(prog)
+			prog = overlong(t, prog)
 		}
 		if flags&0x80 != 0 {
 			p.Components = &uarch.WarmComponents{ICache: flags&4 != 0, DCache: flags&8 != 0, Predictor: flags&16 != 0}

@@ -135,15 +135,11 @@ func WarmSignature(cfg uarch.Config) string {
 		cfg.BPred.BTBSets, cfg.BPred.BTBWays, cfg.BPred.RASEntries)
 }
 
-// programHash fingerprints the program via its canonical serialization.
+// programHash fingerprints the program via its canonical serialization
+// (Program.Digest, hashed once per program).
 func programHash(prog *program.Program) string {
-	h := sha256.New()
-	if err := prog.Save(h); err != nil {
-		// Save into a hash cannot fail for a valid program; fall back to
-		// a name-only fingerprint that still keys distinct workloads.
-		return "unsaved:" + prog.Name
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	d := prog.Digest()
+	return hex.EncodeToString(d[:])[:16]
 }
 
 // String renders the canonical key text the content address is derived

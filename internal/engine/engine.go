@@ -212,8 +212,9 @@ type Result struct {
 // the store/cache key of that sweep. Keyframe changes only the
 // encoding, so no option reaches the key: every schedule of a plan
 // shares one sweep. key is the zero Key when neither a Store nor a
-// Cache is attached: nothing is looked up then, and hashing the whole
-// program would be wasted. Run and CaptureSet look sweeps up under
+// Cache is attached: nothing is looked up under it then. Deriving a key
+// is cheap after a program's first: the program hash is memoized on the
+// Program (Program.Digest). Run and CaptureSet look sweeps up under
 // exactly this key, and a caller that deduplicates sweeps ahead of the
 // engine (the sim session's singleflight) keys on it too, so the two
 // cannot disagree.

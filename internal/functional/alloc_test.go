@@ -1,6 +1,7 @@
 package functional_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/functional"
@@ -61,6 +62,49 @@ func TestRunDynZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("functional.RunDyn allocates %.4f objects per batch; want 0", allocs)
+	}
+}
+
+// TestNewSharesImageAlloc pins what starting a CPU costs once the
+// program's image exists: a page table over the image's pages, not a
+// copy of the program's data.
+func TestNewSharesImageAlloc(t *testing.T) {
+	p := loopProg(t, 100_000)
+	functional.New(p) // builds the program's image and predecoded code
+	const n = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		functional.New(p)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	if limit := p.DataBytes() / 8; per > limit {
+		t.Fatalf("functional.New allocates %d bytes per CPU, want under %d (an eighth of the %d-byte data image)",
+			per, limit, p.DataBytes())
+	}
+}
+
+// TestNewAtAllocFree pins the launch form the replay engine uses once
+// per unit (cpu = *functional.NewAt(...), into a CPU it owns) to zero
+// heap allocations: NewAt must stay small enough to inline, or its CPU
+// escapes and every unit launch allocates one.
+func TestNewAtAllocFree(t *testing.T) {
+	p := loopProg(t, 100_000)
+	src := functional.New(p)
+	if _, err := src.Run(1_000); err != nil {
+		t.Fatal(err)
+	}
+	st, m := src.Arch(), src.Mem
+	var cpu functional.CPU
+	allocs := testing.AllocsPerRun(100, func() {
+		cpu = *functional.NewAt(p, st, m)
+	})
+	if allocs != 0 {
+		t.Fatalf("relaunching a CPU with NewAt allocates %.1f objects, want 0", allocs)
+	}
+	if cpu.PC != st.PC || cpu.Count != st.Count {
+		t.Fatalf("relaunched CPU at PC %d count %d, want %d, %d", cpu.PC, cpu.Count, st.PC, st.Count)
 	}
 }
 

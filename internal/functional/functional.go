@@ -76,9 +76,10 @@ type CPU struct {
 	// code caches Prog.Code so the Step hot loop fetches through one
 	// slice header instead of two pointer dereferences per instruction.
 	code []isa.Inst
-	// dec is the pre-decoded code the RunDyn batch loop executes from,
-	// built lazily on first use so CPUs that only Step (the detailed
-	// model's oracle source) never pay the decode pass.
+	// dec is the pre-decoded code the RunDyn batch loop executes from:
+	// the program's (Prog.Predecoded, shared by every CPU running it),
+	// fetched on first use so New and NewAt stay small enough to inline
+	// and a CPU built per replayed unit stays off the heap.
 	dec []isa.DecInst
 
 	_ cacheline.Pad
@@ -87,9 +88,11 @@ type CPU struct {
 // ErrHalted is returned by Step after the program has halted.
 var ErrHalted = fmt.Errorf("functional: program halted")
 
-// New creates a CPU at the program entry with a fresh memory image.
+// New creates a CPU at the program entry. Its memory starts as the
+// program's initial image, sharing the image's pages copy-on-write: the
+// CPU's writes stay private and the image stays pristine.
 func New(p *program.Program) *CPU {
-	return &CPU{Prog: p, Mem: p.NewMemory(), PC: p.Entry, code: p.Code}
+	return &CPU{Prog: p, Mem: p.Image().NewMemory(), PC: p.Entry, code: p.Code}
 }
 
 // reg reads a register, honoring the hardwired zero.
@@ -279,8 +282,8 @@ func (c *CPU) RunDyn(ring []DynRec, max uint64) (uint64, error) {
 		return 0, nil
 	}
 	if c.dec == nil {
-		//simlint:coldpath one-time lazy predecode per CPU
-		c.dec = isa.Predecode(c.code)
+		//simlint:coldpath once per CPU: the program's memoized predecode
+		c.dec = c.Prog.Predecoded()
 	}
 	if len(ring) > 0 && uint64(len(ring)) < max {
 		max = uint64(len(ring))

@@ -18,10 +18,12 @@ import (
 //	//simlint:nowrap <reason>
 //	//simlint:discard <reason>
 //	//simlint:unpadded <reason>
+//	//simlint:immutable
 //
-// Every suppression verb requires a reason string; hotpath marks an
-// obligation rather than a suppression and takes none; keystruct
-// names the key-hash function(s) its struct must be covered by.
+// Every suppression verb requires a reason string; hotpath and
+// immutable mark an obligation rather than a suppression and take
+// none; keystruct names the key-hash function(s) its struct must be
+// covered by.
 type Directive struct {
 	Verb string
 	// Args is the remainder after the verb: a reason string, or for
@@ -36,7 +38,7 @@ const directivePrefix = "//simlint:"
 // reasonRequired reports whether the verb demands a non-empty reason.
 func reasonRequired(verb string) bool {
 	switch verb {
-	case "hotpath", "keystruct":
+	case "hotpath", "keystruct", "immutable":
 		return false
 	}
 	return true
@@ -44,7 +46,7 @@ func reasonRequired(verb string) bool {
 
 func knownVerb(verb string) bool {
 	switch verb {
-	case "hotpath", "coldpath", "ordered", "noctx", "nonkey", "keystruct", "nowrap", "discard", "unpadded":
+	case "hotpath", "coldpath", "ordered", "noctx", "nonkey", "keystruct", "nowrap", "discard", "unpadded", "immutable":
 		return true
 	}
 	return false

@@ -30,6 +30,11 @@
 //     method must start and end with a cacheline.Pad field or carry a
 //     //simlint:unpadded reason, so no two simulation goroutines'
 //     hot structs share a cache line.
+//   - immutable: outside its own package, a struct annotated
+//     //simlint:immutable (program.Program, which memoizes what it
+//     derives from its fields) is never written — no field or element
+//     assignment, no &field, no copy/append into one — and never
+//     copied by value.
 //
 // The suite is stdlib-only: packages are parsed with go/parser and
 // type-checked with go/types using the source importer, so the module
@@ -392,6 +397,7 @@ var Analyzers = []*Analyzer{
 	{Name: "storekey", Run: runStorekey},
 	{Name: "errwrap", Run: runErrwrap},
 	{Name: "padding", Run: runPadding},
+	{Name: "immutable", Run: runImmutable},
 }
 
 // Run loads the module around cfg.Dir and applies the full analyzer

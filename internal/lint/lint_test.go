@@ -124,7 +124,7 @@ func TestPerAnalyzerFires(t *testing.T) {
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
 	}
-	for _, a := range []string{"determinism", "hotpath", "ctx", "storekey", "errwrap", "directive", "padding"} {
+	for _, a := range []string{"determinism", "hotpath", "ctx", "storekey", "errwrap", "directive", "padding", "immutable"} {
 		if byAnalyzer[a] == 0 {
 			t.Errorf("analyzer %s produced no diagnostics on its seed package", a)
 		}

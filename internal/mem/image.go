@@ -12,7 +12,8 @@ import (
 // copy-on-write in Memory keeps each view isolated. Images are safe for
 // concurrent use: NewMemory may be called from many goroutines at once,
 // which is how the parallel sampling engine hands one checkpointed
-// memory state to each worker.
+// memory state to each worker, and how every CPU starts from its
+// program's initial image (program.Program.Image).
 //
 //simlint:unpadded a launch-state snapshot: its hot methods fill the page map it points to, once per unit launch
 type Image struct {

@@ -76,17 +76,7 @@ func (a *asm) finish(entry uint64) (*Program, error) {
 		}
 		a.code[f.pos].Target = tgt
 	}
-	p := &Program{
-		Name:   a.name,
-		Code:   a.code,
-		Segs:   a.segs,
-		Entry:  entry,
-		Length: a.dyn,
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return New(a.name, a.code, a.segs, entry, a.dyn)
 }
 
 // alloc reserves size bytes in the data image, aligned to align (a power

@@ -11,9 +11,11 @@
 package program
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -27,6 +29,16 @@ type Segment struct {
 
 // Program is a complete executable workload: code, initial memory image,
 // and metadata.
+//
+// A Program is immutable once built (by Generate, Load, New or a
+// composite literal): it derives its Digest, Image and Predecoded code
+// once, on first use, and every later caller shares them, so a write to
+// a field or to an element of one after that would leave them stale.
+// The fields stay exported for reading; simlint's immutable rule
+// rejects writes to them, and by-value copies of a Program, outside
+// this package.
+//
+//simlint:immutable
 type Program struct {
 	// Name identifies the workload (e.g. "mcfx").
 	Name string
@@ -39,15 +51,78 @@ type Program struct {
 	// Length is the exact dynamic instruction count from Entry to Halt,
 	// computed by construction during generation.
 	Length uint64
+
+	derived derived
 }
 
-// NewMemory materializes the initial memory image.
-func (p *Program) NewMemory() *mem.Memory {
-	m := mem.New()
-	for _, s := range p.Segs {
-		m.WriteBytes(s.Addr, s.Data)
+// derived holds what a Program computes from its fields once: each
+// value is filled by its sync.Once on first use and read-only after.
+// The Onces also make `go vet` reject a by-value copy of a Program.
+type derived struct {
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
+
+	imageOnce sync.Once
+	image     *mem.Image
+
+	decOnce sync.Once
+	dec     []isa.DecInst
+}
+
+// digestHook, when set, is called each time Digest hashes a program
+// (tests count hashes with it).
+var digestHook func()
+
+// New builds a program from its parts and validates it. The program
+// takes ownership of code and segs: neither may be written afterwards.
+func New(name string, code []isa.Inst, segs []Segment, entry, length uint64) (*Program, error) {
+	p := &Program{Name: name, Code: code, Segs: segs, Entry: entry, Length: length}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	return m
+	return p, nil
+}
+
+// Digest returns the SHA-256 of the program's Save serialization: its
+// exact code, initial image, entry and length. The first call hashes
+// the program; later calls return the memo.
+func (p *Program) Digest() [sha256.Size]byte {
+	p.derived.digestOnce.Do(func() {
+		if digestHook != nil {
+			digestHook()
+		}
+		h := sha256.New()
+		// Save reports only its writer's errors, and a hash never fails
+		// a write.
+		_ = p.Save(h)
+		copy(p.derived.digest[:], h.Sum(nil))
+	})
+	return p.derived.digest
+}
+
+// Image returns the program's initial memory image, built on first use.
+// Every CPU starts from it through Image().NewMemory(), sharing its
+// pages copy-on-write, so starting a CPU costs a page table, not a copy
+// of the data.
+func (p *Program) Image() *mem.Image {
+	p.derived.imageOnce.Do(func() {
+		m := mem.New()
+		for _, s := range p.Segs {
+			m.WriteBytes(s.Addr, s.Data)
+		}
+		p.derived.image = m.Snapshot()
+	})
+	return p.derived.image
+}
+
+// Predecoded returns the program's code in the dense pre-decoded form
+// the batch interpreter executes (isa.Predecode), built on first use.
+// The slice is shared by every CPU running the program: read-only.
+func (p *Program) Predecoded() []isa.DecInst {
+	p.derived.decOnce.Do(func() {
+		p.derived.dec = isa.Predecode(p.Code)
+	})
+	return p.derived.dec
 }
 
 // DataBytes returns the total size of the initial image.
@@ -141,9 +216,8 @@ func Load(r io.Reader) (*Program, error) {
 	if hdr[1] != version {
 		return nil, fmt.Errorf("program: unsupported version %d", hdr[1])
 	}
-	p := &Program{Entry: hdr[2], Length: hdr[3]}
-	var err error
-	if p.Name, err = readString(r); err != nil {
+	name, err := readString(r)
+	if err != nil {
 		return nil, err
 	}
 	var nCode uint64
@@ -154,13 +228,13 @@ func Load(r io.Reader) (*Program, error) {
 	if nCode > maxCode {
 		return nil, fmt.Errorf("program: unreasonable code size %d", nCode)
 	}
-	p.Code = make([]isa.Inst, nCode)
+	code := make([]isa.Inst, nCode)
 	buf := make([]byte, isa.EncodedSize)
-	for i := range p.Code {
+	for i := range code {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("program: load code: %w", err)
 		}
-		if p.Code[i], err = isa.Decode(buf); err != nil {
+		if code[i], err = isa.Decode(buf); err != nil {
 			return nil, err
 		}
 	}
@@ -172,8 +246,8 @@ func Load(r io.Reader) (*Program, error) {
 	if nSegs > maxSegs {
 		return nil, fmt.Errorf("program: unreasonable segment count %d", nSegs)
 	}
-	p.Segs = make([]Segment, nSegs)
-	for i := range p.Segs {
+	segs := make([]Segment, nSegs)
+	for i := range segs {
 		var addr, size uint64
 		if err := binary.Read(r, binary.LittleEndian, &addr); err != nil {
 			return nil, err
@@ -189,12 +263,9 @@ func Load(r io.Reader) (*Program, error) {
 		if _, err := io.ReadFull(r, data); err != nil {
 			return nil, fmt.Errorf("program: load segment: %w", err)
 		}
-		p.Segs[i] = Segment{Addr: addr, Data: data}
+		segs[i] = Segment{Addr: addr, Data: data}
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return New(name, code, segs, hdr[2], hdr[3])
 }
 
 func writeString(w io.Writer, s string) error {

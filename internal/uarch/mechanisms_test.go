@@ -354,6 +354,27 @@ func (s *storeLoop) Next(d *functional.DynInst) bool {
 	return true
 }
 
+// drainFinalizers runs a GC cycle and waits until a sentinel finalizer
+// queued by that cycle has run, twice. A finalizer still queued when a
+// measurement starts runs inside it on the finalizer goroutine, which
+// allocates then (AllocsPerRun counts the whole process); the second
+// round also drains what the first round's finalizers left unreachable.
+func drainFinalizers() {
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		queueSentinel(done)
+		runtime.GC()
+		<-done
+	}
+}
+
+// queueSentinel allocates an object that is unreachable once it
+// returns, whose finalizer closes done.
+func queueSentinel(done chan struct{}) {
+	s := new(struct{ _ *byte })
+	runtime.SetFinalizer(s, func(*struct{ _ *byte }) { close(done) })
+}
+
 // TestStoreQueuesStayFixed: with a store always in flight the in-flight
 // store list never empties, which used to let it grow without bound; it
 // is an LSQSize ring, and a Run allocates nothing however long it is.
@@ -365,8 +386,9 @@ func TestStoreQueuesStayFixed(t *testing.T) {
 	// anything to the size the measured call needs. AllocsPerRun counts
 	// the whole process's allocations, and a GC cycle ending inside the
 	// long measured call allocates in its mark worker: finish any cycle
-	// in flight and hold the next one off until the measurement is done.
-	runtime.GC()
+	// in flight, let the finalizers it queued run, and hold the next
+	// cycle off until the measurement is done.
+	drainFinalizers()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := uint64(1000)
 	allocs := testing.AllocsPerRun(1, func() {

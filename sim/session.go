@@ -773,7 +773,8 @@ func (s *Session) sweepAvailable(key checkpoint.Key) bool {
 //
 // The key is the engine's own (engine.Options.SweepKey): the entry the
 // leader commits is the entry the waiters look for, whatever session
-// knobs reach the key.
+// knobs reach the key. Deriving it here and again in the engine hashes
+// the program once: the hash is memoized on the Program.
 func runShared[T any](ctx context.Context, s *Session, prog *program.Program, cfg Config, params checkpoint.Params, opt engine.Options, fn func() (T, error)) (T, error) {
 	if opt.Store == nil && opt.Cache == nil {
 		return fn()
