@@ -51,14 +51,17 @@
 // functional sweep, and internal/engine replays the units across a
 // worker pool with deterministic stream-order aggregation — the same
 // estimate, bit for bit, at any worker count. Each replay worker keeps
-// one machine, core and memory for the pool's lifetime, reset to
-// exactly their as-constructed state between units, and one rolling
+// one machine, core and memory while it runs, reset to exactly their
+// as-constructed state between units, and one rolling
 // launch state (checkpoint.Materializer) it advances by the deltas
 // since its previous unit — so launching a unit costs its deltas plus
 // one copy of the warm arrays, not a rebuilt machine and a keyframe's
 // whole chain, and a run's cost keeps the shape of the paper's model:
 // fast-forward plus n·(U+W) detailed instructions, no per-unit
-// constant. The engine owns the one
+// constant. A worker that ends hands its machine to the next request's
+// pool, and a sweep or a store read likewise its own machinery
+// (internal/freelist), so there is no per-request constant either. The
+// engine owns the one
 // worker pool and the one stream-order fold (engine.Merger) every path
 // uses, the distributed service included, so that identity holds by
 // construction rather than by keeping copies in step.
@@ -213,6 +216,23 @@
 //     copy-on-write) and its predecoded code once, on first use; a
 //     write after that would leave them stale, and a by-value copy
 //     would carry a stale memo (go vet's copylocks rejects that too).
+//
+// One invariant is held by tests rather than by simlint: reused
+// machinery is invisible. A replay worker's launcher, a sweep's machine
+// and warmer, its record ring and a streamed store read's rolling state
+// outlive their request in bounded, process-wide free lists
+// (internal/freelist). What goes back on a list must drop every
+// reference to its request — program, units, pages, set — so a list
+// never keeps a finished run alive, and must be reset by the same resets
+// that make one unit's launch independent of the last: Machine.Reset,
+// Core.Reset and Warmer.Reset to the constructed state, Memory.Restore
+// of an empty image, and Materializer.Reset, which forgets the position
+// and keeps the buffers, so the next request reseeds from a keyframe.
+// The lists are bounded at twice GOMAXPROCS objects each and are not a
+// sync.Pool, which empties at every garbage collection: whether a
+// request rebuilt its machines, and what it allocated, would then depend
+// on when the collector ran. sim.TestReuseIsInvisible, the engine's
+// TestBuildCountsStayFixed and TestFreeListsPinNoRun hold this.
 //
 // Suppressions are never bare: //simlint:coldpath, ordered, noctx,
 // nonkey, discard, and unpadded all require a reason string, and a

@@ -120,6 +120,7 @@ func compareSweeps(got, want sweepRun) string {
 	if got.sum != nil {
 		g, w := *got.sum, *want.sum
 		g.SweepTime, w.SweepTime = 0, 0
+		g.WarmWait, g.InterpPark, w.WarmWait, w.InterpPark = 0, 0, 0, 0
 		if g != w {
 			return fmt.Sprintf("summary %+v, oracle %+v", g, w)
 		}

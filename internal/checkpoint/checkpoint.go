@@ -90,6 +90,7 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
+	"repro/internal/freelist"
 	"repro/internal/functional"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -317,9 +318,11 @@ type Launch struct {
 // stream order pays for each unit only the deltas since its previous
 // visit, applied to buffers it already owns, instead of a fresh clone
 // of the keyframe plus the whole chain. It is the package's one chain
-// walk: a replay worker keeps one for its lifetime, a streamed store
-// read keeps one for the read (advance), and Unit.Materialize is a
-// Materializer used once from its zero (cold) position.
+// walk: a replay worker's launcher keeps one, a streamed store read
+// rolls one (advance), and Unit.Materialize is a Materializer used once
+// from its zero (cold) position. The first two outlive their request:
+// Reset forgets the position and keeps the buffers, so the next
+// request's first keyframe is copied into arrays already sized for it.
 //
 // The rolling state is private: units and their snapshots are only ever
 // read, so any number of Materializers (one per goroutine — a
@@ -334,6 +337,19 @@ type Materializer struct {
 	warm    *WarmState // nil until the first warmed unit
 	out     Launch
 	chain   []*Unit // scratch: the deltas to apply, youngest first
+}
+
+// Reset forgets the position and every page of the chain the state
+// was rolled along, keeping the warm arrays and the page table's
+// capacity: the Materializer then holds nothing of the units it
+// visited, and its next unit reseeds from a keyframe, as the zero
+// value's first would, into buffers it already owns.
+func (m *Materializer) Reset() {
+	m.at, m.hasWarm = nil, false
+	m.mem.CopyFrom(&mem.Image{})
+	m.out = Launch{}
+	clear(m.chain) // a failed walk leaves the units it collected
+	m.chain = m.chain[:0]
 }
 
 // Materialize rolls the state to u and returns it (see Launch for the
@@ -502,6 +518,11 @@ type Summary struct {
 	// Reaching program end before the last boundary still counts as
 	// complete — rerunning the sweep could not produce more units.
 	Complete bool
+	// WarmWait is the wall-clock time the warm stage spent waiting on
+	// an empty ring for the interpreter, InterpPark the time the
+	// interpreter spent parked on a full ring for the warm stage: how
+	// far the sweep's two stages fall short of overlapping.
+	WarmWait, InterpPark time.Duration
 }
 
 // Set is the result of one capture sweep, collected in launch order.
@@ -715,8 +736,9 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	var warmer *uarch.Warmer
 	var machine *uarch.Machine
 	if p.FunctionalWarm {
-		machine = uarch.NewMachine(cfg)
-		warmer = uarch.NewWarmer(machine, cfg)
+		rig := rigs.Get(cfg)
+		defer rig.put(cfg)
+		machine, warmer = rig.machine, rig.warmer
 		if p.Components != nil {
 			warmer.Components = *p.Components
 		}
@@ -742,7 +764,7 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	// The interpreter stage runs on its own goroutine until the stream
 	// ends or the warm stage below stops it; it has returned before
 	// CaptureStream does.
-	r := newRing(warmer != nil)
+	r := rings.Get(warmer != nil)
 	in := &interpreter{cpu: cpu, gen: gen, record: warmer != nil, kf: p.keyframe(), captured: sum.Captured}
 	pos := cpu.Count // the position the warm stage has reached: what the Summary reports
 	done := make(chan struct{})
@@ -753,6 +775,9 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	defer func() {
 		r.stop()
 		<-done
+		sum.WarmWait, sum.InterpPark = r.warmWait, r.interpPark
+		r.reset()
+		rings.Put(warmer != nil, r)
 	}()
 
 	finish := func(err error) (*Summary, error) {
@@ -834,6 +859,29 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		}
 		r.release()
 	}
+}
+
+// sweepRig is a warmed sweep's machine and the warmer bound to it.
+type sweepRig struct {
+	machine *uarch.Machine
+	warmer  *uarch.Warmer
+}
+
+// rigs keeps the rigs of ended sweeps by machine configuration, so a
+// warmed sweep's caches, TLBs and predictor are built once per process
+// and configuration rather than once per sweep.
+var rigs = freelist.New("sweep rig", func(cfg uarch.Config) *sweepRig {
+	m := uarch.NewMachine(cfg)
+	return &sweepRig{machine: m, warmer: uarch.NewWarmer(m, cfg)}
+})
+
+// put resets the rig to a new one's state and returns it to rigs. The
+// units a sweep emitted hold copies of the warm state, never the
+// machine's own arrays, so nothing of the sweep stays reachable.
+func (r *sweepRig) put(cfg uarch.Config) {
+	r.machine.Reset()
+	r.warmer.Reset()
+	rigs.Put(cfg, r)
 }
 
 // Capture runs the functional sweep over prog and collects every

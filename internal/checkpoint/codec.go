@@ -158,8 +158,14 @@ type codecReader struct {
 
 const maxLen = 1 << 28
 
+// codecBufSize is the read buffer of a codecReader: an entry is read in
+// 64 KB slices.
+const codecBufSize = 1 << 16
+
+// newCodecReader reads r through a codecBufSize buffer — r itself when
+// it is already a buffered reader at least that large.
 func newCodecReader(r io.Reader) *codecReader {
-	return &codecReader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &codecReader{r: bufio.NewReaderSize(r, codecBufSize)}
 }
 
 // sum mirrors codecWriter.sum: the CRC-32C of every byte consumed so
@@ -765,6 +771,15 @@ type unitBuf struct {
 
 func newUnitBuf() *unitBuf {
 	return &unitBuf{warm: newWarmState(), delta: newWarmDelta()}
+}
+
+// reset drops the last decoded unit and its page references, keeping
+// every array for the next read.
+func (b *unitBuf) reset() {
+	b.unit = Unit{}
+	clear(b.mem.Pages[:cap(b.mem.Pages)])
+	b.mem = mem.Delta{Nums: b.mem.Nums[:0], Pages: b.mem.Pages[:0]}
+	b.refs = b.refs[:0]
 }
 
 // unit decodes one unit record.

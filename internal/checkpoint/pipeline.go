@@ -17,8 +17,11 @@ package checkpoint
 import (
 	"fmt"
 	"sync"
+	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/functional"
+	"repro/internal/wallclock"
 )
 
 const (
@@ -32,6 +35,11 @@ const (
 	// falls behind stops the interpreter a ring ahead of it.
 	ringBatches = 8
 )
+
+// rings keeps the rings of ended sweeps, keyed by whether they record,
+// so a warmed sweep's 1 MB of record batches is allocated once per
+// process rather than once per sweep.
+var rings = freelist.New("capture ring", newRing)
 
 // launchRec is a launch point the interpreter reached: the unit it
 // captured there (geometry, architectural state, memory keyframe or
@@ -67,6 +75,10 @@ type ring struct {
 	filled, drained int  // batches handed over and handed back, in total
 	interpWaits     bool // the interpreter is parked on room
 	stopped         bool // the warm stage quit: the interpreter returns
+	// warmWait is the time the warm stage spent blocked on an empty
+	// ring, interpPark the time the interpreter spent parked on a full
+	// one. The clock is read only on those blocking paths.
+	warmWait, interpPark time.Duration
 }
 
 func newRing(record bool) *ring {
@@ -81,13 +93,30 @@ func newRing(record bool) *ring {
 	return r
 }
 
+// reset readies the ring for another sweep, keeping its record
+// arrays: positions, flags and waits zeroed, the units and the error
+// the last sweep left in its batches dropped.
+func (r *ring) reset() {
+	for i := range r.slots {
+		b := &r.slots[i]
+		clear(b.launches)
+		*b = batch{recs: b.recs, launches: b.launches[:0]}
+	}
+	r.filled, r.drained, r.interpWaits, r.stopped = 0, 0, false, false
+	r.warmWait, r.interpPark = 0, 0
+}
+
 // acquire returns the next free batch, emptied and starting at stream
 // position pos, or nil once the warm stage has stopped. Interpreter side.
 func (r *ring) acquire(pos uint64) *batch {
 	r.mu.Lock()
-	for !r.stopped && r.filled-r.drained == ringBatches {
-		r.interpWaits = true
-		r.room.Wait()
+	if !r.stopped && r.filled-r.drained == ringBatches {
+		start := wallclock.Now()
+		for !r.stopped && r.filled-r.drained == ringBatches {
+			r.interpWaits = true
+			r.room.Wait()
+		}
+		r.interpPark += wallclock.Since(start)
 	}
 	stopped := r.stopped
 	r.mu.Unlock()
@@ -113,8 +142,12 @@ func (r *ring) publish() {
 // hand it over. Warm-stage side; the batch is the caller's until release.
 func (r *ring) take() *batch {
 	r.mu.Lock()
-	for r.filled == r.drained {
-		r.ready.Wait()
+	if r.filled == r.drained {
+		start := wallclock.Now()
+		for r.filled == r.drained {
+			r.ready.Wait()
+		}
+		r.warmWait += wallclock.Since(start)
 	}
 	b := &r.slots[r.drained%ringBatches]
 	r.mu.Unlock()

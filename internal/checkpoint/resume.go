@@ -178,7 +178,7 @@ func readPartial(r io.Reader, k Key) (*ResumeState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resumable(scanRecords(cr, man, nil))
+	return resumable(scanRecords(cr, man, nil, nil))
 }
 
 // resumable is the partial readers' verdict on a scan: its last frame,

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -16,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/uarch"
@@ -302,20 +304,24 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 		n       int
 		readErr = errors.New("entry not read")
 	)
+	rd := readers.Get(struct{}{})
+	defer rd.put()
 	replayErr := replay(func(emit func(*Unit, *Launch) bool) {
 		var (
-			m   Materializer
 			cr  *codecReader
 			man *storeManifest
 		)
-		if cr, man, readErr = readKeyed(f, k); readErr != nil {
+		rd.br.Reset(f)
+		if cr, man, readErr = readKeyed(rd.br, k); readErr != nil {
 			return
 		}
-		set, _, readErr = scanRecords(cr, man, func(u *Unit) error {
+		cr.scratch = rd.scratch
+		defer func() { rd.scratch = cr.scratch }()
+		set, _, readErr = scanRecords(cr, man, rd.buf, func(u *Unit) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			launch, err := m.advance(u)
+			launch, err := rd.mat.advance(u)
 			if err != nil {
 				return err
 			}
@@ -342,6 +348,32 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 		Captured:        n,
 		Complete:        true,
 	}, nil
+}
+
+// streamReader is what one streamed read (Stream) reuses from the
+// last: the rolling launch state, the unit decode buffers, the entry's
+// read buffer and the codec's scratch.
+type streamReader struct {
+	mat     Materializer
+	buf     *unitBuf
+	br      *bufio.Reader
+	scratch []byte
+}
+
+// readers keeps the state of ended streamed reads, so a store hit
+// reseeds a Materializer and decodes keyframes into arrays an earlier
+// hit sized instead of allocating its own.
+var readers = freelist.New("store reader", func(struct{}) *streamReader {
+	return &streamReader{buf: newUnitBuf(), br: bufio.NewReaderSize(nil, codecBufSize)}
+})
+
+// put drops everything the read left of its entry — position, pages,
+// the last decoded unit, the file — and returns the reader to readers.
+func (rd *streamReader) put() {
+	rd.mat.Reset()
+	rd.buf.reset()
+	rd.br.Reset(nil)
+	readers.Put(struct{}{}, rd)
 }
 
 // open opens the entry stored under k for a read. An absent entry is a
@@ -433,7 +465,7 @@ func readSet(r io.Reader, k Key) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, _, err := scanRecords(cr, man, nil)
+	set, _, err := scanRecords(cr, man, nil, nil)
 	return set, err
 }
 
@@ -451,22 +483,19 @@ func readSet(r io.Reader, k Key) (*Set, error) {
 //
 // With emit nil every unit is kept: the Set holds them and a frame's
 // state lists them. With emit set, each unit is handed to emit as it is
-// decoded and nothing is kept — the units are decoded into buffers the
-// next record overwrites (unitDecoder), the Set has no Units and no
+// decoded and nothing is kept — the units are decoded into buf, which
+// the next record overwrites (unitDecoder), the Set has no Units and no
 // frame state is built — and an error from emit stops the scan and is
 // returned as is. Either way a unit is checked against the plan the
 // manifest keys (plausible) before anyone sees it.
-func scanRecords(cr *codecReader, man *storeManifest, emit func(*Unit) error) (set *Set, last *ResumeState, err error) {
+func scanRecords(cr *codecReader, man *storeManifest, buf *unitBuf, emit func(*Unit) error) (set *Set, last *ResumeState, err error) {
 	var (
-		dec       unitDecoder
+		dec       = unitDecoder{buf: buf}
 		units     []*Unit   // the kept units (emit nil)
 		n         int       // units decoded
 		keyframes []uint64  // ordinals of keyframe units, for index validation
 		vals      [5]uint64 // a frame's or end record's scalar fields
 	)
-	if emit != nil {
-		dec.buf = newUnitBuf()
-	}
 	// sealed checks a frame or end record, whose fields are read up to its
 	// seal, against the decoded units, then reads and verifies the seal:
 	// the running sum is snapshot before the field itself is consumed.

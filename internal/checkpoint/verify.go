@@ -99,7 +99,7 @@ func verifyFile(path, ext string) error {
 	if want := man.Key.Hash() + ext; filepath.Base(path) != want {
 		return fmt.Errorf("filename does not match manifest key (want %s)", want)
 	}
-	set, last, err := scanRecords(cr, man, nil)
+	set, last, err := scanRecords(cr, man, nil, nil)
 	if ext == partialExt {
 		_, err = resumable(set, last, err)
 	}

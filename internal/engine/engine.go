@@ -51,13 +51,16 @@
 // the journal until the completed sweep commits it as the entry. The
 // pool (replayStream) replays a unit stream on N workers and delivers
 // results in stream order. Each worker owns one launch
-// context for the pool's lifetime (launcher): a machine, core and
-// memory reset to exactly their as-constructed state between units, and
-// a checkpoint.Materializer rolled forward along the stream, so a
-// unit's launch costs the deltas since the worker's previous unit plus
-// one copy of the warm arrays into the machine — not a new machine and
-// a from-keyframe materialization — while its measurement stays a pure
-// function of its checkpoint. Run feeds the pool from the streaming
+// context while it runs (launcher): a machine, core and memory reset to
+// exactly their as-constructed state between units, and a
+// checkpoint.Materializer rolled forward along the stream, so a unit's
+// launch costs the deltas since the worker's previous unit plus one copy
+// of the warm arrays into the machine — not a new machine and a
+// from-keyframe materialization — while its measurement stays a pure
+// function of its checkpoint. A worker that ends returns its launcher to
+// a process-wide free list (internal/freelist), as the sweep returns its
+// machine and record ring and a store read its rolling state, so a
+// steady-state request builds none of them. Run feeds the pool from the streaming
 // sweep, a streamed store entry or a cached Set, RunSet from a caller's
 // Set, ReplayRange — the distributed worker's entry point — from a
 // [lo, hi) slice of one. The Merger is the stream-order fold
@@ -200,6 +203,11 @@ type Result struct {
 	SweepTime    time.Duration
 	DetailedTime time.Duration
 	WallTime     time.Duration
+
+	// WarmWait and InterpPark are the sweep's hand-off waits, as
+	// checkpoint.Summary reports them: the warm stage blocked on an empty
+	// ring, the interpreter parked on a full one. Zero when no sweep ran.
+	WarmWait, InterpPark time.Duration
 
 	// SweepCached reports that launch states were loaded from the
 	// checkpoint store instead of sweeping.
@@ -484,6 +492,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 	res.SweepInsts = sum.SweepInsts
 	res.SweepResumedInsts = sum.ResumedAt
 	res.SweepTime = sum.SweepTime
+	res.WarmWait, res.InterpPark = sum.WarmWait, sum.InterpPark
 	res.WallTime = wallclock.Since(start)
 	return res, nil
 }

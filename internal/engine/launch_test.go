@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/freelist"
 	"repro/internal/program"
 	"repro/internal/uarch"
 )
@@ -33,9 +34,9 @@ func replayAll(t *testing.T, p *program.Program, set *checkpoint.Set, lo, hi, wo
 // TestReusedLauncherMatchesFresh is the reset contract end to end: a
 // worker that launches every unit of a set from one reused machine,
 // core, memory and rolling launch state measures exactly what a machine
-// built for each unit alone measures (one ReplayRange call per unit, so
-// every launch context is new and every launch state comes from the
-// keyframe) — cycles, energy bits, CPI and EPI — for warmed sets, for
+// built for each unit alone measures (one ReplayRange call per unit
+// after the free lists are drained, so every launch context is new and
+// every launch state comes from the keyframe) — cycles, energy bits, CPI and EPI — for warmed sets, for
 // cold ones (which must launch from the constructed cold state, not
 // from what the previous unit left), and for a write-heavy program
 // whose units dirty private memory pages.
@@ -57,6 +58,7 @@ func TestReusedLauncherMatchesFresh(t *testing.T) {
 			t.Fatalf("%s warm=%v: replayed %d of %d units", tc.bench, tc.warm, len(reused), len(set.Units))
 		}
 		for i, got := range reused {
+			freelist.Drain()
 			fresh := replayAll(t, p, set, i, i+1, 1)
 			want := fresh[0]
 			if got.Seq != want.Seq || got.Partial != want.Partial || got.Warming != want.Warming ||

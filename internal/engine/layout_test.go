@@ -115,8 +115,8 @@ func TestPadsIsolateOwners(t *testing.T) {
 	cfg := uarch.Config8Way()
 	cpu := functional.New(prog)
 	machine := uarch.NewMachine(cfg)
-	a := newLauncher(prog, cfg, 1000)
-	b := newLauncher(prog, cfg, 1000)
+	a := buildLauncher(cfg)
+	b := buildLauncher(cfg)
 
 	var spans []hotSpan
 	spans = append(spans, hotSpans("sweep interpreter", cpu)...)

@@ -72,3 +72,32 @@ func processCPU(b *testing.B) time.Duration {
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
+
+// BenchmarkSweepHandoff measures how far the sweep's two stages fall
+// short of overlapping on cold-sparse's plan (gccx 12M instructions,
+// k=166 so 72 units, W=2000, 2 workers, streamed, no store): per op one
+// streamed Run, reporting the time its warm stage waited on an empty
+// ring for the interpreter and the time the interpreter was parked on a
+// full ring. The warm stage waits when a replay unit holds the second
+// core and the interpreter falls behind; the interpreter parks when
+// warming is the slower side.
+func BenchmarkSweepHandoff(b *testing.B) {
+	cfg := uarch.Config8Way()
+	p := genProg(b, "gccx", 12_000_000)
+	params := checkpoint.Params{U: 1000, W: 2000, K: 166, FunctionalWarm: true}
+	opt := engine.Options{Workers: 2}
+	ctx := context.Background()
+
+	var warmWait, interpPark time.Duration
+	for b.Loop() {
+		res, err := engine.Run(ctx, p, cfg, params, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		warmWait += res.WarmWait
+		interpPark += res.InterpPark
+	}
+	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(warmWait), "warm-wait-ms/op")
+	b.ReportMetric(perOp(interpPark), "interp-park-ms/op")
+}

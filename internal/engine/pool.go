@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cacheline"
 	"repro/internal/checkpoint"
+	"repro/internal/freelist"
 	"repro/internal/functional"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -111,10 +112,15 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// This worker's launch context, for the pool's lifetime, built
-			// on its first unit: a pool whose producer has nothing to send
-			// (a store miss) builds no machine.
+			// This worker's launch context, taken on its first unit — a
+			// pool whose producer has nothing to send (a store miss) takes
+			// none — and returned when the worker ends.
 			var l *launcher
+			defer func() {
+				if l != nil {
+					l.put(cfg)
+				}
+			}()
 			for j := range feed {
 				select {
 				case <-quit:
@@ -125,7 +131,8 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 				default:
 				}
 				if l == nil {
-					l = newLauncher(prog, cfg, u)
+					l = launchers.Get(cfg)
+					l.prog, l.u = prog, u
 				}
 				err := l.launch(j.unit, j.launch)
 				if j.launch != nil {
@@ -244,15 +251,16 @@ func ReplayRange(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 	return replayUnits(ctx, prog, cfg, u, set.Units[lo:hi], lo, opt.workers(), emit)
 }
 
-// launcher is one replay worker's launch context, built once per pool
-// and owned by the worker goroutine: a machine, core, memory and CPU
-// that are reset between units instead of rebuilt, and a rolling launch
-// state (checkpoint.Materializer) positioned at the last unit this
-// worker launched. The feed is in stream order, so the next unit is
-// normally a few deltas downstream of that position and launching it
-// costs those deltas plus one copy of the warm arrays into the machine
-// — no per-unit constant beyond that, which is what the paper's cost
-// model (n·(U+W) detailed instructions, nothing per launch) assumes.
+// launcher is one replay worker's launch context, owned by the worker
+// goroutine while it runs and kept in launchers between pools: a
+// machine, core, memory and CPU that are reset between units instead of
+// rebuilt, and a rolling launch state (checkpoint.Materializer)
+// positioned at the last unit this worker launched. The feed is in
+// stream order, so the next unit is normally a few deltas downstream of
+// that position and launching it costs those deltas plus one copy of
+// the warm arrays into the machine — no per-unit constant beyond that,
+// which is what the paper's cost model (n·(U+W) detailed instructions,
+// nothing per launch) assumes.
 // When the producer builds the launch state itself (a streamed store
 // hit), the worker's own rolling state stays unused.
 type launcher struct {
@@ -268,9 +276,28 @@ type launcher struct {
 	_       cacheline.Pad
 }
 
-func newLauncher(prog *program.Program, cfg uarch.Config, u uint64) *launcher {
+// launchers keeps the launchers of ended workers by machine
+// configuration, so a request's replay builds no machine once an
+// earlier request on the same configuration has returned its own.
+var launchers = freelist.New("replay launcher", buildLauncher)
+
+// buildLauncher builds a launcher for cfg, bound to no program.
+func buildLauncher(cfg uarch.Config) *launcher {
 	machine := uarch.NewMachine(cfg)
-	return &launcher{prog: prog, u: u, machine: machine, core: uarch.NewCore(machine), mem: mem.New()}
+	return &launcher{machine: machine, core: uarch.NewCore(machine), mem: mem.New()}
+}
+
+// put drops everything the launcher holds of its run — the program,
+// the rolling state's position and pages, the memory's pages, the CPU —
+// and returns it to launchers. The machine and core hold nothing of the
+// run, and launch resets them before every unit anyway.
+func (l *launcher) put(cfg uarch.Config) {
+	l.prog = nil
+	l.mat.Reset()
+	l.mem.Restore(&mem.Image{})
+	l.cpu = functional.CPU{}
+	l.src = uarch.Source{}
+	launchers.Put(cfg, l)
 }
 
 // launch restores the machine for one unit's detailed warming and

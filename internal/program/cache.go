@@ -1,15 +1,34 @@
 package program
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+
+	"repro/internal/isa"
+)
+
+// cacheMaxBytes bounds what a Cache retains: once its finished programs
+// hold more, the least recently used are dropped. A suite program holds
+// at most about 9 MB (mcfx: its segments and, once a CPU has started, its
+// image of the same size), so the bound keeps a few dozen.
+const cacheMaxBytes = 256 << 20
 
 // Cache memoizes generated suite workloads by (name, length) for a
 // long-lived owner (a sim session, a fleet coordinator or worker).
 // Concurrent lookups of one new key generate it once; the rest wait for
-// the result. A failed generation is not retained. The zero value is
-// ready to use; all methods are safe for concurrent use.
+// the result. A failed generation is not retained, and once the
+// finished programs retain more than cacheMaxBytes the least recently
+// used of them are dropped (an entry still generating never is); a
+// dropped program is generated again on its next lookup, with the same
+// Digest. The zero value is ready to use; all methods are safe for
+// concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
+	bytes   int64  // retained by the finished entries
+	clock   uint64 // lookups so far: the recency stamp
+	// maxBytes overrides cacheMaxBytes when positive (tests).
+	maxBytes int64
 }
 
 type cacheKey struct {
@@ -19,9 +38,11 @@ type cacheKey struct {
 
 // cacheEntry is one generation, finished once done is closed.
 type cacheEntry struct {
-	done chan struct{}
-	prog *Program
-	err  error
+	done  chan struct{}
+	prog  *Program
+	err   error
+	bytes int64  // retained once finished; 0 while generating
+	used  uint64 // the Cache's clock at the last lookup
 }
 
 // Get returns the suite workload name generated at the target dynamic
@@ -29,13 +50,15 @@ type cacheEntry struct {
 func (c *Cache) Get(name string, length uint64) (*Program, error) {
 	key := cacheKey{name, length}
 	c.mu.Lock()
+	c.clock++
 	e, ok := c.entries[key]
 	if ok {
+		e.used = c.clock
 		c.mu.Unlock()
 		<-e.done
 		return e.prog, e.err
 	}
-	e = &cacheEntry{done: make(chan struct{})}
+	e = &cacheEntry{done: make(chan struct{}), used: c.clock}
 	if c.entries == nil {
 		c.entries = make(map[cacheKey]*cacheEntry)
 	}
@@ -46,11 +69,47 @@ func (c *Cache) Get(name string, length uint64) (*Program, error) {
 	if err == nil {
 		e.prog, err = Generate(spec, length)
 	}
-	if e.err = err; err != nil {
-		c.mu.Lock()
+	e.err = err
+	c.mu.Lock()
+	if err != nil {
 		delete(c.entries, key)
-		c.mu.Unlock()
+	} else {
+		e.bytes = retainedBytes(e.prog)
+		c.bytes += e.bytes
+		c.evict()
 	}
+	c.mu.Unlock()
 	close(e.done)
 	return e.prog, e.err
+}
+
+// evict drops least recently used finished entries until the rest
+// retain no more than the bound. c.mu is held.
+func (c *Cache) evict() {
+	limit := c.maxBytes
+	if limit <= 0 {
+		limit = cacheMaxBytes
+	}
+	for c.bytes > limit {
+		var oldest cacheKey
+		var victim *cacheEntry
+		for k, e := range c.entries {
+			if e.bytes > 0 && (victim == nil || e.used < victim.used) {
+				oldest, victim = k, e
+			}
+		}
+		if victim == nil {
+			return
+		}
+		delete(c.entries, oldest)
+		c.bytes -= victim.bytes
+	}
+}
+
+// retainedBytes is what a cached program keeps reachable at most: its
+// code twice over (as written and predecoded) and its data twice over
+// (the segments and the initial image built from them).
+func retainedBytes(p *Program) int64 {
+	code := int64(len(p.Code)) * int64(unsafe.Sizeof(isa.Inst{})+unsafe.Sizeof(isa.DecInst{}))
+	return code + 2*int64(p.DataBytes())
 }

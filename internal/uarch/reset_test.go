@@ -69,3 +69,42 @@ func TestMachineAndCoreResetEqualNew(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmerResetEqualsNew is the reset contract a reused sweep rig
+// relies on: a machine and warmer that warmed a stream, took a snapshot
+// and a delta, recorded a fetch block and ran with a partial component
+// selection equal a new pair after Machine.Reset and Warmer.Reset —
+// field for field, and in the snapshot a second identical warm takes.
+func TestWarmerResetEqualsNew(t *testing.T) {
+	spec, err := program.ByName("gccx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := program.MustGenerate(spec, 50_000)
+	cfg := uarch.Config8Way()
+	warm := func(w *uarch.Warmer) *uarch.WarmSnapshot {
+		cpu := functional.New(p)
+		if err := w.ForwardBatch(cpu, 20_000); err != nil {
+			t.Fatal(err)
+		}
+		return w.Snapshot()
+	}
+	m := uarch.NewMachine(cfg)
+	w := uarch.NewWarmer(m, cfg)
+	w.Components = uarch.WarmComponents{DCache: true}
+	snap := warm(w)
+	if _, err := w.Delta(snap.Seq); err != nil {
+		t.Fatal(err)
+	}
+	m.Reset()
+	w.Reset()
+
+	freshM := uarch.NewMachine(cfg)
+	fresh := uarch.NewWarmer(freshM, cfg)
+	if !reflect.DeepEqual(w, fresh) {
+		t.Fatal("reset warmer differs from a new one")
+	}
+	if got, want := warm(w), warm(fresh); !reflect.DeepEqual(got, want) {
+		t.Fatal("reset warmer's snapshot differs from a new one's")
+	}
+}

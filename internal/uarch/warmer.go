@@ -65,6 +65,18 @@ func NewWarmer(m *Machine, cfg Config) *Warmer {
 	return &Warmer{machine: m, blockBits: cfg.IL1.BlockBits, Components: AllComponents}
 }
 
+// Reset returns the warmer to the state NewWarmer left it in — no fetch
+// block warmed, a snapshot chain that has seen no snapshot, every
+// component selected, an empty record batch — so one warmer serves one
+// sweep after another. Its machine is the caller's to reset
+// (Machine.Reset); together the two equal a new pair.
+func (w *Warmer) Reset() {
+	w.lastIBlock, w.haveIBlock = 0, false
+	w.chain = delta.Chain{}
+	w.Components = AllComponents
+	clear(w.ring[:])
+}
+
 // WarmSnapshot is a full snapshot of the warmed structures — cache/TLB
 // hierarchy and branch predictor — tagged with its sequence number, the
 // baseline identity subsequent Delta calls key off.
