@@ -235,7 +235,7 @@ func runMain(args []string) {
 }
 
 // fsckMain scrubs a checkpoint store offline: every committed entry
-// and partial journal must decode end to end (format-v4 CRC seals
+// and partial journal must decode end to end (every record's CRC seal
 // included). Problems exit 1 unless -evict removed them all.
 func fsckMain(args []string) {
 	fs := flag.NewFlagSet("simd fsck", flag.ExitOnError)

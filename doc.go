@@ -83,7 +83,8 @@
 // for the warmed structures, dirty-page deltas for memory, periodic
 // keyframes (sim.WithKeyframe, the CLIs' -keyframe) bounding
 // reconstruction chains, in memory and in the store's format alike (one
-// CRC-sealed format version; an entry in any other is a miss).
+// format version, every record CRC-sealed on its own; an entry in any
+// other version is a miss).
 // Every variant — streamed, store- or cache-loaded, multi-offset,
 // sharded across a fleet, cancelled-and-rerun — produces bit-identical
 // estimates.
@@ -112,14 +113,16 @@
 // instruction instead of their sum.
 //
 // Sweeps are also crash-safe: with a store attached, an in-progress
-// sweep journals its position every few keyframes as a *.partial
-// record (neither loaded as an entry nor evicted), and a rerun of the same
-// request resumes from the journal's last frame instead of resweeping.
-// The journal is the sweep's store entry before it commits: one file,
-// renamed from <hash>.partial to <hash>.ckpt once the trailer is
-// written. The resumed unit stream is bit-identical to an uninterrupted
-// sweep, and a corrupt journal degrades to a cold sweep — never a wrong
-// result.
+// sweep journals its units as a *.partial file, flushed at every
+// keyframe (neither loaded as an entry nor evicted), and a rerun of the
+// same request resumes from the journal's last unit instead of
+// resweeping: every unit record carries the sweep state a resume needs,
+// and every record its own seal. The journal is the sweep's store entry
+// before it commits: one file, renamed from <hash>.partial to
+// <hash>.ckpt once the End record is written. The resumed unit stream
+// is bit-identical to an uninterrupted sweep, and a damaged journal
+// degrades to the units before the damage, or to a cold sweep — never
+// a wrong result.
 //
 // # Distributed sampling
 //
@@ -133,7 +136,7 @@
 // checkpoint key itself, before it dispatches shards, through the
 // engine's local acquisition (memory cache, then the optional on-disk
 // store, then a sweep journaled into that store); workers fetch the set
-// from it, with the format-v4 store codec as the wire encoding. The
+// from it, with the store codec as the wire encoding. The
 // fleet is fault-tolerant end to end: a coordinator killed mid-sweep
 // resumes the store journal when it restarts; RPCs retry with backoff
 // and jitter; workers heartbeat for liveness; and dist.Client — which has the same
@@ -149,15 +152,15 @@
 //
 //	what dies                what happens                        what is re-done
 //	worker mid-shard         shard suffix requeued to peers      nothing (contiguous prefix kept)
-//	coordinator mid-sweep    restart resumes the store journal   sweep since last journaled keyframe
+//	coordinator mid-sweep    restart resumes the store journal   sweep since last flushed unit
 //	coordinator mid-run      restart replays run journal         unmerged shard suffixes only
 //	client's connection      client re-attaches by run ID        nothing (stream resumes from last event)
 //	a bit, anywhere          CRC-32C digest catches it           corrupt frame's shard suffix, on another worker
 //	everything at once       journals on disk are the truth      the unjournaled tail, never the whole run
 //
 // In every row the final report stays bit-identical to an
-// uninterrupted local run, and sealed checkpoints (store format v4's
-// record and frame checksums, scrubbed offline by simd fsck) make
+// uninterrupted local run, and sealed checkpoints (every store record's
+// own checksum, scrubbed offline by simd fsck) make
 // silent corruption detectable rather than absorbable.
 //
 // # Project invariants and how simlint enforces them

@@ -129,7 +129,7 @@ func TestDenseCaptureBytes(t *testing.T) {
 	}{
 		{"snapshotBytes", int64(set.WarmBytes()), 2_712_294},        // 14,053.3 B/unit
 		{"memBytes", int64(set.MemBytes()), 1_867_840},              // 9,677.9 B/unit
-		{"storeBytes", entrySize(t, p, cfg, dense, set), 4_780_211}, // 24,767.9 B/unit
+		{"storeBytes", entrySize(t, p, cfg, dense, set), 4_787_328}, // 24,804.8 B/unit
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d over %d units (%.1f/unit), pinned at most %d (%.1f/unit)",

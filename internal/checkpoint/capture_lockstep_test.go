@@ -16,25 +16,22 @@ import (
 )
 
 // sweepRun is what one capture sweep produced: the emitted units, the
-// resume frames, the Summary and the error.
+// Summary and the error.
 type sweepRun struct {
-	units  []*checkpoint.Unit
-	frames []checkpoint.ResumeFrame
-	sum    *checkpoint.Summary
-	err    error
+	units []*checkpoint.Unit
+	sum   *checkpoint.Summary
+	err   error
 }
 
 // sweepFn is CaptureStream's signature, which the serial oracle shares.
 type sweepFn func(context.Context, *program.Program, uarch.Config, checkpoint.Params, func(*checkpoint.Unit) bool) (*checkpoint.Summary, error)
 
-// runSweep runs one sweep, recording every frame. emit declines the
-// stopAt-th unit and cancels the context while taking the cancelAt-th
-// (1-based; 0 = never).
+// runSweep runs one sweep. emit declines the stopAt-th unit and cancels
+// the context while taking the cancelAt-th (1-based; 0 = never).
 func runSweep(sweep sweepFn, prog *program.Program, cfg uarch.Config, p checkpoint.Params, stopAt, cancelAt int) sweepRun {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var r sweepRun
-	p.OnFrame = func(fr checkpoint.ResumeFrame) { r.frames = append(r.frames, fr) }
 	r.sum, r.err = sweep(ctx, prog, cfg, p, func(u *checkpoint.Unit) bool {
 		if len(r.units)+1 == stopAt {
 			return false
@@ -62,7 +59,8 @@ func imagePages(img *mem.Image) ([]uint64, map[uint64]*[mem.PageSize]byte) {
 
 // sameEncoding reports how two units of the same position in two
 // sweeps differ as captured — not as materialized: geometry and Arch,
-// keyframe or delta encoding and chain link, the memory image's or
+// the resume state (wall-clock sweep time aside), keyframe or delta
+// encoding and chain link, the memory image's or
 // delta's pages byte for byte, and the warm snapshot's or delta's blocks
 // and bytes. "" means identical.
 func sameEncoding(a, b, aPrev, bPrev *checkpoint.Unit) string {
@@ -71,6 +69,8 @@ func sameEncoding(a, b, aPrev, bPrev *checkpoint.Unit) string {
 		return fmt.Sprintf("geometry %d@%d vs %d@%d", a.Index, a.LaunchAt, b.Index, b.LaunchAt)
 	case a.Arch != b.Arch:
 		return "arch state"
+	case a.HaveIBlock != b.HaveIBlock || a.LastIBlock != b.LastIBlock:
+		return fmt.Sprintf("fetch block %v/%#x vs %v/%#x", a.HaveIBlock, a.LastIBlock, b.HaveIBlock, b.LastIBlock)
 	case (a.Mem == nil) != (b.Mem == nil) || (a.MemDelta == nil) != (b.MemDelta == nil):
 		return "memory encoding (keyframe vs delta)"
 	case (a.Prev == nil) != (b.Prev == nil) || a.Prev != nil && (a.Prev != aPrev || b.Prev != bPrev):
@@ -108,8 +108,7 @@ func sameEncoding(a, b, aPrev, bPrev *checkpoint.Unit) string {
 
 // compareSweeps reports the first difference between a CaptureStream
 // run and the serial oracle's run of the same sweep ("" if none):
-// error, Summary and frames (wall-clock times aside), and every unit's
-// encoding.
+// error, Summary (wall-clock times aside), and every unit's encoding.
 func compareSweeps(got, want sweepRun) string {
 	if (got.err == nil) != (want.err == nil) || got.err != nil && got.err.Error() != want.err.Error() {
 		return fmt.Sprintf("error %v, oracle %v", got.err, want.err)
@@ -123,16 +122,6 @@ func compareSweeps(got, want sweepRun) string {
 		g.WarmWait, g.InterpPark, w.WarmWait, w.InterpPark = 0, 0, 0, 0
 		if g != w {
 			return fmt.Sprintf("summary %+v, oracle %+v", g, w)
-		}
-	}
-	if len(got.frames) != len(want.frames) {
-		return fmt.Sprintf("%d frames, oracle %d", len(got.frames), len(want.frames))
-	}
-	for i := range got.frames {
-		g, w := got.frames[i], want.frames[i]
-		g.SweepTime, w.SweepTime = 0, 0
-		if g != w {
-			return fmt.Sprintf("frame %d: %+v, oracle %+v", i, g, w)
 		}
 	}
 	if len(got.units) != len(want.units) {
@@ -192,21 +181,13 @@ func overlong(tb testing.TB, prog *program.Program) *program.Program {
 // journalOf is the resume state an interrupted run of p would have
 // journaled after its first n units.
 func journalOf(ref sweepRun, prog *program.Program, p checkpoint.Params, n int) *checkpoint.ResumeState {
-	fr := ref.frames[n-1]
-	return &checkpoint.ResumeState{
-		Units:           ref.units[:n],
-		PopulationUnits: prog.Length / p.U,
-		SweepInsts:      fr.SweepInsts,
-		SweepTime:       fr.SweepTime,
-		HaveIBlock:      fr.HaveIBlock,
-		LastIBlock:      fr.LastIBlock,
-	}
+	return &checkpoint.ResumeState{Units: ref.units[:n], PopulationUnits: prog.Length / p.U}
 }
 
 // TestCaptureMatchesSerialOracle is the two-stage sweep's bit-identity
 // guarantee: over every plan shape the capture path distinguishes, it
 // emits exactly the serial loop's units — encodings, pages, warm blocks
-// and bytes — with the same frames and Summary.
+// and bytes, resume state — with the same Summary.
 func TestCaptureMatchesSerialOracle(t *testing.T) {
 	gcc := genProg(t, "gccx", 200_000)
 	mcf := genProg(t, "mcfx", 120_000)
@@ -293,8 +274,8 @@ func lockstepProg(t testing.TB, name string, length uint64) *program.Program {
 
 // FuzzCaptureLockstep decodes bytes into a program, a plan and a stop
 // point, and requires CaptureStream to match the serial oracle on them:
-// the same units, encodings and bytes, frames and Summary (or the same
-// error, for plans Validate rejects and programs that fault).
+// the same units, encodings, bytes and resume state, and Summary (or the
+// same error, for plans Validate rejects and programs that fault).
 func FuzzCaptureLockstep(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 4, 0, 1, 0, 0, 0, 0})
 	f.Add([]byte{1, 0, 2, 0, 3, 1, 7, 2, 5, 9, 1})

@@ -21,7 +21,7 @@ import (
 )
 
 // SerialCaptureOracle is the serial reference for CaptureStream: same
-// parameters, same emit and OnFrame contract.
+// parameters, same emit contract, the same resume state on every unit.
 func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params, emit func(*Unit) bool) (*Summary, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -51,12 +51,13 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 		if err != nil {
 			return nil, err
 		}
+		last := rs.Units[len(rs.Units)-1]
 		pos = cpu.Count
 		sum.Captured = len(rs.Units)
-		sum.ResumedAt = rs.SweepInsts
+		sum.ResumedAt = last.LaunchAt
 		// Backdate start so wallclock.Since(start) — used by every exit path —
 		// accumulates on top of the journaled sweep time.
-		start = start.Add(-rs.SweepTime)
+		start = start.Add(-last.SweepTime)
 	}
 
 	// Delta-encoded snapshots: every kf-th captured unit is a full
@@ -148,25 +149,15 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 				lastSeq = d.Seq
 			}
 		}
+		u.SweepTime = wallclock.Since(start)
+		if warmer != nil {
+			u.LastIBlock, u.HaveIBlock = warmer.FetchBlock()
+		}
 		prevUnit = u
 		sum.Captured++
 		if !emit(u) {
 			sum.Complete = false
 			break
-		}
-		if p.OnFrame != nil {
-			// At capture time the stream position equals the unit's launch
-			// point, so the frame pins exactly the state a resumed sweep
-			// reconstructs from this unit.
-			fr := ResumeFrame{
-				Captured:   sum.Captured,
-				SweepInsts: cpu.Count,
-				SweepTime:  wallclock.Since(start),
-			}
-			if warmer != nil {
-				fr.LastIBlock, fr.HaveIBlock = warmer.FetchBlock()
-			}
-			p.OnFrame(fr)
 		}
 	}
 	sum.SweepInsts = cpu.Count

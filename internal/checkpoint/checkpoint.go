@@ -76,10 +76,11 @@
 // that differ only in timing, width, or energy parameters. The file
 // format persists the keyframe+delta structure directly — for memory as
 // well as warm state — so dense entries shrink with the in-memory
-// encoding, and seals every entry with a CRC-32C; an entry in any other
-// format version is a miss. The entry files are the store's only state:
-// with MaxBytes set, each commit evicts least-recently-used entries,
-// recency being the file's mtime, which a hit refreshes.
+// encoding, and seals every record with a CRC-32C of its own; an entry
+// in any other format version is a miss. The entry files are the
+// store's only state: with MaxBytes set, each commit evicts
+// least-recently-used entries, recency being the file's mtime, which a
+// hit refreshes.
 package checkpoint
 
 import (
@@ -141,14 +142,6 @@ type Params struct {
 	// state).
 	//simlint:nonkey encoding-only knob; materialized launch states are bit-identical
 	Keyframe int
-	// OnFrame, when non-nil, observes the sweep's resumable state after
-	// each captured unit is emitted: the ResumeFrame pinpoints the exact
-	// sweep position a later CaptureStream can continue from given the
-	// units captured so far (see resume.go). Called from the sweep
-	// goroutine, after emit returned true. Like Keyframe, OnFrame is an
-	// execution-side knob excluded from the store Key.
-	//simlint:nonkey execution-side observer; never changes captured state
-	OnFrame func(ResumeFrame)
 	// Resume, when non-nil, continues a previously journaled sweep of
 	// this same plan instead of starting at instruction zero: the
 	// boundary generator is replayed over the already-captured units
@@ -294,6 +287,17 @@ type Unit struct {
 	// both). The links keep at most one keyframe interval of deltas
 	// (plus the keyframe) alive per retained unit.
 	Prev *Unit
+	// SweepTime, HaveIBlock and LastIBlock are the sweep state at
+	// LaunchAt that the snapshots do not hold, stamped by CaptureStream:
+	// the wall-clock sweep cost so far and the warmer's consecutive-fetch
+	// dedup block (uarch.Warmer.FetchBlock; unset on cold sweeps). With
+	// them every captured unit is a point a sweep can resume from
+	// (resume.go): warm state restored without the block would issue one
+	// extra warm fetch and skew the warmed LRU stamps off the
+	// uninterrupted sweep.
+	SweepTime  time.Duration
+	HaveIBlock bool
+	LastIBlock uint64
 }
 
 // WarmLen returns the number of detailed-warming instructions the
@@ -711,10 +715,11 @@ const FFChunk = 1 << 16
 // The sweep runs as two stages (see pipeline.go): a helper goroutine
 // interprets the stream and captures each unit's architectural state
 // and memory, and the calling goroutine warms the structures from the
-// interpreter's records, takes the warm state at each launch point and
-// calls emit and p.OnFrame — so a sweep costs max(interpret, warm) per
-// instruction, the units are bit-identical to interpreting and warming
-// in turn, and the helper has returned before CaptureStream does.
+// interpreter's records, takes the warm state at each launch point,
+// stamps the unit with the sweep state there and calls emit — so a
+// sweep costs max(interpret, warm) per instruction, the units are
+// bit-identical to interpreting and warming in turn, and the helper has
+// returned before CaptureStream does.
 //
 // The sweep honors ctx: cancellation (or deadline expiry) is observed
 // after every emitted unit and between the interpreter's batches (every
@@ -754,11 +759,12 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		if err != nil {
 			return nil, err
 		}
+		last := rs.Units[len(rs.Units)-1]
 		sum.Captured = len(rs.Units)
-		sum.ResumedAt = rs.SweepInsts
+		sum.ResumedAt = last.LaunchAt
 		// Backdate start so wallclock.Since(start) — used by every exit path —
 		// accumulates on top of the journaled sweep time.
-		start = start.Add(-rs.SweepTime)
+		start = start.Add(-last.SweepTime)
 	}
 
 	// The interpreter stage runs on its own goroutine until the stream
@@ -825,24 +831,17 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 					lastSeq = d.Seq
 				}
 			}
+			// The stream position is the unit's launch point: the unit
+			// carries what a sweep resumed from it needs beyond its
+			// snapshots.
+			u.SweepTime = wallclock.Since(start)
+			if warmer != nil {
+				u.LastIBlock, u.HaveIBlock = warmer.FetchBlock()
+			}
 			sum.Captured++
 			if !emit(u) {
 				sum.Complete = false
 				return finish(nil)
-			}
-			if p.OnFrame != nil {
-				// At capture time the stream position equals the unit's launch
-				// point, so the frame pins exactly the state a resumed sweep
-				// reconstructs from this unit.
-				fr := ResumeFrame{
-					Captured:   sum.Captured,
-					SweepInsts: pos,
-					SweepTime:  wallclock.Since(start),
-				}
-				if warmer != nil {
-					fr.LastIBlock, fr.HaveIBlock = warmer.FetchBlock()
-				}
-				p.OnFrame(fr)
 			}
 			if cancelled() {
 				return finish(ctx.Err())

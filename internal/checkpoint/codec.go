@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"time"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -24,11 +25,9 @@ import (
 
 // Record tags.
 const (
-	recPage   = 1 // one 4KiB page, referenced by arrival order
-	recUnit   = 2 // one captured unit
-	recEnd    = 3 // terminator carrying the sweep totals
-	recKeyIdx = 4 // keyframe index: ordinals of keyframe units
-	recFrame  = 5 // resume frame sealing a partial-sweep journal prefix (resume.go)
+	recPage = 1 // one 4KiB page, referenced by arrival order
+	recUnit = 2 // one captured unit, a resume point (resume.go)
+	recEnd  = 3 // terminator carrying the unit count and the sweep totals
 )
 
 // Warm-state encodings inside a unit record.
@@ -50,28 +49,50 @@ const (
 // checksum costs a fraction of the I/O it guards.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// recordSeal is where the CRC-32C of a stream's record ord starts: the
+// CRC of ord's little-endian bytes under seed, the CRC of the stream's
+// key hash (keySeed; 0 for the manifest, record 0, which names the key).
+// A record that moved to another position, or into another key's
+// stream, fails its seal even though its bytes are intact.
+func recordSeal(seed uint32, ord uint64) uint32 {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], ord)
+	return crc32.Update(seed, castagnoli, b[:])
+}
+
+// keySeed is the seal seed of the records of a stream keyed by k.
+func keySeed(k Key) uint32 { return crc32.Checksum([]byte(k.Hash()), castagnoli) }
+
 // codecWriter wraps the output stream with the scratch buffer the
 // fixed-width runs are staged through. Every record byte flows through
-// the five primitives below, which fold it into a running CRC-32C; the
-// store seals each record span (committed set, resume frame) with the
-// running sum so single-bit corruption anywhere in the payload —
-// including inside a 4KiB page, which structural validation cannot
-// see — surfaces as a decode error instead of a wrong result.
+// the five primitives below, which fold it into the record's CRC-32C;
+// seal ends a record with its sum, so single-bit corruption anywhere in
+// the payload — including inside a 4KiB page, which structural
+// validation cannot see — surfaces as a decode error of that very
+// record instead of a wrong result.
 type codecWriter struct {
 	w       *bufio.Writer
 	scratch []byte
 	crc     uint32
+	seed    uint32 // keySeed of the stream, once its manifest is written
+	ord     uint64 // the ordinal of the record being written
 }
 
 func newCodecWriter(w io.Writer) *codecWriter {
 	return &codecWriter{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// sum returns the CRC-32C of every byte written through the primitives
-// so far. The sealed checksum field is itself written via u64, so it
-// folds into the running sum identically on both sides — required for
-// partial journals, whose frames checksum a cumulative prefix.
-func (c *codecWriter) sum() uint32 { return c.crc }
+// begin starts the next record.
+func (c *codecWriter) begin() { c.crc = recordSeal(c.seed, c.ord) }
+
+// seal ends the record begin started with its 4-byte CRC-32C.
+func (c *codecWriter) seal() error {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], c.crc)
+	c.ord++
+	_, err := c.w.Write(b[:])
+	return err
+}
 
 func (c *codecWriter) u64(v uint64) error {
 	var b [8]byte
@@ -145,15 +166,17 @@ func (c *codecWriter) bools(v []bool) error {
 	return err
 }
 
-// codecReader mirrors codecWriter — including the running CRC-32C over
-// every byte read through the primitives. maxLen bounds every length
-// prefix in BYTES of decoded payload so corrupt files fail fast instead
-// of attempting huge allocations.
+// codecReader mirrors codecWriter — including each record's CRC-32C
+// over every byte read through the primitives. maxLen bounds every
+// length prefix in BYTES of decoded payload so corrupt files fail fast
+// instead of attempting huge allocations.
 type codecReader struct {
 	r       *bufio.Reader
 	scratch []byte
 	word    [8]byte // u64's buffer: a local would escape through io.ReadFull
 	crc     uint32
+	seed    uint32
+	ord     uint64
 }
 
 const maxLen = 1 << 28
@@ -168,10 +191,21 @@ func newCodecReader(r io.Reader) *codecReader {
 	return &codecReader{r: bufio.NewReaderSize(r, codecBufSize)}
 }
 
-// sum mirrors codecWriter.sum: the CRC-32C of every byte consumed so
-// far. Snapshot it immediately before reading a sealed checksum field
-// to get the value the writer sealed.
-func (c *codecReader) sum() uint32 { return c.crc }
+// begin starts the next record.
+func (c *codecReader) begin() { c.crc = recordSeal(c.seed, c.ord) }
+
+// check reads the seal of the record begin started and verifies it
+// against the bytes read since.
+func (c *codecReader) check() error {
+	if _, err := io.ReadFull(c.r, c.word[:4]); err != nil {
+		return fmt.Errorf("record %d seal: %w", c.ord, err)
+	}
+	if stored := binary.LittleEndian.Uint32(c.word[:4]); stored != c.crc {
+		return fmt.Errorf("record %d seal mismatch: stored %08x, computed %08x", c.ord, stored, c.crc)
+	}
+	c.ord++
+	return nil
+}
 
 func (c *codecReader) u64() (uint64, error) {
 	if _, err := io.ReadFull(c.r, c.word[:]); err != nil {
@@ -404,14 +438,15 @@ func (c *codecReader) predState(s *bpred.State) error {
 	return nil
 }
 
-// unit emits one captured unit record (tag already written by the
-// caller alongside any new page records). memKind selects the memory
-// encoding of the nums/refs page table (full table or dirty-page
-// delta); warm, when non-nil, is written as a full snapshot, warmD as a
-// dirty-block delta, neither as a cold unit. The store writer resolves
-// which combination a unit gets — including re-keyframing delta units
-// whose predecessor is not the previously written unit (a chain the
-// reader could not rebuild).
+// unit emits the body of one unit record, whose tag the caller wrote:
+// geometry, architectural state, the sweep state a resume continues
+// from (Unit.SweepTime, the fetch block), then memory and warm state.
+// memKind selects the memory encoding of the nums/refs page table (full
+// table or dirty-page delta); warm, when non-nil, is written as a full
+// snapshot, warmD as a dirty-block delta, neither as a cold unit. The
+// store writer resolves which combination a unit gets — including
+// re-keyframing delta units whose predecessor is not the previously
+// written unit (a chain the reader could not rebuild).
 func (c *codecWriter) unit(u *Unit, memKind uint64, nums, refs []uint64, warm *WarmState, warmD *uarch.WarmDelta) error {
 	for _, v := range []uint64{u.Index, u.Start, u.LaunchAt} {
 		if err := c.u64(v); err != nil {
@@ -428,15 +463,17 @@ func (c *codecWriter) unit(u *Unit, memKind uint64, nums, refs []uint64, warm *W
 	if err := c.u64(u.Arch.Count); err != nil {
 		return err
 	}
-	halted := uint64(0)
+	halted, have := uint64(0), uint64(0)
 	if u.Arch.Halted {
 		halted = 1
 	}
-	if err := c.u64(halted); err != nil {
-		return err
+	if u.HaveIBlock {
+		have = 1
 	}
-	if err := c.u64(memKind); err != nil {
-		return err
+	for _, v := range []uint64{halted, uint64(int64(u.SweepTime)), have, u.LastIBlock, memKind} {
+		if err := c.u64(v); err != nil {
+			return err
+		}
 	}
 	if err := c.u64s(nums); err != nil {
 		return err
@@ -821,16 +858,15 @@ func (d *unitDecoder) unit(c *codecReader) (*Unit, error) {
 	if u.Arch.Count, err = c.u64(); err != nil {
 		return nil, err
 	}
-	halted, err := c.u64()
-	if err != nil {
-		return nil, err
+	var vals [5]uint64 // halted, sweep time, fetch-block flag and block, memory encoding
+	for i := range vals {
+		if vals[i], err = c.u64(); err != nil {
+			return nil, err
+		}
 	}
-	u.Arch.Halted = halted != 0
-
-	mKind, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
+	u.Arch.Halted, u.HaveIBlock = vals[0] != 0, vals[2] != 0
+	u.SweepTime, u.LastIBlock = time.Duration(int64(vals[1])), vals[3]
+	mKind := vals[4]
 	if nums, err = c.u64s(nums); err != nil {
 		return nil, err
 	}

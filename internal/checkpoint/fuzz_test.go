@@ -17,12 +17,12 @@ import (
 )
 
 // fuzzWire captures a small real sweep once and returns its key, its
-// EncodeSet bytes, the journal a store writer leaves when it closes
-// after one frame over every unit, and the entry a journaled store
-// writer commits (the set's stream with a frame after every third
-// unit) — the valid corpus the fuzzers mutate. Readers must never
-// panic: any corruption degrades to an error (full sets) or to the
-// longest valid-frame prefix (partials).
+// EncodeSet bytes — what a store writer commits for the same units —
+// the journal a store writer leaves when it closes after adding every
+// unit, and the entry with one byte of its last unit record flipped:
+// the corpus the fuzzers mutate. Readers must never panic: any
+// corruption degrades to an error (full sets) or to the units verified
+// before it (partials).
 func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte, []byte) {
 	f.Helper()
 	p := genProg(f, "gccx", 120_000)
@@ -49,10 +49,6 @@ func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte, []byte) {
 			f.Fatal(err)
 		}
 	}
-	last := set.Units[len(set.Units)-1]
-	if err := w.Checkpoint(checkpoint.ResumeFrame{Captured: len(set.Units), SweepInsts: last.Arch.Count, SweepTime: set.SweepTime}); err != nil {
-		f.Fatal(err)
-	}
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -60,46 +56,30 @@ func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte, []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-
-	w, err = store.Writer(key, set.PopulationUnits)
+	recs, err := checkpoint.Records(wire.Bytes(), key)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i, u := range set.Units {
-		if err := w.Add(u); err != nil {
-			f.Fatal(err)
-		}
-		if (i+1)%3 == 0 {
-			// Only the count is checked against the stream; the scalars are
-			// opaque to the decoders.
-			if err := w.Checkpoint(checkpoint.ResumeFrame{Captured: i + 1, SweepInsts: u.Arch.Count}); err != nil {
-				f.Fatal(err)
-			}
+	tampered := bytes.Clone(wire.Bytes())
+	for i := len(recs) - 1; i >= 0; i-- {
+		if r := recs[i]; r.Tag == checkpoint.TagUnit {
+			tampered[(r.Start+r.End)/2] ^= 0x40
+			break
 		}
 	}
-	if err := w.Commit(set.SweepInsts, set.SweepTime); err != nil {
-		f.Fatal(err)
-	}
-	journaled, err := os.ReadFile(filepath.Join(store.Dir(), key.Hash()+".ckpt"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := checkpoint.DecodeSet(bytes.NewReader(journaled), key); err != nil {
-		f.Fatalf("committed journal does not decode: %v", err)
-	}
-	return key, wire.Bytes(), partial, journaled
+	return key, wire.Bytes(), partial, tampered
 }
 
 // FuzzDecodeSet feeds mutated set streams to DecodeSet: it must never
 // panic, and must return either an error or a structurally sound Set.
 func FuzzDecodeSet(f *testing.F) {
-	key, wire, partial, journaled := fuzzWire(f)
+	key, wire, partial, tampered := fuzzWire(f)
 	f.Add(wire)
 	f.Add(wire[:len(wire)/2])
 	f.Add(wire[:16])
 	f.Add(partial) // a partial stream is not a valid full set
 	f.Add([]byte{})
-	f.Add(journaled) // a committed entry that was a journal: frames included
+	f.Add(tampered) // the last unit fails its seal
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := checkpoint.DecodeSet(bytes.NewReader(data), key)
 		if err != nil {
@@ -118,16 +98,16 @@ func FuzzDecodeSet(f *testing.F) {
 
 // FuzzDecodePartial installs mutated partial-sweep journals in a store
 // and loads them with Store.LoadPartial, the one partial reader: it
-// must never panic, and corruption must degrade to a miss or to a
-// consistent valid-frame prefix.
+// must never panic, and corruption must degrade to a miss or to the
+// units verified before it.
 func FuzzDecodePartial(f *testing.F) {
-	key, wire, partial, journaled := fuzzWire(f)
+	key, wire, partial, tampered := fuzzWire(f)
 	f.Add(partial)
 	f.Add(partial[:len(partial)/2])
 	f.Add(partial[:16])
-	f.Add(wire) // a full set stream has no frame to resume from
+	f.Add(wire) // a committed entry resumes from its last unit
 	f.Add([]byte{})
-	f.Add(journaled) // resumes from its last frame
+	f.Add(tampered) // resumes from the unit before the last
 	store, err := checkpoint.OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -145,7 +125,7 @@ func FuzzDecodePartial(f *testing.F) {
 			return
 		}
 		if len(rs.Units) == 0 {
-			t.Fatal("LoadPartial returned a frameless state")
+			t.Fatal("LoadPartial returned a state without units")
 		}
 		for i, u := range rs.Units {
 			if u == nil {
@@ -202,13 +182,13 @@ func imageDigest(img *mem.Image) [sha256.Size]byte {
 // header, arch state, and materialized memory and warm state, unit by
 // unit — and the same sweep totals. Neither may panic.
 func FuzzStreamedLoad(f *testing.F) {
-	key, wire, partial, journaled := fuzzWire(f)
+	key, wire, partial, tampered := fuzzWire(f)
 	f.Add(wire)
-	f.Add(journaled)
 	f.Add(wire[:len(wire)/2])
-	f.Add(journaled[:len(journaled)-9])
+	f.Add(wire[:len(wire)-9])
 	f.Add(partial)
 	f.Add([]byte{})
+	f.Add(tampered)
 	store, err := checkpoint.OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)

@@ -84,7 +84,11 @@ func TestLegacyManifestDecodes(t *testing.T) {
 		}
 		var framed bytes.Buffer
 		cw := newCodecWriter(&framed)
+		cw.begin()
 		if err := cw.bytes(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.seal(); err != nil {
 			t.Fatal(err)
 		}
 		if err := cw.w.Flush(); err != nil {

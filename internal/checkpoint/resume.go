@@ -6,35 +6,33 @@ package checkpoint
 // run, and before this file it was all-or-nothing: a cancelled run or a
 // killed process threw the whole sweep away.
 // The sweep's store entry is therefore written as it runs and doubles as
-// its journal: the entry byte stream (header, manifest, page and unit
-// records) interleaved with Frame records (recFrame) that pin the exact
-// sweep state after a captured unit: the captured-unit count, the
-// stream position, the accumulated sweep time, and the warmer's
-// fetch-dedup block. Everything else a resume needs is already in the
-// last captured unit: capturing a unit snapshots (or delta-snapshots)
-// memory and warm state and resets both dirty journals, so the unit's
-// materialization IS the sweep state at its launch point.
+// its journal: a journal is the entry's byte stream without its End
+// record. Every unit is a resume point. Capturing a unit snapshots (or
+// delta-snapshots) memory and warm state and resets both dirty
+// journals, so the unit's materialization IS the sweep state at its
+// launch point; the rest of that state — the position, which is the
+// unit's LaunchAt, the sweep time so far and the warmer's fetch-dedup
+// block — is stamped on the unit and written in its record.
 //
-// One SetWriter (store.go) writes that stream into one file. Its first
-// Checkpoint renames the staged file to <hash>.partial, so a crash at
-// any byte leaves either no journal or one whose framed prefix is
-// intact; Commit later appends the keyframe index, the end record and
-// the CRC and renames the same file to <hash>.ckpt. A committed entry
-// may thus carry frames; a reader verifies them like any other record,
-// and a release from before this format reads such an entry as a miss.
-// The one record scanner (scanRecords) serves both readers: a partial
-// keeps the longest prefix that ends at a valid frame, so truncation or
-// bit corruption degrades to an earlier frame or a cold start — never
-// to a wrong resume.
+// One SetWriter (store.go) writes that stream into one file. It
+// installs the file as <hash>.partial at a keyframe once the file holds
+// more units than the journal it replaces, and flushes at every
+// keyframe after that; Commit appends the End record and renames the
+// same file to <hash>.ckpt. Every record carries its own CRC-32C,
+// seeded with the key and the record's position, so the one record
+// scanner (scanRecords) trusts each unit as soon as its record checks
+// out: a journal cut at any byte, or damaged anywhere, resumes from the
+// last unit wholly verified before the damage — never from a wrong
+// one.
 //
-// Store.LoadPartial reconstructs a ResumeState from the journal, and
+// Store.LoadPartial reads those units into a ResumeState, and
 // CaptureStream (Params.Resume) continues from it: it replays the
 // boundary generator over the journaled units (validating each against
 // the plan), rebuilds the sweep CPU from the last unit's arch state and
-// materialized memory, restores the warmed structures, and carries on
-// fast-forward + capture from the journaled instruction count. The
-// continued unit stream is bit-identical to the tail of an
-// uninterrupted sweep.
+// materialized memory, restores the warmed structures and the fetch
+// block, and carries on fast-forward + capture from the last unit's
+// launch point. The continued unit stream is bit-identical to the tail
+// of an uninterrupted sweep.
 
 import (
 	"errors"
@@ -42,7 +40,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/functional"
 	"repro/internal/program"
@@ -54,30 +51,8 @@ import (
 // storeExt) never sees journals.
 const partialExt = ".partial"
 
-// ResumeFrame is the sweep-side state pinned immediately after one
-// captured unit: together with the units captured so far it is
-// everything a resumed CaptureStream needs to continue bit-identically.
-// Params.OnFrame observes one per captured unit; SetWriter.Checkpoint
-// persists the frames a journal keeps.
-type ResumeFrame struct {
-	// Captured is the number of units captured up to and including this
-	// frame's unit.
-	Captured int
-	// SweepInsts is the stream position at the frame — the last unit's
-	// launch point, where the resumed CPU restarts.
-	SweepInsts uint64
-	// SweepTime is the wall-clock sweep cost accumulated so far.
-	SweepTime time.Duration
-	// HaveIBlock/LastIBlock journal the warmer's consecutive-fetch dedup
-	// state (uarch.Warmer.FetchBlock); restoring warm state without it
-	// would issue one extra warm fetch after resume and skew the warmed
-	// LRU stamps off the uninterrupted sweep.
-	HaveIBlock bool
-	LastIBlock uint64
-}
-
-// ResumeState is a reconstructed partial sweep: the journaled units
-// plus the frame they were journaled at. Feed it to CaptureStream via
+// ResumeState is a reconstructed partial sweep: the journaled units, the
+// last of which the sweep continues from. Feed it to CaptureStream via
 // Params.Resume; the already-captured units are not re-emitted, so the
 // consumer must account for them itself (the engine feeds them straight
 // into its replay pipeline).
@@ -87,12 +62,6 @@ type ResumeState struct {
 	Units []*Unit
 	// PopulationUnits echoes the journal's manifest.
 	PopulationUnits uint64
-	// SweepInsts, SweepTime, HaveIBlock, and LastIBlock mirror the
-	// ResumeFrame the journal was cut at (Captured == len(Units)).
-	SweepInsts uint64
-	SweepTime  time.Duration
-	HaveIBlock bool
-	LastIBlock uint64
 }
 
 // resumeSweep rebuilds the sweep execution state from a journaled
@@ -108,8 +77,8 @@ func resumeSweep(prog *program.Program, machine *uarch.Machine, warmer *uarch.Wa
 		}
 	}
 	last := rs.Units[len(rs.Units)-1]
-	if last.Arch.Count != rs.SweepInsts {
-		return nil, fmt.Errorf("checkpoint: resume: journaled position %d does not match last unit's launch %d", rs.SweepInsts, last.Arch.Count)
+	if last.Arch.Count != last.LaunchAt {
+		return nil, fmt.Errorf("checkpoint: resume: journaled unit %d stopped at %d, not at its launch %d", last.Index, last.Arch.Count, last.LaunchAt)
 	}
 	launch, err := last.Materialize()
 	if err != nil {
@@ -125,7 +94,7 @@ func resumeSweep(prog *program.Program, machine *uarch.Machine, warmer *uarch.Wa
 		if err := machine.Pred.Restore(launch.Warm.Pred); err != nil {
 			return nil, fmt.Errorf("checkpoint: resume: %w", err)
 		}
-		warmer.SetFetchBlock(rs.LastIBlock, rs.HaveIBlock)
+		warmer.SetFetchBlock(last.LastIBlock, last.HaveIBlock)
 	}
 	// NewMemory shares the materialized image copy-on-write with the
 	// journaled units, exactly as the uninterrupted sweep's memory
@@ -139,10 +108,9 @@ func (s *Store) partialPath(k Key) string {
 
 // LoadPartial loads the partial-sweep journal stored under k and
 // reconstructs the sweep state to continue from, or nil when the store
-// holds no usable journal (absent or corrupt — corruption degrades to
-// the journal's last valid frame before giving up entirely, and is
-// logged, never an error). Pass the result to CaptureStream via
-// Params.Resume.
+// holds no usable journal (absent, or without one verified unit —
+// damage degrades to the last unit verified before it, and is logged,
+// never an error). Pass the result to CaptureStream via Params.Resume.
 //
 //simlint:noctx bounded single-file metadata read; no long blocking
 func (s *Store) LoadPartial(k Key) (*ResumeState, error) {
@@ -161,7 +129,7 @@ func (s *Store) LoadPartial(k Key) (*ResumeState, error) {
 		return nil, nil
 	}
 	s.Log("checkpoint store: partial hit %s (%s: %d units, resume at inst %d)",
-		k.Hash(), k.Workload, len(rs.Units), rs.SweepInsts)
+		k.Hash(), k.Workload, len(rs.Units), rs.Units[len(rs.Units)-1].LaunchAt)
 	return rs, nil
 }
 
@@ -171,8 +139,8 @@ func (s *Store) DropPartial(k Key) {
 	os.Remove(s.partialPath(k))
 }
 
-// readPartial returns the state at the last valid frame of a sweep
-// stream: a journal, or a committed entry that was one.
+// readPartial returns the verified units of a sweep stream: a journal,
+// or a committed entry, which is one with its End record.
 func readPartial(r io.Reader, k Key) (*ResumeState, error) {
 	cr, man, err := readKeyed(r, k)
 	if err != nil {
@@ -181,17 +149,16 @@ func readPartial(r io.Reader, k Key) (*ResumeState, error) {
 	return resumable(scanRecords(cr, man, nil, nil))
 }
 
-// resumable is the partial readers' verdict on a scan: its last frame,
-// or why there is none. A defect after that frame only ended the scan:
-// a journal is by construction a prefix of a crashed write, so
-// everything before its last good frame is still a correct, older
-// resume point.
-func resumable(_ *Set, last *ResumeState, err error) (*ResumeState, error) {
-	if last == nil || len(last.Units) == 0 {
+// resumable is the partial readers' verdict on a scan: the units it
+// verified, or why there are none. A defect after them only ended the
+// scan: a journal is by construction a prefix of a crashed write, and
+// each of its units is a resume point.
+func resumable(set *Set, err error) (*ResumeState, error) {
+	if len(set.Units) == 0 {
 		if err == nil {
-			err = errors.New("stream has no frame")
+			err = errors.New("stream has no unit")
 		}
-		return nil, fmt.Errorf("no usable frame: %w", err)
+		return nil, fmt.Errorf("no verified unit: %w", err)
 	}
-	return last, nil
+	return &ResumeState{Units: set.Units, PopulationUnits: set.PopulationUnits}, nil
 }

@@ -35,11 +35,6 @@ func journalSweep(t *testing.T, prog *program.Program, cfg uarch.Config, params 
 		}
 		params.Resume = rs
 	}
-	params.OnFrame = func(fr checkpoint.ResumeFrame) {
-		if err := pw.Checkpoint(fr); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var units []*checkpoint.Unit
 	sum, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
 		if err := pw.Add(u); err != nil {
@@ -126,8 +121,8 @@ func TestResumeMatchesUninterruptedSweep(t *testing.T) {
 						if sum.SweepInsts != whole.SweepInsts {
 							t.Fatalf("resumed sweep accounts %d insts, uninterrupted %d", sum.SweepInsts, whole.SweepInsts)
 						}
-						if rs != nil && sum.ResumedAt != rs.SweepInsts {
-							t.Fatalf("ResumedAt %d, journal frame at %d", sum.ResumedAt, rs.SweepInsts)
+						if rs != nil && sum.ResumedAt != rs.Units[len(rs.Units)-1].LaunchAt {
+							t.Fatalf("ResumedAt %d, journal's last unit at %d", sum.ResumedAt, rs.Units[len(rs.Units)-1].LaunchAt)
 						}
 						// The journal is gone once the sweep completed.
 						if left, err := store.LoadPartial(key); err != nil || left != nil {
@@ -174,14 +169,12 @@ func TestResumeRejectsInconsistentJournal(t *testing.T) {
 }
 
 // TestPartialCorruptionDegrades sweeps truncation points and byte flips
-// across a multi-frame journal. Truncation — the crash shape the
-// journal exists for — must degrade to an earlier frame whose units are
-// bit-identical to the uninterrupted sweep's prefix, or to no journal
-// at all; never to a wrong resume. Byte flips must never panic: they
-// load into a structurally sound prefix (whose units all materialize)
-// or degrade to nothing, as in the committed-entry corruption suite —
-// content flips are undetectable without checksums, but the resume
-// path's plan validation still fences them off the boundary stream.
+// across a journal an interrupted sweep left. Truncation — the crash
+// shape the journal exists for — and flips alike must degrade to
+// exactly the units whose records end before the damage, bit-identical
+// to the uninterrupted sweep's prefix, or to no journal at all; never
+// to a wrong resume. The intact journal then still resumes the sweep to
+// completion.
 func TestPartialCorruptionDegrades(t *testing.T) {
 	p := genProg(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
@@ -201,71 +194,23 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	checkPrefix := func(what string, rs *checkpoint.ResumeState) {
-		t.Helper()
-		if len(rs.Units) == 0 || len(rs.Units) > len(want) {
-			t.Fatalf("%s: journal has %d units, sweep has %d", what, len(rs.Units), len(want))
-		}
-		for i, u := range rs.Units {
-			unitsEqual(t, what, u, want[i])
-		}
-		if last := rs.Units[len(rs.Units)-1]; rs.SweepInsts != last.Arch.Count {
-			t.Fatalf("%s: frame position %d, last unit launch %d", what, rs.SweepInsts, last.Arch.Count)
-		}
+	_, verified := verifiedBefore(t, data, key)
+	if full := resumeUnits(t, store, key, data, want); full != len(want)-2 {
+		t.Fatalf("intact journal resumes at %d units, want %d", full, len(want)-2)
 	}
 
-	// The intact journal must be a clean prefix.
-	rs, err := store.LoadPartial(key)
-	if err != nil || rs == nil {
-		t.Fatalf("intact journal unusable (rs=%v err=%v)", rs != nil, err)
-	}
-	checkPrefix("intact", rs)
-	full := len(rs.Units)
-
-	// Truncations at 50 points: every cut degrades to an earlier frame
-	// (or none), still a bit-identical prefix.
-	sawShorter := false
 	for i := 1; i < 50; i++ {
 		cut := len(data) * i / 50
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rs, err := store.LoadPartial(key)
-		if err != nil {
-			t.Fatalf("truncation at %d bytes: %v", cut, err)
-		}
-		if rs == nil {
-			continue
-		}
-		checkPrefix("truncated", rs)
-		if len(rs.Units) < full {
-			sawShorter = true
+		if got, exact := resumeUnits(t, store, key, data[:cut], want), verified(cut); got != exact {
+			t.Fatalf("truncation at %d bytes: journal resumes at %d units, want %d", cut, got, exact)
 		}
 	}
-	if !sawShorter {
-		t.Fatal("no truncation point degraded to an earlier frame — the sweep is not exercising the prefix recovery")
-	}
-
-	// Byte flips at 60 points: no panics, every survivor materializes.
 	for i := 0; i < 60; i++ {
 		off := 12 + (len(data)-13)*i/60
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x5a
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rs, err := store.LoadPartial(key)
-		if err != nil {
-			t.Fatalf("flip at %d: %v", off, err)
-		}
-		if rs == nil {
-			continue
-		}
-		for _, u := range rs.Units {
-			if _, err := u.Materialize(); err != nil {
-				t.Fatalf("flip at %d: journal unit %d failed to materialize: %v", off, u.Index, err)
-			}
+		if got, exact := resumeUnits(t, store, key, mut, want), verified(off); got != exact {
+			t.Fatalf("flip at %d: journal resumes at %d units, want %d", off, got, exact)
 		}
 	}
 
@@ -274,7 +219,7 @@ func TestPartialCorruptionDegrades(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = store.LoadPartial(key)
+	rs, err := store.LoadPartial(key)
 	if err != nil || rs == nil {
 		t.Fatalf("intact journal unusable after sweep (rs=%v err=%v)", rs != nil, err)
 	}

@@ -24,16 +24,13 @@ import (
 )
 
 // Store file format: an 8-byte magic, a little-endian uint32 format
-// version, a length-prefixed gob-encoded storeManifest, then a sequence
-// of raw little-endian records (see codec.go) terminated by an End
-// record carrying the sweep totals. A sweep writes one such stream,
-// which has two endings: cut after a resume frame it is the key's
-// partial journal (<hash>.partial, resume.go); continued to the End
-// record it is the committed entry (<hash>.ckpt). A committed entry may
-// therefore carry frame records among its units — the journal it was
-// before it committed. Entries saved whole (Store.Save, EncodeSet)
-// carry none and are byte-for-byte what earlier releases wrote; an
-// earlier release reads an entry with frames as a miss. Files whose
+// version, then a sequence of records: the manifest (a length-prefixed
+// gob-encoded storeManifest), page and unit records (see codec.go), and
+// an End record carrying the unit count and the sweep totals. A sweep
+// writes one such stream, which has two endings: without its End record
+// it is the key's partial journal (<hash>.partial, resume.go), and with
+// it the committed entry (<hash>.ckpt). The writer's journal, EncodeSet
+// and Store.Save produce the same bytes for the same units. Files whose
 // magic, version, or manifest key do not match the request are treated
 // as misses (never as errors), so bumping storeVersion — or any change
 // to the key derivation — safely invalidates every existing checkpoint
@@ -44,29 +41,31 @@ import (
 //
 // Exactly one version is readable: the one the writer emits. The store
 // is a cache, so an entry (or partial journal) stamped with any other
-// version — the unsealed formats 1–3 of earlier releases included — is
-// a miss that the next commit of its key overwrites; Verify reports it.
+// version — formats 1–4 of earlier releases included — is a miss that
+// the next commit of its key overwrites; Verify reports it.
 //
-// Version 4, the current format: unit records carry a memory-encoding
-// kind (full/delta) and a warm-encoding kind (none/full/delta). Delta
-// units list only the pages dirtied since the preceding unit (mem.Delta
-// from the dirty-page journal) and dirty-block warm deltas, each with
-// its serialized grain, chained off the preceding full "keyframe" unit;
-// memory and warm state keyframe together. A keyframe index record
-// before the End record enumerates the keyframe ordinals so truncated
-// or spliced chains are detected at load. Every entry is sealed with a
-// CRC-32C: the codec primitives fold each record byte into a running
-// checksum (codec.go) and the end record is followed by the writer's
-// final sum as a trailing uint64. Resume frames seal their cumulative
-// prefix the same way, and a reader verifies every frame it passes. The
-// magic and version themselves stay outside the sum — they are
-// validated byte-for-byte instead. Structural validation catches
-// truncation and splicing; the checksum closes the remaining gap —
+// Version 5, the current format: every record is followed by its own
+// CRC-32C, which starts from the CRC of the key's content address and
+// the record's ordinal in the stream (the manifest, record 0, which
+// names the key, from the ordinal alone). A reader trusts a record as
+// soon as its seal checks out; a record reordered, dropped, or spliced
+// in from another key's stream fails its seal even when its bytes are
+// intact, and a truncated stream has no End record, whose unit count
+// must also match the units read. The magic and version stay outside
+// the seals — they are validated byte-for-byte instead. Unit records
+// carry a memory-encoding kind (full/delta) and a warm-encoding kind
+// (none/full/delta). Delta units list only the pages dirtied since the
+// preceding unit (mem.Delta from the dirty-page journal) and dirty-block
+// warm deltas, each with its serialized grain, chained off the
+// preceding full "keyframe" unit; memory and warm state keyframe
+// together. Every unit record also carries the sweep state a resume
+// needs beyond the snapshots (Unit.SweepTime and the fetch block), so
+// every unit is a resume point. Corruption anywhere — including
 // single-bit rot inside an opaque payload (a 4KiB page, a predictor
-// table) that still parses. Corruption anywhere — including mid-chain —
-// degrades to a miss.
+// table) that still parses — degrades to a miss, or for a journal to
+// the units before it.
 const (
-	storeVersion = 4
+	storeVersion = 5
 	storeExt     = ".ckpt"
 )
 
@@ -78,9 +77,9 @@ var storeMagic = [8]byte{'S', 'M', 'R', 'T', 'C', 'K', 'P', 'T'}
 // machine shape. Timing, pipeline-width, and energy parameters are
 // deliberately excluded: they change what the detailed replay measures,
 // not what the sweep captures, so machine configs differing only in
-// those reuse one sweep. So are the execution knobs (Keyframe, OnFrame,
-// Resume): the sweep is serial and every way of running it captures
-// the same launch states.
+// those reuse one sweep. So are the execution knobs (Keyframe, Resume):
+// the sweep is serial and every way of running it captures the same
+// launch states.
 //
 //simlint:keystruct String
 type Key struct {
@@ -234,10 +233,14 @@ type storeManifest struct {
 	PopulationUnits uint64
 }
 
-// readManifest decodes the length-prefixed gob manifest that follows
-// the file header.
+// readManifest decodes the manifest record that follows the file
+// header, and seeds the seals of the records after it with its key.
 func readManifest(cr *codecReader) (*storeManifest, error) {
+	cr.begin()
 	blob, err := cr.bytes(nil)
+	if err == nil {
+		err = cr.check()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
@@ -245,6 +248,7 @@ func readManifest(cr *codecReader) (*storeManifest, error) {
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&man); err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
+	cr.seed = keySeed(man.Key)
 	return &man, nil
 }
 
@@ -285,14 +289,15 @@ func (s *Store) Load(k Key) (*Set, error) {
 // header is the consumer's to keep. A false return from emit stops the
 // read.
 //
-// Units reach emit before the entry's seal has been checked, so the
-// consumer must hold back whatever it makes of them until Stream
-// returns a hit: a non-nil Summary (Captured units, the original
-// sweep's totals, Complete). The verdict is settled once, after replay
-// returns, so it does not depend on how far the read got by then: the
-// entry is a miss, counted and logged like Load's, when it is absent,
-// fails to decode or to seal, or replay returned an error (whatever
-// made it stop reading). A done ctx is returned, neither hit nor miss.
+// Each unit reaches emit once its own record has verified, but before
+// the End record shows the entry complete, so the consumer must hold
+// back whatever it makes of them until Stream returns a hit: a non-nil
+// Summary (Captured units, the original sweep's totals, Complete). The
+// verdict is settled once, after replay returns, so it does not depend
+// on how far the read got by then: the entry is a miss, counted and
+// logged like Load's, when it is absent, fails to decode or to verify,
+// or replay returned an error (whatever made it stop reading). A done
+// ctx is returned, neither hit nor miss.
 func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit func(*Unit, *Launch) bool)) error) (*Summary, error) {
 	f, err := s.open(k)
 	if f == nil || err != nil {
@@ -317,7 +322,7 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 		}
 		cr.scratch = rd.scratch
 		defer func() { rd.scratch = cr.scratch }()
-		set, _, readErr = scanRecords(cr, man, rd.buf, func(u *Unit) error {
+		set, readErr = scanRecords(cr, man, rd.buf, func(u *Unit) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -326,7 +331,7 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 				return err
 			}
 			if !emit(&Unit{Index: u.Index, Start: u.Start, LaunchAt: u.LaunchAt, Arch: u.Arch}, launch) {
-				return errors.New("consumer stopped before the seal")
+				return errors.New("consumer stopped before the end record")
 			}
 			n++
 			return nil
@@ -422,8 +427,8 @@ func (s *Store) touch(path string, k Key) {
 
 // readHeader consumes the magic, version, and manifest of an entry or
 // a partial journal, returning the codec reader positioned at the first
-// record. The magic and version are read directly (outside the CRC), so
-// the checksum covers exactly the bytes the codec primitives produced.
+// record after the manifest. The magic and version are read directly,
+// outside every seal.
 func readHeader(r io.Reader) (*codecReader, *storeManifest, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -465,159 +470,101 @@ func readSet(r io.Reader, k Key) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, _, err := scanRecords(cr, man, nil, nil)
-	return set, err
+	set, err := scanRecords(cr, man, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return set, nil
 }
 
 // scanRecords is the one reader of a sweep's record stream, whose
-// header readHeader consumed. It returns the committed Set when the
-// stream reaches a valid end record, and in any case the state at the
-// last valid frame (nil when it passed none) and the defect that
-// stopped it (nil at a valid end). A committed entry must reach its end
-// with no defect; a partial journal keeps the last frame before one,
-// because it is a prefix of a crashed write. Frames and the end record
-// alike must describe exactly the units decoded before them — count and
-// keyframe ordinals, or records were lost or spliced — and must match
-// their CRC seal over the whole prefix, so nothing past a defect is
-// ever trusted.
+// header readHeader consumed. It returns the Set of the units it
+// verified — with the sweep totals, when the stream reached a valid End
+// record — and the defect that stopped it (nil at a valid End). A
+// committed entry must reach its End with no defect; a partial journal
+// keeps the units before one, because it is a prefix of a crashed write
+// and every unit is a resume point. Each record is verified against its
+// own seal before anything is made of it, and the End record must count
+// exactly the units read, so nothing at or past a defect is ever
+// trusted.
 //
-// With emit nil every unit is kept: the Set holds them and a frame's
-// state lists them. With emit set, each unit is handed to emit as it is
-// decoded and nothing is kept — the units are decoded into buf, which
-// the next record overwrites (unitDecoder), the Set has no Units and no
-// frame state is built — and an error from emit stops the scan and is
+// With emit nil every unit is kept in the Set. With emit set, each unit
+// is handed to emit once verified and nothing is kept — the units are
+// decoded into buf, which the next record overwrites (unitDecoder), and
+// the Set has no Units — and an error from emit stops the scan and is
 // returned as is. Either way a unit is checked against the plan the
 // manifest keys (plausible) before anyone sees it.
-func scanRecords(cr *codecReader, man *storeManifest, buf *unitBuf, emit func(*Unit) error) (set *Set, last *ResumeState, err error) {
-	var (
-		dec       = unitDecoder{buf: buf}
-		units     []*Unit   // the kept units (emit nil)
-		n         int       // units decoded
-		keyframes []uint64  // ordinals of keyframe units, for index validation
-		vals      [5]uint64 // a frame's or end record's scalar fields
-	)
-	// sealed checks a frame or end record, whose fields are read up to its
-	// seal, against the decoded units, then reads and verifies the seal:
-	// the running sum is snapshot before the field itself is consumed.
-	sealed := func(captured uint64, keyIdx []uint64) error {
-		if captured != uint64(n) {
-			return fmt.Errorf("record covers %d units, decoded %d", captured, n)
-		}
-		if !slices.Equal(keyIdx, keyframes) {
-			return fmt.Errorf("keyframe index lists %d keyframes, decoded %d", len(keyIdx), len(keyframes))
-		}
-		expect := cr.sum()
-		stored, err := cr.u64()
-		if err != nil {
-			return fmt.Errorf("checksum: %w", err)
-		}
-		if uint32(stored) != expect {
-			return fmt.Errorf("checksum mismatch: stored %08x, computed %08x", uint32(stored), expect)
-		}
-		return nil
-	}
-	readVals := func(n int) (err error) {
-		for i := range vals[:n] {
-			if vals[i], err = cr.u64(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+func scanRecords(cr *codecReader, man *storeManifest, buf *unitBuf, emit func(*Unit) error) (*Set, error) {
+	set := &Set{K: man.Key.K, PopulationUnits: man.PopulationUnits}
+	dec := unitDecoder{buf: buf}
+	n := 0 // units verified
 	for {
+		cr.begin()
 		tag, err := cr.u64()
 		if err != nil {
-			return nil, last, fmt.Errorf("record: %w", err)
+			return set, fmt.Errorf("record: %w", err)
 		}
 		switch tag {
 		case recPage:
 			page, err := cr.bytes(nil)
 			if err != nil {
-				return nil, last, err
+				return set, err
+			}
+			if err := cr.check(); err != nil {
+				return set, err
 			}
 			if len(page) != mem.PageSize {
-				return nil, last, fmt.Errorf("page record of %d bytes", len(page))
+				return set, fmt.Errorf("page record of %d bytes", len(page))
 			}
 			dec.pages = append(dec.pages, (*[mem.PageSize]byte)(page))
 		case recUnit:
 			u, err := dec.unit(cr)
 			if err != nil {
-				return nil, last, err
+				return set, err
+			}
+			if err := cr.check(); err != nil {
+				return set, err
 			}
 			if err := man.Key.plausible(u); err != nil {
-				return nil, last, err
-			}
-			// The keyframe index lists full-snapshot units: memory
-			// keyframes (warm state keyframes with them).
-			if u.Mem != nil {
-				keyframes = append(keyframes, uint64(n))
+				return set, err
 			}
 			dec.prev = u
 			n++
 			if emit == nil {
-				units = append(units, u)
+				set.Units = append(set.Units, u)
 			} else if err := emit(u); err != nil {
-				return nil, last, err
+				return set, err
 			}
-		case recFrame:
-			// Captured, sweep position, sweep time, fetch-block flag and
-			// block, then the keyframe ordinals so far (setEncoder.frame).
-			if err := readVals(5); err != nil {
-				return nil, last, err
-			}
-			keyIdx, err := cr.u64s(nil)
-			if err != nil {
-				return nil, last, err
-			}
-			if err := sealed(vals[0], keyIdx); err != nil {
-				return nil, last, fmt.Errorf("frame: %w", err)
-			}
-			if emit == nil {
-				last = &ResumeState{
-					Units:           units[:len(units):len(units)],
-					PopulationUnits: man.PopulationUnits,
-					SweepInsts:      vals[1],
-					SweepTime:       time.Duration(int64(vals[2])),
-					HaveIBlock:      vals[3] != 0,
-					LastIBlock:      vals[4],
+		case recEnd:
+			// The unit count and the sweep totals (setEncoder.finish).
+			var vals [3]uint64
+			for i := range vals {
+				if vals[i], err = cr.u64(); err != nil {
+					return set, err
 				}
 			}
-		case recKeyIdx:
-			// The keyframe index, then the end record: its tag, the unit
-			// count and the sweep totals (setEncoder.finish).
-			keyIdx, err := cr.u64s(nil)
-			if err != nil {
-				return nil, last, err
+			if err := cr.check(); err != nil {
+				return set, err
 			}
-			if err := readVals(4); err != nil {
-				return nil, last, err
+			if vals[0] != uint64(n) {
+				return set, fmt.Errorf("end record covers %d units, read %d", vals[0], n)
 			}
-			if vals[0] != recEnd {
-				return nil, last, fmt.Errorf("keyframe index followed by record tag %d", vals[0])
-			}
-			if err := sealed(vals[1], keyIdx); err != nil {
-				return nil, last, fmt.Errorf("end: %w", err)
-			}
-			return &Set{
-				K:               man.Key.K,
-				PopulationUnits: man.PopulationUnits,
-				Units:           units,
-				SweepInsts:      vals[2],
-				SweepTime:       time.Duration(int64(vals[3])),
-			}, last, nil
+			set.SweepInsts, set.SweepTime = vals[1], time.Duration(int64(vals[2]))
+			return set, nil
 		default:
-			return nil, last, fmt.Errorf("unknown record tag %d", tag)
+			return set, fmt.Errorf("unknown record tag %d", tag)
 		}
 	}
 }
 
 // plausible checks a decoded unit's stream positions against the plan
 // the entry is keyed by: the unit starts at its index times U, and its
-// launch point lies at most W before that. The seal catches any
-// corruption in the end; this check bounds what an unverified unit can
-// cost a reader that replays units before the seal arrives (Stream) —
-// a detailed warming run of W instructions at most, not of the rest of
-// the program.
+// launch point lies at most W before that. A unit is verified against
+// its record's seal before anyone sees it, so only a writer at fault
+// gets past the seal with an implausible unit; this check still bounds
+// what such a unit can cost a reader that replays units before the End
+// record arrives (Stream) — a detailed warming run of W instructions at
+// most, not of the rest of the program.
 func (k Key) plausible(u *Unit) error {
 	if u.Start != u.Index*k.U || u.LaunchAt > u.Start || u.WarmLen() > k.W {
 		return fmt.Errorf("unit %d: start %d and launch %d do not fit the plan (U=%d, W=%d)",
@@ -627,10 +574,10 @@ func (k Key) plausible(u *Unit) error {
 }
 
 // setEncoder writes one entry's byte stream (header, manifest, page and
-// unit records, keyframe index, end record) to any io.Writer. It is the
-// shared encoding core of the store's SetWriter and of EncodeSet, the
-// wire form the distributed service ships sweeps with — both produce
-// the identical byte stream.
+// unit records, End record) to any io.Writer. It is the shared encoding
+// core of the store's SetWriter and of EncodeSet, the wire form the
+// distributed service ships sweeps with — both produce the identical
+// byte stream.
 type setEncoder struct {
 	cw *codecWriter
 	// table is the running reconstruction of the stream's current page
@@ -652,9 +599,6 @@ type setEncoder struct {
 	// of other offsets — are materialized and written as full keyframes
 	// instead.
 	prevUnit *Unit
-	// keyframes holds the ordinals of full-snapshot units for the
-	// keyframe index record finish emits.
-	keyframes []uint64
 }
 
 // newSetEncoder writes the header and manifest for an entry keyed by k
@@ -675,9 +619,14 @@ func newSetEncoder(w io.Writer, k Key, pop uint64) (*setEncoder, error) {
 	if err := gob.NewEncoder(&blob).Encode(storeManifest{Key: k, PopulationUnits: pop}); err != nil {
 		return nil, err
 	}
+	e.cw.begin()
 	if err := e.cw.bytes(blob.Bytes()); err != nil {
 		return nil, err
 	}
+	if err := e.cw.seal(); err != nil {
+		return nil, err
+	}
+	e.cw.seed = keySeed(k)
 	return e, nil
 }
 
@@ -689,24 +638,46 @@ func (e *setEncoder) page(data *[mem.PageSize]byte) (uint64, error) {
 	}
 	id := e.nextPage
 	e.nextPage++
+	e.cw.begin()
 	if err := e.cw.u64(recPage); err != nil {
 		return 0, err
 	}
 	if err := e.cw.bytes(data[:]); err != nil {
 		return 0, err
 	}
+	if err := e.cw.seal(); err != nil {
+		return 0, err
+	}
 	e.ids[data] = id
 	return id, nil
 }
 
-// add appends one unit's records.
+// record writes u's unit record (see codecWriter.unit).
+func (e *setEncoder) record(u *Unit, memKind uint64, nums, refs []uint64, warm *WarmState, warmD *uarch.WarmDelta) error {
+	e.cw.begin()
+	if err := e.cw.u64(recUnit); err != nil {
+		return err
+	}
+	if err := e.cw.unit(u, memKind, nums, refs, warm, warmD); err != nil {
+		return err
+	}
+	if err := e.cw.seal(); err != nil {
+		return err
+	}
+	e.prevUnit = u
+	e.units++
+	return nil
+}
+
+// add appends one unit's records and reports whether it wrote the unit
+// as a keyframe.
 //
 // A unit is written as a delta exactly when it carries a memory delta
 // extending the previously written unit — the only chain shape the
 // reader can rebuild from record order. Anything else (keyframes,
 // out-of-order units from an offset sub-set) is materialized and
 // written as a full keyframe.
-func (e *setEncoder) add(u *Unit) error {
+func (e *setEncoder) add(u *Unit) (keyframe bool, err error) {
 	if u.MemDelta != nil && u.Warm == nil && u.Prev == e.prevUnit && e.prevUnit != nil {
 		// Chain-aligned delta unit: write only the dirty pages.
 		nums := u.MemDelta.Nums
@@ -714,7 +685,7 @@ func (e *setEncoder) add(u *Unit) error {
 		for i, data := range u.MemDelta.Pages {
 			id, err := e.page(data)
 			if err != nil {
-				return err
+				return false, err
 			}
 			refs[i] = id
 			if old, ok := e.table[nums[i]]; ok && old != data {
@@ -722,15 +693,7 @@ func (e *setEncoder) add(u *Unit) error {
 			}
 			e.table[nums[i]] = data
 		}
-		if err := e.cw.u64(recUnit); err != nil {
-			return err
-		}
-		if err := e.cw.unit(u, memDelta, nums, refs, nil, u.Delta); err != nil {
-			return err
-		}
-		e.prevUnit = u
-		e.units++
-		return nil
+		return false, e.record(u, memDelta, nums, refs, nil, u.Delta)
 	}
 
 	// Full keyframe: the unit's own snapshots, or — for delta units that
@@ -739,7 +702,7 @@ func (e *setEncoder) add(u *Unit) error {
 	if img == nil || (u.Warm == nil && u.Delta != nil) {
 		launch, err := u.Materialize()
 		if err != nil {
-			return err
+			return false, err
 		}
 		img, warm = launch.Mem, launch.Warm
 	}
@@ -762,70 +725,27 @@ func (e *setEncoder) add(u *Unit) error {
 		refs = append(refs, id)
 	})
 	if encErr != nil {
-		return encErr
+		return false, encErr
 	}
 	// Replace the running table: pages the stream no longer maps drop
 	// their ids, keeping the dedup window at the live footprint.
 	e.table, e.ids = table, ids
-	if err := e.cw.u64(recUnit); err != nil {
-		return err
-	}
-	if err := e.cw.unit(u, memFull, nums, refs, warm, nil); err != nil {
-		return err
-	}
-	e.keyframes = append(e.keyframes, uint64(e.units))
-	e.prevUnit = u
-	e.units++
-	return nil
+	return true, e.record(u, memFull, nums, refs, warm, nil)
 }
 
-// finish seals the record stream with the keyframe index, the end
-// record carrying the sweep totals, and a flush of the encoder's
-// buffer.
+// finish ends the record stream with the End record — the unit count
+// and the sweep totals — and flushes the encoder's buffer.
 func (e *setEncoder) finish(sweepInsts uint64, sweepTime time.Duration) error {
-	if err := e.cw.u64(recKeyIdx); err != nil {
-		return err
-	}
-	if err := e.cw.u64s(e.keyframes); err != nil {
-		return err
-	}
+	e.cw.begin()
 	for _, v := range []uint64{recEnd, uint64(e.units), sweepInsts, uint64(int64(sweepTime))} {
 		if err := e.cw.u64(v); err != nil {
 			return err
 		}
 	}
-	// Seal the entry: snapshot the running CRC before writing the field,
-	// so the reader's pre-field snapshot computes the same sum.
-	if err := e.cw.u64(uint64(e.cw.sum())); err != nil {
+	if err := e.cw.seal(); err != nil {
 		return err
 	}
 	return e.cw.w.Flush()
-}
-
-// frame appends one recFrame record sealing the units written so far:
-// the resume frame's scalars plus the keyframe ordinals accumulated to
-// this point — the same index the end record's recKeyIdx carries,
-// validated by the reader against the units it actually decoded.
-func (e *setEncoder) frame(fr ResumeFrame) error {
-	have := uint64(0)
-	if fr.HaveIBlock {
-		have = 1
-	}
-	for _, v := range []uint64{recFrame, uint64(fr.Captured), fr.SweepInsts,
-		uint64(int64(fr.SweepTime)), have, fr.LastIBlock} {
-		if err := e.cw.u64(v); err != nil {
-			return err
-		}
-	}
-	if err := e.cw.u64s(e.keyframes); err != nil {
-		return err
-	}
-	// Seal the cumulative prefix under this frame. Each frame's checksum
-	// covers every byte since the manifest — including earlier frames and
-	// their checksums, which folded into the running sum as ordinary u64
-	// fields — so a reader verifying frame n has verified the whole prefix
-	// it would resume from.
-	return e.cw.u64(uint64(e.cw.sum()))
 }
 
 // errFinished is the sticky state of a writer that committed or closed.
@@ -834,15 +754,16 @@ var errFinished = errors.New("checkpoint: store writer already finished")
 // SetWriter streams a sweep into the store as its units are emitted, so
 // saving adds no memory footprint to the pipelined engine, and is the
 // sweep's crash journal on the way (engine.Journal). Its one file is
-// staged as a temp file; the first Checkpoint seals the records so far
-// under a frame and renames the file to the key's partial path, and
-// later Checkpoints append and flush in place, so a crash at any byte
-// leaves either no journal or one whose framed prefix is intact. Commit
-// appends the trailer and renames the same file to the key's entry
-// path; Close instead keeps an installed journal for a later resume and
-// removes a file that never checkpointed. One of the two must be
-// called, and errors are sticky: after the first, every call returns it
-// and the writer has removed what it wrote.
+// staged as a temp file until a keyframe finds it holding more units
+// than the journal it replaces (the one Load returned, if any): Add then
+// renames it to the key's partial path, and flushes it at every keyframe
+// after that. Every record is sealed on its own, so a crash at any byte
+// leaves a journal that resumes from its last whole unit. Commit
+// appends the End record and renames the same file to the key's entry
+// path; Close instead keeps the file as the key's journal when it holds
+// more units than the one it replaces, and removes it otherwise. One of
+// the two must be called, and errors are sticky: after the first, every
+// call returns it and the writer has removed what it wrote.
 type SetWriter struct {
 	store *Store
 	key   Key
@@ -850,7 +771,8 @@ type SetWriter struct {
 	// id identifies f on disk, so the writer renames or removes a path
 	// only while it still names this file and never a concurrent sweep's.
 	id        os.FileInfo
-	installed bool // f lives at the key's partial path (first Checkpoint)
+	installed bool // f lives at the key's partial path
+	replaces  int  // units of the journal f replaces (Load)
 	enc       *setEncoder
 	err       error
 }
@@ -918,68 +840,61 @@ func (w *SetWriter) discard() {
 // Load returns the journal an interrupted sweep of this writer's key
 // left in the store (Store.LoadPartial), nil when there is nothing to
 // resume from; a read failure is logged and counts as a miss. The
-// writer's own records stay staged apart from that journal until its
-// first Checkpoint replaces it.
+// writer's own records stay staged apart from that journal until they
+// outnumber its units.
 func (w *SetWriter) Load() *ResumeState {
 	rs, err := w.store.LoadPartial(w.key)
 	if err != nil {
 		w.store.Log("checkpoint store: resume unavailable: %v", err)
 		return nil
 	}
+	if rs != nil {
+		w.replaces = len(rs.Units)
+	}
 	return rs
 }
 
 // Drop removes the journal Load returned, which failed resume
-// validation with why. For use before the first Checkpoint (after it
-// the key's journal is this writer's file).
+// validation with why. For use before the writer has added a unit
+// (after that the key's journal may be this writer's file).
 func (w *SetWriter) Drop(why error) {
 	w.store.Log("checkpoint store: dropping unusable partial %s: %v", w.key.Hash(), why)
 	w.store.DropPartial(w.key)
+	w.replaces = 0
 }
 
 // Add appends one unit. See setEncoder.add for the delta-versus-keyframe
-// discipline.
+// discipline; a keyframe also journals the file (see SetWriter).
 func (w *SetWriter) Add(u *Unit) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.enc.add(u); err != nil {
+	keyframe, err := w.enc.add(u)
+	if err == nil && keyframe && w.enc.units > w.replaces {
+		err = w.journal()
+	}
+	if err != nil {
 		w.fail(err)
 	}
 	return w.err
 }
 
-// Checkpoint makes the units added so far durable as the key's partial
-// journal: it appends a frame sealing them under fr, flushes, and on
-// the first call atomically installs the file under the key's partial
-// path. fr must describe exactly the units added so far.
-func (w *SetWriter) Checkpoint(fr ResumeFrame) error {
-	if w.err != nil {
-		return w.err
-	}
-	if fr.Captured != w.enc.units {
-		w.fail(fmt.Errorf("checkpoint: frame at %d units, %d written", fr.Captured, w.enc.units))
-		return w.err
-	}
-	if err := w.enc.frame(fr); err != nil {
-		w.fail(err)
-		return w.err
-	}
+// journal flushes the units added so far to the file and, the first
+// time, installs the file under the key's partial path.
+func (w *SetWriter) journal() error {
 	if err := w.enc.cw.w.Flush(); err != nil {
-		w.fail(err)
-		return w.err
+		return err
 	}
 	if !w.installed {
 		if err := os.Rename(w.f.Name(), w.store.partialPath(w.key)); err != nil {
-			w.fail(err)
-			return w.err
+			return err
 		}
 		w.installed = true
 	}
 	return nil
 }
 
-// Commit seals the entry with the sweep totals and atomically renames
+// Commit ends the entry with the End record and atomically renames
 // the writer's file — staged, or installed as the journal — to the key's
 // content address. A concurrent sweep of the key may have installed its
 // own journal over this writer's; the partial path then names that
@@ -1062,23 +977,25 @@ func (s *Store) evict(keep string) {
 	}
 }
 
-// Close ends a writer that will not commit: a journal a Checkpoint
-// installed is flushed and kept for a later resume, and a file that
-// never checkpointed is removed. After Commit, a failure or an earlier
-// Close it does nothing.
+// Close ends a writer that will not commit: a file holding more units
+// than the journal it replaces is flushed and kept, installed if it was
+// not yet, as the key's journal for a later resume, and any other file
+// is removed. After Commit, a failure or an earlier Close it does
+// nothing.
 func (w *SetWriter) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	if !w.installed {
+	if w.enc.units <= w.replaces {
 		w.discard()
 		w.err = errFinished
 		return nil
 	}
-	err := w.enc.cw.w.Flush()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
+	if err := w.journal(); err != nil {
+		w.fail(err)
+		return err
 	}
+	err := w.f.Close()
 	w.f, w.err = nil, errFinished
 	if err != nil {
 		w.store.Log("checkpoint store: closing partial %s failed: %v", w.key.Hash(), err)

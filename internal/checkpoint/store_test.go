@@ -1,12 +1,12 @@
 package checkpoint_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -160,10 +160,11 @@ func TestStoreVersionAndCorruption(t *testing.T) {
 // TestStoreOtherVersionIsMiss pins the one-format rule that replaced the
 // v1-v3 read paths (and the compat tests that wrote such files by
 // hand): a committed entry or a partial journal stamped with any format
-// version but the writer's — the unsealed versions of earlier releases
-// or a future one — is a miss, never an error and never a decode
-// attempt; Verify (simd fsck) reports both files; and the next commit
-// of each key overwrites the stale file with a loadable one.
+// version but the writer's — the unsealed versions and the whole-entry
+// sealed version 4 of earlier releases, or a future one — is a miss,
+// never an error and never a decode attempt; Verify (simd fsck) reports
+// both files; and the next commit of each key overwrites the stale file
+// with a loadable one.
 func TestStoreOtherVersionIsMiss(t *testing.T) {
 	p := genProg(t, "gzipx", 200_000)
 	cfg := uarch.Config8Way()
@@ -187,7 +188,7 @@ func TestStoreOtherVersionIsMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, version := range []uint32{1, 2, 3, 5} {
+	for _, version := range []uint32{1, 2, 3, 4, 6} {
 		dir := t.TempDir()
 		store, err := checkpoint.OpenStore(dir)
 		if err != nil {
@@ -236,7 +237,7 @@ func TestStoreOtherVersionIsMiss(t *testing.T) {
 
 // TestStoreCorruptDeltaChains sweeps truncation points and single-byte
 // flips across a delta-encoded entry — including points inside delta
-// records and the keyframe index. Truncations and splices must degrade
+// records and the End record. Truncations and splices must degrade
 // to a store miss (no error, no panic, never a silently short set);
 // byte flips must either miss or load into a set whose every unit
 // still materializes without panicking (content flips are undetectable
@@ -285,7 +286,7 @@ func TestStoreCorruptDeltaChains(t *testing.T) {
 	}
 
 	// Deleting a span from the middle (splicing records) must miss too —
-	// the unit count or keyframe index will disagree.
+	// the record after the splice fails its seal.
 	spliced := append(append([]byte(nil), data[:len(data)/3]...), data[len(data)/3+1024:]...)
 	if err := os.WriteFile(path, spliced, 0o644); err != nil {
 		t.Fatal(err)
@@ -336,11 +337,12 @@ func TestStoreCorruptDeltaChains(t *testing.T) {
 }
 
 // TestStreamStopsAtImplausibleUnit pins the check Stream makes before
-// it hands a unit out ahead of the seal: the unit's stream positions
-// must fit the plan the entry is keyed by. A unit whose start is
-// corrupt — a replay from it could run the rest of the program in
-// detail — is never handed to the consumer; the read stops there and
-// misses, and Load rejects the entry the same way.
+// it hands a unit out ahead of the End record: the unit's stream
+// positions must fit the plan the entry is keyed by. A unit whose start
+// is wrong — a replay from it could run the rest of the program in
+// detail — is never handed to the consumer even when its record is
+// sealed, as one from a writer at fault would be; the read stops there
+// and misses, and Load rejects the entry the same way.
 func TestStreamStopsAtImplausibleUnit(t *testing.T) {
 	p := genProg(t, "gccx", 200_000)
 	cfg := uarch.Config8Way()
@@ -355,26 +357,12 @@ func TestStreamStopsAtImplausibleUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := checkpoint.KeyFor(p, cfg, params)
-	if err := store.Save(key, set); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(store.Dir(), key.Hash()+".ckpt")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The unit's record: its tag, index, start and launch point.
-	u := set.Units[bad]
-	var head [32]byte
-	for i, v := range []uint64{2, u.Index, u.Start, u.LaunchAt} {
-		binary.LittleEndian.PutUint64(head[8*i:], v)
-	}
-	off := bytes.Index(data, head[:])
-	if off < 0 {
-		t.Fatalf("unit %d's record not found", bad)
-	}
-	binary.LittleEndian.PutUint64(data[off+16:], u.Start+1<<40)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	u := *set.Units[bad]
+	u.Start += 1 << 40
+	planted := *set
+	planted.Units = slices.Clone(set.Units)
+	planted.Units[bad] = &u
+	if err := store.Save(key, &planted); err != nil {
 		t.Fatal(err)
 	}
 
@@ -522,8 +510,8 @@ func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 // TestStoreIgnoresParentIndex opens a directory an earlier release
-// wrote: the committed eonx fixture beside the index.json that release
-// kept of its entries. The entry must load as a hit and Verify must
+// wrote: the committed eonx fixture (in today's format) beside the
+// index.json that release kept of its entries. The entry must load as a hit and Verify must
 // report the store clean, and eviction must neither count nor remove
 // the JSON file.
 func TestStoreIgnoresParentIndex(t *testing.T) {
@@ -532,7 +520,7 @@ func TestStoreIgnoresParentIndex(t *testing.T) {
 	params := checkpoint.Params{U: 1000, W: 1000, K: 10, Keyframe: 4}
 	key := checkpoint.KeyFor(p, cfg, params)
 	dir := t.TempDir()
-	data, err := os.ReadFile(filepath.Join("testdata", "eonx-cold-v4.ckpt"))
+	data, err := os.ReadFile(filepath.Join("testdata", "eonx-cold-v5.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +633,7 @@ func TestStoreStreamingWriter(t *testing.T) {
 		t.Fatalf("reload after streamed save failed (%v)", loaded)
 	}
 
-	// A writer closed without a Checkpoint leaves nothing behind.
+	// A writer closed with no unit added leaves nothing behind.
 	w2, err := store.Writer(key, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@ package checkpoint
 
 // Offline store scrub. Load and LoadPartial already treat corruption
 // as a miss at use time; Verify surfaces it ahead of time — walk every
-// committed entry and partial journal, decode it end to end (format-v4
-// checksums included), and report what would not survive a load. The
+// committed entry and partial journal, decode it end to end (every
+// record's seal included), and report what would not survive a load. The
 // `simd fsck` subcommand is the CLI face of this.
 
 import (
@@ -38,10 +38,10 @@ func (r *VerifyReport) Clean() bool { return len(r.Problems) == 0 }
 // Verify scrubs every committed entry (*.ckpt) and partial journal
 // (*.partial) in the store: each file must decode end to end under the
 // same validation the load path applies — magic, version, manifest,
-// record structure, chain geometry, and the CRC-32C seals
-// — and its name must match its manifest key's content address. When
+// record structure, chain geometry, and every record's CRC-32C seal —
+// and its name must match its manifest key's content address. When
 // evict is true, files that fail are removed. Partial journals are
-// considered valid when any resumable frame prefix survives, mirroring
+// considered valid when any verified unit survives, mirroring
 // LoadPartial: a truncated journal is degraded work, not corruption.
 // Other files are skipped.
 func (s *Store) Verify(evict bool) (*VerifyReport, error) {
@@ -84,8 +84,8 @@ func (s *Store) Verify(evict bool) (*VerifyReport, error) {
 // verifyFile decodes one committed entry (ext storeExt) or partial
 // journal (partialExt) against its own manifest key, checks the file
 // sits at that key's content address, and applies the load path's
-// verdict: an entry must decode to its end record, a journal must keep
-// at least one resumable frame.
+// verdict: an entry must decode to its End record, a journal must keep
+// at least one verified unit.
 func verifyFile(path, ext string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -99,9 +99,9 @@ func verifyFile(path, ext string) error {
 	if want := man.Key.Hash() + ext; filepath.Base(path) != want {
 		return fmt.Errorf("filename does not match manifest key (want %s)", want)
 	}
-	set, last, err := scanRecords(cr, man, nil, nil)
+	set, err := scanRecords(cr, man, nil, nil)
 	if ext == partialExt {
-		_, err = resumable(set, last, err)
+		_, err = resumable(set, err)
 	}
 	return err
 }

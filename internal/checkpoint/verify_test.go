@@ -9,7 +9,7 @@ import (
 	"repro/internal/uarch"
 )
 
-// TestStoreChecksumDetectsBitFlips is the format-v4 guarantee the
+// TestStoreChecksumDetectsBitFlips is the sealed format's guarantee the
 // pre-checksum corruption sweep could not give: EVERY single-byte flip
 // past the header — including flips inside opaque content (4KiB pages,
 // predictor tables, LRU stamps) that still parse structurally — must
@@ -100,7 +100,7 @@ func TestStoreVerify(t *testing.T) {
 	}
 
 	// Corrupt the first entry's payload and truncate the journal to
-	// before its first frame (leaving it with no resumable prefix).
+	// before its first unit (leaving it with nothing to resume from).
 	entryPath := filepath.Join(dir, key.Hash()+".ckpt")
 	data, err := os.ReadFile(entryPath)
 	if err != nil {

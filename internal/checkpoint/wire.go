@@ -24,7 +24,7 @@ func encodeSet(w io.Writer, k Key, set *Set) error {
 		return err
 	}
 	for _, u := range set.Units {
-		if err := enc.add(u); err != nil {
+		if _, err := enc.add(u); err != nil {
 			return err
 		}
 	}

@@ -44,7 +44,7 @@
 //	                         until it beats again.
 //	GET  /v1/sweeps/{hash}   fetch the sweep an active run of the key
 //	                         holds, encoded in the checkpoint store's
-//	                         format-v4 byte stream (404 = none).
+//	                         entry byte stream (404 = none).
 //	GET  /v1/healthz         readiness.
 //
 // Workers serve:
@@ -79,7 +79,7 @@
 // replays. A coordinator killed mid-sweep leaves the store's
 // <hash>.partial beside the run journal; its successor recovers the run
 // and resumes the sweep through engine.Sweep from the last journaled
-// frame, bit-identically. MaxActive bounds how many sweeps run at once.
+// unit, bit-identically. MaxActive bounds how many sweeps run at once.
 //
 // # Failure and retry
 //
@@ -179,7 +179,7 @@
 // surfaces the eviction), requeues the shard's unverified suffix to
 // the surviving workers, and the run completes bit-identical. The
 // checkpoint store applies the same discipline to sweeps at rest:
-// format v4 seals every record and partial frame with CRC-32C, and
+// every record of an entry or journal carries its own CRC-32C, and
 // checkpoint.Store.Verify (the simd fsck subcommand) scrubs a store
 // offline.
 //

@@ -8,9 +8,11 @@ package dist
 // memory. The journal rides the same durability discipline as the
 // checkpoint store's partial journals: atomic temp+rename install,
 // append-and-flush updates (the kernel keeps flushed bytes across a
-// process SIGKILL), and a reader that accepts the longest valid prefix
-// so a torn tail degrades to slightly more replay work, never a wrong
-// result.
+// process SIGKILL), and a checksum on every record, so a reader keeps
+// the records before the first one that fails it and a torn tail
+// degrades to slightly more replay work, never a wrong result. Unlike
+// a store record's seal, a line's checksum covers its bytes alone, not
+// the run or the line's position.
 //
 // Each line is `%08x <json>\n`: a CRC-32C over the JSON bytes, then
 // one journalLine with exactly one field set. Unit lines additionally

@@ -140,15 +140,15 @@ type Options struct {
 	// over a launch snapshot — under Run and CaptureSet alike, the units
 	// of a resumed journal included — and once with the total when the
 	// whole set arrives at once (a store or cache hit; a streamed store
-	// hit reports its total once the entry's seal has verified, never
-	// for an entry that fails it). Called from the sweep goroutine;
+	// hit reports its total once the entry's End record has verified,
+	// never for an entry that fails to). Called from the sweep goroutine;
 	// callbacks must be fast and may not block on the engine.
 	OnCaptured func(captured int)
 	// OnReplayed, when non-nil, observes replay progress: it is called
 	// each time the deterministic stream-order prefix grows, with the
 	// folded unit count and the current CPI estimate over that prefix.
-	// A streamed store hit replays units before the entry's seal is
-	// checked and folds them only after it verifies, so it reports its
+	// A streamed store hit replays units before the entry's End record
+	// is read and folds them only after it verifies, so it reports its
 	// whole prefix then, in a burst, and gives no estimate from an
 	// unverified entry. Called from the goroutine that called Run,
 	// never concurrently with itself (but possibly concurrently with
@@ -316,8 +316,8 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 // miss, so the run costs max(read, replay/workers) instead of their
 // sum. The reader rolls the run's one Materializer and hands each worker
 // the unit's launch state, so every delta is applied once, not once per
-// worker. Results are held back until the entry's seal verifies and
-// only then folded, so nothing from an unverified entry reaches the
+// worker. Results are held back until the entry's End record verifies
+// and only then folded, so nothing from an incomplete entry reaches the
 // Merger, OnCaptured or OnReplayed. A nil Result with a nil error is a
 // miss — the entry is absent or unusable, or a replay failed, however
 // far the read had got — which the store has counted and logged; the

@@ -36,8 +36,8 @@ func resultsEqual(t *testing.T, what string, a, b *engine.Result) {
 // resume acceptance: a run cancelled mid-sweep journals its progress,
 // and rerunning the same key completes from the journal — measurements
 // bit-identical to an uninterrupted run, total sweep work across both
-// runs within 1.1x one cold sweep (a cancelled sweep checkpoints its
-// journal through its last emitted unit, so nothing is swept twice).
+// runs within 1.1x one cold sweep (a cancelled sweep keeps its journal
+// through its last emitted unit, so nothing is swept twice).
 func TestEngineResumesCancelledSweep(t *testing.T) {
 	p := genProg(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
@@ -55,8 +55,8 @@ func TestEngineResumesCancelledSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cancelled sweep checkpoints its journal through the last unit it
-	// emitted, so the rerun replays none of it.
+	// The cancelled sweep keeps its journal through the last unit it
+	// emitted, so the rerun sweeps none of it again.
 	opt := engine.Options{Workers: 2, Store: store, Keyframe: 4}
 
 	// Cancel mid-sweep, past the halfway mark so the resume saving is
@@ -97,7 +97,7 @@ func TestEngineResumesCancelledSweep(t *testing.T) {
 	// skipped most of the sweep, so the combined work stays within 1.1x
 	// of a cold sweep.
 	if resumed.SweepResumedInsts <= baseline.SweepInsts/2 {
-		t.Fatalf("journal frame at %d insts, cancelled at ~3/4 of a %d-inst sweep — resume saved too little",
+		t.Fatalf("journal resumes at %d insts, cancelled at ~3/4 of a %d-inst sweep — resume saved too little",
 			resumed.SweepResumedInsts, baseline.SweepInsts)
 	}
 
@@ -174,11 +174,6 @@ func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 		if err := w.Add(u); err != nil {
 			t.Fatal(err)
 		}
-	}
-	fr := checkpoint.ResumeFrame{Captured: len(rs.Units), SweepInsts: rs.SweepInsts, SweepTime: rs.SweepTime,
-		HaveIBlock: rs.HaveIBlock, LastIBlock: rs.LastIBlock}
-	if err := w.Checkpoint(fr); err != nil {
-		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

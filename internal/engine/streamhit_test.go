@@ -90,11 +90,12 @@ func (f *streamFixture) entryPath(store *checkpoint.Store) string {
 	return filepath.Join(store.Dir(), f.key.Hash()+".ckpt")
 }
 
-// firstRecord is the offset of the entry's first record: past the
-// magic, the version and the length-prefixed manifest.
+// firstRecord is the offset of the entry's first record after the
+// manifest: past the magic, the version and the length-prefixed,
+// sealed manifest.
 func (f *streamFixture) firstRecord(t *testing.T) int {
 	t.Helper()
-	off := 12 + 8 + int(binary.LittleEndian.Uint64(f.entry[12:]))
+	off := 12 + 8 + int(binary.LittleEndian.Uint64(f.entry[12:])) + 4
 	if tag := binary.LittleEndian.Uint64(f.entry[off:]); tag != 1 {
 		t.Fatalf("first record has tag %d, want a page record", tag)
 	}
@@ -117,17 +118,10 @@ func (f *streamFixture) unitRecord(t *testing.T, i int) int {
 	return off
 }
 
-// endRecords is the offset of the keyframe index that precedes the end
-// record: the tail is its tag, length and ordinals, then the end tag,
-// the unit count, the two sweep totals and the seal.
-func (f *streamFixture) endRecords() int {
-	keyframes := 0
-	for _, u := range f.set.Units {
-		if u.Mem != nil {
-			keyframes++
-		}
-	}
-	return len(f.entry) - 8*(2+keyframes+5)
+// endRecord is the offset of the End record: its tag, the unit count,
+// the two sweep totals and its seal.
+func (f *streamFixture) endRecord() int {
+	return len(f.entry) - (8*4 + 4)
 }
 
 func flipped(b []byte, off int) []byte {
@@ -137,9 +131,10 @@ func flipped(b []byte, off int) []byte {
 }
 
 // TestStreamedHitDegradesToCold is the streamed hit's integrity table.
-// A store hit is replayed while the entry is read, before its seal is
-// checked, so every defect the seal or the decoder finds later — and a
-// replay that fails, however far the read had got by then — must throw
+// A store hit is replayed while the entry is read, before its End
+// record shows it complete, so every defect a record's seal or the
+// decoder finds later — and a replay that fails, however far the read
+// had got by then — must throw
 // away what was replayed and run cold: the cold run's results and
 // progress trace exactly (no unit of the bad entry reaches the Merger,
 // OnCaptured or OnReplayed), one store miss, and an entry rewritten so
@@ -165,9 +160,10 @@ func TestStreamedHitDegradesToCold(t *testing.T) {
 		}
 	}
 	// A unit whose arch state points outside the code fails on replay.
-	// Early in the entry the pool stops the reader long before the seal;
-	// at its end the reader has as good as verified the seal when the
-	// replay fails. The outcome must not depend on which.
+	// Early in the entry the pool stops the reader long before the End
+	// record; the last unit fails after its own seal has been checked,
+	// when the reader has as good as read the End record. The outcome
+	// must not depend on which.
 	badPC := func(u *checkpoint.Unit) { u.Arch.PC = uint64(len(f.prog.Code)) + 1 }
 	// A keyframe whose parallel warm arrays disagree in length, followed
 	// by delta units that index past the short one: a decode error, not
@@ -195,9 +191,9 @@ func TestStreamedHitDegradesToCold(t *testing.T) {
 	}{
 		{"unit record", write(flipped(f.entry, f.unitRecord(t, 5)+8*8+3))}, // a register of unit 5
 		{"page record", write(flipped(f.entry, f.firstRecord(t)+16+100))},
-		{"seal", write(flipped(f.entry, len(f.entry)-8))},
+		{"seal", write(flipped(f.entry, len(f.entry)-2))}, // the End record's
 		{"truncated mid-unit", write(f.entry[:f.unitRecord(t, 12)+200])},
-		{"truncated before end", write(f.entry[:f.endRecords()])},
+		{"truncated before end", write(f.entry[:f.endRecord()])},
 		{"replay error", save(2, badPC)},
 		{"replay error after the seal", save(last, badPC)},
 		{"short cache keyframe array", save(0, shortKeyframe(func(w *checkpoint.WarmState) { w.Hier.DL1.Valid = w.Hier.DL1.Valid[:1] }))},

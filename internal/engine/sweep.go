@@ -19,22 +19,14 @@ type Journal interface {
 	// usable); Drop removes that after it failed plan validation with why.
 	Load() *checkpoint.ResumeState
 	Drop(why error)
-	// Add records one emitted unit; Checkpoint makes the units added so
-	// far durable under fr, the sweep state pinned after the last of them.
+	// Add records one emitted unit. Every unit is a resume point, so the
+	// journal decides itself when to make what it holds durable.
 	Add(u *checkpoint.Unit) error
-	Checkpoint(fr checkpoint.ResumeFrame) error
-	// Close keeps the journal as of its last Checkpoint for a later
-	// resume. Sweep calls it only when the sweep ends incomplete: a
-	// complete sweep leaves the journal to its caller, whose commit of the
-	// entry retires it.
+	// Close keeps the journal for a later resume. Sweep calls it only when
+	// the sweep ends incomplete: a complete sweep leaves the journal to
+	// its caller, whose commit of the entry retires it.
 	Close() error
 }
-
-// journalKeyframes is the journal cadence: Sweep checkpoints its journal
-// after every journalKeyframes-th newly captured keyframe, which keeps
-// journal I/O a small fraction of capture while bounding the replay
-// window an interruption loses to a few keyframe intervals of units.
-const journalKeyframes = 4
 
 // Sweep is the one way a unit stream is acquired from the functional
 // sweep: the streaming run and the whole-set capture (local or on the
@@ -48,11 +40,9 @@ const journalKeyframes = 4
 // resumed set — but only once CaptureStream has validated them against
 // the plan, so a journal of some other plan emits nothing, is dropped,
 // and the sweep restarts cold, once, if ctx is still alive. Every
-// emitted unit is added to j, which is checkpointed at the frame after
-// every journalKeyframes-th newly captured keyframe. A sweep that ends
-// incomplete — cancelled, stopped by emit, failed — checkpoints j
-// through the last emitted unit and closes it; a complete one leaves j
-// open for the caller to retire.
+// emitted unit is added to j. A sweep that ends incomplete — cancelled,
+// stopped by emit, failed — closes j; a complete one leaves j open for
+// the caller to retire.
 //
 // The Summary describes what ran (nil only for invalid p); an incomplete
 // sweep that ctx ended returns ctx.Err().
@@ -88,19 +78,6 @@ func Sweep(ctx context.Context, prog *program.Program, cfg uarch.Config, p check
 		}
 		return true
 	}
-	kfSince := 0 // keyframes captured since the last journal commit
-	var last checkpoint.ResumeFrame
-	pending := false // last is not yet in the journal
-	p.OnFrame = func(fr checkpoint.ResumeFrame) {
-		last, pending = fr, true
-		if j != nil && kfSince >= journalKeyframes {
-			if j.Checkpoint(fr) != nil {
-				j = nil
-			} else {
-				kfSince, pending = 0, false
-			}
-		}
-	}
 
 	var sum *checkpoint.Summary
 	var err error
@@ -109,9 +86,6 @@ func Sweep(ctx context.Context, prog *program.Program, cfg uarch.Config, p check
 		sum, err = checkpoint.CaptureStream(ctx, prog, cfg, p, func(cu *checkpoint.Unit) bool {
 			if !fed && !feed() {
 				return false
-			}
-			if cu.Mem != nil {
-				kfSince++
 			}
 			return push(cu, false)
 		})
@@ -132,14 +106,10 @@ func Sweep(ctx context.Context, prog *program.Program, cfg uarch.Config, p check
 	if err == nil && !complete {
 		err = ctx.Err() // nil when emit stopped the sweep on its own account
 	}
-	switch {
-	case j == nil, complete:
-		// Not journaled, the journal failed on the way, or the caller
-		// retires it.
-	case !pending || j.Checkpoint(last) == nil:
-		// Interrupted: committed through the last emitted unit and kept,
-		// so a rerun of this key resumes here. A close failure is the
-		// journal's to log; the sweep's outcome stands either way.
+	if j != nil && !complete {
+		// Interrupted: kept through the last emitted unit, so a rerun of
+		// this key resumes there. A close failure is the journal's to log;
+		// the sweep's outcome stands either way.
 		_ = j.Close()
 	}
 	return sum, err

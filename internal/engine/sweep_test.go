@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,10 +14,8 @@ import (
 )
 
 // fakeJournal is an in-memory engine.Journal that records the calls the
-// sweep driver makes on it, compactly: L load, R drop, a add, C<n>
-// checkpoint through n units, X close.
+// sweep driver makes on it, compactly: L load, R drop, a add, X close.
 type fakeJournal struct {
-	t     *testing.T
 	saved *checkpoint.ResumeState // what Load returns
 	calls []string
 	added int
@@ -37,15 +34,6 @@ func (j *fakeJournal) Add(*checkpoint.Unit) error {
 	j.added++
 	if j.added == j.fail {
 		return errors.New("journal write failed")
-	}
-	return nil
-}
-
-func (j *fakeJournal) Checkpoint(fr checkpoint.ResumeFrame) error {
-	j.calls = append(j.calls, fmt.Sprintf("C%d", fr.Captured))
-	if fr.Captured != j.added {
-		// The store's writer rejects such a frame and deletes its file.
-		j.t.Errorf("frame through %d units checkpointed with %d added", fr.Captured, j.added)
 	}
 	return nil
 }
@@ -90,23 +78,17 @@ func sameUnit(t *testing.T, what string, a, b *checkpoint.Unit) {
 // TestSweepDriver walks engine.Sweep through each of its branches with
 // an in-memory journal, asserting for every one that the emitted stream
 // is checkpoint.Capture's unit for unit and that the journal saw exactly
-// the expected Add/Checkpoint/Close sequence. The plan is 12 units,
-// each a keyframe (Keyframe: 1), so Sweep checkpoints after every
-// fourth newly captured unit. A complete sweep never closes its
-// journal: the rows that complete end on their last Add or Checkpoint,
-// because retiring the journal is the caller's.
+// the expected Add/Close sequence. The plan is 12 units, each a resume
+// point, so a journal cut anywhere can be fabricated. A complete sweep
+// never closes its journal: the rows that complete end on their last
+// Add, because retiring the journal is the caller's.
 func TestSweepDriver(t *testing.T) {
 	prog := genProg(t, "gzipx", 100_000)
 	cfg := uarch.Config8Way()
-	params := checkpoint.Params{U: 1000, W: 1000, K: 8, FunctionalWarm: true, Keyframe: 1}
+	params := checkpoint.Params{U: 1000, W: 1000, K: 8, FunctionalWarm: true, Keyframe: 4}
 
-	// The reference stream, with the resumable frame after each unit so a
-	// journal cut anywhere can be fabricated.
 	var ref []*checkpoint.Unit
-	var frames []checkpoint.ResumeFrame
-	framed := params
-	framed.OnFrame = func(fr checkpoint.ResumeFrame) { frames = append(frames, fr) }
-	whole, err := checkpoint.CaptureStream(context.Background(), prog, cfg, framed, func(u *checkpoint.Unit) bool {
+	whole, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
 		ref = append(ref, u)
 		return true
 	})
@@ -117,16 +99,10 @@ func TestSweepDriver(t *testing.T) {
 		t.Fatalf("plan has %d units; the expected call sequences below assume 12", len(ref))
 	}
 	journalAt := func(n int) *checkpoint.ResumeState {
-		fr := frames[n-1]
-		return &checkpoint.ResumeState{
-			Units:           ref[:n],
-			PopulationUnits: prog.Length / params.U,
-			SweepInsts:      fr.SweepInsts,
-			SweepTime:       fr.SweepTime,
-			HaveIBlock:      fr.HaveIBlock,
-			LastIBlock:      fr.LastIBlock,
-		}
+		return &checkpoint.ResumeState{Units: ref[:n], PopulationUnits: prog.Length / params.U}
 	}
+	// adds is n journal Adds, as calls records them.
+	adds := func(n int) string { return strings.TrimSpace(strings.Repeat(" a", n)) }
 	// A journal that decodes cleanly but belongs to another plan.
 	poisoned := journalAt(6)
 	first := *poisoned.Units[0]
@@ -147,30 +123,30 @@ func TestSweepDriver(t *testing.T) {
 		err       error
 	}{
 		{name: "cold", want: ref, complete: true,
-			calls: "L a a a a C4 a a a a C8 a a a a C12"},
+			calls: "L " + adds(12)},
 		{name: "resume from a valid journal", saved: journalAt(6),
-			want: ref, resumed: 6, resumedAt: frames[5].SweepInsts, complete: true,
-			calls: "L a a a a a a a a a a C10 a a"},
+			want: ref, resumed: 6, resumedAt: ref[5].LaunchAt, complete: true,
+			calls: "L " + adds(12)},
 		{name: "journal fails plan validation", saved: poisoned,
 			want: ref, complete: true,
-			calls: "L R a a a a C4 a a a a C8 a a a a C12"},
+			calls: "L R " + adds(12)},
 		{name: "journal covers every boundary", saved: journalAt(12),
-			want: ref, resumed: 12, resumedAt: frames[11].SweepInsts, complete: true,
-			calls: "L a a a a a a a a a a a a"},
+			want: ref, resumed: 12, resumedAt: ref[11].LaunchAt, complete: true,
+			calls: "L " + adds(12)},
 		{name: "emit declines a unit", stopAt: 7, want: ref[:6],
-			calls: "L a a a a C4 a a C6 X"},
+			calls: "L " + adds(6) + " X"},
 		{name: "cancelled mid-sweep", cancelAt: 7, want: ref[:7],
-			calls: "L a a a a C4 a a a C7 X", err: context.Canceled},
+			calls: "L " + adds(7) + " X", err: context.Canceled},
 		{name: "cancelled while feeding the journal", saved: journalAt(6), cancelAt: 3,
-			want: ref[:3], resumed: 3, resumedAt: frames[5].SweepInsts,
-			calls: "L a a a X", err: context.Canceled},
+			want: ref[:3], resumed: 3, resumedAt: ref[5].LaunchAt,
+			calls: "L " + adds(3) + " X", err: context.Canceled},
 		{name: "journal write fails", failAdd: 3, want: ref, complete: true,
-			calls: "L a a a"},
+			calls: "L " + adds(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			j := &fakeJournal{t: t, saved: tc.saved, fail: tc.failAdd}
+			j := &fakeJournal{saved: tc.saved, fail: tc.failAdd}
 			var got []*checkpoint.Unit
 			resumed := 0
 			sum, err := engine.Sweep(ctx, prog, cfg, params, j, func(cu *checkpoint.Unit, res bool) bool {

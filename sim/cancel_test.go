@@ -119,7 +119,9 @@ func runCancelCase(t *testing.T, req *sim.Request, trigger func(cancel context.C
 	if cancelledAt.IsZero() {
 		t.Fatal("trigger never fired: the run finished before the cancellation point was reached")
 	}
-	if lag := returned.Sub(cancelledAt); lag > promptness {
+	lag := returned.Sub(cancelledAt)
+	t.Logf("run returned %v after cancel", lag)
+	if lag > promptness {
 		t.Fatalf("run returned %v after cancel, want <= %v", lag, promptness)
 	}
 	waitGoroutines(t, baseline)
