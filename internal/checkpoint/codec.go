@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/bpred"
@@ -167,9 +168,11 @@ func (c *codecWriter) bools(v []bool) error {
 }
 
 // codecReader mirrors codecWriter — including each record's CRC-32C
-// over every byte read through the primitives. maxLen bounds every
-// length prefix in BYTES of decoded payload so corrupt files fail fast
-// instead of attempting huge allocations.
+// over every byte read through the primitives. A length prefix is read
+// before its record's seal can be checked, so no primitive allocates on
+// its word: arrays grow only as their bytes arrive (fill), and a decode
+// allocates in proportion to its input. maxLen bounds every prefix in
+// BYTES of decoded payload, which keeps the size arithmetic in range.
 type codecReader struct {
 	r       *bufio.Reader
 	scratch []byte
@@ -240,15 +243,38 @@ func fit[T any](dst []T, n int) []T {
 	return dst[:n]
 }
 
-// raw reads the next n bytes into the scratch buffer and folds them
-// into the running sum.
+// fillStep is the most fill allocates before any byte has arrived.
+const fillStep = 1 << 16
+
+// fill reads the next n bytes into dst's array (see fit) and folds them
+// into the running sum. An array dst cannot hold grows as its bytes
+// arrive — to fillStep, then to twice what has arrived — so a length
+// past the end of the input costs at most 4x the bytes read + fillStep.
+func (c *codecReader) fill(dst []byte, n int) ([]byte, error) {
+	v := fit(dst, min(n, max(cap(dst), fillStep)))
+	for got := 0; ; {
+		if _, err := io.ReadFull(c.r, v[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(v); got == n {
+			break
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, v)
+		v = grown
+	}
+	c.crc = crc32.Update(c.crc, castagnoli, v)
+	return v, nil
+}
+
+// raw reads the next n bytes into the scratch buffer (fill).
 func (c *codecReader) raw(n int) ([]byte, error) {
-	c.scratch = fit(c.scratch, n)
-	if _, err := io.ReadFull(c.r, c.scratch); err != nil {
+	buf, err := c.fill(c.scratch, n)
+	if err != nil {
 		return nil, err
 	}
-	c.crc = crc32.Update(c.crc, castagnoli, c.scratch)
-	return c.scratch, nil
+	c.scratch = buf
+	return buf, nil
 }
 
 // u64s reads a length-prefixed run into dst's array (see fit).
@@ -289,12 +315,20 @@ func (c *codecReader) bytes(dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := fit(dst, n)
-	if _, err := io.ReadFull(c.r, v); err != nil {
-		return nil, err
+	return c.fill(dst, n)
+}
+
+// page reads a page record's payload into p, once its length prefix
+// is the page size.
+func (c *codecReader) page(p *[mem.PageSize]byte) error {
+	n, err := c.u64()
+	if err == nil && n != mem.PageSize {
+		err = fmt.Errorf("page record of %d bytes", n)
 	}
-	c.crc = crc32.Update(c.crc, castagnoli, v)
-	return v, nil
+	if err == nil {
+		_, err = c.fill(p[:], mem.PageSize)
+	}
+	return err
 }
 
 func (c *codecReader) bools(dst []bool) ([]bool, error) {
@@ -779,16 +813,16 @@ func (g warmGeom) validate(d *uarch.WarmDelta) error {
 	return d.Pred.Validate(g.tbl, g.btb, g.ras)
 }
 
-// unitDecoder decodes a stream's unit records in order. It carries what
-// a record needs from the ones before it: the page arrays by record id,
-// the previously decoded unit (the delta chain predecessor, for memory
-// and warm state alike) and the geometry established by the chain's
-// last keyframe. With buf set, every record is decoded into the same
-// buffers — for a reader that hands each unit on before it reads the
-// next, so a delta unit costs no allocation once the buffers have
-// grown; such units carry no Prev link. Without it every unit is
-// decoded afresh and linked to its predecessor, for a Set that keeps
-// them all.
+// unitDecoder decodes a stream's page and unit records in order. It
+// carries what a record needs from the ones before it: the page arrays
+// by record id, the previously decoded unit (the delta chain
+// predecessor, for memory and warm state alike) and the geometry
+// established by the chain's last keyframe. With buf set, every record
+// is decoded into the same buffers — for a reader that hands each unit
+// on before it reads the next, so a delta unit costs no allocation once
+// the buffers have grown; such units carry no Prev link. Without it
+// every unit is decoded afresh and linked to its predecessor, for a Set
+// that keeps them all.
 type unitDecoder struct {
 	pages []*[mem.PageSize]byte
 	prev  *Unit
@@ -797,11 +831,15 @@ type unitDecoder struct {
 }
 
 // unitBuf is the storage a reusing unitDecoder overwrites record after
-// record (newUnitBuf).
+// record (newUnitBuf), and the page arrays it decodes page records into:
+// pages keeps, from one read to the next, the arrays of its first
+// arenaPages slots.
 type unitBuf struct {
 	unit  Unit
 	mem   mem.Delta
+	img   mem.Image // the last keyframe's page table
 	refs  []uint64
+	pages []*[mem.PageSize]byte
 	warm  *WarmState
 	delta *uarch.WarmDelta
 }
@@ -810,13 +848,35 @@ func newUnitBuf() *unitBuf {
 	return &unitBuf{warm: newWarmState(), delta: newWarmDelta()}
 }
 
-// reset drops the last decoded unit and its page references, keeping
-// every array for the next read.
+// reset drops the last decoded unit and its page references. It keeps
+// for the next read the arrays of the first arenaPages page slots and
+// the page tables, unless a table grew past arenaPages entries: then
+// the tables go too, so a reader keeps at most arenaPages pages' worth.
 func (b *unitBuf) reset() {
 	b.unit = Unit{}
+	if cap(b.mem.Nums) > arenaPages { // every table grows with Nums
+		b.mem, b.img, b.refs = mem.Delta{}, mem.Image{}, nil
+	}
 	clear(b.mem.Pages[:cap(b.mem.Pages)])
 	b.mem = mem.Delta{Nums: b.mem.Nums[:0], Pages: b.mem.Pages[:0]}
+	b.img.CopyFrom(&mem.Image{})
 	b.refs = b.refs[:0]
+	if cap(b.pages) > arenaPages {
+		b.pages = append(make([]*[mem.PageSize]byte, 0, arenaPages), b.pages[:arenaPages]...)
+	}
+	b.pages = b.pages[:0]
+}
+
+// page decodes a page record's payload into the next slot of d.pages:
+// into the array an earlier read left there (a reusing decoder's arena),
+// else into a new one.
+func (d *unitDecoder) page(c *codecReader) error {
+	n := len(d.pages)
+	d.pages = slices.Grow(d.pages, 1)[:n+1]
+	if d.pages[n] == nil {
+		d.pages[n] = new([mem.PageSize]byte)
+	}
+	return c.page(d.pages[n])
 }
 
 // unit decodes one unit record.
@@ -825,13 +885,14 @@ func (d *unitDecoder) unit(c *codecReader) (*Unit, error) {
 	prevWarm := prev != nil && (prev.Warm != nil || prev.Delta != nil)
 	var (
 		u        *Unit
+		img      *mem.Image // a keyframe's page table
 		nums     []uint64
 		refs     []uint64
 		pageRefs []*[mem.PageSize]byte
 	)
 	if b := d.buf; b != nil {
 		b.unit = Unit{}
-		u, nums, refs, pageRefs = &b.unit, b.mem.Nums, b.refs, b.mem.Pages
+		u, img, nums, refs, pageRefs = &b.unit, &b.img, b.mem.Nums, b.refs, b.mem.Pages
 	} else {
 		u = new(Unit)
 	}
@@ -888,11 +949,15 @@ func (d *unitDecoder) unit(c *codecReader) (*Unit, error) {
 	}
 	switch mKind {
 	case memFull:
-		pm := make(map[uint64]*[mem.PageSize]byte, len(nums))
-		for i, num := range nums {
-			pm[num] = pageRefs[i]
+		// A keyframe's page table is a delta from the empty image.
+		if img == nil {
+			img = new(mem.Image)
 		}
-		u.Mem = mem.ImageFromPages(pm)
+		img.CopyFrom(&mem.Image{})
+		if err := img.Apply(&mem.Delta{Nums: nums, Pages: pageRefs}); err != nil {
+			return nil, fmt.Errorf("unit %d: %w", u.Index, err)
+		}
+		u.Mem = img
 	case memDelta:
 		if prev == nil {
 			return nil, fmt.Errorf("unit %d: memory delta with no preceding keyframe", u.Index)

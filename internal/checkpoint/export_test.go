@@ -48,10 +48,7 @@ func Records(data []byte, k Key) ([]Record, error) {
 		}
 		switch tag {
 		case recPage:
-			var page []byte
-			if page, err = cr.bytes(nil); err == nil {
-				dec.pages = append(dec.pages, (*[4096]byte)(page))
-			}
+			err = dec.page(cr)
 		case recUnit:
 			var u *Unit
 			if u, err = dec.unit(cr); err == nil {
@@ -77,3 +74,6 @@ func Records(data []byte, k Key) ([]Record, error) {
 		}
 	}
 }
+
+// ArenaPages is the most page arrays a pooled stream reader keeps.
+const ArenaPages = arenaPages

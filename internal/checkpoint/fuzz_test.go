@@ -70,18 +70,47 @@ func fuzzWire(f *testing.F) (checkpoint.Key, []byte, []byte, []byte) {
 	return key, wire.Bytes(), partial, tampered
 }
 
+// checkDecodeAlloc asserts the decoders' allocation property: reading
+// an input of n bytes allocates at most decodePerByte·n + decodeFixed
+// bytes, whatever its length prefixes claim. decodePerByte covers a
+// kept set's decode of its own bytes (pages, runs, unit structs, and
+// the keyframe page tables, which cost a map entry per 16-byte table
+// row) and fill's growth ahead of a run that is cut short; decodeFixed
+// covers what a read costs before its first record: the 64 KB read
+// buffer, the manifest's gob decoding, fill's first step and, on
+// Stream's first read, the reader it builds.
+func checkDecodeAlloc(t *testing.T, reader string, got uint64, n int) {
+	t.Helper()
+	const (
+		decodePerByte = 8
+		decodeFixed   = 1 << 20
+	)
+	if limit := uint64(decodePerByte*n + decodeFixed); got > limit {
+		t.Fatalf("%s allocated %d B on a %d B input, want <= %d·n + %d = %d", reader, got, n, decodePerByte, decodeFixed, limit)
+	}
+}
+
 // FuzzDecodeSet feeds mutated set streams to DecodeSet: it must never
-// panic, and must return either an error or a structurally sound Set.
+// panic, must return either an error or a structurally sound Set, and
+// must allocate in proportion to its input (checkDecodeAlloc).
 func FuzzDecodeSet(f *testing.F) {
 	key, wire, partial, tampered := fuzzWire(f)
+	pageLen, unitLen := corruptLengths(f, wire, key)
 	f.Add(wire)
 	f.Add(wire[:len(wire)/2])
 	f.Add(wire[:16])
 	f.Add(partial) // a partial stream is not a valid full set
 	f.Add([]byte{})
 	f.Add(tampered) // the last unit fails its seal
+	f.Add(pageLen)  // a page record claims 200 MB
+	f.Add(unitLen)  // a unit's register run claims 200 MB
 	f.Fuzz(func(t *testing.T, data []byte) {
-		set, err := checkpoint.DecodeSet(bytes.NewReader(data), key)
+		var (
+			set *checkpoint.Set
+			err error
+		)
+		got := allocated(func() { set, err = checkpoint.DecodeSet(bytes.NewReader(data), key) })
+		checkDecodeAlloc(t, "DecodeSet", got, len(data))
 		if err != nil {
 			return
 		}
@@ -98,16 +127,20 @@ func FuzzDecodeSet(f *testing.F) {
 
 // FuzzDecodePartial installs mutated partial-sweep journals in a store
 // and loads them with Store.LoadPartial, the one partial reader: it
-// must never panic, and corruption must degrade to a miss or to the
-// units verified before it.
+// must never panic, corruption must degrade to a miss or to the units
+// verified before it, and the load must allocate in proportion to the
+// journal (checkDecodeAlloc).
 func FuzzDecodePartial(f *testing.F) {
 	key, wire, partial, tampered := fuzzWire(f)
+	pageLen, unitLen := corruptLengths(f, partial, key)
 	f.Add(partial)
 	f.Add(partial[:len(partial)/2])
 	f.Add(partial[:16])
 	f.Add(wire) // a committed entry resumes from its last unit
 	f.Add([]byte{})
 	f.Add(tampered) // resumes from the unit before the last
+	f.Add(pageLen)  // a page record claims 200 MB: no unit
+	f.Add(unitLen)  // the first unit's register run claims 200 MB: no unit
 	store, err := checkpoint.OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -117,7 +150,12 @@ func FuzzDecodePartial(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rs, err := store.LoadPartial(key)
+		var (
+			rs  *checkpoint.ResumeState
+			err error
+		)
+		got := allocated(func() { rs, err = store.LoadPartial(key) })
+		checkDecodeAlloc(t, "LoadPartial", got, len(data))
 		if err != nil {
 			t.Fatalf("LoadPartial of a readable journal failed: %v", err)
 		}
@@ -180,15 +218,20 @@ func imageDigest(img *mem.Image) [sha256.Size]byte {
 // launch state as it reads and rolls one Materializer over buffers it
 // reuses. They must agree: both miss, or both hit with the same units —
 // header, arch state, and materialized memory and warm state, unit by
-// unit — and the same sweep totals. Neither may panic.
+// unit — and the same sweep totals. Neither may panic, and each must
+// allocate in proportion to the entry (checkDecodeAlloc; Stream's count
+// leaves out what its consumer here allocates to copy the launches).
 func FuzzStreamedLoad(f *testing.F) {
 	key, wire, partial, tampered := fuzzWire(f)
+	pageLen, unitLen := corruptLengths(f, wire, key)
 	f.Add(wire)
 	f.Add(wire[:len(wire)/2])
 	f.Add(wire[:len(wire)-9])
 	f.Add(partial)
 	f.Add([]byte{})
 	f.Add(tampered)
+	f.Add(pageLen)
+	f.Add(unitLen)
 	store, err := checkpoint.OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -198,14 +241,26 @@ func FuzzStreamedLoad(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		set, err := store.Load(key)
+		var (
+			set *checkpoint.Set
+			err error
+		)
+		got := allocated(func() { set, err = store.Load(key) })
+		checkDecodeAlloc(t, "Load", got, len(data))
 		if err != nil {
 			t.Fatalf("Load of a readable entry failed: %v", err)
 		}
-		var streamed []launchCopy
-		sum, err := store.Stream(context.Background(), key, readAll(func(u *checkpoint.Unit, l *checkpoint.Launch) {
-			streamed = append(streamed, copyLaunch(u, l))
-		}))
+		var (
+			streamed []launchCopy
+			sum      *checkpoint.Summary
+			copied   uint64
+		)
+		got = allocated(func() {
+			sum, err = store.Stream(context.Background(), key, readAll(func(u *checkpoint.Unit, l *checkpoint.Launch) {
+				copied += allocated(func() { streamed = append(streamed, copyLaunch(u, l)) })
+			}))
+		})
+		checkDecodeAlloc(t, "Stream", got-copied, len(data))
 		if err != nil {
 			t.Fatalf("Stream of a readable entry failed: %v", err)
 		}

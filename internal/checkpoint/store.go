@@ -287,7 +287,8 @@ func (s *Store) Load(k Key) (*Set, error) {
 // Arch) and its launch state. The launch belongs to the reader and rolls
 // on when emit returns, so emit must be done reading it by then; the
 // header is the consumer's to keep. A false return from emit stops the
-// read.
+// read. The pages a launch shares copy-on-write live in the reader's
+// arena (streamReader) until replay returns; the next read reuses them.
 //
 // Each unit reaches emit once its own record has verified, but before
 // the End record shows the entry complete, so the consumer must hold
@@ -357,13 +358,23 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 
 // streamReader is what one streamed read (Stream) reuses from the
 // last: the rolling launch state, the unit decode buffers, the entry's
-// read buffer and the codec's scratch.
+// read buffer and the codec's scratch. The decode buffers include the
+// page arena, the arrays the read's page records are decoded into: put
+// keeps the first arenaPages for the next read, and a read with more
+// pages allocates the rest.
 type streamReader struct {
 	mat     Materializer
 	buf     *unitBuf
 	br      *bufio.Reader
 	scratch []byte
 }
+
+// arenaPages is the most page arrays a streamReader keeps between
+// reads, 16 MiB: every suite entry fits, at 2M instructions (n = 400)
+// as at 12M (k = 166); the largest is swimx 12M's 4013 pages. A larger
+// entry allocates its excess pages on every hit. With 2·GOMAXPROCS
+// readers listed, a process keeps at most 2·GOMAXPROCS·16 MiB of arenas.
+const arenaPages = 4096
 
 // readers keeps the state of ended streamed reads, so a store hit
 // reseeds a Materializer and decodes keyframes into arrays an earlier
@@ -372,8 +383,9 @@ var readers = freelist.New("store reader", func(struct{}) *streamReader {
 	return &streamReader{buf: newUnitBuf(), br: bufio.NewReaderSize(nil, codecBufSize)}
 })
 
-// put drops everything the read left of its entry — position, pages,
-// the last decoded unit, the file — and returns the reader to readers.
+// put drops everything the read left of its entry — position, page
+// references, the last decoded unit, the file — and returns the reader
+// to readers.
 func (rd *streamReader) put() {
 	rd.mat.Reset()
 	rd.buf.reset()
@@ -497,6 +509,10 @@ func readSet(r io.Reader, k Key) (*Set, error) {
 func scanRecords(cr *codecReader, man *storeManifest, buf *unitBuf, emit func(*Unit) error) (*Set, error) {
 	set := &Set{K: man.Key.K, PopulationUnits: man.PopulationUnits}
 	dec := unitDecoder{buf: buf}
+	if buf != nil {
+		dec.pages = buf.pages[:0]
+		defer func() { buf.pages = dec.pages }()
+	}
 	n := 0 // units verified
 	for {
 		cr.begin()
@@ -506,17 +522,12 @@ func scanRecords(cr *codecReader, man *storeManifest, buf *unitBuf, emit func(*U
 		}
 		switch tag {
 		case recPage:
-			page, err := cr.bytes(nil)
-			if err != nil {
+			if err := dec.page(cr); err != nil {
 				return set, err
 			}
 			if err := cr.check(); err != nil {
 				return set, err
 			}
-			if len(page) != mem.PageSize {
-				return set, fmt.Errorf("page record of %d bytes", len(page))
-			}
-			dec.pages = append(dec.pages, (*[mem.PageSize]byte)(page))
 		case recUnit:
 			u, err := dec.unit(cr)
 			if err != nil {

@@ -1,14 +1,17 @@
 // Package freelist keeps the per-request machinery of a process — a
 // replay worker's launcher, a sweep's machine and warmer, a sweep's
-// record ring, a store reader's rolling state — for the next request
-// instead of building it again.
+// record ring, a store reader's rolling state and page arena — for the
+// next request instead of building it again.
 //
 // A request takes an object with Get and returns it with Put once its
 // worker, sweep or read has ended. Put takes an object that has already
 // been reset: the owner's reset returns it to the state its constructor
 // builds and drops every reference to the request that used it (its
 // program, units, pages and set), so a list never keeps a finished run
-// alive and no later request can observe an earlier one. Objects whose
+// alive and no later request can observe an earlier one; a store
+// reader keeps only its page arena's arrays (at most 16 MiB per reader,
+// checkpoint's arenaPages), which the next read overwrites before
+// anyone sees them. Objects whose
 // shape depends on a machine geometry are listed under that geometry's
 // key; a Get for another key builds.
 //

@@ -148,7 +148,7 @@ func TestDeltaSequencing(t *testing.T) {
 // TestApplyRejectsCorruptDelta covers the validation path deserialized
 // deltas rely on.
 func TestApplyRejectsCorruptDelta(t *testing.T) {
-	img := mem.ImageFromPages(nil).Clone()
+	img := new(mem.Image).Clone()
 	page := new([mem.PageSize]byte)
 	for _, d := range []*mem.Delta{
 		{Nums: []uint64{1}, Pages: nil},

@@ -99,19 +99,6 @@ func (img *Image) VisitPages(f func(num uint64, data *[PageSize]byte)) {
 	}
 }
 
-// ImageFromPages builds an image over the given page arrays without
-// copying them. The caller must not mutate the arrays afterwards; every
-// Memory materialized from the image copies shared pages on write, so
-// handing the same arrays to several images (deserialized checkpoint
-// sets do this) is safe.
-func ImageFromPages(pages map[uint64]*[PageSize]byte) *Image {
-	img := &Image{pages: make(map[uint64]*[PageSize]byte, len(pages))}
-	for n, p := range pages {
-		img.pages[n] = p
-	}
-	return img
-}
-
 // Read64 returns the little-endian 64-bit value at addr in the image
 // (zero for unallocated addresses). It exists for tests and checkpoint
 // inspection; simulation restores a full Memory via NewMemory.

@@ -7,8 +7,10 @@ package uarch_test
 // store-to-load forwarding — has its intended timing effect.
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/functional"
@@ -368,6 +370,56 @@ func drainFinalizers() {
 	}
 }
 
+// memProfile returns the objects allocated so far by stack, after a
+// collection has published every allocation made before it
+// (runtime.MemProfile reports as of the last completed cycle).
+func memProfile() map[[32]uintptr]int64 {
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	objs := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		objs[r.Stack0] += r.AllocObjects
+	}
+	return objs
+}
+
+// allocSites renders the stacks that allocated since the profile before
+// was taken, one object count and stack each, leaving out the
+// allocations of the profile helpers and of drainFinalizers.
+func allocSites(before map[[32]uintptr]int64) string {
+	var out strings.Builder
+	for stack, objs := range memProfile() {
+		if objs -= before[stack]; objs <= 0 {
+			continue
+		}
+		var lines strings.Builder
+		own := false
+		frames := runtime.CallersFrames((&runtime.MemProfileRecord{Stack0: stack}).Stack())
+		for {
+			f, more := frames.Next()
+			for _, helper := range []string{".memProfile", ".allocSites", ".drainFinalizers", ".queueSentinel"} {
+				own = own || strings.Contains(f.Function, helper)
+			}
+			fmt.Fprintf(&lines, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+		if !own {
+			fmt.Fprintf(&out, "%d objects:\n%s", objs, lines.String())
+		}
+	}
+	return out.String()
+}
+
 // queueSentinel allocates an object that is unreachable once it
 // returns, whose finalizer closes done.
 func queueSentinel(done chan struct{}) {
@@ -388,6 +440,12 @@ func TestStoreQueuesStayFixed(t *testing.T) {
 	// long measured call allocates in its mark worker: finish any cycle
 	// in flight, let the finalizers it queued run, and hold the next
 	// cycle off until the measurement is done.
+	// Every allocation is sampled, so that a nonzero count can name the
+	// stacks that allocated (allocSites); the profile is taken first, as
+	// its collection can queue finalizers too.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := memProfile()
 	drainFinalizers()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := uint64(1000)
@@ -398,7 +456,8 @@ func TestStoreQueuesStayFixed(t *testing.T) {
 		n = 1_000_000
 	})
 	if allocs != 0 {
-		t.Errorf("Core.Run allocated %v times per 1M-instruction run, want 0", allocs)
+		t.Errorf("Core.Run allocated %v times per 1M-instruction run, want 0; allocations since the measurement began, by stack:\n%s",
+			allocs, allocSites(before))
 	}
 	if got := core.StoreRingCap(); got != cfg.LSQSize {
 		t.Errorf("in-flight store ring holds %d entries, want LSQSize = %d", got, cfg.LSQSize)
