@@ -237,6 +237,21 @@
 // on when the collector ran. sim.TestReuseIsInvisible, the engine's
 // TestBuildCountsStayFixed and TestFreeListsPinNoRun hold this.
 //
+// Three things a run produces have lifetimes of their own. A streamed
+// store read decodes pages into its reader's page arena, reused by the
+// reader's next read once the replay it fed has returned. A sweep that
+// nothing retains (a storeless or store-writing run with no cache) carves
+// each keyframe interval's warm snapshot and deltas from a warm arena
+// (checkpoint.Params.Recycle), held by the sweep until it has pushed the
+// interval's last unit and by each unit until its launch returns
+// (Unit.Release); the last release lists the arena for the next
+// interval, at most 64 MiB of them. Everything else a run's units carry
+// — memory pages, and the warm state of every unit a Set, a cache, a
+// decoded entry or a resumed journal keeps — is the garbage collector's,
+// alive as long as whoever holds the unit. The checkpoint package's
+// Lease tests poison every released warm arena before its reuse, so a
+// read past a release flips a result.
+//
 // Suppressions are never bare: //simlint:coldpath, ordered, noctx,
 // nonkey, discard, and unpadded all require a reason string, and a
 // directive meta-analyzer rejects unknown verbs and missing reasons. The

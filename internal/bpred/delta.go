@@ -87,31 +87,32 @@ func (u *Unit) Seq() uint64 { return u.chain.Seq() }
 
 // Delta captures the table and BTB blocks touched since the snapshot
 // point numbered since — which must be the predictor's latest; deltas
-// chain strictly — and clears the dirty tracking. Applying it to a copy
-// of the previous snapshot reproduces Snapshot exactly.
-func (u *Unit) Delta(since uint64) (*Delta, error) {
+// chain strictly — into arrays carved from a (fresh ones for a nil a),
+// and clears the dirty tracking. Applying it to a copy of the previous
+// snapshot reproduces Snapshot exactly.
+func (u *Unit) Delta(a *delta.Arena, since uint64) (*Delta, error) {
 	if _, err := u.chain.Next(since); err != nil {
 		return nil, fmt.Errorf("bpred: %w", err)
 	}
-	tbl, tg := u.tblDirty.Drain(), u.tblDirty.Grain()
-	btb, bg := u.btbDirty.Drain(), u.btbDirty.Grain()
+	tbl, tg := u.tblDirty.Drain(a), u.tblDirty.Grain()
+	btb, bg := u.btbDirty.Drain(a), u.btbDirty.Grain()
 	d := &Delta{
 		N:         len(u.bimodal),
 		BTBN:      len(u.btbTags),
 		TblGrain:  tg,
 		BTBGrain:  bg,
 		TblBlocks: tbl,
-		Bimodal:   delta.Gather(u.bimodal, tbl, tg),
-		Gshare:    delta.Gather(u.gshare, tbl, tg),
-		Chooser:   delta.Gather(u.chooser, tbl, tg),
+		Bimodal:   delta.Gather(a, u.bimodal, tbl, tg),
+		Gshare:    delta.Gather(a, u.gshare, tbl, tg),
+		Chooser:   delta.Gather(a, u.chooser, tbl, tg),
 		History:   u.history,
 		BTBBlocks: btb,
-		BTBTags:   delta.Gather(u.btbTags, btb, bg),
-		BTBTgts:   delta.Gather(u.btbTgts, btb, bg),
-		BTBLRU:    delta.Gather(u.btbLRU, btb, bg),
-		BTBValid:  delta.Gather(u.btbValid, btb, bg),
+		BTBTags:   delta.Gather(a, u.btbTags, btb, bg),
+		BTBTgts:   delta.Gather(a, u.btbTgts, btb, bg),
+		BTBLRU:    delta.Gather(a, u.btbLRU, btb, bg),
+		BTBValid:  delta.Gather(a, u.btbValid, btb, bg),
 		BTBStamp:  u.btbStamp,
-		RAS:       make([]uint64, len(u.ras)),
+		RAS:       delta.Make[uint64](a, len(u.ras)),
 		RASTop:    u.rasTop,
 	}
 	copy(d.RAS, u.ras)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
+	"repro/internal/delta"
 	"repro/internal/isa"
 )
 
@@ -40,53 +41,97 @@ func randomOutcome(rng *rand.Rand) bpred.Outcome {
 // property: after randomized warm traffic (full Warm passes, so
 // Predict-side BTB LRU updates are covered too), applying a chain of
 // Deltas over the previous snapshot reproduces a fresh full Snapshot
-// exactly.
+// exactly. A twin predictor fed the same traffic carves its deltas and
+// snapshots from one reused arena, poisoned before every round: each
+// must equal the fresh one element for element, with its lengths and
+// capacities cut to them, and chain to the same snapshots.
 func TestPredDeltaMatchesSnapshot(t *testing.T) {
-	u := bpred.New(smallCfg())
+	u, twin := bpred.New(smallCfg()), bpred.New(smallCfg())
+	a := new(delta.Arena)
 	rng := rand.New(rand.NewSource(23))
 	// The keyframe snapshot resets dirty tracking and starts the chain.
-	tracked := u.Snapshot()
+	tracked := u.Snapshot(nil)
+	trackedA := twin.Snapshot(a).Clone()
 	for round := 0; round < 60; round++ {
 		for i := 0; i < rng.Intn(400); i++ {
-			u.Warm(randomOutcome(rng))
+			o := randomOutcome(rng)
+			u.Warm(o)
+			twin.Warm(o)
 		}
 		if round == 30 {
 			u.Flush() // must mark everything
+			twin.Flush()
 		}
-		d, err := u.Delta(u.Seq())
+		d, err := u.Delta(nil, u.Seq())
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		a.Reset(delta.Sizes{})
+		a.Poison()
+		da, err := twin.Delta(a, twin.Seq())
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if err := tracked.Apply(d); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if full := u.Snapshot(); !reflect.DeepEqual(tracked, full) {
+		if err := trackedA.Apply(da); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		full, fullA := u.Snapshot(nil), twin.Snapshot(a)
+		if !reflect.DeepEqual(tracked, full) || !reflect.DeepEqual(trackedA, full) {
 			t.Fatalf("round %d: delta-tracked predictor state diverged", round)
 		}
+		sameCarve(t, "delta", d, da)
+		sameCarve(t, "snapshot", full, fullA)
 	}
 	// Chain discipline: stale or pre-snapshot baselines fail.
-	if _, err := u.Delta(u.Seq() - 1); err == nil {
+	if _, err := u.Delta(nil, u.Seq()-1); err == nil {
 		t.Fatal("stale baseline must fail")
 	}
-	if _, err := bpred.New(smallCfg()).Delta(0); err == nil {
+	if _, err := bpred.New(smallCfg()).Delta(nil, 0); err == nil {
 		t.Fatal("delta before first snapshot must fail")
 	}
 }
 
+// sameCarve fails unless carved, a snapshot or delta carved from an
+// arena, equals fresh, its counterpart made without one, element for
+// element, and every slice of carved has fresh's length and a capacity
+// cut to it.
+func sameCarve(t *testing.T, what string, fresh, carved any) {
+	t.Helper()
+	if !reflect.DeepEqual(fresh, carved) {
+		t.Fatalf("%s carved from the arena differs from the fresh one", what)
+	}
+	fv, cv := reflect.ValueOf(fresh).Elem(), reflect.ValueOf(carved).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		if f := cv.Field(i); f.Kind() == reflect.Slice && (f.Len() != fv.Field(i).Len() || f.Cap() != f.Len()) {
+			t.Fatalf("carved %s.%s has len %d, cap %d; the fresh one len %d",
+				what, cv.Type().Field(i).Name, f.Len(), f.Cap(), fv.Field(i).Len())
+		}
+	}
+}
+
 // TestPredDeltaSlicesExact pins the delta's allocation to its payload:
-// every slice is sized exactly (cap == len), not grown block by block.
+// every slice is sized exactly (cap == len), not grown block by block,
+// whether it is made fresh or carved from a reused, poisoned arena.
 func TestPredDeltaSlicesExact(t *testing.T) {
-	u := bpred.New(smallCfg())
+	u, twin := bpred.New(smallCfg()), bpred.New(smallCfg())
+	a := new(delta.Arena)
 	rng := rand.New(rand.NewSource(41))
-	u.Snapshot()
+	u.Snapshot(nil)
+	twin.Snapshot(a)
 	for round := 0; round < 20; round++ {
 		for i := 0; i < rng.Intn(200); i++ {
-			u.Warm(randomOutcome(rng))
+			o := randomOutcome(rng)
+			u.Warm(o)
+			twin.Warm(o)
 		}
 		if round == 10 {
 			u.Flush()
+			twin.Flush()
 		}
-		d, err := u.Delta(u.Seq())
+		d, err := u.Delta(nil, u.Seq())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +141,13 @@ func TestPredDeltaSlicesExact(t *testing.T) {
 				t.Fatalf("round %d: Delta.%s has len %d, cap %d", round, dv.Type().Field(i).Name, f.Len(), f.Cap())
 			}
 		}
+		a.Reset(delta.Sizes{})
+		a.Poison()
+		da, err := twin.Delta(a, twin.Seq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCarve(t, "delta", d, da)
 	}
 }
 
@@ -107,15 +159,15 @@ func TestPredDeltaApplyRejectsCorrupt(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		u.Warm(randomOutcome(rng))
 	}
-	s := u.Snapshot()
+	s := u.Snapshot(nil)
 	mk := func() *bpred.Delta {
 		v := bpred.New(smallCfg())
 		r2 := rand.New(rand.NewSource(3))
-		v.Snapshot()
+		v.Snapshot(nil)
 		for i := 0; i < 100; i++ {
 			v.Warm(randomOutcome(r2))
 		}
-		d, err := v.Delta(v.Seq())
+		d, err := v.Delta(nil, v.Seq())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func dirtyPred(u *bpred.Unit, rng *rand.Rand) {
 	for i := 0; i < 20_000; i++ {
 		u.Warm(randomOutcome(rng))
 		if i%5000 == 0 {
-			u.Snapshot()
+			u.Snapshot(nil)
 		}
 	}
 }
@@ -52,7 +52,7 @@ func TestPredResetEqualsNew(t *testing.T) {
 	if u.Stats != fresh.Stats || u.Seq() != fresh.Seq() {
 		t.Fatalf("stats %+v seq %d, new unit %+v seq %d", u.Stats, u.Seq(), fresh.Stats, fresh.Seq())
 	}
-	if !reflect.DeepEqual(u.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(u.Snapshot(nil), fresh.Snapshot(nil)) {
 		t.Fatal("reset unit snapshots differently from a new one")
 	}
 	samePredTraffic(t, u, fresh, rand.New(rand.NewSource(32)), 10_000)
@@ -74,11 +74,11 @@ func TestPredFlushIsResetKeepingStats(t *testing.T) {
 		t.Fatalf("Flush moved stats or chain: %+v/%d, want %+v/%d", u.Stats, u.Seq(), stats, seq)
 	}
 	fresh := bpred.New(smallCfg())
-	if !reflect.DeepEqual(u.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(u.Snapshot(nil), fresh.Snapshot(nil)) {
 		t.Fatal("flushed unit snapshots differently from a new one (stale BTB or RAS entries)")
 	}
 	samePredTraffic(t, u, fresh, rand.New(rand.NewSource(34)), 10_000)
-	if !reflect.DeepEqual(u.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(u.Snapshot(nil), fresh.Snapshot(nil)) {
 		t.Fatal("flushed unit diverged from a new one under identical traffic")
 	}
 }

@@ -1,6 +1,10 @@
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/delta"
+)
 
 // State is a serializable snapshot of the prediction unit's trained
 // state: direction counters, global history, BTB contents, and the
@@ -21,24 +25,25 @@ type State struct {
 	RASTop int
 }
 
-// Snapshot captures the unit's trained state. It is the keyframe of
-// the predictor's delta chain: dirty tracking restarts here, so the
-// next Delta carries exactly the blocks touched from this point on.
-func (u *Unit) Snapshot() *State {
+// Snapshot captures the unit's trained state into arrays carved from a
+// (fresh ones for a nil a). It is the keyframe of the predictor's delta
+// chain: dirty tracking restarts here, so the next Delta carries exactly
+// the blocks touched from this point on.
+func (u *Unit) Snapshot(a *delta.Arena) *State {
 	u.tblDirty.Reset()
 	u.btbDirty.Reset()
 	u.chain.Keyframe()
 	s := &State{
-		Bimodal:  append([]uint8(nil), u.bimodal...),
-		Gshare:   append([]uint8(nil), u.gshare...),
-		Chooser:  append([]uint8(nil), u.chooser...),
+		Bimodal:  delta.Clone(a, u.bimodal),
+		Gshare:   delta.Clone(a, u.gshare),
+		Chooser:  delta.Clone(a, u.chooser),
 		History:  u.history,
-		BTBTags:  append([]uint64(nil), u.btbTags...),
-		BTBTgts:  append([]uint64(nil), u.btbTgts...),
-		BTBValid: append([]bool(nil), u.btbValid...),
-		BTBLRU:   append([]uint64(nil), u.btbLRU...),
+		BTBTags:  delta.Clone(a, u.btbTags),
+		BTBTgts:  delta.Clone(a, u.btbTgts),
+		BTBValid: delta.Clone(a, u.btbValid),
+		BTBLRU:   delta.Clone(a, u.btbLRU),
 		BTBStamp: u.btbStamp,
-		RAS:      append([]uint64(nil), u.ras...),
+		RAS:      delta.Clone(a, u.ras),
 		RASTop:   u.rasTop,
 	}
 	return s

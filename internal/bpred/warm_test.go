@@ -79,8 +79,8 @@ func TestWarmMatchesPredictUpdate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, want := bpred.New(tc.cfg), bpred.New(tc.cfg)
-			got.Snapshot()
-			want.Snapshot()
+			got.Snapshot(nil)
+			want.Snapshot(nil)
 			s := &warmStream{rng: rand.New(rand.NewSource(29)), targets: map[uint64]uint64{}}
 			var sawRASOverflow, sawRASUnderflow bool
 			for round := 0; round < 200; round++ {
@@ -100,16 +100,16 @@ func TestWarmMatchesPredictUpdate(t *testing.T) {
 					}
 				}
 				if round%7 == 3 {
-					if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+					if !reflect.DeepEqual(got.Snapshot(nil), want.Snapshot(nil)) {
 						t.Fatalf("round %d: snapshot differs from the reference", round)
 					}
 					continue
 				}
-				gd, err := got.Delta(got.Seq())
+				gd, err := got.Delta(nil, got.Seq())
 				if err != nil {
 					t.Fatal(err)
 				}
-				wd, err := want.Delta(want.Seq())
+				wd, err := want.Delta(nil, want.Seq())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -70,24 +70,24 @@ func (c *Cache) Seq() uint64 { return c.chain.Seq() }
 
 // Delta captures the blocks touched since the snapshot point numbered
 // since — which must be the cache's latest (Snapshot or Delta); deltas
-// chain strictly — and clears the dirty tracking. Applying the delta to
-// a copy of the previous snapshot (State.Apply) reproduces Snapshot
-// exactly.
-func (c *Cache) Delta(since uint64) (*Delta, error) {
+// chain strictly — into arrays carved from a (fresh ones for a nil a),
+// and clears the dirty tracking. Applying the delta to a copy of the
+// previous snapshot (State.Apply) reproduces Snapshot exactly.
+func (c *Cache) Delta(a *delta.Arena, since uint64) (*Delta, error) {
 	if _, err := c.chain.Next(since); err != nil {
 		return nil, fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 	}
-	blocks, g := c.snapDirty.Drain(), c.snapDirty.Grain()
+	blocks, g := c.snapDirty.Drain(a), c.snapDirty.Grain()
 	c.hintMarked = false
 	return &Delta{
 		N:        len(c.tags),
 		Grain:    g,
 		Stamp:    c.stamp,
 		Blocks:   blocks,
-		Tags:     delta.Gather(c.tags, blocks, g),
-		Valid:    delta.Gather(c.valid, blocks, g),
-		Dirty:    delta.Gather(c.dirty, blocks, g),
-		LastUsed: delta.Gather(c.lastUsed, blocks, g),
+		Tags:     delta.Gather(a, c.tags, blocks, g),
+		Valid:    delta.Gather(a, c.valid, blocks, g),
+		Dirty:    delta.Gather(a, c.dirty, blocks, g),
+		LastUsed: delta.Gather(a, c.lastUsed, blocks, g),
 	}, nil
 }
 
@@ -184,7 +184,7 @@ func (s *State) Apply(d *Delta) error {
 
 // Delta captures the TLB translations touched since the snapshot point
 // numbered since (see Cache.Delta).
-func (t *TLB) Delta(since uint64) (*Delta, error) { return t.inner.Delta(since) }
+func (t *TLB) Delta(a *delta.Arena, since uint64) (*Delta, error) { return t.inner.Delta(a, since) }
 
 // Seq returns the TLB's current snapshot-chain link.
 func (t *TLB) Seq() uint64 { return t.inner.Seq() }
@@ -197,26 +197,27 @@ type HierarchyDelta struct {
 }
 
 // Delta captures all caches' and TLBs' dirty blocks since the snapshot
-// point numbered since and clears their tracking. The hierarchy's
+// point numbered since into arrays carved from a and clears their
+// tracking. The hierarchy's
 // structures advance their chains in lockstep (Snapshot and Delta drive
 // all of them), so one sequence number covers the ensemble; a structure
 // snapshotted out-of-band desynchronizes and surfaces here as an error.
-func (h *Hierarchy) Delta(since uint64) (*HierarchyDelta, error) {
+func (h *Hierarchy) Delta(a *delta.Arena, since uint64) (*HierarchyDelta, error) {
 	d := &HierarchyDelta{}
 	var err error
-	if d.IL1, err = h.IL1.Delta(since); err != nil {
+	if d.IL1, err = h.IL1.Delta(a, since); err != nil {
 		return nil, err
 	}
-	if d.DL1, err = h.DL1.Delta(since); err != nil {
+	if d.DL1, err = h.DL1.Delta(a, since); err != nil {
 		return nil, err
 	}
-	if d.L2, err = h.L2.Delta(since); err != nil {
+	if d.L2, err = h.L2.Delta(a, since); err != nil {
 		return nil, err
 	}
-	if d.ITLB, err = h.ITLB.Delta(since); err != nil {
+	if d.ITLB, err = h.ITLB.Delta(a, since); err != nil {
 		return nil, err
 	}
-	if d.DTLB, err = h.DTLB.Delta(since); err != nil {
+	if d.DTLB, err = h.DTLB.Delta(a, since); err != nil {
 		return nil, err
 	}
 	return d, nil

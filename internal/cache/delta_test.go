@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/delta"
 )
 
 // TestDeltaMatchesSnapshot is the delta-snapshot correctness property:
@@ -14,18 +15,24 @@ import (
 // full snapshot reproduces the exact bytes of a fresh full Snapshot at
 // every step. Under-marking a dirty block would fail this immediately;
 // the test also exercises the truncated last block of a
-// non-multiple-of-grain geometry (the 5-entry config).
+// non-multiple-of-grain geometry (the 5-entry config). A twin cache fed
+// the same traffic carves its deltas and snapshots from one reused
+// arena, poisoned before every round: each must equal the fresh one
+// element for element, with its lengths and capacities cut to them, and
+// chain to the same snapshots.
 func TestDeltaMatchesSnapshot(t *testing.T) {
 	for _, cfg := range []cache.Config{
 		{Name: "D", Sets: 64, Ways: 2, BlockBits: 6},
 		{Name: "W", Sets: 1, Ways: 5, BlockBits: 1}, // 5 entries: truncated dirty block
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {
-			c := cache.New(cfg)
+			c, twin := cache.New(cfg), cache.New(cfg)
+			a := new(delta.Arena)
 			rng := rand.New(rand.NewSource(11))
 			// Establish the baseline: the keyframe snapshot resets dirty
 			// tracking and starts the chain.
-			tracked := c.Snapshot()
+			tracked := c.Snapshot(nil)
+			trackedA := twin.Snapshot(a).Clone()
 			for round := 0; round < 60; round++ {
 				n := rng.Intn(500)
 				for i := 0; i < n; i++ {
@@ -35,25 +42,60 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 						if !c.Touch(addr, write) {
 							c.Access(addr, write)
 						}
+						if !twin.Touch(addr, write) {
+							twin.Access(addr, write)
+						}
 					} else {
 						c.Access(addr, write)
+						twin.Access(addr, write)
 					}
 				}
 				if round == 30 {
 					c.Flush() // must mark everything
+					twin.Flush()
 				}
-				d, err := c.Delta(c.Seq())
+				d, err := c.Delta(nil, c.Seq())
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				a.Reset(delta.Sizes{})
+				a.Poison()
+				da, err := twin.Delta(a, twin.Seq())
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
 				if err := tracked.Apply(d); err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
-				if full := c.Snapshot(); !reflect.DeepEqual(tracked, full) {
+				if err := trackedA.Apply(da); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				full, fullA := c.Snapshot(nil), twin.Snapshot(a)
+				if !reflect.DeepEqual(tracked, full) || !reflect.DeepEqual(trackedA, full) {
 					t.Fatalf("round %d: delta-tracked state diverged from full snapshot", round)
 				}
+				sameCarve(t, "delta", d, da)
+				sameCarve(t, "snapshot", full, fullA)
 			}
 		})
+	}
+}
+
+// sameCarve fails unless carved, a snapshot or delta carved from an
+// arena, equals fresh, its counterpart made without one, element for
+// element, and every slice of carved has fresh's length and a capacity
+// cut to it.
+func sameCarve(t *testing.T, what string, fresh, carved any) {
+	t.Helper()
+	if !reflect.DeepEqual(fresh, carved) {
+		t.Fatalf("%s carved from the arena differs from the fresh one", what)
+	}
+	fv, cv := reflect.ValueOf(fresh).Elem(), reflect.ValueOf(carved).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		if f := cv.Field(i); f.Kind() == reflect.Slice && (f.Len() != fv.Field(i).Len() || f.Cap() != f.Len()) {
+			t.Fatalf("carved %s.%s has len %d, cap %d; the fresh one len %d",
+				what, cv.Type().Field(i).Name, f.Len(), f.Cap(), fv.Field(i).Len())
+		}
 	}
 }
 
@@ -74,7 +116,7 @@ func TestDeltaMatchesSnapshotTouchHeavy(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			c, shadow := cache.New(cfg), cache.New(cfg)
 			rng := rand.New(rand.NewSource(17))
-			tracked := c.Snapshot()
+			tracked := c.Snapshot(nil)
 			saved := tracked.Clone()
 			hot := uint64(0)
 			touches := 0
@@ -93,7 +135,7 @@ func TestDeltaMatchesSnapshotTouchHeavy(t *testing.T) {
 				}
 				switch rng.Intn(12) {
 				case 0: // keyframe
-					tracked = c.Snapshot()
+					tracked = c.Snapshot(nil)
 					continue
 				case 1:
 					for _, x := range []*cache.Cache{c, shadow} {
@@ -105,18 +147,18 @@ func TestDeltaMatchesSnapshotTouchHeavy(t *testing.T) {
 					c.Flush()
 					shadow.Flush()
 				case 3:
-					saved = c.Snapshot()
+					saved = c.Snapshot(nil)
 					tracked = saved.Clone()
 					continue
 				}
-				d, err := c.Delta(c.Seq())
+				d, err := c.Delta(nil, c.Seq())
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
 				if err := tracked.Apply(d); err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
-				if full := shadow.Snapshot(); !reflect.DeepEqual(tracked, full) {
+				if full := shadow.Snapshot(nil); !reflect.DeepEqual(tracked, full) {
 					t.Fatalf("round %d: delta-tracked state diverged from full snapshot", round)
 				}
 			}
@@ -129,23 +171,29 @@ func TestDeltaMatchesSnapshotTouchHeavy(t *testing.T) {
 
 // TestDeltaSlicesExact pins the delta's allocation to its payload:
 // every slice is sized exactly (cap == len), not grown block by block —
-// including the truncated last block of a 5-entry cache.
+// including the truncated last block of a 5-entry cache — whether it is
+// made fresh or carved from a reused, poisoned arena.
 func TestDeltaSlicesExact(t *testing.T) {
 	for _, cfg := range []cache.Config{
 		{Name: "D", Sets: 64, Ways: 2, BlockBits: 6},
 		{Name: "W", Sets: 1, Ways: 5, BlockBits: 1},
 	} {
-		c := cache.New(cfg)
+		c, twin := cache.New(cfg), cache.New(cfg)
+		a := new(delta.Arena)
 		rng := rand.New(rand.NewSource(13))
-		c.Snapshot()
+		c.Snapshot(nil)
+		twin.Snapshot(a)
 		for round := 0; round < 20; round++ {
 			for i := 0; i < rng.Intn(300); i++ {
-				c.Access(uint64(rng.Intn(1<<13)), rng.Intn(2) == 0)
+				addr, write := uint64(rng.Intn(1<<13)), rng.Intn(2) == 0
+				c.Access(addr, write)
+				twin.Access(addr, write)
 			}
 			if round == 10 {
 				c.Flush()
+				twin.Flush()
 			}
-			d, err := c.Delta(c.Seq())
+			d, err := c.Delta(nil, c.Seq())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,6 +203,13 @@ func TestDeltaSlicesExact(t *testing.T) {
 					t.Fatalf("%s round %d: Delta.%s has len %d, cap %d", cfg.Name, round, dv.Type().Field(i).Name, f.Len(), f.Cap())
 				}
 			}
+			a.Reset(delta.Sizes{})
+			a.Poison()
+			da, err := twin.Delta(a, twin.Seq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCarve(t, "delta", d, da)
 		}
 	}
 }
@@ -163,18 +218,18 @@ func TestDeltaSlicesExact(t *testing.T) {
 // deltas before any snapshot or against stale baselines must fail.
 func TestDeltaSequencing(t *testing.T) {
 	c := cache.New(cache.Config{Name: "S", Sets: 8, Ways: 2, BlockBits: 6})
-	if _, err := c.Delta(0); err == nil {
+	if _, err := c.Delta(nil, 0); err == nil {
 		t.Fatal("delta before first snapshot must fail")
 	}
-	c.Snapshot()
+	c.Snapshot(nil)
 	seq := c.Seq()
-	if _, err := c.Delta(seq + 7); err == nil {
+	if _, err := c.Delta(nil, seq+7); err == nil {
 		t.Fatal("future baseline must fail")
 	}
-	if _, err := c.Delta(seq); err != nil {
+	if _, err := c.Delta(nil, seq); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Delta(seq); err == nil {
+	if _, err := c.Delta(nil, seq); err == nil {
 		t.Fatal("stale baseline must fail")
 	}
 }
@@ -184,19 +239,19 @@ func TestDeltaSequencing(t *testing.T) {
 func TestTLBDeltaMatchesSnapshot(t *testing.T) {
 	tlb := cache.NewTLB("T", 16, 4, 12)
 	rng := rand.New(rand.NewSource(5))
-	tracked := tlb.Snapshot()
+	tracked := tlb.Snapshot(nil)
 	for round := 0; round < 40; round++ {
 		for i := 0; i < rng.Intn(800); i++ {
 			tlb.Touch(uint64(rng.Intn(1 << 20)))
 		}
-		d, err := tlb.Delta(tlb.Seq())
+		d, err := tlb.Delta(nil, tlb.Seq())
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if err := tracked.Apply(d); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if full := tlb.Snapshot(); !reflect.DeepEqual(tracked, full) {
+		if full := tlb.Snapshot(nil); !reflect.DeepEqual(tracked, full) {
 			t.Fatalf("round %d: TLB delta-tracked state diverged", round)
 		}
 	}
@@ -208,13 +263,13 @@ func TestTLBDeltaMatchesSnapshot(t *testing.T) {
 func TestDeltaApplyRejectsCorrupt(t *testing.T) {
 	c := cache.New(cache.Config{Name: "V", Sets: 8, Ways: 2, BlockBits: 6})
 	c.Access(0x40, true)
-	s := c.Snapshot()
+	s := c.Snapshot(nil)
 	base := func() *cache.Delta {
 		cc := cache.New(cache.Config{Name: "V", Sets: 8, Ways: 2, BlockBits: 6})
 		cc.Access(0x40, true)
-		cc.Snapshot()
+		cc.Snapshot(nil)
 		cc.Access(0x80, true)
-		d, err := cc.Delta(cc.Seq())
+		d, err := cc.Delta(nil, cc.Seq())
 		if err != nil {
 			t.Fatal(err)
 		}

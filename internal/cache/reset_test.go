@@ -21,7 +21,7 @@ func dirtyCache(c *cache.Cache, rng *rand.Rand) {
 		}
 		c.Access(addr, write)
 		if i%5000 == 0 {
-			c.Snapshot()
+			c.Snapshot(nil)
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestCacheResetEqualsNew(t *testing.T) {
 			if c.Stats != fresh.Stats || c.Seq() != fresh.Seq() {
 				t.Fatalf("stats %+v seq %d, new cache %+v seq %d", c.Stats, c.Seq(), fresh.Stats, fresh.Seq())
 			}
-			if !reflect.DeepEqual(c.Snapshot(), fresh.Snapshot()) {
+			if !reflect.DeepEqual(c.Snapshot(nil), fresh.Snapshot(nil)) {
 				t.Fatal("reset cache snapshots differently from a new one")
 			}
 			sameCacheTraffic(t, c, fresh, rand.New(rand.NewSource(4)), 10_000)
@@ -87,11 +87,11 @@ func TestCacheFlushIsResetKeepingStats(t *testing.T) {
 		t.Fatalf("Flush moved stats or chain: %+v/%d, want %+v/%d", c.Stats, c.Seq(), stats, seq)
 	}
 	fresh := cache.New(cfg)
-	if !reflect.DeepEqual(c.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(c.Snapshot(nil), fresh.Snapshot(nil)) {
 		t.Fatal("flushed cache snapshots differently from a new one (stale tags or stamps)")
 	}
 	sameCacheTraffic(t, c, fresh, rand.New(rand.NewSource(6)), 10_000)
-	if !reflect.DeepEqual(c.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(c.Snapshot(nil), fresh.Snapshot(nil)) {
 		t.Fatal("flushed cache diverged from a new one under identical traffic")
 	}
 }
@@ -143,7 +143,7 @@ func sameHierarchyTraffic(t *testing.T, a, b *cache.Hierarchy, rng *rand.Rand, n
 func TestHierarchyResetEqualsNew(t *testing.T) {
 	h := newHierarchy()
 	sameHierarchyTraffic(t, h, newHierarchy(), rand.New(rand.NewSource(7)), 20_000)
-	h.Snapshot()
+	h.Snapshot(nil)
 	if h.L2Accesses == 0 || h.MemAccesses == 0 || h.DTLB.Stats().Misses == 0 {
 		t.Fatal("traffic left the counters untouched; the test dirtied nothing")
 	}
@@ -152,7 +152,7 @@ func TestHierarchyResetEqualsNew(t *testing.T) {
 	if !reflect.DeepEqual(h, fresh) {
 		t.Fatal("reset hierarchy differs from a new one")
 	}
-	if !reflect.DeepEqual(h.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(h.Snapshot(nil), fresh.Snapshot(nil)) {
 		t.Fatal("reset hierarchy snapshots differently from a new one")
 	}
 	sameHierarchyTraffic(t, h, fresh, rand.New(rand.NewSource(8)), 10_000)

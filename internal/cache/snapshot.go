@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/delta"
+)
 
 // State is a serializable snapshot of one cache's content-bearing state:
 // the tag arrays, valid/dirty bits, and LRU stamps. Statistics are
@@ -17,15 +21,16 @@ type State struct {
 	Stamp    uint64
 }
 
-// Snapshot captures the cache's current contents. It is the keyframe
-// of the cache's delta chain: dirty tracking restarts here, so the next
-// Delta carries exactly the blocks touched from this point on.
-func (c *Cache) Snapshot() *State {
+// Snapshot captures the cache's current contents into arrays carved
+// from a (fresh ones for a nil a). It is the keyframe of the cache's
+// delta chain: dirty tracking restarts here, so the next Delta carries
+// exactly the blocks touched from this point on.
+func (c *Cache) Snapshot(a *delta.Arena) *State {
 	s := &State{
-		Tags:     make([]uint64, len(c.tags)),
-		Valid:    make([]bool, len(c.valid)),
-		Dirty:    make([]bool, len(c.dirty)),
-		LastUsed: make([]uint64, len(c.lastUsed)),
+		Tags:     delta.Make[uint64](a, len(c.tags)),
+		Valid:    delta.Make[bool](a, len(c.valid)),
+		Dirty:    delta.Make[bool](a, len(c.dirty)),
+		LastUsed: delta.Make[uint64](a, len(c.lastUsed)),
 		Stamp:    c.stamp,
 	}
 	copy(s.Tags, c.tags)
@@ -57,8 +62,8 @@ func (c *Cache) Restore(s *State) error {
 	return nil
 }
 
-// Snapshot captures the TLB's translations.
-func (t *TLB) Snapshot() *State { return t.inner.Snapshot() }
+// Snapshot captures the TLB's translations into arrays carved from a.
+func (t *TLB) Snapshot(a *delta.Arena) *State { return t.inner.Snapshot(a) }
 
 // Restore overwrites the TLB's translations from a snapshot.
 //
@@ -74,14 +79,15 @@ type HierarchyState struct {
 	ITLB, DTLB   *State
 }
 
-// Snapshot captures all caches and TLBs of the hierarchy.
-func (h *Hierarchy) Snapshot() *HierarchyState {
+// Snapshot captures all caches and TLBs of the hierarchy into arrays
+// carved from a.
+func (h *Hierarchy) Snapshot(a *delta.Arena) *HierarchyState {
 	return &HierarchyState{
-		IL1:  h.IL1.Snapshot(),
-		DL1:  h.DL1.Snapshot(),
-		L2:   h.L2.Snapshot(),
-		ITLB: h.ITLB.Snapshot(),
-		DTLB: h.DTLB.Snapshot(),
+		IL1:  h.IL1.Snapshot(a),
+		DL1:  h.DL1.Snapshot(a),
+		L2:   h.L2.Snapshot(a),
+		ITLB: h.ITLB.Snapshot(a),
+		DTLB: h.DTLB.Snapshot(a),
 	}
 }
 

@@ -44,7 +44,7 @@ func TestTouchMatchesAccess(t *testing.T) {
 	if plain.Stats != touched.Stats {
 		t.Fatalf("stats diverged:\nplain   %+v\ntouched %+v", plain.Stats, touched.Stats)
 	}
-	ps, ts := plain.Snapshot(), touched.Snapshot()
+	ps, ts := plain.Snapshot(nil), touched.Snapshot(nil)
 	if ps.Stamp != ts.Stamp {
 		t.Fatalf("stamps diverged: %d vs %d", ps.Stamp, ts.Stamp)
 	}
@@ -75,7 +75,7 @@ func TestTouchAfterRestoreAndFlush(t *testing.T) {
 	c.Access(0x80, false)
 	other := cache.New(cfg)
 	other.Access(0x1000, false)
-	if err := c.Restore(other.Snapshot()); err != nil {
+	if err := c.Restore(other.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Touch(0x80, false) {

@@ -124,7 +124,7 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 			u.Mem = cpu.Mem.Snapshot()
 			lastMem = cpu.Mem.Seq()
 			if machine != nil {
-				snap := warmer.Snapshot()
+				snap := warmer.Snapshot(nil)
 				u.Warm = &WarmState{Hier: snap.Hier, Pred: snap.Pred}
 				lastSeq = snap.Seq
 			}
@@ -139,7 +139,7 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 			u.Prev = prevUnit
 			lastMem = md.Seq
 			if machine != nil {
-				d, derr := warmer.Delta(lastSeq)
+				d, derr := warmer.Delta(nil, lastSeq)
 				if derr != nil {
 					sum.SweepInsts = cpu.Count
 					sum.SweepTime = wallclock.Since(start)

@@ -154,6 +154,18 @@ type Params struct {
 	// excluded from bit-identity and from the store Key).
 	//simlint:nonkey resume point of the same sweep; the unit stream is bit-identical
 	Resume *ResumeState
+	// Recycle declares that the consumer keeps no emitted unit past its
+	// launch, and calls Unit.Release on each once it has read the unit's
+	// warm state for the last time: the sweep then carves each keyframe
+	// interval's warm snapshots and deltas from an arena of a bounded,
+	// process-wide free list instead of allocating them, and reuses the
+	// arena once every unit of the interval has been released and the
+	// sweep has emitted past it. Only a stream that nothing retains may
+	// set it (engine's pool with no cache attached); units that live in a
+	// Set, a cache or a multi-offset capture keep exactly sized arrays of
+	// their own. Ignored on cold sweeps, which carry no warm state.
+	//simlint:nonkey where the warm arrays live, not what they hold; units are bit-identical
+	Recycle bool
 }
 
 // DefaultKeyframe is the keyframe interval used when Params.Keyframe is
@@ -298,6 +310,10 @@ type Unit struct {
 	SweepTime  time.Duration
 	HaveIBlock bool
 	LastIBlock uint64
+
+	// arena is the recycled arena Warm or Delta was carved from, on units
+	// of a recycling sweep until Release (see Params.Recycle).
+	arena *warmArena
 }
 
 // WarmLen returns the number of detailed-warming instructions the
@@ -729,7 +745,12 @@ const FFChunk = 1 << 16
 //
 // The consumer owns each emitted Unit. Snapshots share memory pages
 // copy-on-write with their neighbours, so holding one unit alive does
-// not pin the whole stream's footprint.
+// not pin the whole stream's footprint. Under p.Recycle the consumer
+// owns a unit only until it releases it (Unit.Release): the unit's warm
+// state is carved from its keyframe interval's arena, which the sweep
+// holds until emit has returned for the interval's last unit, so emit
+// may read every unit of the interval — and a journal may encode it —
+// before returning.
 func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params, emit func(*Unit) bool) (*Summary, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -805,6 +826,15 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	// sets Mem on keyframes), dirty warm blocks when warming (taken here;
 	// see Params.Keyframe).
 	var lastSeq uint64 // the warmer's snapshot sequence number
+	// arena is the current keyframe interval's, on a recycling sweep: the
+	// sweep's hold on it is dropped when the next keyframe opens another
+	// or the sweep ends.
+	var arena *warmArena
+	defer func() {
+		if arena != nil {
+			arena.release()
+		}
+	}()
 	sum.Complete = true
 	for {
 		if cancelled() {
@@ -819,16 +849,31 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 				warmer.Warm(recs[warmed:l.at])
 				warmed = l.at
 				if u.Mem != nil {
-					snap := warmer.Snapshot()
+					if p.Recycle {
+						// Every unit of the last interval has been pushed. The
+						// next arena is taken while the sweep still holds the
+						// last, so consecutive intervals alternate between two
+						// arenas whatever the replay schedule, and each is
+						// sized by the intervals it serves (see release).
+						next := openArena()
+						if arena != nil {
+							arena.release()
+						}
+						arena = next
+					}
+					snap := warmer.Snapshot(arena.slabs())
 					u.Warm = &WarmState{Hier: snap.Hier, Pred: snap.Pred}
 					lastSeq = snap.Seq
 				} else {
-					d, err := warmer.Delta(lastSeq)
+					d, err := warmer.Delta(arena.slabs(), lastSeq)
 					if err != nil {
 						return finish(fmt.Errorf("checkpoint: unit %d: %w", u.Index, err))
 					}
 					u.Delta = d
 					lastSeq = d.Seq
+				}
+				if arena != nil {
+					arena.hold(u)
 				}
 			}
 			// The stream position is the unit's launch point: the unit

@@ -182,7 +182,7 @@ func TestWarmStateMatchesContinuousSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	nextWarm := nextL.Warm
-	gotH := machine.Hier.Snapshot()
+	gotH := machine.Hier.Snapshot(nil)
 	wantH := nextWarm.Hier
 	for name, pair := range map[string][2][]uint64{
 		"IL1": {gotH.IL1.Tags, wantH.IL1.Tags},
@@ -196,7 +196,7 @@ func TestWarmStateMatchesContinuousSweep(t *testing.T) {
 			}
 		}
 	}
-	gotP, wantP := machine.Pred.Snapshot(), nextWarm.Pred
+	gotP, wantP := machine.Pred.Snapshot(nil), nextWarm.Pred
 	if gotP.History != wantP.History || gotP.RASTop != wantP.RASTop {
 		t.Fatalf("predictor state differs after resumed warming")
 	}

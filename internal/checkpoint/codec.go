@@ -54,11 +54,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // CRC of ord's little-endian bytes under seed, the CRC of the stream's
 // key hash (keySeed; 0 for the manifest, record 0, which names the key).
 // A record that moved to another position, or into another key's
-// stream, fails its seal even though its bytes are intact.
-func recordSeal(seed uint32, ord uint64) uint32 {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], ord)
-	return crc32.Update(seed, castagnoli, b[:])
+// stream, fails its seal even though its bytes are intact. The ordinal
+// is staged in word, a buffer the caller owns: crc32.Update makes any
+// slice it is given escape, so a local array would cost an allocation
+// per record.
+func recordSeal(seed uint32, ord uint64, word *[8]byte) uint32 {
+	binary.LittleEndian.PutUint64(word[:], ord)
+	return crc32.Update(seed, castagnoli, word[:])
 }
 
 // keySeed is the seal seed of the records of a stream keyed by k.
@@ -74,6 +76,7 @@ func keySeed(k Key) uint32 { return crc32.Checksum([]byte(k.Hash()), castagnoli)
 type codecWriter struct {
 	w       *bufio.Writer
 	scratch []byte
+	word    [8]byte // begin's, seal's and u64's buffer: a local would escape through crc32.Update
 	crc     uint32
 	seed    uint32 // keySeed of the stream, once its manifest is written
 	ord     uint64 // the ordinal of the record being written
@@ -84,22 +87,20 @@ func newCodecWriter(w io.Writer) *codecWriter {
 }
 
 // begin starts the next record.
-func (c *codecWriter) begin() { c.crc = recordSeal(c.seed, c.ord) }
+func (c *codecWriter) begin() { c.crc = recordSeal(c.seed, c.ord, &c.word) }
 
 // seal ends the record begin started with its 4-byte CRC-32C.
 func (c *codecWriter) seal() error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], c.crc)
+	binary.LittleEndian.PutUint32(c.word[:4], c.crc)
 	c.ord++
-	_, err := c.w.Write(b[:])
+	_, err := c.w.Write(c.word[:4])
 	return err
 }
 
 func (c *codecWriter) u64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	c.crc = crc32.Update(c.crc, castagnoli, b[:])
-	_, err := c.w.Write(b[:])
+	binary.LittleEndian.PutUint64(c.word[:], v)
+	c.crc = crc32.Update(c.crc, castagnoli, c.word[:])
+	_, err := c.w.Write(c.word[:])
 	return err
 }
 
@@ -176,7 +177,7 @@ func (c *codecWriter) bools(v []bool) error {
 type codecReader struct {
 	r       *bufio.Reader
 	scratch []byte
-	word    [8]byte // u64's buffer: a local would escape through io.ReadFull
+	word    [8]byte // begin's, check's and u64's buffer: a local would escape through io.ReadFull or crc32.Update
 	crc     uint32
 	seed    uint32
 	ord     uint64
@@ -195,7 +196,7 @@ func newCodecReader(r io.Reader) *codecReader {
 }
 
 // begin starts the next record.
-func (c *codecReader) begin() { c.crc = recordSeal(c.seed, c.ord) }
+func (c *codecReader) begin() { c.crc = recordSeal(c.seed, c.ord, &c.word) }
 
 // check reads the seal of the record begin started and verifies it
 // against the bytes read since.

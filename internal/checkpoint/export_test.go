@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"testing"
 )
 
 // Record is one record of a store stream, as Records walks it.
@@ -77,3 +78,18 @@ func Records(data []byte, k Key) ([]Record, error) {
 
 // ArenaPages is the most page arrays a pooled stream reader keeps.
 const ArenaPages = arenaPages
+
+// PoisonReleasedArenas makes the last release of every recycled warm
+// arena overwrite its slabs with a poison pattern before the arena is
+// listed for reuse, until t ends: a consumer that still reads a released
+// unit's warm state then computes from garbage, and a digest flips.
+func PoisonReleasedArenas(t testing.TB) {
+	poisonReleased.Store(true)
+	t.Cleanup(func() { poisonReleased.Store(false) })
+}
+
+// FreeArenas returns how many released warm arenas the free list holds.
+func FreeArenas() int { return arenas.Len() }
+
+// ArenaBudget is the most bytes of warm arenas the free list keeps.
+const ArenaBudget = arenaBudget

@@ -21,6 +21,17 @@
 //   - Seq reports the source's current chain link, assigned in capture
 //     order across Snapshot and Delta calls.
 //
+// Snapshot and Delta carve their arrays from the Arena they are given
+// (arena.go), or make fresh, exactly sized ones for a nil Arena. A
+// capture sweep whose units nothing retains passes the arena of the
+// keyframe interval being captured and recycles it once every unit of
+// the interval has launched; everything else passes nil.
+//
+// mem.Memory keeps the same chain contract (a Snapshot keyframe,
+// sequence-checked Delta(since), Seq) without an arena: its snapshots
+// share pages copy-on-write and its deltas carry the memory's own page
+// arrays, so there is nothing to carve.
+//
 // A State is the materialization side: applying a delta to (a copy of)
 // the snapshot the delta was taken against reproduces the next full
 // snapshot exactly. Chains therefore reconstruct any captured point as
@@ -41,14 +52,14 @@ import (
 
 // Source is the capture side of the contract; S is the full-snapshot
 // type and D the delta type. Implementations: cache.Cache, cache.TLB,
-// cache.Hierarchy, bpred.Unit, uarch.Warmer, mem.Memory.
+// cache.Hierarchy, bpred.Unit, uarch.Warmer.
 type Source[S any, D any] interface {
-	// Snapshot captures a keyframe, resets dirty tracking, and advances
-	// the chain.
-	Snapshot() S
+	// Snapshot captures a keyframe into arrays carved from a (fresh ones
+	// for a nil a), resets dirty tracking, and advances the chain.
+	Snapshot(a *Arena) S
 	// Delta captures the changes since chain link since (which must be
-	// the latest) and advances the chain.
-	Delta(since uint64) (D, error)
+	// the latest) into arrays carved from a, and advances the chain.
+	Delta(a *Arena, since uint64) (D, error)
 	// Seq returns the current chain link number (0 before the first
 	// snapshot).
 	Seq() uint64
@@ -174,13 +185,13 @@ func (b *Bitmap) Count() int {
 }
 
 // Drain returns the dirty block indices in ascending order, in a slice
-// sized exactly from Count (nil when nothing is dirty), and clears the
-// tracking; padding bits beyond the covered range are skipped. It is
-// the operation delta capture is built on.
-func (b *Bitmap) Drain() []uint32 {
+// sized exactly from Count and carved from a (nil when nothing is
+// dirty), and clears the tracking; padding bits beyond the covered range
+// are skipped. It is the operation delta capture is built on.
+func (b *Bitmap) Drain(a *Arena) []uint32 {
 	var dst []uint32
 	if k := b.Count(); k > 0 {
-		dst = make([]uint32, 0, k)
+		dst = Make[uint32](a, k)[:0]
 	}
 	for w, word := range b.words {
 		for word != 0 {
@@ -211,14 +222,14 @@ func Span(b uint32, grainShift uint8, n int) (lo, hi int) {
 
 // Gather returns the segments of src that an ascending block list
 // covers at the given granularity, concatenated in block order, in a
-// slice of exactly their length (nil for no blocks) — one content array
-// of a delta.
-func Gather[T any](src []T, blocks []uint32, grainShift uint8) []T {
+// slice of exactly their length carved from a (nil for no blocks) — one
+// content array of a delta.
+func Gather[T Elem](a *Arena, src []T, blocks []uint32, grainShift uint8) []T {
 	if len(blocks) == 0 {
 		return nil
 	}
 	lo, hi := Span(blocks[len(blocks)-1], grainShift, len(src))
-	dst := make([]T, 0, (len(blocks)-1)<<grainShift+hi-lo)
+	dst := Make[T](a, (len(blocks)-1)<<grainShift+hi-lo)[:0]
 	for _, b := range blocks {
 		lo, hi := Span(b, grainShift, len(src))
 		dst = append(dst, src[lo:hi]...)

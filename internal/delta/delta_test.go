@@ -57,7 +57,7 @@ func TestBitmapCoversMarks(t *testing.T) {
 		if c := bm.Count(); c != wantBlocks {
 			t.Fatalf("n=%d grain=%d: fresh bitmap counts %d blocks, want %d", tc.n, tc.grain, c, wantBlocks)
 		}
-		all := bm.Drain()
+		all := bm.Drain(nil)
 		if len(all) != wantBlocks {
 			t.Fatalf("n=%d grain=%d: fresh bitmap drains %d blocks, want %d", tc.n, tc.grain, len(all), wantBlocks)
 		}
@@ -65,7 +65,7 @@ func TestBitmapCoversMarks(t *testing.T) {
 		if c := bm.Count(); c != 0 {
 			t.Fatalf("n=%d grain=%d: drained bitmap counts %d blocks", tc.n, tc.grain, c)
 		}
-		if left := bm.Drain(); left != nil {
+		if left := bm.Drain(nil); left != nil {
 			t.Fatalf("n=%d grain=%d: %d blocks left after drain", tc.n, tc.grain, len(left))
 		}
 		// Random marks: the drained blocks must be exactly the marked
@@ -79,7 +79,7 @@ func TestBitmapCoversMarks(t *testing.T) {
 		if c := bm.Count(); c != len(marked) {
 			t.Fatalf("n=%d grain=%d: counts %d blocks, marked %d", tc.n, tc.grain, c, len(marked))
 		}
-		got := bm.Drain()
+		got := bm.Drain(nil)
 		if len(got) != len(marked) || cap(got) != len(got) {
 			t.Fatalf("n=%d grain=%d: drained %d blocks (cap %d), marked %d", tc.n, tc.grain, len(got), cap(got), len(marked))
 		}
@@ -120,19 +120,66 @@ func TestValidateBlocks(t *testing.T) {
 }
 
 // TestGather: the blocks' segments in order, a short last block
-// included, in a slice of exactly their length; nil for no blocks.
+// included, in a slice of exactly their length; nil for no blocks. The
+// same holds for a slice carved from a reused, poisoned arena, whose
+// earlier carves it must not touch.
 func TestGather(t *testing.T) {
-	src := make([]int, 26)
+	src := make([]uint64, 26)
 	for i := range src {
-		src[i] = i
+		src[i] = uint64(i)
 	}
-	got := Gather(src, []uint32{0, 2, 3}, 3)
-	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25}
-	if !slices.Equal(got, want) || cap(got) != len(want) {
-		t.Fatalf("Gather = %v (cap %d), want %v", got, cap(got), want)
+	want := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25}
+	a := new(Arena)
+	for round := 0; round < 3; round++ {
+		a.Reset(Sizes{})
+		a.Poison()
+		for _, arena := range []*Arena{nil, a} {
+			got := Gather(arena, src, []uint32{0, 2, 3}, 3)
+			if !slices.Equal(got, want) || cap(got) != len(want) {
+				t.Fatalf("round %d, arena %v: Gather = %v (cap %d), want %v", round, arena != nil, got, cap(got), want)
+			}
+			next := Gather(arena, src, []uint32{1}, 3)
+			if !slices.Equal(next, src[8:16]) || !slices.Equal(got, want) {
+				t.Fatalf("round %d, arena %v: a second Gather returned %v and left the first %v", round, arena != nil, next, got)
+			}
+			if got := Gather(arena, src, nil, 3); got != nil {
+				t.Fatalf("Gather over no blocks = %v, want nil", got)
+			}
+		}
 	}
-	if got := Gather(src, nil, 3); got != nil {
-		t.Fatalf("Gather over no blocks = %v, want nil", got)
+	if n := len(want) + 8; a.Bytes() != 8*(n+n/4) {
+		t.Fatalf("arena grew to %d bytes, want a quarter more than the %d it carved", a.Bytes(), 8*(len(want)+8))
+	}
+}
+
+// TestArenaCarves: a carve that fits its slab allocates nothing and is
+// cut to its length; one that does not gets a fresh array, and Reset
+// grows the slab to a quarter more than everything carved, or than the
+// sizes it is asked to fit, so the same carves then fit.
+func TestArenaCarves(t *testing.T) {
+	a := new(Arena)
+	carve := func() ([]uint64, []uint32, []uint8, []bool) {
+		return Make[uint64](a, 100), Make[uint32](a, 7), Clone(a, []uint8{1, 2, 3}), Make[bool](a, 5)
+	}
+	carve()
+	if used := a.Used(); a.Bytes() != 0 || used != (Sizes{100, 7, 3, 5}) {
+		t.Fatalf("before Reset: %d bytes kept, %+v used", a.Bytes(), used)
+	}
+	a.Reset(Sizes{U8: 40})
+	if want := (Sizes{125, 8, 50, 6}).Bytes(); a.Bytes() != want {
+		t.Fatalf("Reset grew the slabs to %d bytes, want %d", a.Bytes(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.Reset(Sizes{})
+		u64, u32, u8, b := carve()
+		if len(u64) != cap(u64) || len(u32) != cap(u32) || len(u8) != cap(u8) || len(b) != cap(b) {
+			t.Fatal("carve not cut to its length")
+		}
+	}); allocs != 0 {
+		t.Fatalf("carving from a grown arena allocates %.1f objects", allocs)
+	}
+	if got := Clone(a, []uint8{9}); got[0] != 9 || Clone[uint8](nil, nil) != nil {
+		t.Fatalf("Clone = %v", got)
 	}
 }
 

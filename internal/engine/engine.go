@@ -74,6 +74,26 @@
 // replaying (the multi-offset path and the distributed coordinator),
 // does not, and nothing else differs.
 //
+// A sweep that nothing retains — Run with no Cache attached, streaming
+// into the pool and, with a Store, into the store writer — recycles its
+// units' warm state too (checkpoint.Params.Recycle): each keyframe
+// interval's cache, TLB and predictor snapshot and deltas are carved
+// from one arena of a bounded free list, and the arena is reused once
+// every unit of the interval has launched and the sweep has pushed the
+// interval's last unit; a run that stops early leaves its unlaunched
+// units' holds standing, and the garbage collector takes their arenas.
+// The list keeps at most 64 MiB of arenas. Who may hold a unit's warm payload is therefore
+// fixed: the sweep, until Sweep's push of the interval's last unit has
+// returned (emit, then Journal.Add, which encodes the unit before it
+// returns); the worker that launches the unit, until launch returns; and
+// a worker's Materializer walking a later unit of the same interval,
+// which that later unit's hold covers. Nothing else may read it: an
+// asynchronous journal writer (one that encodes after Add returns) must
+// take a hold of its own on each unit it queues, or the sweep must not
+// recycle. Every stream something keeps — a Cache, CaptureSet, a store
+// hit decoded into a Set, a journal's resumed units — owns exactly sized
+// arrays with the Set's lifetime, and releasing its units does nothing.
+//
 // Because every unit's detailed simulation is fully determined by its
 // checkpoint and there is one fold, results are bit-identical for any
 // worker count, any sweep source (streamed, resumed, cached or
@@ -424,7 +444,11 @@ func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u u
 // incomplete one (cancelled, cut short by send, failed) leaves at most
 // its journal. A complete sweep is also handed to the cache. Units are
 // retained, and a set returned, only if someone will hold it: the
-// cache, or a caller without a pool.
+// cache, or a caller without a pool. A stream that nothing retains
+// recycles its warm state (checkpoint.Params.Recycle): the pool's
+// workers release each unit once it has launched, and the journal
+// encodes each unit inside Sweep's push, before the sweep moves past the
+// unit's keyframe interval.
 func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options,
 	send func(*checkpoint.Unit) bool) (*checkpoint.Set, *checkpoint.Summary, error) {
 	var sw *checkpoint.SetWriter
@@ -441,6 +465,7 @@ func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p che
 	if opt.Cache != nil || send == nil {
 		set = &checkpoint.Set{K: p.K}
 	}
+	p.Recycle = set == nil
 	captured := 0
 	sum, err := Sweep(ctx, prog, cfg, p, j, func(cu *checkpoint.Unit, _ bool) bool {
 		if set != nil {

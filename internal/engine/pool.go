@@ -138,6 +138,10 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 				if j.launch != nil {
 					released <- struct{}{} // the producer's state may roll on
 				}
+				// Nothing reads the unit's warm state after its launch: a
+				// recycling sweep may reuse it once the interval's other
+				// units have launched too.
+				j.unit.Release()
 				var ru RangeUnit
 				if err == nil {
 					ru, err = l.measure(j.unit)
@@ -192,10 +196,11 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 
 // replayUnits runs units — stream positions base onward — through the
 // pool on at most workers workers. The slice is copied and the copy's
-// entries dropped as they are dispatched, so a unit's snapshot
-// (cache/TLB tag arrays, predictor tables, memory-image map) becomes
-// collectable as soon as its replay finishes when the caller holds no
-// other reference, and a shared Set is never modified.
+// entries dropped as they are dispatched, so a shared Set is never
+// modified. A Set's units own their snapshots (cache/TLB tag arrays,
+// predictor tables, memory-image map) and hold no arena, so the workers'
+// Release does nothing to them: they stay valid for as long as the
+// caller's set does, and become collectable with it.
 func replayUnits(ctx context.Context, prog *program.Program, cfg uarch.Config, u uint64, units []*checkpoint.Unit, base, workers int, deliver func(RangeUnit) bool) error {
 	if workers > len(units) {
 		workers = len(units)

@@ -50,3 +50,33 @@ func TestListKeysAndBound(t *testing.T) {
 		t.Fatalf("Drain left %d objects", l.Len())
 	}
 }
+
+// TestSizedListBytes: a NewSized list keeps at most its byte budget,
+// dropping the least recently returned objects to make room, and never
+// keeps an object larger than the whole budget.
+func TestSizedListBytes(t *testing.T) {
+	type obj struct{ bytes int }
+	l := freelist.NewSized("test sized objects", func(struct{}) *obj { return &obj{} },
+		func(o *obj) int { return o.bytes }, 100)
+	a, b, c := &obj{40}, &obj{50}, &obj{30}
+	l.Put(struct{}{}, a)
+	l.Put(struct{}{}, b)
+	l.Put(struct{}{}, c) // 120 bytes: a, the least recently returned, goes
+	if l.Len() != 2 {
+		t.Fatalf("list holds %d objects, want 2", l.Len())
+	}
+	l.Put(struct{}{}, &obj{101})
+	if l.Len() != 2 {
+		t.Fatalf("an object over the budget was kept: %d objects", l.Len())
+	}
+	if got := l.Get(struct{}{}); got != c {
+		t.Fatalf("Get returned %+v, want the most recently returned %+v", got, c)
+	}
+	if got := l.Get(struct{}{}); got != b {
+		t.Fatalf("Get returned %+v, want %+v", got, b)
+	}
+	l.Put(struct{}{}, &obj{100}) // the list is empty again: the whole budget fits
+	if l.Len() != 1 {
+		t.Fatalf("list holds %d objects, want 1", l.Len())
+	}
+}

@@ -26,11 +26,9 @@ import (
 	"repro/internal/delta"
 )
 
-// The memory implements the shared snapshot/delta-chain contract.
-var (
-	_ delta.Source[*Image, *Delta] = (*Memory)(nil)
-	_ delta.State[*Delta]          = (*Image)(nil)
-)
+// The memory's Image is a delta.State. Memory keeps the Source chain
+// contract without its arena parameter (see package delta).
+var _ delta.State[*Delta] = (*Image)(nil)
 
 // Delta is a dirty-page delta between two snapshot points of one
 // Memory: the pages written (or newly allocated) in between, with their

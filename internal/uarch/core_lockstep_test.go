@@ -102,10 +102,10 @@ func lockstep(t testing.TB, cfg uarch.Config, warm func(*uarch.Machine), newSrc 
 		if g, w := gotM.Meter.TotalNJ(), wantM.Meter.TotalNJ(); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("run %d: meter total %v, oracle %v", i, g, w)
 		}
-		if !reflect.DeepEqual(gotM.Hier.Snapshot(), wantM.Hier.Snapshot()) {
+		if !reflect.DeepEqual(gotM.Hier.Snapshot(nil), wantM.Hier.Snapshot(nil)) {
 			t.Fatalf("run %d: cache/TLB snapshots differ", i)
 		}
-		if !reflect.DeepEqual(gotM.Pred.Snapshot(), wantM.Pred.Snapshot()) {
+		if !reflect.DeepEqual(gotM.Pred.Snapshot(nil), wantM.Pred.Snapshot(nil)) {
 			t.Fatalf("run %d: predictor snapshots differ", i)
 		}
 		if !reflect.DeepEqual(gotM, wantM) {

@@ -30,8 +30,8 @@ func TestMachineAndCoreResetEqualNew(t *testing.T) {
 			if _, err := core.Run(&uarch.Source{CPU: functional.New(p)}, 30_000, nil); err != nil {
 				t.Fatal(err)
 			}
-			m.Hier.Snapshot() // advance the snapshot chains too
-			m.Pred.Snapshot()
+			m.Hier.Snapshot(nil) // advance the snapshot chains too
+			m.Pred.Snapshot(nil)
 			core.Scribble() // and the wakeup state a drained pipeline leaves clean
 			m.Reset()
 			core.Reset()
@@ -87,13 +87,13 @@ func TestWarmerResetEqualsNew(t *testing.T) {
 		if err := w.ForwardBatch(cpu, 20_000); err != nil {
 			t.Fatal(err)
 		}
-		return w.Snapshot()
+		return w.Snapshot(nil)
 	}
 	m := uarch.NewMachine(cfg)
 	w := uarch.NewWarmer(m, cfg)
 	w.Components = uarch.WarmComponents{DCache: true}
 	snap := warm(w)
-	if _, err := w.Delta(snap.Seq); err != nil {
+	if _, err := w.Delta(nil, snap.Seq); err != nil {
 		t.Fatal(err)
 	}
 	m.Reset()

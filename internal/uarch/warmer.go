@@ -102,13 +102,14 @@ type WarmDelta struct {
 // Bytes returns the approximate in-memory payload size of the delta.
 func (d *WarmDelta) Bytes() int { return d.Hier.Bytes() + d.Pred.Bytes() }
 
-// Snapshot captures the machine's full warm state and resets dirty
-// tracking, making this snapshot the baseline for the next Delta — the
-// keyframe of a delta chain.
-func (w *Warmer) Snapshot() *WarmSnapshot {
+// Snapshot captures the machine's full warm state into arrays carved
+// from a (fresh ones for a nil a) and resets dirty tracking, making this
+// snapshot the baseline for the next Delta — the keyframe of a delta
+// chain.
+func (w *Warmer) Snapshot(a *delta.Arena) *WarmSnapshot {
 	return &WarmSnapshot{
-		Hier: w.machine.Hier.Snapshot(),
-		Pred: w.machine.Pred.Snapshot(),
+		Hier: w.machine.Hier.Snapshot(a),
+		Pred: w.machine.Pred.Snapshot(a),
 		Seq:  w.chain.Keyframe(),
 	}
 }
@@ -119,19 +120,19 @@ func (w *Warmer) Seq() uint64 { return w.chain.Seq() }
 
 // Delta captures only the state dirtied since the snapshot numbered
 // since, which must be the warmer's most recent snapshot (full or
-// delta) — deltas chain strictly; skipping a link would silently drop
-// updates, so that is an error (enforced here and again by each
-// structure's own chain).
-func (w *Warmer) Delta(since uint64) (*WarmDelta, error) {
+// delta), into arrays carved from a — deltas chain strictly; skipping a
+// link would silently drop updates, so that is an error (enforced here
+// and again by each structure's own chain).
+func (w *Warmer) Delta(a *delta.Arena, since uint64) (*WarmDelta, error) {
 	seq, err := w.chain.Next(since)
 	if err != nil {
 		return nil, fmt.Errorf("uarch: %w", err)
 	}
-	hier, err := w.machine.Hier.Delta(since)
+	hier, err := w.machine.Hier.Delta(a, since)
 	if err != nil {
 		return nil, fmt.Errorf("uarch: %w", err)
 	}
-	pred, err := w.machine.Pred.Delta(since)
+	pred, err := w.machine.Pred.Delta(a, since)
 	if err != nil {
 		return nil, fmt.Errorf("uarch: %w", err)
 	}

@@ -50,7 +50,7 @@ func TestForwardBatchWarmsUpToFault(t *testing.T) {
 				t.Fatal("the program halted instead of faulting")
 			}
 		}
-		return cpu, m, w.Snapshot()
+		return cpu, m, w.Snapshot(nil)
 	}
 	cpu, m, got := run(1 << 20)
 	refCPU, ref, want := run(1)
