@@ -84,7 +84,10 @@
 // keyframes (sim.WithKeyframe, the CLIs' -keyframe) bounding
 // reconstruction chains, in memory and in the store's format alike (one
 // format version, every record CRC-sealed on its own; an entry in any
-// other version is a miss).
+// other version is a miss). An entry is a pure function of its key — it
+// holds no wall-clock (its time slots are written as 0), so every capture
+// of one key, resumed or not, commits the same bytes; what a run
+// measures lives in one per-run wallclock.Timing.
 // Every variant — streamed, store- or cache-loaded, multi-offset,
 // sharded across a fleet, cancelled-and-rerun — produces bit-identical
 // estimates.
@@ -180,9 +183,10 @@
 //     iteration that appends into a result is flagged unless the
 //     result is sorted afterward; time.Now is flagged unless routed
 //     through internal/wallclock, the documented allowlist for
-//     telemetry (elapsed-time reporting) and liveness (worker
-//     heartbeats, backoff) — readings that are reported but never fold
-//     into an estimate.
+//     telemetry (elapsed-time reporting, collected in one
+//     wallclock.Timing per run) and liveness (worker heartbeats,
+//     backoff) — readings that are reported but never fold into an
+//     estimate or a store entry.
 //   - hotpath: functions annotated //simlint:hotpath (the per-
 //     instruction sweep and replay paths: mem/cache/TLB/bpred accesses,
 //     functional Step, delta Mark; and the per-unit launch path: the

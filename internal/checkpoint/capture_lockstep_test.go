@@ -23,8 +23,15 @@ type sweepRun struct {
 	err   error
 }
 
-// sweepFn is CaptureStream's signature, which the serial oracle shares.
+// sweepFn is the serial oracle's signature: CaptureStream's without
+// the wall-clock Timing (captureStream).
 type sweepFn func(context.Context, *program.Program, uarch.Config, checkpoint.Params, func(*checkpoint.Unit) bool) (*checkpoint.Summary, error)
+
+// captureStream is CaptureStream as a sweepFn.
+func captureStream(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, emit func(*checkpoint.Unit) bool) (*checkpoint.Summary, error) {
+	sum, _, err := checkpoint.CaptureStream(ctx, prog, cfg, p, emit)
+	return sum, err
+}
 
 // runSweep runs one sweep. emit declines the stopAt-th unit and cancels
 // the context while taking the cancelAt-th (1-based; 0 = never).
@@ -59,10 +66,9 @@ func imagePages(img *mem.Image) ([]uint64, map[uint64]*[mem.PageSize]byte) {
 
 // sameEncoding reports how two units of the same position in two
 // sweeps differ as captured — not as materialized: geometry and Arch,
-// the resume state (wall-clock sweep time aside), keyframe or delta
-// encoding and chain link, the memory image's or
-// delta's pages byte for byte, and the warm snapshot's or delta's blocks
-// and bytes. "" means identical.
+// the resume state, keyframe or delta encoding and chain link, the
+// memory image's or delta's pages byte for byte, and the warm
+// snapshot's or delta's blocks and bytes. "" means identical.
 func sameEncoding(a, b, aPrev, bPrev *checkpoint.Unit) string {
 	switch {
 	case a.Index != b.Index || a.Start != b.Start || a.LaunchAt != b.LaunchAt:
@@ -108,26 +114,27 @@ func sameEncoding(a, b, aPrev, bPrev *checkpoint.Unit) string {
 
 // compareSweeps reports the first difference between a CaptureStream
 // run and the serial oracle's run of the same sweep ("" if none):
-// error, Summary (wall-clock times aside), and every unit's encoding.
-func compareSweeps(got, want sweepRun) string {
+// error, Summary, and every unit's encoding. rs is the journal both
+// resumed from (nil: a cold sweep), whose last unit the first emitted
+// unit's chain link may name.
+func compareSweeps(got, want sweepRun, rs *checkpoint.ResumeState) string {
 	if (got.err == nil) != (want.err == nil) || got.err != nil && got.err.Error() != want.err.Error() {
 		return fmt.Sprintf("error %v, oracle %v", got.err, want.err)
 	}
 	if (got.sum == nil) != (want.sum == nil) {
 		return "summary presence"
 	}
-	if got.sum != nil {
-		g, w := *got.sum, *want.sum
-		g.SweepTime, w.SweepTime = 0, 0
-		g.WarmWait, g.InterpPark, w.WarmWait, w.InterpPark = 0, 0, 0, 0
-		if g != w {
-			return fmt.Sprintf("summary %+v, oracle %+v", g, w)
-		}
+	if got.sum != nil && *got.sum != *want.sum {
+		return fmt.Sprintf("summary %+v, oracle %+v", *got.sum, *want.sum)
 	}
 	if len(got.units) != len(want.units) {
 		return fmt.Sprintf("%d units, oracle %d", len(got.units), len(want.units))
 	}
 	var gPrev, wPrev *checkpoint.Unit
+	if rs != nil && len(rs.Units) > 0 {
+		gPrev = rs.Units[len(rs.Units)-1]
+		wPrev = gPrev
+	}
 	for i := range got.units {
 		if diff := sameEncoding(got.units[i], want.units[i], gPrev, wPrev); diff != "" {
 			return fmt.Sprintf("unit %d: %s", i, diff)
@@ -141,8 +148,8 @@ func compareSweeps(got, want sweepRun) string {
 // and returns the first difference ("" if none) and the oracle's run.
 func lockstep(prog *program.Program, cfg uarch.Config, p checkpoint.Params, stopAt, cancelAt int) (string, sweepRun) {
 	want := runSweep(checkpoint.SerialCaptureOracle, prog, cfg, p, stopAt, cancelAt)
-	got := runSweep(checkpoint.CaptureStream, prog, cfg, p, stopAt, cancelAt)
-	return compareSweeps(got, want), want
+	got := runSweep(captureStream, prog, cfg, p, stopAt, cancelAt)
+	return compareSweeps(got, want, p.Resume), want
 }
 
 // faultingProgram executes loads, stores, calls and branches for a

@@ -17,7 +17,6 @@ import (
 	"repro/internal/functional"
 	"repro/internal/program"
 	"repro/internal/uarch"
-	"repro/internal/wallclock"
 )
 
 // SerialCaptureOracle is the serial reference for CaptureStream: same
@@ -41,9 +40,18 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 	}
 
 	sum := &Summary{PopulationUnits: prog.Length / p.U}
-	start := wallclock.Now()
 	gen := newBoundaryGen(p, sum.PopulationUnits)
 	var pos uint64 // instructions consumed from the stream so far
+
+	// Delta-encoded snapshots: every kf-th captured unit is a full
+	// keyframe, the units between carry deltas chained off it — dirty
+	// memory pages always, dirty warm blocks when warming (see
+	// Params.Keyframe). A resumed sweep's chain goes on from the last
+	// journaled unit.
+	kf := p.keyframe()
+	var prevUnit *Unit // last captured unit (the chain predecessor)
+	var lastSeq uint64 // the warmer's snapshot sequence number
+	var lastMem uint64 // the memory's snapshot sequence number
 
 	if rs := p.Resume; rs != nil && len(rs.Units) > 0 {
 		var err error
@@ -51,30 +59,20 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 		if err != nil {
 			return nil, err
 		}
-		last := rs.Units[len(rs.Units)-1]
 		pos = cpu.Count
+		prevUnit, lastMem = rs.Units[len(rs.Units)-1], cpu.Mem.Seq()
+		if warmer != nil {
+			lastSeq = warmer.Seq()
+		}
 		sum.Captured = len(rs.Units)
-		sum.ResumedAt = last.LaunchAt
-		// Backdate start so wallclock.Since(start) — used by every exit path —
-		// accumulates on top of the journaled sweep time.
-		start = start.Add(-last.SweepTime)
+		sum.ResumedAt = prevUnit.LaunchAt
 	}
-
-	// Delta-encoded snapshots: every kf-th captured unit is a full
-	// keyframe, the units between carry deltas chained off it — dirty
-	// memory pages always, dirty warm blocks when warming (see
-	// Params.Keyframe).
-	kf := p.keyframe()
-	var prevUnit *Unit // last captured unit (the chain predecessor)
-	var lastSeq uint64 // the warmer's snapshot sequence number
-	var lastMem uint64 // the memory's snapshot sequence number
 
 	sum.Complete = true
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			sum.Complete = false
 			sum.SweepInsts = cpu.Count
-			sum.SweepTime = wallclock.Since(start)
 			return sum, cerr
 		}
 		b, ok := gen.next()
@@ -95,7 +93,6 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 			}
 			if err != nil {
 				sum.SweepInsts = cpu.Count
-				sum.SweepTime = wallclock.Since(start)
 				return sum, fmt.Errorf("checkpoint: sweep to unit %d: %w", b.unit, err)
 			}
 			pos = cpu.Count
@@ -105,7 +102,6 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 			if cerr := ctx.Err(); cerr != nil {
 				sum.Complete = false
 				sum.SweepInsts = cpu.Count
-				sum.SweepTime = wallclock.Since(start)
 				return sum, cerr
 			}
 		}
@@ -132,7 +128,6 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 			md, derr := cpu.Mem.Delta(lastMem)
 			if derr != nil {
 				sum.SweepInsts = cpu.Count
-				sum.SweepTime = wallclock.Since(start)
 				return sum, fmt.Errorf("checkpoint: unit %d: %w", b.unit, derr)
 			}
 			u.MemDelta = md
@@ -142,14 +137,12 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 				d, derr := warmer.Delta(nil, lastSeq)
 				if derr != nil {
 					sum.SweepInsts = cpu.Count
-					sum.SweepTime = wallclock.Since(start)
 					return sum, fmt.Errorf("checkpoint: unit %d: %w", b.unit, derr)
 				}
 				u.Delta = d
 				lastSeq = d.Seq
 			}
 		}
-		u.SweepTime = wallclock.Since(start)
 		if warmer != nil {
 			u.LastIBlock, u.HaveIBlock = warmer.FetchBlock()
 		}
@@ -161,6 +154,5 @@ func SerialCaptureOracle(ctx context.Context, prog *program.Program, cfg uarch.C
 		}
 	}
 	sum.SweepInsts = cpu.Count
-	sum.SweepTime = wallclock.Since(start)
 	return sum, nil
 }

@@ -87,7 +87,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -299,15 +298,13 @@ type Unit struct {
 	// both). The links keep at most one keyframe interval of deltas
 	// (plus the keyframe) alive per retained unit.
 	Prev *Unit
-	// SweepTime, HaveIBlock and LastIBlock are the sweep state at
-	// LaunchAt that the snapshots do not hold, stamped by CaptureStream:
-	// the wall-clock sweep cost so far and the warmer's consecutive-fetch
-	// dedup block (uarch.Warmer.FetchBlock; unset on cold sweeps). With
-	// them every captured unit is a point a sweep can resume from
-	// (resume.go): warm state restored without the block would issue one
-	// extra warm fetch and skew the warmed LRU stamps off the
-	// uninterrupted sweep.
-	SweepTime  time.Duration
+	// HaveIBlock and LastIBlock are the sweep state at LaunchAt that the
+	// snapshots do not hold, stamped by CaptureStream: the warmer's
+	// consecutive-fetch dedup block (uarch.Warmer.FetchBlock; unset on
+	// cold sweeps). With them every captured unit is a point a sweep can
+	// resume from (resume.go): warm state restored without the block
+	// would issue one extra warm fetch and skew the warmed LRU stamps off
+	// the uninterrupted sweep.
 	HaveIBlock bool
 	LastIBlock uint64
 
@@ -516,15 +513,15 @@ func (u *Unit) MemTableBytes() int {
 	return 0
 }
 
-// Summary describes one capture sweep's cost and extent.
+// Summary describes one capture sweep's extent. Like the units, it is a
+// function of the sweep's key alone; what the sweep measured of the
+// wall clock is returned beside it, as a wallclock.Timing.
 type Summary struct {
 	// PopulationUnits is the benchmark length in units (the paper's N).
 	PopulationUnits uint64
 	// SweepInsts is the number of instructions the sweep executed
 	// functionally (the engine's fast-forward cost).
 	SweepInsts uint64
-	// SweepTime is the wall-clock cost of the sweep.
-	SweepTime time.Duration
 	// Captured is the number of units emitted — including, on a resumed
 	// sweep, the units the journal already held (which are not
 	// re-emitted; see Params.Resume).
@@ -538,11 +535,6 @@ type Summary struct {
 	// Reaching program end before the last boundary still counts as
 	// complete — rerunning the sweep could not produce more units.
 	Complete bool
-	// WarmWait is the wall-clock time the warm stage spent waiting on
-	// an empty ring for the interpreter, InterpPark the time the
-	// interpreter spent parked on a full ring for the warm stage: how
-	// far the sweep's two stages fall short of overlapping.
-	WarmWait, InterpPark time.Duration
 }
 
 // Set is the result of one capture sweep, collected in launch order.
@@ -557,8 +549,6 @@ type Set struct {
 	// SweepInsts is the number of instructions the sweep executed
 	// functionally (the engine's fast-forward cost).
 	SweepInsts uint64
-	// SweepTime is the wall-clock cost of the sweep.
-	SweepTime time.Duration
 }
 
 // Materialize reconstructs the full launch state of the i-th unit in
@@ -619,7 +609,6 @@ func (s *Set) Offset(j uint64) *Set {
 		K:               s.K,
 		PopulationUnits: s.PopulationUnits,
 		SweepInsts:      s.SweepInsts,
-		SweepTime:       s.SweepTime,
 	}
 	for _, u := range s.Units {
 		if s.K != 0 && u.Index%s.K == j {
@@ -725,8 +714,9 @@ const FFChunk = 1 << 16
 // each selected unit's launch state the moment it is captured, in
 // nondecreasing launch order. emit returning false stops the sweep
 // early (Summary.Complete will be false); the returned Summary always
-// describes what actually ran. cfg sizes the warmed structures; it is
-// only consulted when p.FunctionalWarm is set.
+// describes what actually ran, and the Timing what this call measured
+// of it (Sweep, WarmWait, InterpPark). cfg sizes the warmed structures;
+// it is only consulted when p.FunctionalWarm is set.
 //
 // The sweep runs as two stages (see pipeline.go): a helper goroutine
 // interprets the stream and captures each unit's architectural state
@@ -751,9 +741,9 @@ const FFChunk = 1 << 16
 // holds until emit has returned for the interval's last unit, so emit
 // may read every unit of the interval — and a journal may encode it —
 // before returning.
-func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params, emit func(*Unit) bool) (*Summary, error) {
+func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params, emit func(*Unit) bool) (sum *Summary, t wallclock.Timing, err error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, t, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -770,29 +760,36 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		}
 	}
 
-	sum := &Summary{PopulationUnits: prog.Length / p.U}
+	sum = &Summary{PopulationUnits: prog.Length / p.U}
 	start := wallclock.Now()
 	gen := newBoundaryGen(p, sum.PopulationUnits)
 
+	// Delta-encoded snapshots: every kf-th captured unit is a full
+	// keyframe, the units between carry deltas chained off it — dirty
+	// memory pages always (taken by the interpreter stage, which sets Mem
+	// on keyframes), dirty warm blocks when warming (taken by the warm
+	// stage below; see Params.Keyframe). A resumed sweep's chain goes on
+	// from the last journaled unit.
+	in := &interpreter{gen: gen, record: warmer != nil, kf: p.keyframe()}
+	var lastSeq uint64 // the warmer's snapshot sequence number
 	if rs := p.Resume; rs != nil && len(rs.Units) > 0 {
-		var err error
-		cpu, err = resumeSweep(prog, machine, warmer, gen, rs)
-		if err != nil {
-			return nil, err
+		if cpu, err = resumeSweep(prog, machine, warmer, gen, rs); err != nil {
+			return nil, t, err
 		}
-		last := rs.Units[len(rs.Units)-1]
+		in.prev = rs.Units[len(rs.Units)-1]
+		in.lastMem = cpu.Mem.Seq()
+		if warmer != nil {
+			lastSeq = warmer.Seq()
+		}
 		sum.Captured = len(rs.Units)
-		sum.ResumedAt = last.LaunchAt
-		// Backdate start so wallclock.Since(start) — used by every exit path —
-		// accumulates on top of the journaled sweep time.
-		start = start.Add(-last.SweepTime)
+		sum.ResumedAt = in.prev.LaunchAt
 	}
+	in.cpu, in.captured = cpu, sum.Captured
 
 	// The interpreter stage runs on its own goroutine until the stream
 	// ends or the warm stage below stops it; it has returned before
 	// CaptureStream does.
 	r := rings.Get(warmer != nil)
-	in := &interpreter{cpu: cpu, gen: gen, record: warmer != nil, kf: p.keyframe(), captured: sum.Captured}
 	pos := cpu.Count // the position the warm stage has reached: what the Summary reports
 	done := make(chan struct{})
 	go func() {
@@ -802,15 +799,15 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	defer func() {
 		r.stop()
 		<-done
-		sum.WarmWait, sum.InterpPark = r.warmWait, r.interpPark
+		t.WarmWait, t.InterpPark = r.warmWait, r.interpPark
+		t.Sweep = wallclock.Since(start)
 		r.reset()
 		rings.Put(warmer != nil, r)
 	}()
 
-	finish := func(err error) (*Summary, error) {
+	finish := func(err error) (*Summary, wallclock.Timing, error) {
 		sum.SweepInsts = pos
-		sum.SweepTime = wallclock.Since(start)
-		return sum, err
+		return sum, t, err
 	}
 	cancelled := func() bool {
 		if ctx.Err() == nil {
@@ -820,15 +817,9 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 		return true
 	}
 
-	// The warm stage. Delta-encoded snapshots: every kf-th captured unit
-	// is a full keyframe, the units between carry deltas chained off it —
-	// dirty memory pages always (taken by the interpreter stage, which
-	// sets Mem on keyframes), dirty warm blocks when warming (taken here;
-	// see Params.Keyframe).
-	var lastSeq uint64 // the warmer's snapshot sequence number
-	// arena is the current keyframe interval's, on a recycling sweep: the
-	// sweep's hold on it is dropped when the next keyframe opens another
-	// or the sweep ends.
+	// The warm stage. arena is the current keyframe interval's, on a
+	// recycling sweep: the sweep's hold on it is dropped when the next
+	// keyframe opens another or the sweep ends.
 	var arena *warmArena
 	defer func() {
 		if arena != nil {
@@ -879,7 +870,6 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 			// The stream position is the unit's launch point: the unit
 			// carries what a sweep resumed from it needs beyond its
 			// snapshots.
-			u.SweepTime = wallclock.Since(start)
 			if warmer != nil {
 				u.LastIBlock, u.HaveIBlock = warmer.FetchBlock()
 			}
@@ -933,7 +923,7 @@ func (r *sweepRig) put(cfg uarch.Config) {
 // buffering consumer.
 func Capture(ctx context.Context, prog *program.Program, cfg uarch.Config, p Params) (*Set, error) {
 	set := &Set{K: p.K}
-	sum, err := CaptureStream(ctx, prog, cfg, p, func(u *Unit) bool {
+	sum, _, err := CaptureStream(ctx, prog, cfg, p, func(u *Unit) bool {
 		set.Units = append(set.Units, u)
 		return true
 	})
@@ -942,6 +932,5 @@ func Capture(ctx context.Context, prog *program.Program, cfg uarch.Config, p Par
 	}
 	set.PopulationUnits = sum.PopulationUnits
 	set.SweepInsts = sum.SweepInsts
-	set.SweepTime = sum.SweepTime
 	return set, nil
 }

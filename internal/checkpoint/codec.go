@@ -15,7 +15,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"time"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -474,8 +473,9 @@ func (c *codecReader) predState(s *bpred.State) error {
 }
 
 // unit emits the body of one unit record, whose tag the caller wrote:
-// geometry, architectural state, the sweep state a resume continues
-// from (Unit.SweepTime, the fetch block), then memory and warm state.
+// geometry, architectural state, a reserved slot (once a wall-clock
+// sweep time; written as 0 and ignored on read), the sweep state a
+// resume continues from (the fetch block), then memory and warm state.
 // memKind selects the memory encoding of the nums/refs page table (full
 // table or dirty-page delta); warm, when non-nil, is written as a full
 // snapshot, warmD as a dirty-block delta, neither as a cold unit. The
@@ -505,7 +505,7 @@ func (c *codecWriter) unit(u *Unit, memKind uint64, nums, refs []uint64, warm *W
 	if u.HaveIBlock {
 		have = 1
 	}
-	for _, v := range []uint64{halted, uint64(int64(u.SweepTime)), have, u.LastIBlock, memKind} {
+	for _, v := range []uint64{halted, 0, have, u.LastIBlock, memKind} {
 		if err := c.u64(v); err != nil {
 			return err
 		}
@@ -920,14 +920,13 @@ func (d *unitDecoder) unit(c *codecReader) (*Unit, error) {
 	if u.Arch.Count, err = c.u64(); err != nil {
 		return nil, err
 	}
-	var vals [5]uint64 // halted, sweep time, fetch-block flag and block, memory encoding
+	var vals [5]uint64 // halted, reserved, fetch-block flag and block, memory encoding
 	for i := range vals {
 		if vals[i], err = c.u64(); err != nil {
 			return nil, err
 		}
 	}
-	u.Arch.Halted, u.HaveIBlock = vals[0] != 0, vals[2] != 0
-	u.SweepTime, u.LastIBlock = time.Duration(int64(vals[1])), vals[3]
+	u.Arch.Halted, u.HaveIBlock, u.LastIBlock = vals[0] != 0, vals[2] != 0, vals[3]
 	mKind := vals[4]
 	if nums, err = c.u64s(nums); err != nil {
 		return nil, err

@@ -10,13 +10,13 @@ import (
 )
 
 // TestHandoffWaitsMeasured: a consumer slower than the interpreter
-// fills the ring, and the Summary reports the interpreter's park; both
-// waits are wall-clock parts of the sweep, so neither exceeds it.
+// fills the ring, and the sweep's Timing reports the interpreter's park;
+// both waits are wall-clock parts of the sweep, so neither exceeds it.
 func TestHandoffWaitsMeasured(t *testing.T) {
 	p := genProg(t, "gzipx", 300_000)
 	params := checkpoint.Params{U: 1000, W: 2000, K: 2, FunctionalWarm: true}
 	const perUnit = time.Millisecond
-	sum, err := checkpoint.CaptureStream(context.Background(), p, uarch.Config8Way(), params, func(*checkpoint.Unit) bool {
+	sum, tm, err := checkpoint.CaptureStream(context.Background(), p, uarch.Config8Way(), params, func(*checkpoint.Unit) bool {
 		time.Sleep(perUnit)
 		return true
 	})
@@ -25,11 +25,11 @@ func TestHandoffWaitsMeasured(t *testing.T) {
 	}
 	// The ring holds 32k instructions, 16 units here: the interpreter is
 	// parked for most of the slow consumer's sleeps.
-	if min := time.Duration(sum.Captured/2) * perUnit; sum.InterpPark < min {
+	if min := time.Duration(sum.Captured/2) * perUnit; tm.InterpPark < min {
 		t.Errorf("interpreter parked %v behind a consumer sleeping %v per unit over %d units, want >= %v",
-			sum.InterpPark, perUnit, sum.Captured, min)
+			tm.InterpPark, perUnit, sum.Captured, min)
 	}
-	if sum.InterpPark > sum.SweepTime || sum.WarmWait > sum.SweepTime {
-		t.Errorf("waits (warm %v, interpreter %v) exceed the sweep's %v", sum.WarmWait, sum.InterpPark, sum.SweepTime)
+	if tm.InterpPark > tm.Sweep || tm.WarmWait > tm.Sweep {
+		t.Errorf("waits (warm %v, interpreter %v) exceed the sweep's %v", tm.WarmWait, tm.InterpPark, tm.Sweep)
 	}
 }

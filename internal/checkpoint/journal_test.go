@@ -103,7 +103,7 @@ func TestParentFormatFixtures(t *testing.T) {
 		resumed := params
 		resumed.Resume = rs
 		combined := rs.Units
-		sum, err := checkpoint.CaptureStream(context.Background(), p, cfg, resumed, func(u *checkpoint.Unit) bool {
+		sum, _, err := checkpoint.CaptureStream(context.Background(), p, cfg, resumed, func(u *checkpoint.Unit) bool {
 			combined = append(combined, u)
 			return true
 		})
@@ -189,7 +189,7 @@ func journaledEntry(t testing.TB, params checkpoint.Params, midSweep int) (*chec
 	partial := filepath.Join(store.Dir(), key.Hash()+".partial")
 	set := &checkpoint.Set{K: params.K}
 	var mid []byte
-	sum, err := checkpoint.CaptureStream(context.Background(), p, cfg, params, func(u *checkpoint.Unit) bool {
+	sum, _, err := checkpoint.CaptureStream(context.Background(), p, cfg, params, func(u *checkpoint.Unit) bool {
 		set.Units = append(set.Units, u)
 		if len(set.Units) == midSweep {
 			if mid, err = os.ReadFile(partial); err != nil {
@@ -207,10 +207,10 @@ func journaledEntry(t testing.TB, params checkpoint.Params, midSweep int) (*chec
 	if len(set.Units) < 2*midSweep {
 		t.Fatalf("sweep captured %d units, the test needs at least %d", len(set.Units), 2*midSweep)
 	}
-	if err := w.Commit(sum.SweepInsts, sum.SweepTime); err != nil {
+	if err := w.Commit(sum.SweepInsts); err != nil {
 		t.Fatal(err)
 	}
-	set.PopulationUnits, set.SweepInsts, set.SweepTime = sum.PopulationUnits, sum.SweepInsts, sum.SweepTime
+	set.PopulationUnits, set.SweepInsts = sum.PopulationUnits, sum.SweepInsts
 	return store, key, set, mid
 }
 
@@ -455,7 +455,7 @@ func TestJournalLeavesNoStagingFiles(t *testing.T) {
 	params := checkpoint.Params{U: 1000, W: 1000, K: 10, FunctionalWarm: true, Keyframe: 4}
 	key := checkpoint.KeyFor(p, cfg, params)
 	set := &checkpoint.Set{K: params.K}
-	sum, err := checkpoint.CaptureStream(context.Background(), p, cfg, params, func(u *checkpoint.Unit) bool {
+	sum, _, err := checkpoint.CaptureStream(context.Background(), p, cfg, params, func(u *checkpoint.Unit) bool {
 		set.Units = append(set.Units, u)
 		return true
 	})
@@ -493,7 +493,7 @@ func TestJournalLeavesNoStagingFiles(t *testing.T) {
 		resumed := params
 		resumed.Resume = rs
 		combined := rs.Units
-		if _, err := checkpoint.CaptureStream(context.Background(), p, cfg, resumed, func(u *checkpoint.Unit) bool {
+		if _, _, err := checkpoint.CaptureStream(context.Background(), p, cfg, resumed, func(u *checkpoint.Unit) bool {
 			combined = append(combined, u)
 			return true
 		}); err != nil {
@@ -560,7 +560,7 @@ func TestJournalLeavesNoStagingFiles(t *testing.T) {
 					w.Load()
 				case 'M':
 					addRest(step[0])
-					if w.Commit(sum.SweepInsts, sum.SweepTime) == nil {
+					if w.Commit(sum.SweepInsts) == nil {
 						committed++
 					}
 				case 'X':

@@ -63,15 +63,6 @@ func retainedReference(t *testing.T, prog *program.Program, cfg uarch.Config, pa
 	return set, want
 }
 
-// zeroSweepTime clears the wall-clock fields a store entry carries, the
-// only bytes two captures of one key may differ in.
-func zeroSweepTime(set *checkpoint.Set) {
-	set.SweepTime = 0
-	for _, u := range set.Units {
-		u.SweepTime = 0
-	}
-}
-
 // TestLeaseStreamedRunsMatchRetained: consecutive streamed runs that
 // nothing retains — storeless, then writing a cold store whose journal
 // encodes every unit in the sweep's push — recycle their keyframe
@@ -86,7 +77,6 @@ func TestLeaseStreamedRunsMatchRetained(t *testing.T) {
 		t.Fatalf("only %d units captured", len(set.Units))
 	}
 	key := checkpoint.KeyFor(prog, cfg, params)
-	zeroSweepTime(set)
 	wantEntry := setDigest(t, key, set)
 
 	// One worker, then two: whether the sweep or a worker drops an
@@ -129,7 +119,6 @@ func TestLeaseStreamedRunsMatchRetained(t *testing.T) {
 		if err != nil || entry == nil {
 			t.Fatalf("no entry committed (%v)", err)
 		}
-		zeroSweepTime(entry)
 		if setDigest(t, key, entry) != wantEntry {
 			t.Fatal("the store entry of a recycling sweep decodes to units other than the retained capture's")
 		}
@@ -169,7 +158,7 @@ func TestLeaseRetainedStreamsStayIntact(t *testing.T) {
 	}
 	sameResults(t, "cache hit after recycling runs", hit, want)
 
-	set, _, _, err := engine.CaptureSet(context.Background(), prog, cfg, params, leaseOptions())
+	set, _, err := engine.CaptureSet(context.Background(), prog, cfg, params, leaseOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +197,7 @@ func TestLeaseHeldUntilPushed(t *testing.T) {
 	recycled.Recycle = true
 	var units []*checkpoint.Unit
 	var m checkpoint.Materializer
-	sum, err := checkpoint.CaptureStream(context.Background(), prog, cfg, recycled, func(u *checkpoint.Unit) bool {
+	sum, _, err := checkpoint.CaptureStream(context.Background(), prog, cfg, recycled, func(u *checkpoint.Unit) bool {
 		u.Release()
 		u.Release() // a second release drops nothing
 		i := len(units)
@@ -250,7 +239,7 @@ func TestLeaseUnreleasedUnitsStayValid(t *testing.T) {
 	recycled := params
 	recycled.Recycle = true
 	var units []*checkpoint.Unit
-	if _, err := checkpoint.CaptureStream(context.Background(), prog, cfg, recycled, func(u *checkpoint.Unit) bool {
+	if _, _, err := checkpoint.CaptureStream(context.Background(), prog, cfg, recycled, func(u *checkpoint.Unit) bool {
 		units = append(units, u)
 		return true
 	}); err != nil {

@@ -118,7 +118,7 @@ func TestCaptureStreamConsumerStop(t *testing.T) {
 	p := genProg(t, "gzipx", 200_000)
 	cfg := uarch.Config8Way()
 	var got int
-	sum, err := checkpoint.CaptureStream(context.Background(), p, cfg,
+	sum, _, err := checkpoint.CaptureStream(context.Background(), p, cfg,
 		checkpoint.Params{U: 1000, W: 1000, K: 5, FunctionalWarm: true},
 		func(u *checkpoint.Unit) bool {
 			got++

@@ -181,9 +181,9 @@ type interpreter struct {
 	gen    *boundaryGen
 	record bool // record every instruction for the warm stage
 	// kf is the keyframe interval, captured the units captured so far
-	// (journaled ones included), prev the last unit captured here — the
-	// next unit's chain predecessor (nil: the next unit is a keyframe) —
-	// and lastMem the memory's snapshot sequence number.
+	// (journaled ones included), prev the last unit captured or journaled
+	// — the next unit's chain predecessor (nil: the next unit is a
+	// keyframe) — and lastMem the memory's snapshot sequence number.
 	kf       int
 	captured int
 	prev     *Unit
@@ -249,7 +249,7 @@ func (in *interpreter) finish(r *ring, b *batch, err error) {
 
 // capture builds the unit launching at the CPU's current position: its
 // geometry, architectural state and memory — a full image on every kf-th
-// captured unit and on the first one this sweep captures, else the
+// captured unit and on the first one a cold sweep captures, else the
 // dirty pages since its predecessor, which it links to. The warm stage
 // applies the same rule to warm state (keyframe iff Mem is set).
 func (in *interpreter) capture(bd boundary) (*Unit, error) {

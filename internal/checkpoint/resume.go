@@ -11,8 +11,9 @@ package checkpoint
 // delta-snapshots) memory and warm state and resets both dirty
 // journals, so the unit's materialization IS the sweep state at its
 // launch point; the rest of that state — the position, which is the
-// unit's LaunchAt, the sweep time so far and the warmer's fetch-dedup
-// block — is stamped on the unit and written in its record.
+// unit's LaunchAt, and the warmer's fetch-dedup block — is stamped on
+// the unit and written in its record (no wall-clock is), so a resumed
+// sweep's entry encodes to the uninterrupted sweep's bytes.
 //
 // One SetWriter (store.go) writes that stream into one file. It
 // installs the file as <hash>.partial at a keyframe once the file holds
@@ -68,7 +69,9 @@ type ResumeState struct {
 // partial: it replays gen over the journaled units (validating that the
 // journal belongs to exactly this plan) and returns the CPU positioned
 // at the journaled instruction count, with machine/warmer (when
-// warming) restored to the last unit's warm state.
+// warming) restored to the last unit's warm state. Memory and warmer
+// each hold a snapshot baseline there, as capturing the unit left them,
+// so the next unit chains its deltas off it as in an uninterrupted sweep.
 func resumeSweep(prog *program.Program, machine *uarch.Machine, warmer *uarch.Warmer, gen *boundaryGen, rs *ResumeState) (*functional.CPU, error) {
 	for i, u := range rs.Units {
 		b, ok := gen.next()
@@ -95,11 +98,14 @@ func resumeSweep(prog *program.Program, machine *uarch.Machine, warmer *uarch.Wa
 			return nil, fmt.Errorf("checkpoint: resume: %w", err)
 		}
 		warmer.SetFetchBlock(last.LastIBlock, last.HaveIBlock)
+		warmer.Snapshot(nil) // the baseline; once per resume, so dropped
 	}
 	// NewMemory shares the materialized image copy-on-write with the
 	// journaled units, exactly as the uninterrupted sweep's memory
 	// shared pages with the units it had captured.
-	return functional.NewAt(prog, last.Arch, launch.Mem.NewMemory()), nil
+	m := launch.Mem.NewMemory()
+	m.Snapshot()
+	return functional.NewAt(prog, last.Arch, m), nil
 }
 
 func (s *Store) partialPath(k Key) string {

@@ -36,7 +36,7 @@ func journalSweep(t *testing.T, prog *program.Program, cfg uarch.Config, params 
 		params.Resume = rs
 	}
 	var units []*checkpoint.Unit
-	sum, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
+	sum, _, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
 		if err := pw.Add(u); err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func journalSweep(t *testing.T, prog *program.Program, cfg uarch.Config, params 
 		t.Fatal(err)
 	}
 	if sum.Complete {
-		if err := pw.Commit(sum.SweepInsts, sum.SweepTime); err != nil {
+		if err := pw.Commit(sum.SweepInsts); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -161,7 +161,7 @@ func TestResumeRejectsInconsistentJournal(t *testing.T) {
 	}
 	rs.Units[0].Index++ // journal from a different plan geometry
 	params.Resume = rs
-	_, err = checkpoint.CaptureStream(context.Background(), p, cfg, params,
+	_, _, err = checkpoint.CaptureStream(context.Background(), p, cfg, params,
 		func(*checkpoint.Unit) bool { t.Fatal("emitted a unit from an inconsistent journal"); return false })
 	if err == nil {
 		t.Fatal("inconsistent journal resumed without error")

@@ -59,11 +59,12 @@ import (
 // warm deltas, each with its serialized grain, chained off the
 // preceding full "keyframe" unit; memory and warm state keyframe
 // together. Every unit record also carries the sweep state a resume
-// needs beyond the snapshots (Unit.SweepTime and the fetch block), so
-// every unit is a resume point. Corruption anywhere — including
-// single-bit rot inside an opaque payload (a 4KiB page, a predictor
-// table) that still parses — degrades to a miss, or for a journal to
-// the units before it.
+// needs beyond the snapshots (the fetch block), so every unit is a
+// resume point. Unit and End records keep a reserved time slot, written
+// as 0 and ignored on read: an entry is a pure function of its key.
+// Corruption anywhere — including single-bit rot inside an opaque
+// payload (a 4KiB page, a predictor table) that still parses — degrades
+// to a miss, or for a journal to the units before it.
 const (
 	storeVersion = 5
 	storeExt     = ".ckpt"
@@ -255,8 +256,8 @@ func readManifest(cr *codecReader) (*storeManifest, error) {
 // Load returns the Set stored under k, or nil when the store has no
 // usable entry (absent, format-version mismatch, key mismatch, or
 // corruption — all count as misses; corruption is logged). The returned
-// Set's SweepInsts/SweepTime echo the original sweep's cost; the caller
-// decides how to account for having skipped it. Load is the reader for
+// Set's SweepInsts echo the original sweep's extent; the caller decides
+// how to account for having skipped it. Load is the reader for
 // sets that are kept — CaptureSet, a run with a MemCache attached, the
 // fleet coordinator — and decodes every unit before returning; a run
 // that replays a hit once and keeps nothing streams it instead
@@ -293,7 +294,7 @@ func (s *Store) Load(k Key) (*Set, error) {
 // Each unit reaches emit once its own record has verified, but before
 // the End record shows the entry complete, so the consumer must hold
 // back whatever it makes of them until Stream returns a hit: a non-nil
-// Summary (Captured units, the original sweep's totals, Complete). The
+// Summary (Captured units, the original sweep's extent, Complete). The
 // verdict is settled once, after replay returns, so it does not depend
 // on how far the read got by then: the entry is a miss, counted and
 // logged like Load's, when it is absent, fails to decode or to verify,
@@ -350,7 +351,6 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 	return &Summary{
 		PopulationUnits: set.PopulationUnits,
 		SweepInsts:      set.SweepInsts,
-		SweepTime:       set.SweepTime,
 		Captured:        n,
 		Complete:        true,
 	}, nil
@@ -547,7 +547,7 @@ func scanRecords(cr *codecReader, man *storeManifest, buf *unitBuf, emit func(*U
 				return set, err
 			}
 		case recEnd:
-			// The unit count and the sweep totals (setEncoder.finish).
+			// The unit count, sweep instructions and reserved slot (finish).
 			var vals [3]uint64
 			for i := range vals {
 				if vals[i], err = cr.u64(); err != nil {
@@ -560,7 +560,7 @@ func scanRecords(cr *codecReader, man *storeManifest, buf *unitBuf, emit func(*U
 			if vals[0] != uint64(n) {
 				return set, fmt.Errorf("end record covers %d units, read %d", vals[0], n)
 			}
-			set.SweepInsts, set.SweepTime = vals[1], time.Duration(int64(vals[2]))
+			set.SweepInsts = vals[1]
 			return set, nil
 		default:
 			return set, fmt.Errorf("unknown record tag %d", tag)
@@ -744,11 +744,11 @@ func (e *setEncoder) add(u *Unit) (keyframe bool, err error) {
 	return true, e.record(u, memFull, nums, refs, warm, nil)
 }
 
-// finish ends the record stream with the End record — the unit count
-// and the sweep totals — and flushes the encoder's buffer.
-func (e *setEncoder) finish(sweepInsts uint64, sweepTime time.Duration) error {
+// finish ends the record stream with the End record — the unit count,
+// sweep instructions and reserved 0 — and flushes the encoder's buffer.
+func (e *setEncoder) finish(sweepInsts uint64) error {
 	e.cw.begin()
-	for _, v := range []uint64{recEnd, uint64(e.units), sweepInsts, uint64(int64(sweepTime))} {
+	for _, v := range []uint64{recEnd, uint64(e.units), sweepInsts, 0} {
 		if err := e.cw.u64(v); err != nil {
 			return err
 		}
@@ -912,11 +912,11 @@ func (w *SetWriter) journal() error {
 // sweep's unfinished file, so Commit fails rather than rename it. The
 // committed entry supersedes every journal of the key, so Commit then
 // removes whatever partial is left.
-func (w *SetWriter) Commit(sweepInsts uint64, sweepTime time.Duration) error {
+func (w *SetWriter) Commit(sweepInsts uint64) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.enc.finish(sweepInsts, sweepTime); err != nil {
+	if err := w.enc.finish(sweepInsts); err != nil {
 		w.fail(err)
 		return w.err
 	}
@@ -1028,5 +1028,5 @@ func (s *Store) Save(k Key, set *Set) error {
 			return err
 		}
 	}
-	return w.Commit(set.SweepInsts, set.SweepTime)
+	return w.Commit(set.SweepInsts)
 }

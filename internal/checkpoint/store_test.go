@@ -599,7 +599,7 @@ func TestStoreStreamingWriter(t *testing.T) {
 	key := checkpoint.KeyFor(p, cfg, params)
 
 	var w *checkpoint.SetWriter
-	sum, err := checkpoint.CaptureStream(context.Background(), p, cfg, params, func(u *checkpoint.Unit) bool {
+	sum, _, err := checkpoint.CaptureStream(context.Background(), p, cfg, params, func(u *checkpoint.Unit) bool {
 		if w == nil {
 			var werr error
 			w, werr = store.Writer(key, p.Length/params.U)
@@ -622,7 +622,7 @@ func TestStoreStreamingWriter(t *testing.T) {
 	if !sum.Complete || w == nil {
 		t.Fatalf("sweep incomplete (%+v)", sum)
 	}
-	if err := w.Commit(sum.SweepInsts, sum.SweepTime); err != nil {
+	if err := w.Commit(sum.SweepInsts); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.Load(key)

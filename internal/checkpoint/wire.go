@@ -28,7 +28,7 @@ func encodeSet(w io.Writer, k Key, set *Set) error {
 			return err
 		}
 	}
-	return enc.finish(set.SweepInsts, set.SweepTime)
+	return enc.finish(set.SweepInsts)
 }
 
 // DecodeSet reads one EncodeSet (or store-file) byte stream from r and

@@ -33,11 +33,10 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(got.Units) != len(set.Units) {
 		t.Fatalf("decoded %d units, encoded %d", len(got.Units), len(set.Units))
 	}
-	if got.PopulationUnits != set.PopulationUnits || got.SweepInsts != set.SweepInsts ||
-		got.SweepTime != set.SweepTime || got.K != set.K {
+	if got.PopulationUnits != set.PopulationUnits || got.SweepInsts != set.SweepInsts || got.K != set.K {
 		t.Fatalf("sweep accounting lost: got %+v, want %+v",
-			[]any{got.PopulationUnits, got.SweepInsts, got.SweepTime, got.K},
-			[]any{set.PopulationUnits, set.SweepInsts, set.SweepTime, set.K})
+			[]any{got.PopulationUnits, got.SweepInsts, got.K},
+			[]any{set.PopulationUnits, set.SweepInsts, set.K})
 	}
 	for i := range set.Units {
 		unitsEqual(t, fmt.Sprintf("wire unit %d", i), got.Units[i], set.Units[i])

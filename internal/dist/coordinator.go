@@ -90,8 +90,6 @@ type Coordinator struct {
 	lifeCancel context.CancelFunc
 	epoch      string
 
-	progs program.Cache
-
 	mu      sync.Mutex
 	queued  int
 	workers []*workerRef
@@ -333,7 +331,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 	if length == 0 {
 		length = sim.DefaultLength
 	}
-	prog, err := c.progs.Get(req.Workload, length)
+	prog, err := program.Get(req.Workload, length)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +356,7 @@ func (c *Coordinator) resolve(wr *wireRequest) (*resolvedRun, error) {
 // spec — the already-resolved plan, not the raw request, so recovery
 // cannot re-resolve differently.
 func (c *Coordinator) resolveSpec(hdr *journalRun) (*resolvedRun, error) {
-	prog, err := c.progs.Get(hdr.Spec.Workload, hdr.Spec.Length)
+	prog, err := program.Get(hdr.Spec.Workload, hdr.Spec.Length)
 	if err != nil {
 		return nil, err
 	}
@@ -842,7 +840,7 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	key := checkpoint.KeyFor(r.prog, r.spec.Config, r.spec.Plan.CheckpointParams())
 	active := c.retainRun(key)
 	defer c.releaseRun(key.Hash())
-	set, resumedAt, cached, err := r.sweep(ctx, active)
+	sweep, err := r.sweep(ctx, active)
 	if err != nil {
 		return nil, err
 	}
@@ -902,14 +900,14 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	res := &smarts.Result{
 		Plan:                r.spec.Plan,
 		Units:               er.Units,
-		PopulationUnits:     set.PopulationUnits,
+		PopulationUnits:     sweep.PopulationUnits,
 		MeasuredInsts:       er.MeasuredInsts,
 		WarmingInsts:        er.WarmingInsts,
-		FastFwdInsts:        set.SweepInsts,
-		FastFwdTime:         set.SweepTime,
-		DetailedTime:        er.DetailedTime,
-		SweepCached:         cached,
-		FastFwdResumedInsts: resumedAt,
+		FastFwdInsts:        sweep.SweepInsts,
+		FastFwdTime:         sweep.Timing.Sweep,
+		DetailedTime:        er.Timing.Detailed,
+		SweepCached:         sweep.SweepCached,
+		FastFwdResumedInsts: sweep.SweepResumedInsts,
 	}
 	done := sim.Progress{Kind: sim.EventRunDone, Stage: "sample", Offset: r.spec.Plan.J,
 		Replayed: len(res.Units), Cached: res.SweepCached, Population: r.pop, Total: r.total}
@@ -920,13 +918,14 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	return res, nil
 }
 
-// sweep returns the run's snapshot set, acquired the way a local run
-// acquires it (engine.CaptureSet: the memory cache, then the store,
+// sweep pins the run's snapshot set on active, acquired the way a local
+// run acquires it (engine.CaptureSet: the memory cache, then the store,
 // then a sweep journaled into the store, resuming whatever journal an
 // interrupted one left) while holding active's lock, so concurrent runs
 // of one key sweep once: a waiter reuses the pinned set as cached, or
-// acquires it itself (resuming the journal) if the first run failed.
-func (r *shardedRun) sweep(ctx context.Context, active *activeRun) (set *checkpoint.Set, resumedAt uint64, cached bool, err error) {
+// acquires it itself (resuming the journal) if the first run failed. It
+// returns CaptureSet's sweep half of the run's result.
+func (r *shardedRun) sweep(ctx context.Context, active *activeRun) (*engine.Result, error) {
 	c := r.c
 	captured := func(n int) {
 		r.sink.emit(sim.Progress{Kind: sim.EventUnitCaptured, Stage: "sample", Offset: r.spec.Plan.J,
@@ -934,9 +933,9 @@ func (r *shardedRun) sweep(ctx context.Context, active *activeRun) (set *checkpo
 	}
 	active.mu.Lock()
 	defer active.mu.Unlock()
-	if active.set != nil {
-		captured(len(active.set.Units))
-		return active.set, 0, true, nil
+	if set := active.set; set != nil {
+		captured(len(set.Units))
+		return &engine.Result{PopulationUnits: set.PopulationUnits, SweepInsts: set.SweepInsts, SweepCached: true}, nil
 	}
 	opt := engine.Options{Cache: c.sweeps, OnCaptured: func(n int) {
 		if ok, _ := c.opt.Faults.fire(FaultKillMidSweep); ok {
@@ -947,14 +946,14 @@ func (r *shardedRun) sweep(ctx context.Context, active *activeRun) (set *checkpo
 	if !r.wr.NoStore {
 		opt.Store = c.store
 	}
-	set, resumedAt, cached, err = engine.CaptureSet(ctx, r.prog, r.spec.Config, r.spec.Plan.CheckpointParams(), opt)
+	set, sweep, err := engine.CaptureSet(ctx, r.prog, r.spec.Config, r.spec.Plan.CheckpointParams(), opt)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, err
 	}
 	c.mu.Lock()
 	active.set = set
 	c.mu.Unlock()
-	return set, resumedAt, cached, nil
+	return sweep, nil
 }
 
 // replayJournal re-offers a recovered run's journaled merge prefix and

@@ -1,12 +1,17 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
+	"repro/internal/uarch"
 	"repro/sim"
 )
 
@@ -20,6 +25,38 @@ func reportDigest(rep *sim.Report) string {
 		len(res.Units), res.MeasuredInsts, res.WarmingInsts, res.FastFwdInsts)
 }
 
+// sameEntry requires the store in dir to hold one committed entry, the
+// request's, byte-identical to EncodeSet of a plain Capture of its key:
+// an entry is a pure function of its key, whichever path committed it.
+func sameEntry(t *testing.T, dir string, req *sim.Request) {
+	t.Helper()
+	prog, cfg := testProg(t), uarch.Config8Way()
+	params := sim.ResolvePlan(req, prog).CheckpointParams()
+	key := checkpoint.KeyFor(prog, cfg, params)
+	set, err := checkpoint.Capture(context.Background(), prog, cfg, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := checkpoint.EncodeSet(&want, key, set); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || filepath.Base(entries[0]) != key.Hash()+".ckpt" {
+		t.Fatalf("store holds entries %v, want only %s.ckpt", entries, key.Hash())
+	}
+	got, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("committed entry (%d bytes) differs from the encoded capture of its key (%d bytes)", len(got), want.Len())
+	}
+}
+
 // TestCrossPathEquivalence runs one request through every way the
 // system can execute it and diffs a single digest: the engine at one
 // and four workers, a store hit, an in-memory sweep-cache hit, the
@@ -27,7 +64,8 @@ func reportDigest(rep *sim.Report) string {
 // single-worker machines, and that fleet with the coordinator killed
 // and restarted mid-run. All of them replay through the engine's one
 // pool and fold through its one Merger, so every row must reproduce the
-// first bit for bit.
+// first bit for bit. Every row that commits a store entry must also
+// commit the bytes a plain capture of the key encodes to (sameEntry).
 func TestCrossPathEquivalence(t *testing.T) {
 	const phase = 3
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -77,7 +115,10 @@ func TestCrossPathEquivalence(t *testing.T) {
 			return run(t, open(t), req)
 		}},
 		{"store-hit", func(t *testing.T, req *sim.Request) *sim.Report {
-			return hit(t, open(t, sim.WithStore(t.TempDir()), sim.WithWorkers(2)), req)
+			dir := t.TempDir()
+			rep := hit(t, open(t, sim.WithStore(dir), sim.WithWorkers(2)), req)
+			sameEntry(t, dir, req)
+			return rep
 		}},
 		{"mem-cache-hit", func(t *testing.T, req *sim.Request) *sim.Report {
 			return hit(t, open(t, sim.WithWorkers(2)), req)
@@ -94,7 +135,8 @@ func TestCrossPathEquivalence(t *testing.T) {
 		}},
 		{"fleet-coordinator-restart", func(t *testing.T, req *sim.Request) *sim.Report {
 			f := NewFaults()
-			rc := newRecoverableCluster(t, Options{StoreDir: t.TempDir(), Faults: f}, 2)
+			dir := t.TempDir()
+			rc := newRecoverableCluster(t, Options{StoreDir: dir, Faults: f}, 2)
 			f.Arm(FaultKillCoordinator, 5, 1)
 			restartErr := make(chan error, 1)
 			go func() { restartErr <- rc.awaitKillAndRestart(Options{}) }()
@@ -107,6 +149,7 @@ func TestCrossPathEquivalence(t *testing.T) {
 			if f.Fired(FaultKillCoordinator) != 1 {
 				t.Fatal("the coordinator was never killed mid-run")
 			}
+			sameEntry(t, dir, req)
 			return rep
 		}},
 	}

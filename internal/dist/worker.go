@@ -66,7 +66,6 @@ type Worker struct {
 	client   *http.Client
 	cache    *checkpoint.MemCache
 	replayed atomic.Uint64
-	progs    program.Cache
 }
 
 // NewWorker builds a worker.
@@ -211,7 +210,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	ctx := req.Context()
-	prog, err := w.progs.Get(msg.Spec.Workload, msg.Spec.Length)
+	prog, err := program.Get(msg.Spec.Workload, msg.Spec.Length)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return

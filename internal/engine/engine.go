@@ -214,23 +214,15 @@ type Result struct {
 	// executed, the quantity crash/resume accounting bounds.
 	SweepResumedInsts uint64
 
-	// SweepTime is the wall-clock cost of the capture sweep (overlapped
-	// with replay in the streaming schedule; the original sweep's cost
-	// when launch states came from the store); DetailedTime is the CPU
-	// time summed over per-unit detailed replays (wall-clock detailed
-	// cost is roughly DetailedTime divided by the worker count);
-	// WallTime is the end-to-end elapsed time.
-	SweepTime    time.Duration
-	DetailedTime time.Duration
-	WallTime     time.Duration
+	// Timing is what this run measured of the wall clock. Its sweep
+	// fields cover the sweep this run executed — overlapped with replay
+	// in the streaming schedule, only the continuation of a resumed one —
+	// and are zero when the run reused a sweep (SweepCached).
+	Timing wallclock.Timing
 
-	// WarmWait and InterpPark are the sweep's hand-off waits, as
-	// checkpoint.Summary reports them: the warm stage blocked on an empty
-	// ring, the interpreter parked on a full one. Zero when no sweep ran.
-	WarmWait, InterpPark time.Duration
-
-	// SweepCached reports that launch states were loaded from the
-	// checkpoint store instead of sweeping.
+	// SweepCached reports that launch states were reused — loaded from
+	// the checkpoint store or the memory cache — instead of sweeping;
+	// SweepInsts then echoes the original sweep's extent.
 	SweepCached bool
 }
 
@@ -366,8 +358,7 @@ func replayEntry(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 	res := m.Finish()
 	res.PopulationUnits = sum.PopulationUnits
 	res.SweepInsts = sum.SweepInsts
-	res.SweepTime = sum.SweepTime
-	res.WallTime = wallclock.Since(start)
+	res.Timing.Wall = wallclock.Since(start)
 	res.SweepCached = true
 	return res, nil
 }
@@ -375,30 +366,31 @@ func replayEntry(ctx context.Context, prog *program.Program, cfg uarch.Config, u
 // CaptureSet returns the complete set of launch states for p, for
 // callers that need every unit in hand before replaying (RunSet): the
 // multi-offset path captures all offsets in one sweep and replays each
-// offset's sub-set. Like Run it prefers the cache, then the store —
-// cached then reports true and the set's sweep accounting echoes the
-// original sweep — and otherwise acquires the sweep as Run does, minus
-// the pool: streamed into the store, journaled and resumable (resumedAt
-// is the journaled position it continued from, 0 when cold), reported
-// unit by unit through opt.OnCaptured. The returned set may be shared
-// with the cache and is read-only.
-func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (set *checkpoint.Set, resumedAt uint64, cached bool, err error) {
+// offset's sub-set. Like Run it prefers the cache, then the store — the
+// sweep is then SweepCached — and otherwise acquires the sweep as Run
+// does, minus the pool: streamed into the store, journaled and
+// resumable, reported unit by unit through opt.OnCaptured. sweep is the
+// sweep half of a run's Result: PopulationUnits, the Sweep* accounting,
+// SweepCached, and the Timing of the sweep this call executed (Wall
+// aside). The returned set may be shared with the cache and is
+// read-only.
+func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, opt Options) (set *checkpoint.Set, sweep *Result, err error) {
 	if err := p.Validate(); err != nil {
-		return nil, 0, false, err
+		return nil, nil, err
 	}
 	p, key := opt.SweepKey(prog, cfg, p)
 	if set, err = lookup(key, opt); err != nil {
-		return nil, 0, false, err
+		return nil, nil, err
 	}
 	if set != nil {
 		opt.captured(len(set.Units))
-		return set, 0, true, nil
+		return set, &Result{PopulationUnits: set.PopulationUnits, SweepInsts: set.SweepInsts, SweepCached: true}, nil
 	}
-	set, sum, err := acquire(ctx, prog, cfg, p, key, opt, nil)
+	set, sum, t, err := acquire(ctx, prog, cfg, p, key, opt, nil)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, nil, err
 	}
-	return set, sum.ResumedAt, false, nil
+	return set, &Result{PopulationUnits: sum.PopulationUnits, SweepInsts: sum.SweepInsts, SweepResumedInsts: sum.ResumedAt, Timing: t}, nil
 }
 
 // RunSet replays an already-captured set of launch states across the
@@ -431,8 +423,7 @@ func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u u
 	res := m.Finish()
 	res.PopulationUnits = set.PopulationUnits
 	res.SweepInsts = set.SweepInsts
-	res.SweepTime = set.SweepTime
-	res.WallTime = wallclock.Since(start)
+	res.Timing.Wall = wallclock.Since(start)
 	return res, nil
 }
 
@@ -450,7 +441,7 @@ func replaySet(ctx context.Context, prog *program.Program, cfg uarch.Config, u u
 // encodes each unit inside Sweep's push, before the sweep moves past the
 // unit's keyframe interval.
 func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options,
-	send func(*checkpoint.Unit) bool) (*checkpoint.Set, *checkpoint.Summary, error) {
+	send func(*checkpoint.Unit) bool) (*checkpoint.Set, *checkpoint.Summary, wallclock.Timing, error) {
 	var sw *checkpoint.SetWriter
 	var j Journal
 	if opt.Store != nil {
@@ -467,7 +458,7 @@ func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p che
 	}
 	p.Recycle = set == nil
 	captured := 0
-	sum, err := Sweep(ctx, prog, cfg, p, j, func(cu *checkpoint.Unit, _ bool) bool {
+	sum, t, err := Sweep(ctx, prog, cfg, p, j, func(cu *checkpoint.Unit, _ bool) bool {
 		if set != nil {
 			set.Units = append(set.Units, cu)
 		}
@@ -479,21 +470,20 @@ func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p che
 		return true
 	})
 	if err != nil || !sum.Complete {
-		return nil, sum, err
+		return nil, sum, t, err
 	}
 	if j != nil {
 		// A failure is the writer's to log; the run's outcome stands.
-		_ = sw.Commit(sum.SweepInsts, sum.SweepTime)
+		_ = sw.Commit(sum.SweepInsts)
 	}
 	if set != nil {
 		set.PopulationUnits = sum.PopulationUnits
 		set.SweepInsts = sum.SweepInsts
-		set.SweepTime = sum.SweepTime
 		if opt.Cache != nil {
 			opt.Cache.Put(key, set)
 		}
 	}
-	return set, sum, nil
+	return set, sum, t, nil
 }
 
 // replayStreaming overlaps the capture sweep with replay: the sweep
@@ -501,10 +491,11 @@ func acquire(ctx context.Context, prog *program.Program, cfg uarch.Config, p che
 // pipeline the moment its snapshot is taken.
 func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, key checkpoint.Key, opt Options, start time.Time) (*Result, error) {
 	var sum *checkpoint.Summary
+	var t wallclock.Timing
 	var sweepErr error
 	m := NewMerger(p.U, opt, 0)
 	err := replayStream(ctx, prog, cfg, p.U, opt.workers(), 0, func(send func(*checkpoint.Unit, *checkpoint.Launch) bool) {
-		_, sum, sweepErr = acquire(ctx, prog, cfg, p, key, opt, func(cu *checkpoint.Unit) bool { return send(cu, nil) })
+		_, sum, t, sweepErr = acquire(ctx, prog, cfg, p, key, opt, func(cu *checkpoint.Unit) bool { return send(cu, nil) })
 	}, m.deliver)
 	if err != nil {
 		return nil, err
@@ -516,8 +507,7 @@ func replayStreaming(ctx context.Context, prog *program.Program, cfg uarch.Confi
 	res.PopulationUnits = sum.PopulationUnits
 	res.SweepInsts = sum.SweepInsts
 	res.SweepResumedInsts = sum.ResumedAt
-	res.SweepTime = sum.SweepTime
-	res.WarmWait, res.InterpPark = sum.WarmWait, sum.InterpPark
-	res.WallTime = wallclock.Since(start)
+	t.Detailed, t.Wall = res.Timing.Detailed, wallclock.Since(start)
+	res.Timing = t
 	return res, nil
 }

@@ -80,8 +80,8 @@ func (m *Merger) deliver(ru RangeUnit) bool {
 
 // Finish returns the measurement half of the run's Result: the offered
 // units sorted by stream position and truncated at the partial unit,
-// with their instruction and replay-time accounting. The sweep half and
-// WallTime are the caller's to fill.
+// with their instruction and replay-time accounting (Timing.Detailed).
+// The sweep half and Timing.Wall are the caller's to fill.
 func (m *Merger) Finish() *Result {
 	sort.Slice(m.units, func(i, j int) bool { return m.units[i].Seq < m.units[j].Seq })
 	res := &Result{}
@@ -92,7 +92,7 @@ func (m *Merger) Finish() *Result {
 		res.Units = append(res.Units, ru.Res)
 		res.MeasuredInsts += m.u
 		res.WarmingInsts += ru.Warming
-		res.DetailedTime += ru.Elapsed
+		res.Timing.Detailed += ru.Elapsed
 	}
 	return res
 }

@@ -36,7 +36,7 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 		})
 		streamWall, streamCPU = streamWall+w, streamCPU+c
 		w, c = wallAndCPU(b, func() error {
-			set, _, _, err := engine.CaptureSet(ctx, p, cfg, params, opt)
+			set, _, err := engine.CaptureSet(ctx, p, cfg, params, opt)
 			if err != nil {
 				return err
 			}
@@ -94,8 +94,8 @@ func BenchmarkSweepHandoff(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		warmWait += res.WarmWait
-		interpPark += res.InterpPark
+		warmWait += res.Timing.WarmWait
+		interpPark += res.Timing.InterpPark
 	}
 	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
 	b.ReportMetric(perOp(warmWait), "warm-wait-ms/op")

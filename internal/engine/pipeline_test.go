@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
@@ -75,10 +76,12 @@ func TestPipelineStreamsSweepIntoReplay(t *testing.T) {
 	p := genProg(t, "mcfx", 400_000)
 	params := checkpoint.Params{U: 1000, W: 1000, K: 4, J: 0, FunctionalWarm: true}
 
+	start := time.Now()
 	set, err := checkpoint.Capture(context.Background(), p, cfg, params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sweep := time.Since(start)
 	two, err := engine.RunSet(context.Background(), p, cfg, params.U, set, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +91,8 @@ func TestPipelineStreamsSweepIntoReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultsBitIdentical(t, "overlap", two, streamed)
-	if twoWall := set.SweepTime + two.WallTime; streamed.WallTime > twoWall*3 {
-		t.Fatalf("streamed schedule pathologically slower: %v vs %v", streamed.WallTime, twoWall)
+	if twoWall := sweep + two.Timing.Wall; streamed.Timing.Wall > twoWall*3 {
+		t.Fatalf("streamed schedule pathologically slower: %v vs %v", streamed.Timing.Wall, twoWall)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/program"
 	"repro/internal/uarch"
+	"repro/internal/wallclock"
 )
 
 // Journal is where a sweep keeps its progress so that an interrupted
@@ -44,10 +45,10 @@ type Journal interface {
 // stopped by emit, failed — closes j; a complete one leaves j open for
 // the caller to retire.
 //
-// The Summary describes what ran (nil only for invalid p); an incomplete
-// sweep that ctx ended returns ctx.Err().
+// The Summary describes what ran (nil only for invalid p), the Timing
+// what it measured; an incomplete sweep that ctx ended returns ctx.Err().
 func Sweep(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpoint.Params, j Journal,
-	emit func(cu *checkpoint.Unit, resumed bool) bool) (*checkpoint.Summary, error) {
+	emit func(cu *checkpoint.Unit, resumed bool) bool) (*checkpoint.Summary, wallclock.Timing, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -80,10 +81,11 @@ func Sweep(ctx context.Context, prog *program.Program, cfg uarch.Config, p check
 	}
 
 	var sum *checkpoint.Summary
+	var t wallclock.Timing
 	var err error
 	for {
 		p.Resume = rs
-		sum, err = checkpoint.CaptureStream(ctx, prog, cfg, p, func(cu *checkpoint.Unit) bool {
+		sum, t, err = checkpoint.CaptureStream(ctx, prog, cfg, p, func(cu *checkpoint.Unit) bool {
 			if !fed && !feed() {
 				return false
 			}
@@ -112,5 +114,5 @@ func Sweep(ctx context.Context, prog *program.Program, cfg uarch.Config, p check
 		// the sweep's outcome stands either way.
 		_ = j.Close()
 	}
-	return sum, err
+	return sum, t, err
 }

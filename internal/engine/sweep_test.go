@@ -88,7 +88,7 @@ func TestSweepDriver(t *testing.T) {
 	params := checkpoint.Params{U: 1000, W: 1000, K: 8, FunctionalWarm: true, Keyframe: 4}
 
 	var ref []*checkpoint.Unit
-	whole, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
+	whole, _, err := checkpoint.CaptureStream(context.Background(), prog, cfg, params, func(u *checkpoint.Unit) bool {
 		ref = append(ref, u)
 		return true
 	})
@@ -149,7 +149,7 @@ func TestSweepDriver(t *testing.T) {
 			j := &fakeJournal{saved: tc.saved, fail: tc.failAdd}
 			var got []*checkpoint.Unit
 			resumed := 0
-			sum, err := engine.Sweep(ctx, prog, cfg, params, j, func(cu *checkpoint.Unit, res bool) bool {
+			sum, _, err := engine.Sweep(ctx, prog, cfg, params, j, func(cu *checkpoint.Unit, res bool) bool {
 				if len(got)+1 == tc.stopAt {
 					return false
 				}

@@ -128,8 +128,6 @@ type Context struct {
 	// requests.
 	Engine *engine.Options
 
-	progs program.Cache
-
 	mu   sync.Mutex
 	refs map[string]*smarts.Reference
 }
@@ -141,7 +139,7 @@ func NewContext(scale Scale) *Context {
 
 // Program returns the generated workload, building it on first use.
 func (c *Context) Program(name string) (*program.Program, error) {
-	return c.progs.Get(name, c.Scale.BenchLen)
+	return program.Get(name, c.Scale.BenchLen)
 }
 
 // sample executes one sampling plan in the context's execution mode.

@@ -7,22 +7,28 @@ import (
 	"repro/internal/isa"
 )
 
-// cacheMaxBytes bounds what a Cache retains: once its finished programs
+// cacheMaxBytes bounds what the cache retains: once its finished programs
 // hold more, the least recently used are dropped. A suite program holds
 // at most about 9 MB (mcfx: its segments and, once a CPU has started, its
 // image of the same size), so the bound keeps a few dozen.
 const cacheMaxBytes = 256 << 20
 
-// Cache memoizes generated suite workloads by (name, length) for a
-// long-lived owner (a sim session, a fleet coordinator or worker).
-// Concurrent lookups of one new key generate it once; the rest wait for
-// the result. A failed generation is not retained, and once the
-// finished programs retain more than cacheMaxBytes the least recently
-// used of them are dropped (an entry still generating never is); a
-// dropped program is generated again on its next lookup, with the same
-// Digest. The zero value is ready to use; all methods are safe for
-// concurrent use.
-type Cache struct {
+// Get returns the suite workload name generated at the target dynamic
+// length from the process's one program cache, which every session,
+// fleet coordinator and worker, and experiment context shares (programs
+// are immutable). Concurrent lookups of one new key generate it once;
+// the rest wait for the result. A failed generation is not retained,
+// and once the finished programs retain more than cacheMaxBytes the
+// least recently used of them are dropped (an entry still generating
+// never is); a dropped program is generated again on its next lookup,
+// with the same Digest.
+func Get(name string, length uint64) (*Program, error) { return shared.Get(name, length) }
+
+var shared cache
+
+// cache memoizes generated suite workloads by (name, length); see Get.
+// The zero value is ready to use; its methods are safe for concurrent use.
+type cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
 	bytes   int64  // retained by the finished entries
@@ -42,12 +48,12 @@ type cacheEntry struct {
 	prog  *Program
 	err   error
 	bytes int64  // retained once finished; 0 while generating
-	used  uint64 // the Cache's clock at the last lookup
+	used  uint64 // the cache's clock at the last lookup
 }
 
 // Get returns the suite workload name generated at the target dynamic
 // length, generating it on first use.
-func (c *Cache) Get(name string, length uint64) (*Program, error) {
+func (c *cache) Get(name string, length uint64) (*Program, error) {
 	key := cacheKey{name, length}
 	c.mu.Lock()
 	c.clock++
@@ -85,7 +91,7 @@ func (c *Cache) Get(name string, length uint64) (*Program, error) {
 
 // evict drops least recently used finished entries until the rest
 // retain no more than the bound. c.mu is held.
-func (c *Cache) evict() {
+func (c *cache) evict() {
 	limit := c.maxBytes
 	if limit <= 0 {
 		limit = cacheMaxBytes

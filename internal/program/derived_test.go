@@ -68,6 +68,9 @@ func TestStoreHitsHashOnce(t *testing.T) {
 	}
 	prime.Close()
 
+	// The priming run's program is in the process-wide cache, already
+	// hashed: drop it, so the session below generates its own.
+	program.ResetShared()
 	var hashes atomic.Int64
 	defer program.SetDigestHook(func() { hashes.Add(1) })()
 	sess, err := sim.Open(sim.WithStore(dir), sim.WithWorkers(1))

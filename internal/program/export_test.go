@@ -8,12 +8,12 @@ func SetDigestHook(f func()) (restore func()) {
 	return func() { digestHook = old }
 }
 
-// NewBoundedCache returns a Cache that retains at most maxBytes of
+// NewBoundedCache returns a cache that retains at most maxBytes of
 // finished programs in place of cacheMaxBytes.
-func NewBoundedCache(maxBytes int64) *Cache { return &Cache{maxBytes: maxBytes} }
+func NewBoundedCache(maxBytes int64) *cache { return &cache{maxBytes: maxBytes} }
 
 // Len returns how many entries the cache holds, generating or finished.
-func (c *Cache) Len() int {
+func (c *cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
@@ -26,7 +26,7 @@ func RetainedBytes(p *Program) int64 { return retainedBytes(p) }
 // entry and one finished entry over the bound, and reports whether the
 // generating entry survived while the finished one went.
 func EvictSparesGenerating() bool {
-	c := &Cache{maxBytes: 1, entries: map[cacheKey]*cacheEntry{
+	c := &cache{maxBytes: 1, entries: map[cacheKey]*cacheEntry{
 		{"generating", 1}: {done: make(chan struct{}), used: 1},
 		{"finished", 1}:   {done: make(chan struct{}), used: 2, bytes: 10},
 	}, bytes: 10}
@@ -34,4 +34,12 @@ func EvictSparesGenerating() bool {
 	_, kept := c.entries[cacheKey{"generating", 1}]
 	_, stale := c.entries[cacheKey{"finished", 1}]
 	return kept && !stale && c.bytes == 0
+}
+
+// ResetShared empties the process-wide cache, so the next Get of every
+// program generates it afresh.
+func ResetShared() {
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	shared.entries, shared.bytes = nil, 0
 }

@@ -75,7 +75,7 @@ func RunSampledContext(ctx context.Context, prog *program.Program, cfg uarch.Con
 	if err != nil {
 		return nil, err
 	}
-	return engineResult(plan, er, !er.SweepCached), nil
+	return engineResult(plan, er), nil
 }
 
 // RunSampledPhasesContext executes the same plan at several systematic
@@ -92,7 +92,8 @@ func RunSampledContext(ctx context.Context, prog *program.Program, cfg uarch.Con
 //
 // The sweep accounting (FastFwdInsts/FastFwdTime/FastFwdResumedInsts)
 // on every result echoes the one shared sweep; callers summing costs
-// across phases should count it once. Cancelling ctx stops the shared
+// across phases should count it once. FastFwdTime is 0 when the sweep
+// was reused (SweepCached). Cancelling ctx stops the shared
 // sweep (or whichever offset's replay is in flight) and returns
 // ctx.Err().
 func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, js []uint64, opt engine.Options,
@@ -106,7 +107,7 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	set, resumedAt, sweepCached, err := engine.CaptureSet(ctx, prog, cfg, plan.PhasesParams(js), opt)
+	set, sweep, err := engine.CaptureSet(ctx, prog, cfg, plan.PhasesParams(js), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -124,44 +125,33 @@ func RunSampledPhasesContext(ctx context.Context, prog *program.Program, cfg uar
 		}
 		phasePlan := plan
 		phasePlan.J = j
-		r := engineResult(phasePlan, er, false)
-		r.FastFwdInsts = set.SweepInsts
-		r.FastFwdTime = set.SweepTime
-		r.FastFwdResumedInsts = resumedAt
-		r.SweepCached = sweepCached
+		r := engineResult(phasePlan, er)
+		r.FastFwdInsts = sweep.SweepInsts
+		r.FastFwdTime = sweep.Timing.Sweep
+		r.FastFwdResumedInsts = sweep.SweepResumedInsts
+		r.SweepCached = sweep.SweepCached
 		results[i] = r
 	}
 	return results, nil
 }
 
 // engineResult converts an engine result into the smarts Result shape.
-// sweepInRun says the sweep's wall clock was part of this run's
-// WallTime (a fresh streamed sweep); when false (store or cache hit,
-// or replaying a shared pre-captured set) er.SweepTime merely
-// echoes a sweep paid elsewhere and the whole elapsed time is detailed
-// work.
-func engineResult(plan Plan, er *engine.Result, sweepInRun bool) *Result {
-	// Wall-clock accounting: FastFwdTime is the capture sweep and
-	// DetailedTime the remaining elapsed time, so the two sum to the
-	// run's elapsed time just as on the serial path. (The engine's
-	// per-worker CPU total, er.DetailedTime, would overstate elapsed
-	// time by up to the worker count; under the streaming schedule the
-	// sweep overlaps replay, so the split is attribution, not a
-	// timeline.)
-	detailedWall := er.WallTime
-	if sweepInRun {
-		detailedWall -= er.SweepTime
-		if detailedWall < 0 {
-			detailedWall = 0
-		}
-	}
+func engineResult(plan Plan, er *engine.Result) *Result {
+	// Wall-clock accounting: FastFwdTime is the capture sweep this run
+	// executed (0 when it reused one) and DetailedTime the remaining
+	// elapsed time, so the two sum to the run's elapsed time just as on
+	// the serial path. (The engine's per-worker CPU total,
+	// er.Timing.Detailed, would overstate elapsed time by up to the
+	// worker count; under the streaming schedule the sweep overlaps
+	// replay, so the split is attribution, not a timeline.)
+	detailedWall := max(er.Timing.Wall-er.Timing.Sweep, 0)
 	res := &Result{
 		Plan:                plan,
 		PopulationUnits:     er.PopulationUnits,
 		MeasuredInsts:       er.MeasuredInsts,
 		WarmingInsts:        er.WarmingInsts,
 		FastFwdInsts:        er.SweepInsts,
-		FastFwdTime:         er.SweepTime,
+		FastFwdTime:         er.Timing.Sweep,
 		DetailedTime:        detailedWall,
 		SweepCached:         er.SweepCached,
 		FastFwdResumedInsts: er.SweepResumedInsts,

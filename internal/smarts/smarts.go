@@ -166,20 +166,21 @@ type Result struct {
 	WarmingInsts  uint64 // detailed, unmeasured (n·W)
 	FastFwdInsts  uint64 // functionally simulated
 
-	// Wall-clock accounting for the speedup experiments.
+	// Wall-clock accounting for the speedup experiments, this run's own
+	// (on the engine, from its wallclock.Timing): FastFwdTime is 0 when
+	// the run reused a sweep, a resumed sweep's continuation only.
 	FastFwdTime  time.Duration
 	DetailedTime time.Duration
 
-	// SweepCached reports that the engine loaded this run's launch
-	// states from the on-disk checkpoint store instead of sweeping; the
-	// FastFwd accounting then echoes the original (reused) sweep's cost
-	// rather than time spent in this run.
+	// SweepCached reports that the engine reused this run's launch
+	// states (a store, memory-cache or fleet hit) instead of sweeping;
+	// FastFwdInsts then echoes the reused sweep's extent.
 	SweepCached bool
 	// FastFwdResumedInsts is the journaled stream position this run's
 	// sweep resumed from (0 when the sweep ran cold or was loaded
 	// whole): FastFwdInsts - FastFwdResumedInsts is the functional work
-	// the run actually executed. The FastFwd totals still echo the whole
-	// sweep, so speedup accounting is unchanged by a resume.
+	// the run actually executed. FastFwdInsts still echoes the whole
+	// sweep.
 	FastFwdResumedInsts uint64
 }
 

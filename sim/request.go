@@ -16,7 +16,7 @@ type Request struct {
 	Workload string
 	// Length is the workload's target dynamic instruction count
 	// (default 2,000,000). Generated workloads are cached per
-	// (name, length) in the session.
+	// (name, length) for the whole process, shared by every session.
 	Length uint64
 
 	// Config is the simulated machine; a zero Config selects the

@@ -19,8 +19,7 @@ import (
 )
 
 // Session is the long-lived service object behind Session.Run: it owns
-// the checkpoint store, caches generated workloads and experiment
-// state, supplies execution defaults, and deduplicates concurrent
+// the checkpoint store, caches experiment state, supplies execution defaults, and deduplicates concurrent
 // sweeps. All methods are safe for concurrent use.
 type Session struct {
 	set settings
@@ -31,8 +30,6 @@ type Session struct {
 	// waiters (and later requests) reuse them without a disk store.
 	// Nil when a store is attached — the store already shares sweeps.
 	sweeps *checkpoint.MemCache
-
-	progs program.Cache
 
 	mu      sync.Mutex
 	closed  bool
@@ -251,14 +248,15 @@ func (s *Session) SweepCacheStats() (hits, misses, evictions uint64, ok bool) {
 }
 
 // Workload returns the generated workload for (name, length), building
-// and caching it on first use. length 0 selects the session default.
-// Concurrent requests for one (name, length) generate it once; the
-// rest wait for the result.
+// it on first use and caching it for the whole process: every session
+// shares it. length 0 selects the session default. Concurrent requests
+// for one (name, length) generate it once; the rest wait for the
+// result.
 func (s *Session) Workload(name string, length uint64) (*Workload, error) {
 	if length == 0 {
 		length = s.set.defLength
 	}
-	return s.progs.Get(name, length)
+	return program.Get(name, length)
 }
 
 // Reference runs (uncached) the full-stream detailed simulation of the
