@@ -702,12 +702,14 @@ func (g *boundaryGen) next() (boundary, bool) {
 
 // FFChunk bounds how many instructions a fast-forward loop runs
 // between cancellation checks — in the serial loop of internal/smarts,
-// and in the capture sweep's interpreter stage on cold sweeps, whose
-// batches record nothing and so are cut at this length rather than at
-// batchInsts. At functional-warming speed (~20ns/inst) one chunk is a
-// couple of milliseconds, so a cancelled context stops the sweep
-// promptly even inside a long fast-forward gap, while the per-chunk
-// check cost is amortized to nothing.
+// and in the capture sweep's interpreter stage, where it bounds every
+// batch's span, warmed or cold: a batch is handed over when its
+// batchRecs records are full or it spans FFChunk instructions, and a
+// cold sweep, which records nothing, cuts at this length alone. At
+// functional-warming speed (~20ns/inst) one chunk is a couple of
+// milliseconds, so a cancelled context stops the sweep promptly even
+// inside a long fast-forward gap, while the per-chunk check cost is
+// amortized to nothing.
 const FFChunk = 1 << 16
 
 // CaptureStream runs the functional sweep over prog, calling emit for
@@ -728,8 +730,8 @@ const FFChunk = 1 << 16
 // returned before CaptureStream does.
 //
 // The sweep honors ctx: cancellation (or deadline expiry) is observed
-// after every emitted unit and between the interpreter's batches (every
-// few thousand instructions, at most FFChunk); the sweep then stops and
+// after every emitted unit and between the interpreter's batches (each
+// at most FFChunk instructions); the sweep then stops and
 // returns ctx.Err() with Summary.Complete false, so a store writer
 // layered on the stream aborts instead of committing a partial entry.
 //
@@ -770,7 +772,7 @@ func CaptureStream(ctx context.Context, prog *program.Program, cfg uarch.Config,
 	// on keyframes), dirty warm blocks when warming (taken by the warm
 	// stage below; see Params.Keyframe). A resumed sweep's chain goes on
 	// from the last journaled unit.
-	in := &interpreter{gen: gen, record: warmer != nil, kf: p.keyframe()}
+	in := &interpreter{gen: gen, record: warmer != nil, blockBits: cfg.IL1.BlockBits, kf: p.keyframe()}
 	var lastSeq uint64 // the warmer's snapshot sequence number
 	if rs := p.Resume; rs != nil && len(rs.Units) > 0 {
 		if cpu, err = resumeSweep(prog, machine, warmer, gen, rs); err != nil {

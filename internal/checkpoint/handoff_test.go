@@ -23,8 +23,8 @@ func TestHandoffWaitsMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ring holds 32k instructions, 16 units here: the interpreter is
-	// parked for most of the slow consumer's sleeps.
+	// The ring holds 32k records, some 32 units here: the interpreter is
+	// parked for most of the slow consumer's 150 sleeps.
 	if min := time.Duration(sum.Captured/2) * perUnit; tm.InterpPark < min {
 		t.Errorf("interpreter parked %v behind a consumer sleeping %v per unit over %d units, want >= %v",
 			tm.InterpPark, perUnit, sum.Captured, min)

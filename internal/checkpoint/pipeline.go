@@ -9,8 +9,12 @@ package checkpoint
 // image inline in the batch it is filling; the warm stage (the calling
 // goroutine, CaptureStream's loop) warms each batch in order and, at each
 // inline launch point, takes the warm snapshot or delta and emits the
-// unit. Warm state therefore sees exactly the instruction sequence it
-// would see interleaved with the interpreter, and every unit is the
+// unit. The interpreter records only the instructions warming acts on
+// (functional.RunWarm: loads, stores, control and the first instruction
+// of each new fetch block, about half of the stream, 44 % on gccx), so
+// the ring's slack is counted in records, not instructions; what it
+// leaves out, warming would skip. Warm state therefore ends each batch
+// as it would interleaved with the interpreter, and every unit is the
 // serial sweep's, bit for bit; a sweep costs max(interpret, warm) per
 // instruction instead of their sum.
 
@@ -25,14 +29,16 @@ import (
 )
 
 const (
-	// batchInsts is how many instructions one batch covers before it is
-	// handed to the warm stage — one hand-off however many launch points
-	// it holds, which matters on dense plans (a unit every 1,000
-	// instructions) where a hand-off per unit would dominate.
-	batchInsts = 4096
+	// batchRecs is how many records one batch holds. A batch is handed
+	// to the warm stage when its records are full or it spans FFChunk
+	// instructions, whichever comes first — one hand-off however many
+	// launch points it holds, which matters on dense plans (a unit every
+	// 1,000 instructions) where a hand-off per unit would dominate.
+	batchRecs = 4096
 	// ringBatches is the ring's length: 8 batches of 4,096 32-byte
 	// records, 1 MB, small next to a sweep's snapshots. A warm stage that
-	// falls behind stops the interpreter a ring ahead of it.
+	// falls behind stops the interpreter a ring ahead of it: 32k
+	// records, about 74k instructions of gccx.
 	ringBatches = 8
 )
 
@@ -52,7 +58,7 @@ type launchRec struct {
 
 // batch is one hand-off between the stages.
 type batch struct {
-	recs     []functional.DynRec // recs[:n] were executed in this batch; nil on cold sweeps
+	recs     []functional.DynRec // recs[:n] were recorded in this batch; nil on cold sweeps
 	n        int
 	start    uint64 // stream position at the batch's first instruction
 	end      uint64 // and after its last (set when handed over)
@@ -85,9 +91,9 @@ func newRing(record bool) *ring {
 	r := &ring{}
 	r.room.L, r.ready.L = &r.mu, &r.mu
 	if record {
-		recs := make([]functional.DynRec, ringBatches*batchInsts)
+		recs := make([]functional.DynRec, ringBatches*batchRecs)
 		for i := range r.slots {
-			r.slots[i].recs = recs[i*batchInsts : (i+1)*batchInsts : (i+1)*batchInsts]
+			r.slots[i].recs = recs[i*batchRecs : (i+1)*batchRecs : (i+1)*batchRecs]
 		}
 	}
 	return r
@@ -179,7 +185,10 @@ func (r *ring) stop() {
 type interpreter struct {
 	cpu    *functional.CPU
 	gen    *boundaryGen
-	record bool // record every instruction for the warm stage
+	record bool // record the instructions the warm stage acts on
+	// blockBits is the I-cache's block bits, by which a record marks the
+	// first instruction of a new fetch block.
+	blockBits uint
 	// kf is the keyframe interval, captured the units captured so far
 	// (journaled ones included), prev the last unit captured or journaled
 	// — the next unit's chain predecessor (nil: the next unit is a
@@ -206,22 +215,21 @@ func (in *interpreter) run(r *ring) {
 			break
 		}
 		for cpu.Count < bd.launch && !cpu.Halted {
-			if cpu.Count-b.start >= batchInsts {
+			if cpu.Count-b.start >= FFChunk || in.record && b.n == len(b.recs) {
 				b.end = cpu.Count
 				r.publish()
 				if b = r.acquire(cpu.Count); b == nil {
 					return
 				}
 			}
-			step := bd.launch - cpu.Count
+			step := min(bd.launch-cpu.Count, FFChunk-(cpu.Count-b.start))
 			var err error
 			if in.record {
-				step = min(step, uint64(batchInsts-b.n))
-				var k uint64
-				k, err = cpu.RunDyn(b.recs[b.n:b.n+int(step)], step)
-				b.n += int(k)
+				var k int
+				k, _, err = cpu.RunWarm(b.recs[b.n:], step, in.blockBits)
+				b.n += k
 			} else {
-				_, err = cpu.Run(min(step, FFChunk))
+				_, err = cpu.Run(step)
 			}
 			if err != nil {
 				in.finish(r, b, fmt.Errorf("checkpoint: sweep to unit %d: %w", bd.unit, err))

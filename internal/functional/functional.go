@@ -43,10 +43,11 @@ type DynInst struct {
 func (d *DynInst) Class() isa.Class { return d.Inst.Op.Class() }
 
 // DynRec is the compact per-instruction record the batch interpreter
-// (RunDyn) writes: the dynamic outcomes functional warming consumes —
-// fetch PC, effective address, branch direction and target — plus the
-// opcode and its pre-decoded class, without the full static instruction
-// DynInst carries for the detailed model.
+// writes (RunDyn for every instruction, RunWarm for the ones warming
+// acts on): the dynamic outcomes functional warming consumes — fetch PC,
+// effective address, branch direction and target — plus the opcode and
+// its pre-decoded class, without the full static instruction DynInst
+// carries for the detailed model.
 type DynRec struct {
 	// PC is the instruction index.
 	PC uint64
@@ -273,21 +274,70 @@ const rmask = isa.NumRegs - 1
 // its per-instruction warming dispatch over.
 //
 // RunDyn returns the number of instructions executed: max unless the
-// program halted (the count then includes the Halt itself) or faulted.
-// A CPU that has already halted executes nothing and returns (0, nil).
+// program halted (the count then includes the Halt itself) or faulted,
+// in which case ring holds the records of the instructions before the
+// fault. A CPU that has already halted executes nothing and returns
+// (0, nil).
 //
 //simlint:hotpath
 func (c *CPU) RunDyn(ring []DynRec, max uint64) (uint64, error) {
+	_, n, err := c.run(ring, max, false, 0)
+	return n, err
+}
+
+// RunWarm is RunDyn recording only the instructions functional warming
+// acts on (uarch.Warmer.Warm): every load, store, control instruction
+// and halt, and every instruction whose fetch block — PC*isa.InstBytes
+// >> blockBits, the I-cache's block bits — differs from the previous
+// instruction's, the first instruction of the call included. Every
+// instruction it leaves out is one Warm would skip, an ALU operation in
+// the fetch block of the instruction before it, so warming the records
+// leaves the warmed structures and the warmer's fetch block exactly as
+// warming RunDyn's would.
+//
+// RunWarm executes until max instructions have run, ring is full, the
+// program halts (the Halt is executed and recorded) or it faults (ring
+// then holds the records written before the fault), and returns how
+// many records it wrote and how many instructions it executed. An empty
+// ring, or a CPU that has already halted, executes nothing.
+//
+//simlint:hotpath
+func (c *CPU) RunWarm(ring []DynRec, max uint64, blockBits uint) (recs int, insts uint64, err error) {
+	if len(ring) == 0 {
+		return 0, 0, nil
+	}
+	return c.run(ring, max, true, blockBits)
+}
+
+// warms reports whether functional warming acts on an instruction of
+// class cl whatever its fetch block: loads and stores warm the data
+// side, branches, jumps and returns the predictor, and a halt ends the
+// stream. They are the classes from isa.ClassLoad on.
+//
+//simlint:hotpath
+func warms(cl isa.Class) bool { return cl >= isa.ClassLoad }
+
+// run is the one batch loop behind Run, RunDyn and RunWarm. With an
+// empty ring it records nothing; otherwise it records every instruction
+// or, with warmOnly, the ones RunWarm records, and stops once ring is
+// full. It returns the records written and the instructions executed.
+//
+//simlint:hotpath
+func (c *CPU) run(ring []DynRec, max uint64, warmOnly bool, blockBits uint) (int, uint64, error) {
 	if c.Halted {
-		return 0, nil
+		return 0, 0, nil
 	}
 	if c.dec == nil {
 		//simlint:coldpath once per CPU: the program's memoized predecode
 		c.dec = c.Prog.Predecoded()
 	}
-	if len(ring) > 0 && uint64(len(ring)) < max {
-		max = uint64(len(ring))
-	}
+	// The recording state lives in memory, behind rec: the loop touches
+	// it only when it records, so the interpreter's own locals keep the
+	// registers (an unrecorded Run is otherwise some 20 % slower). No
+	// fetch block reaches ^0, so the call's first instruction is
+	// recorded.
+	rs := recorder{lastBlock: ^uint64(0), blockBits: blockBits, warmOnly: warmOnly}
+	rec := &rs
 	code := c.dec
 	regs := &c.Regs
 	regs[isa.RegZero] = 0 // invariant; lets operand reads skip the zero check
@@ -299,7 +349,7 @@ func (c *CPU) RunDyn(ring []DynRec, max uint64) (uint64, error) {
 			c.PC = pc
 			c.Count = count
 			//simlint:coldpath architectural fault; taken at most once per run
-			return n, fmt.Errorf("functional: PC %d outside code (%d insts)", pc, len(code))
+			return rec.n, n, fmt.Errorf("functional: PC %d outside code (%d insts)", pc, len(code))
 		}
 		in := &code[pc]
 		next := pc + 1
@@ -422,7 +472,7 @@ func (c *CPU) RunDyn(ring []DynRec, max uint64) (uint64, error) {
 			c.PC = pc
 			c.Count = count
 			//simlint:coldpath architectural fault; taken at most once per run
-			return n, fmt.Errorf("functional: invalid opcode %v at PC %d", in.Op, pc)
+			return rec.n, n, fmt.Errorf("functional: invalid opcode %v at PC %d", in.Op, pc)
 		}
 
 		// Restore the hardwired zero clobbered by a Dst==RegZero write;
@@ -430,13 +480,20 @@ func (c *CPU) RunDyn(ring []DynRec, max uint64) (uint64, error) {
 		regs[isa.RegZero] = 0
 
 		if len(ring) > 0 {
-			r := &ring[n]
-			r.PC = pc
-			r.EA = ea
-			r.NextPC = next
-			r.Op = in.Op
-			r.Class = in.Class
-			r.Taken = taken
+			block := pc * isa.InstBytes >> rec.blockBits
+			if !rec.warmOnly || warms(in.Class) || block != rec.lastBlock {
+				r := &ring[rec.n]
+				r.PC = pc
+				r.EA = ea
+				r.NextPC = next
+				r.Op = in.Op
+				r.Class = in.Class
+				r.Taken = taken
+				if rec.n++; rec.n == len(ring) {
+					max = n + 1 // the ring is full: this is the call's last instruction
+				}
+			}
+			rec.lastBlock = block
 		}
 		pc = next
 		count++
@@ -447,13 +504,22 @@ func (c *CPU) RunDyn(ring []DynRec, max uint64) (uint64, error) {
 	}
 	c.PC = pc
 	c.Count = count
-	return n, nil
+	return rec.n, n, nil
+}
+
+// recorder is run's recording state.
+type recorder struct {
+	n         int    // records written
+	lastBlock uint64 // the previous instruction's fetch block
+	blockBits uint
+	warmOnly  bool
 }
 
 // Run executes up to n instructions, returning the number executed. It
 // stops early when the program halts.
 func (c *CPU) Run(n uint64) (uint64, error) {
-	return c.RunDyn(nil, n)
+	_, k, err := c.run(nil, n, false, 0)
+	return k, err
 }
 
 // RunToCompletion executes until the program halts and returns the total
