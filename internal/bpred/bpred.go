@@ -431,6 +431,14 @@ func (u *Unit) Flush() {
 //simlint:hotpath
 func (u *Unit) Reset() {
 	u.Flush()
+	u.ResetStats()
+}
+
+// ResetStats is Reset but for Flush, which a Restore overwrites:
+// ResetStats then Restore leaves the unit Reset then Restore would.
+//
+//simlint:hotpath
+func (u *Unit) ResetStats() {
 	u.Stats = Stats{}
 	u.chain = delta.Chain{}
 }

@@ -295,8 +295,18 @@ func (c *Cache) Flush() {
 //simlint:hotpath
 func (c *Cache) Reset() {
 	c.Flush()
+	c.ResetStats()
+}
+
+// ResetStats is Reset but for Flush's clears, which a Restore overwrites:
+// ResetStats then Restore leaves the cache Reset then Restore would.
+//
+//simlint:hotpath
+func (c *Cache) ResetStats() {
 	c.Stats = Stats{}
 	c.chain = delta.Chain{}
+	c.lastIdx = 0
+	c.hintMarked = false
 }
 
 // Occupancy returns the number of valid blocks.

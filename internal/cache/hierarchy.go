@@ -103,16 +103,14 @@ func (h *Hierarchy) DataAccess(addr uint64, write bool) (int, Level) {
 }
 
 // WarmFetch updates I-side state for one fetched instruction address
-// without computing timing. Used by functional warming. The Touch calls
-// are hint-validated fast paths that are state-identical to the full
-// Access they shortcut (see Cache.Touch).
+// without computing timing. Used by functional warming. The ITLB Touch
+// is state-identical to the Access it shortcuts (see Cache.Touch); the
+// IL1 gets none, as the warmer skips repeated fetches of one block
+// (uarch.Warmer.Warm), so its hint never names the fetched block.
 //
 //simlint:hotpath
 func (h *Hierarchy) WarmFetch(addr uint64) {
 	h.ITLB.Touch(addr)
-	if h.IL1.Touch(addr, false) {
-		return
-	}
 	if !h.IL1.Access(addr, false).Hit {
 		h.L2.Access(addr, false)
 	}
@@ -164,5 +162,17 @@ func (h *Hierarchy) Reset() {
 	h.L2.Reset()
 	h.ITLB.Reset()
 	h.DTLB.Reset()
+	h.L2Accesses, h.MemAccesses = 0, 0
+}
+
+// ResetStats is Reset but for the clears a Restore overwrites.
+//
+//simlint:hotpath
+func (h *Hierarchy) ResetStats() {
+	h.IL1.ResetStats()
+	h.DL1.ResetStats()
+	h.L2.ResetStats()
+	h.ITLB.inner.ResetStats()
+	h.DTLB.inner.ResetStats()
 	h.L2Accesses, h.MemAccesses = 0, 0
 }

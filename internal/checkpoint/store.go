@@ -285,9 +285,9 @@ func (s *Store) Load(k Key) (*Set, error) {
 // along the delta chain — each unit's deltas applied once, in stream
 // order, from buffers the next unit's decode overwrites — and calls
 // emit for every unit with a header-only Unit (Index, Start, LaunchAt,
-// Arch) and its launch state. The launch belongs to the reader and rolls
-// on when emit returns, so emit must be done reading it by then; the
-// header is the consumer's to keep. A false return from emit stops the
+// Arch) and its launch state. Both belong to the reader: the header is
+// overwritten and the launch rolls on when emit returns, so emit must be
+// done reading them by then. A false return from emit stops the
 // read. The pages a launch shares copy-on-write live in the reader's
 // arena (streamReader) until replay returns; the next read reuses them.
 //
@@ -332,7 +332,8 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 			if err != nil {
 				return err
 			}
-			if !emit(&Unit{Index: u.Index, Start: u.Start, LaunchAt: u.LaunchAt, Arch: u.Arch}, launch) {
+			rd.hdr = Unit{Index: u.Index, Start: u.Start, LaunchAt: u.LaunchAt, Arch: u.Arch}
+			if !emit(&rd.hdr, launch) {
 				return errors.New("consumer stopped before the end record")
 			}
 			n++
@@ -357,13 +358,14 @@ func (s *Store) Stream(ctx context.Context, k Key, replay func(read func(emit fu
 }
 
 // streamReader is what one streamed read (Stream) reuses from the
-// last: the rolling launch state, the unit decode buffers, the entry's
-// read buffer and the codec's scratch. The decode buffers include the
-// page arena, the arrays the read's page records are decoded into: put
-// keeps the first arenaPages for the next read, and a read with more
-// pages allocates the rest.
+// last: the rolling launch state, the unit header, the unit decode
+// buffers, the entry's read buffer and the codec's scratch. The decode
+// buffers include the page arena, the arrays the read's page records are
+// decoded into: put keeps the first arenaPages for the next read, and a
+// read with more pages allocates the rest.
 type streamReader struct {
 	mat     Materializer
+	hdr     Unit
 	buf     *unitBuf
 	br      *bufio.Reader
 	scratch []byte
@@ -388,6 +390,7 @@ var readers = freelist.New("store reader", func(struct{}) *streamReader {
 // to readers.
 func (rd *streamReader) put() {
 	rd.mat.Reset()
+	rd.hdr = Unit{}
 	rd.buf.reset()
 	rd.br.Reset(nil)
 	readers.Put(struct{}{}, rd)

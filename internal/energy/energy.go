@@ -18,7 +18,11 @@
 // cycles).
 package energy
 
-import "repro/internal/cacheline"
+import (
+	"math"
+
+	"repro/internal/cacheline"
+)
 
 // Event identifies one energy-consuming activity.
 type Event int
@@ -95,7 +99,7 @@ func DefaultModel(widthScale float64) Model {
 // Meter accumulates energy. The zero value with a zero Model accumulates
 // nothing; build one with NewMeter.
 //
-// The detailed core writes total and counts several times per simulated
+// The detailed core writes the total several times per simulated
 // instruction, and every replay worker and the sweep own a meter of
 // their own. Meters are allocated back to back (they share a size
 // class), so unpadded, one worker's total shared a cache line with the
@@ -104,7 +108,6 @@ func DefaultModel(widthScale float64) Model {
 type Meter struct {
 	_      cacheline.Pad
 	model  Model
-	counts [NumEvents]uint64
 	cycles uint64
 	total  float64
 	_      cacheline.Pad
@@ -115,7 +118,7 @@ func NewMeter(model Model) *Meter {
 	return &Meter{model: model}
 }
 
-// Reset zeroes the accumulated counts, cycles and energy, returning the
+// Reset zeroes the accumulated cycles and energy, returning the
 // meter to the state NewMeter built (the model is kept). The total is a
 // running floating-point sum, so readings taken after a Reset carry the
 // same bits as a new meter's — differencing against an earlier snapshot
@@ -124,7 +127,6 @@ func NewMeter(model Model) *Meter {
 //
 //simlint:hotpath
 func (m *Meter) Reset() {
-	m.counts = [NumEvents]uint64{}
 	m.cycles = 0
 	m.total = 0
 }
@@ -133,7 +135,6 @@ func (m *Meter) Reset() {
 //
 //simlint:hotpath
 func (m *Meter) Add(e Event, n uint64) {
-	m.counts[e] += n
 	m.total += float64(n) * m.model.PerEvent[e]
 }
 
@@ -141,17 +142,74 @@ func (m *Meter) Add(e Event, n uint64) {
 // at a time: the total is a running floating-point sum that callers
 // difference between two readings, so its bits depend on the sequence
 // of additions, and a core that jumps over n idle cycles must leave the
-// bits that stepping through them would. Tick(n) is therefore n
-// additions of PerCycle, never one of n*PerCycle.
+// bits that stepping through them would: Tick(n) leaves the bits of n
+// additions of PerCycle. One cycle, the common case, stays inlinable.
 //
 //simlint:hotpath
 func (m *Meter) Tick(cycles uint64) {
-	m.cycles += cycles
-	total, perCycle := m.total, m.model.PerCycle
-	for ; cycles > 0; cycles-- {
-		total += perCycle
+	if cycles != 1 {
+		m.tickSpan(cycles)
+		return
 	}
-	m.total = total
+	m.cycles++
+	m.total += m.model.PerCycle
+}
+
+// tickSpan is Tick for any other span n, in time that grows with the
+// binades the total t crosses, not with n. Proof: let t = M·u, u its
+// ulp, 2^52 <= M < 2^53, and 0 < p <= t both normal, so p/u = k + f
+// (k = P >> s, f·2^s = P mod 2^s; P p's significand, s the exponent
+// gap). Unless f = 1/2, t + p rounds to (M + K)·u with K = k + [f > 1/2]
+// while M + K < 2^53, as the multiples of u are then the representable
+// numbers around the exact sum. K does not depend on M, so j additions
+// that keep M + j·K < 2^53 add j·K to the bit pattern (the fraction
+// cannot carry into the exponent), and K = 0 leaves t for good. A tie
+// (ties-to-even then depends on M's parity), a binade crossing, and a t
+// or p that is zero, subnormal, negative, infinite or NaN, or p > t,
+// take one real addition, after which the argument restarts.
+//
+//simlint:hotpath
+func (m *Meter) tickSpan(n uint64) {
+	m.cycles += n
+	t, p := m.total, m.model.PerCycle
+	for n > 0 {
+		tb := math.Float64bits(t)
+		if k, ok := ulpsPerAdd(tb, math.Float64bits(p)); ok {
+			if k == 0 {
+				break
+			}
+			if j := min(n, (1<<52-1-tb&(1<<52-1))/k); j > 0 {
+				t, n = math.Float64frombits(tb+j*k), n-j
+				continue
+			}
+		}
+		t, n = t+p, n-1
+	}
+	m.total = t
+}
+
+// ulpsPerAdd returns K for t and p's bits, or false where tickSpan must
+// add for real.
+//
+//simlint:hotpath
+func ulpsPerAdd(tb, pb uint64) (uint64, bool) {
+	te, pe := tb>>52, pb>>52 // a set sign bit puts these past 0x7fe
+	if te-1 >= 0x7fe || pe-1 >= 0x7fe || pb > tb {
+		return 0, false
+	}
+	s, P := te-pe, pb&(1<<52-1)|1<<52
+	if s > 54 {
+		return 0, true // p < u/4
+	}
+	if s == 0 {
+		return P, true
+	}
+	half := uint64(1) << (s - 1)
+	k, rem := P>>s, P&(half<<1-1)
+	if rem > half {
+		k++
+	}
+	return k, rem != half
 }
 
 // TotalNJ returns the accumulated energy in nanojoules.
@@ -161,9 +219,6 @@ func (m *Meter) TotalNJ() float64 { return m.total }
 
 // Cycles returns the accumulated cycle count.
 func (m *Meter) Cycles() uint64 { return m.cycles }
-
-// Count returns the number of occurrences recorded for e.
-func (m *Meter) Count(e Event) uint64 { return m.counts[e] }
 
 // Snapshot captures the current total for later differencing.
 type Snapshot struct {

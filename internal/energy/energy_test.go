@@ -17,8 +17,8 @@ func TestMeterAccumulates(t *testing.T) {
 	if math.Abs(m.TotalNJ()-want) > 1e-12 {
 		t.Errorf("TotalNJ = %v, want %v", m.TotalNJ(), want)
 	}
-	if m.Count(energy.EvIntALU) != 10 || m.Cycles() != 5 {
-		t.Error("counters wrong")
+	if m.Cycles() != 5 {
+		t.Errorf("Cycles = %d, want 5", m.Cycles())
 	}
 }
 
@@ -117,4 +117,54 @@ func TestTickSpanEqualsSingleTicks(t *testing.T) {
 				i, k, span.TotalNJ(), span.Cycles(), single.TotalNJ(), single.Cycles())
 		}
 	}
+}
+
+// FuzzMeterTick: a span charged in closed form leaves the bits the
+// one-cycle additions leave, from any starting total and per-cycle
+// energy — near a binade's top (top > 0 puts the total that many ulps
+// below its next power of two), on ties, past the largest finite
+// value, from zero, subnormal, negative and NaN totals.
+func FuzzMeterTick(f *testing.F) {
+	one := math.Float64bits(1)
+	ulp := math.Nextafter(1, 2) - 1
+	for _, seed := range []struct {
+		total, perCycle float64
+		n               uint32
+		top             uint16
+	}{
+		{0, 2, 100_000, 0},
+		{1, 1.5 * ulp, 500, 0},    // every addition a tie
+		{1, 0.5 * ulp, 500, 0},    // a tie that rounds back
+		{1, 0.25 * ulp, 500, 0},   // rounds back, no tie
+		{1, 2.5 * ulp, 1000, 300}, // ties across a binade crossing
+		{1, 3.2, 1 << 20, 0},      // 1M cycles of the 16-way baseline
+		{1e6, 3.2, 100_000, 1000}, // crossing binades from near the top
+		{math.MaxFloat64 / 2, math.MaxFloat64 / 8, 20, 0},
+		{5e-324, 1e-310, 1000, 0}, // subnormal total and step
+		{-1e3, 2, 2000, 0},        // negative total
+		{math.NaN(), 2, 50, 0},
+		{math.Float64frombits(one + 12345), 1e-9, 300_000, 77},
+	} {
+		f.Add(seed.total, seed.perCycle, seed.n, seed.top)
+	}
+	f.Fuzz(func(t *testing.T, total, perCycle float64, n uint32, top uint16) {
+		if top > 0 {
+			b := math.Float64bits(total)
+			total = math.Float64frombits((b>>52+1)<<52 - uint64(top))
+		}
+		n %= 1 << 20
+		model := energy.Model{PerCycle: perCycle}
+		model.PerEvent[energy.EvFetch] = total
+		span, single := energy.NewMeter(model), energy.NewMeter(model)
+		span.Add(energy.EvFetch, 1)
+		single.Add(energy.EvFetch, 1)
+		span.Tick(uint64(n))
+		for i := uint32(0); i < n; i++ {
+			single.Tick(1)
+		}
+		if g, w := math.Float64bits(span.TotalNJ()), math.Float64bits(single.TotalNJ()); g != w || span.Cycles() != single.Cycles() {
+			t.Fatalf("total %v (%#x) + %d × %v: Tick(n) left %v (%#x), single ticks %v (%#x)",
+				total, math.Float64bits(total), n, perCycle, span.TotalNJ(), g, single.TotalNJ(), w)
+		}
+	})
 }

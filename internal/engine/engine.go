@@ -55,8 +55,9 @@
 // exactly their as-constructed state between units, and a
 // checkpoint.Materializer rolled forward along the stream, so a unit's
 // launch costs the deltas since the worker's previous unit plus one copy
-// of the warm arrays into the machine — not a new machine and a
-// from-keyframe materialization — while its measurement stays a pure
+// of the warm arrays (over reset statistics) and page table into the
+// machine and memory — not a new machine and a from-keyframe
+// materialization — while its measurement stays a pure
 // function of its checkpoint. A worker that ends returns its launcher to
 // a process-wide free list (internal/freelist), as the sweep returns its
 // machine and record ring and a store read its rolling state, so a

@@ -51,8 +51,9 @@ const streamBuffer = 4
 // takes it, from its own rolling state. A unit sent with a launch state
 // (a streamed store hit, whose reader rolls the run's one Materializer)
 // is restored from that state, and send returns only once a worker has
-// restored its machine from it — so the producer may roll the state on
-// when send returns — or once the pool is winding down.
+// restored its machine from it and is done reading the unit — so the
+// producer may reuse the unit and roll the state on when send returns —
+// or once the pool is winding down.
 //
 // The pool winds down — send returns false, nothing more is delivered,
 // workers finish only their in-flight unit — once the outcome can no
@@ -135,16 +136,17 @@ func replayStream(ctx context.Context, prog *program.Program, cfg uarch.Config, 
 					l.prog, l.u = prog, u
 				}
 				err := l.launch(j.unit, j.launch)
-				if j.launch != nil {
-					released <- struct{}{} // the producer's state may roll on
-				}
 				// Nothing reads the unit's warm state after its launch: a
 				// recycling sweep may reuse it once the interval's other
 				// units have launched too.
 				j.unit.Release()
+				cu := *j.unit
+				if j.launch != nil {
+					released <- struct{}{} // the producer's unit and state may roll on
+				}
 				var ru RangeUnit
 				if err == nil {
-					ru, err = l.measure(j.unit)
+					ru, err = l.measure(&cu)
 				}
 				ru.Seq = j.seq
 				done <- result{ru, err}
@@ -315,7 +317,8 @@ func (l *launcher) put(cfg uarch.Config) {
 // clocks, return-stack contents, statistics, pipeline buffers,
 // privately copied memory pages — is returned to exactly its
 // as-constructed state (Machine.Reset, Core.Reset, Memory.Restore)
-// before the unit's warm state is restored over it. A cold-capture unit
+// before the unit's warm state is restored over it (a warm launch skips
+// the clears the restores overwrite: ResetStats). A cold-capture unit
 // therefore launches from the constructed cold state, and CPI and EPI
 // carry the same bits as a machine built for the unit alone. The launch
 // state stays pristine: the machine gets a copy, the memory shares
@@ -329,8 +332,12 @@ func (l *launcher) launch(cu *checkpoint.Unit, pre *checkpoint.Launch) error {
 			return fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}
 	}
-	l.machine.Reset()
-	if launch.Warm != nil {
+	if launch.Warm == nil {
+		l.machine.Reset()
+	} else {
+		l.machine.Hier.ResetStats()
+		l.machine.Pred.ResetStats()
+		l.machine.Meter.Reset()
 		if err := l.machine.Hier.Restore(launch.Warm.Hier); err != nil {
 			return fmt.Errorf("engine: unit %d: %w", cu.Index, err)
 		}

@@ -59,3 +59,22 @@ func BenchmarkMemRead64CrossPage(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkRestore measures one replay launch's memory restore: a used
+// memory takes an Image laid out like the suite's data segments (1,040
+// pages from page 0x1000, three leaves) and writes one page, which
+// copy-on-write makes private.
+func BenchmarkRestore(b *testing.B) {
+	src := mem.New()
+	for n := uint64(0x1000); n < 0x1410; n++ {
+		src.Write64(n*mem.PageSize, n)
+	}
+	img := src.Snapshot()
+	m := img.NewMemory()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Restore(img)
+		m.Write64(0x1200*mem.PageSize, uint64(i))
+	}
+}

@@ -21,7 +21,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/delta"
 )
@@ -71,14 +71,6 @@ func (d *Delta) Bytes() int { return 8*len(d.Nums) + PageSize*len(d.Pages) }
 // Len returns the number of dirtied pages the delta carries.
 func (d *Delta) Len() int { return len(d.Nums) }
 
-// record notes that the page numbered num just became writable — wpage
-// calls it when allocating a fresh page or copying a shared one. A page
-// enters at most once per snapshot interval (it stays private, and
-// therefore off this path, until the next snapshot point).
-func (m *Memory) record(num uint64) {
-	m.journal = append(m.journal, num)
-}
-
 // Seq returns the memory's current snapshot-chain link (0 before the
 // first Snapshot).
 func (m *Memory) Seq() uint64 { return m.chain.Seq() }
@@ -95,25 +87,22 @@ func (m *Memory) Delta(since uint64) (*Delta, error) {
 	}
 	d := &Delta{Since: since, Seq: seq}
 	if len(m.journal) > 0 {
-		sort.Slice(m.journal, func(i, j int) bool { return m.journal[i] < m.journal[j] })
-		if m.shared == nil {
-			m.shared = make(map[uint64]struct{}, len(m.journal))
-		}
+		slices.Sort(m.journal)
 		d.Nums = make([]uint64, 0, len(m.journal))
 		d.Pages = make([]*[PageSize]byte, 0, len(m.journal))
 		for i, num := range m.journal {
 			if i > 0 && num == m.journal[i-1] {
 				continue
 			}
-			p, ok := m.pages[num]
-			if !ok {
+			l, j := m.t.find(num>>leafBits), num&leafMask
+			if l == nil || l.pages[j] == nil {
 				// Journaled pages are never removed; reaching here means
-				// the journal and page map diverged.
+				// the journal and page table diverged.
 				return nil, fmt.Errorf("mem: journaled page %#x missing", num)
 			}
 			d.Nums = append(d.Nums, num)
-			d.Pages = append(d.Pages, p)
-			m.shared[num] = struct{}{}
+			d.Pages = append(d.Pages, l.pages[j])
+			l.shared |= 1 << j
 		}
 		m.journal = m.journal[:0]
 		m.lastWritable = false
@@ -126,27 +115,18 @@ func (m *Memory) Delta(since uint64) (*Delta, error) {
 // without affecting the original — the first step of materializing a
 // delta chain.
 func (img *Image) Clone() *Image {
-	c := &Image{pages: make(map[uint64]*[PageSize]byte, len(img.pages))}
-	c.CopyFrom(img)
+	c := new(Image)
+	c.t.copyFrom(&img.t)
 	return c
 }
 
-// CopyFrom makes img's page table a copy of src's, reusing img's map —
-// the copy-into-existing form of Clone a rolling launch state refills
-// at each keyframe. img must be private (a Clone, or a zero Image this
-// call initializes); the page arrays stay shared and read-only.
+// CopyFrom makes img's page table a copy of src's, reusing img's leaves
+// — the copy-into-existing form of Clone a rolling launch state refills
+// at each keyframe. img must be private (a Clone, or a zero Image); it
+// only reads src, and the page arrays stay shared and read-only.
 //
 //simlint:hotpath
-func (img *Image) CopyFrom(src *Image) {
-	if img.pages == nil {
-		//simlint:coldpath first use: size the page table once
-		img.pages = make(map[uint64]*[PageSize]byte, len(src.pages))
-	}
-	clear(img.pages)
-	for n, p := range src.pages {
-		img.pages[n] = p
-	}
-}
+func (img *Image) CopyFrom(src *Image) { img.t.copyFrom(&src.t) }
 
 // Apply patches the image forward by one delta: after Apply, the image
 // equals the full Snapshot taken at the point the delta was captured.
@@ -159,8 +139,16 @@ func (img *Image) Apply(d *Delta) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
+	var l *leaf
 	for i, num := range d.Nums {
-		img.pages[num] = d.Pages[i]
+		if ln := num >> leafBits; l == nil || l.num != ln {
+			if l = img.t.find(ln); l == nil {
+				l = img.t.insert(ln)
+			}
+		}
+		j := num & leafMask
+		l.pages[j] = d.Pages[i]
+		l.present |= 1 << j
 	}
 	return nil
 }

@@ -4,11 +4,13 @@
 // The address space is the full 64 bits; pages are allocated lazily on
 // first touch so multi-gigabyte working-set layouts cost only what they
 // touch. Reads of unallocated memory return zero without allocating.
+// Memories and Images keep their pages in a two-level page table
+// (table.go): a lookup is an index or two, and copying a table is a
+// per-leaf copy of page pointers into leaves the destination owns.
 package mem
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"repro/internal/cacheline"
 	"repro/internal/delta"
@@ -23,13 +25,11 @@ const (
 
 // Memory is a sparse paged memory. The zero value is not usable; call New.
 type Memory struct {
-	_     cacheline.Pad
-	pages map[uint64]*[PageSize]byte
-
-	// shared holds page numbers whose backing arrays are aliased by a
-	// Snapshot Image (or by the Image this memory was built from); they
-	// are copied on first write. Nil when no snapshot is outstanding.
-	shared map[uint64]struct{}
+	_ cacheline.Pad
+	// t is the page table; a page with its shared bit set is aliased by
+	// an Image and copied on first write. leaf is the last leaf found.
+	t    table
+	leaf *leaf
 
 	// lastPageNum/lastPage cache the most recently touched page, which
 	// captures nearly all locality in simulator workloads. lastWritable
@@ -49,13 +49,19 @@ type Memory struct {
 }
 
 // New returns an empty memory.
-func New() *Memory {
-	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
+func New() *Memory { return &Memory{} }
+
+// leafOf returns leaf ln, or nil.
+func (m *Memory) leafOf(ln uint64) *leaf {
+	if m.leaf == nil || m.leaf.num != ln {
+		m.leaf = m.t.find(ln)
+	}
+	return m.leaf
 }
 
 // page returns the page containing addr for reading, or nil when absent.
 //
-//simlint:coldpath page-table walk; amortized over the page's lifetime
+//simlint:coldpath page-table walk on a one-page-cache miss: an index into the last leaf used or into the directory
 func (m *Memory) page(addr uint64, allocate bool) *[PageSize]byte {
 	if allocate {
 		return m.wpage(addr)
@@ -64,12 +70,17 @@ func (m *Memory) page(addr uint64, allocate bool) *[PageSize]byte {
 	if m.lastPage != nil && m.lastPageNum == num {
 		return m.lastPage
 	}
-	p, ok := m.pages[num]
-	if !ok {
+	l := m.leafOf(num >> leafBits)
+	if l == nil {
+		return nil
+	}
+	i := num & leafMask
+	p := l.pages[i]
+	if p == nil {
 		return nil
 	}
 	m.lastPageNum, m.lastPage = num, p
-	m.lastWritable = !m.isShared(num)
+	m.lastWritable = l.shared&(1<<i) == 0
 	return p
 }
 
@@ -82,30 +93,25 @@ func (m *Memory) wpage(addr uint64) *[PageSize]byte {
 	if m.lastPage != nil && m.lastPageNum == num && m.lastWritable {
 		return m.lastPage
 	}
-	p, ok := m.pages[num]
-	switch {
-	case !ok:
-		p = new([PageSize]byte)
-		m.pages[num] = p
-		m.record(num)
-	case m.isShared(num):
+	if m.leafOf(num>>leafBits) == nil {
+		m.leaf = m.t.insert(num >> leafBits)
+	}
+	l, i := m.leaf, num&leafMask
+	p, bit := l.pages[i], uint64(1)<<i
+	if p == nil || l.shared&bit != 0 {
 		cp := new([PageSize]byte)
-		*cp = *p
-		m.pages[num] = cp
-		delete(m.shared, num)
-		p = cp
-		m.record(num)
+		if p != nil {
+			*cp = *p
+		}
+		p, l.pages[i] = cp, cp
+		l.present |= bit
+		l.shared &^= bit
+		// Journal the page: it stays private, off this path, until the
+		// next snapshot point.
+		m.journal = append(m.journal, num)
 	}
 	m.lastPageNum, m.lastPage, m.lastWritable = num, p, true
 	return p
-}
-
-func (m *Memory) isShared(num uint64) bool {
-	if m.shared == nil {
-		return false
-	}
-	_, ok := m.shared[num]
-	return ok
 }
 
 // Read8 returns the byte at addr.
@@ -269,21 +275,16 @@ func (m *Memory) ReadBytes(addr uint64, dst []byte) {
 }
 
 // PageCount returns the number of allocated pages.
-func (m *Memory) PageCount() int { return len(m.pages) }
+func (m *Memory) PageCount() int { return m.t.count() }
 
 // Footprint returns the number of bytes of allocated backing store.
-func (m *Memory) Footprint() uint64 { return uint64(len(m.pages)) * PageSize }
+func (m *Memory) Footprint() uint64 { return uint64(m.t.count()) * PageSize }
 
 // Reset discards all contents. It also invalidates any delta chain in
 // progress: pages vanish here, which a dirty-page delta cannot express,
 // so the next chain must start with a fresh Snapshot.
 func (m *Memory) Reset() {
-	m.pages = make(map[uint64]*[PageSize]byte)
-	m.shared = nil
-	m.lastPage = nil
-	m.lastPageNum = 0
-	m.lastWritable = false
-	m.journal = m.journal[:0]
+	m.Restore(&Image{})
 	m.chain.Invalidate()
 }
 
@@ -291,21 +292,14 @@ func (m *Memory) Reset() {
 // workload from an identical initial image.
 func (m *Memory) Clone() *Memory {
 	c := New()
-	for num, p := range m.pages {
-		cp := new([PageSize]byte)
-		*cp = *p
-		c.pages[num] = cp
-	}
+	m.t.visit(func(num uint64, p *[PageSize]byte) { *c.wpage(num << PageBits) = *p })
 	return c
 }
 
-// Pages returns the sorted list of allocated page numbers; used by tests
-// and tools that need a deterministic traversal order.
+// Pages returns the ascending list of allocated page numbers; used by
+// tests and tools that need a deterministic traversal order.
 func (m *Memory) Pages() []uint64 {
-	nums := make([]uint64, 0, len(m.pages))
-	for n := range m.pages {
-		nums = append(nums, n)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+	nums := make([]uint64, 0, m.t.count())
+	m.t.visit(func(num uint64, _ *[PageSize]byte) { nums = append(nums, num) })
 	return nums
 }
