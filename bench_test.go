@@ -37,7 +37,7 @@ var (
 func ctx(b *testing.B) *experiments.Context {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchCtx = experiments.NewContext(experiments.Small)
+		benchCtx = experiments.NewContext(experiments.Small, smarts.SerialSampler{})
 		if err := benchCtx.Preload(context.Background(), uarch.Config8Way(), 8); err != nil {
 			b.Fatalf("preload references: %v", err)
 		}

@@ -26,11 +26,13 @@
 // emit typed progress events (sim.OnProgress). Below it, a run is two
 // declarations and nothing else: a smarts.Plan is the sampling design
 // (U, W, k, j, warming mode — what the paper defines a run by) and an
-// engine.Options is how it executes (workers, store, cache, keyframe
-// interval). The session builds one of each per request;
-// internal/smarts connects them (RunSampledContext,
-// RunSampledPhasesContext, the RunProcedureWith calibration loop) and
-// produces bit-identical results to the session.
+// engine.Options is how it executes (workers, store, cache, progress
+// observers). The session builds one of each per request and runs the
+// plan itself (engine.Run, or CaptureSet and RunSet for several phase
+// offsets, converted by smarts.FromEngine), every figure and table
+// included: internal/experiments samples through the request's runner
+// (experiments.Sampler), so there is one place that decides how a plan
+// executes.
 //
 // # Architecture
 //
@@ -81,7 +83,7 @@
 // Snapshots are delta-encoded end to end under one shared
 // snapshot/delta-chain contract (internal/delta): dirty-block deltas
 // for the warmed structures, dirty-page deltas for memory, periodic
-// keyframes (sim.WithKeyframe, the CLIs' -keyframe) bounding
+// keyframes (checkpoint.DefaultKeyframe, every 64th unit) bounding
 // reconstruction chains, in memory and in the store's format alike (one
 // format version, every record CRC-sealed on its own; an entry in any
 // other version is a miss). An entry is a pure function of its key — it

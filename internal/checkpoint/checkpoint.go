@@ -138,7 +138,8 @@ type Params struct {
 	// launch states — Materialize reproduces the full snapshot bit for
 	// bit — so Keyframe is deliberately excluded from the store Key.
 	// Cold captures delta-encode memory the same way (they have no warm
-	// state).
+	// state). No option reaches it: the product always runs
+	// DefaultKeyframe, and only tests set another interval.
 	//simlint:nonkey encoding-only knob; materialized launch states are bit-identical
 	Keyframe int
 	// Resume, when non-nil, continues a previously journaled sweep of

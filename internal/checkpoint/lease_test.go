@@ -30,8 +30,9 @@ func leasePlan(t testing.TB) (*program.Program, uarch.Config, checkpoint.Params)
 		checkpoint.Params{U: 400, W: 800, K: 1, FunctionalWarm: true, Keyframe: leaseKeyframe}
 }
 
-// leaseOptions runs a plan on two workers at leaseKeyframe.
-func leaseOptions() engine.Options { return engine.Options{Workers: 2, Keyframe: leaseKeyframe} }
+// leaseOptions runs a plan on two workers (leasePlan's params carry
+// leaseKeyframe).
+func leaseOptions() engine.Options { return engine.Options{Workers: 2} }
 
 // sameResults fails unless two runs measured the same units to the bit.
 func sameResults(t *testing.T, what string, got, want *engine.Result) {

@@ -897,18 +897,8 @@ func (r *shardedRun) run(ctx context.Context) (*smarts.Result, error) {
 	case r.remaining > 0:
 		return nil, fmt.Errorf("dist: %d shard range(s) left unassigned: all workers failed", r.remaining)
 	}
-	res := &smarts.Result{
-		Plan:                r.spec.Plan,
-		Units:               er.Units,
-		PopulationUnits:     sweep.PopulationUnits,
-		MeasuredInsts:       er.MeasuredInsts,
-		WarmingInsts:        er.WarmingInsts,
-		FastFwdInsts:        sweep.SweepInsts,
-		FastFwdTime:         sweep.Timing.Sweep,
-		DetailedTime:        er.Timing.Detailed,
-		SweepCached:         sweep.SweepCached,
-		FastFwdResumedInsts: sweep.SweepResumedInsts,
-	}
+	er.Timing.Wall = wallclock.Since(replayStart)
+	res := smarts.FromEngine(r.spec.Plan, sweep, er)
 	done := sim.Progress{Kind: sim.EventRunDone, Stage: "sample", Offset: r.spec.Plan.J,
 		Replayed: len(res.Units), Cached: res.SweepCached, Population: r.pop, Total: r.total}
 	if len(res.Units) > 0 {

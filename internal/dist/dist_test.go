@@ -58,14 +58,14 @@ func baseline(t *testing.T, req *sim.Request) *smarts.Result {
 	prog := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := sim.ResolvePlan(req, prog)
-	res, err := smarts.RunSampledContext(context.Background(), prog, cfg, plan, engine.Options{
+	er, err := engine.Run(context.Background(), prog, cfg, plan.CheckpointParams(), engine.Options{
 		Workers: 1,
 		Alpha:   req.Alpha,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return smarts.FromEngine(plan, er, er)
 }
 
 // sameMeasurement asserts the deterministic halves of two results are
@@ -167,6 +167,27 @@ func TestTopologiesBitIdentical(t *testing.T) {
 				t.Fatal("second run did not reuse the cached sweep")
 			}
 		})
+	}
+}
+
+// TestTimingWithinElapsed: a fleet run's FastFwdTime and DetailedTime
+// mean what a local run's do — the coordinator's sweep, and the rest of
+// the run's wall clock — so they sum to no more than the report's
+// Elapsed, cold and on the primed sweep. The replays' summed time, which
+// grows with the number of workers replaying at once, would not fit.
+func TestTimingWithinElapsed(t *testing.T) {
+	cl := newCluster(t, 2, 1, Options{})
+	client := NewClient(cl.coordURL)
+	for i := range 2 {
+		rep, err := client.Run(context.Background(), testRequest(sim.Units(200)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rep.Result()
+		if res.FastFwdTime+res.DetailedTime > rep.Elapsed {
+			t.Fatalf("run %d: fast-forward %v + detailed %v exceeds elapsed %v",
+				i, res.FastFwdTime, res.DetailedTime, rep.Elapsed)
+		}
 	}
 }
 

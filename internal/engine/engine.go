@@ -126,7 +126,7 @@ import (
 // how a plan runs, as opposed to what it samples (smarts.Plan). It is
 // the one settable declaration of every execution and
 // capture-scheduling knob below the sim package's public API — the sim
-// session, the experiments and the tests fill one in and hand it to
+// session's runner and the tests fill one in and hand it to
 // Run, CaptureSet or RunSet; nothing between them and the engine
 // carries a second copy of a field.
 type Options struct {
@@ -151,11 +151,6 @@ type Options struct {
 	// distributed coordinator attaches both, so a primed key costs a
 	// memory lookup and no store decode.
 	Cache *checkpoint.MemCache
-	// Keyframe sets checkpoint.Params.Keyframe (the full-snapshot
-	// interval of delta-encoded capture) when positive. It changes only
-	// the encoding, never the materialized launch states, and is
-	// excluded from the store key.
-	Keyframe int
 	// OnCaptured, when non-nil, observes sweep progress: it is called
 	// with the cumulative captured-unit count each time the sweep hands
 	// over a launch snapshot — under Run and CaptureSet alike, the units
@@ -227,26 +222,20 @@ type Result struct {
 	SweepCached bool
 }
 
-// SweepKey resolves what a run of p under o sweeps and where that sweep
-// is shared: eff is p with the options' one capture knob (Keyframe)
-// applied — the parameters the capture actually runs with — and key is
-// the store/cache key of that sweep. Keyframe changes only the
-// encoding, so no option reaches the key: every schedule of a plan
-// shares one sweep. key is the zero Key when neither a Store nor a
-// Cache is attached: nothing is looked up under it then. Deriving a key
-// is cheap after a program's first: the program hash is memoized on the
-// Program (Program.Digest). Run and CaptureSet look sweeps up under
-// exactly this key, and a caller that deduplicates sweeps ahead of the
-// engine (the sim session's singleflight) keys on it too, so the two
-// cannot disagree.
-func (o Options) SweepKey(prog *program.Program, cfg uarch.Config, p checkpoint.Params) (eff checkpoint.Params, key checkpoint.Key) {
-	if o.Keyframe > 0 {
-		p.Keyframe = o.Keyframe
+// SweepKey is the store/cache key a run of p under o sweeps under. No
+// option reaches the key: every schedule of a plan shares one sweep.
+// It is the zero Key when neither a Store nor a Cache is attached:
+// nothing is looked up under it then. Deriving a key is cheap after a
+// program's first: the program hash is memoized on the Program
+// (Program.Digest). Run and CaptureSet look sweeps up under exactly
+// this key, and a caller that deduplicates sweeps ahead of the engine
+// (the sim session's singleflight) keys on it too, so the two cannot
+// disagree.
+func (o Options) SweepKey(prog *program.Program, cfg uarch.Config, p checkpoint.Params) checkpoint.Key {
+	if o.Store == nil && o.Cache == nil {
+		return checkpoint.Key{}
 	}
-	if o.Store != nil || o.Cache != nil {
-		key = checkpoint.KeyFor(prog, cfg, p)
-	}
-	return p, key
+	return checkpoint.KeyFor(prog, cfg, p)
 }
 
 // captured reports n units entering the pipeline at once.
@@ -300,7 +289,7 @@ func Run(ctx context.Context, prog *program.Program, cfg uarch.Config, p checkpo
 	}
 	start := wallclock.Now()
 
-	p, key := opt.SweepKey(prog, cfg, p)
+	key := opt.SweepKey(prog, cfg, p)
 	if opt.Cache == nil && opt.Store != nil {
 		// Nothing will keep the set: stream the entry into the pool.
 		if res, err := replayEntry(ctx, prog, cfg, p.U, key, opt, start); res != nil || err != nil {
@@ -379,7 +368,7 @@ func CaptureSet(ctx context.Context, prog *program.Program, cfg uarch.Config, p 
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	p, key := opt.SweepKey(prog, cfg, p)
+	key := opt.SweepKey(prog, cfg, p)
 	if set, err = lookup(key, opt); err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -78,8 +79,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestEstimateBitIdentical runs the full smarts.RunSampledContext path
-// at several worker counts on two workloads and two warming modes and asserts the
+// TestEstimateBitIdentical runs the full engine.Run path, converted to a
+// smarts.Result as the sim session does, at several worker counts on two workloads and two warming modes and asserts the
 // CPI/EPI estimates and confidence intervals are byte-identical to the
 // serial (workers=1) engine path.
 func TestEstimateBitIdentical(t *testing.T) {
@@ -88,17 +89,18 @@ func TestEstimateBitIdentical(t *testing.T) {
 		p := genProg(t, bench, 400_000)
 		for _, mode := range []smarts.WarmingMode{smarts.FunctionalWarming, smarts.DetailedWarming} {
 			plan := smarts.PlanForN(p.Length, 1000, 1000, 50, mode, 0)
-			serial, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sCPI := serial.CPIEstimate(stats.Alpha997)
-			sEPI := serial.EPIEstimate(stats.Alpha997)
-			for _, workers := range []int{4, 3} {
-				par, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: workers})
+			run := func(workers int) *smarts.Result {
+				er, err := engine.Run(context.Background(), p, cfg, plan.CheckpointParams(), engine.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
+				return smarts.FromEngine(plan, er, er)
+			}
+			serial := run(1)
+			sCPI := serial.CPIEstimate(stats.Alpha997)
+			sEPI := serial.EPIEstimate(stats.Alpha997)
+			for _, workers := range []int{4, 3} {
+				par := run(workers)
 				pCPI := par.CPIEstimate(stats.Alpha997)
 				pEPI := par.EPIEstimate(stats.Alpha997)
 				if pCPI.N != sCPI.N {
@@ -111,6 +113,40 @@ func TestEstimateBitIdentical(t *testing.T) {
 				bitsEqual(t, "EPI CI", pEPI.RelCI, sEPI.RelCI)
 			}
 		}
+	}
+}
+
+// TestKeyframeBitIdentical pins checkpoint.Params.Keyframe's contract:
+// the keyframe interval changes only how launch states are encoded,
+// never the measurement — every interval (full snapshots, tight chains,
+// one long chain) reports bit-identical units, whether the run streams
+// its sweep into the pool or keeps the set in a cache. A negative
+// interval is rejected.
+func TestKeyframeBitIdentical(t *testing.T) {
+	p := genProg(t, "gzipx", 600_000)
+	cfg := uarch.Config8Way()
+	params := checkpoint.Params{U: 1000, W: 2000, K: 10, FunctionalWarm: true}
+	var want *engine.Result
+	for _, kf := range []int{0, 1, 3, 64} {
+		for _, cache := range []*checkpoint.MemCache{nil, checkpoint.NewMemCache()} {
+			params.Keyframe = kf
+			got, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 2, Cache: cache})
+			if err != nil {
+				t.Fatalf("keyframe %d: %v", kf, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got.Units, want.Units) || got.PopulationUnits != want.PopulationUnits ||
+				got.MeasuredInsts != want.MeasuredInsts || got.WarmingInsts != want.WarmingInsts {
+				t.Fatalf("keyframe %d (cache %v): measurement differs from keyframe 0", kf, cache != nil)
+			}
+		}
+	}
+	params.Keyframe = -1
+	if _, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 2}); err == nil {
+		t.Fatal("negative keyframe accepted")
 	}
 }
 

@@ -41,7 +41,7 @@ func resultsEqual(t *testing.T, what string, a, b *engine.Result) {
 func TestEngineResumesCancelledSweep(t *testing.T) {
 	p := genProg(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
-	params := checkpoint.Params{U: 1000, W: 1000, K: 8, J: 0, FunctionalWarm: true}
+	params := checkpoint.Params{U: 1000, W: 1000, K: 8, J: 0, FunctionalWarm: true, Keyframe: 4}
 
 	baseline, err := engine.Run(context.Background(), p, cfg, params, engine.Options{Workers: 2})
 	if err != nil {
@@ -57,7 +57,7 @@ func TestEngineResumesCancelledSweep(t *testing.T) {
 	}
 	// The cancelled sweep keeps its journal through the last unit it
 	// emitted, so the rerun sweeps none of it again.
-	opt := engine.Options{Workers: 2, Store: store, Keyframe: 4}
+	opt := engine.Options{Workers: 2, Store: store}
 
 	// Cancel mid-sweep, past the halfway mark so the resume saving is
 	// unambiguous.
@@ -132,12 +132,12 @@ func TestEngineResumesCancelledSweep(t *testing.T) {
 func TestEngineResumeCorruptJournalFallsBack(t *testing.T) {
 	p := genProg(t, "gzipx", 200_000)
 	cfg := uarch.Config8Way()
-	params := checkpoint.Params{U: 1000, W: 1000, K: 10, J: 0, FunctionalWarm: true}
+	params := checkpoint.Params{U: 1000, W: 1000, K: 10, J: 0, FunctionalWarm: true, Keyframe: 4}
 	store, err := checkpoint.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := engine.Options{Workers: 2, Store: store, Keyframe: 4}
+	opt := engine.Options{Workers: 2, Store: store}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -76,8 +76,8 @@ func newStreamFixture(t *testing.T) *streamFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Run(context.Background(), f.prog, f.cfg, f.params,
-		engine.Options{Workers: 2, Store: store, Keyframe: streamKeyframe}); err != nil {
+	if _, err := engine.Run(context.Background(), f.prog, f.cfg, kp,
+		engine.Options{Workers: 2, Store: store}); err != nil {
 		t.Fatal(err)
 	}
 	if f.entry, err = os.ReadFile(f.entryPath(store)); err != nil {

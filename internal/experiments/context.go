@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -110,31 +109,50 @@ func (s Scale) BenchNames() []string {
 	return program.Names()
 }
 
-// Context caches programs and reference runs across experiments and
-// fixes how their sampling runs execute.
-type Context struct {
-	Scale Scale
-
-	// Engine selects the execution of every sampling run the
-	// experiments make. nil is the in-place serial loop
-	// (smarts.SerialLoop): the paper's original execution, and the mode
-	// that regenerates the historical figures and tables exactly.
-	// Non-nil runs them on the checkpointed engine under these options —
-	// worker count, checkpoint store (sweeps are then persisted and
-	// reused across experiments, phases and invocations, and journaled
-	// while they run) and keyframe interval; results are bit-identical
-	// at any worker count, with or without a store. Set it before the first run: experiments
-	// read it and never write it, so one Context may serve concurrent
-	// requests.
-	Engine *engine.Options
-
-	mu   sync.Mutex
-	refs map[string]*smarts.Reference
+// Sampler executes the sampling runs an experiment makes. The sim
+// session implements it on its own path (the serial loop or the
+// checkpointed engine, whichever the request asks for, with sweep
+// deduplication and progress events); smarts.SerialSampler implements
+// it on the in-place serial loop for tests and benchmarks.
+type Sampler interface {
+	// Sample runs one plan.
+	Sample(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan) (*smarts.Result, error)
+	// SamplePhases runs plan at every phase offset in js (plan.J is
+	// ignored); results[i] corresponds to js[i].
+	SamplePhases(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan, js []uint64) ([]*smarts.Result, error)
 }
 
-// NewContext builds an empty cache for the scale, on the serial loop.
-func NewContext(scale Scale) *Context {
-	return &Context{Scale: scale, refs: make(map[string]*smarts.Reference)}
+// Context caches programs and reference runs across experiments and
+// names the Sampler their sampling runs go through. Experiments read
+// it and never write it, so one Context may serve concurrent
+// experiments; With gives each caller its own Sampler over a shared
+// reference cache.
+type Context struct {
+	Scale Scale
+	// Sampler executes every sampling run the experiments make.
+	Sampler Sampler
+
+	refs *refCache
+}
+
+// refCache holds the full-stream detailed references, keyed by
+// bench/config.
+type refCache struct {
+	mu sync.Mutex
+	m  map[string]*smarts.Reference
+}
+
+// NewContext builds an empty cache for the scale, sampling through s.
+func NewContext(scale Scale, s Sampler) *Context {
+	return &Context{Scale: scale, Sampler: s, refs: &refCache{m: make(map[string]*smarts.Reference)}}
+}
+
+// With returns a copy of c that samples through s and shares c's
+// reference cache.
+func (c *Context) With(s Sampler) *Context {
+	cp := *c
+	cp.Sampler = s
+	return &cp
 }
 
 // Program returns the generated workload, building it on first use.
@@ -142,46 +160,20 @@ func (c *Context) Program(name string) (*program.Program, error) {
 	return program.Get(name, c.Scale.BenchLen)
 }
 
-// sample executes one sampling plan in the context's execution mode.
-func (c *Context) sample(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan) (*smarts.Result, error) {
-	if c.Engine == nil {
-		return smarts.SerialLoop(ctx, p, cfg, plan)
-	}
-	return smarts.RunSampledContext(ctx, p, cfg, plan, *c.Engine)
-}
-
-// samplePhases executes plan at `phases` evenly spaced offsets. On the
-// serial loop each phase runs its own pass (preserving the historical
-// execution exactly); on the engine every phase's launch boundaries are
-// captured in one multi-offset sweep and replayed from shared snapshots
-// — bit-identical per phase to dedicated runs, at one sweep's cost
-// instead of `phases`.
+// samplePhases executes plan at `phases` evenly spaced offsets.
 func (c *Context) samplePhases(ctx context.Context, p *program.Program, cfg uarch.Config, plan smarts.Plan, phases int) ([]*smarts.Result, error) {
 	js := make([]uint64, phases)
 	for ph := range js {
 		js[ph] = uint64(ph) * plan.K / uint64(phases)
 	}
-	if c.Engine != nil {
-		return smarts.RunSampledPhasesContext(ctx, p, cfg, plan, js, *c.Engine, nil)
-	}
-	runs := make([]*smarts.Result, len(js))
-	for i, j := range js {
-		pj := plan
-		pj.J = j
-		res, err := smarts.SerialLoop(ctx, p, cfg, pj)
-		if err != nil {
-			return nil, fmt.Errorf("j=%d: %w", j, err)
-		}
-		runs[i] = res
-	}
-	return runs, nil
+	return c.Sampler.SamplePhases(ctx, p, cfg, plan, js)
 }
 
-// procedure executes the two-step SMARTS procedure, both steps in the
-// context's execution mode.
+// procedure executes the two-step SMARTS procedure, both steps on the
+// context's Sampler.
 func (c *Context) procedure(ctx context.Context, p *program.Program, cfg uarch.Config, pc smarts.ProcedureConfig) (*smarts.ProcedureResult, error) {
 	return smarts.RunProcedureWith(ctx, p, cfg, pc, func(ctx context.Context, _ string, plan smarts.Plan) (*smarts.Result, error) {
-		return c.sample(ctx, p, cfg, plan)
+		return c.Sampler.Sample(ctx, p, cfg, plan)
 	})
 }
 
@@ -192,12 +184,12 @@ func (c *Context) procedure(ctx context.Context, p *program.Program, cfg uarch.C
 // interruptible — cancellation takes effect at the next sampling step).
 func (c *Context) Reference(ctx context.Context, bench string, cfg uarch.Config) (*smarts.Reference, error) {
 	key := bench + "/" + cfg.Name
-	c.mu.Lock()
-	if r, ok := c.refs[key]; ok {
-		c.mu.Unlock()
+	c.refs.mu.Lock()
+	if r, ok := c.refs.m[key]; ok {
+		c.refs.mu.Unlock()
 		return r, nil
 	}
-	c.mu.Unlock()
+	c.refs.mu.Unlock()
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -213,12 +205,12 @@ func (c *Context) Reference(ctx context.Context, bench string, cfg uarch.Config)
 		return nil, fmt.Errorf("experiments: reference %s: %w", key, err)
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.refs[key]; ok {
+	c.refs.mu.Lock()
+	defer c.refs.mu.Unlock()
+	if r, ok := c.refs.m[key]; ok {
 		return r, nil // lost a benign race; keep the first
 	}
-	c.refs[key] = ref
+	c.refs.m[key] = ref
 	return ref, nil
 }
 

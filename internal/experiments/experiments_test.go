@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/smarts"
 	"repro/internal/uarch"
 )
 
 // tinyCtx is shared across tests in this package so the expensive
 // reference runs happen once.
-var tinyCtx = experiments.NewContext(experiments.Tiny)
+var tinyCtx = experiments.NewContext(experiments.Tiny, smarts.SerialSampler{})
 
 func cfg8() uarch.Config { return uarch.Config8Way() }
 

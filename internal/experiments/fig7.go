@@ -50,7 +50,7 @@ func Fig7(ctx context.Context, ec *Context, cfg uarch.Config) (*Fig7Result, erro
 		}
 		plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), ec.Scale.NInit,
 			smarts.FunctionalWarming, 0)
-		run, err := ec.sample(ctx, p, cfg, plan)
+		run, err := ec.Sampler.Sample(ctx, p, cfg, plan)
 		if err != nil {
 			return nil, err
 		}

@@ -70,7 +70,7 @@ func Fig8(ctx context.Context, ec *Context, cfg uarch.Config, benches []string) 
 		}
 		plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), ec.Scale.NInit,
 			smarts.FunctionalWarming, 0)
-		smRun, err := ec.sample(ctx, p, cfg, plan)
+		smRun, err := ec.Sampler.Sample(ctx, p, cfg, plan)
 		if err != nil {
 			return nil, err
 		}

@@ -71,7 +71,7 @@ func Table6(ctx context.Context, ec *Context, cfg uarch.Config) (*Table6Result, 
 		}
 		plan := smarts.PlanForN(p.Length, 1000, w, n, smarts.FunctionalWarming, 0)
 		start := time.Now()
-		if _, err := ec.sample(ctx, p, cfg, plan); err != nil {
+		if _, err := ec.Sampler.Sample(ctx, p, cfg, plan); err != nil {
 			return nil, err
 		}
 		smartsTime := time.Since(start)

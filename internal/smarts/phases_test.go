@@ -7,34 +7,62 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/stats"
 	"repro/internal/uarch"
 )
 
+// engineRun runs plan on engine.Run and converts the result as the sim
+// session does.
+func engineRun(t *testing.T, p *program.Program, cfg uarch.Config, plan smarts.Plan, opt engine.Options) *smarts.Result {
+	t.Helper()
+	er, err := engine.Run(context.Background(), p, cfg, plan.CheckpointParams(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return smarts.FromEngine(plan, er, er)
+}
+
+// enginePhases runs plan at every offset in js from one multi-offset
+// sweep (engine.CaptureSet, then engine.RunSet per offset) and converts
+// each offset's replay with the shared sweep half, as the sim session
+// does.
+func enginePhases(t *testing.T, p *program.Program, cfg uarch.Config, plan smarts.Plan, js []uint64, opt engine.Options) []*smarts.Result {
+	t.Helper()
+	set, sweep, err := engine.CaptureSet(context.Background(), p, cfg, plan.PhasesParams(js), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]*smarts.Result, len(js))
+	for i, j := range js {
+		er, err := engine.RunSet(context.Background(), p, cfg, plan.U, set.Offset(j), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.J = j
+		runs[i] = smarts.FromEngine(plan, sweep, er)
+	}
+	return runs
+}
+
 // TestRunSampledPhasesBitIdentical verifies the shared-sweep phase
-// helper: each phase's result must match a dedicated RunSampledContext
-// at that offset bit for bit, with the sweep paid once.
+// path: each phase's result must match a dedicated engine run at that
+// offset bit for bit, with the sweep paid once.
 func TestRunSampledPhasesBitIdentical(t *testing.T) {
 	p := genBench(t, "gccx", 400_000)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 50, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 1, 3}
 
-	runs, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, engine.Options{Workers: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := enginePhases(t, p, cfg, plan, js, engine.Options{Workers: 3})
 	if len(runs) != len(js) {
 		t.Fatalf("got %d results for %d phases", len(runs), len(js))
 	}
 	for i, j := range js {
 		single := plan
 		single.J = j
-		want, err := smarts.RunSampledContext(context.Background(), p, cfg, single, engine.Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := engineRun(t, p, cfg, single, engine.Options{Workers: 2})
 		got := runs[i]
 		if got.Plan.J != j {
 			t.Fatalf("result %d echoes phase %d, want %d", i, got.Plan.J, j)
@@ -69,14 +97,8 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	}
 	opt := engine.Options{Workers: 2, Store: store}
 
-	first, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := enginePhases(t, p, cfg, plan, js, opt)
+	second := enginePhases(t, p, cfg, plan, js, opt)
 	if hits, misses := store.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("store stats %d/%d, want 1 hit 1 miss", hits, misses)
 	}
@@ -93,9 +115,9 @@ func TestRunSampledPhasesStore(t *testing.T) {
 	}
 }
 
-// TestStoreThroughRunSampled verifies the store plumbing the
-// experiments use: two identical runs whose engine.Options carry a
-// store share one sweep.
+// TestStoreThroughRunSampled verifies the store plumbing every engine
+// run uses: two identical runs whose engine.Options carry a store share
+// one sweep, and the second one's Result says so.
 func TestStoreThroughRunSampled(t *testing.T) {
 	p := genBench(t, "gzipx", 200_000)
 	cfg := uarch.Config8Way()
@@ -106,17 +128,11 @@ func TestStoreThroughRunSampled(t *testing.T) {
 	plan := smarts.PlanForN(p.Length, 1000, 1000, 40, smarts.FunctionalWarming, 0)
 	opt := engine.Options{Workers: 2, Store: store}
 
-	first, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := engineRun(t, p, cfg, plan, opt)
 	if first.SweepCached {
 		t.Fatal("first run claims cached sweep")
 	}
-	second, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := engineRun(t, p, cfg, plan, opt)
 	if !second.SweepCached {
 		t.Fatal("second run did not reuse the sweep")
 	}

@@ -82,9 +82,8 @@ func (pr *ProcedureResult) FinalResult() *Result {
 // ProcedureRunner executes one sampling step of the two-step procedure.
 // stage is "initial" for the n_init run and "tuned" for the
 // recalibrated second run. How the step executes is the runner's
-// business: SerialLoop, RunSampledContext under some engine.Options, or
-// the sim session's runner, which layers sweep deduplication and
-// progress events over the same execution.
+// business: SerialLoop, or the sim session's runner, which runs the
+// step on the engine with sweep deduplication and progress events.
 type ProcedureRunner func(ctx context.Context, stage string, plan Plan) (*Result, error)
 
 // RunProcedureWith executes the two-step SMARTS procedure on prog/cfg,

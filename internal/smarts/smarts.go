@@ -22,28 +22,25 @@
 // A Plan is the sampling design and nothing else — U, W, k, j, the
 // warming mode — exactly the quantities the paper defines a run by;
 // how the selected units are executed is engine.Options, declared once
-// in internal/engine. This package connects the two and holds the
-// result types:
+// in internal/engine, and which execution runs a plan is decided in
+// one place, the sim session. This package holds the design, the
+// result types and the two pieces of execution that are not the
+// engine's:
 //
-//   - RunSampledContext runs a Plan on the checkpointed engine
-//     (internal/engine) under an engine.Options: one functional sweep
-//     captures a per-unit launch snapshot — architectural registers, a
-//     copy-on-write memory image, and, under functional warming, the
-//     cache/TLB/branch-predictor state — and streams it to a worker
-//     pool that replays detailed warming plus measurement for every
-//     unit from its snapshot, folding CPI/EPI in stream order. Results
-//     are bit-identical for every worker count and sweep source.
-//     RunSampledPhasesContext measures several phase offsets from one
-//     shared sweep.
+//   - CheckpointParams and PhasesParams translate a Plan into what the
+//     engine sweeps and keys stores by, and FromEngine builds a Result
+//     from the engine's sweep and replay halves. The sim session (and
+//     the fleet coordinator) run plans on the engine through these;
+//     results are bit-identical for every worker count and sweep
+//     source.
 //   - SerialLoop is the paper's original execution, kept as the oracle
 //     the engine is compared against: it interleaves fast-forwarding
 //     and per-unit detailed simulation in place on one goroutine, each
 //     unit observing whatever state the previous unit's detailed run
-//     left behind. It regenerates the historical figures; see
-//     RunSampledContext for how engine results relate to it.
+//     left behind. SerialSampler runs the experiments on it.
 //   - RunProcedureWith is the one n-calibration loop; its caller
-//     supplies the function that executes each sampling step (either
-//     of the above, or the sim session's deduplicating runner).
+//     supplies the function that executes each sampling step (the sim
+//     session's runner, or SerialLoop).
 //
 // Pool, fold, sweep acquisition and every execution knob belong to
 // internal/engine; nothing here branches on a worker count.
@@ -148,6 +145,36 @@ func PlanForN(benchLength, u, w, n uint64, mode WarmingMode, j uint64) Plan {
 	return Plan{U: u, W: w, K: k, J: j, Warming: mode}
 }
 
+// CheckpointParams translates the plan into checkpoint capture
+// parameters — the quantity the engine sweeps by and (through
+// engine.Options.SweepKey) keys sweeps by. Every Plan field flows
+// through here; simlint's storekey analyzer fails the build on one that
+// does not.
+func (pl Plan) CheckpointParams() checkpoint.Params {
+	p := checkpoint.Params{
+		U:              pl.U,
+		K:              pl.K,
+		J:              pl.J,
+		FunctionalWarm: pl.Warming == FunctionalWarming,
+		Components:     pl.Components,
+		MaxUnits:       pl.MaxUnits,
+	}
+	if pl.Warming != NoWarming {
+		p.W = pl.W
+	}
+	return p
+}
+
+// PhasesParams is CheckpointParams for a multi-offset capture: one
+// sweep records the launch boundaries of every offset in js (the plan's
+// own J is ignored).
+func (pl Plan) PhasesParams(js []uint64) checkpoint.Params {
+	p := pl.CheckpointParams()
+	p.J = 0
+	p.Offsets = js
+	return p
+}
+
 // UnitResult is the measurement of one sampling unit; the serial loop
 // and the engine report the same type.
 type UnitResult = engine.UnitResult
@@ -212,14 +239,56 @@ func (r *Result) EPIEstimate(alpha float64) stats.Estimate {
 	return r.EPISample().Estimate(alpha)
 }
 
+// FromEngine builds the Result of plan from the two halves of an engine
+// run: sweep, the capture its launch states came from (its extent,
+// sweep time, and whether it was reused or resumed), and replay, the
+// measurement (units, detailed instruction counts, wall clock). One
+// engine.Run result is both halves; engine.CaptureSet and RunSet return
+// them apart, as does the fleet (its sweep, and its Merger's Finish with
+// Timing.Wall filled in).
+//
+// DetailedTime is replay's wall clock less the sweep it ran itself
+// (engine.Run streams its sweep into the replay, so its Wall covers
+// both), and so FastFwdTime plus DetailedTime is at most the run's
+// elapsed time, as on the serial path. The replays' summed time
+// (Timing.Detailed) would overstate it by up to the worker count; under
+// the streaming schedule the sweep overlaps replay, so the split is
+// attribution, not a timeline.
+func FromEngine(plan Plan, sweep, replay *engine.Result) *Result {
+	return &Result{
+		Plan:                plan,
+		Units:               replay.Units,
+		PopulationUnits:     sweep.PopulationUnits,
+		MeasuredInsts:       replay.MeasuredInsts,
+		WarmingInsts:        replay.WarmingInsts,
+		FastFwdInsts:        sweep.SweepInsts,
+		FastFwdTime:         sweep.Timing.Sweep,
+		DetailedTime:        max(replay.Timing.Wall-replay.Timing.Sweep, 0),
+		SweepCached:         sweep.SweepCached,
+		FastFwdResumedInsts: sweep.SweepResumedInsts,
+	}
+}
+
 // SerialLoop executes one sampling simulation of prog on the machine
 // described by cfg the way the paper describes it: one goroutine
 // alternates fast-forwarding and detailed simulation in place, so each
 // unit observes the state the previous unit's detailed run left behind.
-// It is the oracle the checkpointed engine (RunSampledContext) is
-// compared against and the mode that regenerates the historical
-// figures; it has no sweep to share, so stores and worker counts do not
-// apply. Cancellation or deadline expiry stops the run — between units
+// It is the oracle the checkpointed engine (engine.Run, through the sim
+// session) is compared against and the mode that regenerates the
+// historical figures; it has no sweep to share, so stores and worker
+// counts do not apply.
+//
+// Engine results differ from it by design: each engine unit launches
+// from sweep state rather than from state carried out of the previous
+// unit's detailed simulation. Under functional warming the difference is
+// the in-order-versus-out-of-order update gap the paper already treats
+// as residual bias (Section 4.5); under detailed or no warming, units
+// launch microarchitecturally cold instead of stale. In exchange the
+// engine's units are fully independent: its results are bit-identical
+// for every worker count and every sweep source, and its detailed phase
+// scales with cores.
+//
+// Cancellation or deadline expiry stops the run — between units
 // and, within long fast-forward gaps, every checkpoint.FFChunk
 // instructions — and returns ctx.Err().
 func SerialLoop(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
@@ -325,6 +394,32 @@ func SerialLoop(ctx context.Context, prog *program.Program, cfg uarch.Config, pl
 		})
 	}
 	return res, nil
+}
+
+// SerialSampler runs the experiments' sampling on SerialLoop (it
+// satisfies experiments.Sampler), for the tests and benchmarks that
+// regenerate the figures on the oracle. SamplePhases runs each offset's
+// loop in turn.
+type SerialSampler struct{}
+
+// Sample runs plan on SerialLoop.
+func (SerialSampler) Sample(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan) (*Result, error) {
+	return SerialLoop(ctx, prog, cfg, plan)
+}
+
+// SamplePhases runs plan at every offset in js, one SerialLoop each;
+// results[i] corresponds to js[i].
+func (SerialSampler) SamplePhases(ctx context.Context, prog *program.Program, cfg uarch.Config, plan Plan, js []uint64) ([]*Result, error) {
+	results := make([]*Result, len(js))
+	for i, j := range js {
+		plan.J = j
+		res, err := SerialLoop(ctx, prog, cfg, plan)
+		if err != nil {
+			return nil, fmt.Errorf("j=%d: %w", j, err)
+		}
+		results[i] = res
+	}
+	return results, nil
 }
 
 // RecommendedW returns the detailed-warming length the paper uses with

@@ -2,10 +2,10 @@ package sim_test
 
 import (
 	"context"
+	"path/filepath"
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
 	"repro/sim"
@@ -19,10 +19,7 @@ func TestSingleflightSweep(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := engineRun(t, p, cfg, plan, 1)
 
 	sess, err := sim.Open(sim.WithStore(t.TempDir()), sim.WithWorkers(2))
 	if err != nil {
@@ -82,10 +79,7 @@ func TestSingleflightStoreless(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := engineRun(t, p, cfg, plan, 1)
 
 	sess, err := sim.Open(sim.WithWorkers(2)) // no store
 	if err != nil {
@@ -197,5 +191,49 @@ func TestSingleflightPhases(t *testing.T) {
 	}
 	for i := range reports[0].Results {
 		sameMeasurement(t, "phase client", reports[1].Results[i], reports[0].Results[i])
+	}
+}
+
+// TestConcurrentExperiments runs two experiment requests at once on one
+// store session, with different worker counts: they share the session's
+// reference cache while sampling through their own runners, their
+// concurrent sweeps of one key are deduplicated (no store key is swept
+// twice), and both produce the same text.
+func TestConcurrentExperiments(t *testing.T) {
+	sess, err := sim.Open(sim.WithStore(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	var wg sync.WaitGroup
+	outs := make([]string, 2)
+	errs := make([]error, 2)
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := sess.Run(context.Background(), sim.NewExperiment("fig7", sim.AtScale("tiny"), sim.Workers(i+1)))
+			if err == nil {
+				outs[i] = rep.ExperimentOutput
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("concurrent experiment requests disagree:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+	entries, err := filepath.Glob(filepath.Join(sess.StoreDir(), "*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses, _ := sess.StoreStats(); misses != uint64(len(entries)) {
+		t.Fatalf("%d store misses for %d entries: a key was swept twice", misses, len(entries))
 	}
 }

@@ -12,10 +12,9 @@ import (
 // leader is registered under must be the hash of the one entry the run
 // commits — otherwise a waiter wakes, finds "its" key absent from the
 // store, and re-contends for leadership instead of proceeding on the hit.
-// No session knob reaches the key any more (the sweep is serial, and
-// Keyframe changes only the encoding), so
-// both sides derive it through engine.Options.SweepKey from the plan
-// alone; the test keeps them from drifting apart.
+// No session knob reaches the key (the sweep is serial), so both sides
+// derive it through engine.Options.SweepKey from the plan alone; the
+// test keeps them from drifting apart.
 func TestDedupeKeyIsStoreKey(t *testing.T) {
 	sess, err := Open(WithStore(t.TempDir()), WithWorkers(1))
 	if err != nil {
@@ -55,29 +54,5 @@ func TestDedupeKeyIsStoreKey(t *testing.T) {
 	if hash := strings.TrimSuffix(filepath.Base(entries[0]), ".ckpt"); hash != deduped[0] {
 		t.Fatalf("session deduplicated on %s but the engine stored the sweep as %s",
 			deduped[0], hash)
-	}
-}
-
-// TestExperimentContextCarriesSessionKnobs checks that experiment
-// requests run their sweeps under the session's execution knobs, as
-// sampling requests do: the session's keyframe interval, the request's
-// workers and the session's store.
-func TestExperimentContextCarriesSessionKnobs(t *testing.T) {
-	sess, err := Open(WithStore(t.TempDir()), WithKeyframe(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	ec, err := sess.expContext("tiny", &Request{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := ec.Engine
-	if opt == nil {
-		t.Fatal("engine-mode experiment context has no engine options")
-	}
-	if opt.Keyframe != 4 || opt.Workers != 3 || opt.Store != sess.store || opt.Cache != nil {
-		t.Fatalf("experiment options: keyframe=%d workers=%d store=%v cache=%v; want 4, 3, the session store, nil",
-			opt.Keyframe, opt.Workers, opt.Store != nil, opt.Cache != nil)
 	}
 }

@@ -44,10 +44,15 @@
 // deterministic stream-order estimate, and the current confidence
 // interval, replacing log-print scraping.
 //
-// Results are bit-identical to the historical entry points in
-// internal/smarts — Result, ProcedureResult, and friends are the same
-// types — at any worker count, with the store on or off. What is left
-// in internal/smarts (plan math, result types, the in-place SerialLoop
-// oracle and the engine-backed RunSampled*Context functions this
-// package calls) is not a second public way in.
+// A Session is the one front door to execution, the experiments
+// included: an experiment request's figures and tables sample through
+// the request's own runner (an experiments.Sampler), so its runs get the
+// request's Workers, the session's store and sweep deduplication, and
+// progress events like any other request's. Whether a plan runs on the
+// in-place serial loop or the engine is decided in that one place.
+// Below it, internal/smarts holds the plan math, the result types
+// (Result, ProcedureResult and friends are the same types here), the
+// conversion of engine results and the SerialLoop oracle; internal/engine
+// runs the plans. Neither is a second way in. Results are bit-identical
+// at any worker count, with the store on or off.
 package sim

@@ -35,7 +35,7 @@ func TestSessionResumesCancelledSweep(t *testing.T) {
 func testSessionResumesCancelledSweep(t *testing.T, cancelRequest func() *sim.Request) {
 	dir := t.TempDir()
 	open := func() *sim.Session {
-		sess, err := sim.Open(sim.WithStore(dir), sim.WithKeyframe(4))
+		sess, err := sim.Open(sim.WithStore(dir))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,9 +49,9 @@ type settings struct {
 	storeDir    string
 	storeMax    int64
 	memCacheMax int64
-	// engine holds the session-wide execution defaults — Workers, Alpha,
-	// Keyframe — in the struct the engine takes them in;
-	// each run fills the per-request fields on a copy (engineOptions).
+	// engine holds the session-wide execution defaults — Workers and
+	// Alpha — in the struct the engine takes them in; each request fills
+	// its own fields in on a copy (newRunner).
 	engine    engine.Options
 	logf      func(format string, args ...any)
 	progress  ProgressFunc
@@ -119,24 +120,6 @@ func WithAlpha(alpha float64) Option {
 			return fmt.Errorf("sim: confidence parameter %v outside (0,1)", alpha)
 		}
 		s.engine.Alpha = alpha
-		return nil
-	}
-}
-
-// WithKeyframe sets the keyframe interval of delta-encoded checkpoint
-// capture: every n-th captured unit carries a full snapshot (warm state
-// and memory page table), the units between carry dirty-block and
-// dirty-page deltas. 0 keeps the built-in default; 1 disables deltas
-// (every unit a full snapshot). The interval trades store-entry and
-// in-memory snapshot size against per-replay materialization work; it
-// never changes results, and existing store entries stay valid (the
-// interval is excluded from the store key).
-func WithKeyframe(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("sim: negative keyframe interval %d", n)
-		}
-		s.engine.Keyframe = n
 		return nil
 	}
 }
@@ -272,7 +255,7 @@ func (s *Session) Reference(ctx context.Context, workload string, length, chunk 
 	if err != nil {
 		return nil, err
 	}
-	return smarts.FullRun(p, s.config(cfg), chunk)
+	return smarts.FullRun(p, resolveConfig(cfg), chunk)
 }
 
 // ExperimentNames lists the runnable experiment ids.
@@ -336,25 +319,25 @@ func (s *Session) Run(ctx context.Context, req *Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.config(req.Config)
-	sink := newProgressSink(s.set.progress, req.Progress)
-	alpha := s.effAlpha(req)
+	cfg := resolveConfig(req.Config)
+	r := s.newRunner(req, s.sweeps)
 
 	var rep *Report
-	switch {
-	case req.Procedure != nil:
-		rep, err = s.runProcedure(ctx, req, prog, cfg, sink, alpha)
-	case len(req.Offsets) > 0:
-		rep, err = s.runPhases(ctx, req, prog, cfg, sink, alpha)
-	default:
-		var res *Result
-		res, err = s.runPlan(ctx, req, prog, cfg, s.plan(req, prog, cfg), sink, "sample")
+	if req.Procedure != nil {
+		rep, err = r.runProcedure(ctx, prog, cfg)
+	} else {
+		plan := s.plan(req, prog, cfg)
+		rep = &Report{Offsets: slices.Clone(req.Offsets)}
+		if len(req.Offsets) > 0 {
+			rep.Results, err = r.runPhases(ctx, prog, cfg, plan, req.Offsets)
+		} else {
+			var res *Result
+			res, err = r.runPlan(ctx, prog, cfg, plan, "sample")
+			rep.Results = []*Result{res}
+		}
 		if err == nil {
-			rep = &Report{
-				Results: []*Result{res},
-				CPI:     res.CPIEstimate(alpha),
-				EPI:     res.EPIEstimate(alpha),
-			}
+			rep.CPI = rep.Results[0].CPIEstimate(r.opt.Alpha)
+			rep.EPI = rep.Results[0].EPIEstimate(r.opt.Alpha)
 		}
 	}
 	if err != nil {
@@ -380,25 +363,6 @@ func (s *Session) runnable(ctx context.Context) error {
 	return nil
 }
 
-// config resolves the effective machine configuration: only a fully
-// zero Config selects the 8-way baseline; a custom literal (even one
-// without a Name) is used as given and validated by the run.
-func (s *Session) config(cfg Config) Config {
-	if cfg == (Config{}) {
-		return uarch.Config8Way()
-	}
-	return cfg
-}
-
-// workers is the request's worker count, else the session default; the
-// engine resolves values <= 0 to one worker per core.
-func (s *Session) workers(req *Request) int {
-	if req.Workers != 0 {
-		return req.Workers
-	}
-	return s.set.engine.Workers
-}
-
 // Package-level request defaults (overridable per session with
 // WithDefaults).
 const (
@@ -420,7 +384,9 @@ func ResolvePlan(req *Request, prog *Workload) Plan {
 	return resolvePlan(req, prog, resolveConfig(req.Config), DefaultUnits)
 }
 
-// resolveConfig is the package-level form of Session.config.
+// resolveConfig resolves the effective machine configuration: only a
+// fully zero Config selects the 8-way baseline; a custom literal (even
+// one without a Name) is used as given and validated by the run.
 func resolveConfig(cfg Config) Config {
 	if cfg == (Config{}) {
 		return uarch.Config8Way()
@@ -471,19 +437,40 @@ func planTotals(plan Plan, prog *program.Program) (pop uint64, total int) {
 	return pop, plan.CheckpointParams().ExpectedUnits(pop)
 }
 
-// engineOptions builds the engine options for one plan execution: the
-// session-wide defaults with the request's fields filled in.
-func (s *Session) engineOptions(req *Request) engine.Options {
+// runner executes one request's sampling runs. It is the one place that
+// decides how a plan runs — the in-place serial loop when the request
+// asks for it, the checkpointed engine otherwise, with concurrent sweeps
+// for one store key deduplicated (runShared) — for plain, multi-offset,
+// procedure and experiment requests alike: it is the experiments'
+// Sampler. opt is the request's engine options (the session defaults
+// with the request's Workers, Alpha and store filled in); each run adds
+// its progress observers to a copy.
+type runner struct {
+	s    *Session
+	req  *Request
+	sink *progressSink
+	opt  engine.Options
+}
+
+// newRunner builds req's runner. cache is the sweep cache the engine
+// runs attach (nil for none); NoStore and SerialLoop requests attach
+// neither it nor the store.
+func (s *Session) newRunner(req *Request, cache *checkpoint.MemCache) *runner {
 	opt := s.set.engine
-	opt.Workers = s.workers(req)
+	// The engine resolves a worker count <= 0 to one worker per core.
+	if req.Workers != 0 {
+		opt.Workers = req.Workers
+	}
 	// The effective alpha (request, else session) drives the progress
 	// estimates, so they agree with the report.
-	opt.Alpha = s.effAlpha(req)
-	if !req.NoStore {
-		opt.Store = s.store
-		opt.Cache = s.sweeps
+	if req.Alpha != 0 {
+		opt.Alpha = req.Alpha
 	}
-	return opt
+	if !req.NoStore && !req.SerialLoop {
+		opt.Store = s.store
+		opt.Cache = cache
+	}
+	return &runner{s: s, req: req, sink: newProgressSink(s.set.progress, req.Progress), opt: opt}
 }
 
 // unitEvents builds the per-unit observers of one sweep and the replay
@@ -514,130 +501,148 @@ func (p *progressSink) unitEvents(stage string, offset, pop uint64, sweepTotal i
 	return onCaptured, onReplayed
 }
 
-// runPlan executes one sampling plan: the classic serial loop when the
-// request asks for it, the checkpointed engine otherwise — with
-// concurrent sweeps for the same store key deduplicated.
-func (s *Session) runPlan(ctx context.Context, req *Request, prog *program.Program, cfg Config, plan Plan, sink *progressSink, stage string) (*Result, error) {
-	sink.emit(Progress{Kind: EventRunStart, Stage: stage, Offset: plan.J})
+// runPlan executes one sampling plan in the request's mode.
+func (r *runner) runPlan(ctx context.Context, prog *program.Program, cfg Config, plan Plan, stage string) (*Result, error) {
+	r.sink.emit(Progress{Kind: EventRunStart, Stage: stage, Offset: plan.J})
 
 	var res *Result
 	var err error
-	if req.SerialLoop {
+	if r.req.SerialLoop {
 		res, err = smarts.SerialLoop(ctx, prog, cfg, plan)
 	} else {
-		opt := s.engineOptions(req)
-		if sink != nil {
+		opt := r.opt
+		if r.sink != nil {
 			pop, total := planTotals(plan, prog)
-			onCaptured, onReplayed := sink.unitEvents(stage, plan.J, pop, total)
+			onCaptured, onReplayed := r.sink.unitEvents(stage, plan.J, pop, total)
 			opt.OnCaptured = onCaptured
 			opt.OnReplayed = func(replayed int, est stats.Estimate) { onReplayed(plan.J, total, replayed, est) }
 		}
-		res, err = runShared(ctx, s, prog, cfg, plan.CheckpointParams(), opt, func() (*Result, error) {
-			return smarts.RunSampledContext(ctx, prog, cfg, plan, opt)
+		params := plan.CheckpointParams()
+		res, err = runShared(ctx, r.s, prog, cfg, params, opt, func() (*Result, error) {
+			er, err := engine.Run(ctx, prog, cfg, params, opt)
+			if err != nil {
+				return nil, err
+			}
+			return smarts.FromEngine(plan, er, er), nil
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	done := Progress{Kind: EventRunDone, Stage: stage, Offset: plan.J, Replayed: len(res.Units), Cached: res.SweepCached}
-	if len(res.Units) > 0 {
-		done.Estimate = res.CPIEstimate(s.effAlpha(req))
-	}
-	sink.emit(done)
+	r.done(stage, plan.J, res)
 	return res, nil
 }
 
-func (s *Session) effAlpha(req *Request) float64 {
-	if req.Alpha != 0 {
-		return req.Alpha
+// done emits the EventRunDone closing a run whose (first) result is res.
+func (r *runner) done(stage string, j uint64, res *Result) {
+	ev := Progress{Kind: EventRunDone, Stage: stage, Offset: j, Replayed: len(res.Units), Cached: res.SweepCached}
+	if len(res.Units) > 0 {
+		ev.Estimate = res.CPIEstimate(r.opt.Alpha)
 	}
-	return s.set.engine.Alpha
+	r.sink.emit(ev)
 }
 
-// runPhases executes a multi-offset request: all offsets measured from
-// one shared sweep (deduplicated under the multi-offset store key).
-func (s *Session) runPhases(ctx context.Context, req *Request, prog *program.Program, cfg Config, sink *progressSink, alpha float64) (*Report, error) {
-	plan := s.plan(req, prog, cfg)
+// runPhases executes plan at every offset in js: on the engine, all
+// offsets measured from one shared sweep (deduplicated under the
+// multi-offset store key); on the serial loop, one loop per offset.
+// results[i] corresponds to js[i]. The sweep accounting of every result
+// echoes the one shared sweep: callers summing costs across phases
+// should count it once.
+func (r *runner) runPhases(ctx context.Context, prog *program.Program, cfg Config, plan Plan, js []uint64) ([]*Result, error) {
 	// Both execution modes enforce the same offset contract (the
 	// engine's multi-offset capture would reject j >= k; the serial
 	// loop must not silently wrap instead).
-	for _, j := range req.Offsets {
+	for _, j := range js {
 		if j >= plan.K {
 			return nil, fmt.Errorf("sim: phase offset %d must be below the sampling interval %d", j, plan.K)
 		}
 	}
-	if req.SerialLoop {
+	if r.req.SerialLoop {
 		// The serial loop has no shared-sweep form; run each offset's
 		// classic loop in sequence (bit-identical to individual runs).
-		results := make([]*Result, len(req.Offsets))
-		for i, j := range req.Offsets {
+		results := make([]*Result, len(js))
+		for i, j := range js {
 			pj := plan
 			pj.J = j
-			res, err := s.runPlan(ctx, req, prog, cfg, pj, sink, "sample")
+			res, err := r.runPlan(ctx, prog, cfg, pj, "sample")
 			if err != nil {
 				return nil, err
 			}
 			results[i] = res
 		}
-		return phaseReport(req, results, alpha), nil
+		return results, nil
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 
-	sink.emit(Progress{Kind: EventRunStart, Stage: "sample"})
-	opt := s.engineOptions(req)
-	sweepParams := plan.PhasesParams(req.Offsets)
+	r.sink.emit(Progress{Kind: EventRunStart, Stage: "sample"})
+	opt := r.opt
+	sweepParams := plan.PhasesParams(js)
 	var onReplayed func(j uint64, replayed int, est stats.Estimate)
-	if sink != nil {
+	if r.sink != nil {
 		// A multi-offset sweep captures every offset's units in one
 		// pass, so the capture denominator spans all offsets while each
 		// offset's replay counts against its own expectation.
 		pop, _ := planTotals(plan, prog)
 		sweepTotal := sweepParams.ExpectedUnits(pop)
-		perOffset := make(map[uint64]int, len(req.Offsets))
-		for _, j := range req.Offsets {
+		perOffset := make(map[uint64]int, len(js))
+		for _, j := range js {
 			pj := plan
 			pj.J = j
 			_, perOffset[j] = planTotals(pj, prog)
 		}
-		onCaptured, replayed := sink.unitEvents("sample", 0, pop, sweepTotal)
+		onCaptured, replayed := r.sink.unitEvents("sample", 0, pop, sweepTotal)
 		opt.OnCaptured = onCaptured
 		onReplayed = func(j uint64, n int, est stats.Estimate) { replayed(j, perOffset[j], n, est) }
 	}
-	results, err := runShared(ctx, s, prog, cfg, sweepParams, opt, func() ([]*Result, error) {
-		return smarts.RunSampledPhasesContext(ctx, prog, cfg, plan, req.Offsets, opt, onReplayed)
+	results, err := runShared(ctx, r.s, prog, cfg, sweepParams, opt, func() ([]*Result, error) {
+		set, sweep, err := engine.CaptureSet(ctx, prog, cfg, sweepParams, opt)
+		if err != nil {
+			return nil, err
+		}
+		results := make([]*Result, len(js))
+		for i, j := range js {
+			if onReplayed != nil {
+				opt.OnReplayed = func(replayed int, est stats.Estimate) { onReplayed(j, replayed, est) }
+			}
+			er, err := engine.RunSet(ctx, prog, cfg, plan.U, set.Offset(j), opt)
+			if err != nil {
+				return nil, err
+			}
+			pj := plan
+			pj.J = j
+			results[i] = smarts.FromEngine(pj, sweep, er)
+		}
+		return results, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(results) > 0 {
-		done := Progress{Kind: EventRunDone, Stage: "sample", Replayed: len(results[0].Units), Cached: results[0].SweepCached}
-		if len(results[0].Units) > 0 {
-			done.Estimate = results[0].CPIEstimate(alpha)
-		}
-		sink.emit(done)
-	}
-	return phaseReport(req, results, alpha), nil
+	r.done("sample", 0, results[0])
+	return results, nil
 }
 
-func phaseReport(req *Request, results []*Result, alpha float64) *Report {
-	rep := &Report{
-		Results: results,
-		Offsets: append([]uint64(nil), req.Offsets...),
-	}
-	if len(results) > 0 {
-		rep.CPI = results[0].CPIEstimate(alpha)
-		rep.EPI = results[0].EPIEstimate(alpha)
-	}
-	return rep
+// Sample runs an experiment's sampling plan (experiments.Sampler).
+func (r *runner) Sample(ctx context.Context, prog *program.Program, cfg Config, plan Plan) (*Result, error) {
+	return r.runPlan(ctx, prog, cfg, plan, "sample")
+}
+
+// SamplePhases runs an experiment's plan at several phase offsets
+// (experiments.Sampler).
+func (r *runner) SamplePhases(ctx context.Context, prog *program.Program, cfg Config, plan Plan, js []uint64) ([]*Result, error) {
+	return r.runPhases(ctx, prog, cfg, plan, js)
 }
 
 // runProcedure executes the two-step procedure, reusing the canonical
-// calibration loop with the session's plan runner (progress events and
+// calibration loop with the request's plan runner (progress events and
 // sweep deduplication included).
-func (s *Session) runProcedure(ctx context.Context, req *Request, prog *program.Program, cfg Config, sink *progressSink, alpha float64) (*Report, error) {
+func (r *runner) runProcedure(ctx context.Context, prog *program.Program, cfg Config) (*Report, error) {
+	req := r.req
 	spec := *req.Procedure
 	nInit := req.N
 	if nInit == 0 {
-		nInit = s.set.defUnits
+		nInit = r.s.set.defUnits
 	}
 	pc := smarts.DefaultProcedure(cfg, nInit)
 	pc.J = req.J
@@ -651,9 +656,9 @@ func (s *Session) runProcedure(ctx context.Context, req *Request, prog *program.
 	if spec.Eps != 0 {
 		pc.Eps = spec.Eps
 	}
-	// alpha is already the request-else-session effective confidence;
-	// an explicit spec overrides both.
-	pc.Alpha = alpha
+	// The runner's alpha is already the request-else-session effective
+	// confidence; an explicit spec overrides both.
+	pc.Alpha = r.opt.Alpha
 	if spec.Alpha != 0 {
 		pc.Alpha = spec.Alpha
 	}
@@ -661,10 +666,9 @@ func (s *Session) runProcedure(ctx context.Context, req *Request, prog *program.
 		pc.Overshoot = spec.Overshoot
 	}
 
-	runner := func(ctx context.Context, stage string, plan Plan) (*Result, error) {
-		return s.runPlan(ctx, req, prog, cfg, plan, sink, stage)
-	}
-	pr, err := smarts.RunProcedureWith(ctx, prog, cfg, pc, runner)
+	pr, err := smarts.RunProcedureWith(ctx, prog, cfg, pc, func(ctx context.Context, stage string, plan Plan) (*Result, error) {
+		return r.runPlan(ctx, prog, cfg, plan, stage)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -677,72 +681,49 @@ func (s *Session) runProcedure(ctx context.Context, req *Request, prog *program.
 	}, nil
 }
 
-// runExperiment regenerates one of the paper's figures or tables.
+// runExperiment regenerates one of the paper's figures or tables. Its
+// sampling runs go through the request's runner, as any request's do,
+// with one exception: they attach no sweep cache, because the storeless
+// session's cache is unbounded by default and would retain every sweep
+// of every experiment.
 func (s *Session) runExperiment(ctx context.Context, req *Request) (*Report, error) {
-	scale := req.Scale
-	if scale == "" {
-		scale = "small"
-	}
-	ec, err := s.expContext(scale, req)
+	ec, err := s.expContext(req)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.config(req.Config)
 	var buf bytes.Buffer
 	out := io.Writer(&buf)
 	if req.Output != nil {
 		out = io.MultiWriter(req.Output, &buf)
 	}
-	if err := experiments.Run(ctx, req.Experiment, ec, cfg, out); err != nil {
+	if err := experiments.Run(ctx, req.Experiment, ec, resolveConfig(req.Config), out); err != nil {
 		return nil, err
 	}
 	return &Report{ExperimentOutput: buf.String()}, nil
 }
 
-// expContext returns the session's shared experiment context for a
-// (scale, execution mode) pair, creating it on first use. Program and
-// reference caches are shared across every experiment request with the
-// same pair. SerialLoop requests keep the experiments on the classic
-// serial path — the mode that regenerates the historical figures and
-// tables exactly.
-func (s *Session) expContext(scale string, req *Request) (*experiments.Context, error) {
+// expContext returns the experiment context of req: the session's
+// shared context for req's scale, created on first use, copied with
+// req's runner as its Sampler (Context.With). One reference cache thus
+// serves every experiment request at a scale, whatever its execution
+// mode (a reference is a full detailed run, which no mode changes).
+func (s *Session) expContext(req *Request) (*experiments.Context, error) {
+	scale := req.Scale
+	if scale == "" {
+		scale = "small"
+	}
 	sc, err := experiments.ScaleByName(scale)
 	if err != nil {
 		return nil, err
 	}
-	useStore := !req.NoStore && s.store != nil && !req.SerialLoop
-	// The cache key carries every execution knob baked into the
-	// context, so a NoStore request never inherits a store-attached
-	// context (or vice versa). Worker counts beyond serial-vs-engine
-	// are deliberately NOT in the key: engine results are bit-identical
-	// at any count, and the context's expensive reference cache should
-	// be shared across them (the first engine request's count sticks).
-	mode := "engine"
-	if req.SerialLoop {
-		mode = "serial"
-	}
-	key := fmt.Sprintf("%s/%s/store=%v", scale, mode, useStore)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ec, ok := s.exps[key]; ok {
-		return ec, nil
+	ec, ok := s.exps[scale]
+	if !ok {
+		ec = experiments.NewContext(sc, nil)
+		s.exps[scale] = ec
 	}
-	ec := experiments.NewContext(sc)
-	if !req.SerialLoop {
-		// The session's one declaration of the execution knobs (Keyframe,
-		// Workers, ...) reaches the experiments' sweeps as it does
-		// every sampling request's. Cache stays nil on purpose: the
-		// session's sweep cache is unbounded by default and would retain
-		// every sweep of every experiment.
-		opt := s.set.engine
-		opt.Workers = s.workers(req)
-		if useStore {
-			opt.Store = s.store
-		}
-		ec.Engine = &opt
-	}
-	s.exps[key] = ec
-	return ec, nil
+	s.mu.Unlock()
+	return ec.With(s.newRunner(req, nil)), nil
 }
 
 // sweepAvailable reports whether a committed sweep for key is reusable
@@ -777,7 +758,7 @@ func runShared[T any](ctx context.Context, s *Session, prog *program.Program, cf
 	if opt.Store == nil && opt.Cache == nil {
 		return fn()
 	}
-	_, key := opt.SweepKey(prog, cfg, params)
+	key := opt.SweepKey(prog, cfg, params)
 	hash := key.Hash()
 	for {
 		s.mu.Lock()

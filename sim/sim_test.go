@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/freelist"
 	"repro/internal/program"
 	"repro/internal/smarts"
 	"repro/internal/uarch"
@@ -50,16 +51,24 @@ func sameMeasurement(t *testing.T, label string, got, want *sim.Result) {
 	}
 }
 
+// engineRun runs plan on engine.Run below the session, converted as the
+// session converts it: the baseline requests are pinned to.
+func engineRun(t *testing.T, p *program.Program, cfg uarch.Config, plan smarts.Plan, workers int) *sim.Result {
+	t.Helper()
+	er, err := engine.Run(context.Background(), p, cfg, plan.CheckpointParams(), engine.Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return smarts.FromEngine(plan, er, er)
+}
+
 // TestPlainBitIdentical pins Session.Run's plain engine mode to the
-// pre-refactor smarts entry points at several worker counts.
+// engine run directly, at several worker counts.
 func TestPlainBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := engineRun(t, p, cfg, plan, 1)
 
 	sess, err := sim.Open()
 	if err != nil {
@@ -100,17 +109,13 @@ func TestSerialLoopBitIdentical(t *testing.T) {
 	sameMeasurement(t, "serial", rep.Result(), want)
 }
 
-// TestPhasesBitIdentical pins multi-offset requests to
-// smarts.RunSampledPhasesContext, offset by offset.
+// TestPhasesBitIdentical pins multi-offset requests, measured from one
+// shared sweep, to dedicated engine runs at each offset.
 func TestPhasesBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 60, smarts.FunctionalWarming, 0)
 	js := []uint64{0, 2, 4}
-	want, err := smarts.RunSampledPhasesContext(context.Background(), p, cfg, plan, js, engine.Options{Workers: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	sess, err := sim.Open()
 	if err != nil {
@@ -125,8 +130,13 @@ func TestPhasesBitIdentical(t *testing.T) {
 	if len(rep.Results) != len(js) {
 		t.Fatalf("got %d phase results, want %d", len(rep.Results), len(js))
 	}
-	for i := range js {
-		sameMeasurement(t, "phase", rep.Results[i], want[i])
+	for i, j := range js {
+		pj := plan
+		pj.J = j
+		if rep.Results[i].Plan.J != j {
+			t.Fatalf("result %d echoes phase %d, want %d", i, rep.Results[i].Plan.J, j)
+		}
+		sameMeasurement(t, "phase", rep.Results[i], engineRun(t, p, cfg, pj, 2))
 	}
 }
 
@@ -139,7 +149,7 @@ func TestProcedureBitIdentical(t *testing.T) {
 	pc.Eps = 0.05
 	want, err := smarts.RunProcedureWith(context.Background(), p, cfg, pc,
 		func(ctx context.Context, _ string, plan smarts.Plan) (*smarts.Result, error) {
-			return smarts.RunSampledContext(ctx, p, cfg, plan, engine.Options{Workers: 2})
+			return engineRun(t, p, cfg, plan, 2), nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +190,7 @@ func TestStoreBitIdentical(t *testing.T) {
 	p := testProg(t)
 	cfg := uarch.Config8Way()
 	plan := smarts.PlanForN(p.Length, 1000, smarts.RecommendedW(cfg), 80, smarts.FunctionalWarming, 0)
-	want, err := smarts.RunSampledContext(context.Background(), p, cfg, plan, engine.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := engineRun(t, p, cfg, plan, 2)
 
 	sess, err := sim.Open(sim.WithStore(t.TempDir()))
 	if err != nil {
@@ -216,7 +223,7 @@ func TestStoreBitIdentical(t *testing.T) {
 // experiments registry output.
 func TestExperimentMatchesRegistry(t *testing.T) {
 	var buf bytes.Buffer
-	ec := experiments.NewContext(experiments.Tiny)
+	ec := experiments.NewContext(experiments.Tiny, smarts.SerialSampler{})
 	if err := experiments.Run(context.Background(), "fig4", ec, uarch.Config8Way(), &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +240,69 @@ func TestExperimentMatchesRegistry(t *testing.T) {
 	}
 	if rep.ExperimentOutput != buf.String() {
 		t.Fatalf("experiment output differs:\nsim:\n%s\nregistry:\n%s", rep.ExperimentOutput, buf.String())
+	}
+}
+
+// TestExperimentRunsOnSession: an experiment request's sampling runs go
+// through the session's own path, as any request's do. Each opens with
+// EventRunStart and closes with EventRunDone; each runs on the
+// request's own Workers (a replay worker builds one launcher, so a
+// one-worker request builds one and a three-worker request more); and
+// on a store session a second request finds every sweep the first one
+// committed, with output identical to the bit.
+func TestExperimentRunsOnSession(t *testing.T) {
+	sess, err := sim.Open(sim.WithStore(t.TempDir()), sim.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	run := func(workers int) (out string, events []sim.Progress, launchers int64) {
+		freelist.Drain()
+		built := freelist.Built()["replay launcher"]
+		rep, err := sess.Run(context.Background(), sim.NewExperiment("fig7", sim.AtScale("tiny"), sim.Workers(workers),
+			sim.OnProgress(func(p sim.Progress) { events = append(events, p) })))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.ExperimentOutput, events, freelist.Built()["replay launcher"] - built
+	}
+	count := func(events []sim.Progress, kind sim.EventKind) (n, cached int) {
+		for _, ev := range events {
+			if ev.Kind == kind {
+				n++
+				if ev.Cached {
+					cached++
+				}
+			}
+		}
+		return n, cached
+	}
+
+	first, events, launchers := run(1)
+	starts, _ := count(events, sim.EventRunStart)
+	dones, cached := count(events, sim.EventRunDone)
+	if starts == 0 || starts != dones || cached != 0 {
+		t.Fatalf("first request: %d run starts, %d run dones (%d cached); want one done per start, none cached", starts, dones, cached)
+	}
+	if launchers != 1 {
+		t.Fatalf("one-worker request built %d replay launchers", launchers)
+	}
+	_, misses, _ := sess.StoreStats()
+
+	second, events, launchers := run(3)
+	if second != first {
+		t.Fatalf("experiment output changed on the stored sweeps:\n%s\nwant:\n%s", second, first)
+	}
+	starts2, _ := count(events, sim.EventRunStart)
+	dones2, cached := count(events, sim.EventRunDone)
+	if starts2 != starts || dones2 != dones || cached != dones {
+		t.Fatalf("second request: %d run starts, %d run dones (%d cached); want %d of each, all cached", starts2, dones2, cached, starts)
+	}
+	if hits, misses2, _ := sess.StoreStats(); misses2 != misses || hits != uint64(dones) {
+		t.Fatalf("store: %d hits, %d misses after the second request; want %d hits, still %d misses", hits, misses2, dones, misses)
+	}
+	if launchers < 2 {
+		t.Fatalf("three-worker request built %d replay launchers", launchers)
 	}
 }
 
@@ -273,33 +343,5 @@ func TestClosedSession(t *testing.T) {
 	sess.Close()
 	if _, err := sess.Run(context.Background(), sim.NewRequest(testBench)); err == nil {
 		t.Fatal("closed session accepted a run")
-	}
-}
-
-// TestKeyframeOptionBitIdentical pins the WithKeyframe contract: the
-// keyframe interval changes only the checkpoint encoding, never the
-// measurement — every interval (full snapshots, tight chains, one long
-// chain) reports bit-identical results.
-func TestKeyframeOptionBitIdentical(t *testing.T) {
-	var want *sim.Report
-	for _, kf := range []int{0, 1, 3, 64} {
-		sess, err := sim.Open(sim.WithWorkers(2), sim.WithKeyframe(kf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sess.Run(context.Background(),
-			sim.NewRequest(testBench, sim.Length(testLen), sim.Units(60)))
-		sess.Close()
-		if err != nil {
-			t.Fatalf("keyframe %d: %v", kf, err)
-		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		sameMeasurement(t, "keyframe interval", rep.Result(), want.Result())
-	}
-	if _, err := sim.Open(sim.WithKeyframe(-1)); err == nil {
-		t.Fatal("negative keyframe accepted")
 	}
 }

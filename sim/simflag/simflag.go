@@ -108,14 +108,13 @@ func ParseWarming(s string) (sim.WarmingMode, error) {
 }
 
 // Engine groups the execution flags every sampling binary shares
-// (-parallel, -ckpt-dir, -ckpt-max-bytes, -mem-cache-bytes, -keyframe)
+// (-parallel, -ckpt-dir, -ckpt-max-bytes, -mem-cache-bytes)
 // — previously duplicated, drifting definitions in each main package.
 type Engine struct {
 	Parallel    *int
 	CkptDir     *string
 	CkptMax     *int64
 	MemCacheMax *int64
-	Keyframe    *int
 }
 
 // RegisterEngine installs the execution flags.
@@ -125,7 +124,6 @@ func RegisterEngine(fs *flag.FlagSet) *Engine {
 		CkptDir:     fs.String("ckpt-dir", "", "on-disk checkpoint store directory; sweeps are saved and reused across runs (empty = in-memory only; requires -parallel)"),
 		CkptMax:     fs.Int64("ckpt-max-bytes", 0, "LRU size cap for the checkpoint store in bytes; each save evicts the least recently used entries over the cap (0 = unbounded)"),
 		MemCacheMax: fs.Int64("mem-cache-bytes", 0, "LRU size cap for the in-memory sweep cache of storeless sessions, in snapshot-payload bytes (0 = unbounded; ignored with -ckpt-dir)"),
-		Keyframe:    fs.Int("keyframe", 0, "full-snapshot interval of delta-encoded checkpoints: every n-th captured unit is a keyframe, units between carry dirty-block/dirty-page deltas (0 = built-in default, 1 = full snapshots only; results are identical either way)"),
 	}
 }
 
@@ -134,11 +132,6 @@ func RegisterEngine(fs *flag.FlagSet) *Engine {
 // the serial path, exactly as the old binaries did.
 func (e *Engine) SessionOptions(prog string) []sim.Option {
 	var opts []sim.Option
-	if *e.Keyframe != 0 {
-		// Invalid (negative) values flow through so sim.Open reports
-		// them, rather than being silently dropped here.
-		opts = append(opts, sim.WithKeyframe(*e.Keyframe))
-	}
 	if *e.MemCacheMax != 0 {
 		opts = append(opts, sim.WithMemCacheBytes(*e.MemCacheMax))
 	}

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/sim"
 )
@@ -64,5 +65,37 @@ func TestReusedSweepReportsNoSweepTime(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTimingWithinElapsed: a run's FastFwdTime and DetailedTime are an
+// attribution of its own wall clock, so they sum to no more than the
+// report's Elapsed at any worker count — for a plain run and a
+// multi-offset one, cold and on a reused sweep. (The replays' summed
+// time grows with the worker count and would not fit.)
+func TestTimingWithinElapsed(t *testing.T) {
+	sess, err := sim.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, phases := range [][]uint64{nil, {0, 1}} {
+		for i := range 2 {
+			rep, err := sess.Run(context.Background(),
+				sim.NewRequest(testBench, sim.Length(testLen), sim.Units(200), sim.Workers(2), sim.Phases(phases...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum time.Duration
+			for _, res := range rep.Results {
+				sum += res.DetailedTime
+			}
+			// Phase results echo the one shared sweep: count it once.
+			sum += rep.Results[0].FastFwdTime
+			if sum > rep.Elapsed {
+				t.Fatalf("phases %v, run %d: fast-forward %v + detailed %v exceeds elapsed %v",
+					phases, i, rep.Results[0].FastFwdTime, sum-rep.Results[0].FastFwdTime, rep.Elapsed)
+			}
+		}
 	}
 }
